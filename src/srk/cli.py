@@ -70,6 +70,12 @@ def _threads() -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
+    """Euler class, sign invariant and the nine-curve trace table.
+
+    A curve's "agreement" is |matrix - closed_form| / max(1, |matrix|), or
+    None where no formula covers it; "worst_agreement" is the largest.
+    Exit 3 when a trace overflows (huge twists).
+    """
     try:
         rep = _load_rep(args.rep)
     except (OSError, ValueError, KeyError, pants.PantsError) as exc:
@@ -77,13 +83,18 @@ def cmd_classify(args) -> int:
         return EXIT_USAGE
     table = {}
     worst = 0.0
-    for tag in genus2.CURVE_TAGS:
-        tm = genus2.trace_curve_matrix(rep, tag)
-        tc, covered = genus2.trace_curve_closed_form(rep, tag)
-        if covered:
-            worst = max(worst, abs(tm - tc))
-        table[tag] = {"matrix": tm, "closed_form": tc if covered else None,
-                      "agreement": abs(tm - tc) if covered else None}
+    try:
+        for tag in genus2.CURVE_TAGS:
+            tm = genus2.trace_curve_matrix(rep, tag)
+            tc, covered = genus2.trace_curve_closed_form(rep, tag)
+            gap = abs(tm - tc) / max(1.0, abs(tm)) if covered else None
+            if covered:
+                worst = max(worst, gap)
+            table[tag] = {"matrix": tm, "closed_form": tc if covered else None,
+                          "agreement": gap}
+    except genus2.Genus2Error as exc:
+        sys.stderr.write(f"classify: out of range: {exc}\n")
+        return EXIT_OUT_OF_SCOPE
     report = {
         "euler": genus2.euler_class(rep),
         "euler_nominal": rep.euler_nominal,

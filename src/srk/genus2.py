@@ -29,8 +29,8 @@ import numpy as np
 
 from . import hyptrig, psl2r
 from .pants import PantsCase, PantsRep, build_pants, case_from_string
-from .psl2r import (PSL2Error, _mat, _qinv, _qmul, _qtranslation, _quad,
-                    commutator, make_translation, minv, mmul, mtrace)
+from .psl2r import (PSL2Error, Quad, _mat, _qcommutator, _qinv, _qmul,
+                    _qtrace, _qtranslation)
 
 TOL_SIGN = 1e-9      # band around tr delta = 2 reported as degenerate
 
@@ -74,6 +74,11 @@ class GluedRep:
         return self.p1.a
 
     @property
+    def coords(self):
+        """(x, y, a, t), as `curve_quad` and `loop_quads` take them."""
+        return self.p1.q, self.p2.q, self.a, self.t
+
+    @property
     def euler_nominal(self) -> int:
         return self.eps1.euler + self.eps2.euler
 
@@ -83,9 +88,23 @@ class GluedRep:
 
     @classmethod
     def from_json(cls, text: str) -> "GluedRep":
+        """Parse {"eps": [2 case names], "a": [3 numbers], "t": [3 numbers]};
+        a record of any other shape or with a non-finite number raises
+        Genus2Error."""
         data = json.loads(text)
-        eps1, eps2 = (case_from_string(s) for s in data["eps"])
-        return build_glued(eps1, eps2, tuple(data["a"]), tuple(data["t"]))
+        eps = _field(data, "eps", 2, lambda s: isinstance(s, str))
+        a, t = (_field(data, key, 3, lambda x: type(x) in (int, float)
+                       and math.isfinite(x)) for key in ("a", "t"))
+        eps1, eps2 = (case_from_string(s) for s in eps)
+        return build_glued(eps1, eps2, a, t)
+
+
+def _field(data, key: str, n: int, valid) -> list:
+    v = data.get(key) if isinstance(data, dict) else None
+    if not (isinstance(v, list) and len(v) == n and all(map(valid, v))):
+        raise Genus2Error(f"coordinate record needs {n} valid {key!r} "
+                          f"entries, got {v!r}")
+    return v
 
 
 def build_glued(eps1: PantsCase, eps2: PantsCase,
@@ -109,20 +128,50 @@ def build_glued(eps1: PantsCase, eps2: PantsCase,
 # curve words and traces
 # ---------------------------------------------------------------------------
 
-def curve_matrix(rep: GluedRep, tag: str) -> np.ndarray:
-    """Holonomy matrix of a named curve (SL2 lift fixed by the word)."""
+def curve_quad(x, y, a, t, tag: str) -> Quad:
+    """Holonomy of a named curve (SL2 lift fixed by the word) as a 4-tuple.
+
+    x and y are the two pants' edge matrices as 4-tuples, a and t the
+    half-lengths and twists: a certificate replay needs nothing else.
+    """
     if tag in GAMMA_TAGS:
-        i = GAMMA_TAGS.index(tag)
-        return make_translation(2.0 * rep.a[i])
+        return _qtranslation(2.0 * a[GAMMA_TAGS.index(tag)])
     if tag in BETA_TAGS:
         i = BETA_TAGS.index(tag)
         j, k = (i + 1) % 3, (i + 2) % 3
-        return mmul(minv(rep.p1.x[i]), make_translation(-rep.t[k]),
-                    rep.p2.x[i], make_translation(rep.t[j]))
+        return _qmul(_qinv(x[i]), _qtranslation(-t[k]), y[i],
+                     _qtranslation(t[j]))
     if tag in DELTA_TAGS:
         bt, gt = _DELTA_PAIRS[tag]
-        return commutator(curve_matrix(rep, bt), curve_matrix(rep, gt))
+        return _qcommutator(curve_quad(x, y, a, t, bt),
+                            curve_quad(x, y, a, t, gt))
     raise Genus2Error(f"unknown curve tag {tag!r}")
+
+
+def loop_quads(x, y, a, t) -> Tuple[Tuple[Quad, Quad, Quad],
+                                    Tuple[Quad, Quad, Quad]]:
+    """Co-based loops (gamma_1..3, beta_1..3) at a common base point.
+
+    The loops come from a spanning tree of the gluing complex: p3 and p5
+    transport the base vertex v0 to the vertices v3 and v5 of the first
+    pants.  Same arguments as `curve_quad`.
+    """
+    tr_, inv = _qtranslation, _qinv
+    p3 = _qmul(x[1], tr_(a[2]), x[0])                # transport v0 -> v3
+    p5 = _qmul(x[2], tr_(a[0]), p3)                  # transport v0 -> v5
+    g = (_qmul(inv(p3), tr_(2 * a[0]), p3),
+         _qmul(inv(p5), tr_(2 * a[1]), p5),
+         _qmul(inv(x[0]), tr_(2 * a[2]), x[0]))
+    b = (_qmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(-a[0]),
+               inv(y[2]), tr_(t[1]), p5),
+         _qmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(t[0]), p3),
+         _qmul(inv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3))
+    return g, b
+
+
+def curve_matrix(rep: GluedRep, tag: str) -> np.ndarray:
+    """Holonomy matrix of a named curve (SL2 lift fixed by the word)."""
+    return _mat(curve_quad(*rep.coords, tag))
 
 
 def trace_curve_matrix(rep: GluedRep, tag: str) -> float:
@@ -130,8 +179,15 @@ def trace_curve_matrix(rep: GluedRep, tag: str) -> float:
 
     For the delta curves the value is canonical (trace of a commutator);
     for the others it is the trace of the SL2 lift fixed by the word.
+    Raises Genus2Error when the product overflows (huge twists).
     """
-    return mtrace(curve_matrix(rep, tag))
+    try:
+        tr = _qtrace(curve_quad(*rep.coords, tag))
+    except ArithmeticError:    # a translation's exp overflows or hits 0
+        tr = math.inf
+    if not math.isfinite(tr):
+        raise Genus2Error(f"trace of {tag} overflows at twists {rep.t}")
+    return tr
 
 
 def trace_curve_closed_form(rep: GluedRep, tag: str) -> Tuple[float, bool]:
@@ -139,11 +195,17 @@ def trace_curve_closed_form(rep: GluedRep, tag: str) -> Tuple[float, bool]:
 
     Returns (value, True) when the (case pair, curve) combination is covered
     by one of the published formulas or a cyclic companion of one, and
-    (trace_curve_matrix(rep, tag), False) otherwise.
+    (trace_curve_matrix(rep, tag), False) otherwise.  Raises Genus2Error
+    when the formula overflows (huge twists).
     """
-    val = _closed_form(rep.eps1, rep.eps2, rep.a, rep.t, tag)
+    try:
+        val = _closed_form(rep.eps1, rep.eps2, rep.a, rep.t, tag)
+    except OverflowError:      # cosh, sinh or a square overflows
+        val = math.inf
     if val is None:
         return trace_curve_matrix(rep, tag), False
+    if not math.isfinite(val):
+        raise Genus2Error(f"closed form of {tag} overflows at twists {rep.t}")
     return val, True
 
 
@@ -285,16 +347,27 @@ def dehn_twist_gamma(rep: GluedRep, i: int, k: int = 1) -> GluedRep:
     return replace(rep, t=tuple(t))
 
 
+def twist_counts(rep: GluedRep) -> Tuple[int, int, int]:
+    """Twist multiples k_i with t_i + 2 k_i a_i in [-a_i, a_i].
+
+    Boundary ties resolve to +a_i.  `normalize_twists` applies the counts;
+    the search logs them as twist moves.
+    """
+    counts = []
+    for ti, ai in zip(rep.t, rep.a):
+        width = 2.0 * ai
+        k = -math.floor((ti + ai) / width)
+        if abs(ti + k * width + ai) < 1e-13:   # landed on the lower edge
+            k += 1
+        counts.append(k)
+    return tuple(counts)
+
+
 def normalize_twists(rep: GluedRep) -> GluedRep:
     """Twist each t_i into [-a_i, a_i]; boundary ties resolve to +a_i."""
-    t = list(rep.t)
-    for i in range(3):
-        width = 2.0 * rep.a[i]
-        shift = math.floor((t[i] + rep.a[i]) / width)
-        t[i] -= shift * width
-        if abs(t[i] + rep.a[i]) < 1e-13:   # landed on the lower edge
-            t[i] += width
-    return replace(rep, t=tuple(t))
+    t = tuple(ti + 2.0 * k * ai
+              for ti, k, ai in zip(rep.t, twist_counts(rep), rep.a))
+    return replace(rep, t=t)
 
 
 @dataclass(frozen=True)
@@ -343,28 +416,16 @@ def generator_images(rep: GluedRep) -> Tuple[np.ndarray, np.ndarray,
                                              np.ndarray, np.ndarray]:
     """Images (A1, B1, A2, B2) of a standard generating quadruple.
 
-    The loops come from a spanning tree of the gluing complex: the first
-    handle is carried by (beta_1, gamma_2), the second by (beta_2, gamma_1)
+    Built from the co-based loops of `loop_quads`: the first handle is
+    carried by (beta_1, gamma_2), the second by (beta_2, gamma_1)
     conjugated through the connector gamma_2^-1 beta_3.  The matrix product
     [A2, B2][A1, B1] is +-identity, and its lifted deck power is the Euler
-    class.  The words are multiplied out on 4-tuples (see psl2r) and the
-    images returned as ndarrays.
+    class.  The images are returned as ndarrays.
     """
-    x = [_quad(m) for m in rep.p1.x]
-    y = [_quad(m) for m in rep.p2.x]
-    a, t = rep.a, rep.t
-    tr_, inv = _qtranslation, _qinv
-    p3 = _qmul(x[1], tr_(a[2]), x[0])                # transport v0 -> v3
-    p5 = _qmul(x[2], tr_(a[0]), p3)                  # transport v0 -> v5
-    g1 = _qmul(inv(p3), tr_(2 * a[0]), p3)
-    g2 = _qmul(inv(p5), tr_(2 * a[1]), p5)
-    b1 = _qmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(-a[0]),
-               inv(y[2]), tr_(t[1]), p5)
-    b2 = _qmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(t[0]), p3)
-    b3 = _qmul(inv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3)
-    w = _qmul(inv(g2), b3)
-    return tuple(_mat(q) for q in (b1, g2, _qmul(w, b2, inv(w)),
-                                   _qmul(w, g1, inv(w))))
+    g, b = loop_quads(*rep.coords)
+    w = _qmul(_qinv(g[1]), b[2])
+    return tuple(_mat(q) for q in (b[0], g[1], _qmul(w, b[1], _qinv(w)),
+                                   _qmul(w, g[0], _qinv(w))))
 
 
 def euler_class(rep: GluedRep) -> int:

@@ -126,32 +126,36 @@ def case_from_string(name: str) -> PantsCase:
 
 @dataclass(frozen=True)
 class PantsRep:
-    """Boundary half-lengths, construction tag, and the edge matrices."""
+    """Half-lengths, construction tag, and the edge matrices as row-major
+    4-tuples `q` (see psl2r); `x` returns the edge matrices as ndarrays."""
 
     a: Tuple[float, float, float]
     case: PantsCase
-    x: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    q: Tuple[Quad, Quad, Quad]
+
+    @property
+    def x(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(_mat(m) for m in self.q)
 
     def cocycle_residuals(self) -> Tuple[float, float]:
-        return _cocycle_residuals(self.a, self.x)
+        return _cocycle_residuals(self.a, self.q)
 
     def to_json(self) -> str:
         return json.dumps({
             "a": list(self.a),
             "case": str(self.case),
-            "X": [m.reshape(4).tolist() for m in self.x],
+            "X": [list(m) for m in self.q],
         })
 
     @classmethod
     def from_json(cls, text: str) -> "PantsRep":
         data = json.loads(text)
-        x = tuple(np.array(v, dtype=float).reshape(2, 2) for v in data["X"])
-        return cls(a=tuple(data["a"]), case=case_from_string(data["case"]), x=x)
+        q = tuple(_quad(tuple(float(v) for v in m)) for m in data["X"])
+        return cls(a=tuple(data["a"]), case=case_from_string(data["case"]), q=q)
 
 
 # The scalar builders below compute each edge matrix as a row-major 4-tuple
-# (see psl2r); build_pants checks the cocycle on the 4-tuples and returns
-# ndarrays.
+# (see psl2r); build_pants checks the cocycle on the 4-tuples and keeps them.
 
 _S = _quad(S)
 _R_LEFT = _quad(R_LEFT)
@@ -162,7 +166,7 @@ _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 def _cocycle_residuals(a, x) -> Tuple[float, float]:
     """Deviations of the two cocycle products from +-identity."""
     a1, a2, a3 = a
-    x1, x2, x3 = (_quad(m) for m in x)
+    x1, x2, x3 = x
     tr = _qtranslation
     first = _qmul(tr(a2), x3, tr(a1), x2, tr(a3), x1)
     second = _qmul(tr(-a2), x3, tr(-a1), x2, tr(-a3), x1)
@@ -265,7 +269,7 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     res = _cocycle_residuals(a, x)
     if max(res) > TOL_COCYCLE:
         raise PantsError(f"cocycle residuals {res} exceed tolerance")
-    return PantsRep(a=a, case=case, x=tuple(_mat(q) for q in x))
+    return PantsRep(a=a, case=case, q=x)
 
 
 # ---------------------------------------------------------------------------

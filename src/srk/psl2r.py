@@ -13,8 +13,8 @@ which pins the deck generator of the universal cover to +2pi.
 
 Matrices are accepted as ndarrays, nested sequences, ProjectiveIsometry
 instances, or row-major 4-tuples (a, b, c, d) standing for [[a, b], [c, d]].
-The scalar hot paths (boundary lifts, the Milnor algorithm, the pants
-builders and the genus-2 generator images) do their 2x2 arithmetic on such
+The scalar hot paths (lifts, the Milnor algorithm, the pants builders,
+the genus-2 curve words and the search) do their 2x2 arithmetic on such
 4-tuples of floats, which costs a fraction of a numpy call on a 2x2 array;
 ndarrays are converted once, where they enter or leave a public function.
 """
@@ -82,6 +82,15 @@ def _qmul(*qs: Quad) -> Quad:
 def _qinv(q: Quad) -> Quad:
     a, b, c, d = q
     return (d, -b, -c, a)
+
+
+def _qtrace(q: Quad) -> float:
+    return q[0] + q[3]
+
+
+def _qcommutator(p: Quad, q: Quad) -> Quad:
+    """[P, Q] = Q^-1 P^-1 Q P, as `commutator`."""
+    return _qmul(_qinv(q), _qinv(p), q, p)
 
 
 def _qtranslation(length: float) -> Quad:
@@ -156,8 +165,7 @@ def deviation_from_projective_identity(g: MatrixLike) -> float:
 
 def commutator(a: MatrixLike, b: MatrixLike) -> np.ndarray:
     """[A, B] = B^-1 A^-1 B A; sign-unambiguous in SL(2,R)."""
-    am, bm = _as_matrix(a), _as_matrix(b)
-    return minv(bm) @ minv(am) @ bm @ am
+    return _mat(_qcommutator(_quad(a), _quad(b)))
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import genus2, hyptrig, pants, torus
-from .genus2 import GluedRep, build_glued, curve_matrix, trace_curve_matrix
+from .genus2 import GluedRep, build_glued, trace_curve_matrix
 from .pants import PantsCase
-from .psl2r import (PSL2Error, commutator, make_translation, minv, mmul,
-                    mtrace)
+from .psl2r import PSL2Error, Quad, _qcommutator, _qinv, _qmul, _qtrace
 
 B2_HALF = 2.2254             # admissible half-length bound of the search
 COSH_B2_HALF = 4.67          # reported Bers value, used by constant checks
@@ -191,6 +190,32 @@ def _polygon_escape(tj: float, tk: float, aj: float, ak: float,
     return (1, 0) if tj < 0.0 else (0, -1)
 
 
+def _escape_or_improve(state: SearchState, sid: str, betas, limit: float):
+    """Polygon strategy step: escape along the first listed beta_i whose
+    twists (t_j, t_k) leave the polygon, else re-coordinatise."""
+    rep = state.rep
+    for i in betas:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        esc = _polygon_escape(rep.t[j], rep.t[k], rep.a[j], rep.a[k], limit)
+        if esc is not None:
+            _apply_twist(state, j + 1, esc[0])
+            _apply_twist(state, k + 1, esc[1])
+            state.history.append({"move": "strategy", "id": sid,
+                                  "branch": "escape", "beta": i + 1})
+            return _conclude_on_beta(state, i, f"{sid} escape trace")
+    state.history.append({"move": "strategy", "id": sid,
+                          "branch": "interior"})
+    return _improve(state)
+
+
+def _conclude_on_beta(state: SearchState, i: int, why: str):
+    """Found on beta_{i+1} if its trace is non-hyperbolic, else stalled."""
+    tr = trace_curve_matrix(state.rep, f"beta{i+1}")
+    if abs(tr) <= 2.0 + TRACE_TOL:
+        return _found(state, [[f"beta{i+1}", 1]])
+    return _stalled(state, f"{why} {tr}")
+
+
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
@@ -200,8 +225,8 @@ def _snapshot(rep: GluedRep) -> Dict:
         "eps": [str(rep.eps1), str(rep.eps2)],
         "a": [float(v) for v in rep.a],
         "t": [float(v) for v in rep.t],
-        "X": [m.reshape(4).tolist() for m in rep.p1.x],
-        "Y": [m.reshape(4).tolist() for m in rep.p2.x],
+        "X": [list(m) for m in rep.p1.q],
+        "Y": [list(m) for m in rep.p2.q],
     }
 
 
@@ -257,39 +282,42 @@ class SearchState:
 # replay (matrix arithmetic only)
 # ---------------------------------------------------------------------------
 
-def _images_from_snapshot(snap: Dict) -> Tuple[np.ndarray, ...]:
-    x = [np.array(v, dtype=float).reshape(2, 2) for v in snap["X"]]
-    y = [np.array(v, dtype=float).reshape(2, 2) for v in snap["Y"]]
+def _coords_from_snapshot(snap: Dict):
+    x, y = ([tuple(map(float, m)) for m in snap[key]] for key in "XY")
     return x, y, list(snap["a"]), list(snap["t"])
 
 
-def _named_images(x, y, a, t) -> Dict[str, np.ndarray]:
-    images = {}
-    for i in range(3):
-        images[f"gamma{i+1}"] = make_translation(2.0 * a[i])
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        images[f"beta{i+1}"] = mmul(minv(x[i]), make_translation(-t[k]),
-                                    y[i], make_translation(t[j]))
-    for k, (bt, gt) in genus2._DELTA_PAIRS.items():
-        images[k] = commutator(images[bt], images[gt])
-    g_loops, b_loops = _loops_raw(x, y, a, t)
-    for i in range(3):
-        images[f"gloop{i+1}"] = g_loops[i]
-        images[f"bloop{i+1}"] = b_loops[i]
-    return images
+def _trace(coords, tag: str) -> float:
+    return _qtrace(genus2.curve_quad(*coords, tag))
 
 
-def _eval_word(images: Dict[str, np.ndarray], word: Sequence) -> np.ndarray:
-    out = np.eye(2)
+def _word_quad(coords, word: Sequence) -> Quad:
+    """Product of a word over the named curves and the co-based loops."""
+    out = (1.0, 0.0, 0.0, 1.0)
+    loops = None
     for name, exp in word:
-        m = images[name]
+        if name.startswith(("gloop", "bloop")):
+            loops = loops or genus2.loop_quads(*coords)
+            m = loops[name[0] == "b"][int(name[-1]) - 1]
+        else:
+            m = genus2.curve_quad(*coords, name)
         exp = int(exp)
         if exp < 0:
-            m, exp = minv(m), -exp
+            m, exp = _qinv(m), -exp
         for _ in range(exp):
-            out = out @ m
+            out = _qmul(out, m)
     return out
+
+
+def _delta_targets(loops, rho: Sequence[int]) -> List[float]:
+    """Traces of the delta curves after re-coordinatising on relabel rho.
+
+    delta'_k pairs the old co-based handle (gamma_{rho(i)}, beta_{rho(j)}),
+    (i, j, k) cyclic.
+    """
+    g, b = loops
+    return [_qtrace(_qcommutator(g[rho[(k + 1) % 3]], b[rho[(k + 2) % 3]]))
+            for k in range(3)]
 
 
 def replay_certificate(cert: Certificate, tol: float = 1e-6) -> Dict:
@@ -300,7 +328,7 @@ def replay_certificate(cert: Certificate, tol: float = 1e-6) -> Dict:
     and finally re-evaluates the curve word; returns a report dict with the
     replayed trace.
     """
-    x, y, a, t = _images_from_snapshot(cert.initial)
+    x, y, a, t = _coords_from_snapshot(cert.initial)
     checks = []
     for mv in cert.moves:
         kind = mv["kind"]
@@ -315,22 +343,20 @@ def replay_certificate(cert: Certificate, tol: float = 1e-6) -> Dict:
             a = [a[perm[i]] for i in range(3)]
             t = [t[perm[i]] for i in range(3)]
         elif kind == "recoordinatize":
-            old = _named_images(x, y, a, t)
-            g_loops, b_loops = _loops_raw(x, y, a, t)
-            x, y, a, t = _images_from_snapshot(mv["snapshot"])
-            new = _named_images(x, y, a, t)
+            old = (x, y, a, t)
+            x, y, a, t = _coords_from_snapshot(mv["snapshot"])
+            new = (x, y, a, t)
             rho = mv["relabel"]          # new index i <- old index rho[i]
             worst = 0.0
             for i in range(3):
-                worst = max(worst, abs(abs(mtrace(new[f"gamma{i+1}"]))
-                                       - abs(mtrace(old[f"beta{rho[i]+1}"]))))
-                worst = max(worst, abs(abs(mtrace(new[f"beta{i+1}"]))
-                                       - abs(mtrace(old[f"gamma{rho[i]+1}"]))))
-            for k in range(3):
-                # delta'_k pairs the old co-based handle (gamma, beta)
-                i, j = (k + 1) % 3, (k + 2) % 3
-                target = mtrace(commutator(g_loops[rho[i]], b_loops[rho[j]]))
-                worst = max(worst, abs(mtrace(new[f"delta{k+1}"]) - target))
+                worst = max(worst,
+                            abs(abs(_trace(new, f"gamma{i+1}"))
+                                - abs(_trace(old, f"beta{rho[i]+1}"))),
+                            abs(abs(_trace(new, f"beta{i+1}"))
+                                - abs(_trace(old, f"gamma{rho[i]+1}"))))
+            targets = _delta_targets(genus2.loop_quads(*old), rho)
+            for k, target in enumerate(targets):
+                worst = max(worst, abs(_trace(new, f"delta{k+1}") - target))
             checks.append(worst)
             if worst > tol:
                 return {"ok": False, "reason": "recoordinatisation link",
@@ -339,9 +365,7 @@ def replay_certificate(cert: Certificate, tol: float = 1e-6) -> Dict:
             return {"ok": False, "reason": f"unknown move {kind!r}"}
     if cert.curve is None:
         return {"ok": False, "reason": "certificate has no curve"}
-    images = _named_images(x, y, a, t)
-    m = _eval_word(images, cert.curve)
-    tr = mtrace(m)
+    tr = _qtrace(_word_quad((x, y, a, t), cert.curve))
     ok = abs(tr) <= 2.0 + TRACE_TOL and abs(tr - cert.trace) <= 1e-6
     return {"ok": bool(ok), "trace": tr, "link_errors": checks}
 
@@ -359,14 +383,8 @@ def _apply_twist(state: SearchState, i: int, k: int) -> None:
 
 
 def _normalize(state: SearchState) -> None:
-    rep = state.rep
-    for i in range(3):
-        width = 2.0 * rep.a[i]
-        k = -math.floor((rep.t[i] + rep.a[i]) / width)
-        if abs(rep.t[i] + k * width + rep.a[i]) < 1e-13:
-            k += 1
+    for i, k in enumerate(genus2.twist_counts(state.rep)):
         _apply_twist(state, i + 1, k)
-        rep = state.rep
 
 
 def _align(state: SearchState) -> None:
@@ -385,9 +403,7 @@ def _align(state: SearchState) -> None:
 
 
 def _found(state: SearchState, word: List) -> FoundCurve:
-    m = _eval_word(_named_images(state.rep.p1.x, state.rep.p2.x,
-                                 list(state.rep.a), list(state.rep.t)), word)
-    tr = mtrace(m)
+    tr = _qtrace(_word_quad(state.rep.coords, word))
     if abs(tr) > 2.0 + TRACE_TOL:
         raise SearchError(
             f"found-curve verification failed: |{tr}| > 2 for {word}")
@@ -426,8 +442,7 @@ def classify_scope(rep: GluedRep) -> str:
     raise OutOfScopeError(f"Euler class {eu} is extremal (Fuchsian locus)")
 
 
-def _complement_handle(rep: GluedRep, k: int) -> Tuple[np.ndarray, np.ndarray,
-                                                       str, str]:
+def _complement_handle(rep: GluedRep, k: int) -> Tuple[Quad, Quad, str, str]:
     """Co-based pair spanning the torus on the other side of delta_k.
 
     delta_k bounds the handle of (beta_i, gamma_j) on one side and the
@@ -436,7 +451,7 @@ def _complement_handle(rep: GluedRep, k: int) -> Tuple[np.ndarray, np.ndarray,
     of them has trace above 2 whenever |tr delta_k| > 2.
     """
     i, j = k % 3, (k + 1) % 3          # 0-based successors of k-1
-    g_loops, b_loops = _loop_images(rep)
+    g_loops, b_loops = genus2.loop_quads(*rep.coords)
     return (g_loops[i], b_loops[j], f"gloop{i+1}", f"bloop{j+1}")
 
 
@@ -446,7 +461,7 @@ def _torus_window(rep: GluedRep, k: int) -> Optional[str]:
     if abs(tr) <= 2.0 + TRACE_TOL or 2.0 < tr <= TORUS_TRACE_MAX:
         return f"delta_torus:{k}"
     p, q, _, _ = _complement_handle(rep, k)
-    if 2.0 < mtrace(commutator(p, q)) <= TORUS_TRACE_MAX:
+    if 2.0 < _qtrace(_qcommutator(p, q)) <= TORUS_TRACE_MAX:
         return f"delta_torus_complement:{k}"
     return None
 
@@ -500,8 +515,8 @@ def _torus_route(state: SearchState, k: int, complement: bool = False):
         p, q, name_p, name_q = _complement_handle(rep, k)
     else:
         name_p, name_q = genus2._DELTA_PAIRS[f"delta{k}"]
-        p, q = curve_matrix(rep, name_p), curve_matrix(rep, name_q)
-    x, y, z = mtrace(p), mtrace(q), mtrace(p @ q)
+        p, q = (genus2.curve_quad(*rep.coords, n) for n in (name_p, name_q))
+    x, y, z = _qtrace(p), _qtrace(q), _qtrace(_qmul(p, q))
     kappa = torus.kappa(x, y, z)
     if not 2.0 < kappa <= TORUS_TRACE_MAX:
         return _stalled(state, f"handle at delta_{k} has commutator trace "
@@ -549,10 +564,8 @@ def flat_twist_step(state: SearchState):
 
 
 def _flat_delta3_probe(rep: GluedRep, t3: float) -> float:
-    t = (rep.t[0], rep.t[1], t3)
-    x, y = rep.p1.x, rep.p2.x
-    images = _named_images(x, y, list(rep.a), list(t))
-    return mtrace(images["delta3"])
+    x, y, a, t = rep.coords
+    return _trace((x, y, a, (t[0], t[1], t3)), "delta3")
 
 
 def intervals_step(state: SearchState):
@@ -576,21 +589,13 @@ def intervals_step(state: SearchState):
             _apply_twist(state, m + 1, k)
             state.history.append({"move": "strategy", "id": "bandwidth",
                                   "beta": other + 1})
-            tr = trace_curve_matrix(state.rep, f"beta{other+1}")
-            if abs(tr) <= 2.0 + TRACE_TOL:
-                return _found(state, [[f"beta{other+1}", 1]])
-            return _stalled(state, f"bandwidth produced trace {tr}")
+            return _conclude_on_beta(state, other, "bandwidth produced trace")
         return _stalled(state, f"bandwidth window closed at u3 = {u3}")
     if _CH(a_min) > 3.0:
         return _equilateral0(state)
     if _CH(a_mid) > _CH(a_min) + 2.0:
         return _isosceles0(state)
     return _stalled(state, f"interval dichotomy violated at u3 = {u3}")
-
-
-def _hexagon_f(b_i: float, x: float, y: float) -> float:
-    return (2.0 * _CH((x + y) / 2.0) * _CH(b_i / 2.0) ** 2
-            - 2.0 * _CH((x - y) / 2.0) * _SH(b_i / 2.0) ** 2)
 
 
 def _equ0_lambda(b3: float, a3: float) -> Optional[float]:
@@ -602,8 +607,7 @@ def _equ0_lambda(b3: float, a3: float) -> Optional[float]:
 
 def _equilateral0(state: SearchState):
     """Equilateral polygon strategy in the (+1, -1) case, cosh(a_min) > 3."""
-    rep = state.rep
-    a = rep.a
+    a = state.rep.a
     sol = hyptrig.solve_hexagon(*a)
     b_max = sol.b[2]
     b_min = min(sol.b[0], sol.b[1])
@@ -616,28 +620,12 @@ def _equilateral0(state: SearchState):
              - _CH(b_min) * _SH(lam / 2.0) * _SH(a[2] / 2.0)) <= 1.0 + 1e-12
     if not (cond1 and cond2):
         return _stalled(state, "equilateral conditions (1)-(2) fail")
-    limit = a[2] + lam
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        esc = _polygon_escape(rep.t[j], rep.t[k], a[j], a[k], limit)
-        if esc is not None:
-            _apply_twist(state, j + 1, esc[0])
-            _apply_twist(state, k + 1, esc[1])
-            state.history.append({"move": "strategy", "id": "equilateral0",
-                                  "branch": "escape", "beta": i + 1})
-            tr = trace_curve_matrix(state.rep, f"beta{i+1}")
-            if abs(tr) <= 2.0 + TRACE_TOL:
-                return _found(state, [[f"beta{i+1}", 1]])
-            return _stalled(state, f"equilateral escape trace {tr}")
-    state.history.append({"move": "strategy", "id": "equilateral0",
-                          "branch": "interior"})
-    return _improve(state)
+    return _escape_or_improve(state, "equilateral0", range(3), a[2] + lam)
 
 
 def _isosceles0(state: SearchState):
     """Isosceles polygon strategy in the (+1, -1) case."""
-    rep = state.rep
-    a = rep.a
+    a = state.rep.a
     sol = hyptrig.solve_hexagon(*a)
     m = int(np.argmin(a[:2]))
     b_m = sol.b[m]                      # pairs the two larger sides
@@ -654,20 +642,7 @@ def _isosceles0(state: SearchState):
         <= _CH(a[2]) + 1e-12
     if not (cond1 and cond2 and cond3):
         return _stalled(state, "isosceles conditions (1)-(3) fail")
-    j, k = (m + 1) % 3, (m + 2) % 3
-    esc = _polygon_escape(rep.t[j], rep.t[k], a[j], a[k], a[2] + lam)
-    if esc is not None:
-        _apply_twist(state, j + 1, esc[0])
-        _apply_twist(state, k + 1, esc[1])
-        state.history.append({"move": "strategy", "id": "isosceles0",
-                              "branch": "escape", "beta": m + 1})
-        tr = trace_curve_matrix(state.rep, f"beta{m+1}")
-        if abs(tr) <= 2.0 + TRACE_TOL:
-            return _found(state, [[f"beta{m+1}", 1]])
-        return _stalled(state, f"isosceles escape trace {tr}")
-    state.history.append({"move": "strategy", "id": "isosceles0",
-                          "branch": "interior"})
-    return _improve(state)
+    return _escape_or_improve(state, "isosceles0", (m,), a[2] + lam)
 
 
 def triangle_improve_step(state: SearchState):
@@ -689,8 +664,7 @@ def _class1_f(alpha_i: float, aj: float, ak: float, x: float, y: float) -> float
 
 def equilateral1_step(state: SearchState):
     """Region X2 strategy in Euler class +-1, positive delta invariant."""
-    rep = state.rep
-    a = rep.a
+    a = state.rep.a
     a_min = min(a[0], a[1])
     cl = _CH(a[2]) * math.tanh(a_min) ** 2
     if cl < 1.0:
@@ -710,22 +684,7 @@ def equilateral1_step(state: SearchState):
         <= math.tanh(a_min) + 1e-12
     if not (cond1 and cond2 and cond3):
         return _stalled(state, "equilateral1 conditions (1)-(3) fail")
-    limit = a[2] + lam
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        esc = _polygon_escape(rep.t[j], rep.t[k], a[j], a[k], limit)
-        if esc is not None:
-            _apply_twist(state, j + 1, esc[0])
-            _apply_twist(state, k + 1, esc[1])
-            state.history.append({"move": "strategy", "id": "equilateral1",
-                                  "branch": "escape", "beta": i + 1})
-            tr = trace_curve_matrix(state.rep, f"beta{i+1}")
-            if abs(tr) <= 2.0 + TRACE_TOL:
-                return _found(state, [[f"beta{i+1}", 1]])
-            return _stalled(state, f"equilateral1 escape trace {tr}")
-    state.history.append({"move": "strategy", "id": "equilateral1",
-                          "branch": "interior"})
-    return _improve(state)
+    return _escape_or_improve(state, "equilateral1", range(3), a[2] + lam)
 
 
 def boum_step(state: SearchState):
@@ -740,8 +699,7 @@ def boum_step(state: SearchState):
 
 def isosceles1_step(state: SearchState):
     """Region X4 strategy in Euler class +-1."""
-    rep = state.rep
-    a = rep.a
+    a = state.rep.a
     a_min = min(a[0], a[1])
     a_mid = max(a[0], a[1])
     if _SH(a[2]) < 2.0:
@@ -770,20 +728,7 @@ def isosceles1_step(state: SearchState):
     if not all(conds):
         return _stalled(state, f"isosceles1 conditions fail: {conds}")
     m = int(np.argmin(a[:2]))
-    j, k = (m + 1) % 3, (m + 2) % 3
-    esc = _polygon_escape(rep.t[j], rep.t[k], a[j], a[k], a[2] + lam)
-    if esc is not None:
-        _apply_twist(state, j + 1, esc[0])
-        _apply_twist(state, k + 1, esc[1])
-        state.history.append({"move": "strategy", "id": "isosceles1",
-                              "branch": "escape", "beta": m + 1})
-        tr = trace_curve_matrix(state.rep, f"beta{m+1}")
-        if abs(tr) <= 2.0 + TRACE_TOL:
-            return _found(state, [[f"beta{m+1}", 1]])
-        return _stalled(state, f"isosceles1 escape trace {tr}")
-    state.history.append({"move": "strategy", "id": "isosceles1",
-                          "branch": "interior"})
-    return _improve(state)
+    return _escape_or_improve(state, "isosceles1", (m,), a[2] + lam)
 
 
 def _iso_lambda(sha3: float) -> float:
@@ -806,25 +751,6 @@ def _iso_lambda(sha3: float) -> float:
 # improvement / re-coordinatisation
 # ---------------------------------------------------------------------------
 
-def _loops_raw(x, y, a, t):
-    """Co-based loop images of the gamma and beta curves (common base)."""
-    tr_ = make_translation
-    p3 = mmul(x[1], tr_(a[2]), x[0])
-    p5 = mmul(x[2], tr_(a[0]), p3)
-    g = [mmul(minv(p3), tr_(2 * a[0]), p3),
-         mmul(minv(p5), tr_(2 * a[1]), p5),
-         mmul(minv(x[0]), tr_(2 * a[2]), x[0])]
-    b = [mmul(minv(x[0]), tr_(-t[2]), tr_(-a[2]), minv(y[1]), tr_(-a[0]),
-              minv(y[2]), tr_(t[1]), p5),
-         mmul(minv(x[0]), tr_(-t[2]), tr_(-a[2]), minv(y[1]), tr_(t[0]), p3),
-         mmul(minv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3)]
-    return g, b
-
-
-def _loop_images(rep: GluedRep):
-    return _loops_raw(rep.p1.x, rep.p2.x, rep.a, rep.t)
-
-
 def _candidate_pairs(euler: int, delta: float) -> List[Tuple[PantsCase, PantsCase]]:
     PC = PantsCase
     if euler == 0:
@@ -839,14 +765,6 @@ def _candidate_pairs(euler: int, delta: float) -> List[Tuple[PantsCase, PantsCas
     return [(PC("selfhex", 1), hexs), (PC("selfhex", -1), hexs)]
 
 
-def _delta_trace_fast(x, y, a, t, k: int) -> float:
-    i, j = (k + 1) % 3, (k + 2) % 3
-    bt = mmul(minv(x[i]), make_translation(-t[(i + 2) % 3]), y[i],
-              make_translation(t[(i + 1) % 3]))
-    g = make_translation(2.0 * a[j])
-    return mtrace(commutator(bt, g))
-
-
 def _fit_candidate(eps_pair, a_new, d_targets, bp_targets):
     """Solve the three twists against the delta targets; verify all traces."""
     from scipy.optimize import brentq
@@ -855,13 +773,16 @@ def _fit_candidate(eps_pair, a_new, d_targets, bp_targets):
         p2 = pants.build_pants(a_new, eps_pair[1].euler_flipped())
     except (pants.PantsError, hyptrig.TrigError):
         return None
-    x, y = p1.x, p2.x
+
+    def trace(tag, t):
+        return _trace((p1.q, p2.q, a_new, t), tag)
+
     roots: List[List[float]] = []
     for k in range(3):
         def f(tau, k=k):
             t = [0.0, 0.0, 0.0]
             t[k] = tau
-            return _delta_trace_fast(x, y, a_new, t, k) - d_targets[k]
+            return trace(f"delta{k+1}", t) - d_targets[k]
         found = []
         grid = np.linspace(-10.0, 10.0, 201)
         vals = [f(g) for g in grid]
@@ -873,15 +794,10 @@ def _fit_candidate(eps_pair, a_new, d_targets, bp_targets):
         roots.append(sorted(set(round(r, 11) for r in found)))
     best = None
     for combo in itertools.product(*roots):
-        err = 0.0
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            bt = mmul(minv(x[i]), make_translation(-combo[k]), y[i],
-                      make_translation(combo[j]))
-            err = max(err, abs(abs(mtrace(bt)) - abs(bp_targets[i])))
-        for k in range(3):
-            err = max(err, abs(_delta_trace_fast(x, y, a_new, combo, k)
-                               - d_targets[k]))
+        err = max([abs(abs(trace(f"beta{i+1}", combo)) - abs(bp_targets[i]))
+                   for i in range(3)]
+                  + [abs(trace(f"delta{k+1}", combo) - d_targets[k])
+                     for k in range(3)])
         if err < FIT_TOL and (best is None or err < best[1]):
             best = (combo, err)
     return best
@@ -899,18 +815,13 @@ def _improve(state: SearchState):
     if new_max > old_max - state.mu_min:
         return _stalled(state, f"no strict decrease: max |tr beta| "
                                f"{new_max} vs {old_max}")
-    g_loops, b_loops = _loop_images(rep)
     a_unsorted = [math.acosh(abs(v) / 2.0) for v in tb]
     # cyclic relabel: the new index i names the old beta_{rho(i)}
     long_index = max(range(3), key=lambda i: a_unsorted[i])
     shift = (2 - long_index) % 3
     rho = [(i - shift) % 3 for i in range(3)]
     a_new = tuple(a_unsorted[rho[i]] for i in range(3))
-    # delta'_k pairs the handle (gamma_{rho(i)}, beta_{rho(j)}), (i,j,k) cyclic
-    d_targets = []
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        d_targets.append(mtrace(commutator(g_loops[rho[i]], b_loops[rho[j]])))
+    d_targets = _delta_targets(genus2.loop_quads(*rep.coords), rho)
     bp_targets = [2.0 * _CH(rep.a[rho[i]]) for i in range(3)]
     delta_new = hyptrig.delta_invariant(*a_new)
     if abs(delta_new) < 1e-7:

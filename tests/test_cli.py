@@ -39,6 +39,48 @@ class TestClassify:
         path.write_text("{not json")
         assert cli.main(["classify", str(path)]) == 64
 
+    def test_wide_twist_agreement_is_relative(self, tmp_path):
+        # tr delta_1 ~ 1.4e27 here: the absolute gap to the closed form is
+        # ~1e12, a relative 1e-15
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"eps": ["EuPlus1", "EuMinus1"],
+                                    "a": [1.0, 1.1, 1.2], "t": [60, 0, 0]}))
+        out = tmp_path / "report.json"
+        assert cli.main(["classify", str(path), "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["traces"]["delta1"]["matrix"] > 1e26
+        assert data["worst_agreement"] < 1e-9
+
+    @pytest.mark.parametrize("t", [[800, 0, 0], [0, 0, -2000]])
+    def test_trace_overflow_exit(self, tmp_path, capsys, t):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"eps": ["EuPlus1", "EuMinus1"],
+                                    "a": [1.0, 1.1, 1.2], "t": t}))
+        assert cli.main(["classify", str(path)]) == 3
+        assert "overflows" in capsys.readouterr().err
+
+
+BAD_RECORDS = [
+    {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1], "t": [0, 0, 0]},
+    {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2], "t": [0, 0]},
+    {"eps": ["EuPlus1"], "a": [1.0, 1.1, 1.2], "t": [0, 0, 0]},
+    {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, "x", 1.2], "t": [0, 0, 0]},
+    {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
+     "t": [0, float("nan"), 0]},
+    {"eps": ["EuPlus1", "EuMinus1"], "a": 1.0, "t": [0, 0, 0]},
+    ["EuPlus1", "EuMinus1"],
+]
+
+
+@pytest.mark.parametrize("command", ["classify", "search"])
+@pytest.mark.parametrize("record", BAD_RECORDS)
+def test_bad_coordinate_record_is_usage_error(tmp_path, capsys, command,
+                                              record):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    assert cli.main([command, str(path)]) == 64
+    assert "bad input" in capsys.readouterr().err
+
 
 class TestSearch:
     def test_certificate_file(self, rep_file, tmp_path):

@@ -1,17 +1,21 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from srk import genus2, hyptrig, pants
+from srk import genus2, hyptrig, pants, search
 from srk.genus2 import (CURVE_TAGS, DELTA_TAGS, Genus2Error, GluedRep,
                         build_glued, curve_matrix, dehn_twist_gamma,
                         delta_side_consistency, euler_class,
                         generator_images, normalize_twists, sign_invariant,
                         trace_curve_closed_form, trace_curve_matrix)
 from srk.pants import EU0_DIAGONAL_FLAT, EU_MINUS1, EU_PLUS1, PantsCase
-from srk.psl2r import commutator, deviation_from_projective_identity, mmul, mtrace
+from srk.psl2r import (commutator, deviation_from_projective_identity, minv,
+                       mmul, mtrace)
+from srk.search import (Certificate, SearchState, replay_certificate,
+                        search_nonhyperbolic)
 
 rng = np.random.default_rng(13)
 
@@ -342,3 +346,98 @@ class TestRelabeling:
         for tag in CURVE_TAGS:
             assert trace_curve_matrix(swapped, tag) == pytest.approx(
                 trace_curve_matrix(rep, tag), rel=1e-10, abs=1e-10)
+
+
+# Reference words as plain numpy products, written out independently of the
+# 4-tuple evaluators: the curve words of the module docstring and the
+# co-based loops with the translations T(-t3) T(-a3) kept apart.
+
+def _np_translation(length):
+    return np.diag([math.exp(length / 2.0), math.exp(-length / 2.0)])
+
+
+def _np_commutator(p, q):
+    return mmul(minv(q), minv(p), q, p)
+
+
+def _np_curve(x, y, a, t, tag):
+    n = int(tag[-1]) - 1
+    n1, n2 = (n + 1) % 3, (n + 2) % 3
+    if tag.startswith("gamma"):
+        return _np_translation(2.0 * a[n])
+    if tag.startswith("beta"):
+        return mmul(minv(x[n]), _np_translation(-t[n2]), y[n],
+                    _np_translation(t[n1]))
+    # delta_n = [beta_{n+1}, gamma_{n+2}], indices cyclic
+    return _np_commutator(_np_curve(x, y, a, t, f"beta{n1 + 1}"),
+                          _np_curve(x, y, a, t, f"gamma{n2 + 1}"))
+
+
+def _np_loops(x, y, a, t):
+    tr_ = _np_translation
+    p3 = mmul(x[1], tr_(a[2]), x[0])
+    p5 = mmul(x[2], tr_(a[0]), p3)
+    g = [mmul(minv(p3), tr_(2 * a[0]), p3),
+         mmul(minv(p5), tr_(2 * a[1]), p5),
+         mmul(minv(x[0]), tr_(2 * a[2]), x[0])]
+    b = [mmul(minv(x[0]), tr_(-t[2]), tr_(-a[2]), minv(y[1]), tr_(-a[0]),
+              minv(y[2]), tr_(t[1]), p5),
+         mmul(minv(x[0]), tr_(-t[2]), tr_(-a[2]), minv(y[1]), tr_(t[0]), p3),
+         mmul(minv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3)]
+    return g + b
+
+
+def _assert_rel_close(got, ref, rel=1e-12):
+    got = np.array(got, dtype=float).reshape(2, 2)
+    assert np.abs(got - ref).max() <= rel * max(1.0, np.abs(ref).max())
+
+
+class TestSingleEvaluator:
+    rng = np.random.default_rng(29)
+
+    @pytest.mark.parametrize("eps1,eps2,sampler", PAIR_SAMPLERS,
+                             ids=lambda v: str(v) if isinstance(v, PC) else "")
+    def test_matches_numpy_words(self, eps1, eps2, sampler):
+        rep = build_glued(eps1, eps2, sampler(self.rng),
+                          tuple(self.rng.uniform(-1.5, 1.5, 3)))
+        x, y = rep.p1.x, rep.p2.x
+        coords = (rep.p1.q, rep.p2.q, rep.a, rep.t)
+        for tag in CURVE_TAGS:
+            ref = _np_curve(x, y, rep.a, rep.t, tag)
+            _assert_rel_close(genus2.curve_quad(*coords, tag), ref)
+            _assert_rel_close(curve_matrix(rep, tag), ref)
+        g, b = genus2.loop_quads(*coords)
+        for got, ref in zip(g + b, _np_loops(x, y, rep.a, rep.t)):
+            _assert_rel_close(got, ref)
+
+    def test_parent_certificate_replays(self):
+        # written by srk before the curve words moved onto 4-tuples; two
+        # re-coordinatisations, so the replay exercises the loop links
+        path = Path(__file__).parent / "data" / "certificate_two_rounds.json"
+        cert = Certificate.from_json(path.read_text())
+        report = replay_certificate(cert)
+        assert report["ok"], report
+        assert len(report["link_errors"]) == 2
+        assert report["trace"] == pytest.approx(cert.trace, rel=1e-12)
+
+    def test_certificate_json_roundtrip_replays(self):
+        snap = json.loads(
+            (Path(__file__).parent / "data" / "certificate_two_rounds.json")
+            .read_text())["initial"]
+        rep = build_glued(*(pants.case_from_string(s) for s in snap["eps"]),
+                          snap["a"], snap["t"])
+        out = search_nonhyperbolic(rep)
+        assert out.rounds == 2
+        back = Certificate.from_json(out.certificate.to_json())
+        assert back == out.certificate
+        assert replay_certificate(back)["ok"]
+
+    def test_search_logs_the_normalising_twists(self):
+        rep = build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.1, 1.2),
+                          (5.0, -3.2, 0.4))
+        state = SearchState(rep=rep, cert=Certificate(initial={}))
+        search._normalize(state)
+        assert state.rep.t == normalize_twists(rep).t
+        moves = [(mv["i"], mv["k"]) for mv in state.cert.moves]
+        assert moves == [(i + 1, k)
+                         for i, k in enumerate(genus2.twist_counts(rep)) if k]
