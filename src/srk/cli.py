@@ -14,7 +14,6 @@ import concurrent.futures
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -26,17 +25,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_STALLED = 2
 EXIT_OUT_OF_SCOPE = 3
 EXIT_USAGE = 64
-
-
-@dataclass
-class RunConfig:
-    seed: int = 0
-    count: int = 100
-    out: Optional[str] = None
-    fmt: str = "json"
-    max_rounds: int = search.MAX_ROUNDS_DEFAULT
-    mu_min: float = search.MU_MIN_DEFAULT
-    tol: float = 1e-9
 
 
 def _fl(x: float) -> str:

@@ -16,8 +16,8 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .search import (B2_HALF, COSH_B2_HALF, REGION_A3_MAX, line_l1,
-                     line_l2)
+from .search import (B2_HALF, COSH_B2_HALF, REGION_A3_MAX, _iso_lambda,
+                     line_l1, line_l2)
 
 ACOSH3 = math.acosh(3.0)
 
@@ -179,11 +179,7 @@ def _claim_phi_below_9(n: int) -> ClaimReport:
     a3 = np.linspace(0.05, 1.449, m)
     vals = np.empty((m,))
     for idx, v in enumerate(a3):
-        a1 = np.linspace(1e-3, v, m)
-        s1, s3 = np.sinh(a1), math.sinh(v)
-        phi = ((s3 ** 2 - s1 ** 2) / s3 ** 2
-               + np.sqrt(math.sinh(2 * v) ** 2 - s1 ** 2) * s1 / s3)
-        vals[idx] = 9.0 - float(phi.max())
+        vals[idx] = 9.0 - phi_max_over_a1(v, m)
     return _report("phi_below_9", vals, [a3],
                    "max_a1 Phi(a1, a3) <= 9 for a3 <= 1.459 - 0.01")
 
@@ -241,7 +237,6 @@ def _claim_equi1_on_x2(n: int) -> ClaimReport:
 
 
 def _claim_iso1_on_x4(n: int) -> ClaimReport:
-    from scipy.optimize import brentq
     m = max(int(round(n ** (1.0 / 3.0))), 24)
     a3 = np.linspace(1.696, REGION_A3_MAX, m)
     worst = np.full((m, m, m), np.nan)
@@ -253,14 +248,7 @@ def _claim_iso1_on_x4(n: int) -> ClaimReport:
         sh3 = math.sinh(v3)
         if sh3 < 2.0:
             continue
-
-        def f(x):
-            return math.cosh(x) ** 2 - math.sinh(x) * sh3
-
-        hi = math.asinh(1.0) + 1.0
-        while f(hi) < 0.0:
-            hi += 1.0
-        lam = brentq(f, math.asinh(1.0), hi, xtol=1e-12)
+        lam = _iso_lambda(sh3)
         a1 = np.linspace(lo1, hi1, m)
         a2 = np.linspace(lo1, v3, m)
         a1_axis, a2_axis = a1, a2

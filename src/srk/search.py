@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import genus2, hyptrig, pants, torus
 from .genus2 import GluedRep, build_glued, trace_curve_matrix
 from .pants import PantsCase
@@ -100,6 +98,20 @@ def boum_bound(a, t) -> Tuple[Tuple[float, float, float], bool]:
     return tuple(bounds), flag
 
 
+def _positive_roots(c2: float, c1: float, c0: float) -> List[float]:
+    """Roots u > 0 of c2 u^2 + c1 u + c0 = 0, by the stable form of the
+    quadratic formula (-c1 and the square root never cancel)."""
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    if c2 == 0.0:
+        us = [-c0 / c1] if c1 else []
+    else:
+        h = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+        us = [h / c2, c0 / h] if h else []
+    return [u for u in us if u > 0.0]
+
+
 def bandwidth_window(a1: float, b2: float, t3: float,
                      t1: float = 0.0) -> Optional[float]:
     """Twisted t_1 with |A e^{t1/2} + B e^{-t1/2}| <= 2, if the window opens.
@@ -122,19 +134,8 @@ def bandwidth_window(a1: float, b2: float, t3: float,
         return big_a * math.exp(tt / 2.0) + big_b * math.exp(-tt / 2.0)
 
     # roots of A x + B / x = c over x = e^{t/2} > 0, for c = +-2
-    cuts = []
-    for c in (2.0, -2.0):
-        disc = c * c - 4.0 * big_a * big_b
-        if disc < 0.0 or big_a == 0.0:
-            if big_a == 0.0 and c != 0.0 and big_b != 0.0:
-                xr = c / big_b if c / big_b > 0 else None
-                if xr:
-                    cuts.append(2.0 * math.log(xr))
-            continue
-        for sgn in (1.0, -1.0):
-            x = (c + sgn * math.sqrt(disc)) / (2.0 * big_a)
-            if x > 0.0:
-                cuts.append(2.0 * math.log(x))
+    cuts = [2.0 * math.log(x) for c in (2.0, -2.0)
+            for x in _positive_roots(big_a, -c, big_b)]
     if not cuts:
         return None
     lo, hi = min(cuts), max(cuts)
@@ -143,16 +144,12 @@ def bandwidth_window(a1: float, b2: float, t3: float,
     # of the two roots on the relevant side.  Width >= 2*a1 by the window
     # condition, so the residue class of t1 meets it.
     width = 2.0 * a1
-    k = math.ceil((lo - t1) / width)
-    cand = t1 + k * width
-    for cc in (cand, cand + width, cand - width):
-        if lo - 1e-12 <= cc <= hi + 1e-12 and abs(phi(cc)) <= 2.0 + 1e-9:
+    n = math.ceil((lo - t1) / width) - 1
+    while t1 + n * width < hi + 1e-9:
+        cc = t1 + n * width
+        if cc >= lo - 1e-12 and abs(phi(cc)) <= 2.0 + 1e-9:
             return cc
-    # dense fallback inside the span
-    for cc in np.arange(t1 + math.ceil((lo - t1) / width) * width,
-                        hi + 1e-9, width):
-        if abs(phi(cc)) <= 2.0 + 1e-9:
-            return float(cc)
+        n += 1
     return None
 
 
@@ -245,9 +242,60 @@ class Certificate:
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
+        """Parse a certificate; raises SearchError unless its snapshots,
+        moves, curve word and trace have the shapes the replay reads."""
         d = json.loads(text)
+        if not (isinstance(d, dict) and _is_snapshot(d.get("initial"))
+                and isinstance(d.get("moves"), list)):
+            raise SearchError("malformed certificate: initial or moves")
+        for mv in d["moves"]:
+            if not _is_move(mv):
+                raise SearchError(f"malformed certificate: move {mv!r}")
+        curve, trace = d.get("curve"), d.get("trace")
+        if not (curve is None or (_is_word(curve) and _finite([trace]))):
+            raise SearchError(f"malformed certificate: curve {curve!r} "
+                              f"with trace {trace!r}")
         return cls(initial=d["initial"], moves=d["moves"],
-                   curve=d["curve"], trace=d["trace"])
+                   curve=curve, trace=trace)
+
+
+def _finite(nums: list) -> bool:
+    """Whether every entry is an int or float (not a bool) and finite."""
+    return set(map(type, nums)) <= {int, float} and all(map(math.isfinite,
+                                                            nums))
+
+
+def _is_snapshot(s) -> bool:
+    """Whether X and Y hold three rows of four, and a and t three, finite
+    numbers."""
+    try:
+        parts = [s["X"], s["Y"], s["a"], s["t"], *s["X"], *s["Y"]]
+        return (list(map(len, parts)) == [3] * 4 + [4] * 6
+                and _finite([v for p in parts[2:] for v in p]))
+    except (TypeError, KeyError):
+        return False
+
+
+def _is_move(mv) -> bool:
+    kind = mv.get("kind") if isinstance(mv, dict) else None
+    if kind == "twist":
+        return (mv.get("i") in (1, 2, 3)
+                and type(mv["i"]) is int and type(mv.get("k")) is int)
+    if kind == "rotate":
+        return type(mv.get("shift")) is int
+    rho = mv.get("relabel") if kind == "recoordinatize" else None
+    return (isinstance(rho, list) and set(map(type, rho)) <= {int}
+            and sorted(rho) == [0, 1, 2] and _is_snapshot(mv.get("snapshot")))
+
+
+def _is_word(word) -> bool:
+    return isinstance(word, list) and all(
+        isinstance(w, list) and len(w) == 2 and w[0] in _WORD_NAMES
+        and type(w[1]) is int for w in word)
+
+
+_WORD_NAMES = genus2.CURVE_TAGS + tuple(f"{c}loop{i}" for c in "gb"
+                                        for i in "123")
 
 
 @dataclass(frozen=True)
@@ -309,15 +357,28 @@ def _word_quad(coords, word: Sequence) -> Quad:
     return out
 
 
-def _delta_targets(loops, rho: Sequence[int]) -> List[float]:
-    """Traces of the delta curves after re-coordinatising on relabel rho.
+def _link_targets(old, rho: Sequence[int]) -> List[float]:
+    """Traces of (gamma_1..3, beta_1..3, delta_1..3) after re-coordinatising
+    the coordinates `old` on relabel rho (new index i <- old rho[i]).
 
+    gamma'_i is the old beta_{rho(i)} and beta'_i the old gamma_{rho(i)};
     delta'_k pairs the old co-based handle (gamma_{rho(i)}, beta_{rho(j)}),
     (i, j, k) cyclic.
     """
-    g, b = loops
-    return [_qtrace(_qcommutator(g[rho[(k + 1) % 3]], b[rho[(k + 2) % 3]]))
-            for k in range(3)]
+    g, b = genus2.loop_quads(*old)
+    return ([_trace(old, f"beta{r+1}") for r in rho]
+            + [_trace(old, f"gamma{r+1}") for r in rho]
+            + [_qtrace(_qcommutator(g[rho[(k + 1) % 3]], b[rho[(k + 2) % 3]]))
+               for k in range(3)])
+
+
+def _link_error(new, targets: Sequence[float]) -> float:
+    """Largest gap between the traces at `new` and the `_link_targets`;
+    gamma and beta compare in absolute value, as their lifts' signs are
+    free."""
+    return max(abs(_trace(new, tag) - v) if tag in genus2.DELTA_TAGS
+               else abs(abs(_trace(new, tag)) - abs(v))
+               for tag, v in zip(genus2.CURVE_TAGS, targets))
 
 
 def replay_certificate(cert: Certificate, tol: float = 1e-6) -> Dict:
@@ -344,19 +405,8 @@ def replay_certificate(cert: Certificate, tol: float = 1e-6) -> Dict:
             t = [t[perm[i]] for i in range(3)]
         elif kind == "recoordinatize":
             old = (x, y, a, t)
-            x, y, a, t = _coords_from_snapshot(mv["snapshot"])
-            new = (x, y, a, t)
-            rho = mv["relabel"]          # new index i <- old index rho[i]
-            worst = 0.0
-            for i in range(3):
-                worst = max(worst,
-                            abs(abs(_trace(new, f"gamma{i+1}"))
-                                - abs(_trace(old, f"beta{rho[i]+1}"))),
-                            abs(abs(_trace(new, f"beta{i+1}"))
-                                - abs(_trace(old, f"gamma{rho[i]+1}"))))
-            targets = _delta_targets(genus2.loop_quads(*old), rho)
-            for k, target in enumerate(targets):
-                worst = max(worst, abs(_trace(new, f"delta{k+1}") - target))
+            x, y, a, t = new = _coords_from_snapshot(mv["snapshot"])
+            worst = _link_error(new, _link_targets(old, mv["relabel"]))
             checks.append(worst)
             if worst > tol:
                 return {"ok": False, "reason": "recoordinatisation link",
@@ -580,7 +630,7 @@ def intervals_step(state: SearchState):
         return _torus_route(state, 3)
     if disposition == "bandwidth":
         # band m=1 matches the smaller of a_1, a_2
-        m = int(np.argmin(a[:2])) if band == 1 else int(np.argmax(a[:2]))
+        m = int(a[1] < a[0]) if band == 1 else int(a[1] > a[0])
         other = 1 - m
         # beta_{other+1} trace depends on (t_m, t_3) through b_{other}
         t_new = bandwidth_window(a[m], sol.b[other], rep.t[2], rep.t[m])
@@ -627,7 +677,7 @@ def _isosceles0(state: SearchState):
     """Isosceles polygon strategy in the (+1, -1) case."""
     a = state.rep.a
     sol = hyptrig.solve_hexagon(*a)
-    m = int(np.argmin(a[:2]))
+    m = int(a[1] < a[0])
     b_m = sol.b[m]                      # pairs the two larger sides
     b_max = sol.b[2]
     lam = _equ0_lambda(b_m, a[2])
@@ -727,24 +777,18 @@ def isosceles1_step(state: SearchState):
     ]
     if not all(conds):
         return _stalled(state, f"isosceles1 conditions fail: {conds}")
-    m = int(np.argmin(a[:2]))
+    m = int(a[1] < a[0])
     return _escape_or_improve(state, "isosceles1", (m,), a[2] + lam)
 
 
 def _iso_lambda(sha3: float) -> float:
-    """Largest root of cosh(x)^2 = sinh(x) * sha3 (needs sha3 >= 2)."""
-    from scipy.optimize import brentq
+    """Largest root of cosh(x)^2 = sinh(x) * sha3 (needs sha3 >= 2).
 
-    def f(x):
-        return _CH(x) ** 2 - _SH(x) * sha3
-
-    lo = math.asinh(1.0)          # the minimum of cosh^2/sinh sits here
-    if f(lo) > 0.0:
+    With y = sinh(x) the equation reads y^2 - sha3 y + 1 = 0.
+    """
+    if sha3 < 2.0:
         raise SearchError("isosceles twist length needs sinh(a3) >= 2")
-    hi = lo + 1.0
-    while f(hi) < 0.0:
-        hi += 1.0
-    return brentq(f, lo, hi, xtol=1e-12)
+    return math.asinh((sha3 + math.sqrt(sha3 * sha3 - 4.0)) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -765,39 +809,42 @@ def _candidate_pairs(euler: int, delta: float) -> List[Tuple[PantsCase, PantsCas
     return [(PC("selfhex", 1), hexs), (PC("selfhex", -1), hexs)]
 
 
-def _fit_candidate(eps_pair, a_new, d_targets, bp_targets):
-    """Solve the three twists against the delta targets; verify all traces."""
-    from scipy.optimize import brentq
+def _delta_twist_roots(x, y, a, k: int, d: float) -> List[float]:
+    """Twists t_k, ascending, with tr delta_{k+1} = d while the other two
+    twists are 0.
+
+    delta_{k+1} = [beta_i, gamma_j], (i, j, k) cyclic, and with gamma_j =
+    diag(e^{a_j}, e^{-a_j}) its trace is 2 - 4 sinh(a_j)^2 b12 b21, where b
+    = beta_i = X_i^-1 T(-t_k) Y_i = e^{-t_k/2} P + e^{t_k/2} Q for P =
+    X_i^-1 E11 Y_i and Q = X_i^-1 E22 Y_i.  So u = e^{t_k} solves
+    Q12 Q21 u^2 + (P12 Q21 + Q12 P21 + (d - 2) / (4 sinh(a_j)^2)) u
+    + P12 P21 = 0.
+    """
+    i, j = (k + 1) % 3, (k + 2) % 3
+    xi = _qinv(x[i])
+    p = _qmul(xi, (1.0, 0.0, 0.0, 0.0), y[i])
+    q = _qmul(xi, (0.0, 0.0, 0.0, 1.0), y[i])
+    c1 = p[1] * q[2] + q[1] * p[2] + (d - 2.0) / (4.0 * _SH(a[j]) ** 2)
+    return sorted(math.log(u) for u in
+                  _positive_roots(q[1] * q[2], c1, p[1] * p[2]))
+
+
+def _fit_candidate(eps_pair, a_new, targets):
+    """Solve the three twists against the delta targets; verify all traces
+    against the `_link_targets`, as the certificate replay does."""
     try:
         p1 = pants.build_pants(a_new, eps_pair[0])
         p2 = pants.build_pants(a_new, eps_pair[1].euler_flipped())
     except (pants.PantsError, hyptrig.TrigError):
         return None
-
-    def trace(tag, t):
-        return _trace((p1.q, p2.q, a_new, t), tag)
-
-    roots: List[List[float]] = []
-    for k in range(3):
-        def f(tau, k=k):
-            t = [0.0, 0.0, 0.0]
-            t[k] = tau
-            return trace(f"delta{k+1}", t) - d_targets[k]
-        found = []
-        grid = np.linspace(-10.0, 10.0, 201)
-        vals = [f(g) for g in grid]
-        for idx in range(len(grid) - 1):
-            if vals[idx] == 0.0 or vals[idx] * vals[idx + 1] < 0.0:
-                found.append(brentq(f, grid[idx], grid[idx + 1], xtol=1e-13))
-        if not found:
-            return None
-        roots.append(sorted(set(round(r, 11) for r in found)))
+    roots = [[r for r in _delta_twist_roots(p1.q, p2.q, a_new, k,
+                                            targets[6 + k])
+              if -10.0 <= r <= 10.0] for k in range(3)]
+    if not all(roots):
+        return None
     best = None
     for combo in itertools.product(*roots):
-        err = max([abs(abs(trace(f"beta{i+1}", combo)) - abs(bp_targets[i]))
-                   for i in range(3)]
-                  + [abs(trace(f"delta{k+1}", combo) - d_targets[k])
-                     for k in range(3)])
+        err = _link_error((p1.q, p2.q, a_new, combo), targets)
         if err < FIT_TOL and (best is None or err < best[1]):
             best = (combo, err)
     return best
@@ -815,21 +862,19 @@ def _improve(state: SearchState):
     if new_max > old_max - state.mu_min:
         return _stalled(state, f"no strict decrease: max |tr beta| "
                                f"{new_max} vs {old_max}")
-    a_unsorted = [math.acosh(abs(v) / 2.0) for v in tb]
     # cyclic relabel: the new index i names the old beta_{rho(i)}
-    long_index = max(range(3), key=lambda i: a_unsorted[i])
+    long_index = max(range(3), key=lambda i: abs(tb[i]))
     shift = (2 - long_index) % 3
     rho = [(i - shift) % 3 for i in range(3)]
-    a_new = tuple(a_unsorted[rho[i]] for i in range(3))
-    d_targets = _delta_targets(genus2.loop_quads(*rep.coords), rho)
-    bp_targets = [2.0 * _CH(rep.a[rho[i]]) for i in range(3)]
+    targets = _link_targets(rep.coords, rho)
+    a_new = tuple(math.acosh(abs(v) / 2.0) for v in targets[:3])
     delta_new = hyptrig.delta_invariant(*a_new)
     if abs(delta_new) < 1e-7:
         return _stalled(state, f"new half-lengths sit on the flat stratum: "
                                f"delta = {delta_new}")
     fit = None
     for eps_pair in _candidate_pairs(rep.euler_nominal, delta_new):
-        fit = _fit_candidate(eps_pair, a_new, d_targets, bp_targets)
+        fit = _fit_candidate(eps_pair, a_new, targets)
         if fit is not None:
             new_rep = build_glued(eps_pair[0], eps_pair[1], a_new, fit[0])
             break
@@ -839,7 +884,7 @@ def _improve(state: SearchState):
         "kind": "recoordinatize",
         "relabel": rho,
         "snapshot": _snapshot(new_rep),
-        "delta_targets": {f"delta{k+1}": d_targets[k] for k in range(3)},
+        "delta_targets": {f"delta{k+1}": targets[6 + k] for k in range(3)},
         "residual": fit[1],
     }
     state.cert.moves.append(link)

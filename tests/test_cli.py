@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,37 @@ def test_bad_coordinate_record_is_usage_error(tmp_path, capsys, command,
     path.write_text(json.dumps(record))
     assert cli.main([command, str(path)]) == 64
     assert "bad input" in capsys.readouterr().err
+
+
+CERTIFICATE = Path(__file__).resolve().parent / "data" / \
+    "certificate_two_rounds.json"
+
+
+def _cut_matrix(d):
+    d["initial"]["X"][0] = d["initial"]["X"][0][:3]
+
+
+def _rename_curve(d):
+    d["curve"][0][0] = "zeta1"
+
+
+def _twist_index(d):
+    next(mv for mv in d["moves"] if mv["kind"] == "twist")["i"] = 7
+
+
+def _string_length(d):
+    d["initial"]["a"] = ["x", 1, 1]
+
+
+@pytest.mark.parametrize("spoil", [_cut_matrix, _rename_curve, _twist_index,
+                                   _string_length])
+def test_malformed_certificate_is_usage_error(tmp_path, capsys, spoil):
+    data = json.loads(CERTIFICATE.read_text())
+    spoil(data)
+    path = tmp_path / "bad_cert.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["replay", str(path)]) == 64
+    assert "bad certificate" in capsys.readouterr().err
 
 
 class TestSearch:

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from srk import genus2, hyptrig, search
+from srk import genus2, hyptrig, pants, search
 import srk.search
 from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
 from srk.search import (B2_HALF, Certificate, FoundCurve, OutOfScopeError,
@@ -195,6 +200,22 @@ class TestDoubledTriangleData:
         assert lam >= math.asinh(1.0)
         with pytest.raises(search.SearchError):
             search._iso_lambda(1.5)
+        # against the closed form and a bisection of f = cosh^2 - s sinh,
+        # which is <= 0 at asinh(1) and 1 at asinh(s), over s in [2, 20];
+        # at s = 2 the root is double and a bisection only finds it to ~1e-8
+        for s in np.linspace(2.0, 20.0, 73):
+            closed = math.asinh((s + math.sqrt(s * s - 4.0)) / 2.0)
+            lo, hi = math.asinh(1.0), math.asinh(s)
+            for _ in range(100):
+                mid = (lo + hi) / 2.0
+                if CH(mid) ** 2 <= s * SH(mid):
+                    lo = mid
+                else:
+                    hi = mid
+            lam = search._iso_lambda(s)
+            assert lam == pytest.approx(closed, rel=1e-12)
+            assert lam == pytest.approx(lo, abs=1e-7 if s == 2.0 else 1e-12)
+            assert CH(lam) ** 2 == pytest.approx(s * SH(lam), rel=1e-12)
 
 
 class TestSearchEndToEnd:
@@ -284,3 +305,86 @@ class TestSearchEndToEnd:
         data["curve"] = [["gamma1", 1]]       # hyperbolic by construction
         bad = Certificate.from_json(json.dumps(data))
         assert not replay_certificate(bad)["ok"]
+
+
+def _curve_trace(x, y, a, t, tag):
+    q = genus2.curve_quad(x, y, a, t, tag)
+    return q[0] + q[3]
+
+
+class TestFitRoots:
+    """The closed-form delta-twist roots behind the re-coordinatisation."""
+
+    SAMPLERS = {1: sample_tri_a, -1: sample_self_a}
+
+    @pytest.mark.parametrize("euler", [1, -1, 0])
+    @pytest.mark.parametrize("delta_sign", [1, -1])
+    def test_roots_reproduce_delta_traces(self, euler, delta_sign):
+        # every candidate pair of the fit, self-hexagon against hexagon
+        # included, for delta_1, delta_2 and delta_3
+        for _ in range(20):
+            a = self.SAMPLERS[delta_sign](rng)
+            pairs = search._candidate_pairs(euler, hyptrig.delta_invariant(*a))
+            assert len(pairs) == 2
+            for eps1, eps2 in pairs:
+                x = pants.build_pants(a, eps1).q
+                y = pants.build_pants(a, eps2.euler_flipped()).q
+                for k in range(3):
+                    t = [0.0, 0.0, 0.0]
+                    t[k] = rng.uniform(-3.0, 3.0)
+                    tag = f"delta{k+1}"
+                    d = _curve_trace(x, y, a, t, tag)
+                    roots = search._delta_twist_roots(x, y, a, k, d)
+                    assert roots == sorted(roots)
+                    assert min(abs(r - t[k]) for r in roots) < 1e-6
+                    for r in roots:
+                        t[k] = r
+                        assert _curve_trace(x, y, a, t, tag) == pytest.approx(
+                            d, rel=1e-9, abs=1e-9)
+
+    def test_unreachable_target_has_no_roots(self):
+        # for the (+1, -1) pair tr delta_k = 2 + 4 (sinh a sinh b
+        # sinh(t/2))^2 >= 2, so a target of 1 has no root
+        a = (1.0, 1.1, 1.2)
+        x = pants.build_pants(a, EU_PLUS1).q
+        y = pants.build_pants(a, EU_MINUS1.euler_flipped()).q
+        for k in range(3):
+            assert search._delta_twist_roots(x, y, a, k, 1.0) == []
+
+    def test_positive_roots(self):
+        assert search._positive_roots(1.0, -3.0, 2.0) == pytest.approx(
+            [2.0, 1.0])
+        assert search._positive_roots(0.0, 2.0, -4.0) == [2.0]
+        assert search._positive_roots(1.0, 1.0, 1.0) == []
+        assert search._positive_roots(1.0, 3.0, 2.0) == []
+        # no cancellation: the small root of u^2 - 1e9 u + 1 keeps its digits
+        small = min(search._positive_roots(1.0, -1e9, 1.0))
+        assert small == pytest.approx(1e-9, rel=1e-15)
+
+
+def test_no_scipy_import():
+    # srk computes every root in closed form: import, a re-coordinatising
+    # search and `srk verify` load no scipy module
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import srk
+        from srk import cli, genus2, search
+        from srk.pants import EU_MINUS1, EU_PLUS1
+        rep = genus2.build_glued(
+            EU_PLUS1, EU_MINUS1,
+            (2.198357685272788, 2.0959027896033517, 2.0510531380398436),
+            (1.6175391777729755, 1.3997193333038709, 1.527668421916658))
+        out = search.search_nonhyperbolic(rep)
+        assert isinstance(out, search.FoundCurve) and out.rounds == 1
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify"]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
