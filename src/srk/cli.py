@@ -124,7 +124,11 @@ def cmd_replay(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"replay: bad certificate: {exc}\n")
         return EXIT_USAGE
-    report = search.replay_certificate(cert, tol=args.tol)
+    try:
+        report = search.replay_certificate(cert, tol=args.tol)
+    except search.OutOfScopeError as exc:
+        sys.stderr.write(f"replay: out of range: {exc}\n")
+        return EXIT_OUT_OF_SCOPE
     _emit(json.dumps(report, default=float), args.out)
     return EXIT_OK if report.get("ok") else EXIT_VERIFY_FAIL
 

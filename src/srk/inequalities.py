@@ -2,10 +2,12 @@
 
 Each claim reduces to the positivity of an explicit analytic expression on
 a compact box.  The checker evaluates the expression on a dense lattice and
-subtracts a first-derivative Lipschitz pad (estimated from the grid slopes
-times half the mesh), so a reported positive margin certifies positivity at
-the granularity of the pad.  This reproduces the assurance level of the
-original computer checks; formal interval arithmetic is out of scope.
+subtracts a Lipschitz pad: half the largest difference between neighbouring
+grid values along each axis, summed over the axes (the grid slope times half
+the mesh, with the mesh cancelled).  A reported positive margin certifies
+positivity at the granularity of the pad.  This reproduces the assurance
+level of the original computer checks; formal interval arithmetic is out of
+scope.
 """
 
 from __future__ import annotations
@@ -36,23 +38,24 @@ class ClaimReport:
         return self.margin > 0.0
 
 
-def _pad_and_min(values: np.ndarray, axes: List[np.ndarray]) -> Tuple[float, float]:
-    """Raw minimum and a Lipschitz pad from per-axis grid slopes."""
+def _pad_and_min(values: np.ndarray) -> Tuple[float, float]:
+    """Raw minimum and a Lipschitz pad: half the largest neighbour
+    difference along each axis, summed over the axes (NaN cells skipped)."""
     raw = float(np.nanmin(values))
     pad = 0.0
-    for axis, grid in enumerate(axes):
-        if values.shape[axis] < 2:
-            continue
-        h = float(grid[1] - grid[0])
-        dv = np.abs(np.diff(values, axis=axis))
-        slope = float(np.nanmax(dv)) / h if dv.size else 0.0
-        pad += slope * h / 2.0
+    for axis in range(values.ndim):
+        if values.shape[axis] > 1:
+            dv = np.diff(values, axis=axis)
+            pad += max(float(np.nanmax(dv)), -float(np.nanmin(dv))) / 2.0
+            # one difference array alive at a time: on the equi1 grid each
+            # is 11 MB, and they set the peak RSS of a verify run
+            del dv
     return raw, pad
 
 
-def _report(claim_id: str, values: np.ndarray, axes: List[np.ndarray],
+def _report(claim_id: str, values: np.ndarray,
             detail: str = "") -> ClaimReport:
-    raw, pad = _pad_and_min(values, axes)
+    raw, pad = _pad_and_min(values)
     return ClaimReport(claim_id=claim_id, margin=raw - pad, raw_min=raw,
                        lipschitz_pad=pad, grid_points=int(values.size),
                        detail=detail)
@@ -78,7 +81,7 @@ def _claim_equ0_cond0(n: int) -> ClaimReport:
     # condition (0): 17 x^2 - x^3 - 8x - 8 > 0 on x = cosh(a3/2)
     x = np.linspace(math.sqrt(2.0), math.sqrt(5.68 / 2.0), n)
     vals = 17.0 * x ** 2 - x ** 3 - 8.0 * x - 8.0
-    return _report("equ0_cond0_cubic", vals, [x],
+    return _report("equ0_cond0_cubic", vals,
                    "x^3 + 8x + 8 < 17 x^2 on [sqrt 2, sqrt(5.68/2)]")
 
 
@@ -86,7 +89,7 @@ def _claim_equ0_cond1(n: int) -> ClaimReport:
     a3 = np.linspace(ACOSH3, B2_HALF, n)
     lam = _lambda_floor(np.cosh(a3))
     vals = 2.0 - (np.cosh(a3) + 1.0) / 8.0 * np.sinh((3 * a3 - lam) / 4.0) ** 2
-    return _report("equ0_cond1", vals, [a3],
+    return _report("equ0_cond1", vals,
                    "(cosh b3 - 1) sinh^2((3a3 - lam)/4) <= 2 at extremal b3")
 
 
@@ -96,7 +99,7 @@ def _claim_equ0_cond2(n: int) -> ClaimReport:
     chb1 = (3.0 + np.cosh(a3) ** 2) / np.sinh(a3) ** 2
     vals = (1.0 + chb1 * np.sinh(lam / 2.0) * np.sinh(a3 / 2.0)
             - np.cosh(lam / 2.0) * np.cosh(a3 / 2.0))
-    return _report("equ0_cond2", vals, [a3],
+    return _report("equ0_cond2", vals,
                    "cosh(lam/2)cosh(a3/2) - cosh(b1) sinh(lam/2) sinh(a3/2) <= 1")
 
 
@@ -106,19 +109,12 @@ def _claim_equ0_lambda_floor(n: int) -> ClaimReport:
     # band and the boundary identity separately
     m = max(int(math.sqrt(n)), 64)
     a3 = np.linspace(ACOSH3, B2_HALF, m)
-    vals = np.empty((m, m))
-    axes_b = None
-    boundary_resid = 0.0
-    for idx, a in enumerate(a3):
-        b3max = math.acosh((math.cosh(a) + 9.0) / 8.0)
-        floor = _lambda_floor(np.array([math.cosh(a)]))[0]
-        boundary_resid = max(boundary_resid,
-                             abs(_lambda_of(np.array([b3max]),
-                                            np.array([a]))[0] - floor))
-        b3 = np.linspace(0.2, b3max - 0.05, m)
-        vals[idx] = _lambda_of(b3, np.full_like(b3, a)) - floor
-        axes_b = b3
-    rep = _report("equ0_lambda_floor", vals, [a3, axes_b],
+    floor = _lambda_floor(np.cosh(a3))
+    b3max = np.arccosh((np.cosh(a3) + 9.0) / 8.0)
+    boundary_resid = float(np.max(np.abs(_lambda_of(b3max, a3) - floor)))
+    b3 = np.linspace(0.2, b3max - 0.05, m, axis=1)
+    vals = _lambda_of(b3, a3[:, None]) - floor[:, None]
+    rep = _report("equ0_lambda_floor", vals,
                   f"lam(b3, a3) above the closed floor on the interior band; "
                   f"boundary identity residual {boundary_resid:.2e}")
     if boundary_resid > 1e-9:
@@ -154,7 +150,7 @@ def _claim_iso0_conditions(n: int) -> ClaimReport:
                 + np.cosh(b3) * np.sinh(A1 / 2) * np.sinh(A3 / 2))
     vals = np.minimum(np.minimum(c1, c2), c3)
     vals = np.where(mask, vals, np.nan)
-    return _report("iso0_conditions", vals, [a1, a2, a3],
+    return _report("iso0_conditions", vals,
                    "isosceles conditions (1)-(3) on cosh(a2) > cosh(a1) + 2")
 
 
@@ -167,7 +163,7 @@ def _claim_interval_u3(n: int) -> ClaimReport:
     u3max = (np.cosh(A2 / 2) / np.cosh(A3 / 2)
              * np.sqrt(np.cosh(A2 + A3 / 2) * np.cosh(A2 - A3 / 2)))
     vals = np.where(mask, np.cosh(A2) + 1.0 - u3max, np.nan)
-    return _report("interval_u3_bound", vals, [a2, a3],
+    return _report("interval_u3_bound", vals,
                    "max u3 <= cosh(a2) + 1 for a2 <= a3")
 
 
@@ -177,19 +173,24 @@ def _claim_phi_below_9(n: int) -> ClaimReport:
     # below brackets the crossing itself
     m = max(int(math.sqrt(n)), 64)
     a3 = np.linspace(0.05, 1.449, m)
-    vals = np.empty((m,))
-    for idx, v in enumerate(a3):
-        vals[idx] = 9.0 - phi_max_over_a1(v, m)
-    return _report("phi_below_9", vals, [a3],
+    vals = 9.0 - phi_max_over_a1(a3, m)
+    return _report("phi_below_9", vals,
                    "max_a1 Phi(a1, a3) <= 9 for a3 <= 1.459 - 0.01")
 
 
-def phi_max_over_a1(a3: float, n: int = 512) -> float:
-    a1 = np.linspace(1e-3, a3, n)
-    s1, s3 = np.sinh(a1), math.sinh(a3)
-    phi = ((s3 ** 2 - s1 ** 2) / s3 ** 2
-           + np.sqrt(math.sinh(2 * a3) ** 2 - s1 ** 2) * s1 / s3)
-    return float(phi.max())
+def phi_max_over_a1(a3, n: int = 512):
+    """max of Phi(a1, a3) over n points a1 in [1e-3, a3].
+
+    A float for a scalar a3; for an array, the maximum at each entry.
+    """
+    a3 = np.asarray(a3, dtype=float)
+    a1 = np.linspace(1e-3, a3, n, axis=-1)
+    s1 = np.sinh(a1)
+    s3 = np.sinh(a3)[..., None]
+    s6 = np.sinh(2 * a3)[..., None]
+    phi = (s3 ** 2 - s1 ** 2) / s3 ** 2 + np.sqrt(s6 ** 2 - s1 ** 2) * s1 / s3
+    out = phi.max(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def _claim_phi_crossing(n: int) -> ClaimReport:
@@ -203,77 +204,96 @@ def _claim_phi_crossing(n: int) -> ClaimReport:
                        detail="max Phi < 9 at a3 = 1.449 and > 9 at 1.469")
 
 
+# rows of the equi1 grid evaluated at once: larger blocks save numpy call
+# overhead; at 32 rows of 1200 a block's ~20 temporaries take ~6 MB, under
+# the 11 MB difference array the pad needs, so they leave the peak RSS alone
+_EQUI1_BLOCK = 32
+
+
 def _claim_equi1_on_x2(n: int) -> ClaimReport:
     # the binding corner (a1 = l2(2.23), a3 = 2.23) leaves a margin of only
     # 5e-3, so the mesh must be fine enough for the pad to fit under it
     m = max(int(math.sqrt(n)) * 3, 384)
     a3 = np.linspace(1.42, REGION_A3_MAX, m)
+    lo = np.maximum(line_l1(a3), line_l2(a3))
     worst = np.full((m, m), np.nan)
-    a1_axis = None
-    for idx, v in enumerate(a3):
-        lo = max(line_l1(v), line_l2(v))
-        if lo > v:
-            continue
-        a1 = np.linspace(lo, v, m)
-        a1_axis = a1
-        ch3, sh3 = math.cosh(v), math.sinh(v)
-        th1 = np.tanh(a1)
-        cond0 = ch3 * th1 ** 2 - 1.0
-        lam = np.arccosh(np.maximum(ch3 * th1 ** 2, 1.0))
-        s2a1 = np.sinh(2 * a1)
-        guard = s2a1 - sh3                      # alpha_M well defined
-        with np.errstate(invalid="ignore"):
-            alpha_M = np.arcsin(np.minimum(sh3 / s2a1, 1.0))
-            alpha_m = np.arcsin(np.sinh(a1) / math.sinh(2 * v))
-            c1 = (2.0 * np.sinh(a1) ** 2 * ch3
-                  - (np.sinh(2 * a1) + sh3 ** 2))
-            c2 = th1 - (-np.cos(alpha_M)
-                        + np.sin(alpha_M) * np.sinh((3 * v - lam) / 2.0))
-            c3 = th1 - (np.cos(alpha_m) * np.cosh((v - lam) / 2.0)
-                        - np.sin(alpha_m) * np.sinh((v + lam) / 2.0))
-        worst[idx] = np.minimum.reduce([cond0, guard, c1, c2, c3])
-    return _report("equi1_on_X2", worst, [a3, a1_axis],
+    rows = np.flatnonzero(lo <= a3)
+    for start in range(0, rows.size, _EQUI1_BLOCK):
+        r = rows[start:start + _EQUI1_BLOCK]
+        worst[r] = _equi1_worst(lo[r], a3[r], m)
+    return _report("equi1_on_X2", worst,
                    "equilateral conditions (0)-(3) across region X2")
+
+
+def _equi1_worst(lo: np.ndarray, a3: np.ndarray, m: int) -> np.ndarray:
+    """min of conditions (0)-(3) on the rows a1 = linspace(lo, a3, m).
+
+    No inverse function is evaluated: with y = sin(alpha),
+    cos(alpha) = sqrt((1 - y)(1 + y)); with x = cosh(a3) tanh(a1)^2 =
+    cosh(lam), L = e^{lam/2} = sqrt(x + sqrt((x - 1)(x + 1))), and with
+    E = e^{a3/2} the half-angle terms are rational in L and E:
+    sinh((3 a3 - lam)/2) = (E^3/L - L/E^3)/2 and
+    cos(alpha) cosh((a3 - lam)/2) - sin(alpha) sinh((a3 + lam)/2)
+    = ((cos(alpha) E + sin(alpha)/E)/L + (cos(alpha)/E - sin(alpha) E) L)/2.
+    """
+    a1 = np.linspace(lo, a3, m, axis=1)
+    v = a3[:, None]
+    ch3, sh3, e = np.cosh(v), np.sinh(v), np.exp(v / 2.0)
+    s1, c1 = np.sinh(a1), np.cosh(a1)
+    th1 = s1 / c1
+    s2a1 = 2.0 * s1 * c1                                # sinh(2 a1)
+    x = ch3 * th1 ** 2                                  # cosh(lam), unclipped
+    xc = np.maximum(x, 1.0)
+    el = np.sqrt(xc + np.sqrt((xc - 1.0) * (xc + 1.0)))
+    sin_M = np.minimum(sh3 / s2a1, 1.0)
+    cos_M = np.sqrt((1.0 - sin_M) * (1.0 + sin_M))
+    sin_m = s1 / np.sinh(2.0 * v)
+    cos_m = np.sqrt((1.0 - sin_m) * (1.0 + sin_m))
+    # condition (0) and alpha_M being defined, then conditions (1)-(3)
+    worst = np.minimum(x - 1.0, s2a1 - sh3)
+    np.minimum(worst, 2.0 * ch3 * s1 ** 2 - (s2a1 + sh3 ** 2), out=worst)
+    np.minimum(worst, th1 - (sin_M * (e ** 3 / el - el / e ** 3) / 2.0
+                             - cos_M), out=worst)
+    np.minimum(worst, th1 - ((cos_m * e + sin_m / e) / el
+                             + (cos_m / e - sin_m * e) * el) / 2.0, out=worst)
+    return worst
 
 
 def _claim_iso1_on_x4(n: int) -> ClaimReport:
     m = max(int(round(n ** (1.0 / 3.0))), 24)
     a3 = np.linspace(1.696, REGION_A3_MAX, m)
     worst = np.full((m, m, m), np.nan)
-    a1_axis = a2_axis = None
-    for i3, v3 in enumerate(a3):
-        lo1, hi1 = line_l1(v3), line_l2(v3)
-        if lo1 > hi1:
-            continue
-        sh3 = math.sinh(v3)
-        if sh3 < 2.0:
-            continue
-        lam = _iso_lambda(sh3)
-        a1 = np.linspace(lo1, hi1, m)
-        a2 = np.linspace(lo1, v3, m)
-        a1_axis, a2_axis = a1, a2
-        A1, A2 = np.meshgrid(a1, a2, indexing="ij")
-        mask = (A2 >= A1) & (np.cosh(A2) ** 2 >= np.sinh(A2) * sh3)
-        sq = math.sqrt(math.cosh(lam) * math.cosh(v3))
-        cos2aM = ((math.cosh(2 * lam) * math.cosh(2 * v3) - np.cosh(2 * A1))
-                  / (math.sinh(2 * lam) * math.sinh(2 * v3)))
-        with np.errstate(invalid="ignore"):
-            alpha_M = np.arccos(np.clip(cos2aM, -1.0, 1.0)) / 2.0
-            alpha_m = np.arcsin(np.sinh(A1) / math.sinh(2 * v3))
-            pre = sh3 - (np.sinh(A1) + 1.0 / np.sinh(A1))
-            # a2 >= lam is the defining inequality of X4 itself (equality
-            # on the region boundary), so it is folded into the mask
-            c2 = sq - (1.0 + np.sin(alpha_M) * sh3)
-            c3 = sq - (-np.cos(alpha_M)
-                       + np.sin(alpha_M) * math.sinh((3 * v3 - lam) / 2.0))
-            c4 = sq - (np.cos(alpha_m) * math.cosh((v3 - lam) / 2.0)
-                       - np.sin(alpha_m) * math.sinh((v3 + lam) / 2.0))
-            c5 = (math.cosh(v3) * sh3 * np.sinh(A1)
-                  - np.cosh(A1) ** 2 * math.cosh(2 * v3 - lam))
-            vals = np.minimum.reduce([pre, c2, c3, c4, c5])
-        mask = mask & (A2 >= lam - 1e-9)
-        worst[i3] = np.where(mask, vals, np.nan)
-    return _report("iso1_on_X4", worst, [a3, a1_axis, a2_axis],
+    lo1, hi1 = line_l1(a3), line_l2(a3)
+    sh3 = np.sinh(a3)
+    rows = np.flatnonzero((lo1 <= hi1) & (sh3 >= 2.0))
+    # every condition depends on (a3, a1) alone; a2 enters only the mask
+    v3, sh3 = a3[rows, None, None], sh3[rows, None, None]
+    lam = np.array([_iso_lambda(s) for s in sh3.ravel()])[:, None, None]
+    A1 = np.linspace(lo1[rows], hi1[rows], m, axis=1)[:, :, None]
+    A2 = np.linspace(lo1[rows], a3[rows], m, axis=1)[:, None, :]
+    sq = np.sqrt(np.cosh(lam) * np.cosh(v3))
+    sh2v3 = np.sinh(2 * v3)
+    cos2aM = ((np.cosh(2 * lam) * np.cosh(2 * v3) - np.cosh(2 * A1))
+              / (np.sinh(2 * lam) * sh2v3))
+    sh1 = np.sinh(A1)
+    with np.errstate(invalid="ignore"):
+        alpha_M = np.arccos(np.clip(cos2aM, -1.0, 1.0)) / 2.0
+        alpha_m = np.arcsin(sh1 / sh2v3)
+        pre = sh3 - (sh1 + 1.0 / sh1)
+        c2 = sq - (1.0 + np.sin(alpha_M) * sh3)
+        c3 = sq - (-np.cos(alpha_M)
+                   + np.sin(alpha_M) * np.sinh((3 * v3 - lam) / 2.0))
+        c4 = sq - (np.cos(alpha_m) * np.cosh((v3 - lam) / 2.0)
+                   - np.sin(alpha_m) * np.sinh((v3 + lam) / 2.0))
+        c5 = (np.cosh(v3) * sh3 * sh1
+              - np.cosh(A1) ** 2 * np.cosh(2 * v3 - lam))
+        vals = np.minimum.reduce([pre, c2, c3, c4, c5])
+    # a2 >= lam is the defining inequality of X4 itself (equality on the
+    # region boundary), so it is folded into the mask
+    mask = ((A2 >= A1) & (np.cosh(A2) ** 2 >= np.sinh(A2) * sh3)
+            & (A2 >= lam - 1e-9))
+    worst[rows] = np.where(mask, vals, np.nan)
+    return _report("iso1_on_X4", worst,
                    "isosceles conditions and preconditions across region X4")
 
 
@@ -288,7 +308,7 @@ def _claim_flat_identity(n: int) -> ClaimReport:
     rhs = 2.0 * np.cosh(A1) * np.sinh(A2) / np.sinh(A3)
     resid = np.abs(lhs - rhs).max()
     vals = 2.0 - lhs
-    rep = _report("flat_delta3_identity", vals, [a1, a2],
+    rep = _report("flat_delta3_identity", vals,
                   f"(cosh b1 - 1) sinh^2 a2 = 2 cosh a1 sinh a2 / sinh a3 < 2"
                   f"; identity residual {resid:.2e}")
     if resid > 1e-9:
@@ -302,7 +322,7 @@ def _claim_flat_identity(n: int) -> ClaimReport:
 def _claim_selfhex_cap(n: int) -> ClaimReport:
     a3 = np.linspace(0.05, B2_HALF, n)
     vals = 6.8 - (2.0 + 4.0 * np.sinh(a3 / 2.0) ** 4 / np.cosh(a3 / 2.0) ** 2)
-    return _report("selfhex_delta3_cap_6.8", vals, [a3],
+    return _report("selfhex_delta3_cap_6.8", vals,
                    "2 + 4 sinh^4(a3/2)/cosh^2(a3/2) <= 6.8 up to the Bers bound")
 
 

@@ -387,8 +387,18 @@ def replay_certificate(cert: Certificate, tol: float = 1e-6) -> Dict:
     Walks the move list, checking every re-coordinatisation link (the new
     named-curve traces must reproduce the recorded old-coordinate values)
     and finally re-evaluates the curve word; returns a report dict with the
-    replayed trace.
+    replayed trace.  Raises OutOfScopeError when the certificate's numbers
+    overflow a float (huge twists or half-lengths).
     """
+    try:
+        return _replay(cert, tol)
+    except ArithmeticError as exc:   # an exp overflows, a translation hits 0
+        # or a trace is not finite
+        raise OutOfScopeError(f"certificate replay overflows a float: "
+                              f"{exc}") from None
+
+
+def _replay(cert: Certificate, tol: float) -> Dict:
     x, y, a, t = _coords_from_snapshot(cert.initial)
     checks = []
     for mv in cert.moves:
@@ -407,6 +417,8 @@ def replay_certificate(cert: Certificate, tol: float = 1e-6) -> Dict:
             old = (x, y, a, t)
             x, y, a, t = new = _coords_from_snapshot(mv["snapshot"])
             worst = _link_error(new, _link_targets(old, mv["relabel"]))
+            if not math.isfinite(worst):
+                raise OverflowError(f"link error {worst}")
             checks.append(worst)
             if worst > tol:
                 return {"ok": False, "reason": "recoordinatisation link",
@@ -416,6 +428,8 @@ def replay_certificate(cert: Certificate, tol: float = 1e-6) -> Dict:
     if cert.curve is None:
         return {"ok": False, "reason": "certificate has no curve"}
     tr = _qtrace(_word_quad((x, y, a, t), cert.curve))
+    if not math.isfinite(tr):
+        raise OverflowError(f"replayed trace {tr}")
     ok = abs(tr) <= 2.0 + TRACE_TOL and abs(tr - cert.trace) <= 1e-6
     return {"ok": bool(ok), "trace": tr, "link_errors": checks}
 
@@ -605,7 +619,6 @@ def flat_twist_step(state: SearchState):
             state.history.append({"move": "strategy", "id": "flat_twist"})
             return _torus_route(state, 3,
                                 complement=route.startswith("delta_torus_c"))
-        tr = trace_curve_matrix(state.rep, "delta3")
         t3 = state.rep.t[2]
         up = abs(_flat_delta3_probe(state.rep, t3 + 2 * state.rep.a[2]) - 2.0)
         dn = abs(_flat_delta3_probe(state.rep, t3 - 2 * state.rep.a[2]) - 2.0)

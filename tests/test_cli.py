@@ -114,6 +114,34 @@ def test_malformed_certificate_is_usage_error(tmp_path, capsys, spoil):
     assert "bad certificate" in capsys.readouterr().err
 
 
+def _twists_of(k):
+    def spoil(d):
+        for mv in d["moves"]:
+            if mv["kind"] == "twist":
+                mv["k"] = k
+    return spoil
+
+
+def _huge_length(d):
+    d["initial"]["a"] = [1e300, 1, 1]
+
+
+@pytest.mark.parametrize("spoil", [
+    # a link trace overflows to inf; a translation's exp reaches 0; cosh
+    # overflows
+    pytest.param(_twists_of(200), id="k200"),
+    pytest.param(_twists_of(1000000), id="k1e6"),
+    pytest.param(_huge_length, id="a1e300")])
+def test_overflowing_certificate_is_out_of_scope(tmp_path, capsys, spoil):
+    data = json.loads(CERTIFICATE.read_text())
+    spoil(data)
+    path = tmp_path / "huge_cert.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["replay", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "overflows" in err
+
+
 class TestSearch:
     def test_certificate_file(self, rep_file, tmp_path):
         out = tmp_path / "cert.json"

@@ -1,6 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 
-from srk.inequalities import verify_paper_inequalities
+from srk import inequalities
+from srk.inequalities import phi_max_over_a1, verify_paper_inequalities
+from srk.search import REGION_A3_MAX, line_l1, line_l2
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +51,61 @@ def test_refinement_stability(reports):
         assert r4.ok
         drift = abs(r4.raw_min - r0.raw_min) / max(abs(r0.raw_min), 1e-12)
         assert drift < 0.10, (r0.claim_id, r0.raw_min, r4.raw_min)
+
+
+def _equi1_reference(n):
+    """equi1_on_X2 one row at a time through the inverse functions, with the
+    pad taken as grid slope times half the mesh (the last row's a1 mesh)."""
+    m = max(int(math.sqrt(n)) * 3, 384)
+    a3 = np.linspace(1.42, REGION_A3_MAX, m)
+    worst = np.full((m, m), np.nan)
+    a1_axis = None
+    for idx, v in enumerate(a3):
+        lo = max(line_l1(v), line_l2(v))
+        if lo > v:
+            continue
+        a1 = np.linspace(lo, v, m)
+        a1_axis = a1
+        ch3, sh3 = math.cosh(v), math.sinh(v)
+        th1 = np.tanh(a1)
+        cond0 = ch3 * th1 ** 2 - 1.0
+        lam = np.arccosh(np.maximum(ch3 * th1 ** 2, 1.0))
+        s2a1 = np.sinh(2 * a1)
+        guard = s2a1 - sh3
+        with np.errstate(invalid="ignore"):
+            alpha_M = np.arcsin(np.minimum(sh3 / s2a1, 1.0))
+            alpha_m = np.arcsin(np.sinh(a1) / math.sinh(2 * v))
+            c1 = (2.0 * np.sinh(a1) ** 2 * ch3
+                  - (np.sinh(2 * a1) + sh3 ** 2))
+            c2 = th1 - (-np.cos(alpha_M)
+                        + np.sin(alpha_M) * np.sinh((3 * v - lam) / 2.0))
+            c3 = th1 - (np.cos(alpha_m) * np.cosh((v - lam) / 2.0)
+                        - np.sin(alpha_m) * np.sinh((v + lam) / 2.0))
+        worst[idx] = np.minimum.reduce([cond0, guard, c1, c2, c3])
+    raw = float(np.nanmin(worst))
+    pad = 0.0
+    for axis, grid in enumerate([a3, a1_axis]):
+        h = float(grid[1] - grid[0])
+        slope = float(np.nanmax(np.abs(np.diff(worst, axis=axis)))) / h
+        pad += slope * h / 2.0
+    return raw, pad, worst.size
+
+
+@pytest.mark.parametrize("scale", [0.05, 1.0])
+def test_equi1_matches_inverse_trig_reference(scale):
+    n = int(160_000 * scale)
+    raw, pad, points = _equi1_reference(n)
+    rep = inequalities._claim_equi1_on_x2(n)
+    assert rep.grid_points == points
+    assert rep.raw_min == pytest.approx(raw, abs=1e-12)
+    assert rep.lipschitz_pad == pytest.approx(pad, abs=1e-12)
+    assert rep.margin == pytest.approx(raw - pad, abs=1e-12)
+
+
+def test_phi_max_broadcasts_over_a3():
+    a3 = np.linspace(0.05, 1.469, 37)
+    got = phi_max_over_a1(a3, 200)
+    assert got.shape == a3.shape
+    want = [phi_max_over_a1(float(v), 200) for v in a3]
+    assert all(type(w) is float for w in want)
+    assert got.tolist() == want
