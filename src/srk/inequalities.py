@@ -334,20 +334,20 @@ def _claim_comdelta_cap(n: int) -> ClaimReport:
                               "Bers value")
 
 
-_CLAIMS: List[Tuple[str, Callable[[int], ClaimReport], int]] = [
-    ("equ0_cond0_cubic", _claim_equ0_cond0, 200_000),
-    ("equ0_cond1", _claim_equ0_cond1, 200_000),
-    ("equ0_cond2", _claim_equ0_cond2, 200_000),
-    ("equ0_lambda_floor", _claim_equ0_lambda_floor, 160_000),
-    ("iso0_conditions", _claim_iso0_conditions, 130_000),
-    ("interval_u3_bound", _claim_interval_u3, 160_000),
-    ("phi_below_9", _claim_phi_below_9, 160_000),
-    ("phi_crossing_near_1459", _claim_phi_crossing, 4_096),
-    ("equi1_on_X2", _claim_equi1_on_x2, 160_000),
-    ("iso1_on_X4", _claim_iso1_on_x4, 130_000),
-    ("flat_delta3_identity", _claim_flat_identity, 160_000),
-    ("selfhex_delta3_cap_6.8", _claim_selfhex_cap, 200_000),
-    ("mixed_delta3_cap_11.35", _claim_comdelta_cap, 1),
+_CLAIMS: List[Tuple[Callable[[int], ClaimReport], int]] = [
+    (_claim_equ0_cond0, 200_000),
+    (_claim_equ0_cond1, 200_000),
+    (_claim_equ0_cond2, 200_000),
+    (_claim_equ0_lambda_floor, 160_000),
+    (_claim_iso0_conditions, 130_000),
+    (_claim_interval_u3, 160_000),
+    (_claim_phi_below_9, 160_000),
+    (_claim_phi_crossing, 4_096),
+    (_claim_equi1_on_x2, 160_000),
+    (_claim_iso1_on_x4, 130_000),
+    (_claim_flat_identity, 160_000),
+    (_claim_selfhex_cap, 200_000),
+    (_claim_comdelta_cap, 1),
 ]
 
 
@@ -359,6 +359,6 @@ def verify_paper_inequalities(scale: float = 1.0) -> List[ClaimReport]:
     source of the inequality and is surfaced, never suppressed.
     """
     out = []
-    for _, fn, base_n in _CLAIMS:
+    for fn, base_n in _CLAIMS:
         out.append(fn(max(int(base_n * scale), 16)))
     return out

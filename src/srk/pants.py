@@ -78,16 +78,6 @@ class PantsCase:
     def is_flat(self) -> bool:
         return self.kind.startswith("flat")
 
-    def mirrored(self) -> "PantsCase":
-        """Reflection: hexagons and 0+ / 0- swap, flat cases fix themselves."""
-        if self.kind == "plus1":
-            return PantsCase("minus1")
-        if self.kind == "minus1":
-            return PantsCase("plus1")
-        if self.kind in ("tri", "selfhex"):
-            return PantsCase(self.kind, -self.eps)
-        return self
-
     def euler_flipped(self) -> "PantsCase":
         """Swap the +-1 hexagon tags only; Euler class 0 tags are fixed."""
         if self.kind == "plus1":
@@ -328,15 +318,6 @@ def pants_trace_sign(rep: PantsRep) -> int:
     if (tr > 0) != (eu % 2 == 0):
         raise PantsError("trace sign disagrees with the construction tag")
     return eu
-
-
-def reflect_pants(rep: PantsRep) -> PantsRep:
-    """Mirror pants: 0+ <-> 0-, +1 <-> -1, boundary traces unchanged."""
-    if rep.case.kind == "flat_diag":
-        return rep
-    if rep.case.is_flat:
-        raise PantsError("flat cases have no canonical mirror pairing")
-    return build_pants(rep.a, rep.case.mirrored())
 
 
 # ---------------------------------------------------------------------------

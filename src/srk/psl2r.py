@@ -11,8 +11,8 @@ The boundary circle of the disc model is parametrised by an angle in
 [0, 2pi); the rotation-by-theta matrix acts on that angle as x -> x + theta,
 which pins the deck generator of the universal cover to +2pi.
 
-Matrices are accepted as ndarrays, nested sequences, ProjectiveIsometry
-instances, or row-major 4-tuples (a, b, c, d) standing for [[a, b], [c, d]].
+Matrices are accepted as ndarrays, nested sequences, or row-major
+4-tuples (a, b, c, d) standing for [[a, b], [c, d]].
 The scalar hot paths (lifts, the Milnor algorithm, the pants builders,
 the genus-2 curve words and the search) do their 2x2 arithmetic on such
 4-tuples of floats, which costs a fraction of a numpy call on a 2x2 array;
@@ -29,12 +29,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-TOL_DET = 1e-9      # determinant renormalisation guard
 TOL_CLASS = 1e-9    # |tr| - 2 trichotomy band
 TOL_EULER = 1e-6    # allowed deviation of a lifted deck shift from 2*pi*Z
-TOL_KERNEL = 1e-8   # singular-value threshold for conjugator kernels
 
-MatrixLike = Union[np.ndarray, "ProjectiveIsometry", Sequence]
+MatrixLike = Union[np.ndarray, Sequence]
 Quad = Tuple[float, float, float, float]
 
 
@@ -47,8 +45,6 @@ class PSL2Error(ValueError):
 # ---------------------------------------------------------------------------
 
 def _as_matrix(g: MatrixLike) -> np.ndarray:
-    if isinstance(g, ProjectiveIsometry):
-        return g.m
     m = np.asarray(g, dtype=float)
     if type(g) is tuple and m.shape == (4,):
         return m.reshape(2, 2)
@@ -109,17 +105,6 @@ def _qrotation(theta: float) -> Quad:
     return (c, s, -s, c)
 
 
-def make_matrix(m11: float, m12: float, m21: float, m22: float) -> np.ndarray:
-    """Unit-determinant matrix from entries, renormalised within TOL_DET."""
-    m = np.array([[m11, m12], [m21, m22]], dtype=float)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if not np.isfinite(det) or det <= 0:
-        raise PSL2Error(f"matrix determinant {det} is not positive")
-    if abs(det - 1.0) > TOL_DET:
-        raise PSL2Error(f"matrix determinant {det} too far from 1")
-    return m / math.sqrt(det)
-
-
 def make_translation(length: float) -> np.ndarray:
     """Translation by `length` along the axis (0, infinity)."""
     return _mat(_qtranslation(length))
@@ -130,7 +115,7 @@ def make_rotation(theta: float) -> np.ndarray:
     return _mat(_qrotation(theta))
 
 
-S = make_rotation(math.pi)
+S = _mat((0.0, 1.0, -1.0, 0.0))   # rotation by pi, with exact zeros
 R_LEFT = make_rotation(math.pi / 2.0)
 R_RIGHT = make_rotation(-math.pi / 2.0)
 IDENTITY = np.eye(2)
@@ -166,42 +151,6 @@ def deviation_from_projective_identity(g: MatrixLike) -> float:
 def commutator(a: MatrixLike, b: MatrixLike) -> np.ndarray:
     """[A, B] = B^-1 A^-1 B A; sign-unambiguous in SL(2,R)."""
     return _mat(_qcommutator(_quad(a), _quad(b)))
-
-
-@dataclass(frozen=True)
-class ProjectiveIsometry:
-    """A PSL(2,R) element stored with canonical sign.
-
-    The representative has its first nonzero row-major entry positive, so
-    equal group elements compare equal entrywise.
-    """
-
-    m: np.ndarray
-
-    @classmethod
-    def of(cls, g: MatrixLike) -> "ProjectiveIsometry":
-        m = _as_matrix(g)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det - 1.0) > TOL_DET:
-            m = make_matrix(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-        for v in m.flat:
-            if v != 0.0:
-                if v < 0.0:
-                    m = -m
-                break
-        out = object.__new__(cls)
-        object.__setattr__(out, "m", m)
-        return out
-
-    def __matmul__(self, other: "ProjectiveIsometry") -> "ProjectiveIsometry":
-        return ProjectiveIsometry.of(self.m @ _as_matrix(other))
-
-    def inverse(self) -> "ProjectiveIsometry":
-        return ProjectiveIsometry.of(minv(self.m))
-
-    def almost_equal(self, other: MatrixLike, tol: float = 1e-9) -> bool:
-        o = ProjectiveIsometry.of(other)
-        return bool(np.abs(self.m - o.m).max() <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +232,6 @@ def classify(g: MatrixLike, tol: float = TOL_CLASS) -> IsometryClass:
     theta = 2.0 * math.atan2(r[0, 1], r[0, 0])
     theta %= TWO_PI
     return Elliptic(angle=theta, fixed_point=z)
-
-
-def displacement(g: MatrixLike) -> float:
-    """Translation length 2*arccosh(max(1, |tr|/2))."""
-    return 2.0 * math.acosh(max(1.0, abs(mtrace(g)) / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -380,157 +324,18 @@ def commutator_geometry(lam_a: float, lam_b: float,
     return ParabolicComm(crossing=p)
 
 
-def remark_relation_check(alpha: float, lam_b: float, param: float,
-                          kind: str) -> float:
-    """Residual |LHS - 1| of the distance relations for crossing commutators.
-
-    kind="elliptic": sinh(alpha) tanh(lam_b/2) tan(theta) = 1, with theta
-    the quarter rotation angle of the commutator.  kind="hyperbolic":
-    cosh(alpha) tanh(lam_b/2) tanh(c) = 1 with c the quarter displacement.
-    In both relations alpha is the distance from the commutator's fixed
-    point (resp. axis) to the axis of the element whose displacement lam_b
-    is passed; the relation holds for either element of the pair with its
-    own displacement.
-    """
-    if lam_b <= 0.0:
-        raise PSL2Error("displacement must be positive")
-    if kind == "elliptic":
-        if abs(math.cos(param)) < 1e-12:
-            raise PSL2Error("tan singularity at theta = pi/2")
-        lhs = math.sinh(alpha) * math.tanh(lam_b / 2.0) * math.tan(param)
-    elif kind == "hyperbolic":
-        lhs = math.cosh(alpha) * math.tanh(lam_b / 2.0) * math.tanh(param)
-    else:
-        raise PSL2Error(f"unknown relation kind {kind!r}")
-    return abs(lhs - 1.0)
-
-
 # ---------------------------------------------------------------------------
-# planar geometry helpers (upper half plane)
+# boundary circle lifts
 # ---------------------------------------------------------------------------
+
+_SNAP = 1e-9
+
 
 def boundary_angle(x: float) -> float:
     """Disc-model boundary angle of a real point (or math.inf)."""
     if math.isinf(x):
         return (-2.0 * math.atan2(0.0, 1.0)) % TWO_PI   # direction (1, 0)
     return (-2.0 * math.atan2(1.0, x)) % TWO_PI
-
-
-def axes_cross(a: MatrixLike, b: MatrixLike) -> bool:
-    """Whether the axes of two hyperbolic elements cross inside the plane.
-
-    Decided by interleaving of endpoint angles on the boundary circle,
-    independently of any trace identity.
-    """
-    ca, cb = classify(a), classify(b)
-    if not isinstance(ca, Hyperbolic) or not isinstance(cb, Hyperbolic):
-        raise PSL2Error("axes_cross needs two hyperbolic elements")
-    p, q = (boundary_angle(x) for x in ca.axis)
-    r, s = (boundary_angle(x) for x in cb.axis)
-    for u in (r, s):
-        for v in (p, q):
-            if abs((u - v + math.pi) % TWO_PI - math.pi) < 1e-12:
-                return False      # asymptotic axes meet only at the boundary
-    in_arc_r = (r - p) % TWO_PI < (q - p) % TWO_PI
-    in_arc_s = (s - p) % TWO_PI < (q - p) % TWO_PI
-    return in_arc_r != in_arc_s
-
-
-def hyp_distance(z: complex, w: complex) -> float:
-    q = abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
-    return math.acosh(1.0 + q)
-
-
-def reflect_across_geodesic(z: complex, p: float, q: float) -> complex:
-    """Reflection of z across the geodesic with boundary endpoints p, q."""
-    if math.isinf(p) or math.isinf(q):
-        x = q if math.isinf(p) else p
-        return complex(2.0 * x - z.real, z.imag)
-    c = (p + q) / 2.0
-    r2 = ((q - p) / 2.0) ** 2
-    return c + r2 / (z - c).conjugate()
-
-
-def point_to_geodesic_distance(z: complex, p: float, q: float) -> float:
-    return 0.5 * hyp_distance(z, reflect_across_geodesic(z, p, q))
-
-
-def geodesic_to_geodesic_distance(p: float, q: float, r: float, s: float,
-                                  samples: int = 64) -> float:
-    """Distance between two disjoint geodesics, by golden-section refinement."""
-    def param(u):   # point on geodesic (p, q)
-        if math.isinf(p) or math.isinf(q):
-            x = q if math.isinf(p) else p
-            return complex(x, math.exp(u))
-        c, rad = (p + q) / 2.0, abs(q - p) / 2.0
-        t = math.tanh(u)
-        return complex(c + rad * t, rad * math.sqrt(max(1.0 - t * t, 1e-300)))
-
-    us = np.linspace(-8.0, 8.0, samples)
-    ds = [point_to_geodesic_distance(param(u), r, s) for u in us]
-    i = int(np.argmin(ds))
-    lo, hi = us[max(i - 1, 0)], us[min(i + 1, samples - 1)]
-    for _ in range(80):
-        m1 = lo + (hi - lo) * 0.382
-        m2 = lo + (hi - lo) * 0.618
-        if point_to_geodesic_distance(param(m1), r, s) < \
-           point_to_geodesic_distance(param(m2), r, s):
-            hi = m2
-        else:
-            lo = m1
-    return point_to_geodesic_distance(param((lo + hi) / 2.0), r, s)
-
-
-def hyperbolic_power(b: MatrixLike, t: float) -> np.ndarray:
-    """B^t through the one-parameter subgroup of a hyperbolic element."""
-    m = _as_matrix(b)
-    cb = classify(m)
-    if not isinstance(cb, Hyperbolic):
-        raise PSL2Error("powers need a hyperbolic element")
-    lam = cb.displacement
-    v = _diagonalizing_matrix(m)
-    return v @ make_translation(t * lam) @ minv(v)
-
-
-def _diagonalizing_matrix(m: np.ndarray) -> np.ndarray:
-    """V with V T_lambda V^-1 = +-m, columns scaled to determinant one."""
-    evals, evecs = np.linalg.eig(m)
-    order = np.argsort(-np.abs(evals))       # attracting first
-    v = np.real(evecs[:, order])
-    det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
-    if det < 0:
-        v[:, 1] = -v[:, 1]
-        det = -det
-    return v / math.sqrt(det)
-
-
-def perpendicularize(a: MatrixLike, b: MatrixLike) -> float:
-    """t such that the axis of B^t A is perpendicular to the axis of B.
-
-    Both elements must be hyperbolic with crossing axes.  Replacing A by
-    B^t A leaves the commutator [A, B] unchanged.
-    """
-    am, bm = _as_matrix(a), _as_matrix(b)
-    if not axes_cross(am, bm):
-        raise PSL2Error("axes must cross exactly once")
-    if mtrace(bm) < 0:
-        bm = -bm
-    v = _diagonalizing_matrix(bm)
-    # in the frame where B translates along (0, inf), perpendicularity of
-    # T_{t*lam} A' to (0, inf) means the diagonal of T A' is balanced
-    ap = minv(v) @ am @ v
-    lam = displacement(bm)
-    ratio = ap[1, 1] / ap[0, 0]
-    if ratio <= 0.0:
-        raise PSL2Error("no perpendicularizing power exists")
-    return math.log(ratio) / lam
-
-
-# ---------------------------------------------------------------------------
-# boundary circle lifts
-# ---------------------------------------------------------------------------
-
-_SNAP = 1e-9
 
 
 def circle_position(g: MatrixLike, phi: float) -> float:
@@ -693,44 +498,8 @@ def euler_class_relative(handles: Sequence[Tuple[MatrixLike, MatrixLike]],
 
 
 # ---------------------------------------------------------------------------
-# conjugator sign, handle sign, elliptic powers
+# handle sign, elliptic powers
 # ---------------------------------------------------------------------------
-
-def conjugator_sign(pair: Tuple[MatrixLike, MatrixLike],
-                    image_pair: Tuple[MatrixLike, MatrixLike]) -> int:
-    """Sign of det g for the g conjugating one pair onto the other.
-
-    Solves g P = P' g, g Q = Q' g as an 8x4 linear system; the kernel must
-    be one dimensional (the pair must be non-elementary), detected by
-    singular values against TOL_KERNEL.
-    """
-    p, q = (_as_matrix(x) for x in pair)
-    pp, qq = (_as_matrix(x) for x in image_pair)
-    if abs(mtrace(commutator(p, q)) - 2.0) <= TOL_CLASS:
-        raise PSL2Error("pair is elementary (commutator trace 2)")
-    rows = []
-    for m, mp in ((p, pp), (q, qq)):
-        # (g m - mp g) entries, g as row-major vector
-        a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-        A, B, C, D = mp[0, 0], mp[0, 1], mp[1, 0], mp[1, 1]
-        rows.extend([
-            [a - A, c, -B, 0.0],
-            [b, d - A, 0.0, -B],
-            [-C, 0.0, a - D, c],
-            [0.0, -C, b, d - D],
-        ])
-    sys = np.array(rows)
-    _, sv, vt = np.linalg.svd(sys)
-    if sv[-2] < TOL_KERNEL * max(sv[0], 1.0):
-        raise PSL2Error("conjugator kernel is not one dimensional")
-    if sv[-1] > TOL_KERNEL * max(sv[0], 1.0):
-        raise PSL2Error("no conjugator exists (inconsistent pair)")
-    g = vt[-1].reshape(2, 2)
-    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-    if abs(det) < 1e-12:
-        raise PSL2Error("conjugator is singular")
-    return 1 if det > 0 else -1
-
 
 def handle_sign(p: MatrixLike, q: MatrixLike, tol: float = TOL_CLASS) -> Union[int, str]:
     """Orientation class of a handle pair, from the commutator trace.

@@ -714,17 +714,6 @@ def triangle_improve_step(state: SearchState):
     return _improve(state)
 
 
-def _doubled_alpha(a) -> List[float]:
-    tri = hyptrig.solve_triangle(2 * a[0], 2 * a[1], 2 * a[2])
-    return [th / 2.0 for th in tri.theta]
-
-
-def _class1_f(alpha_i: float, aj: float, ak: float, x: float, y: float) -> float:
-    return (2.0 / math.sqrt(math.tanh(aj) * math.tanh(ak))
-            * (math.cos(alpha_i) * _CH((x + y) / 2.0)
-               + math.sin(alpha_i) * _SH((x - y) / 2.0)))
-
-
 def equilateral1_step(state: SearchState):
     """Region X2 strategy in Euler class +-1, positive delta invariant."""
     a = state.rep.a

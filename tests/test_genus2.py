@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srk import genus2, hyptrig, pants, search
 from srk.genus2 import (CURVE_TAGS, DELTA_TAGS, Genus2Error, GluedRep,
@@ -441,3 +443,78 @@ class TestSingleEvaluator:
         moves = [(mv["i"], mv["k"]) for mv in state.cert.moves]
         assert moves == [(i + 1, k)
                          for i, k in enumerate(genus2.twist_counts(rep)) if k]
+
+
+class TestExactHalfTurn:
+    """The flat and triangle pants are built from S; an S with rounding
+    noise where 0 belongs lets the beta words scale that noise by e^{|t3|}."""
+
+    @pytest.mark.parametrize("record", [
+        {"eps": ["EuPlus1", "Eu0LowerFlat(-1)"],
+         "a": [0.27397924685335784, 0.4773742577749054, 0.7513535046282632],
+         "t": [1.2439466502193266, 0.15971665327791884, 26.59824032951481]},
+        {"eps": ["Eu0DiagonalFlat", "EuMinus1"],
+         "a": [0.39446161608724334, 0.689112367594859, 1.0835739836821023],
+         "t": [0.273962834187756, -1.0273814778246613, -38.26102846681627]},
+    ], ids=["lower-flat", "diagonal-flat"])
+    def test_wide_delta3_closed_form(self, record):
+        rep = GluedRep.from_json(json.dumps(record))
+        val, covered = trace_curve_closed_form(rep, "delta3")
+        ref = trace_curve_matrix(rep, "delta3")
+        assert covered
+        assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+# Property tests.  Each case pair draws its half-lengths from the same
+# families as the samplers above, with the shrinking Hypothesis provides;
+# derandomized, so every run checks the same examples.
+_HEX_A = st.tuples(*[st.floats(0.3, 1.8)] * 3)
+_A_STRATEGIES = {
+    sample_hex_a: _HEX_A,
+    sample_tri_a: _HEX_A.filter(lambda a: hyptrig.delta_invariant(*a) > 0.02),
+    sample_self_a: st.tuples(st.floats(0.2, 0.8), st.floats(0.2, 0.8),
+                             st.floats(0.15, 0.7)).map(
+        lambda s: (min(s[:2]), max(s[:2]), s[0] + s[1] + s[2])),
+    sample_flat_a: st.tuples(st.floats(0.3, 0.9), st.floats(0.3, 0.9)).map(
+        lambda s: (s[0], s[1], s[0] + s[1])),
+}
+_PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+def _twists(bound):
+    return st.tuples(*[st.floats(-bound, bound)] * 3)
+
+
+class TestProperties:
+    @pytest.mark.parametrize("eps1,eps2,sampler", PAIR_SAMPLERS,
+                             ids=lambda v: str(v) if isinstance(v, PC) else "")
+    def test_invariants_along_twist_orbit(self, eps1, eps2, sampler):
+        @settings(_PROPERTY, max_examples=3)
+        @given(a=_A_STRATEGIES[sampler], t=_twists(2.0))
+        def check(a, t):
+            rep = build_glued(eps1, eps2, a, t)
+            euler = euler_class(rep)
+            sign = sign_invariant(rep) if rep.euler_nominal == 0 else None
+            for i in (1, 2, 3):
+                for k in range(-20, 21):
+                    tw = dehn_twist_gamma(rep, i, k)
+                    assert euler_class(tw) == euler, (i, k)
+                    if sign is not None:
+                        assert sign_invariant(tw) == sign, (i, k)
+
+        check()
+
+    @pytest.mark.parametrize("eps1,eps2,sampler", PAIR_SAMPLERS,
+                             ids=lambda v: str(v) if isinstance(v, PC) else "")
+    def test_closed_forms_match_matrices(self, eps1, eps2, sampler):
+        @settings(_PROPERTY, max_examples=15)
+        @given(a=_A_STRATEGIES[sampler], t=_twists(40.0))
+        def check(a, t):
+            rep = build_glued(eps1, eps2, a, t)
+            for tag in CURVE_TAGS:
+                val, covered = trace_curve_closed_form(rep, tag)
+                if covered:
+                    ref = trace_curve_matrix(rep, tag)
+                    assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref)), tag
+
+        check()

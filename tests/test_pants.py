@@ -10,7 +10,7 @@ from srk.pants import (EU0_DIAGONAL_FLAT, EU0_MINUS_SELFHEX,
                        PantsError, PantsRep, batch_cocycle_residuals,
                        batch_matrices, boundary_holonomies, build_pants,
                        case_from_string, euler_class_relative,
-                       free_generators, pants_trace_sign, reflect_pants)
+                       free_generators, pants_trace_sign)
 from srk.psl2r import deviation_from_projective_identity, mmul, mtrace
 
 rng = np.random.default_rng(7)
@@ -140,26 +140,33 @@ class TestEulerAndSign:
         assert euler_class_relative(rep) == 0
 
 
+def _mirror(q):
+    """Conjugate by the reflection z -> -conj(z): (a, b, c, d) -> (a, -b, -c, d)."""
+    a, b, c, d = q
+    return (a, -b, -c, d)
+
+
+def _equal_up_to_sign(p, q, tol=1e-12):
+    p, q = np.array(p), np.array(q)
+    return min(np.abs(p - q).max(), np.abs(p + q).max()) <= tol
+
+
 class TestReflect:
-    def test_involution_on_tags(self):
-        for case in (EU_PLUS1, EU_MINUS1, EU0_PLUS_TRIANGLE,
-                     EU0_MINUS_SELFHEX):
-            rep = build_pants(sample_a(case, rng), case)
-            assert reflect_pants(reflect_pants(rep)).case == case
+    """The mirror image of a pants is the pants of the mirrored tag, built
+    directly: +1 and -1 swap, 0+ and 0- swap, and so do the two signs of a
+    flat pants' parabolic entries."""
 
     def test_hexagon_mirror(self):
         rep = build_pants((0.8, 1.0, 1.2), EU_PLUS1)
-        mir = reflect_pants(rep)
-        assert mir.case == EU_MINUS1
+        mir = build_pants((0.8, 1.0, 1.2), EU_MINUS1)
         for i in range(3):
             la = boundary_holonomies(rep)[i]
             lb = boundary_holonomies(mir)[i]
             assert abs(mtrace(la)) == pytest.approx(abs(mtrace(lb)), rel=1e-9)
+            assert _equal_up_to_sign(_mirror(rep.q[i]), mir.q[i])
 
     def test_triangle_mirror_negates_angles(self):
-        rep = build_pants((0.8, 1.0, 1.2), EU0_PLUS_TRIANGLE)
-        mir = reflect_pants(rep)
-        assert mir.case == EU0_MINUS_TRIANGLE
+        mir = build_pants((0.8, 1.0, 1.2), EU0_MINUS_TRIANGLE)
         sol = hyptrig.solve_triangle(0.8, 1.0, 1.2)
         from srk.psl2r import S, make_rotation
         for i in range(3):
@@ -168,12 +175,15 @@ class TestReflect:
 
     def test_diagonal_self_mirror(self):
         rep = build_pants((0.5, 0.7, 1.2), EU0_DIAGONAL_FLAT)
-        assert reflect_pants(rep) is rep
+        assert all(_equal_up_to_sign(_mirror(q), q) for q in rep.q)
 
-    def test_flat_mirror_undefined(self):
-        rep = build_pants((0.5, 0.7, 1.2), PantsCase("flat_upper", 1))
-        with pytest.raises(PantsError):
-            reflect_pants(rep)
+    def test_flat_mirror_flips_sign(self):
+        for kind in ("flat_upper", "flat_lower"):
+            rep = build_pants((0.5, 0.7, 1.2), PantsCase(kind, 1))
+            mir = build_pants((0.5, 0.7, 1.2), PantsCase(kind, -1))
+            assert not _equal_up_to_sign(rep.q[2], mir.q[2])
+            for i in range(3):
+                assert _equal_up_to_sign(_mirror(rep.q[i]), mir.q[i])
 
 
 class TestSerialization:

@@ -159,12 +159,25 @@ class TestBoumBound:
         assert all(b <= 2 * CH(2.2) for b in bounds)
 
 
+def _doubled_alpha(a):
+    """Half the angles of the triangle with doubled sides 2a."""
+    tri = hyptrig.solve_triangle(2 * a[0], 2 * a[1], 2 * a[2])
+    return [th / 2.0 for th in tri.theta]
+
+
+def _class1_f(alpha_i, aj, ak, x, y):
+    """F_i(t_j, t_k), the paper's closed form of -tr beta_i in (0+, -1)."""
+    return (2.0 / math.sqrt(math.tanh(aj) * math.tanh(ak))
+            * (math.cos(alpha_i) * CH((x + y) / 2.0)
+               + math.sin(alpha_i) * SH((x - y) / 2.0)))
+
+
 class TestDoubledTriangleData:
     def test_alpha_identity(self):
         # cos(alpha_1)^2 = cos^2(theta1/2) cosh^2(b1/2) tanh(a2) tanh(a3)
         for _ in range(100):
             a = sample_tri_a(rng, lo=0.4, hi=1.1)
-            alpha = search._doubled_alpha(a)
+            alpha = _doubled_alpha(a)
             tri = hyptrig.solve_triangle(*a)
             hexa = hyptrig.solve_hexagon(*a)
             for i in range(3):
@@ -186,10 +199,10 @@ class TestDoubledTriangleData:
             a = sample_tri_a(rng, lo=0.4, hi=1.2)
             t = tuple(rng.uniform(-1.2, 1.2, 3))
             rep = genus2.build_glued(PC("tri", 1), EU_MINUS1, a, t)
-            alpha = search._doubled_alpha(a)
+            alpha = _doubled_alpha(a)
             for i in range(3):
                 j, k = (i + 1) % 3, (i + 2) % 3
-                f = search._class1_f(alpha[i], a[j], a[k], t[j], t[k])
+                f = _class1_f(alpha[i], a[j], a[k], t[j], t[k])
                 tr = genus2.trace_curve_matrix(rep, f"beta{i+1}")
                 assert tr == pytest.approx(-f, rel=1e-9, abs=1e-9)
 
