@@ -3,22 +3,24 @@
 Subcommands: classify, search, orbit-stats, verify, replay.  Inputs are the
 JSON coordinate records {"eps": [...], "a": [...], "t": [...]}; outputs are
 JSON or CSV with full-precision floats so that replays are bit-faithful.
-Exit codes: 0 success, 1 verifier failure, 2 search stalled, 3 out-of-scope
-input, 64 usage errors.
+orbit-stats runs in one thread and builds each orbit once: the delta traces
+come from per-orbit coefficients (`genus2.delta_twist_coeffs`), which the
+tests cross-check against the matrix words.  Exit codes: 0 success, 1
+verifier failure, 2 search stalled, 3 out-of-scope input, 64 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
+import math
 import sys
 from typing import List, Optional
 
 import numpy as np
 
 from . import genus2, hyptrig, inequalities, pants, search
+from .psl2r import PSL2Error
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -47,10 +49,7 @@ def _load_rep(path: str) -> genus2.GluedRep:
 
 
 def _threads() -> int:
-    env = os.environ.get("SRK_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    return 1    # orbit-stats runs in one thread; bench/run.py still reads it
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +61,8 @@ def cmd_classify(args) -> int:
 
     A curve's "agreement" is |matrix - closed_form| / max(1, |matrix|), or
     None where no formula covers it; "worst_agreement" is the largest.
-    Exit 3 when a trace overflows (huge twists).
+    Exit 3 when a trace overflows (huge twists) or the Euler class relator
+    is lost to rounding (huge half-lengths).
     """
     try:
         rep = _load_rep(args.rep)
@@ -80,13 +80,16 @@ def cmd_classify(args) -> int:
                 worst = max(worst, gap)
             table[tag] = {"matrix": tm, "closed_form": tc if covered else None,
                           "agreement": gap}
-    except genus2.Genus2Error as exc:
+        euler = genus2.euler_class(rep)
+        sign = (str(genus2.sign_invariant(rep)) if rep.euler_nominal == 0
+                else None)
+    except PSL2Error as exc:      # overflow, or a relator lost to rounding
         sys.stderr.write(f"classify: out of range: {exc}\n")
         return EXIT_OUT_OF_SCOPE
     report = {
-        "euler": genus2.euler_class(rep),
+        "euler": euler,
         "euler_nominal": rep.euler_nominal,
-        "sign": str(genus2.sign_invariant(rep)) if rep.euler_nominal == 0 else None,
+        "sign": sign,
         "traces": table,
         "worst_agreement": worst,
     }
@@ -134,6 +137,13 @@ def cmd_replay(args) -> int:
 
 
 def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
+    """One orbit's CSV rows: a random walk of Dehn twists along gamma_1..3.
+
+    Only the twists change along the orbit, and tr delta_{k+1} depends on
+    t_k alone, so the delta traces come from per-orbit coefficients
+    (`genus2.delta_twist_coeffs`) and the sign invariant, constant on twist
+    orbits, is read once.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     eps1, eps2 = pants.EU_PLUS1, pants.EU_MINUS1
     if index % 3 == 1:
@@ -152,17 +162,21 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
         break
     t = rng.uniform(-1.5, 1.5, 3)
     rep = genus2.build_glued(eps1, eps2, a, t)
+    x, y, a, t = rep.coords
+    t = list(t)
+    coeffs = [genus2.delta_twist_coeffs(x, y, a, k) for k in range(3)]
+    sign = str(genus2.sign_invariant(rep))
+    # the fixed columns are formatted once; "%.17g" is `_fl`'s format
+    row = ",".join([str(seed), str(index), "%d", str(eps1), str(eps2)]
+                   + [_fl(v) for v in a] + ["%.17g"] * 6 + [sign])
     rows = []
     for step in range(length + 1):
-        tr = [genus2.trace_curve_matrix(rep, f"delta{k}") for k in (1, 2, 3)]
-        sign = str(genus2.sign_invariant(rep))
-        rows.append(",".join(
-            [str(seed), str(index), str(step), str(rep.eps1), str(rep.eps2)]
-            + [_fl(v) for v in rep.a] + [_fl(v) for v in rep.t]
-            + [_fl(v) for v in tr] + [sign]))
+        tr = [2.0 - s * (cm * math.exp(-tk) + c0 + cp * math.exp(tk))
+              for (s, cm, c0, cp), tk in zip(coeffs, t)]
+        rows.append(row % (step, *t, *tr))
         i = int(rng.integers(1, 4))
         k = int(rng.integers(-2, 3))
-        rep = genus2.dehn_twist_gamma(rep, i, k)
+        t[i - 1] += 2.0 * k * a[i - 1]      # as genus2.dehn_twist_gamma
     return rows
 
 
@@ -170,11 +184,12 @@ def cmd_orbit_stats(args) -> int:
     header = ("seed,index,step,eps1,eps2,a1,a2,a3,t1,t2,t3,"
               "tr_d1,tr_d2,tr_d3,sign")
     lines = [header]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_threads()) as ex:
-        futures = [ex.submit(_orbit_rows, args.seed, i, args.length)
-                   for i in range(args.n)]
-        for fut in futures:                    # task order, deterministic
-            lines.extend(fut.result())
+    try:
+        for i in range(args.n):
+            lines.extend(_orbit_rows(args.seed, i, args.length))
+    except OverflowError as exc:     # e^{t_k} overflows on a very long orbit
+        sys.stderr.write(f"orbit-stats: out of range: {exc}\n")
+        return EXIT_OUT_OF_SCOPE
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

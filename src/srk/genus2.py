@@ -190,6 +190,24 @@ def trace_curve_matrix(rep: GluedRep, tag: str) -> float:
     return tr
 
 
+def delta_twist_coeffs(x, y, a, k: int) -> Tuple[float, float, float, float]:
+    """(s, c_minus, c_mid, c_plus) with tr delta_{k+1} = 2 - s (c_minus
+    e^{-t_k} + c_mid + c_plus e^{t_k}), k in 0..2 (0-based).
+
+    delta_{k+1} = [beta_i, gamma_j], (i, j, k) cyclic.  gamma_j =
+    diag(e^{a_j}, e^{-a_j}) commutes with the T(t_j) that ends beta_i, so
+    the trace is 2 - s b12 b21 with s = 4 sinh(a_j)^2 and b = X_i^-1 T(-t_k)
+    Y_i = e^{-t_k/2} P + e^{t_k/2} Q for P = X_i^-1 E11 Y_i and Q = X_i^-1
+    E22 Y_i; it depends on t_k alone.  Same arguments as `curve_quad`.
+    """
+    i, j = (k + 1) % 3, (k + 2) % 3
+    xi = _qinv(x[i])
+    p = _qmul(xi, (1.0, 0.0, 0.0, 0.0), y[i])
+    q = _qmul(xi, (0.0, 0.0, 0.0, 1.0), y[i])
+    return (4.0 * math.sinh(a[j]) ** 2, p[1] * p[2],
+            p[1] * q[2] + q[1] * p[2], q[1] * q[2])
+
+
 def trace_curve_closed_form(rep: GluedRep, tag: str) -> Tuple[float, bool]:
     """Closed-form trace where one exists.
 

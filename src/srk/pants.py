@@ -31,7 +31,7 @@ from .psl2r import (R_LEFT, R_RIGHT, S, PSL2Error, Quad, _mat, _qmul,
                     minv, mmul, mtrace)
 
 TOL_FLAT = 1e-9      # |delta| band treated as the flat stratum
-TOL_COCYCLE = 1e-9
+TOL_COCYCLE = 1e-9   # cocycle residual bound, times e^{max a} (build_pants)
 
 
 class PantsError(PSL2Error):
@@ -257,8 +257,13 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
         raise PantsError(f"unknown case kind {case.kind!r}")
 
     res = _cocycle_residuals(a, x)
-    if max(res) > TOL_COCYCLE:
-        raise PantsError(f"cocycle residuals {res} exceed tolerance")
+    # scaled like the Euler class relator check, by psl2r._relation_scale
+    # of the largest translation T(max a), e^{max a}.  The edge matrices'
+    # entries grow only as a -> 0, where the Euler class lift loses
+    # precision, so they do not widen the bound.
+    tol = TOL_COCYCLE * math.exp(max(a))
+    if max(res) > tol:
+        raise PantsError(f"cocycle residuals {res} exceed tolerance {tol}")
     return PantsRep(a=a, case=case, q=x)
 
 

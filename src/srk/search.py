@@ -304,6 +304,7 @@ class FoundCurve:
     trace: float
     certificate: Certificate
     rounds: int
+    history: List[Dict]   # the search's decision trace, not certified
 
 
 @dataclass(frozen=True)
@@ -311,6 +312,7 @@ class Stalled:
     diagnostic: str
     certificate: Certificate
     rounds: int
+    history: List[Dict]
 
 
 @dataclass
@@ -474,12 +476,13 @@ def _found(state: SearchState, word: List) -> FoundCurve:
     state.cert.curve = [[name, int(e)] for name, e in word]
     state.cert.trace = float(tr)
     return FoundCurve(word=state.cert.curve, trace=float(tr),
-                      certificate=state.cert, rounds=state.rounds)
+                      certificate=state.cert, rounds=state.rounds,
+                      history=state.history)
 
 
 def _stalled(state: SearchState, why: str) -> Stalled:
     return Stalled(diagnostic=why, certificate=state.cert,
-                   rounds=state.rounds)
+                   rounds=state.rounds, history=state.history)
 
 
 # ---------------------------------------------------------------------------
@@ -812,23 +815,15 @@ def _candidate_pairs(euler: int, delta: float) -> List[Tuple[PantsCase, PantsCas
 
 
 def _delta_twist_roots(x, y, a, k: int, d: float) -> List[float]:
-    """Twists t_k, ascending, with tr delta_{k+1} = d while the other two
-    twists are 0.
+    """Twists t_k, ascending, with tr delta_{k+1} = d (the trace depends
+    on t_k alone).
 
-    delta_{k+1} = [beta_i, gamma_j], (i, j, k) cyclic, and with gamma_j =
-    diag(e^{a_j}, e^{-a_j}) its trace is 2 - 4 sinh(a_j)^2 b12 b21, where b
-    = beta_i = X_i^-1 T(-t_k) Y_i = e^{-t_k/2} P + e^{t_k/2} Q for P =
-    X_i^-1 E11 Y_i and Q = X_i^-1 E22 Y_i.  So u = e^{t_k} solves
-    Q12 Q21 u^2 + (P12 Q21 + Q12 P21 + (d - 2) / (4 sinh(a_j)^2)) u
-    + P12 P21 = 0.
+    With the coefficients of `genus2.delta_twist_coeffs`, u = e^{t_k}
+    solves c_plus u^2 + (c_mid + (d - 2) / s) u + c_minus = 0.
     """
-    i, j = (k + 1) % 3, (k + 2) % 3
-    xi = _qinv(x[i])
-    p = _qmul(xi, (1.0, 0.0, 0.0, 0.0), y[i])
-    q = _qmul(xi, (0.0, 0.0, 0.0, 1.0), y[i])
-    c1 = p[1] * q[2] + q[1] * p[2] + (d - 2.0) / (4.0 * _SH(a[j]) ** 2)
+    s, c_minus, c_mid, c_plus = genus2.delta_twist_coeffs(x, y, a, k)
     return sorted(math.log(u) for u in
-                  _positive_roots(q[1] * q[2], c1, p[1] * p[2]))
+                  _positive_roots(c_plus, c_mid + (d - 2.0) / s, c_minus))
 
 
 def _fit_candidate(eps_pair, a_new, targets):

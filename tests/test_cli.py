@@ -1,9 +1,11 @@
 import json
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from srk import cli, genus2
+from srk import cli, genus2, hyptrig
 from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
 
 
@@ -59,6 +61,15 @@ class TestClassify:
                                     "a": [1.0, 1.1, 1.2], "t": t}))
         assert cli.main(["classify", str(path)]) == 3
         assert "overflows" in capsys.readouterr().err
+
+    def test_euler_relator_lost_exit(self, tmp_path, capsys):
+        # a = 20 (1, 1.1, 1.2) builds, but its Euler class relator drowns
+        # in rounding
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"eps": ["EuPlus1", "EuMinus1"],
+                                    "a": [20.0, 22.0, 24.0], "t": [0, 0, 0]}))
+        assert cli.main(["classify", str(path)]) == 3
+        assert "out of range" in capsys.readouterr().err
 
 
 BAD_RECORDS = [
@@ -203,11 +214,79 @@ class TestOrbitStats:
         for orbit, a_values in per_orbit.items():
             assert len(a_values) == 1
 
-    def test_threads_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SRK_THREADS", "2")
+    def test_starts_no_thread(self, tmp_path, monkeypatch):
+        before = threading.active_count()
+        seen = []
+        real = cli._orbit_rows
+
+        def counting(*args):
+            seen.append(threading.active_count())
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_orbit_rows", counting)
         out = tmp_path / "o.csv"
         assert cli.main(["orbit-stats", "--seed", "7", "--n", "3",
                          "--length", "4", "--out", str(out)]) == 0
+        assert seen == [before] * 3
+        assert threading.active_count() == before
+
+    def test_overflow_is_out_of_scope(self, monkeypatch, capsys):
+        def overflow(*args):
+            raise OverflowError("math range error")
+
+        monkeypatch.setattr(cli, "_orbit_rows", overflow)
+        assert cli.main(["orbit-stats", "--n", "1"]) == 3
+        assert "out of range" in capsys.readouterr().err
+
+    def test_matches_matrix_route(self):
+        """Seeds 0-9: every column but the traces is byte-identical to the
+        matrix-route reference, the traces agree to 1e-12 relative."""
+        for seed in range(10):
+            for index in range(6):
+                got = [r.split(",") for r in cli._orbit_rows(seed, index, 50)]
+                want = [r.split(",") for r in
+                        _matrix_orbit_rows(seed, index, 50)]
+                assert len(got) == len(want) == 51
+                for g, w in zip(got, want):
+                    assert g[:11] == w[:11] and g[14] == w[14], (seed, g)
+                    for col in (11, 12, 13):
+                        m = float(w[col])
+                        assert abs(float(g[col]) - m) <= \
+                            1e-12 * max(1.0, abs(m)), (seed, g, col)
+
+
+def _matrix_orbit_rows(seed, index, length):
+    """Reference orbit: every row rebuilt through the delta matrix words."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    eps1, eps2 = EU_PLUS1, EU_MINUS1
+    if index % 3 == 1:
+        eps1, eps2 = (PantsCase("tri", 1), PantsCase("tri", -1))
+    if index % 3 == 2:
+        eps1 = eps2 = PantsCase("selfhex", 1)
+    while True:
+        if eps1.kind == "selfhex":
+            small = np.sort(rng.uniform(0.2, 0.8, 2))
+            a = (small[0], small[1],
+                 small.sum() + rng.uniform(0.1, 0.5))
+        else:
+            a = tuple(rng.uniform(0.3, 1.8, 3))
+            if eps1.kind == "tri" and hyptrig.delta_invariant(*a) <= 0.05:
+                continue
+        break
+    t = rng.uniform(-1.5, 1.5, 3)
+    rep = genus2.build_glued(eps1, eps2, a, t)
+    rows = []
+    for step in range(length + 1):
+        tr = [genus2.trace_curve_matrix(rep, f"delta{k}") for k in (1, 2, 3)]
+        sign = str(genus2.sign_invariant(rep))
+        rows.append(",".join(
+            [str(seed), str(index), str(step), str(rep.eps1), str(rep.eps2)]
+            + [cli._fl(v) for v in rep.a] + [cli._fl(v) for v in rep.t]
+            + [cli._fl(v) for v in tr] + [sign]))
+        i = int(rng.integers(1, 4))
+        k = int(rng.integers(-2, 3))
+        rep = genus2.dehn_twist_gamma(rep, i, k)
+    return rows
 
 
 class TestVerify:

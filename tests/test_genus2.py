@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from srk import genus2, hyptrig, pants, search
 from srk.genus2 import (CURVE_TAGS, DELTA_TAGS, Genus2Error, GluedRep,
                         build_glued, curve_matrix, dehn_twist_gamma,
-                        delta_side_consistency, euler_class,
-                        generator_images, normalize_twists, sign_invariant,
-                        trace_curve_closed_form, trace_curve_matrix)
+                        delta_side_consistency, delta_twist_coeffs,
+                        euler_class, generator_images, normalize_twists,
+                        sign_invariant, trace_curve_closed_form,
+                        trace_curve_matrix)
 from srk.pants import EU0_DIAGONAL_FLAT, EU_MINUS1, EU_PLUS1, PantsCase
 from srk.psl2r import (commutator, deviation_from_projective_identity, minv,
                        mmul, mtrace)
@@ -516,5 +517,22 @@ class TestProperties:
                 if covered:
                     ref = trace_curve_matrix(rep, tag)
                     assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref)), tag
+
+        check()
+
+    @pytest.mark.parametrize("eps1,eps2,sampler", PAIR_SAMPLERS,
+                             ids=lambda v: str(v) if isinstance(v, PC) else "")
+    def test_delta_twist_coeffs_match_matrices(self, eps1, eps2, sampler):
+        @settings(_PROPERTY, max_examples=15)
+        @given(a=_A_STRATEGIES[sampler], t=_twists(40.0))
+        def check(a, t):
+            rep = build_glued(eps1, eps2, a, t)
+            x, y, a, t = rep.coords
+            for k, tag in enumerate(DELTA_TAGS):
+                s, cm, c0, cp = delta_twist_coeffs(x, y, a, k)
+                val = 2.0 - s * (cm * math.exp(-t[k]) + c0
+                                 + cp * math.exp(t[k]))
+                ref = trace_curve_matrix(rep, tag)
+                assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref)), tag
 
         check()

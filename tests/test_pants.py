@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from srk import hyptrig, pants
+from srk.genus2 import build_glued
 from srk.pants import (EU0_DIAGONAL_FLAT, EU0_MINUS_SELFHEX,
                        EU0_MINUS_TRIANGLE, EU0_PLUS_SELFHEX,
                        EU0_PLUS_TRIANGLE, EU_MINUS1, EU_PLUS1, PantsCase,
@@ -50,6 +51,24 @@ class TestCocycle:
             build_pants((1.0, 1.0, 3.0), EU0_PLUS_TRIANGLE)
         with pytest.raises(PantsError):
             build_pants((1.0, 1.0, 1.0), PantsCase("flat_upper", 1))
+
+    @pytest.mark.parametrize("scale", [10.0, 20.0])
+    def test_long_sides_build_and_glue(self, scale):
+        """The cocycle bound scales with the translations' entries: at
+        a = s (1, 1.1, 1.2) the residuals reach 2.5e-9 (s = 10) and 0.047
+        (s = 20), rounding in products with entries up to e^{a3/2}."""
+        a = tuple(scale * v for v in (1.0, 1.1, 1.2))
+        for case in (EU_PLUS1, EU_MINUS1, EU0_PLUS_TRIANGLE,
+                     EU0_MINUS_TRIANGLE):
+            build_pants(a, case)
+        for pair in ((EU_PLUS1, EU_MINUS1), (EU0_PLUS_TRIANGLE, EU_MINUS1),
+                     (EU0_PLUS_TRIANGLE, EU0_MINUS_TRIANGLE)):
+            rep = build_glued(*pair, a, (0.3, -0.2, 0.5))
+            assert rep.a == a
+
+    def test_tiny_hexagon_refused(self):
+        with pytest.raises(PantsError, match="cocycle residuals"):
+            build_pants((1e-3, 1.1e-3, 1.2e-3), EU_PLUS1)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(PantsError):

@@ -303,6 +303,30 @@ class TestSearchEndToEnd:
                        for mv in out.certificate.moves)
             assert replay_certificate(out.certificate)["ok"]
 
+    @pytest.mark.parametrize("eps1,a,t,kind", [
+        (EU_PLUS1,
+         (2.093250468557487, 2.1264520637935904, 2.020753959571758),
+         (-1.6226775954328718, -1.495973116882266, -1.8424879178000826),
+         FoundCurve),
+        (PantsCase("tri", 1),
+         (1.908404397457957, 2.153087053993022, 2.210361055660192),
+         (1.9268671253769547, -1.7233252044846268, -1.7505724989637994),
+         search.Stalled),
+    ])
+    def test_history_is_returned(self, eps1, a, t, kind):
+        """Both outcomes carry the decision trace of a re-coordinatising
+        search; its twist moves are the certificate's, and the certificate
+        JSON leaves it out."""
+        out = search_nonhyperbolic(genus2.build_glued(eps1, EU_MINUS1, a, t))
+        assert isinstance(out, kind) and out.rounds >= 1
+        moves = [(h["i"], h["k"]) for h in out.history
+                 if h["move"] == "twist"]
+        assert moves == [(mv["i"], mv["k"]) for mv in out.certificate.moves
+                         if mv["kind"] == "twist"]
+        assert sum(h["move"] == "recoordinatize"
+                   for h in out.history) == out.rounds
+        assert "history" not in out.certificate.to_json()
+
     def test_certificate_roundtrip(self):
         rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, (1.9, 2.0, 2.1),
                                  (1.4, -1.1, 1.9))
