@@ -21,6 +21,7 @@ import numpy as np
 
 from . import genus2, hyptrig, inequalities, pants, search
 from .psl2r import PSL2Error
+from .tolerances import LINK_TOL, MU_MIN_DEFAULT
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -43,9 +44,20 @@ def _emit(text: str, out: Optional[str]) -> None:
             sys.stdout.write("\n")
 
 
-def _load_rep(path: str) -> genus2.GluedRep:
-    with open(path) as fh:
-        return genus2.GluedRep.from_json(fh.read())
+def _load_rep(cmd: str, path: str):
+    """The coordinate record at `path` as a GluedRep, or the exit code of
+    a malformed record (64) or of half-lengths that overflow a float (3),
+    after one stderr line."""
+    try:
+        with open(path) as fh:
+            return genus2.GluedRep.from_json(fh.read())
+    except (OSError, ValueError, KeyError) as exc:
+        sys.stderr.write(f"{cmd}: bad input: {exc}\n")
+        return EXIT_USAGE
+    except ArithmeticError as exc:     # cosh of a half-length overflows
+        sys.stderr.write(f"{cmd}: out of range: half-lengths overflow a "
+                         f"float ({exc})\n")
+        return EXIT_OUT_OF_SCOPE
 
 
 def _threads() -> int:
@@ -61,14 +73,12 @@ def cmd_classify(args) -> int:
 
     A curve's "agreement" is |matrix - closed_form| / max(1, |matrix|), or
     None where no formula covers it; "worst_agreement" is the largest.
-    Exit 3 when a trace overflows (huge twists) or the Euler class relator
-    is lost to rounding (huge half-lengths).
+    Exit 3 when a half-length or a trace overflows a float or the Euler
+    class relator is lost to rounding (huge half-lengths).
     """
-    try:
-        rep = _load_rep(args.rep)
-    except (OSError, ValueError, KeyError, pants.PantsError) as exc:
-        sys.stderr.write(f"classify: bad input: {exc}\n")
-        return EXIT_USAGE
+    rep = _load_rep("classify", args.rep)
+    if isinstance(rep, int):
+        return rep
     table = {}
     worst = 0.0
     try:
@@ -98,11 +108,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        rep = _load_rep(args.rep)
-    except (OSError, ValueError, KeyError, pants.PantsError) as exc:
-        sys.stderr.write(f"search: bad input: {exc}\n")
-        return EXIT_USAGE
+    rep = _load_rep("search", args.rep)
+    if isinstance(rep, int):
+        return rep
     try:
         out = search.search_nonhyperbolic(rep, max_rounds=args.max_rounds,
                                           mu_min=args.mu_min)
@@ -216,8 +224,32 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 64 (2 means a stalled
+    search); its subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _finite(zero_ok: bool = False):
+    """argparse type: a finite float above 0, or at least 0 if zero_ok."""
+    def parse(text: str) -> float:
+        try:
+            v = float(text)
+        except ValueError:
+            v = math.nan
+        if not (math.isfinite(v) and (v >= 0.0 if zero_ok else v > 0.0)):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {'>=' if zero_ok else '>'} 0, "
+                f"got {text!r}")
+        return v
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="srk",
         description="Genus-2 surface group representations: coordinates, "
                     "trace formulas, twist orbits, and the curve search.")
@@ -233,15 +265,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.add_argument("--max-rounds", type=int,
                    default=search.MAX_ROUNDS_DEFAULT)
-    s.add_argument("--mu-min", type=float, default=search.MU_MIN_DEFAULT)
-    s.add_argument("--tol", type=float, default=1e-6,
+    s.add_argument("--mu-min", type=_finite(zero_ok=True),
+                   default=MU_MIN_DEFAULT)
+    s.add_argument("--tol", type=_finite(), default=LINK_TOL,
                    help="certificate link tolerance for the replay check")
     s.set_defaults(fn=cmd_search)
 
     r = sub.add_parser("replay", help="re-verify a search certificate")
     r.add_argument("certificate")
     r.add_argument("--out")
-    r.add_argument("--tol", type=float, default=1e-6,
+    r.add_argument("--tol", type=_finite(), default=LINK_TOL,
                    help="certificate link tolerance")
     r.set_defaults(fn=cmd_replay)
 
@@ -253,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(fn=cmd_orbit_stats)
 
     v = sub.add_parser("verify", help="re-check the grid inequalities")
-    v.add_argument("--scale", type=float, default=1.0,
+    v.add_argument("--scale", type=_finite(), default=1.0,
                    help="grid refinement multiplier")
     v.add_argument("--format", choices=("json", "csv"), default="json")
     v.add_argument("--out")
@@ -263,7 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:     # -h (0) or a usage error (64)
+        return exc.code
     if not getattr(args, "fn", None):
         parser.print_help()
         return EXIT_USAGE

@@ -31,8 +31,7 @@ from . import hyptrig, psl2r
 from .pants import PantsCase, PantsRep, build_pants, case_from_string
 from .psl2r import (PSL2Error, Quad, _mat, _qcommutator, _qinv, _qmul,
                     _qtrace, _qtranslation)
-
-TOL_SIGN = 1e-9      # band around tr delta = 2 reported as degenerate
+from .tolerances import TRACE_BAND, TWIST_EDGE
 
 GAMMA_TAGS = ("gamma1", "gamma2", "gamma3")
 BETA_TAGS = ("beta1", "beta2", "beta3")
@@ -375,7 +374,7 @@ def twist_counts(rep: GluedRep) -> Tuple[int, int, int]:
     for ti, ai in zip(rep.t, rep.a):
         width = 2.0 * ai
         k = -math.floor((ti + ai) / width)
-        if abs(ti + k * width + ai) < 1e-13:   # landed on the lower edge
+        if abs(ti + k * width + ai) < TWIST_EDGE:   # on the lower edge
             k += 1
         counts.append(k)
     return tuple(counts)
@@ -396,7 +395,7 @@ class SignClass:
         return self.value
 
 
-def sign_invariant(rep: GluedRep, tol: float = TOL_SIGN) -> SignClass:
+def sign_invariant(rep: GluedRep) -> SignClass:
     """Sign invariant of an Euler class 0 representation.
 
     Plus when tr delta_3 < 2, Minus when > 2, Degenerate inside the
@@ -409,19 +408,19 @@ def sign_invariant(rep: GluedRep, tol: float = TOL_SIGN) -> SignClass:
     if rep.euler_nominal != 0:
         raise Genus2Error("sign invariant needs total Euler class 0")
     tr = trace_curve_matrix(normalize_twists(rep), "delta3")
-    if tr < 2.0 - tol:
+    if tr < 2.0 - TRACE_BAND:
         return SignClass("Plus")
-    if tr > 2.0 + tol:
+    if tr > 2.0 + TRACE_BAND:
         return SignClass("Minus")
     return SignClass("Degenerate")
 
 
-def delta_side_consistency(rep: GluedRep, tol: float = TOL_SIGN) -> bool:
+def delta_side_consistency(rep: GluedRep) -> bool:
     """Whether tr delta_1, delta_2, delta_3 sit strictly on one side of 2."""
     if rep.euler_nominal != 0:
         raise Genus2Error("side consistency applies to Euler class 0")
     traces = [trace_curve_matrix(rep, tag) for tag in DELTA_TAGS]
-    if any(abs(x - 2.0) <= tol for x in traces):
+    if any(abs(x - 2.0) <= TRACE_BAND for x in traces):
         raise Genus2Error(f"degenerate sample: delta traces {traces}")
     return len({x > 2.0 for x in traces}) == 1
 

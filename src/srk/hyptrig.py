@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-CLAMP = 1e-12       # largest domain excursion silently absorbed by acos/acosh
-DELTA_BAND = 1e-12  # roundoff band around the flat stratum, rejected by both solvers
+from .tolerances import CLAMP, DELTA_BAND
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -49,10 +48,15 @@ def delta_invariant(a1: float, a2: float, a3: float) -> float:
     """2 prod cosh(a_i) - sum cosh(a_i)^2 + 1.
 
     Positive exactly when no side exceeds the sum of the other two; its sign
-    decides between triangle, flat and self-intersecting geometry.
+    decides between triangle, flat and self-intersecting geometry.  Raises
+    OverflowError when a cosh or a product overflows a float, so that no
+    NaN reaches the sign tests.
     """
     c1, c2, c3 = math.cosh(a1), math.cosh(a2), math.cosh(a3)
-    return 2.0 * c1 * c2 * c3 - (c1 * c1 + c2 * c2 + c3 * c3) + 1.0
+    d = 2.0 * c1 * c2 * c3 - (c1 * c1 + c2 * c2 + c3 * c3) + 1.0
+    if not math.isfinite(d):
+        raise OverflowError(f"delta invariant of {(a1, a2, a3)} overflows")
+    return d
 
 
 @dataclass(frozen=True)

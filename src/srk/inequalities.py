@@ -20,6 +20,7 @@ import numpy as np
 
 from .search import (B2_HALF, COSH_B2_HALF, REGION_A3_MAX, _iso_lambda,
                      line_l1, line_l2)
+from .tolerances import FLAT_IDENTITY_RESID, LAMBDA_FLOOR_RESID, X4_MASK_SLACK
 
 ACOSH3 = math.acosh(3.0)
 
@@ -117,7 +118,7 @@ def _claim_equ0_lambda_floor(n: int) -> ClaimReport:
     rep = _report("equ0_lambda_floor", vals,
                   f"lam(b3, a3) above the closed floor on the interior band; "
                   f"boundary identity residual {boundary_resid:.2e}")
-    if boundary_resid > 1e-9:
+    if boundary_resid > LAMBDA_FLOOR_RESID:
         return ClaimReport(claim_id=rep.claim_id, margin=-1.0,
                            raw_min=rep.raw_min,
                            lipschitz_pad=rep.lipschitz_pad,
@@ -291,7 +292,7 @@ def _claim_iso1_on_x4(n: int) -> ClaimReport:
     # a2 >= lam is the defining inequality of X4 itself (equality on the
     # region boundary), so it is folded into the mask
     mask = ((A2 >= A1) & (np.cosh(A2) ** 2 >= np.sinh(A2) * sh3)
-            & (A2 >= lam - 1e-9))
+            & (A2 >= lam - X4_MASK_SLACK))
     worst[rows] = np.where(mask, vals, np.nan)
     return _report("iso1_on_X4", worst,
                    "isosceles conditions and preconditions across region X4")
@@ -311,7 +312,7 @@ def _claim_flat_identity(n: int) -> ClaimReport:
     rep = _report("flat_delta3_identity", vals,
                   f"(cosh b1 - 1) sinh^2 a2 = 2 cosh a1 sinh a2 / sinh a3 < 2"
                   f"; identity residual {resid:.2e}")
-    if resid > 1e-9:
+    if resid > FLAT_IDENTITY_RESID:
         return ClaimReport(claim_id=rep.claim_id, margin=-1.0,
                            raw_min=rep.raw_min, lipschitz_pad=rep.lipschitz_pad,
                            grid_points=rep.grid_points,

@@ -29,9 +29,7 @@ from .psl2r import (R_LEFT, R_RIGHT, S, PSL2Error, Quad, _mat, _qmul,
                     _qrotation, _qtranslation, _quad,
                     deviation_from_projective_identity, make_translation,
                     minv, mmul, mtrace)
-
-TOL_FLAT = 1e-9      # |delta| band treated as the flat stratum
-TOL_COCYCLE = 1e-9   # cocycle residual bound, times e^{max a} (build_pants)
+from .tolerances import FLAT_BAND, RELATOR_TOL
 
 
 class PantsError(PSL2Error):
@@ -226,7 +224,7 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
 
     The tag must be compatible with the sign of the delta invariant:
     triangles need it positive, self-hexagons negative, flat cases zero
-    within TOL_FLAT.  Hexagon families exist for every triple.
+    within FLAT_BAND.  Hexagon families exist for every triple.
     """
     a = tuple(float(x) for x in a)
     if any(x <= 0 or not math.isfinite(x) for x in a):
@@ -236,16 +234,16 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     if case.kind in ("plus1", "minus1"):
         x = _hexagon_matrices(a, left=(case.kind == "minus1"))
     elif case.kind == "tri":
-        if delta <= TOL_FLAT:
+        if delta <= FLAT_BAND:
             raise PantsError(f"triangle case needs delta > 0, got {delta}")
         x = _triangle_matrices(a, case.eps)
     elif case.kind == "selfhex":
-        if delta >= -TOL_FLAT:
+        if delta >= -FLAT_BAND:
             raise PantsError(f"self-hexagon case needs delta < 0, got {delta}")
         shift, _ = _rotate_to_long_at_3(a)
         x = _permuted(_selfhex_matrices_canonical, a, shift, case.eps)
     elif case.kind in ("flat_upper", "flat_lower", "flat_diag"):
-        if abs(delta) > TOL_FLAT:
+        if abs(delta) > FLAT_BAND:
             raise PantsError(f"flat case needs delta = 0, got {delta}")
         shift, _ = _rotate_to_long_at_3(a)
         if case.kind == "flat_diag":
@@ -261,7 +259,7 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     # of the largest translation T(max a), e^{max a}.  The edge matrices'
     # entries grow only as a -> 0, where the Euler class lift loses
     # precision, so they do not widen the bound.
-    tol = TOL_COCYCLE * math.exp(max(a))
+    tol = RELATOR_TOL * math.exp(max(a))
     if max(res) > tol:
         raise PantsError(f"cocycle residuals {res} exceed tolerance {tol}")
     return PantsRep(a=a, case=case, q=x)
@@ -313,7 +311,7 @@ def pants_trace_sign(rep: PantsRep) -> int:
     distinguishes the hexagon constructions (eu = +-1) from the Euler
     class 0 ones; the sign within {+1, -1} is the construction tag's.
     """
-    if abs(hyptrig.delta_invariant(*rep.a)) <= TOL_FLAT:
+    if abs(hyptrig.delta_invariant(*rep.a)) <= FLAT_BAND:
         raise PantsError("trace-sign classification excludes the flat stratum")
     la, lb = free_generators(rep)
     tr = mtrace(la @ lb)

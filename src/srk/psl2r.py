@@ -27,10 +27,12 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
+from .tolerances import (CROSSING_BAND, DECK_SHIFT_PAD, DECK_SHIFT_TOL,
+                         DEGENERATE_PAIR, EIGVEC_INF, ENTRY_ZERO,
+                         IDENTITY_BAND, LIFT_SNAP, ORDER_TWO_BAND,
+                         RELATOR_TOL, TRACE_BAND)
 
-TOL_CLASS = 1e-9    # |tr| - 2 trichotomy band
-TOL_EULER = 1e-6    # allowed deviation of a lifted deck shift from 2*pi*Z
+TWO_PI = 2.0 * math.pi
 
 MatrixLike = Union[np.ndarray, Sequence]
 Quad = Tuple[float, float, float, float]
@@ -185,9 +187,9 @@ IsometryClass = Union[Identity, Elliptic, Parabolic, Hyperbolic]
 def _fixed_boundary_points(m: np.ndarray) -> List[float]:
     """Real fixed points of the Moebius action, infinity as math.inf."""
     a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    if abs(c) < 1e-300:
+    if abs(c) < ENTRY_ZERO:
         pts = [math.inf]
-        if abs(a - d) > 1e-300:
+        if abs(a - d) > ENTRY_ZERO:
             pts.append(b / (d - a))
         return pts
     disc = (a - d) ** 2 + 4.0 * b * c     # = tr^2 - 4
@@ -205,22 +207,23 @@ def _conjugate_fixed_point_to_i(z: complex) -> np.ndarray:
     return scale @ shift
 
 
-def classify(g: MatrixLike, tol: float = TOL_CLASS) -> IsometryClass:
+def classify(g: MatrixLike) -> IsometryClass:
     """Trichotomy by |tr| against 2, with geometric data from eigenvectors."""
     m = _as_matrix(g)
-    if deviation_from_projective_identity(m) <= tol:
+    if deviation_from_projective_identity(m) <= IDENTITY_BAND:
         return Identity()
     tr = mtrace(m)
-    if abs(tr) > 2.0 + tol:
+    if abs(tr) > 2.0 + TRACE_BAND:
         lam = 2.0 * math.acosh(abs(tr) / 2.0)
         evals, evecs = np.linalg.eig(m)
         order = np.argsort(np.abs(evals))        # [repelling, attracting]
         pts = []
         for idx in order:
             v = np.real(evecs[:, idx])
-            pts.append(math.inf if abs(v[1]) < 1e-14 * abs(v[0]) else v[0] / v[1])
+            pts.append(math.inf if abs(v[1]) < EIGVEC_INF * abs(v[0])
+                       else v[0] / v[1])
         return Hyperbolic(displacement=lam, axis=(pts[0], pts[1]))
-    if abs(tr) >= 2.0 - tol:
+    if abs(tr) >= 2.0 - TRACE_BAND:
         pts = _fixed_boundary_points(m)
         return Parabolic(boundary_fixed_point=pts[0])
     a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
@@ -306,8 +309,7 @@ class HyperbolicComm:
 CommutatorGeometry = Union[EllipticComm, ParabolicComm, HyperbolicComm]
 
 
-def commutator_geometry(lam_a: float, lam_b: float,
-                        tol: float = TOL_CLASS) -> CommutatorGeometry:
+def commutator_geometry(lam_a: float, lam_b: float) -> CommutatorGeometry:
     """Commutator type for perpendicularly crossing axes.
 
     The crossing datum is p = sinh(lam_a/2) sinh(lam_b/2); the commutator is
@@ -317,9 +319,9 @@ def commutator_geometry(lam_a: float, lam_b: float,
     if lam_a <= 0.0 or lam_b <= 0.0:
         raise PSL2Error("displacements must be positive")
     p = math.sinh(lam_a / 2.0) * math.sinh(lam_b / 2.0)
-    if p < 1.0 - tol:
+    if p < 1.0 - CROSSING_BAND:
         return EllipticComm(quarter_angle=math.acos(p), crossing=p)
-    if p > 1.0 + tol:
+    if p > 1.0 + CROSSING_BAND:
         return HyperbolicComm(quarter_displacement=math.acosh(p), crossing=p)
     return ParabolicComm(crossing=p)
 
@@ -327,9 +329,6 @@ def commutator_geometry(lam_a: float, lam_b: float,
 # ---------------------------------------------------------------------------
 # boundary circle lifts
 # ---------------------------------------------------------------------------
-
-_SNAP = 1e-9
-
 
 def boundary_angle(x: float) -> float:
     """Disc-model boundary angle of a real point (or math.inf)."""
@@ -372,7 +371,7 @@ class LiftedIsometry:
 
     def __call__(self, y: float) -> float:
         k = round(y / TWO_PI)
-        if abs(y - k * TWO_PI) < _SNAP:
+        if abs(y - k * TWO_PI) < LIFT_SNAP:
             return k * TWO_PI + self.base
         mdiv, r = divmod(y, TWO_PI)
         adv = (circle_position(self.q, r) - circle_position(self.q, 0.0)) % TWO_PI
@@ -431,16 +430,16 @@ def _relation_scale(*ms: MatrixLike) -> float:
     return max(1.0, top) ** 2
 
 
-def _deck_power(l: LiftedIsometry, tol: float, scale: float = 1.0) -> int:
+def _deck_power(l: LiftedIsometry, scale: float = 1.0) -> int:
     """Integer k with l = deck^k, by consensus over several sample points."""
-    if deviation_from_projective_identity(l.q) > 1e-9 * scale:
+    if deviation_from_projective_identity(l.q) > RELATOR_TOL * scale:
         raise PSL2Error("lifted element does not project to the identity")
     shifts = [l.base] + [l(x) - x for x in (1.1, 2.7, 4.4)]
     ks = {round(s / TWO_PI) for s in shifts}
     # boundary angles lose accuracy with the entry size of the words
     # feeding the lift; the padding stays far below the deck gap 2*pi, and
     # the projection to +-identity has already been verified above
-    err_tol = min(max(tol, 3e-10 * scale), 0.5)
+    err_tol = min(max(DECK_SHIFT_TOL, DECK_SHIFT_PAD * scale), 0.5)
     err = max(abs(s - round(s / TWO_PI) * TWO_PI) for s in shifts)
     if len(ks) != 1 or err > err_tol:
         raise PSL2Error(f"lifted shift {shifts} is not a consistent deck power")
@@ -448,8 +447,7 @@ def _deck_power(l: LiftedIsometry, tol: float, scale: float = 1.0) -> int:
 
 
 def euler_class_closed(a1: MatrixLike, b1: MatrixLike,
-                       a2: MatrixLike, b2: MatrixLike,
-                       tol: float = TOL_EULER) -> int:
+                       a2: MatrixLike, b2: MatrixLike) -> int:
     """Euler class of a closed genus-2 representation (Milnor algorithm).
 
     The four matrices are the images of a standard generating quadruple and
@@ -464,14 +462,13 @@ def euler_class_closed(a1: MatrixLike, b1: MatrixLike,
     scale = _relation_scale(qa1, qb1, qa2, qb2)
     rel = lifted_compose(lifted_commutator(lift(qa2), lift(qb2)),
                          lifted_commutator(lift(qa1), lift(qb1)))
-    if deviation_from_projective_identity(rel.q) > 1e-9 * scale:
+    if deviation_from_projective_identity(rel.q) > RELATOR_TOL * scale:
         raise PSL2Error("surface relation violated beyond tolerance")
-    return _deck_power(rel, tol, scale)
+    return _deck_power(rel, scale)
 
 
 def euler_class_relative(handles: Sequence[Tuple[MatrixLike, MatrixLike]],
-                         boundaries: Sequence[MatrixLike],
-                         tol: float = TOL_EULER) -> int:
+                         boundaries: Sequence[MatrixLike]) -> int:
     """Relative Euler class, canonical lifts on the boundary images.
 
     `handles` holds the images (A_i, B_i) of the interior handle generators
@@ -494,14 +491,14 @@ def euler_class_relative(handles: Sequence[Tuple[MatrixLike, MatrixLike]],
     for c in boundaries:
         lc = lift(c, kind="canonical")
         rel = lc if rel is None else lifted_compose(lc, rel)
-    return _deck_power(rel, tol, scale)
+    return _deck_power(rel, scale)
 
 
 # ---------------------------------------------------------------------------
 # handle sign, elliptic powers
 # ---------------------------------------------------------------------------
 
-def handle_sign(p: MatrixLike, q: MatrixLike, tol: float = TOL_CLASS) -> Union[int, str]:
+def handle_sign(p: MatrixLike, q: MatrixLike) -> Union[int, str]:
     """Orientation class of a handle pair, from the commutator trace.
 
     Returns +1 when Tr[P, Q] < 2 (hyperbolic images with crossing axes),
@@ -510,9 +507,9 @@ def handle_sign(p: MatrixLike, q: MatrixLike, tol: float = TOL_CLASS) -> Union[i
     string "degenerate" inside the tolerance band around 2.
     """
     c = mtrace(commutator(p, q))
-    if c < 2.0 - tol:
+    if c < 2.0 - TRACE_BAND:
         return 1
-    if c > 2.0 + tol:
+    if c > 2.0 + TRACE_BAND:
         return -1
     return "degenerate"
 
@@ -534,11 +531,11 @@ def elliptic_power(a: MatrixLike, b: MatrixLike, search_bound: int = 50) -> int:
     alpha = math.atan2(ap[0, 1], ap[0, 0])
     u = bp[0, 0] + bp[1, 1]
     v = bp[1, 0] - bp[0, 1]
-    if math.hypot(u, v) < 1e-12:
+    if math.hypot(u, v) < DEGENERATE_PAIR:
         raise PSL2Error("degenerate pair: (x + t, z - y) = (0, 0)")
     for k in range(search_bound + 1):
         for n in ([0] if k == 0 else [k, -k]):
             tr = u * math.cos(n * alpha) + v * math.sin(n * alpha)
-            if 1e-9 < abs(tr) < 2.0 - 1e-9:
+            if ORDER_TWO_BAND < abs(tr) < 2.0 - TRACE_BAND:
                 return n
     raise PSL2Error(f"no elliptic power found within |n| <= {search_bound}")

@@ -26,15 +26,15 @@ from . import genus2, hyptrig, pants, torus
 from .genus2 import GluedRep, build_glued, trace_curve_matrix
 from .pants import PantsCase
 from .psl2r import PSL2Error, Quad, _qcommutator, _qinv, _qmul, _qtrace
+from .tolerances import (B2_HALF_SLACK, LINK_TOL, MU_MIN_DEFAULT,
+                         RECOORD_FLAT_BAND, STRATEGY_SLACK, TRACE_BAND,
+                         WINDOW_END_SLACK, WINDOW_START_SLACK)
 
 B2_HALF = 2.2254             # admissible half-length bound of the search
 COSH_B2_HALF = 4.67          # reported Bers value, used by constant checks
 REGION_A3_MAX = 2.23         # region decomposition covers a3 up to here
 TORUS_TRACE_MAX = 18.0
-MU_MIN_DEFAULT = 1e-4
 MAX_ROUNDS_DEFAULT = 64
-FIT_TOL = 1e-6
-TRACE_TOL = 1e-9
 
 _CH, _SH = math.cosh, math.sinh
 
@@ -145,9 +145,9 @@ def bandwidth_window(a1: float, b2: float, t3: float,
     # condition, so the residue class of t1 meets it.
     width = 2.0 * a1
     n = math.ceil((lo - t1) / width) - 1
-    while t1 + n * width < hi + 1e-9:
+    while t1 + n * width < hi + WINDOW_END_SLACK:
         cc = t1 + n * width
-        if cc >= lo - 1e-12 and abs(phi(cc)) <= 2.0 + 1e-9:
+        if cc >= lo - WINDOW_START_SLACK and abs(phi(cc)) <= 2.0 + TRACE_BAND:
             return cc
         n += 1
     return None
@@ -208,7 +208,7 @@ def _escape_or_improve(state: SearchState, sid: str, betas, limit: float):
 def _conclude_on_beta(state: SearchState, i: int, why: str):
     """Found on beta_{i+1} if its trace is non-hyperbolic, else stalled."""
     tr = trace_curve_matrix(state.rep, f"beta{i+1}")
-    if abs(tr) <= 2.0 + TRACE_TOL:
+    if abs(tr) <= 2.0 + TRACE_BAND:
         return _found(state, [[f"beta{i+1}", 1]])
     return _stalled(state, f"{why} {tr}")
 
@@ -383,7 +383,7 @@ def _link_error(new, targets: Sequence[float]) -> float:
                for tag, v in zip(genus2.CURVE_TAGS, targets))
 
 
-def replay_certificate(cert: Certificate, tol: float = 1e-6) -> Dict:
+def replay_certificate(cert: Certificate, tol: float = LINK_TOL) -> Dict:
     """Re-verify a certificate using nothing but 2x2 matrix arithmetic.
 
     Walks the move list, checking every re-coordinatisation link (the new
@@ -422,7 +422,7 @@ def _replay(cert: Certificate, tol: float) -> Dict:
             if not math.isfinite(worst):
                 raise OverflowError(f"link error {worst}")
             checks.append(worst)
-            if worst > tol:
+            if not worst <= tol:    # fails closed on a NaN tol
                 return {"ok": False, "reason": "recoordinatisation link",
                         "link_error": worst}
         else:
@@ -432,7 +432,7 @@ def _replay(cert: Certificate, tol: float) -> Dict:
     tr = _qtrace(_word_quad((x, y, a, t), cert.curve))
     if not math.isfinite(tr):
         raise OverflowError(f"replayed trace {tr}")
-    ok = abs(tr) <= 2.0 + TRACE_TOL and abs(tr - cert.trace) <= 1e-6
+    ok = abs(tr) <= 2.0 + TRACE_BAND and abs(tr - cert.trace) <= LINK_TOL
     return {"ok": bool(ok), "trace": tr, "link_errors": checks}
 
 
@@ -470,7 +470,7 @@ def _align(state: SearchState) -> None:
 
 def _found(state: SearchState, word: List) -> FoundCurve:
     tr = _qtrace(_word_quad(state.rep.coords, word))
-    if abs(tr) > 2.0 + TRACE_TOL:
+    if abs(tr) > 2.0 + TRACE_BAND:
         raise SearchError(
             f"found-curve verification failed: |{tr}| > 2 for {word}")
     state.cert.curve = [[name, int(e)] for name, e in word]
@@ -525,7 +525,7 @@ def _complement_handle(rep: GluedRep, k: int) -> Tuple[Quad, Quad, str, str]:
 def _torus_window(rep: GluedRep, k: int) -> Optional[str]:
     """Which route (if any) the separating curve delta_k opens."""
     tr = trace_curve_matrix(rep, f"delta{k}")
-    if abs(tr) <= 2.0 + TRACE_TOL or 2.0 < tr <= TORUS_TRACE_MAX:
+    if abs(tr) <= 2.0 + TRACE_BAND or 2.0 < tr <= TORUS_TRACE_MAX:
         return f"delta_torus:{k}"
     p, q, _, _ = _complement_handle(rep, k)
     if 2.0 < _qtrace(_qcommutator(p, q)) <= TORUS_TRACE_MAX:
@@ -576,7 +576,7 @@ def _torus_route(state: SearchState, k: int, complement: bool = False):
     """Reduce on a handle bounded by delta_k; terminal by construction."""
     rep = state.rep
     tr_delta = trace_curve_matrix(rep, f"delta{k}")
-    if abs(tr_delta) <= 2.0 + TRACE_TOL:
+    if abs(tr_delta) <= 2.0 + TRACE_BAND:
         return _found(state, [[f"delta{k}", 1]])
     if complement:
         p, q, name_p, name_q = _complement_handle(rep, k)
@@ -681,9 +681,10 @@ def _equilateral0(state: SearchState):
     if lam is None or lam < 0.0:
         return _stalled(state, "equilateral condition (0) fails")
     cond1 = (_CH(b_max) * _SH((3 * a[2] - lam) / 4.0) ** 2
-             - _CH((3 * a[2] - lam) / 4.0) ** 2) <= 1.0 + 1e-12
+             - _CH((3 * a[2] - lam) / 4.0) ** 2) <= 1.0 + STRATEGY_SLACK
     cond2 = (_CH(lam / 2.0) * _CH(a[2] / 2.0)
-             - _CH(b_min) * _SH(lam / 2.0) * _SH(a[2] / 2.0)) <= 1.0 + 1e-12
+             - _CH(b_min) * _SH(lam / 2.0) * _SH(a[2] / 2.0)) \
+        <= 1.0 + STRATEGY_SLACK
     if not (cond1 and cond2):
         return _stalled(state, "equilateral conditions (1)-(2) fail")
     return _escape_or_improve(state, "equilateral0", range(3), a[2] + lam)
@@ -700,12 +701,13 @@ def _isosceles0(state: SearchState):
     if lam is None or lam < 0.0:
         return _stalled(state, "isosceles condition (0) fails")
     cond1 = (_CH(lam / 2.0) * _CH(a[2] / 2.0)
-             - _CH(b_m) * _SH(lam / 2.0) * _SH(a[2] / 2.0)) <= 1.0 + 1e-12
+             - _CH(b_m) * _SH(lam / 2.0) * _SH(a[2] / 2.0)) \
+        <= 1.0 + STRATEGY_SLACK
     cond2 = (_SH(b_m / 2.0) ** 2 * _CH((3 * a[2] - lam) / 2.0)
-             - _CH(b_m / 2.0) ** 2) <= 1.0 + 1e-12
+             - _CH(b_m / 2.0) ** 2) <= 1.0 + STRATEGY_SLACK
     cond3 = (_CH(a[m] / 2.0) * _CH(a[2] / 2.0)
              + _CH(b_max) * _SH(a[m] / 2.0) * _SH(a[2] / 2.0)) \
-        <= _CH(a[2]) + 1e-12
+        <= _CH(a[2]) + STRATEGY_SLACK
     if not (cond1 and cond2 and cond3):
         return _stalled(state, "isosceles conditions (1)-(3) fail")
     return _escape_or_improve(state, "isosceles0", (m,), a[2] + lam)
@@ -731,12 +733,13 @@ def equilateral1_step(state: SearchState):
     alpha_M = math.asin(_SH(a[2]) / _SH(2 * a_min))
     alpha_m = math.asin(_SH(a_min) / _SH(2 * a[2]))
     cond1 = (_SH(2 * a_min) + _SH(a[2]) ** 2
-             <= 2.0 * _SH(a_min) ** 2 * _CH(a[2]) + 1e-12)
+             <= 2.0 * _SH(a_min) ** 2 * _CH(a[2]) + STRATEGY_SLACK)
     cond2 = (-math.cos(alpha_M) + math.sin(alpha_M)
-             * _SH((3 * a[2] - lam) / 2.0)) <= math.tanh(a_min) + 1e-12
+             * _SH((3 * a[2] - lam) / 2.0)) \
+        <= math.tanh(a_min) + STRATEGY_SLACK
     cond3 = (math.cos(alpha_m) * _CH((a[2] - lam) / 2.0)
              - math.sin(alpha_m) * _SH((a[2] + lam) / 2.0)) \
-        <= math.tanh(a_min) + 1e-12
+        <= math.tanh(a_min) + STRATEGY_SLACK
     if not (cond1 and cond2 and cond3):
         return _stalled(state, "equilateral1 conditions (1)-(3) fail")
     return _escape_or_improve(state, "equilateral1", range(3), a[2] + lam)
@@ -759,7 +762,7 @@ def isosceles1_step(state: SearchState):
     a_mid = max(a[0], a[1])
     if _SH(a[2]) < 2.0:
         return _stalled(state, "isosceles1 needs sinh(a_3) >= 2")
-    if _SH(a_min) + 1.0 / _SH(a_min) > _SH(a[2]) + 1e-12:
+    if _SH(a_min) + 1.0 / _SH(a_min) > _SH(a[2]) + STRATEGY_SLACK:
         return _stalled(state, "isosceles1 precondition "
                                "sinh(a1)+1/sinh(a1) <= sinh(a3) fails")
     lam = _iso_lambda(_SH(a[2]))
@@ -771,14 +774,14 @@ def isosceles1_step(state: SearchState):
     alpha_M = math.acos(cos2aM) / 2.0
     alpha_m = math.asin(_SH(a_min) / _SH(2 * a[2]))
     conds = [
-        a_mid >= lam - 1e-12,
-        1.0 + math.sin(alpha_M) * _SH(a[2]) <= sq + 1e-12,
+        a_mid >= lam - STRATEGY_SLACK,
+        1.0 + math.sin(alpha_M) * _SH(a[2]) <= sq + STRATEGY_SLACK,
         (-math.cos(alpha_M) + math.sin(alpha_M) * _SH((3 * a[2] - lam) / 2.0))
-        <= sq + 1e-12,
+        <= sq + STRATEGY_SLACK,
         (math.cos(alpha_m) * _CH((a[2] - lam) / 2.0)
-         - math.sin(alpha_m) * _SH((a[2] + lam) / 2.0)) <= sq + 1e-12,
+         - math.sin(alpha_m) * _SH((a[2] + lam) / 2.0)) <= sq + STRATEGY_SLACK,
         _CH(a_min) ** 2 * _CH(2 * a[2] - lam)
-        <= _CH(a[2]) * _SH(a[2]) * _SH(a_min) + 1e-12,
+        <= _CH(a[2]) * _SH(a[2]) * _SH(a_min) + STRATEGY_SLACK,
     ]
     if not all(conds):
         return _stalled(state, f"isosceles1 conditions fail: {conds}")
@@ -842,7 +845,7 @@ def _fit_candidate(eps_pair, a_new, targets):
     best = None
     for combo in itertools.product(*roots):
         err = _link_error((p1.q, p2.q, a_new, combo), targets)
-        if err < FIT_TOL and (best is None or err < best[1]):
+        if err < LINK_TOL and (best is None or err < best[1]):
             best = (combo, err)
     return best
 
@@ -852,7 +855,7 @@ def _improve(state: SearchState):
     rep = state.rep
     tb = [trace_curve_matrix(rep, f"beta{i+1}") for i in range(3)]
     for i in range(3):
-        if abs(tb[i]) <= 2.0 + TRACE_TOL:
+        if abs(tb[i]) <= 2.0 + TRACE_BAND:
             return _found(state, [[f"beta{i+1}", 1]])
     old_max = state.max_boundary_trace
     new_max = max(abs(v) for v in tb)
@@ -866,7 +869,7 @@ def _improve(state: SearchState):
     targets = _link_targets(rep.coords, rho)
     a_new = tuple(math.acosh(abs(v) / 2.0) for v in targets[:3])
     delta_new = hyptrig.delta_invariant(*a_new)
-    if abs(delta_new) < 1e-7:
+    if abs(delta_new) < RECOORD_FLAT_BAND:
         return _stalled(state, f"new half-lengths sit on the flat stratum: "
                                f"delta = {delta_new}")
     fit = None
@@ -914,7 +917,7 @@ def search_nonhyperbolic(rep: GluedRep,
     FoundCurve with a replayable certificate, or Stalled with diagnostics.
     """
     for v in rep.a:
-        if v > B2_HALF + 1e-12:
+        if v > B2_HALF + B2_HALF_SLACK:
             raise OutOfScopeError(f"half-length {v} exceeds the Bers bound "
                                   f"{B2_HALF}")
     classify_scope(rep)

@@ -1,0 +1,76 @@
+"""Every rounding band of srk, named once.
+
+Each constant bounds one floating-point quantity, which the comment above it
+names with its readers.  Bands that guard the same quantity share one name;
+equal values that guard different quantities do not.  A bound written
+"times s" is multiplied by the scale s that its caller computes.
+"""
+
+# --- traces and isometry classes -------------------------------------------
+
+# ||tr| - 2| read as 2: isometry classes, signs, every |tr| <= 2 verdict
+TRACE_BAND = 1e-9
+# max-norm distance to +-I that psl2r.classify reports as the identity
+IDENTITY_BAND = 1e-9
+# |p - 1| of the crossing datum that commutator_geometry calls parabolic
+CROSSING_BAND = 1e-9
+# |tr| below which elliptic_power skips a power as order two
+ORDER_TWO_BAND = 1e-9
+# |(x + t, z - y)| below which elliptic_power refuses the pair
+DEGENERATE_PAIR = 1e-12
+# |c| (then |a - d|) below which a Moebius fixed point sits at infinity
+ENTRY_ZERO = 1e-300
+# |v1| / |v0| of an eigenvector below which classify puts its end at infinity
+EIGVEC_INF = 1e-14
+
+# --- lifts and the Euler class ---------------------------------------------
+
+# distance of a lift's argument from 2*pi*Z read as an exact deck multiple
+LIFT_SNAP = 1e-9
+# relator distance to +-I, times _relation_scale (psl2r), e^{max a} (pants)
+RELATOR_TOL = 1e-9
+# deviation of a lifted deck shift from 2*pi*Z (_deck_power's floor)
+DECK_SHIFT_TOL = 1e-6
+# the same deviation allowed per unit of psl2r._relation_scale
+DECK_SHIFT_PAD = 3e-10
+
+# --- half-lengths and twists -----------------------------------------------
+
+# domain excursion of an acos/acosh argument that hyptrig absorbs
+CLAMP = 1e-12
+# |delta| near the flat stratum that the triangle/self-hexagon solvers refuse
+DELTA_BAND = 1e-12
+# |delta| that build_pants and pants_trace_sign treat as the flat stratum
+FLAT_BAND = 1e-9
+# distance of a normalised twist above -a_i that twist_counts moves to +a_i
+TWIST_EDGE = 1e-13
+
+# --- the search ------------------------------------------------------------
+
+# certificate link error (fit and replay) and replayed trace gap; --tol
+LINK_TOL = 1e-6
+# least fall of the max boundary trace per re-coordinatisation; --mu-min
+MU_MIN_DEFAULT = 1e-4
+# |delta| of new half-lengths at which a re-coordinatisation stalls as flat
+RECOORD_FLAT_BAND = 1e-7
+# slack on the polygon strategies' analytic conditions
+STRATEGY_SLACK = 1e-12
+# half-length excess over B2_HALF that search_nonhyperbolic still accepts
+B2_HALF_SLACK = 1e-12
+# twist past the bandwidth window's upper cut that its scan still reaches
+WINDOW_END_SLACK = 1e-9
+# twist below the bandwidth window's lower cut that a candidate may take
+WINDOW_START_SLACK = 1e-12
+# drift of kappa along a torus reduction, times max(1, |kappa|)
+KAPPA_DRIFT = 1e-9
+# fall of max |coordinate| that counts as a torus descent step
+DESCENT_MARGIN = 1e-12
+
+# --- grid re-verification (inequalities) -----------------------------------
+
+# residual of the equilateral twist-length floor identity at the largest b3
+LAMBDA_FLOOR_RESID = 1e-9
+# residual of the flat delta_3 identity over its grid
+FLAT_IDENTITY_RESID = 1e-9
+# a2 below lam that region X4's mask still keeps
+X4_MASK_SLACK = 1e-9

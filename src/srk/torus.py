@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .tolerances import DESCENT_MARGIN, KAPPA_DRIFT
+
 MOVES = ("P12", "P23", "M3")
 
 # word letters: "a", "b" and capitals for inverses; matrices multiply left
@@ -56,9 +58,9 @@ def _apply_move(move: str, triple, words):
     raise ReductionError(f"unknown move {move!r}")
 
 
-def _found_index(triple, tol: float = 0.0) -> Optional[int]:
+def _found_index(triple) -> Optional[int]:
     for idx, val in enumerate(triple):
-        if abs(val) <= 2.0 + tol:
+        if abs(val) <= 2.0:
             return idx + 1
     return None
 
@@ -110,7 +112,7 @@ def reduce_triple(x: float, y: float, z: float,
         if max(abs(v) for v in triple) > 1e8:
             raise ReductionError(
                 f"coordinates grew beyond float integrity from {start}")
-        if abs(kappa(*triple) - kappa0) > 1e-9 * max(1.0, abs(kappa0)):
+        if abs(kappa(*triple) - kappa0) > KAPPA_DRIFT * max(1.0, abs(kappa0)):
             raise ReductionError(
                 f"kappa drifted from {kappa0} to {kappa(*triple)}")
         idx = _found_index(triple)
@@ -132,7 +134,8 @@ def reduce_triple(x: float, y: float, z: float,
             for mv in word:
                 cand, _ = _apply_move(mv, cand, ("a", "b"))
             score = _max_abs(cand)
-            if score < cur - 1e-12 and (best is None or score < best[0]):
+            if score < cur - DESCENT_MARGIN \
+                    and (best is None or score < best[0]):
                 best = (score, word, cand)
         if best is not None:
             _, word, triple = best
@@ -168,7 +171,8 @@ def _bfs_escape(triple, cur_max: float, depth: int = 20,
                 if len(seen) > node_cap:
                     return None
                 w2 = word + (mv,)
-                if _found_index(tr2) is not None or _max_abs(tr2) < cur_max - 1e-12 \
+                if _found_index(tr2) is not None \
+                        or _max_abs(tr2) < cur_max - DESCENT_MARGIN \
                         or all(v < -2.0 for v in tr2):
                     return list(w2), tr2
                 nxt.append((w2, tr2))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srk import cli, genus2, hyptrig
+from srk import cli, genus2, hyptrig, search
 from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
 
 
@@ -70,6 +70,31 @@ class TestClassify:
                                     "a": [20.0, 22.0, 24.0], "t": [0, 0, 0]}))
         assert cli.main(["classify", str(path)]) == 3
         assert "out of range" in capsys.readouterr().err
+
+
+HUGE_RECORDS = [
+    # cosh(800) overflows a float
+    {"eps": ["EuPlus1", "EuMinus1"], "a": [800, 1, 1], "t": [0, 0, 0]},
+    # cosh(711) overflows a float
+    {"eps": ["Eu0PlusTriangle", "Eu0MinusTriangle"], "a": [711] * 3,
+     "t": [0, 0, 0]},
+    # cosh(700) is finite, but its products overflow: the delta invariant
+    # is inf - inf
+    {"eps": ["Eu0PlusTriangle", "Eu0MinusTriangle"], "a": [700] * 3,
+     "t": [0, 0, 0]},
+]
+
+
+@pytest.mark.parametrize("command", ["classify", "search"])
+@pytest.mark.parametrize("record", HUGE_RECORDS)
+def test_overflowing_half_lengths_are_out_of_scope(tmp_path, capsys, command,
+                                                   record):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(record))
+    assert cli.main([command, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"{command}: out of range: half-lengths overflow")
 
 
 BAD_RECORDS = [
@@ -151,6 +176,35 @@ def test_overflowing_certificate_is_out_of_scope(tmp_path, capsys, spoil):
     assert cli.main(["replay", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "overflows" in err
+
+
+def _broken_link(d):
+    """The certificate with 0.5 added to the first re-coordinatisation
+    snapshot's t[0]: its link error is about 19.7."""
+    data = json.loads(CERTIFICATE.read_text())
+    link = next(mv for mv in data["moves"] if mv["kind"] == "recoordinatize")
+    link["snapshot"]["t"][0] += 0.5
+    path = d / "broken_link.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_broken_link_fails_replay(tmp_path, capsys):
+    path = _broken_link(tmp_path)
+    assert cli.main(["replay", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert report["reason"] == "recoordinatisation link"
+    assert 19.0 < report["link_error"] < 20.0
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_replay_fails_closed_on_a_bad_tol(tmp_path, tol):
+    # `worst > tol` is False for a NaN tol; the replay must not pass then
+    cert = search.Certificate.from_json(_broken_link(tmp_path).read_text())
+    assert search.replay_certificate(cert, tol=tol)["ok"] is False
+    good = search.Certificate.from_json(CERTIFICATE.read_text())
+    assert search.replay_certificate(good, tol=tol)["ok"] is False
 
 
 class TestSearch:
@@ -307,3 +361,48 @@ class TestVerify:
 
 def test_usage_exit():
     assert cli.main([]) == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"],
+    ["search", "rep.json", "--max-rounds", "abc"],
+    ["search", "rep.json", "--no-such-flag"],
+    ["search"],
+    ["search", "rep.json", "--tol", "nan"],
+    ["search", "rep.json", "--tol", "0"],
+    ["search", "rep.json", "--mu-min", "-1"],
+    ["search", "rep.json", "--mu-min", "nan"],
+    ["search", "rep.json", "--mu-min", "inf"],
+    ["replay", "cert.json", "--tol", "nan"],
+    ["replay", "cert.json", "--tol", "inf"],
+    ["replay", "cert.json", "--tol", "-1e-6"],
+    ["replay", "cert.json", "--tol", "abc"],
+    ["verify", "--scale", "nan"],
+    ["verify", "--scale", "inf"],
+    ["verify", "--scale", "0"],
+    ["orbit-stats", "--n", "abc"],
+], ids=" ".join)
+def test_argparse_errors_exit_usage(capsys, argv):
+    # argparse's own exit code 2 would read as "search stalled"
+    assert cli.main(argv) == 64
+    assert "error:" in capsys.readouterr().err
+
+
+def test_broken_link_with_nan_tol_is_refused(tmp_path, capsys):
+    path = _broken_link(tmp_path)
+    assert cli.main(["replay", str(path), "--tol", "nan"]) == 64
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["search", "-h"],
+                                  ["verify", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    assert cli.main(argv) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_bounded_flags_accept_their_edges():
+    args = cli.build_parser().parse_args(
+        ["search", "rep.json", "--mu-min", "0", "--tol", "1e-300"])
+    assert (args.mu_min, args.tol) == (0.0, 1e-300)
+    assert cli.build_parser().parse_args(["verify", "--scale", "2"]).scale == 2

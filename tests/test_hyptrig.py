@@ -35,6 +35,14 @@ class TestDeltaInvariant:
     def test_long_side_negative(self):
         assert delta_invariant(1.0, 1.0, 3.0) < 0.0
 
+    @pytest.mark.parametrize("a", [(800.0, 1.0, 1.0), (700.0,) * 3,
+                                   (400.0, 1.0, 1.0)])
+    def test_overflow_raises(self, a):
+        # cosh(800) overflows; at 700 and 400 the products do, and would
+        # leave a NaN or -inf for the sign tests
+        with pytest.raises(OverflowError):
+            delta_invariant(*a)
+
 
 class TestHexagon:
     def test_equilateral(self):
