@@ -46,11 +46,15 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _load_rep(cmd: str, path: str):
     """The coordinate record at `path` as a GluedRep, or the exit code of
-    a malformed record (64) or of half-lengths that overflow a float (3),
-    after one stderr line."""
+    a malformed record (64) or of half-lengths too long for a float build
+    (3), after one stderr line."""
     try:
         with open(path) as fh:
             return genus2.GluedRep.from_json(fh.read())
+    except pants.CocycleResidualError as exc:   # rounding, not bad input
+        sys.stderr.write(f"{cmd}: out of range: half-lengths too long for "
+                         f"a float build ({exc})\n")
+        return EXIT_OUT_OF_SCOPE
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"{cmd}: bad input: {exc}\n")
         return EXIT_USAGE
@@ -248,6 +252,18 @@ def _finite(zero_ok: bool = False):
     return parse
 
 
+def _count(text: str) -> int:
+    """argparse type: an integer at least 0."""
+    try:
+        v = int(text)
+    except ValueError:
+        v = -1
+    if v < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return v
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="srk",
@@ -263,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("search", help="find a non-hyperbolic simple curve")
     s.add_argument("rep")
     s.add_argument("--out")
-    s.add_argument("--max-rounds", type=int,
+    s.add_argument("--max-rounds", type=_count,
                    default=search.MAX_ROUNDS_DEFAULT)
     s.add_argument("--mu-min", type=_finite(zero_ok=True),
                    default=MU_MIN_DEFAULT)
@@ -279,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=cmd_replay)
 
     o = sub.add_parser("orbit-stats", help="twist-orbit trace table (CSV)")
-    o.add_argument("--seed", type=int, default=0)
-    o.add_argument("--n", type=int, default=100)
-    o.add_argument("--length", type=int, default=50)
+    o.add_argument("--seed", type=_count, default=0)
+    o.add_argument("--n", type=_count, default=100)
+    o.add_argument("--length", type=_count, default=50)
     o.add_argument("--out")
     o.set_defaults(fn=cmd_orbit_stats)
 

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -72,6 +74,12 @@ class GluedRep:
     def a(self) -> Tuple[float, float, float]:
         return self.p1.a
 
+    @cached_property
+    def quads(self) -> Dict[str, Quad]:
+        """The curve quads evaluated so far, by tag: `trace_curve_matrix`
+        and the search's found-curve and torus steps read and fill it."""
+        return {}
+
     @property
     def coords(self):
         """(x, y, a, t), as `curve_quad` and `loop_quads` take them."""
@@ -106,6 +114,12 @@ def _field(data, key: str, n: int, valid) -> list:
     return v
 
 
+def _check_strata(eps1: PantsCase, eps2: PantsCase) -> None:
+    s1, s2 = _stratum(eps1), _stratum(eps2)
+    if s1 is not None and s2 is not None and s1 != s2:
+        raise Genus2Error(f"cases {eps1}, {eps2} live on different strata")
+
+
 def build_glued(eps1: PantsCase, eps2: PantsCase,
                 a: Tuple[float, float, float],
                 t: Tuple[float, float, float]) -> GluedRep:
@@ -114,37 +128,77 @@ def build_glued(eps1: PantsCase, eps2: PantsCase,
     Raises when the two tags live on different delta strata, or when a tag
     is incompatible with the sign of the delta invariant of `a`.
     """
-    s1, s2 = _stratum(eps1), _stratum(eps2)
-    if s1 is not None and s2 is not None and s1 != s2:
-        raise Genus2Error(f"cases {eps1}, {eps2} live on different strata")
+    _check_strata(eps1, eps2)
     t = tuple(float(x) for x in t)
     p1 = build_pants(a, eps1)
     p2 = build_pants(a, eps2.euler_flipped())
     return GluedRep(p1=p1, p2=p2, t=t, eps1=eps1, eps2=eps2)
 
 
+def glue(p1: PantsRep, p2: PantsRep, t: Tuple[float, float, float]) -> GluedRep:
+    """Glue two built pants on the same half-lengths; the second realises
+    its tag mirrored, as in `build_glued`, whose strata check this makes."""
+    eps1, eps2 = p1.case, p2.case.euler_flipped()
+    _check_strata(eps1, eps2)
+    return GluedRep(p1=p1, p2=p2, t=tuple(float(x) for x in t), eps1=eps1,
+                    eps2=eps2)
+
+
+def rotation(shift: int) -> Tuple[int, int, int]:
+    """The cyclic relabelling by `shift`: new index i <- old index perm[i]."""
+    return (-shift) % 3, (1 - shift) % 3, (2 - shift) % 3
+
+
+def rotate(rep: GluedRep, shift: int) -> GluedRep:
+    """`rep` relabelled cyclically by `shift` (see `rotation`).
+
+    The relabelling is an exact symmetry of the cocycle equations, so the
+    built pants are permuted, not rebuilt: their matrices, half-lengths,
+    twists and solutions equal those `build_glued` gives on the relabelled
+    (a, t), bit for bit.
+    """
+    perm = rotation(shift)
+    pick = itemgetter(*perm)
+
+    def permuted(p: PantsRep) -> PantsRep:
+        sol = p.solution and hyptrig.relabel(p.solution, perm)
+        return PantsRep(a=pick(p.a), case=p.case, q=pick(p.q), solution=sol)
+
+    return GluedRep(p1=permuted(rep.p1), p2=permuted(rep.p2), t=pick(rep.t),
+                    eps1=rep.eps1, eps2=rep.eps2)
+
+
 # ---------------------------------------------------------------------------
 # curve words and traces
 # ---------------------------------------------------------------------------
 
-def curve_quad(x, y, a, t, tag: str) -> Quad:
+def curve_quad(x, y, a, t, tag: str, memo: Optional[Dict] = None) -> Quad:
     """Holonomy of a named curve (SL2 lift fixed by the word) as a 4-tuple.
 
     x and y are the two pants' edge matrices as 4-tuples, a and t the
     half-lengths and twists: a certificate replay needs nothing else.
+    `memo`, if given, holds the quads already evaluated at these
+    coordinates by tag, and receives the new ones, so a delta word reuses
+    its beta and gamma.
     """
+    if memo is not None and tag in memo:
+        return memo[tag]
     if tag in GAMMA_TAGS:
-        return _qtranslation(2.0 * a[GAMMA_TAGS.index(tag)])
-    if tag in BETA_TAGS:
+        q = _qtranslation(2.0 * a[GAMMA_TAGS.index(tag)])
+    elif tag in BETA_TAGS:
         i = BETA_TAGS.index(tag)
         j, k = (i + 1) % 3, (i + 2) % 3
-        return _qmul(_qinv(x[i]), _qtranslation(-t[k]), y[i],
-                     _qtranslation(t[j]))
-    if tag in DELTA_TAGS:
+        q = _qmul(_qinv(x[i]), _qtranslation(-t[k]), y[i],
+                  _qtranslation(t[j]))
+    elif tag in DELTA_TAGS:
         bt, gt = _DELTA_PAIRS[tag]
-        return _qcommutator(curve_quad(x, y, a, t, bt),
-                            curve_quad(x, y, a, t, gt))
-    raise Genus2Error(f"unknown curve tag {tag!r}")
+        q = _qcommutator(curve_quad(x, y, a, t, bt, memo),
+                         curve_quad(x, y, a, t, gt, memo))
+    else:
+        raise Genus2Error(f"unknown curve tag {tag!r}")
+    if memo is not None:
+        memo[tag] = q
+    return q
 
 
 def loop_quads(x, y, a, t) -> Tuple[Tuple[Quad, Quad, Quad],
@@ -181,7 +235,7 @@ def trace_curve_matrix(rep: GluedRep, tag: str) -> float:
     Raises Genus2Error when the product overflows (huge twists).
     """
     try:
-        tr = _qtrace(curve_quad(*rep.coords, tag))
+        tr = _qtrace(curve_quad(*rep.coords, tag, rep.quads))
     except ArithmeticError:    # a translation's exp overflows or hits 0
         tr = math.inf
     if not math.isfinite(tr):
@@ -216,7 +270,8 @@ def trace_curve_closed_form(rep: GluedRep, tag: str) -> Tuple[float, bool]:
     when the formula overflows (huge twists).
     """
     try:
-        val = _closed_form(rep.eps1, rep.eps2, rep.a, rep.t, tag)
+        val = _closed_form(rep.eps1, rep.eps2, rep.a, rep.t, tag, rep.p1,
+                           rep.p2)
     except OverflowError:      # cosh, sinh or a square overflows
         val = math.inf
     if val is None:
@@ -231,8 +286,10 @@ def _aligned(a) -> bool:
     return max(range(3), key=lambda i: a[i]) == 2
 
 
-def _closed_form(eps1: PantsCase, eps2: PantsCase, a, t,
-                 tag: str) -> Optional[float]:
+def _closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
+                 p1: PantsRep, p2: PantsRep) -> Optional[float]:
+    """The formula for `tag`; p1 and p2 are the pants realising eps1 and
+    the mirrored eps2, whose solutions the formulas read."""
     ch, sh = math.cosh, math.sinh
     if tag in GAMMA_TAGS:
         return 2.0 * ch(a[GAMMA_TAGS.index(tag)])
@@ -246,14 +303,14 @@ def _closed_form(eps1: PantsCase, eps2: PantsCase, a, t,
     if k1 in hexkinds and k2 in hexkinds:
         if k1 == k2:
             return None            # Euler class +-2: outside the table
-        b = hyptrig.solve_hexagon(*a).b
+        b = p1.solved().b
         if is_beta:
             return (2.0 * ch(t[j] / 2) * ch(t[k] / 2)
                     + 2.0 * ch(b[i]) * sh(t[j] / 2) * sh(t[k] / 2))
         return 2.0 + 4.0 * (sh(a[k]) * sh(b[j]) * sh(t[i] / 2)) ** 2
 
     if k1 == "tri" and k2 == "tri":
-        theta = hyptrig.solve_triangle(*a).theta
+        theta = p1.solved().theta
         if s1 == s2:
             if is_beta:
                 return (2.0 * ch(t[j] / 2) * ch(t[k] / 2)
@@ -268,7 +325,7 @@ def _closed_form(eps1: PantsCase, eps2: PantsCase, a, t,
     if k1 == "selfhex" and k2 == "selfhex":
         if not _aligned(a):
             return None
-        d = hyptrig.solve_self_hexagon(*a).d
+        d = p1.solved().d
         if s1 == s2:
             if is_beta:
                 return None
@@ -289,17 +346,18 @@ def _closed_form(eps1: PantsCase, eps2: PantsCase, a, t,
 
     zero_kinds = ("tri", "selfhex", "flat_upper", "flat_lower", "flat_diag")
     if k1 in zero_kinds and k2 in hexkinds:
-        return _mixed_closed_form(eps1, eps2, a, t, tag, i, j, k)
+        return _mixed_closed_form(eps1, eps2, a, t, tag, i, j, k, p1, p2)
     if k2 in zero_kinds and k1 in hexkinds:
         # exchanging the pants maps the configuration (h, Z; t) onto
         # (Z, flip(h); -t) with identical traces
         return _closed_form(eps2, eps1.euler_flipped(), a,
-                            tuple(-x for x in t), tag)
+                            tuple(-x for x in t), tag, p2, p1)
     return None
 
 
 def _mixed_closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
-                       i: int, j: int, k: int) -> Optional[float]:
+                       i: int, j: int, k: int, p1: PantsRep,
+                       p2: PantsRep) -> Optional[float]:
     """Closed forms for (Euler class 0 construction, hexagon) pairs.
 
     Stated against the -1 hexagon; against the +1 hexagon the same delta
@@ -312,9 +370,9 @@ def _mixed_closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
     s_eff = eps1.eps if eps2.kind == "minus1" else -eps1.eps
     if is_beta and eps2.kind != "minus1":
         return None
-    b = hyptrig.solve_hexagon(*a).b
+    b = p2.solved().b
     if eps1.kind == "tri":
-        theta = [s_eff * x for x in hyptrig.solve_triangle(*a).theta]
+        theta = [s_eff * x for x in p1.solved().theta]
         if is_beta:
             return (-2.0 * math.cos(theta[i] / 2) * ch(b[i] / 2)
                     * ch((t[j] + t[k]) / 2)
@@ -328,7 +386,7 @@ def _mixed_closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
     if eps1.kind == "selfhex":
         if not _aligned(a) or i != 2:
             return None
-        d = [s_eff * x for x in hyptrig.solve_self_hexagon(*a).d]
+        d = [s_eff * x for x in p1.solved().d]
         return (2.0 * ch(a[k]) ** 2
                 - 2.0 * ch(b[j]) * ch(d[j]) * sh(a[k]) ** 2
                 - 2.0 * ch(t[i]) * sh(a[k]) ** 2 * sh(b[j]) * sh(d[j]))
@@ -361,7 +419,8 @@ def dehn_twist_gamma(rep: GluedRep, i: int, k: int = 1) -> GluedRep:
         raise Genus2Error("curve index must be 1, 2 or 3")
     t = list(rep.t)
     t[i - 1] += 2.0 * k * rep.a[i - 1]
-    return replace(rep, t=tuple(t))
+    return GluedRep(p1=rep.p1, p2=rep.p2, t=tuple(t), eps1=rep.eps1,
+                    eps2=rep.eps2)
 
 
 def twist_counts(rep: GluedRep) -> Tuple[int, int, int]:
@@ -384,7 +443,7 @@ def normalize_twists(rep: GluedRep) -> GluedRep:
     """Twist each t_i into [-a_i, a_i]; boundary ties resolve to +a_i."""
     t = tuple(ti + 2.0 * k * ai
               for ti, k, ai in zip(rep.t, twist_counts(rep), rep.a))
-    return replace(rep, t=t)
+    return GluedRep(p1=rep.p1, p2=rep.p2, t=t, eps1=rep.eps1, eps2=rep.eps2)
 
 
 @dataclass(frozen=True)
@@ -439,10 +498,14 @@ def generator_images(rep: GluedRep) -> Tuple[np.ndarray, np.ndarray,
     [A2, B2][A1, B1] is +-identity, and its lifted deck power is the Euler
     class.  The images are returned as ndarrays.
     """
+    return tuple(_mat(q) for q in _generator_quads(rep))
+
+
+def _generator_quads(rep: GluedRep) -> Tuple[Quad, Quad, Quad, Quad]:
+    """`generator_images` as 4-tuples."""
     g, b = loop_quads(*rep.coords)
     w = _qmul(_qinv(g[1]), b[2])
-    return tuple(_mat(q) for q in (b[0], g[1], _qmul(w, b[1], _qinv(w)),
-                                   _qmul(w, g[0], _qinv(w))))
+    return b[0], g[1], _qmul(w, b[1], _qinv(w)), _qmul(w, g[0], _qinv(w))
 
 
 def euler_class(rep: GluedRep) -> int:
@@ -453,4 +516,4 @@ def euler_class(rep: GluedRep) -> int:
     like e^{|t|/2} and, past |t| ~ 15, the relator and the lifted deck
     shift drown in rounding error.
     """
-    return psl2r.euler_class_closed(*generator_images(normalize_twists(rep)))
+    return psl2r.euler_class_closed(*_generator_quads(normalize_twists(rep)))

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from operator import itemgetter
+from typing import Sequence, Tuple, Union
 
 from .tolerances import CLAMP, DELTA_BAND
 
@@ -59,26 +60,63 @@ def delta_invariant(a1: float, a2: float, a3: float) -> float:
     return d
 
 
+# A solution holds per-side triples only; the Heron terms and the long side
+# derive from the half-lengths `a`.  So a cyclic relabelling of the sides
+# permutes every field (`relabel`).
+
 @dataclass(frozen=True)
 class HexagonSolution:
     a: Tuple[float, float, float]
     b: Tuple[float, float, float]
-    heron: float                      # D' = sinh(b_i) sinh(a_j) sinh(a_k)
+
+    @property
+    def heron(self) -> float:
+        """D' = sinh(b_i) sinh(a_j) sinh(a_k)."""
+        c1, c2, c3 = (math.cosh(x) for x in self.a)
+        return math.sqrt(2.0 * c1 * c2 * c3 + c1 ** 2 + c2 ** 2 + c3 ** 2
+                         - 1.0)
 
 
 @dataclass(frozen=True)
 class TriangleSolution:
     a: Tuple[float, float, float]
     theta: Tuple[float, float, float]
-    heron: float                      # D = sin(theta_i) sinh(a_j) sinh(a_k)
+
+    @property
+    def heron(self) -> float:
+        """D = sin(theta_i) sinh(a_j) sinh(a_k)."""
+        return math.sqrt(delta_invariant(*self.a))
 
 
 @dataclass(frozen=True)
 class SelfHexagonSolution:
     a: Tuple[float, float, float]
     d: Tuple[float, float, float]
-    heron: float
-    long_index: int                   # index of the side exceeding the others
+
+    @property
+    def heron(self) -> float:
+        return math.sqrt(-delta_invariant(*self.a))
+
+    @property
+    def long_index(self) -> int:
+        """Index of the side exceeding the sum of the others."""
+        return max(range(3), key=lambda i: self.a[i])
+
+
+Solution = Union[HexagonSolution, TriangleSolution, SelfHexagonSolution]
+
+
+def relabel(sol: Solution, perm: Sequence[int]) -> Solution:
+    """The solution for the sides (a_{perm[0]}, a_{perm[1]}, a_{perm[2]}),
+    perm a cyclic shift.
+
+    Each per-side value reads its two neighbours in cyclic order, or
+    through a two-factor product, which commutes exactly; so it moves with
+    its side unchanged, and the result equals solving the relabelled sides
+    afresh, bit for bit.
+    """
+    pick = itemgetter(*perm)
+    return type(sol)(*map(pick, vars(sol).values()))   # its fields, in order
 
 
 def solve_hexagon(a1: float, a2: float, a3: float) -> HexagonSolution:
@@ -91,8 +129,7 @@ def solve_hexagon(a1: float, a2: float, a3: float) -> HexagonSolution:
     sh = [math.sinh(x) for x in a]
     b = tuple(_acosh_clamped((ch[i] + ch[j] * ch[k]) / (sh[j] * sh[k]))
               for i, j, k in _CYCLIC)
-    d2 = 2.0 * ch[0] * ch[1] * ch[2] + ch[0] ** 2 + ch[1] ** 2 + ch[2] ** 2 - 1.0
-    return HexagonSolution(a=a, b=b, heron=math.sqrt(d2))
+    return HexagonSolution(a=a, b=b)
 
 
 def solve_triangle(a1: float, a2: float, a3: float) -> TriangleSolution:
@@ -108,8 +145,7 @@ def solve_triangle(a1: float, a2: float, a3: float) -> TriangleSolution:
     sh = [math.sinh(x) for x in a]
     theta = tuple(_acos_clamped((ch[j] * ch[k] - ch[i]) / (sh[j] * sh[k]))
                   for i, j, k in _CYCLIC)
-    return TriangleSolution(a=a, theta=theta,
-                            heron=math.sqrt(delta_invariant(*a)))
+    return TriangleSolution(a=a, theta=theta)
 
 
 def solve_self_hexagon(a1: float, a2: float, a3: float) -> SelfHexagonSolution:
@@ -118,7 +154,7 @@ def solve_self_hexagon(a1: float, a2: float, a3: float) -> SelfHexagonSolution:
     With the long side labelled 3, cosh(d_3) = (cosh a_3 - cosh a_1 cosh a_2)
     / (sinh a_1 sinh a_2), and the short-side formulas mirror the hexagon
     ones with a sign flip.  The input may carry the long side anywhere; the
-    returned `long_index` records which one it was.
+    solution's `long_index` records which one it was.
     """
     a = _check_sides((a1, a2, a3))
     if delta_invariant(*a) >= -DELTA_BAND:
@@ -134,6 +170,4 @@ def solve_self_hexagon(a1: float, a2: float, a3: float) -> SelfHexagonSolution:
     for i in ((li + 1) % 3, (li + 2) % 3):
         j, k = (x for x in range(3) if x != i)
         d[i] = _acosh_clamped((ch[j] * ch[k] - ch[i]) / (sh[j] * sh[k]))
-    return SelfHexagonSolution(a=a, d=tuple(d),
-                               heron=math.sqrt(-delta_invariant(*a)),
-                               long_index=long_index)
+    return SelfHexagonSolution(a=a, d=tuple(d))

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,6 +34,12 @@ from .tolerances import FLAT_BAND, RELATOR_TOL
 
 class PantsError(PSL2Error):
     pass
+
+
+class CocycleResidualError(PantsError):
+    """The edge matrices miss the cocycle relations by more than rounding
+    allows: the half-lengths are too long for a float build, though the
+    record is valid."""
 
 
 @dataclass(frozen=True)
@@ -115,11 +121,18 @@ def case_from_string(name: str) -> PantsCase:
 @dataclass(frozen=True)
 class PantsRep:
     """Half-lengths, construction tag, and the edge matrices as row-major
-    4-tuples `q` (see psl2r); `x` returns the edge matrices as ndarrays."""
+    4-tuples `q` (see psl2r); `x` returns the edge matrices as ndarrays.
+
+    `solution` is the hyptrig solution `build_pants` solved for the edge
+    matrices (None for flat pants and for pants read back from JSON); the
+    closed trace formulas and the search read it through `solved`.
+    """
 
     a: Tuple[float, float, float]
     case: PantsCase
     q: Tuple[Quad, Quad, Quad]
+    solution: Optional[hyptrig.Solution] = field(default=None, compare=False,
+                                                 repr=False)
 
     @property
     def x(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,6 +140,17 @@ class PantsRep:
 
     def cocycle_residuals(self) -> Tuple[float, float]:
         return _cocycle_residuals(self.a, self.q)
+
+    def solved(self) -> Optional[hyptrig.Solution]:
+        """The hyptrig solution of the sides (None for flat pants); solved
+        afresh only where the pants carries none."""
+        if self.solution is not None or self.case.is_flat:
+            return self.solution
+        if self.case.kind == "tri":
+            return hyptrig.solve_triangle(*self.a)
+        if self.case.kind == "selfhex":
+            return hyptrig.solve_self_hexagon(*self.a)
+        return hyptrig.solve_hexagon(*self.a)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -178,21 +202,18 @@ def _rotate_to_long_at_3(a: Tuple[float, float, float]) -> Tuple[int, List[int]]
     return shift, perm
 
 
-def _hexagon_matrices(a, left: bool) -> Tuple[Quad, ...]:
-    sol = hyptrig.solve_hexagon(*a)
+def _hexagon_matrices(b, left: bool) -> Tuple[Quad, ...]:
     rc = _R_LEFT if left else _R_RIGHT
-    return tuple(_qmul(rc, _qtranslation(bi), rc) for bi in sol.b)
+    return tuple(_qmul(rc, _qtranslation(bi), rc) for bi in b)
 
 
-def _triangle_matrices(a, eps: int) -> Tuple[Quad, ...]:
-    sol = hyptrig.solve_triangle(*a)
-    return tuple(_qmul(_S, _qrotation(eps * th)) for th in sol.theta)
+def _triangle_matrices(theta, eps: int) -> Tuple[Quad, ...]:
+    return tuple(_qmul(_S, _qrotation(eps * th)) for th in theta)
 
 
-def _selfhex_matrices_canonical(a, eps: int) -> Tuple[Quad, ...]:
+def _selfhex_matrices_canonical(d, eps: int) -> Tuple[Quad, ...]:
     # canonical arrangement: long side at index 2
-    sol = hyptrig.solve_self_hexagon(*a)
-    d = [eps * di for di in sol.d]
+    d = [eps * di for di in d]
     return (_qmul(_R_LEFT, _qtranslation(d[0]), _R_LEFT),
             _qmul(_R_RIGHT, _qtranslation(d[1]), _R_RIGHT),
             _qmul(_R_LEFT, _qtranslation(d[2]), _R_RIGHT))
@@ -209,13 +230,14 @@ def _flat_matrices_canonical(a, eps: int, lower: bool) -> Tuple[Quad, ...]:
             par(eps * sh[2]))
 
 
-def _permuted(builder, a, shift: int, *args) -> Tuple[Quad, ...]:
-    """Build in the cyclically shifted frame and map matrices back."""
+def _permuted(builder, v, shift: int, *args) -> Tuple[Quad, ...]:
+    """Build from the per-side triple `v` in the cyclically shifted frame
+    and map matrices back."""
     if shift == 0:
-        return builder(a, *args)
+        return builder(v, *args)
     perm = [(i + shift) % 3 for i in range(3)]
-    a_canon = tuple(a[perm.index(slot)] for slot in range(3))
-    mats = builder(a_canon, *args)
+    v_canon = tuple(v[perm.index(slot)] for slot in range(3))
+    mats = builder(v_canon, *args)
     return tuple(mats[perm[i]] for i in range(3))
 
 
@@ -231,17 +253,21 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
         raise PantsError(f"half-lengths must be positive, got {a}")
     delta = hyptrig.delta_invariant(*a)
 
+    sol = None
     if case.kind in ("plus1", "minus1"):
-        x = _hexagon_matrices(a, left=(case.kind == "minus1"))
+        sol = hyptrig.solve_hexagon(*a)
+        x = _hexagon_matrices(sol.b, left=(case.kind == "minus1"))
     elif case.kind == "tri":
         if delta <= FLAT_BAND:
             raise PantsError(f"triangle case needs delta > 0, got {delta}")
-        x = _triangle_matrices(a, case.eps)
+        sol = hyptrig.solve_triangle(*a)
+        x = _triangle_matrices(sol.theta, case.eps)
     elif case.kind == "selfhex":
         if delta >= -FLAT_BAND:
             raise PantsError(f"self-hexagon case needs delta < 0, got {delta}")
+        sol = hyptrig.solve_self_hexagon(*a)
         shift, _ = _rotate_to_long_at_3(a)
-        x = _permuted(_selfhex_matrices_canonical, a, shift, case.eps)
+        x = _permuted(_selfhex_matrices_canonical, sol.d, shift, case.eps)
     elif case.kind in ("flat_upper", "flat_lower", "flat_diag"):
         if abs(delta) > FLAT_BAND:
             raise PantsError(f"flat case needs delta = 0, got {delta}")
@@ -261,8 +287,9 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     # precision, so they do not widen the bound.
     tol = RELATOR_TOL * math.exp(max(a))
     if max(res) > tol:
-        raise PantsError(f"cocycle residuals {res} exceed tolerance {tol}")
-    return PantsRep(a=a, case=case, q=x)
+        raise CocycleResidualError(f"cocycle residuals {res} exceed "
+                                   f"tolerance {tol}")
+    return PantsRep(a=a, case=case, q=x, solution=sol)
 
 
 # ---------------------------------------------------------------------------

@@ -425,9 +425,18 @@ def lifted_commutator(fa: LiftedIsometry, fb: LiftedIsometry) -> LiftedIsometry:
 
 def _relation_scale(*ms: MatrixLike) -> float:
     """Tolerance scale for relator residuals: floating-point error in a
-    product of words grows with the square of the largest entry size."""
+    product of words grows with the square of the largest entry size.
+    Raises PSL2Error where that square overflows a float: no relator check
+    can pass or fail on an infinite scale."""
     top = max(abs(x) for m in ms for x in _quad(m))
-    return max(1.0, top) ** 2
+    try:
+        scale = max(1.0, top) ** 2
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise PSL2Error(f"relator scale overflows a float: entries reach "
+                        f"{top}")
+    return scale
 
 
 def _deck_power(l: LiftedIsometry, scale: float = 1.0) -> int:

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import genus2, hyptrig, pants, torus
-from .genus2 import GluedRep, build_glued, trace_curve_matrix
+# the search builds no representation; build_glued stays bound here because
+# bench/test_bench.py checks that the tracer wraps it at this binding too
+from .genus2 import GluedRep, build_glued, trace_curve_matrix  # noqa: F401
 from .pants import PantsCase
 from .psl2r import PSL2Error, Quad, _qcommutator, _qinv, _qmul, _qtrace
 from .tolerances import (B2_HALF_SLACK, LINK_TOL, MU_MIN_DEFAULT,
@@ -341,8 +343,9 @@ def _trace(coords, tag: str) -> float:
     return _qtrace(genus2.curve_quad(*coords, tag))
 
 
-def _word_quad(coords, word: Sequence) -> Quad:
-    """Product of a word over the named curves and the co-based loops."""
+def _word_quad(coords, word: Sequence, memo: Optional[Dict] = None) -> Quad:
+    """Product of a word over the named curves and the co-based loops;
+    `memo` as in `genus2.curve_quad`."""
     out = (1.0, 0.0, 0.0, 1.0)
     loops = None
     for name, exp in word:
@@ -350,7 +353,7 @@ def _word_quad(coords, word: Sequence) -> Quad:
             loops = loops or genus2.loop_quads(*coords)
             m = loops[name[0] == "b"][int(name[-1]) - 1]
         else:
-            m = genus2.curve_quad(*coords, name)
+            m = genus2.curve_quad(*coords, name, memo)
         exp = int(exp)
         if exp < 0:
             m, exp = _qinv(m), -exp
@@ -409,12 +412,8 @@ def _replay(cert: Certificate, tol: float) -> Dict:
             i, k = mv["i"] - 1, mv["k"]
             t[i] += 2.0 * k * a[i]
         elif kind == "rotate":
-            s = mv["shift"] % 3
-            perm = [(i - s) % 3 for i in range(3)]   # new i <- old perm[i]
-            x = [x[perm[i]] for i in range(3)]
-            y = [y[perm[i]] for i in range(3)]
-            a = [a[perm[i]] for i in range(3)]
-            t = [t[perm[i]] for i in range(3)]
+            perm = genus2.rotation(mv["shift"])
+            x, y, a, t = ([v[i] for i in perm] for v in (x, y, a, t))
         elif kind == "recoordinatize":
             old = (x, y, a, t)
             x, y, a, t = new = _coords_from_snapshot(mv["snapshot"])
@@ -459,17 +458,13 @@ def _align(state: SearchState) -> None:
     shift = (2 - long_index) % 3
     if shift == 0:
         return
-    perm = [(i - shift) % 3 for i in range(3)]       # new i <- old perm[i]
-    rep = state.rep
-    a = tuple(rep.a[perm[i]] for i in range(3))
-    t = tuple(rep.t[perm[i]] for i in range(3))
-    state.rep = build_glued(rep.eps1, rep.eps2, a, t)
+    state.rep = genus2.rotate(state.rep, shift)
     state.cert.moves.append({"kind": "rotate", "shift": shift})
     state.history.append({"move": "rotate", "shift": shift})
 
 
 def _found(state: SearchState, word: List) -> FoundCurve:
-    tr = _qtrace(_word_quad(state.rep.coords, word))
+    tr = _qtrace(_word_quad(state.rep.coords, word, state.rep.quads))
     if abs(tr) > 2.0 + TRACE_BAND:
         raise SearchError(
             f"found-curve verification failed: |{tr}| > 2 for {word}")
@@ -582,7 +577,8 @@ def _torus_route(state: SearchState, k: int, complement: bool = False):
         p, q, name_p, name_q = _complement_handle(rep, k)
     else:
         name_p, name_q = genus2._DELTA_PAIRS[f"delta{k}"]
-        p, q = (genus2.curve_quad(*rep.coords, n) for n in (name_p, name_q))
+        p, q = (genus2.curve_quad(*rep.coords, n, rep.quads)
+                for n in (name_p, name_q))
     x, y, z = _qtrace(p), _qtrace(q), _qtrace(_qmul(p, q))
     kappa = torus.kappa(x, y, z)
     if not 2.0 < kappa <= TORUS_TRACE_MAX:
@@ -638,7 +634,7 @@ def intervals_step(state: SearchState):
     """Case (+1, -1): interval test, then bandwidth or polygon strategies."""
     rep = state.rep
     a = rep.a
-    sol = hyptrig.solve_hexagon(*a)
+    sol = rep.p1.solved()               # the (+1, -1) pair: p1 is a hexagon
     u3 = sol.heron * _SH(abs(rep.t[2]) / 2.0) / _SH(a[2])
     a_min, a_mid = sorted(a[:2])
     disposition, band = intervals_test((a_min, a_mid, a[2]), u3)
@@ -674,7 +670,7 @@ def _equ0_lambda(b3: float, a3: float) -> Optional[float]:
 def _equilateral0(state: SearchState):
     """Equilateral polygon strategy in the (+1, -1) case, cosh(a_min) > 3."""
     a = state.rep.a
-    sol = hyptrig.solve_hexagon(*a)
+    sol = state.rep.p1.solved()
     b_max = sol.b[2]
     b_min = min(sol.b[0], sol.b[1])
     lam = _equ0_lambda(b_max, a[2])
@@ -693,7 +689,7 @@ def _equilateral0(state: SearchState):
 def _isosceles0(state: SearchState):
     """Isosceles polygon strategy in the (+1, -1) case."""
     a = state.rep.a
-    sol = hyptrig.solve_hexagon(*a)
+    sol = state.rep.p1.solved()
     m = int(a[1] < a[0])
     b_m = sol.b[m]                      # pairs the two larger sides
     b_max = sol.b[2]
@@ -831,7 +827,8 @@ def _delta_twist_roots(x, y, a, k: int, d: float) -> List[float]:
 
 def _fit_candidate(eps_pair, a_new, targets):
     """Solve the three twists against the delta targets; verify all traces
-    against the `_link_targets`, as the certificate replay does."""
+    against the `_link_targets`, as the certificate replay does.  Returns
+    (the fitted rep, glued from the pants built here, link error) or None."""
     try:
         p1 = pants.build_pants(a_new, eps_pair[0])
         p2 = pants.build_pants(a_new, eps_pair[1].euler_flipped())
@@ -847,7 +844,7 @@ def _fit_candidate(eps_pair, a_new, targets):
         err = _link_error((p1.q, p2.q, a_new, combo), targets)
         if err < LINK_TOL and (best is None or err < best[1]):
             best = (combo, err)
-    return best
+    return best and (genus2.glue(p1, p2, best[0]), best[1])
 
 
 def _improve(state: SearchState):
@@ -876,10 +873,10 @@ def _improve(state: SearchState):
     for eps_pair in _candidate_pairs(rep.euler_nominal, delta_new):
         fit = _fit_candidate(eps_pair, a_new, targets)
         if fit is not None:
-            new_rep = build_glued(eps_pair[0], eps_pair[1], a_new, fit[0])
             break
     if fit is None:
         return _stalled(state, "no coordinate fit for the new curve triple")
+    new_rep = fit[0]
     link = {
         "kind": "recoordinatize",
         "relabel": rho,

@@ -97,6 +97,34 @@ def test_overflowing_half_lengths_are_out_of_scope(tmp_path, capsys, command,
     assert err.startswith(f"{command}: out of range: half-lengths overflow")
 
 
+@pytest.mark.parametrize("a", [100, 150, 200, 236])
+def test_long_hexagon_sides_are_out_of_scope(tmp_path, capsys, a):
+    # a = 100: the relator scale of the Euler class overflows a float; a =
+    # 150..236: the pants' cocycle residuals exceed their rounding bound
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"eps": ["EuPlus1", "EuMinus1"],
+                                "a": [a] * 3, "t": [0, 0, 0]}))
+    assert cli.main(["classify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("classify: out of range: ")
+
+
+@pytest.mark.parametrize("record", [
+    # the two tags live on different delta strata
+    {"eps": ["Eu0PlusTriangle", "Eu0PlusSelfHex"], "a": [1.0, 1.1, 1.2],
+     "t": [0, 0, 0]},
+    # a triangle tag on sides that violate the triangle inequality
+    {"eps": ["Eu0PlusTriangle", "EuMinus1"], "a": [0.3, 0.4, 1.5],
+     "t": [0, 0, 0]},
+], ids=["strata", "tag"])
+def test_tag_mismatch_is_usage_error(tmp_path, capsys, record):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    assert cli.main(["classify", str(path)]) == 64
+    assert "bad input" in capsys.readouterr().err
+
+
 BAD_RECORDS = [
     {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1], "t": [0, 0, 0]},
     {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2], "t": [0, 0]},
@@ -381,6 +409,11 @@ def test_usage_exit():
     ["verify", "--scale", "inf"],
     ["verify", "--scale", "0"],
     ["orbit-stats", "--n", "abc"],
+    ["search", "rep.json", "--max-rounds", "-1"],
+    ["search", "rep.json", "--max-rounds", "1.5"],
+    ["orbit-stats", "--n", "-3"],
+    ["orbit-stats", "--length", "-2"],
+    ["orbit-stats", "--seed", "-1"],
 ], ids=" ".join)
 def test_argparse_errors_exit_usage(capsys, argv):
     # argparse's own exit code 2 would read as "search stalled"
@@ -406,3 +439,16 @@ def test_bounded_flags_accept_their_edges():
         ["search", "rep.json", "--mu-min", "0", "--tol", "1e-300"])
     assert (args.mu_min, args.tol) == (0.0, 1e-300)
     assert cli.build_parser().parse_args(["verify", "--scale", "2"]).scale == 2
+
+
+def test_count_flags_accept_zero(tmp_path, capsys):
+    args = cli.build_parser().parse_args(
+        ["search", "rep.json", "--max-rounds", "0"])
+    assert args.max_rounds == 0
+    out = tmp_path / "orbits.csv"
+    assert cli.main(["orbit-stats", "--seed", "0", "--n", "0", "--length",
+                     "0", "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 1          # the header alone
+    assert cli.main(["orbit-stats", "--n", "1", "--length", "0",
+                     "--out", str(out)]) == 0
+    assert out.read_text().count("\n") == 2

@@ -340,6 +340,16 @@ class TestEulerOps:
         com2 = lifted_commutator(lift(a).deck(3), lift(b).deck(-2))
         assert com1.base == pytest.approx(com2.base, abs=1e-9)
 
+    @pytest.mark.parametrize("top", [1e155, 1e300, math.inf])
+    def test_relation_scale_overflow_fails_closed(self, top):
+        # the square of the largest entry overflows a float: a relator
+        # check against an infinite scale would pass anything
+        huge = (top, 0.0, 0.0, 1.0 / top)
+        with pytest.raises(PSL2Error, match="relator scale overflows"):
+            psl2r._relation_scale(huge, (1.0, 0.0, 0.0, 1.0))
+        with pytest.raises(PSL2Error):
+            euler_class_closed(huge, huge, huge, huge)
+
     def test_relative_requires_hyperbolic_boundary(self):
         # commuting images along one axis: boundary is the identity
         a = make_translation(1.0)
