@@ -12,10 +12,10 @@ Named curves and their holonomy words (matrices multiply left to right):
     delta_k  ->  [beta_i, gamma_j]                    (i, j, k) cyclic
 
 where X (first pants) and Y (second pants) are the pants edge matrices.
-The second pants realises its tag through the mirrored construction; with
-that convention the published closed trace formulas hold verbatim and the
-relative Euler classes of the two sides add up to the Euler class of the
-closed representation.
+The second pants realises its tag through the mirrored construction
+(`pants_cases`); with that convention the published closed trace formulas
+hold verbatim and the relative Euler classes of the two sides add up to
+the Euler class of the closed representation.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from . import hyptrig, psl2r
+from .hyptrig import long_shift, rotation
 from .pants import PantsCase, PantsRep, build_pants, case_from_string
 from .psl2r import (PSL2Error, Quad, _mat, _qcommutator, _qinv, _qmul,
                     _qtrace, _qtranslation)
@@ -50,29 +51,27 @@ class Genus2Error(PSL2Error):
     pass
 
 
-def _stratum(case: PantsCase) -> Optional[int]:
-    if case.kind == "tri":
-        return 1
-    if case.kind == "selfhex":
-        return -1
-    if case.is_flat:
-        return 0
-    return None    # hexagon families exist on every stratum
-
-
 @dataclass(frozen=True)
 class GluedRep:
-    """Glued genus-2 coordinate datum."""
+    """Glued genus-2 coordinate datum: the two pants and the twists."""
 
     p1: PantsRep
     p2: PantsRep
     t: Tuple[float, float, float]
-    eps1: PantsCase
-    eps2: PantsCase
 
     @property
     def a(self) -> Tuple[float, float, float]:
         return self.p1.a
+
+    @property
+    def eps1(self) -> PantsCase:
+        return self.p1.case
+
+    @property
+    def eps2(self) -> PantsCase:
+        """The second tag, which its pants realises mirrored (see
+        `pants_cases`)."""
+        return self.p2.case.euler_flipped()
 
     @cached_property
     def quads(self) -> Dict[str, Quad]:
@@ -114,10 +113,15 @@ def _field(data, key: str, n: int, valid) -> list:
     return v
 
 
-def _check_strata(eps1: PantsCase, eps2: PantsCase) -> None:
-    s1, s2 = _stratum(eps1), _stratum(eps2)
+def pants_cases(eps1: PantsCase,
+                eps2: PantsCase) -> Tuple[PantsCase, PantsCase]:
+    """The construction tags of the two pants glued for the case pair:
+    the second pants realises its tag mirrored, which swaps the +-1
+    hexagons.  Raises when the tags live on different delta strata."""
+    s1, s2 = eps1.stratum, eps2.stratum
     if s1 is not None and s2 is not None and s1 != s2:
         raise Genus2Error(f"cases {eps1}, {eps2} live on different strata")
+    return eps1, eps2.euler_flipped()
 
 
 def build_glued(eps1: PantsCase, eps2: PantsCase,
@@ -128,29 +132,13 @@ def build_glued(eps1: PantsCase, eps2: PantsCase,
     Raises when the two tags live on different delta strata, or when a tag
     is incompatible with the sign of the delta invariant of `a`.
     """
-    _check_strata(eps1, eps2)
+    case1, case2 = pants_cases(eps1, eps2)
     t = tuple(float(x) for x in t)
-    p1 = build_pants(a, eps1)
-    p2 = build_pants(a, eps2.euler_flipped())
-    return GluedRep(p1=p1, p2=p2, t=t, eps1=eps1, eps2=eps2)
-
-
-def glue(p1: PantsRep, p2: PantsRep, t: Tuple[float, float, float]) -> GluedRep:
-    """Glue two built pants on the same half-lengths; the second realises
-    its tag mirrored, as in `build_glued`, whose strata check this makes."""
-    eps1, eps2 = p1.case, p2.case.euler_flipped()
-    _check_strata(eps1, eps2)
-    return GluedRep(p1=p1, p2=p2, t=tuple(float(x) for x in t), eps1=eps1,
-                    eps2=eps2)
-
-
-def rotation(shift: int) -> Tuple[int, int, int]:
-    """The cyclic relabelling by `shift`: new index i <- old index perm[i]."""
-    return (-shift) % 3, (1 - shift) % 3, (2 - shift) % 3
+    return GluedRep(p1=build_pants(a, case1), p2=build_pants(a, case2), t=t)
 
 
 def rotate(rep: GluedRep, shift: int) -> GluedRep:
-    """`rep` relabelled cyclically by `shift` (see `rotation`).
+    """`rep` relabelled cyclically by `shift` (see `hyptrig.rotation`).
 
     The relabelling is an exact symmetry of the cocycle equations, so the
     built pants are permuted, not rebuilt: their matrices, half-lengths,
@@ -164,8 +152,7 @@ def rotate(rep: GluedRep, shift: int) -> GluedRep:
         sol = p.solution and hyptrig.relabel(p.solution, perm)
         return PantsRep(a=pick(p.a), case=p.case, q=pick(p.q), solution=sol)
 
-    return GluedRep(p1=permuted(rep.p1), p2=permuted(rep.p2), t=pick(rep.t),
-                    eps1=rep.eps1, eps2=rep.eps2)
+    return GluedRep(p1=permuted(rep.p1), p2=permuted(rep.p2), t=pick(rep.t))
 
 
 # ---------------------------------------------------------------------------
@@ -281,15 +268,12 @@ def trace_curve_closed_form(rep: GluedRep, tag: str) -> Tuple[float, bool]:
     return val, True
 
 
-def _aligned(a) -> bool:
-    """Self-hexagon and flat formulas are stated for the long side third."""
-    return max(range(3), key=lambda i: a[i]) == 2
-
-
 def _closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
                  p1: PantsRep, p2: PantsRep) -> Optional[float]:
     """The formula for `tag`; p1 and p2 are the pants realising eps1 and
-    the mirrored eps2, whose solutions the formulas read."""
+    the mirrored eps2, whose solutions the formulas read.  The
+    self-hexagon and flat formulas are stated for the long side third
+    (`long_shift(a) == 0`)."""
     ch, sh = math.cosh, math.sinh
     if tag in GAMMA_TAGS:
         return 2.0 * ch(a[GAMMA_TAGS.index(tag)])
@@ -303,14 +287,14 @@ def _closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
     if k1 in hexkinds and k2 in hexkinds:
         if k1 == k2:
             return None            # Euler class +-2: outside the table
-        b = p1.solved().b
+        b = p1.solution.b
         if is_beta:
             return (2.0 * ch(t[j] / 2) * ch(t[k] / 2)
                     + 2.0 * ch(b[i]) * sh(t[j] / 2) * sh(t[k] / 2))
         return 2.0 + 4.0 * (sh(a[k]) * sh(b[j]) * sh(t[i] / 2)) ** 2
 
     if k1 == "tri" and k2 == "tri":
-        theta = p1.solved().theta
+        theta = p1.solution.theta
         if s1 == s2:
             if is_beta:
                 return (2.0 * ch(t[j] / 2) * ch(t[k] / 2)
@@ -323,9 +307,9 @@ def _closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
         return 2.0 + 4.0 * (math.sin(theta[j]) * sh(a[k]) * ch(t[i] / 2)) ** 2
 
     if k1 == "selfhex" and k2 == "selfhex":
-        if not _aligned(a):
+        if long_shift(a):
             return None
-        d = p1.solved().d
+        d = p1.solution.d
         if s1 == s2:
             if is_beta:
                 return None
@@ -337,7 +321,7 @@ def _closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
         return 2.0 - 4.0 * (ch(t[i] / 2) * sh(d[j]) * sh(a[k])) ** 2
 
     if {k1, k2} == {"flat_upper", "flat_lower"}:
-        if is_beta or not _aligned(a) or i != 2:
+        if is_beta or i != 2 or long_shift(a):
             return None
         u = s1 if k1 == "flat_upper" else s2
         v = s2 if k1 == "flat_upper" else s1
@@ -370,9 +354,9 @@ def _mixed_closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
     s_eff = eps1.eps if eps2.kind == "minus1" else -eps1.eps
     if is_beta and eps2.kind != "minus1":
         return None
-    b = p2.solved().b
+    b = p2.solution.b
     if eps1.kind == "tri":
-        theta = [s_eff * x for x in p1.solved().theta]
+        theta = [s_eff * x for x in p1.solution.theta]
         if is_beta:
             return (-2.0 * math.cos(theta[i] / 2) * ch(b[i] / 2)
                     * ch((t[j] + t[k]) / 2)
@@ -381,32 +365,19 @@ def _mixed_closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
         return (2.0 * (sh(a[j]) ** 2 - sh(a[k]) ** 2) / sh(a[i]) ** 2
                 + 2.0 * math.sin(theta[j]) * sh(b[j]) * sh(a[k]) ** 2
                 * sh(t[i]))
-    if is_beta:
+    # the self-hexagon and flat delta_3 formulas, long side third
+    if is_beta or i != 2 or long_shift(a):
         return None
     if eps1.kind == "selfhex":
-        if not _aligned(a) or i != 2:
-            return None
-        d = [s_eff * x for x in p1.solved().d]
+        d = [s_eff * x for x in p1.solution.d]
         return (2.0 * ch(a[k]) ** 2
                 - 2.0 * ch(b[j]) * ch(d[j]) * sh(a[k]) ** 2
                 - 2.0 * ch(t[i]) * sh(a[k]) ** 2 * sh(b[j]) * sh(d[j]))
-    if eps1.kind == "flat_upper":
-        if not _aligned(a) or i != 2:
-            return None
+    if eps1.kind in ("flat_upper", "flat_lower"):
         return (2.0 - 4.0 * sh(b[0] / 2) ** 2 * sh(a[1]) ** 2
                 + 2.0 * s_eff * sh(a[0]) * sh(a[1]) ** 2 * sh(b[0])
-                * math.exp(-t[2]))
-    if eps1.kind == "flat_lower":
-        if not _aligned(a) or i != 2:
-            return None
-        return (2.0 - 4.0 * sh(b[0] / 2) ** 2 * sh(a[1]) ** 2
-                + 2.0 * s_eff * sh(a[0]) * sh(a[1]) ** 2 * sh(b[0])
-                * math.exp(t[2]))
-    if eps1.kind == "flat_diag":
-        if not _aligned(a) or i != 2:
-            return None
-        return 2.0 * ch(a[1]) ** 2 - 2.0 * ch(b[0]) * sh(a[1]) ** 2
-    return None
+                * math.exp(-t[2] if eps1.kind == "flat_upper" else t[2]))
+    return 2.0 * ch(a[1]) ** 2 - 2.0 * ch(b[0]) * sh(a[1]) ** 2  # flat_diag
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +390,7 @@ def dehn_twist_gamma(rep: GluedRep, i: int, k: int = 1) -> GluedRep:
         raise Genus2Error("curve index must be 1, 2 or 3")
     t = list(rep.t)
     t[i - 1] += 2.0 * k * rep.a[i - 1]
-    return GluedRep(p1=rep.p1, p2=rep.p2, t=tuple(t), eps1=rep.eps1,
-                    eps2=rep.eps2)
+    return GluedRep(p1=rep.p1, p2=rep.p2, t=tuple(t))
 
 
 def twist_counts(rep: GluedRep) -> Tuple[int, int, int]:
@@ -443,7 +413,7 @@ def normalize_twists(rep: GluedRep) -> GluedRep:
     """Twist each t_i into [-a_i, a_i]; boundary ties resolve to +a_i."""
     t = tuple(ti + 2.0 * k * ai
               for ti, k, ai in zip(rep.t, twist_counts(rep), rep.a))
-    return GluedRep(p1=rep.p1, p2=rep.p2, t=t, eps1=rep.eps1, eps2=rep.eps2)
+    return GluedRep(p1=rep.p1, p2=rep.p2, t=t)
 
 
 @dataclass(frozen=True)
@@ -457,16 +427,20 @@ class SignClass:
 def sign_invariant(rep: GluedRep) -> SignClass:
     """Sign invariant of an Euler class 0 representation.
 
-    Plus when tr delta_3 < 2, Minus when > 2, Degenerate inside the
-    tolerance band (a separating curve too close to the identity to
-    classify).  The twists are normalised first: the invariant is constant
-    along twist orbits, and reading it at the normalised point keeps the
-    classification stable at extreme twists where tr delta_3 approaches 2
-    asymptotically.
+    Degenerate when any of tr delta_1..3 lies within the tolerance band of
+    2 (a separating curve too close to the identity to classify), so that
+    no cyclic relabelling changes the answer; otherwise Plus when tr
+    delta_3 < 2 and Minus when > 2.  The twists are normalised first: the
+    invariant is constant along twist orbits, and reading it at the
+    normalised point keeps the classification stable at extreme twists
+    where tr delta_3 approaches 2 asymptotically.
     """
     if rep.euler_nominal != 0:
         raise Genus2Error("sign invariant needs total Euler class 0")
-    tr = trace_curve_matrix(normalize_twists(rep), "delta3")
+    rep = normalize_twists(rep)
+    *others, tr = (trace_curve_matrix(rep, tag) for tag in DELTA_TAGS)
+    if any(abs(x - 2.0) <= TRACE_BAND for x in others):
+        return SignClass("Degenerate")
     if tr < 2.0 - TRACE_BAND:
         return SignClass("Plus")
     if tr > 2.0 + TRACE_BAND:

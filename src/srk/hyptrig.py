@@ -17,6 +17,19 @@ from .tolerances import CLAMP, DELTA_BAND
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
+def long_shift(v: Sequence[float]) -> int:
+    """The cyclic shift (see `rotation`) that moves the first largest entry
+    of `v` to index 2: the long-side-third frame of the self-hexagon and
+    flat formulas and of the search's alignment."""
+    return (2 - max(range(3), key=v.__getitem__)) % 3
+
+
+def rotation(shift: int) -> Tuple[int, int, int]:
+    """The cyclic relabelling by `shift`: new index i <- old index perm[i].
+    `rotation(-shift)` undoes it."""
+    return (-shift) % 3, (1 - shift) % 3, (2 - shift) % 3
+
+
 class TrigError(ValueError):
     pass
 
@@ -100,7 +113,7 @@ class SelfHexagonSolution:
     @property
     def long_index(self) -> int:
         """Index of the side exceeding the sum of the others."""
-        return max(range(3), key=lambda i: self.a[i])
+        return rotation(long_shift(self.a))[2]
 
 
 Solution = Union[HexagonSolution, TriangleSolution, SelfHexagonSolution]
@@ -159,15 +172,10 @@ def solve_self_hexagon(a1: float, a2: float, a3: float) -> SelfHexagonSolution:
     a = _check_sides((a1, a2, a3))
     if delta_invariant(*a) >= -DELTA_BAND:
         raise TrigError(f"sides {a} are not in the self-intersecting range")
-    long_index = max(range(3), key=lambda i: a[i])
+    li = rotation(long_shift(a))[2]
     ch = [math.cosh(x) for x in a]
     sh = [math.sinh(x) for x in a]
-    li = long_index
-    d = [0.0, 0.0, 0.0]
-    d[li] = _acosh_clamped(
-        (ch[li] - ch[(li + 1) % 3] * ch[(li + 2) % 3])
-        / (sh[(li + 1) % 3] * sh[(li + 2) % 3]))
-    for i in ((li + 1) % 3, (li + 2) % 3):
-        j, k = (x for x in range(3) if x != i)
-        d[i] = _acosh_clamped((ch[j] * ch[k] - ch[i]) / (sh[j] * sh[k]))
-    return SelfHexagonSolution(a=a, d=tuple(d))
+    d = tuple(_acosh_clamped((ch[i] - ch[j] * ch[k] if i == li
+                              else ch[j] * ch[k] - ch[i]) / (sh[j] * sh[k]))
+              for i, j, k in _CYCLIC)
+    return SelfHexagonSolution(a=a, d=d)

@@ -17,14 +17,15 @@ validated against the cocycle relations and the trace formulas downstream.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from operator import itemgetter
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import hyptrig, psl2r
+from .hyptrig import long_shift, rotation
 from .psl2r import (R_LEFT, R_RIGHT, S, PSL2Error, Quad, _mat, _qmul,
                     _qrotation, _qtranslation, _quad,
                     deviation_from_projective_identity, make_translation,
@@ -55,20 +56,7 @@ class PantsCase:
     eps: int = 1
 
     def __str__(self) -> str:
-        names = {
-            ("plus1", 1): "EuPlus1",
-            ("minus1", 1): "EuMinus1",
-            ("tri", 1): "Eu0PlusTriangle",
-            ("tri", -1): "Eu0MinusTriangle",
-            ("selfhex", 1): "Eu0PlusSelfHex",
-            ("selfhex", -1): "Eu0MinusSelfHex",
-            ("flat_diag", 1): "Eu0DiagonalFlat",
-        }
-        if (self.kind, self.eps) in names:
-            return names[(self.kind, self.eps)]
-        sgn = "+1" if self.eps > 0 else "-1"
-        return {"flat_upper": f"Eu0UpperFlat({sgn})",
-                "flat_lower": f"Eu0LowerFlat({sgn})"}[self.kind]
+        return _NAME_OF[self]
 
     @property
     def euler(self) -> int:
@@ -82,13 +70,24 @@ class PantsCase:
     def is_flat(self) -> bool:
         return self.kind.startswith("flat")
 
+    @property
+    def stratum(self) -> Optional[int]:
+        """The sign of the delta invariant the construction needs (0: the
+        flat stratum, |delta| <= FLAT_BAND); None for the hexagon families,
+        which exist on every stratum."""
+        return _STRATUM.get(self.kind)
+
     def euler_flipped(self) -> "PantsCase":
         """Swap the +-1 hexagon tags only; Euler class 0 tags are fixed."""
         if self.kind == "plus1":
-            return PantsCase("minus1")
+            return EU_MINUS1
         if self.kind == "minus1":
-            return PantsCase("plus1")
+            return EU_PLUS1
         return self
+
+
+_STRATUM = {"tri": 1, "selfhex": -1, "flat_diag": 0, "flat_upper": 0,
+            "flat_lower": 0}
 
 
 EU_PLUS1 = PantsCase("plus1")
@@ -100,22 +99,26 @@ EU0_MINUS_SELFHEX = PantsCase("selfhex", -1)
 EU0_DIAGONAL_FLAT = PantsCase("flat_diag")
 
 
+# the one case-name table: `case_from_string` reads it, `str` inverts it
+_CASES = {
+    "EuPlus1": EU_PLUS1, "EuMinus1": EU_MINUS1,
+    "Eu0PlusTriangle": EU0_PLUS_TRIANGLE,
+    "Eu0MinusTriangle": EU0_MINUS_TRIANGLE,
+    "Eu0PlusSelfHex": EU0_PLUS_SELFHEX,
+    "Eu0MinusSelfHex": EU0_MINUS_SELFHEX,
+    "Eu0DiagonalFlat": EU0_DIAGONAL_FLAT,
+    "Eu0UpperFlat(+1)": PantsCase("flat_upper", 1),
+    "Eu0UpperFlat(-1)": PantsCase("flat_upper", -1),
+    "Eu0LowerFlat(+1)": PantsCase("flat_lower", 1),
+    "Eu0LowerFlat(-1)": PantsCase("flat_lower", -1),
+}
+_NAME_OF = {case: name for name, case in _CASES.items()}
+
+
 def case_from_string(name: str) -> PantsCase:
-    table = {
-        "EuPlus1": EU_PLUS1, "EuMinus1": EU_MINUS1,
-        "Eu0PlusTriangle": EU0_PLUS_TRIANGLE,
-        "Eu0MinusTriangle": EU0_MINUS_TRIANGLE,
-        "Eu0PlusSelfHex": EU0_PLUS_SELFHEX,
-        "Eu0MinusSelfHex": EU0_MINUS_SELFHEX,
-        "Eu0DiagonalFlat": EU0_DIAGONAL_FLAT,
-        "Eu0UpperFlat(+1)": PantsCase("flat_upper", 1),
-        "Eu0UpperFlat(-1)": PantsCase("flat_upper", -1),
-        "Eu0LowerFlat(+1)": PantsCase("flat_lower", 1),
-        "Eu0LowerFlat(-1)": PantsCase("flat_lower", -1),
-    }
-    if name not in table:
+    if name not in _CASES:
         raise PantsError(f"unknown pants case {name!r}")
-    return table[name]
+    return _CASES[name]
 
 
 @dataclass(frozen=True)
@@ -124,15 +127,14 @@ class PantsRep:
     4-tuples `q` (see psl2r); `x` returns the edge matrices as ndarrays.
 
     `solution` is the hyptrig solution `build_pants` solved for the edge
-    matrices (None for flat pants and for pants read back from JSON); the
-    closed trace formulas and the search read it through `solved`.
+    matrices (None for flat pants); the closed trace formulas and the
+    search read it.
     """
 
     a: Tuple[float, float, float]
     case: PantsCase
     q: Tuple[Quad, Quad, Quad]
-    solution: Optional[hyptrig.Solution] = field(default=None, compare=False,
-                                                 repr=False)
+    solution: Optional[hyptrig.Solution] = field(compare=False, repr=False)
 
     @property
     def x(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,30 +142,6 @@ class PantsRep:
 
     def cocycle_residuals(self) -> Tuple[float, float]:
         return _cocycle_residuals(self.a, self.q)
-
-    def solved(self) -> Optional[hyptrig.Solution]:
-        """The hyptrig solution of the sides (None for flat pants); solved
-        afresh only where the pants carries none."""
-        if self.solution is not None or self.case.is_flat:
-            return self.solution
-        if self.case.kind == "tri":
-            return hyptrig.solve_triangle(*self.a)
-        if self.case.kind == "selfhex":
-            return hyptrig.solve_self_hexagon(*self.a)
-        return hyptrig.solve_hexagon(*self.a)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "a": list(self.a),
-            "case": str(self.case),
-            "X": [list(m) for m in self.q],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "PantsRep":
-        data = json.loads(text)
-        q = tuple(_quad(tuple(float(v) for v in m)) for m in data["X"])
-        return cls(a=tuple(data["a"]), case=case_from_string(data["case"]), q=q)
 
 
 # The scalar builders below compute each edge matrix as a row-major 4-tuple
@@ -192,14 +170,6 @@ def _upper(x: float) -> Quad:
 
 def _lower(x: float) -> Quad:
     return (1.0, 0.0, x, 1.0)
-
-
-def _rotate_to_long_at_3(a: Tuple[float, float, float]) -> Tuple[int, List[int]]:
-    """Cyclic shift placing the largest side at index 2 (0-based)."""
-    long_index = max(range(3), key=lambda i: a[i])
-    shift = (2 - long_index) % 3
-    perm = [(i + shift) % 3 for i in range(3)]      # original i -> new slot
-    return shift, perm
 
 
 def _hexagon_matrices(b, left: bool) -> Tuple[Quad, ...]:
@@ -231,47 +201,41 @@ def _flat_matrices_canonical(a, eps: int, lower: bool) -> Tuple[Quad, ...]:
 
 
 def _permuted(builder, v, shift: int, *args) -> Tuple[Quad, ...]:
-    """Build from the per-side triple `v` in the cyclically shifted frame
-    and map matrices back."""
-    if shift == 0:
-        return builder(v, *args)
-    perm = [(i + shift) % 3 for i in range(3)]
-    v_canon = tuple(v[perm.index(slot)] for slot in range(3))
-    mats = builder(v_canon, *args)
-    return tuple(mats[perm[i]] for i in range(3))
+    """Build from the per-side triple `v` relabelled by `shift` (long side
+    third) and relabel the matrices back."""
+    mats = builder(itemgetter(*rotation(shift))(v), *args)
+    return itemgetter(*rotation(-shift))(mats)
 
 
 def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     """Pants cocycle for the given half-length triple and construction tag.
 
-    The tag must be compatible with the sign of the delta invariant:
-    triangles need it positive, self-hexagons negative, flat cases zero
-    within FLAT_BAND.  Hexagon families exist for every triple.
+    The tag's `stratum` must be the sign of the delta invariant (zero
+    within FLAT_BAND): triangles need it positive, self-hexagons negative,
+    flat cases zero.  Hexagon families exist for every triple.
     """
     a = tuple(float(x) for x in a)
     if any(x <= 0 or not math.isfinite(x) for x in a):
         raise PantsError(f"half-lengths must be positive, got {a}")
     delta = hyptrig.delta_invariant(*a)
+    side = (delta > FLAT_BAND) - (delta < -FLAT_BAND)
+    if case.stratum not in (None, side):
+        raise PantsError(f"case {case} needs a delta invariant of sign "
+                         f"{case.stratum}, got {delta}")
 
     sol = None
     if case.kind in ("plus1", "minus1"):
         sol = hyptrig.solve_hexagon(*a)
         x = _hexagon_matrices(sol.b, left=(case.kind == "minus1"))
     elif case.kind == "tri":
-        if delta <= FLAT_BAND:
-            raise PantsError(f"triangle case needs delta > 0, got {delta}")
         sol = hyptrig.solve_triangle(*a)
         x = _triangle_matrices(sol.theta, case.eps)
     elif case.kind == "selfhex":
-        if delta >= -FLAT_BAND:
-            raise PantsError(f"self-hexagon case needs delta < 0, got {delta}")
         sol = hyptrig.solve_self_hexagon(*a)
-        shift, _ = _rotate_to_long_at_3(a)
-        x = _permuted(_selfhex_matrices_canonical, sol.d, shift, case.eps)
+        x = _permuted(_selfhex_matrices_canonical, sol.d, long_shift(a),
+                      case.eps)
     elif case.kind in ("flat_upper", "flat_lower", "flat_diag"):
-        if abs(delta) > FLAT_BAND:
-            raise PantsError(f"flat case needs delta = 0, got {delta}")
-        shift, _ = _rotate_to_long_at_3(a)
+        shift = long_shift(a)
         if case.kind == "flat_diag":
             x = _permuted(lambda _a: (_S, _S, _IDENTITY), a, shift)
         else:
@@ -444,15 +408,12 @@ def batch_matrices(case: PantsCase, a: np.ndarray) -> np.ndarray:
         return _batch_matrices_canonical(case, a)
     out = np.empty((a.shape[0], 3, 2, 2))
     long_index = np.argmax(a, axis=1)
-    for li in range(3):
-        sel = long_index == li
+    for shift in range(3):
+        sel = long_index == rotation(shift)[2]    # the samples shift aligns
         if not np.any(sel):
             continue
-        shift = (2 - li) % 3
-        perm = [(i + shift) % 3 for i in range(3)]   # original -> canonical
-        a_canon = a[sel][:, [perm.index(s) for s in range(3)]]
-        mats = _batch_matrices_canonical(case, a_canon)
-        out[sel] = mats[:, perm]
+        mats = _batch_matrices_canonical(case, a[sel][:, rotation(shift)])
+        out[sel] = mats[:, list(rotation(-shift))]
     return out
 
 

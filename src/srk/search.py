@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import genus2, hyptrig, pants, torus
+from .hyptrig import long_shift, rotation
 # the search builds no representation; build_glued stays bound here because
 # bench/test_bench.py checks that the tracer wraps it at this binding too
 from .genus2 import GluedRep, build_glued, trace_curve_matrix  # noqa: F401
@@ -412,7 +413,7 @@ def _replay(cert: Certificate, tol: float) -> Dict:
             i, k = mv["i"] - 1, mv["k"]
             t[i] += 2.0 * k * a[i]
         elif kind == "rotate":
-            perm = genus2.rotation(mv["shift"])
+            perm = rotation(mv["shift"])
             x, y, a, t = ([v[i] for i in perm] for v in (x, y, a, t))
         elif kind == "recoordinatize":
             old = (x, y, a, t)
@@ -454,8 +455,7 @@ def _normalize(state: SearchState) -> None:
 
 def _align(state: SearchState) -> None:
     """Cyclic rotation putting the largest half-length at index 3."""
-    long_index = max(range(3), key=lambda i: state.rep.a[i])
-    shift = (2 - long_index) % 3
+    shift = long_shift(state.rep.a)
     if shift == 0:
         return
     state.rep = genus2.rotate(state.rep, shift)
@@ -634,7 +634,7 @@ def intervals_step(state: SearchState):
     """Case (+1, -1): interval test, then bandwidth or polygon strategies."""
     rep = state.rep
     a = rep.a
-    sol = rep.p1.solved()               # the (+1, -1) pair: p1 is a hexagon
+    sol = rep.p1.solution               # the (+1, -1) pair: p1 is a hexagon
     u3 = sol.heron * _SH(abs(rep.t[2]) / 2.0) / _SH(a[2])
     a_min, a_mid = sorted(a[:2])
     disposition, band = intervals_test((a_min, a_mid, a[2]), u3)
@@ -670,7 +670,7 @@ def _equ0_lambda(b3: float, a3: float) -> Optional[float]:
 def _equilateral0(state: SearchState):
     """Equilateral polygon strategy in the (+1, -1) case, cosh(a_min) > 3."""
     a = state.rep.a
-    sol = state.rep.p1.solved()
+    sol = state.rep.p1.solution
     b_max = sol.b[2]
     b_min = min(sol.b[0], sol.b[1])
     lam = _equ0_lambda(b_max, a[2])
@@ -689,7 +689,7 @@ def _equilateral0(state: SearchState):
 def _isosceles0(state: SearchState):
     """Isosceles polygon strategy in the (+1, -1) case."""
     a = state.rep.a
-    sol = state.rep.p1.solved()
+    sol = state.rep.p1.solution
     m = int(a[1] < a[0])
     b_m = sol.b[m]                      # pairs the two larger sides
     b_max = sol.b[2]
@@ -829,9 +829,10 @@ def _fit_candidate(eps_pair, a_new, targets):
     """Solve the three twists against the delta targets; verify all traces
     against the `_link_targets`, as the certificate replay does.  Returns
     (the fitted rep, glued from the pants built here, link error) or None."""
+    case1, case2 = genus2.pants_cases(*eps_pair)
     try:
-        p1 = pants.build_pants(a_new, eps_pair[0])
-        p2 = pants.build_pants(a_new, eps_pair[1].euler_flipped())
+        p1 = pants.build_pants(a_new, case1)
+        p2 = pants.build_pants(a_new, case2)
     except (pants.PantsError, hyptrig.TrigError):
         return None
     roots = [[r for r in _delta_twist_roots(p1.q, p2.q, a_new, k,
@@ -844,7 +845,7 @@ def _fit_candidate(eps_pair, a_new, targets):
         err = _link_error((p1.q, p2.q, a_new, combo), targets)
         if err < LINK_TOL and (best is None or err < best[1]):
             best = (combo, err)
-    return best and (genus2.glue(p1, p2, best[0]), best[1])
+    return best and (GluedRep(p1=p1, p2=p2, t=best[0]), best[1])
 
 
 def _improve(state: SearchState):
@@ -860,9 +861,7 @@ def _improve(state: SearchState):
         return _stalled(state, f"no strict decrease: max |tr beta| "
                                f"{new_max} vs {old_max}")
     # cyclic relabel: the new index i names the old beta_{rho(i)}
-    long_index = max(range(3), key=lambda i: abs(tb[i]))
-    shift = (2 - long_index) % 3
-    rho = [(i - shift) % 3 for i in range(3)]
+    rho = list(rotation(long_shift([abs(v) for v in tb])))
     targets = _link_targets(rep.coords, rho)
     a_new = tuple(math.acosh(abs(v) / 2.0) for v in targets[:3])
     delta_new = hyptrig.delta_invariant(*a_new)

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import srk
 from srk import cli, genus2, hyptrig, search
 from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
 
@@ -259,6 +263,22 @@ class TestSearch:
         path = tmp_path / "plus.json"
         path.write_text(rep.to_json())
         assert cli.main(["search", str(path)]) == 3
+
+
+def test_python_m_srk_runs_without_warnings(rep_file):
+    """`python -m srk` runs the CLI in a fresh interpreter, with every
+    warning an error (runpy warns when `-m` names a module the package
+    already imported)."""
+    src = str(Path(srk.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "srk",
+                           "classify", rep_file], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["euler"] == 0
 
 
 class TestOrbitStats:

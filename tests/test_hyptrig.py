@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from srk.hyptrig import (TrigError, delta_invariant, solve_hexagon,
-                         solve_self_hexagon, solve_triangle)
+from srk.hyptrig import (TrigError, delta_invariant, long_shift, rotation,
+                         solve_hexagon, solve_self_hexagon, solve_triangle)
 
 rng = np.random.default_rng(42)
 
@@ -21,6 +21,25 @@ def sample_selfhex_sides(rng):
     long = small.sum() + rng.uniform(0.15, 0.9)
     out = np.array([small[0], small[1], long])
     return out[rng.permutation(3)]
+
+
+class TestRelabelling:
+    def test_long_shift_takes_the_first_largest(self):
+        assert long_shift((1.2, 1.2, 1.0)) == 2
+        assert long_shift((1.0, 1.2, 1.2)) == 1
+        assert long_shift((1.0, 1.0, 1.0)) == 2
+
+    @pytest.mark.parametrize("v", [(3.0, 1.0, 2.0), (1.0, 3.0, 2.0),
+                                   (1.0, 2.0, 3.0)])
+    def test_long_shift_puts_the_long_side_third(self, v):
+        perm = rotation(long_shift(v))
+        assert [v[i] for i in perm][2] == max(v)
+
+    @pytest.mark.parametrize("shift", range(-4, 6))
+    def test_rotation_inverse(self, shift):
+        v = ("x", "y", "z")
+        there = [v[i] for i in rotation(shift)]
+        assert [there[i] for i in rotation(-shift)] == list(v)
 
 
 class TestDeltaInvariant:

@@ -8,7 +8,7 @@ from srk.genus2 import build_glued
 from srk.pants import (EU0_DIAGONAL_FLAT, EU0_MINUS_SELFHEX,
                        EU0_MINUS_TRIANGLE, EU0_PLUS_SELFHEX,
                        EU0_PLUS_TRIANGLE, EU_MINUS1, EU_PLUS1, PantsCase,
-                       PantsError, PantsRep, batch_cocycle_residuals,
+                       PantsError, batch_cocycle_residuals,
                        batch_matrices, boundary_holonomies, build_pants,
                        case_from_string, euler_class_relative,
                        free_generators, pants_trace_sign)
@@ -205,15 +205,26 @@ class TestReflect:
                 assert _equal_up_to_sign(_mirror(rep.q[i]), mir.q[i])
 
 
-class TestSerialization:
-    def test_roundtrip(self):
-        for case in ALL_CASES:
-            rep = build_pants(sample_a(case, rng), case)
-            back = PantsRep.from_json(rep.to_json())
-            assert back.case == rep.case
-            assert np.allclose(back.a, rep.a)
-            assert all(np.allclose(x, y) for x, y in zip(back.x, rep.x))
+# one half-length triple per delta stratum, long side second
+STRATUM_SIDES = {1: (1.0, 1.1, 1.2), 0: (0.5, 1.2, 0.7),
+                 -1: (0.5, 1.6, 0.7)}
 
+
+class TestStratum:
+    @pytest.mark.parametrize("case", ALL_CASES, ids=str)
+    def test_stratum_is_what_build_pants_accepts(self, case):
+        accepted = set()
+        for sign, a in STRATUM_SIDES.items():
+            try:
+                build_pants(a, case)
+                accepted.add(sign)
+            except PantsError:
+                pass
+        want = {1, 0, -1} if case.stratum is None else {case.stratum}
+        assert accepted == want
+
+
+class TestSerialization:
     def test_case_names_roundtrip(self):
         for case in ALL_CASES:
             assert case_from_string(str(case)) == case
