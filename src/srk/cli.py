@@ -5,8 +5,12 @@ JSON coordinate records {"eps": [...], "a": [...], "t": [...]}; outputs are
 JSON or CSV with full-precision floats so that replays are bit-faithful.
 orbit-stats runs in one thread and builds each orbit once: the delta traces
 come from per-orbit coefficients (`genus2.delta_twist_coeffs`), which the
-tests cross-check against the matrix words.  Exit codes: 0 success, 1
-verifier failure, 2 search stalled, 3 out-of-scope input, 64 usage errors.
+tests cross-check against the matrix words.  Each Dehn twist changes one
+t_i, so it reevaluates one delta trace and reformats those two columns; the
+moves are drawn in blocks, from the same random stream as one draw per
+move.  Exit codes: 0 success, 1 verifier failure, 2 search stalled, 3
+out-of-scope input, 64 usage errors (an --out file that cannot be written
+among them).
 """
 
 from __future__ import annotations
@@ -34,10 +38,18 @@ def _fl(x: float) -> str:
     return format(float(x), ".17g")
 
 
+class _WriteError(Exception):
+    """The --out file could not be written; `main` reports it, exit 64."""
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _WriteError(f"cannot write {out}: "
+                              f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -148,13 +160,21 @@ def cmd_replay(args) -> int:
     return EXIT_OK if report.get("ok") else EXIT_VERIFY_FAIL
 
 
+# An orbit draws its moves (i, k), i in 1..3 and k in -2..2, in blocks of
+# _BLOCK steps: one `integers` call with per-element bounds gives the same
+# stream as two scalar calls per step, without per-step arrays for a long
+# --length.
+_BLOCK = 64
+
+
 def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     """One orbit's CSV rows: a random walk of Dehn twists along gamma_1..3.
 
     Only the twists change along the orbit, and tr delta_{k+1} depends on
     t_k alone, so the delta traces come from per-orbit coefficients
     (`genus2.delta_twist_coeffs`) and the sign invariant, constant on twist
-    orbits, is read once.
+    orbits, is read once.  A move along gamma_i changes t_i alone, so it
+    reevaluates tr delta_i and reformats those two columns.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     eps1, eps2 = pants.EU_PLUS1, pants.EU_MINUS1
@@ -177,18 +197,33 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     x, y, a, t = rep.coords
     t = list(t)
     coeffs = [genus2.delta_twist_coeffs(x, y, a, k) for k in range(3)]
-    sign = str(genus2.sign_invariant(rep))
-    # the fixed columns are formatted once; "%.17g" is `_fl`'s format
-    row = ",".join([str(seed), str(index), "%d", str(eps1), str(eps2)]
-                   + [_fl(v) for v in a] + ["%.17g"] * 6 + [sign])
-    rows = []
-    for step in range(length + 1):
-        tr = [2.0 - s * (cm * math.exp(-tk) + c0 + cp * math.exp(tk))
-              for (s, cm, c0, cp), tk in zip(coeffs, t)]
-        rows.append(row % (step, *t, *tr))
-        i = int(rng.integers(1, 4))
-        k = int(rng.integers(-2, 3))
-        t[i - 1] += 2.0 * k * a[i - 1]      # as genus2.dehn_twist_gamma
+    # seed,index | step | eps1,eps2,a1..a3 | t1..t3 | tr_d1..tr_d3 | sign
+    cols = [f"{seed},{index}", "0",
+            ",".join([str(eps1), str(eps2)] + [_fl(v) for v in a]),
+            "", "", "", "", "", "", str(genus2.sign_invariant(rep))]
+
+    def put(j: int) -> None:
+        """Reformat t_{j+1} and tr delta_{j+1}, the columns a twist along
+        gamma_{j+1} changes; "%.17g" is `_fl`'s format."""
+        s, cm, c0, cp = coeffs[j]
+        tj = t[j]
+        cols[3 + j] = format(tj, ".17g")
+        cols[6 + j] = format(
+            2.0 - s * (cm * math.exp(-tj) + c0 + cp * math.exp(tj)), ".17g")
+
+    for j in range(3):
+        put(j)
+    rows = [",".join(cols)]
+    for start in range(0, length, _BLOCK):
+        m = min(_BLOCK, length - start)
+        moves = iter(rng.integers(np.tile([1, -2], m),
+                                  np.tile([4, 3], m)).tolist())
+        for step, i, k in zip(range(start + 1, start + m + 1), moves, moves):
+            if k:
+                t[i - 1] += 2.0 * k * a[i - 1]  # as genus2.dehn_twist_gamma
+                put(i - 1)
+            cols[1] = str(step)
+            rows.append(",".join(cols))
     return rows
 
 
@@ -319,7 +354,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not getattr(args, "fn", None):
         parser.print_help()
         return EXIT_USAGE
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _WriteError as exc:
+        sys.stderr.write(f"{args.command}: {exc}\n")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -356,6 +357,54 @@ class TestOrbitStats:
                         assert abs(float(g[col]) - m) <= \
                             1e-12 * max(1.0, abs(m)), (seed, g, col)
 
+    @pytest.mark.parametrize("length", sorted({
+        0, 1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 50, 300}))
+    def test_matches_scalar_reference(self, length):
+        """Block draws and two-column updates give the bytes of one scalar
+        draw per move and whole reformatted rows."""
+        for seed in range(20):
+            for index in range(9):
+                assert cli._orbit_rows(seed, index, length) == \
+                    _scalar_orbit_rows(seed, index, length), (seed, index)
+
+
+def _scalar_orbit_rows(seed, index, length):
+    """Reference orbit: two scalar `integers` draws per move, and every
+    row's twist and trace columns recomputed and reformatted."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    eps1, eps2 = EU_PLUS1, EU_MINUS1
+    if index % 3 == 1:
+        eps1, eps2 = (PantsCase("tri", 1), PantsCase("tri", -1))
+    if index % 3 == 2:
+        eps1 = eps2 = PantsCase("selfhex", 1)
+    while True:
+        if eps1.kind == "selfhex":
+            small = np.sort(rng.uniform(0.2, 0.8, 2))
+            a = (small[0], small[1],
+                 small.sum() + rng.uniform(0.1, 0.5))
+        else:
+            a = tuple(rng.uniform(0.3, 1.8, 3))
+            if eps1.kind == "tri" and hyptrig.delta_invariant(*a) <= 0.05:
+                continue
+        break
+    t = rng.uniform(-1.5, 1.5, 3)
+    rep = genus2.build_glued(eps1, eps2, a, t)
+    x, y, a, t = rep.coords
+    t = list(t)
+    coeffs = [genus2.delta_twist_coeffs(x, y, a, k) for k in range(3)]
+    sign = str(genus2.sign_invariant(rep))
+    row = ",".join([str(seed), str(index), "%d", str(eps1), str(eps2)]
+                   + [cli._fl(v) for v in a] + ["%.17g"] * 6 + [sign])
+    rows = []
+    for step in range(length + 1):
+        tr = [2.0 - s * (cm * math.exp(-tk) + c0 + cp * math.exp(tk))
+              for (s, cm, c0, cp), tk in zip(coeffs, t)]
+        rows.append(row % (step, *t, *tr))
+        i = int(rng.integers(1, 4))
+        k = int(rng.integers(-2, 3))
+        t[i - 1] += 2.0 * k * a[i - 1]
+    return rows
+
 
 def _matrix_orbit_rows(seed, index, length):
     """Reference orbit: every row rebuilt through the delta matrix words."""
@@ -405,6 +454,20 @@ class TestVerify:
                          "--out", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("claim,margin")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "REP"], ["search", "REP"], ["replay", str(CERTIFICATE)],
+    ["orbit-stats", "--n", "1", "--length", "2"],
+    ["verify", "--scale", "0.05"]], ids=lambda argv: argv[0])
+def test_unwritable_out_is_usage_error(rep_file, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.out"
+    argv = [rep_file if v == "REP" else v for v in argv]
+    assert cli.main(argv + ["--out", str(out)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{argv[0]}: cannot write {out}: " \
+        "No such file or directory\n"
 
 
 def test_usage_exit():
