@@ -9,8 +9,8 @@ tests cross-check against the matrix words.  Each Dehn twist changes one
 t_i, so it reevaluates one delta trace and reformats those two columns; the
 moves are drawn in blocks, from the same random stream as one draw per
 move.  Exit codes: 0 success, 1 verifier failure, 2 search stalled, 3
-out-of-scope input, 64 usage errors (an --out file that cannot be written
-among them).
+out-of-scope input, 64 usage errors (an --out file or a stdout that cannot
+be written among them).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import List, Optional
 
@@ -39,7 +40,8 @@ def _fl(x: float) -> str:
 
 
 class _WriteError(Exception):
-    """The --out file could not be written; `main` reports it, exit 64."""
+    """The output (--out or stdout) could not be written; `main` reports
+    it, exit 64."""
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -50,10 +52,18 @@ def _emit(text: str, out: Optional[str]) -> None:
         except OSError as exc:
             raise _WriteError(f"cannot write {out}: "
                               f"{exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        return
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        # the interpreter's final flush would fail again on what is still
+        # buffered: send it to the null device instead
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _WriteError(f"cannot write stdout: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _load_rep(cmd: str, path: str):

@@ -13,6 +13,11 @@ Euler class 0 (with both orientations), and the flat families (diagonal,
 upper and lower triangular) on the stratum where the delta invariant
 vanishes.  Conventions follow a fixed reading of the gluing figure and are
 validated against the cocycle relations and the trace formulas downstream.
+
+Each edge-matrix formula has one home, the scalar builder of its family,
+which works on row-major 4-tuples with the psl2r kernel.  The boundary
+loops are computed on 4-tuples too; `PantsRep.x`, `boundary_holonomies`
+and `free_generators` convert to ndarrays only where they return.
 """
 
 from __future__ import annotations
@@ -22,14 +27,11 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional, Tuple
 
-import numpy as np
-
 from . import hyptrig, psl2r
 from .hyptrig import long_shift, rotation
-from .psl2r import (R_LEFT, R_RIGHT, S, PSL2Error, Quad, _mat, _qmul,
-                    _qrotation, _qtranslation, _quad,
-                    deviation_from_projective_identity, make_translation,
-                    minv, mmul, mtrace)
+from .psl2r import (_IDENTITY, _R_LEFT, _R_RIGHT, _S, Matrix, PSL2Error,
+                    Quad, _mat, _qinv, _qmul, _qrotation, _qtrace,
+                    _qtranslation, deviation_from_projective_identity)
 from .tolerances import FLAT_BAND, RELATOR_TOL
 
 
@@ -137,20 +139,15 @@ class PantsRep:
     solution: Optional[hyptrig.Solution] = field(compare=False, repr=False)
 
     @property
-    def x(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def x(self) -> Tuple[Matrix, Matrix, Matrix]:
         return tuple(_mat(m) for m in self.q)
 
     def cocycle_residuals(self) -> Tuple[float, float]:
         return _cocycle_residuals(self.a, self.q)
 
 
-# The scalar builders below compute each edge matrix as a row-major 4-tuple
-# (see psl2r); build_pants checks the cocycle on the 4-tuples and keeps them.
-
-_S = _quad(S)
-_R_LEFT = _quad(R_LEFT)
-_R_RIGHT = _quad(R_RIGHT)
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+# The builders below compute each edge matrix as a row-major 4-tuple (see
+# psl2r); build_pants checks the cocycle on the 4-tuples and keeps them.
 
 
 def _cocycle_residuals(a, x) -> Tuple[float, float]:
@@ -260,38 +257,44 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
 # boundary holonomies and classification
 # ---------------------------------------------------------------------------
 
-def boundary_holonomies(rep: PantsRep) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _boundary_quads(rep: PantsRep) -> Tuple[Quad, Quad, Quad]:
+    a1, a2, a3 = rep.a
+    x1, x2, _ = rep.q
+    tr = _qtranslation
+    x1_inv = _qinv(x1)
+    loop1 = _qmul(x1_inv, tr(-a3), _qinv(x2), tr(2 * a1), x2, tr(a3), x1)
+    loop2 = tr(2 * a2)
+    loop3 = _qmul(x1_inv, tr(2 * a3), x1)
+    return loop1, loop2, loop3
+
+
+def _free_quads(rep: PantsRep) -> Tuple[Quad, Quad]:
+    la, lb, _ = _boundary_quads(rep)
+    return tuple(tuple(-v for v in q) if _qtrace(q) < 0 else q
+                 for q in (la, lb))
+
+
+def boundary_holonomies(rep: PantsRep) -> Tuple[Matrix, Matrix, Matrix]:
     """Based loops around the three boundary curves.
 
     With A, B, C the loops around boundaries 1, 2, 3 based at the corner of
     the first seam, the product A B C is +-identity.
     """
-    a1, a2, a3 = rep.a
-    x1, x2, x3 = rep.x
-    loop1 = mmul(minv(x1), make_translation(-a3), minv(x2),
-                 make_translation(2 * a1), x2, make_translation(a3), x1)
-    loop2 = make_translation(2 * a2)
-    loop3 = mmul(minv(x1), make_translation(2 * a3), x1)
-    return loop1, loop2, loop3
+    return tuple(_mat(q) for q in _boundary_quads(rep))
 
 
-def free_generators(rep: PantsRep) -> Tuple[np.ndarray, np.ndarray]:
+def free_generators(rep: PantsRep) -> Tuple[Matrix, Matrix]:
     """Images (A, B) of free generators with A, B, (AB) the boundaries.
 
     Lift signs are normalised so that tr A and tr B are positive; tr(AB)
     then carries the Euler parity of the construction.
     """
-    la, lb, _ = boundary_holonomies(rep)
-    if mtrace(la) < 0:
-        la = -la
-    if mtrace(lb) < 0:
-        lb = -lb
-    return la, lb
+    return tuple(_mat(q) for q in _free_quads(rep))
 
 
 def euler_class_relative(rep: PantsRep) -> int:
     """Relative Euler class via canonical lifts of the boundary loops."""
-    la, lb, lc = boundary_holonomies(rep)
+    la, lb, lc = _boundary_quads(rep)
     return psl2r.euler_class_relative([], [lc, lb, la])
 
 
@@ -304,130 +307,10 @@ def pants_trace_sign(rep: PantsRep) -> int:
     """
     if abs(hyptrig.delta_invariant(*rep.a)) <= FLAT_BAND:
         raise PantsError("trace-sign classification excludes the flat stratum")
-    la, lb = free_generators(rep)
-    tr = mtrace(la @ lb)
+    tr = _qtrace(_qmul(*_free_quads(rep)))
     if abs(tr) <= 2.0:
         raise PantsError("boundary 3 holonomy is not hyperbolic")
     eu = rep.case.euler
     if (tr > 0) != (eu % 2 == 0):
         raise PantsError("trace sign disagrees with the construction tag")
     return eu
-
-
-# ---------------------------------------------------------------------------
-# vectorised construction (same formulas, broadcast over a sample batch)
-# ---------------------------------------------------------------------------
-
-def _bmul(*ms: np.ndarray) -> np.ndarray:
-    out = ms[0]
-    for m in ms[1:]:
-        out = out @ m
-    return out
-
-
-def _b_translation(l: np.ndarray) -> np.ndarray:
-    n = l.shape[0]
-    out = np.zeros((n, 2, 2))
-    out[:, 0, 0] = np.exp(l / 2.0)
-    out[:, 1, 1] = np.exp(-l / 2.0)
-    return out
-
-
-def _b_rotation(theta: np.ndarray) -> np.ndarray:
-    n = theta.shape[0]
-    out = np.empty((n, 2, 2))
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    out[:, 0, 0] = c
-    out[:, 0, 1] = s
-    out[:, 1, 0] = -s
-    out[:, 1, 1] = c
-    return out
-
-
-def _b_parabolic(x: np.ndarray, lower: bool) -> np.ndarray:
-    n = x.shape[0]
-    out = np.tile(np.eye(2), (n, 1, 1))
-    if lower:
-        out[:, 1, 0] = x
-    else:
-        out[:, 0, 1] = x
-    return out
-
-
-def _batch_matrices_canonical(case: PantsCase, a: np.ndarray) -> np.ndarray:
-    """(n, 3, 2, 2) edge matrices; self-hex/flat inputs must be aligned."""
-    n = a.shape[0]
-    ch, sh = np.cosh(a), np.sinh(a)
-    x = np.empty((n, 3, 2, 2))
-    if case.kind in ("plus1", "minus1"):
-        rc = R_LEFT if case.kind == "minus1" else R_RIGHT
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            b = np.arccosh((ch[:, i] + ch[:, j] * ch[:, k])
-                           / (sh[:, j] * sh[:, k]))
-            x[:, i] = _bmul(rc[None], _b_translation(b), rc[None])
-    elif case.kind == "tri":
-        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            th = np.arccos(np.clip((ch[:, j] * ch[:, k] - ch[:, i])
-                                   / (sh[:, j] * sh[:, k]), -1.0, 1.0))
-            x[:, i] = S[None] @ _b_rotation(case.eps * th)
-    elif case.kind == "selfhex":
-        d = np.empty((n, 3))
-        d[:, 2] = np.arccosh((ch[:, 2] - ch[:, 0] * ch[:, 1])
-                             / (sh[:, 0] * sh[:, 1]))
-        d[:, 0] = np.arccosh((ch[:, 1] * ch[:, 2] - ch[:, 0])
-                             / (sh[:, 1] * sh[:, 2]))
-        d[:, 1] = np.arccosh((ch[:, 0] * ch[:, 2] - ch[:, 1])
-                             / (sh[:, 0] * sh[:, 2]))
-        d *= case.eps
-        x[:, 0] = _bmul(R_LEFT[None], _b_translation(d[:, 0]), R_LEFT[None])
-        x[:, 1] = _bmul(R_RIGHT[None], _b_translation(d[:, 1]), R_RIGHT[None])
-        x[:, 2] = _bmul(R_LEFT[None], _b_translation(d[:, 2]), R_RIGHT[None])
-    elif case.kind == "flat_diag":
-        x[:, 0] = S
-        x[:, 1] = S
-        x[:, 2] = np.eye(2)
-    elif case.kind in ("flat_upper", "flat_lower"):
-        lower = case.kind == "flat_lower"
-        x[:, 0] = S[None] @ _b_parabolic(-case.eps * sh[:, 0], lower)
-        x[:, 1] = _b_parabolic(-case.eps * sh[:, 1], lower) @ S[None]
-        x[:, 2] = _b_parabolic(case.eps * sh[:, 2], lower)
-    else:
-        raise PantsError(f"unknown case kind {case.kind!r}")
-    return x
-
-
-def batch_matrices(case: PantsCase, a: np.ndarray) -> np.ndarray:
-    """Vectorised edge matrices for a batch of half-length triples.
-
-    Equivalent to stacking build_pants(a_i, case).x; self-intersecting and
-    flat inputs may carry the long side anywhere (handled per sample by the
-    cyclic alignment).
-    """
-    a = np.asarray(a, dtype=float)
-    if case.kind in ("plus1", "minus1", "tri"):
-        return _batch_matrices_canonical(case, a)
-    out = np.empty((a.shape[0], 3, 2, 2))
-    long_index = np.argmax(a, axis=1)
-    for shift in range(3):
-        sel = long_index == rotation(shift)[2]    # the samples shift aligns
-        if not np.any(sel):
-            continue
-        mats = _batch_matrices_canonical(case, a[sel][:, rotation(shift)])
-        out[sel] = mats[:, list(rotation(-shift))]
-    return out
-
-
-def batch_cocycle_residuals(case: PantsCase, a: np.ndarray) -> np.ndarray:
-    """(n, 2) deviations of the two cocycle products from +-identity."""
-    a = np.asarray(a, dtype=float)
-    x = batch_matrices(case, a)
-    out = np.empty((a.shape[0], 2))
-    for col, sign in ((0, 1.0), (1, -1.0)):
-        prod = _bmul(_b_translation(sign * a[:, 1]), x[:, 2],
-                     _b_translation(sign * a[:, 0]), x[:, 1],
-                     _b_translation(sign * a[:, 2]), x[:, 0])
-        eye = np.eye(2)
-        dev = np.minimum(np.abs(prod - eye).max(axis=(1, 2)),
-                         np.abs(prod + eye).max(axis=(1, 2)))
-        out[:, col] = dev
-    return out

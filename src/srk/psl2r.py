@@ -11,12 +11,12 @@ The boundary circle of the disc model is parametrised by an angle in
 [0, 2pi); the rotation-by-theta matrix acts on that angle as x -> x + theta,
 which pins the deck generator of the universal cover to +2pi.
 
-Matrices are accepted as ndarrays, nested sequences, or row-major
-4-tuples (a, b, c, d) standing for [[a, b], [c, d]].
-The scalar hot paths (lifts, the Milnor algorithm, the pants builders,
-the genus-2 curve words and the search) do their 2x2 arithmetic on such
-4-tuples of floats, which costs a fraction of a numpy call on a 2x2 array;
-ndarrays are converted once, where they enter or leave a public function.
+All 2x2 arithmetic is done on row-major 4-tuples of floats (a, b, c, d)
+standing for [[a, b], [c, d]]; a product of such tuples costs a fraction of
+a numpy call on a 2x2 array.  ndarrays are only a boundary format: a public
+function accepts an ndarray, a nested sequence or a 4-tuple, converts it
+once with `_quad`, and returns an ndarray made by `_mat` where it returns a
+matrix.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .tolerances import (CROSSING_BAND, DECK_SHIFT_PAD, DECK_SHIFT_TOL,
-                         DEGENERATE_PAIR, EIGVEC_INF, ENTRY_ZERO,
+                         DEGENERATE_PAIR, ENTRY_ZERO,
                          IDENTITY_BAND, LIFT_SNAP, ORDER_TWO_BAND,
                          RELATOR_TOL, TRACE_BAND)
 
 TWO_PI = 2.0 * math.pi
 
-MatrixLike = Union[np.ndarray, Sequence]
+Matrix = np.ndarray
+MatrixLike = Union[Matrix, Sequence]
 Quad = Tuple[float, float, float, float]
 
 
@@ -46,7 +47,7 @@ class PSL2Error(ValueError):
 # basic matrices
 # ---------------------------------------------------------------------------
 
-def _as_matrix(g: MatrixLike) -> np.ndarray:
+def _as_matrix(g: MatrixLike) -> Matrix:
     m = np.asarray(g, dtype=float)
     if type(g) is tuple and m.shape == (4,):
         return m.reshape(2, 2)
@@ -65,7 +66,7 @@ def _quad(g: MatrixLike) -> Quad:
     return (a, b, c, d)
 
 
-def _mat(q: Quad) -> np.ndarray:
+def _mat(q: Quad) -> Matrix:
     return np.array(q, dtype=float).reshape(2, 2)
 
 
@@ -107,37 +108,35 @@ def _qrotation(theta: float) -> Quad:
     return (c, s, -s, c)
 
 
-def make_translation(length: float) -> np.ndarray:
+def make_translation(length: float) -> Matrix:
     """Translation by `length` along the axis (0, infinity)."""
     return _mat(_qtranslation(length))
 
 
-def make_rotation(theta: float) -> np.ndarray:
+def make_rotation(theta: float) -> Matrix:
     """Rotation by `theta` around the point i."""
     return _mat(_qrotation(theta))
 
 
-S = _mat((0.0, 1.0, -1.0, 0.0))   # rotation by pi, with exact zeros
-R_LEFT = make_rotation(math.pi / 2.0)
-R_RIGHT = make_rotation(-math.pi / 2.0)
-IDENTITY = np.eye(2)
+_IDENTITY = (1.0, 0.0, 0.0, 1.0)
+_S = (0.0, 1.0, -1.0, 0.0)        # rotation by pi, with exact zeros
+_R_LEFT = _qrotation(math.pi / 2.0)
+_R_RIGHT = _qrotation(-math.pi / 2.0)
+S = _mat(_S)
+R_LEFT = _mat(_R_LEFT)
+R_RIGHT = _mat(_R_RIGHT)
 
 
-def mmul(*ms: MatrixLike) -> np.ndarray:
-    out = IDENTITY
-    for m in ms:
-        out = out @ _as_matrix(m)
-    return out
+def mmul(*ms: MatrixLike) -> Matrix:
+    return _mat(_qmul(_IDENTITY, *(_quad(m) for m in ms)))
 
 
-def minv(g: MatrixLike) -> np.ndarray:
-    m = _as_matrix(g)
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+def minv(g: MatrixLike) -> Matrix:
+    return _mat(_qinv(_quad(g)))
 
 
 def mtrace(g: MatrixLike) -> float:
-    m = _as_matrix(g)
-    return float(m[0, 0] + m[1, 1])
+    return _qtrace(_quad(g))
 
 
 def deviation_from_projective_identity(g: MatrixLike) -> float:
@@ -150,7 +149,7 @@ def deviation_from_projective_identity(g: MatrixLike) -> float:
                max(abs(a + 1.0), off, abs(d + 1.0)))
 
 
-def commutator(a: MatrixLike, b: MatrixLike) -> np.ndarray:
+def commutator(a: MatrixLike, b: MatrixLike) -> Matrix:
     """[A, B] = B^-1 A^-1 B A; sign-unambiguous in SL(2,R)."""
     return _mat(_qcommutator(_quad(a), _quad(b)))
 
@@ -184,55 +183,51 @@ class Hyperbolic:
 IsometryClass = Union[Identity, Elliptic, Parabolic, Hyperbolic]
 
 
-def _fixed_boundary_points(m: np.ndarray) -> List[float]:
-    """Real fixed points of the Moebius action, infinity as math.inf."""
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+def _fixed_boundary_points(q: Quad) -> List[float]:
+    """Real fixed points of the Moebius action, infinity as math.inf.  A
+    discriminant that rounds below zero (a parabolic read within
+    TRACE_BAND) counts as zero."""
+    a, b, c, d = q
     if abs(c) < ENTRY_ZERO:
         pts = [math.inf]
         if abs(a - d) > ENTRY_ZERO:
             pts.append(b / (d - a))
         return pts
-    disc = (a - d) ** 2 + 4.0 * b * c     # = tr^2 - 4
-    if disc < 0.0:
-        return []
-    r = math.sqrt(max(disc, 0.0))
-    return [((a - d) - r) / (2.0 * c), ((a - d) + r) / (2.0 * c)]
+    r = math.sqrt(max((a - d) ** 2 + 4.0 * b * c, 0.0))   # sqrt(tr^2 - 4)
+    # roots of c x^2 + (d - a) x - b, without cancellation in either
+    h = ((a - d) + math.copysign(r, a - d)) / 2.0
+    return [h / c, -b / h] if h else [0.0]
 
 
-def _conjugate_fixed_point_to_i(z: complex) -> np.ndarray:
+def _conjugate_fixed_point_to_i(z: complex) -> Quad:
     """Matrix g with g(z) = i for z in the upper half plane."""
-    shift = np.array([[1.0, -z.real], [0.0, 1.0]])
     s = math.sqrt(z.imag)
-    scale = np.array([[1.0 / s, 0.0], [0.0, s]])
-    return scale @ shift
+    return (1.0 / s, -z.real / s, 0.0, s)
 
 
 def classify(g: MatrixLike) -> IsometryClass:
-    """Trichotomy by |tr| against 2, with geometric data from eigenvectors."""
-    m = _as_matrix(g)
-    if deviation_from_projective_identity(m) <= IDENTITY_BAND:
+    """Trichotomy by |tr| against 2, with the geometric data."""
+    q = _quad(g)
+    if deviation_from_projective_identity(q) <= IDENTITY_BAND:
         return Identity()
-    tr = mtrace(m)
+    a, b, c, d = q
+    tr = a + d
     if abs(tr) > 2.0 + TRACE_BAND:
         lam = 2.0 * math.acosh(abs(tr) / 2.0)
-        evals, evecs = np.linalg.eig(m)
-        order = np.argsort(np.abs(evals))        # [repelling, attracting]
-        pts = []
-        for idx in order:
-            v = np.real(evecs[:, idx])
-            pts.append(math.inf if abs(v[1]) < EIGVEC_INF * abs(v[0])
-                       else v[0] / v[1])
+        # the eigenvalue at a fixed point x is c x + d (a at infinity):
+        # the repelling point has the smaller modulus
+        pts = sorted(_fixed_boundary_points(q),
+                     key=lambda x: abs(a if math.isinf(x) else c * x + d))
         return Hyperbolic(displacement=lam, axis=(pts[0], pts[1]))
     if abs(tr) >= 2.0 - TRACE_BAND:
-        pts = _fixed_boundary_points(m)
+        pts = _fixed_boundary_points(q)
         return Parabolic(boundary_fixed_point=pts[0])
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     # c vanishes only for matrices with real spectrum, never for elliptics
     im = math.sqrt(4.0 - tr * tr) / (2.0 * abs(c))
     z = complex((a - d) / (2.0 * c), im)
     conj = _conjugate_fixed_point_to_i(z)
-    r = conj @ m @ minv(conj)
-    theta = 2.0 * math.atan2(r[0, 1], r[0, 0])
+    r = _qmul(conj, q, _qinv(conj))
+    theta = 2.0 * math.atan2(r[1], r[0])
     theta %= TWO_PI
     return Elliptic(angle=theta, fixed_point=z)
 
@@ -270,19 +265,20 @@ def word_letters(word: Word) -> List[Tuple[str, int]]:
     return letters
 
 
-def evaluate_word(images: Dict[str, MatrixLike], word: Word) -> np.ndarray:
+def evaluate_word(images: Dict[str, MatrixLike], word: Word) -> Matrix:
     """Evaluate a word under the reversed convention.
 
     Concatenation uv maps to the matrix product M(v) M(u): the first letter
     of the word is the rightmost factor.
     """
-    out = IDENTITY
+    quads = {name: _quad(m) for name, m in images.items()}
+    out = _IDENTITY
     for name, sgn in word_letters(word):
-        if name not in images:
+        if name not in quads:
             raise PSL2Error(f"unbound letter {name!r}")
-        m = _as_matrix(images[name])
-        out = (m if sgn > 0 else minv(m)) @ out
-    return out
+        q = quads[name]
+        out = _qmul(q if sgn > 0 else _qinv(q), out)
+    return _mat(out)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +362,7 @@ class LiftedIsometry:
         return f"LiftedIsometry(q={self.q!r}, base={self.base!r})"
 
     @property
-    def m(self) -> np.ndarray:
+    def m(self) -> Matrix:
         return _mat(self.q)
 
     def __call__(self, y: float) -> float:
@@ -530,16 +526,17 @@ def elliptic_power(a: MatrixLike, b: MatrixLike, search_bound: int = 50) -> int:
     B = [[x, y], [z, t]] there, the trace of B A^n is
     (x + t) cos(n alpha) + (z - y) sin(n alpha).
     """
-    am = _as_matrix(a)
-    cl = classify(am)
+    qa = _quad(a)
+    cl = classify(qa)
     if not isinstance(cl, Elliptic):
         raise PSL2Error("first element must be elliptic")
     conj = _conjugate_fixed_point_to_i(cl.fixed_point)
-    bp = conj @ _as_matrix(b) @ minv(conj)
-    ap = conj @ am @ minv(conj)
-    alpha = math.atan2(ap[0, 1], ap[0, 0])
-    u = bp[0, 0] + bp[1, 1]
-    v = bp[1, 0] - bp[0, 1]
+    conj_inv = _qinv(conj)
+    x, y, z, t = _qmul(conj, _quad(b), conj_inv)
+    ap = _qmul(conj, qa, conj_inv)
+    alpha = math.atan2(ap[1], ap[0])
+    u = x + t
+    v = z - y
     if math.hypot(u, v) < DEGENERATE_PAIR:
         raise PSL2Error("degenerate pair: (x + t, z - y) = (0, 0)")
     for k in range(search_bound + 1):

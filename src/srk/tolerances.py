@@ -20,8 +20,6 @@ ORDER_TWO_BAND = 1e-9
 DEGENERATE_PAIR = 1e-12
 # |c| (then |a - d|) below which a Moebius fixed point sits at infinity
 ENTRY_ZERO = 1e-300
-# |v1| / |v0| of an eigenvector below which classify puts its end at infinity
-EIGVEC_INF = 1e-14
 
 # --- lifts and the Euler class ---------------------------------------------
 

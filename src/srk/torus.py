@@ -97,11 +97,10 @@ def reduce_triple(x: float, y: float, z: float,
     """Reduce a trace triple until a coordinate lies in [-2, 2].
 
     Greedy descent on max(|x|, |y|, |z|) over the compound moves
-    (permutation then z -> xy - z), with a breadth-first fallback of depth
-    20 when the greedy step stalls; kappa is invariant throughout.  Ends in
+    (permutation then z -> xy - z); kappa is invariant throughout.  Ends in
     one of three states: a found coordinate, AllNegative (all three below
-    -2, possible only when kappa > 18), or a ReductionError after
-    `max_steps`.
+    -2, possible only when kappa > 18), or a ReductionError when no
+    compound move descends or after `max_steps`.
     """
     start = (float(x), float(y), float(z))
     kappa0 = kappa(*start)
@@ -137,49 +136,13 @@ def reduce_triple(x: float, y: float, z: float,
             if score < cur - DESCENT_MARGIN \
                     and (best is None or score < best[0]):
                 best = (score, word, cand)
-        if best is not None:
-            _, word, triple = best
-            moves.extend(word)
-            steps += len(word)
-            continue
-        bfs = _bfs_escape(triple, cur)
-        if bfs is None:
+        if best is None:
             raise ReductionError(
                 f"greedy descent stalled at {triple} (kappa="
-                f"{kappa(*triple):.6f}) and breadth-first search failed")
-        word, triple = bfs
+                f"{kappa(*triple):.6f})")
+        _, word, triple = best
         moves.extend(word)
         steps += len(word)
-
-
-def _bfs_escape(triple, cur_max: float, depth: int = 20,
-                node_cap: int = 200_000):
-    """Shortest move word that strictly lowers the max or finds a coordinate."""
-    seen = {tuple(round(v, 9) for v in triple)}
-    frontier = [((), triple)]
-    for _ in range(depth):
-        nxt = []
-        for word, tr in frontier:
-            for mv in MOVES:
-                tr2, _ = _apply_move(mv, tr, ("a", "b"))
-                if _max_abs(tr2) > 1e8:       # float integrity guard
-                    continue
-                key = tuple(round(v, 9) for v in tr2)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(seen) > node_cap:
-                    return None
-                w2 = word + (mv,)
-                if _found_index(tr2) is not None \
-                        or _max_abs(tr2) < cur_max - DESCENT_MARGIN \
-                        or all(v < -2.0 for v in tr2):
-                    return list(w2), tr2
-                nxt.append((w2, tr2))
-        frontier = nxt
-        if not frontier:
-            return None
-    return None
 
 
 def replay_moves(start: Tuple[float, float, float],

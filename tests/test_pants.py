@@ -8,8 +8,7 @@ from srk.genus2 import build_glued
 from srk.pants import (EU0_DIAGONAL_FLAT, EU0_MINUS_SELFHEX,
                        EU0_MINUS_TRIANGLE, EU0_PLUS_SELFHEX,
                        EU0_PLUS_TRIANGLE, EU_MINUS1, EU_PLUS1, PantsCase,
-                       PantsError, batch_cocycle_residuals,
-                       batch_matrices, boundary_holonomies, build_pants,
+                       PantsError, boundary_holonomies, build_pants,
                        case_from_string, euler_class_relative,
                        free_generators, pants_trace_sign)
 from srk.psl2r import deviation_from_projective_identity, mmul, mtrace
@@ -85,20 +84,6 @@ class TestCocycle:
         assert par[1, 1] == pytest.approx(1.0)
         assert par[1, 0] == pytest.approx(0.0, abs=1e-14)
         assert abs(par[0, 1]) == pytest.approx(math.sinh(1.0), rel=1e-12)
-
-    def test_batch_matches_scalar(self):
-        for case in ALL_CASES:
-            a = np.array([sample_a(case, rng) for _ in range(8)])
-            batch = batch_matrices(case, a)
-            for i in range(8):
-                rep = build_pants(tuple(a[i]), case)
-                assert np.abs(batch[i] - np.array(rep.x)).max() < 1e-12
-
-    def test_batch_residuals(self):
-        for case in ALL_CASES:
-            a = np.array([sample_a(case, rng) for _ in range(200)])
-            res = batch_cocycle_residuals(case, a)
-            assert res.max() < 1e-9
 
 
 class TestBoundaryData:

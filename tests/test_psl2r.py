@@ -96,6 +96,24 @@ class TestClassify:
         assert isinstance(cl, Parabolic)
         assert math.isinf(cl.boundary_fixed_point)
 
+    def test_parabolic_within_the_band_of_an_elliptic(self):
+        # tr = 2 cos(2.5e-6) lies within TRACE_BAND of 2, and the fixed
+        # point discriminant rounds below zero
+        cl = classify(make_rotation(1e-5))
+        assert isinstance(cl, Parabolic)
+        assert cl.boundary_fixed_point == pytest.approx(0.0, abs=1e-12)
+
+    def test_hyperbolic_axis_repelling_then_attracting(self):
+        # the translation moves 0 toward infinity, so along p -> q for a
+        # positive length; the axis lists the repelling end first
+        draw = np.random.default_rng(5)
+        for _ in range(200):
+            p, q = np.sort(draw.uniform(-5.0, 5.0, 2))
+            length = draw.choice([-1.0, 1.0]) * draw.uniform(0.1, 3.0)
+            cl = classify(_axis_through(p, q, length))
+            ends = (p, q) if length > 0 else (q, p)
+            assert cl.axis == pytest.approx(ends, rel=1e-9, abs=1e-9)
+
     def test_rotation(self):
         cl = classify(make_rotation(math.pi / 2))
         assert isinstance(cl, Elliptic)

@@ -344,6 +344,64 @@ class TestSearchEndToEnd:
         assert not replay_certificate(bad)["ok"]
 
 
+class TestRareStrategies:
+    """Strategies the end-to-end samplers almost never dispatch, driven by
+    samplers aimed at their regions.  A strategy has run when the search's
+    history holds its entry; every such search must find a curve whose
+    certificate replays."""
+
+    @staticmethod
+    def _hits(sid, draws):
+        hits = 0
+        for eps1, eps2, a, t in draws:
+            try:
+                out = search_nonhyperbolic(
+                    genus2.build_glued(eps1, eps2, a, t))
+            except OutOfScopeError:         # Euler class 0 with sign Plus
+                continue
+            if not any(h["move"] == "strategy" and h["id"] == sid
+                       for h in out.history):
+                continue
+            hits += 1
+            assert isinstance(out, FoundCurve), out.diagnostic
+            assert abs(out.trace) <= 2.0 + 1e-9
+            assert replay_certificate(out.certificate)["ok"]
+        return hits
+
+    def test_isosceles0(self):
+        # (+1, -1) with cosh a_mid > cosh a_min + 2 and cosh a_min <= 3:
+        # the interval test's isosceles branch
+        rng = np.random.default_rng(31)
+
+        def draws(n):
+            while n:
+                a_min = rng.uniform(0.3, 1.65)
+                a_mid = math.acosh(CH(a_min) + 2.0 + rng.uniform(0.0, 1.5))
+                if a_mid > B2_HALF:
+                    continue
+                a = np.array([a_min, a_mid, rng.uniform(a_mid, B2_HALF)])
+                yield (EU_PLUS1, EU_MINUS1, tuple(a[rng.permutation(3)]),
+                       tuple(rng.uniform(-3, 3, 3)))
+                n -= 1
+
+        assert self._hits("isosceles0", draws(1500)) >= 10
+
+    def test_flat_twist(self):
+        # both pants flat (a_3 = a_1 + a_2) with wide twists, so that
+        # delta_3 often starts outside the torus window
+        rng = np.random.default_rng(32)
+        pairs = [(PC("flat_upper", s), PC("flat_lower", r))
+                 for s in (1, -1) for r in (1, -1)]
+
+        def draws(n):
+            for i in range(n):
+                a1, a2 = rng.uniform(0.2, 1.11, 2)
+                yield (*pairs[i % 4], (a1, a2, a1 + a2),
+                       tuple(rng.uniform(-40, 40, 3)))
+
+        assert self._hits("flat_twist", draws(3000)) >= 10
+
+
 def _curve_trace(x, y, a, t, tag):
     q = genus2.curve_quad(x, y, a, t, tag)
     return q[0] + q[3]
