@@ -10,7 +10,11 @@ t_i, so it reevaluates one delta trace and reformats those two columns; the
 moves are drawn in blocks, from the same random stream as one draw per
 move.  Exit codes: 0 success, 1 verifier failure, 2 search stalled, 3
 out-of-scope input, 64 usage errors (an --out file or a stdout that cannot
-be written among them).
+be written, or a closed stdout, among them).
+
+numpy is imported only where an ndarray is made: orbit-stats draws its
+random numbers with it and verify evaluates its grids with it, while
+classify, search and replay run on floats and 4-tuples and load no numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ import math
 import os
 import sys
 from typing import List, Optional
-
-import numpy as np
 
 from . import genus2, hyptrig, inequalities, pants, search
 from .psl2r import PSL2Error
@@ -53,6 +55,8 @@ def _emit(text: str, out: Optional[str]) -> None:
             raise _WriteError(f"cannot write {out}: "
                               f"{exc.strerror or exc}") from exc
         return
+    if sys.stdout is None:        # the interpreter started without fd 1
+        raise _WriteError("cannot write stdout: stdout is closed")
     try:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
         sys.stdout.flush()
@@ -186,6 +190,7 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     orbits, is read once.  A move along gamma_i changes t_i alone, so it
     reevaluates tr delta_i and reformats those two columns.
     """
+    import numpy as np
     rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
     eps1, eps2 = pants.EU_PLUS1, pants.EU_MINUS1
     if index % 3 == 1:

@@ -25,9 +25,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from . import hyptrig, psl2r
 from .hyptrig import long_shift, rotation
@@ -35,6 +33,9 @@ from .pants import PantsCase, PantsRep, build_pants, case_from_string
 from .psl2r import (PSL2Error, Quad, _mat, _qcommutator, _qinv, _qmul,
                     _qtrace, _qtranslation)
 from .tolerances import TRACE_BAND, TWIST_EDGE
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GAMMA_TAGS = ("gamma1", "gamma2", "gamma3")
 BETA_TAGS = ("beta1", "beta2", "beta3")

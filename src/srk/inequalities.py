@@ -8,19 +8,24 @@ the mesh, with the mesh cancelled).  A reported positive margin certifies
 positivity at the granularity of the pad.  This reproduces the assurance
 level of the original computer checks; formal interval arithmetic is out of
 scope.
+
+The grids are numpy arrays, and each function that builds or reads one
+imports numpy itself: importing this module (as `srk` and its CLI do)
+loads no numpy, and `srk verify` loads it on its first claim.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Tuple
 
 from .search import (B2_HALF, COSH_B2_HALF, REGION_A3_MAX, _iso_lambda,
                      line_l1, line_l2)
 from .tolerances import FLAT_IDENTITY_RESID, LAMBDA_FLOOR_RESID, X4_MASK_SLACK
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ACOSH3 = math.acosh(3.0)
 
@@ -42,6 +47,7 @@ class ClaimReport:
 def _pad_and_min(values: np.ndarray) -> Tuple[float, float]:
     """Raw minimum and a Lipschitz pad: half the largest neighbour
     difference along each axis, summed over the axes (NaN cells skipped)."""
+    import numpy as np
     raw = float(np.nanmin(values))
     pad = 0.0
     for axis in range(values.ndim):
@@ -64,11 +70,13 @@ def _report(claim_id: str, values: np.ndarray,
 
 def _lambda_floor(ch3: np.ndarray) -> np.ndarray:
     """Lower bound for the equilateral twist length at given cosh(a3)."""
+    import numpy as np
     return 2.0 * np.arccosh((17.0 * ch3 + 1.0) / (ch3 + 17.0)) - np.arccosh(ch3)
 
 
 def _lambda_of(b: np.ndarray, a3: np.ndarray) -> np.ndarray:
     """Twist length from cosh(b/2)^2 cosh((a3+lam)/2) = cosh a3 + sinh(b/2)^2."""
+    import numpy as np
     arg = (np.cosh(a3) + np.sinh(b / 2.0) ** 2) / np.cosh(b / 2.0) ** 2
     return 2.0 * np.arccosh(np.maximum(arg, 1.0)) - a3
 
@@ -80,6 +88,7 @@ def _lambda_of(b: np.ndarray, a3: np.ndarray) -> np.ndarray:
 def _claim_equ0_cond0(n: int) -> ClaimReport:
     # the cubic sufficient condition for the equilateral strategy's
     # condition (0): 17 x^2 - x^3 - 8x - 8 > 0 on x = cosh(a3/2)
+    import numpy as np
     x = np.linspace(math.sqrt(2.0), math.sqrt(5.68 / 2.0), n)
     vals = 17.0 * x ** 2 - x ** 3 - 8.0 * x - 8.0
     return _report("equ0_cond0_cubic", vals,
@@ -87,6 +96,7 @@ def _claim_equ0_cond0(n: int) -> ClaimReport:
 
 
 def _claim_equ0_cond1(n: int) -> ClaimReport:
+    import numpy as np
     a3 = np.linspace(ACOSH3, B2_HALF, n)
     lam = _lambda_floor(np.cosh(a3))
     vals = 2.0 - (np.cosh(a3) + 1.0) / 8.0 * np.sinh((3 * a3 - lam) / 4.0) ** 2
@@ -95,6 +105,7 @@ def _claim_equ0_cond1(n: int) -> ClaimReport:
 
 
 def _claim_equ0_cond2(n: int) -> ClaimReport:
+    import numpy as np
     a3 = np.linspace(ACOSH3, B2_HALF, n)
     lam = _lambda_floor(np.cosh(a3))
     chb1 = (3.0 + np.cosh(a3) ** 2) / np.sinh(a3) ** 2
@@ -108,6 +119,7 @@ def _claim_equ0_lambda_floor(n: int) -> ClaimReport:
     # lam is decreasing in b3 and equals the closed floor exactly at the
     # largest admissible b3; the claim checks the strict gap on an interior
     # band and the boundary identity separately
+    import numpy as np
     m = max(int(math.sqrt(n)), 64)
     a3 = np.linspace(ACOSH3, B2_HALF, m)
     floor = _lambda_floor(np.cosh(a3))
@@ -131,6 +143,7 @@ def _claim_equ0_lambda_floor(n: int) -> ClaimReport:
 def _claim_iso0_conditions(n: int) -> ClaimReport:
     # isosceles strategy in the (+1, -1) case on the region
     # cosh(a2) >= cosh(a1) + 2, a2 <= a3 <= B2/2
+    import numpy as np
     m = max(int(round(n ** (1.0 / 3.0))), 24)
     a1 = np.linspace(0.02, math.acosh(COSH_B2_HALF - 2.0), m)
     a2 = np.linspace(ACOSH3, B2_HALF, m)
@@ -156,6 +169,7 @@ def _claim_iso0_conditions(n: int) -> ClaimReport:
 
 
 def _claim_interval_u3(n: int) -> ClaimReport:
+    import numpy as np
     m = max(int(math.sqrt(n)), 64)
     a2 = np.linspace(0.05, B2_HALF, m)
     a3 = np.linspace(0.05, B2_HALF, m)
@@ -172,6 +186,7 @@ def _claim_phi_below_9(n: int) -> ClaimReport:
     # the true threshold sits within 2e-3 of 9 at a3 = 1.459, so the
     # certified band stops one crossing-tolerance short of it; the claim
     # below brackets the crossing itself
+    import numpy as np
     m = max(int(math.sqrt(n)), 64)
     a3 = np.linspace(0.05, 1.449, m)
     vals = 9.0 - phi_max_over_a1(a3, m)
@@ -184,6 +199,7 @@ def phi_max_over_a1(a3, n: int = 512):
 
     A float for a scalar a3; for an array, the maximum at each entry.
     """
+    import numpy as np
     a3 = np.asarray(a3, dtype=float)
     a1 = np.linspace(1e-3, a3, n, axis=-1)
     s1 = np.sinh(a1)
@@ -198,9 +214,9 @@ def _claim_phi_crossing(n: int) -> ClaimReport:
     # the maximum of Phi crosses 9 inside a3 in [1.449, 1.469]
     below = 9.0 - phi_max_over_a1(1.449, n=max(n, 512))
     above = phi_max_over_a1(1.469, n=max(n, 512)) - 9.0
-    vals = np.array([below, above])
+    low = min(below, above)
     return ClaimReport(claim_id="phi_crossing_near_1459",
-                       margin=float(vals.min()), raw_min=float(vals.min()),
+                       margin=low, raw_min=low,
                        lipschitz_pad=0.0, grid_points=2 * max(n, 512),
                        detail="max Phi < 9 at a3 = 1.449 and > 9 at 1.469")
 
@@ -214,6 +230,7 @@ _EQUI1_BLOCK = 32
 def _claim_equi1_on_x2(n: int) -> ClaimReport:
     # the binding corner (a1 = l2(2.23), a3 = 2.23) leaves a margin of only
     # 5e-3, so the mesh must be fine enough for the pad to fit under it
+    import numpy as np
     m = max(int(math.sqrt(n)) * 3, 384)
     a3 = np.linspace(1.42, REGION_A3_MAX, m)
     lo = np.maximum(line_l1(a3), line_l2(a3))
@@ -237,6 +254,7 @@ def _equi1_worst(lo: np.ndarray, a3: np.ndarray, m: int) -> np.ndarray:
     cos(alpha) cosh((a3 - lam)/2) - sin(alpha) sinh((a3 + lam)/2)
     = ((cos(alpha) E + sin(alpha)/E)/L + (cos(alpha)/E - sin(alpha) E) L)/2.
     """
+    import numpy as np
     a1 = np.linspace(lo, a3, m, axis=1)
     v = a3[:, None]
     ch3, sh3, e = np.cosh(v), np.sinh(v), np.exp(v / 2.0)
@@ -261,6 +279,7 @@ def _equi1_worst(lo: np.ndarray, a3: np.ndarray, m: int) -> np.ndarray:
 
 
 def _claim_iso1_on_x4(n: int) -> ClaimReport:
+    import numpy as np
     m = max(int(round(n ** (1.0 / 3.0))), 24)
     a3 = np.linspace(1.696, REGION_A3_MAX, m)
     worst = np.full((m, m, m), np.nan)
@@ -299,6 +318,7 @@ def _claim_iso1_on_x4(n: int) -> ClaimReport:
 
 
 def _claim_flat_identity(n: int) -> ClaimReport:
+    import numpy as np
     m = max(int(math.sqrt(n)), 128)
     a1 = np.linspace(0.05, B2_HALF / 2.0, m)
     a2 = np.linspace(0.05, B2_HALF / 2.0, m)
@@ -321,6 +341,7 @@ def _claim_flat_identity(n: int) -> ClaimReport:
 
 
 def _claim_selfhex_cap(n: int) -> ClaimReport:
+    import numpy as np
     a3 = np.linspace(0.05, B2_HALF, n)
     vals = 6.8 - (2.0 + 4.0 * np.sinh(a3 / 2.0) ** 4 / np.cosh(a3 / 2.0) ** 2)
     return _report("selfhex_delta3_cap_6.8", vals,

@@ -25,14 +25,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from . import hyptrig, psl2r
 from .hyptrig import long_shift, rotation
-from .psl2r import (_IDENTITY, _R_LEFT, _R_RIGHT, _S, Matrix, PSL2Error,
-                    Quad, _mat, _qinv, _qmul, _qrotation, _qtrace,
-                    _qtranslation, deviation_from_projective_identity)
+from .psl2r import (_IDENTITY, _R_LEFT, _R_RIGHT, _S, PSL2Error, Quad, _mat,
+                    _qinv, _qmul, _qrotation, _qtrace, _qtranslation,
+                    deviation_from_projective_identity)
 from .tolerances import FLAT_BAND, RELATOR_TOL
+
+if TYPE_CHECKING:
+    from .psl2r import Matrix
 
 
 class PantsError(PSL2Error):

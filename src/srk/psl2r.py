@@ -16,16 +16,17 @@ standing for [[a, b], [c, d]]; a product of such tuples costs a fraction of
 a numpy call on a 2x2 array.  ndarrays are only a boundary format: a public
 function accepts an ndarray, a nested sequence or a 4-tuple, converts it
 once with `_quad`, and returns an ndarray made by `_mat` where it returns a
-matrix.
+matrix.  numpy is imported only inside `_as_matrix` and `_mat`, so importing
+this module, and every computation on 4-tuples, loads no numpy; the ndarray
+constants `S`, `R_LEFT` and `R_RIGHT` are built on first access.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
-
-import numpy as np
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple,
+                    Union)
 
 from .tolerances import (CROSSING_BAND, DECK_SHIFT_PAD, DECK_SHIFT_TOL,
                          DEGENERATE_PAIR, ENTRY_ZERO,
@@ -34,9 +35,12 @@ from .tolerances import (CROSSING_BAND, DECK_SHIFT_PAD, DECK_SHIFT_TOL,
 
 TWO_PI = 2.0 * math.pi
 
-Matrix = np.ndarray
-MatrixLike = Union[Matrix, Sequence]
 Quad = Tuple[float, float, float, float]
+
+if TYPE_CHECKING:
+    import numpy as np
+    Matrix = np.ndarray
+    MatrixLike = Union[Matrix, Sequence]
 
 
 class PSL2Error(ValueError):
@@ -48,6 +52,7 @@ class PSL2Error(ValueError):
 # ---------------------------------------------------------------------------
 
 def _as_matrix(g: MatrixLike) -> Matrix:
+    import numpy as np
     m = np.asarray(g, dtype=float)
     if type(g) is tuple and m.shape == (4,):
         return m.reshape(2, 2)
@@ -67,6 +72,7 @@ def _quad(g: MatrixLike) -> Quad:
 
 
 def _mat(q: Quad) -> Matrix:
+    import numpy as np
     return np.array(q, dtype=float).reshape(2, 2)
 
 
@@ -122,9 +128,16 @@ _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 _S = (0.0, 1.0, -1.0, 0.0)        # rotation by pi, with exact zeros
 _R_LEFT = _qrotation(math.pi / 2.0)
 _R_RIGHT = _qrotation(-math.pi / 2.0)
-S = _mat(_S)
-R_LEFT = _mat(_R_LEFT)
-R_RIGHT = _mat(_R_RIGHT)
+_CONSTANTS = {"S": _S, "R_LEFT": _R_LEFT, "R_RIGHT": _R_RIGHT}
+
+
+def __getattr__(name: str) -> Matrix:
+    """The ndarray constants `S`, `R_LEFT` and `R_RIGHT`, made by `_mat`
+    on first access and then kept as module attributes."""
+    if name not in _CONSTANTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    m = globals()[name] = _mat(_CONSTANTS[name])
+    return m
 
 
 def mmul(*ms: MatrixLike) -> Matrix:
@@ -511,7 +524,7 @@ def handle_sign(p: MatrixLike, q: MatrixLike) -> Union[int, str]:
     parabolic paired with a hyperbolic avoiding its fixed point), and the
     string "degenerate" inside the tolerance band around 2.
     """
-    c = mtrace(commutator(p, q))
+    c = _qtrace(_qcommutator(_quad(p), _quad(q)))
     if c < 2.0 - TRACE_BAND:
         return 1
     if c > 2.0 + TRACE_BAND:

@@ -491,6 +491,16 @@ def test_unwritable_stdout_is_usage_error(rep_file, argv):
         "No space left on device\n"
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes file descriptor 1")
+def test_closed_stdout_is_usage_error():
+    # with file descriptor 1 closed the interpreter starts with
+    # sys.stdout None
+    proc = _python_m_srk(["orbit-stats", "--n", "1"], stderr=subprocess.PIPE,
+                         preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 64
+    assert proc.stderr == "orbit-stats: cannot write stdout: stdout is closed\n"
+
+
 def test_usage_exit():
     assert cli.main([]) == 64
 

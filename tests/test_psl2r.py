@@ -72,6 +72,17 @@ class TestBasicMatrices:
         assert np.allclose(make_rotation(math.pi), [[0, 1], [-1, 0]])
         assert psl2r.S.tolist() == [[0.0, 1.0], [-1.0, 0.0]]     # exact zeros
 
+    def test_ndarray_constants_are_their_quads(self):
+        # built on first access from the 4-tuples the kernel uses
+        for name, q in (("S", psl2r._S), ("R_LEFT", psl2r._R_LEFT),
+                        ("R_RIGHT", psl2r._R_RIGHT)):
+            m = getattr(psl2r, name)
+            assert m.dtype == float and m.shape == (2, 2)
+            assert m.tobytes() == psl2r._mat(q).tobytes()
+            assert getattr(psl2r, name) is m
+        with pytest.raises(AttributeError):
+            psl2r.NO_SUCH_CONSTANT
+
     def test_rotation_quarter(self):
         m = make_rotation(math.pi / 2)
         assert mtrace(m) == pytest.approx(math.sqrt(2.0))

@@ -457,29 +457,68 @@ class TestFitRoots:
         assert small == pytest.approx(1e-9, rel=1e-15)
 
 
-def test_no_scipy_import():
-    # srk computes every root in closed form: import, a re-coordinatising
-    # search and `srk verify` load no scipy module
+def _run_fresh(code: str) -> str:
+    """Run `code` in a fresh interpreter on this checkout's sources; its
+    stdout."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = textwrap.dedent("""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          cwd=root, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+# the re-coordinatising record: its search concludes in round 1
+RECOORD = ("(2.198357685272788, 2.0959027896033517, 2.0510531380398436), "
+           "(1.6175391777729755, 1.3997193333038709, 1.527668421916658)")
+
+
+def test_no_scipy_import():
+    # srk computes every root in closed form: import, a re-coordinatising
+    # search and `srk verify` load no scipy module
+    out = _run_fresh(f"""
         import contextlib, io, sys
         import srk
         from srk import cli, genus2, search
         from srk.pants import EU_MINUS1, EU_PLUS1
-        rep = genus2.build_glued(
-            EU_PLUS1, EU_MINUS1,
-            (2.198357685272788, 2.0959027896033517, 2.0510531380398436),
-            (1.6175391777729755, 1.3997193333038709, 1.527668421916658))
+        rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, {RECOORD})
         out = search.search_nonhyperbolic(rep)
         assert isinstance(out, search.FoundCurve) and out.rounds == 1
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify"]) == 0
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    assert out.strip() == "[]"
+
+
+def test_no_numpy_import(tmp_path):
+    # numpy is imported only where an ndarray is made: `import srk` and
+    # classify, search and replay load none; orbit-stats and verify, which
+    # draw random numbers and evaluate grids, still run in the same process
+    out = _run_fresh(f"""
+        import contextlib, io, sys
+        import srk
+        from srk import cli, genus2
+        from srk.pants import EU_MINUS1, EU_PLUS1
+        seen = ["numpy" in sys.modules]
+        rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, {RECOORD})
+        tmp = {str(tmp_path)!r}
+        with open(tmp + "/rep.json", "w") as fh:
+            fh.write(rep.to_json())
+        cert = tmp + "/cert.json"
+        for argv in (["classify", tmp + "/rep.json"],
+                     ["search", tmp + "/rep.json", "--out", cert],
+                     ["replay", cert]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+            seen.append("numpy" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["orbit-stats", "--n", "3", "--length", "4"]) == 0
+            assert cli.main(["verify", "--scale", "0.05"]) == 0
+        seen.append("numpy" in sys.modules)
+        print(seen)
+    """)
+    assert out.strip() == "[False, False, False, False, True]"

@@ -92,5 +92,12 @@ class TestReduce:
             assert abs(mtrace(m)) <= 2.0 + 1e-9
 
     def test_exhaustion_raises(self):
-        with pytest.raises(ReductionError):
+        # this triple stalls on the first greedy step, before max_steps
+        with pytest.raises(ReductionError, match="stalled"):
             reduce_triple(30.0, 40.0, 50.0, max_steps=2)
+
+    def test_step_budget_raises(self):
+        # unbounded, this triple reduces in 6 steps; 2 run out first
+        assert reduce_triple(9.0, 28.5, 253.0).steps == 6
+        with pytest.raises(ReductionError, match="no terminal state within"):
+            reduce_triple(9.0, 28.5, 253.0, max_steps=2)
