@@ -12,9 +12,10 @@ move.  Exit codes: 0 success, 1 verifier failure, 2 search stalled, 3
 out-of-scope input, 64 usage errors (an --out file or a stdout that cannot
 be written, or a closed stdout, among them).
 
-numpy is imported only where an ndarray is made: orbit-stats draws its
-random numbers with it and verify evaluates its grids with it, while
-classify, search and replay run on floats and 4-tuples and load no numpy.
+numpy is imported only where an ndarray is made: verify evaluates its grids
+with it, while classify, search and replay run on floats and 4-tuples, and
+orbit-stats draws numpy's random stream from `pcg64`, a pure-Python copy of
+it; none of these four loads numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import os
 import sys
 from typing import List, Optional
 
-from . import genus2, hyptrig, inequalities, pants, search
+from . import genus2, hyptrig, inequalities, pants, pcg64, search
 from .psl2r import PSL2Error
 from .tolerances import LINK_TOL, MU_MIN_DEFAULT
 
@@ -188,10 +189,12 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     t_k alone, so the delta traces come from per-orbit coefficients
     (`genus2.delta_twist_coeffs`) and the sign invariant, constant on twist
     orbits, is read once.  A move along gamma_i changes t_i alone, so it
-    reevaluates tr delta_i and reformats those two columns.
+    reevaluates tr delta_i and reformats those two columns.  The draws are
+    those of numpy's `default_rng(SeedSequence([seed, index]))`, made by
+    `pcg64` without numpy: `sorted` and `small[0] + small[1]` stand in for
+    `np.sort` and `small.sum()` on the two floats.
     """
-    import numpy as np
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+    rng = pcg64.default_rng([seed, index])
     eps1, eps2 = pants.EU_PLUS1, pants.EU_MINUS1
     if index % 3 == 1:
         eps1, eps2 = (pants.PantsCase("tri", 1), pants.PantsCase("tri", -1))
@@ -199,9 +202,9 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
         eps1 = eps2 = pants.PantsCase("selfhex", 1)
     while True:
         if eps1.kind == "selfhex":
-            small = np.sort(rng.uniform(0.2, 0.8, 2))
+            small = sorted(rng.uniform(0.2, 0.8, 2))
             a = (small[0], small[1],
-                 small.sum() + rng.uniform(0.1, 0.5))
+                 small[0] + small[1] + rng.uniform(0.1, 0.5))
         else:
             a = tuple(rng.uniform(0.3, 1.8, 3))
             if eps1.kind == "tri" and hyptrig.delta_invariant(*a) <= 0.05:
@@ -231,8 +234,7 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     rows = [",".join(cols)]
     for start in range(0, length, _BLOCK):
         m = min(_BLOCK, length - start)
-        moves = iter(rng.integers(np.tile([1, -2], m),
-                                  np.tile([4, 3], m)).tolist())
+        moves = iter(rng.integers([1, -2] * m, [4, 3] * m))
         for step, i, k in zip(range(start + 1, start + m + 1), moves, moves):
             if k:
                 t[i - 1] += 2.0 * k * a[i - 1]  # as genus2.dehn_twist_gamma

@@ -30,8 +30,8 @@ from typing import TYPE_CHECKING, Optional, Tuple
 from . import hyptrig, psl2r
 from .hyptrig import long_shift, rotation
 from .psl2r import (_IDENTITY, _R_LEFT, _R_RIGHT, _S, PSL2Error, Quad, _mat,
-                    _qinv, _qmul, _qrotation, _qtrace, _qtranslation,
-                    deviation_from_projective_identity)
+                    _qdeviation, _qinv, _qmul, _qrotation, _qtrace,
+                    _qtranslation)
 from .tolerances import FLAT_BAND, RELATOR_TOL
 
 if TYPE_CHECKING:
@@ -160,8 +160,7 @@ def _cocycle_residuals(a, x) -> Tuple[float, float]:
     tr = _qtranslation
     first = _qmul(tr(a2), x3, tr(a1), x2, tr(a3), x1)
     second = _qmul(tr(-a2), x3, tr(-a1), x2, tr(-a3), x1)
-    return (deviation_from_projective_identity(first),
-            deviation_from_projective_identity(second))
+    return _qdeviation(first), _qdeviation(second)
 
 
 def _upper(x: float) -> Quad:

@@ -1,0 +1,153 @@
+"""numpy's default random stream, in pure Python.
+
+`default_rng(entropy)` draws, bit for bit, what
+`numpy.random.default_rng(numpy.random.SeedSequence(entropy))` draws for the
+calls `srk orbit-stats` makes: `uniform`, with or without a size, and
+`integers` with per-element bounds.  So orbit-stats runs without numpy and
+its CSVs stay byte-identical.  The pieces, as numpy builds them:
+
+- SeedSequence mixes the 32-bit words of the entropy into a pool of four
+  with `hashmix`/`mix`, and `generate_state(4, uint64)` hashes the pool into
+  the PCG64 seed and increment;
+- PCG64 is the 128-bit LCG with numpy's multiplier, stepped before each
+  output, whose 64-bit output is XSL-RR (high ^ low, rotated right by the
+  top six bits of the state);
+- `next_uint32` returns the low half of a 64-bit output and keeps the high
+  half for the next call; 64-bit draws leave that carried half alone;
+- `uniform` is low + (high - low) * ((u64 >> 11) * 2**-53);
+- `integers` with bounds at most 2**32 apart is Lemire's method on 32-bit
+  words: m = word * n is rejected while m mod 2**32 < 2**32 mod n.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Union
+
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645      # PCG's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875        # SeedSequence's hash
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED        # constants, pool of four
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_words(entropy: Sequence[int]) -> List[int]:
+    """SeedSequence.generate_state(4, uint64) for a sequence of ints."""
+    words = []
+    for n in entropy:           # each int as little-endian 32-bit words
+        if n < 0:
+            raise ValueError(f"entropy must be >= 0, got {n}")
+        words.append(n & _M32)
+        while n > _M32:
+            n >>= 32
+            words.append(n & _M32)
+    h = _INIT_A
+
+    def hashmix(v: int) -> int:
+        nonlocal h
+        v ^= h
+        h = h * _MULT_A & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    h = _INIT_B
+    out = []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * _MULT_B & _M32
+        v = v * h & _M32
+        out.append(v ^ v >> 16)
+    return [out[2 * i] | out[2 * i + 1] << 32 for i in range(4)]
+
+
+class Generator:
+    """PCG64 state (`state`, `inc`) and the carried 32-bit half (`carry`,
+    None when there is none), as numpy's `bit_generator.state` holds them."""
+
+    __slots__ = ("state", "inc", "carry")
+
+    def __init__(self, state: int, inc: int) -> None:
+        self.state, self.inc = state, inc
+        self.carry: Optional[int] = None
+
+    def next64(self) -> int:
+        s = self.state = (self.state * _MULT + self.inc) & _M128
+        x = (s >> 64) ^ (s & _M64)
+        return ((x << 64 | x) >> (s >> 122)) & _M64
+
+    def next32(self) -> int:
+        w = self.carry
+        if w is not None:
+            self.carry = None
+            return w
+        x = self.next64()
+        self.carry = x >> 32
+        return x & _M32
+
+    def uniform(self, low: float, high: float,
+                size: Optional[int] = None) -> Union[float, List[float]]:
+        span = high - low
+        if size is None:
+            return low + span * ((self.next64() >> 11) * 2.0 ** -53)
+        return [low + span * ((self.next64() >> 11) * 2.0 ** -53)
+                for _ in range(size)]
+
+    def integers(self, low: Sequence[int], high: Sequence[int]) -> List[int]:
+        """One draw in [low[i], high[i]) per i, for 0 < high - low <= 2**32.
+
+        The 32-bit words are drawn inline, with the constants held in
+        locals: a move of `srk orbit-stats` takes both halves of one 64-bit
+        output, and for n = 3 and 5 Lemire rejects only the word 0 (2**32
+        mod n = 1), so the loop leaves the inline path only for a rejected
+        word or a single-valued range.
+        """
+        state, inc, carry = self.state, self.inc, self.carry
+        m32, m64, m128, mult, two32 = _M32, _M64, _M128, _MULT, 1 << 32
+        out = []
+        for lo, hi in zip(low, high):
+            n = hi - lo
+            if not 1 < n <= two32:
+                if n != 1:
+                    raise ValueError(f"bounds [{lo}, {hi}) out of range")
+                out.append(lo)          # numpy draws no word for one value
+                continue
+            if carry is None:
+                state = (state * mult + inc) & m128
+                x = (state >> 64) ^ (state & m64)
+                x = ((x << 64 | x) >> (state >> 122)) & m64
+                m, carry = (x & m32) * n, x >> 32
+            else:
+                m, carry = carry * n, None
+            if m & m32 < n:
+                threshold = (two32 - n) % n
+                if m & m32 < threshold:
+                    self.state, self.carry = state, carry
+                    while m & m32 < threshold:
+                        m = self.next32() * n
+                    state, carry = self.state, self.carry
+            out.append(lo + (m >> 32))
+        self.state, self.carry = state, carry
+        return out
+
+
+def default_rng(entropy: Sequence[int]) -> Generator:
+    """numpy's `default_rng(SeedSequence(entropy))` for ints >= 0."""
+    s_hi, s_lo, i_hi, i_lo = _seed_words(entropy)
+    g = Generator(0, ((i_hi << 64 | i_lo) << 1 | 1) & _M128)
+    g.next64()
+    g.state = (g.state + (s_hi << 64 | s_lo)) & _M128
+    g.next64()
+    return g

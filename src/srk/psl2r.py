@@ -154,7 +154,12 @@ def mtrace(g: MatrixLike) -> float:
 
 def deviation_from_projective_identity(g: MatrixLike) -> float:
     """max-norm distance to the nearer of +I, -I; inf for non-finite entries."""
-    a, b, c, d = _quad(g)
+    return _qdeviation(_quad(g))
+
+
+def _qdeviation(q: Quad) -> float:
+    """`deviation_from_projective_identity` of a 4-tuple."""
+    a, b, c, d = q
     if not math.isfinite(a + b + c + d):
         return math.inf
     off = max(abs(b), abs(c))
@@ -221,7 +226,7 @@ def _conjugate_fixed_point_to_i(z: complex) -> Quad:
 def classify(g: MatrixLike) -> IsometryClass:
     """Trichotomy by |tr| against 2, with the geometric data."""
     q = _quad(g)
-    if deviation_from_projective_identity(q) <= IDENTITY_BAND:
+    if _qdeviation(q) <= IDENTITY_BAND:
         return Identity()
     a, b, c, d = q
     tr = a + d
@@ -348,7 +353,12 @@ def boundary_angle(x: float) -> float:
 
 def circle_position(g: MatrixLike, phi: float) -> float:
     """Image in [0, 2pi) of the boundary angle phi under the isometry."""
-    a, b, c, d = _quad(g)
+    return _qcircle_position(_quad(g), phi)
+
+
+def _qcircle_position(q: Quad, phi: float) -> float:
+    """`circle_position` of a 4-tuple."""
+    a, b, c, d = q
     half = phi / 2.0
     x, y = math.cos(half), -math.sin(half)
     return (-2.0 * math.atan2(c * x + d * y, a * x + b * y)) % TWO_PI
@@ -360,9 +370,9 @@ class LiftedIsometry:
     The full lifted map is reconstructed from monotonicity; composing with
     the deck generator adds exactly 2pi to the base.  The isometry is held
     as the row-major 4-tuple `q`, on which all lift arithmetic works; the
-    constructor accepts any matrix form and converts it once, and `m`
-    returns the isometry as an ndarray.  Operations return new lifts and
-    never modify their arguments.
+    constructor accepts any matrix form and converts it once (`_qlifted`
+    takes a 4-tuple as is), and `m` returns the isometry as an ndarray.
+    Operations return new lifts and never modify their arguments.
     """
 
     __slots__ = ("q", "base")
@@ -383,11 +393,19 @@ class LiftedIsometry:
         if abs(y - k * TWO_PI) < LIFT_SNAP:
             return k * TWO_PI + self.base
         mdiv, r = divmod(y, TWO_PI)
-        adv = (circle_position(self.q, r) - circle_position(self.q, 0.0)) % TWO_PI
+        adv = (_qcircle_position(self.q, r)
+               - _qcircle_position(self.q, 0.0)) % TWO_PI
         return mdiv * TWO_PI + self.base + adv
 
     def deck(self, k: int) -> "LiftedIsometry":
-        return LiftedIsometry(self.q, self.base + k * TWO_PI)
+        return _qlifted(self.q, self.base + k * TWO_PI)
+
+
+def _qlifted(q: Quad, base: float) -> LiftedIsometry:
+    """`LiftedIsometry(q, base)` for a 4-tuple q, taken as is."""
+    f = object.__new__(LiftedIsometry)
+    f.q, f.base = q, base
+    return f
 
 
 def lift(g: MatrixLike, kind: str = "base") -> LiftedIsometry:
@@ -398,30 +416,30 @@ def lift(g: MatrixLike, kind: str = "base") -> LiftedIsometry:
     number zero.
     """
     q = _quad(g)
-    base = circle_position(q, 0.0)
+    base = _qcircle_position(q, 0.0)
     if kind == "base":
-        return LiftedIsometry(q, base)
+        return _qlifted(q, base)
     if kind != "canonical":
         raise PSL2Error(f"unknown lift kind {kind!r}")
     cl = classify(q)
     if isinstance(cl, Identity):
-        return LiftedIsometry(q, 0.0)
+        return _qlifted(q, 0.0)
     if not isinstance(cl, Hyperbolic):
         raise PSL2Error("canonical lifts exist only for hyperbolic elements")
     phi = boundary_angle(cl.axis[1])
-    f0 = LiftedIsometry(q, base)
+    f0 = _qlifted(q, base)
     k = round((f0(phi) - phi) / TWO_PI)
-    return LiftedIsometry(q, base - k * TWO_PI)
+    return _qlifted(q, base - k * TWO_PI)
 
 
 def lifted_compose(f: LiftedIsometry, g: LiftedIsometry) -> LiftedIsometry:
     """Composite lift x -> f~(g~(x)); projects to the matrix product."""
-    return LiftedIsometry(_qmul(f.q, g.q), f(g.base))
+    return _qlifted(_qmul(f.q, g.q), f(g.base))
 
 
 def lifted_inverse(f: LiftedIsometry) -> LiftedIsometry:
     q = _qinv(f.q)
-    g0 = LiftedIsometry(q, circle_position(q, 0.0))
+    g0 = _qlifted(q, _qcircle_position(q, 0.0))
     k = round(g0(f.base) / TWO_PI)
     return g0.deck(-k)
 
@@ -432,12 +450,12 @@ def lifted_commutator(fa: LiftedIsometry, fb: LiftedIsometry) -> LiftedIsometry:
                           lifted_compose(fb, fa))
 
 
-def _relation_scale(*ms: MatrixLike) -> float:
-    """Tolerance scale for relator residuals: floating-point error in a
-    product of words grows with the square of the largest entry size.
-    Raises PSL2Error where that square overflows a float: no relator check
-    can pass or fail on an infinite scale."""
-    top = max(abs(x) for m in ms for x in _quad(m))
+def _relation_scale(*qs: Quad) -> float:
+    """Tolerance scale for relator residuals of 4-tuples: floating-point
+    error in a product of words grows with the square of the largest entry
+    size.  Raises PSL2Error where that square overflows a float: no relator
+    check can pass or fail on an infinite scale."""
+    top = max(abs(x) for q in qs for x in q)
     try:
         scale = max(1.0, top) ** 2
     except OverflowError:
@@ -450,7 +468,7 @@ def _relation_scale(*ms: MatrixLike) -> float:
 
 def _deck_power(l: LiftedIsometry, scale: float = 1.0) -> int:
     """Integer k with l = deck^k, by consensus over several sample points."""
-    if deviation_from_projective_identity(l.q) > RELATOR_TOL * scale:
+    if _qdeviation(l.q) > RELATOR_TOL * scale:
         raise PSL2Error("lifted element does not project to the identity")
     shifts = [l.base] + [l(x) - x for x in (1.1, 2.7, 4.4)]
     ks = {round(s / TWO_PI) for s in shifts}
@@ -480,7 +498,7 @@ def euler_class_closed(a1: MatrixLike, b1: MatrixLike,
     scale = _relation_scale(qa1, qb1, qa2, qb2)
     rel = lifted_compose(lifted_commutator(lift(qa2), lift(qb2)),
                          lifted_commutator(lift(qa1), lift(qb1)))
-    if deviation_from_projective_identity(rel.q) > RELATOR_TOL * scale:
+    if _qdeviation(rel.q) > RELATOR_TOL * scale:
         raise PSL2Error("surface relation violated beyond tolerance")
     return _deck_power(rel, scale)
 

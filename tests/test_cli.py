@@ -298,6 +298,15 @@ class TestOrbitStats:
         assert lines[0].startswith("seed,index,step")
         assert len(lines) == 1 + 6 * 9
 
+    def test_golden_csv(self, tmp_path):
+        """The committed table, made with numpy's own random stream: pins
+        the bytes whatever numpy is installed, or none."""
+        out = tmp_path / "o.csv"
+        assert cli.main(["orbit-stats", "--seed", "7", "--n", "6",
+                         "--length", "8", "--out", str(out)]) == 0
+        golden = CERTIFICATE.parent / "orbits_seed7_n6_len8.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_sign_constant_along_orbits(self, tmp_path):
         out = tmp_path / "orbits.csv"
         cli.main(["orbit-stats", "--seed", "3", "--n", "10", "--length",

@@ -496,8 +496,8 @@ def test_no_scipy_import():
 
 def test_no_numpy_import(tmp_path):
     # numpy is imported only where an ndarray is made: `import srk` and
-    # classify, search and replay load none; orbit-stats and verify, which
-    # draw random numbers and evaluate grids, still run in the same process
+    # classify, search, replay and orbit-stats load none; verify, which
+    # evaluates grids, still runs in the same process
     out = _run_fresh(f"""
         import contextlib, io, sys
         import srk
@@ -516,9 +516,11 @@ def test_no_numpy_import(tmp_path):
                 assert cli.main(argv) == 0, argv
             seen.append("numpy" in sys.modules)
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["orbit-stats", "--n", "3", "--length", "4"]) == 0
+            assert cli.main(["orbit-stats", "--n", "3", "--length", "70"]) == 0
+        seen.append("numpy" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["verify", "--scale", "0.05"]) == 0
         seen.append("numpy" in sys.modules)
         print(seen)
     """)
-    assert out.strip() == "[False, False, False, False, True]"
+    assert out.strip() == "[False, False, False, False, False, True]"
