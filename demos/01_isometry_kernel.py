@@ -1,6 +1,7 @@
 """A tour of the hyperbolic isometry kernel.
 
-Matrices are unit-determinant 2x2 reals modulo sign; words use the opposite
+Matrices are unit-determinant 2x2 reals modulo sign, written as row-major
+4-tuples (a, b, c, d) and multiplied with `mmul`; words use the opposite
 composition order (first letter acts first), and the commutator [A, B] is
 B^-1 A^-1 B A, whose trace needs no sign choice.
 """
@@ -12,7 +13,7 @@ import numpy as np
 from srk import psl2r
 from srk.psl2r import (classify, commutator, commutator_geometry,
                        elliptic_power, evaluate_word, handle_sign,
-                       make_rotation, make_translation, mtrace)
+                       make_rotation, make_translation, mmul, mtrace)
 
 # translations and rotations
 T2 = make_translation(2.0)
@@ -23,7 +24,7 @@ print("classify(R_(pi/2)):", classify(R))
 
 # the reversed composition convention: "ab" maps to M(b) M(a)
 word = evaluate_word({"a": T2, "b": R}, "ab")
-print("\nword 'ab' equals R @ T2:", np.allclose(word, R @ T2))
+print("\nword 'ab' equals R T2:", np.allclose(word, mmul(R, T2)))
 
 # commutator of a translation with the half-turn S doubles the shift
 S = make_rotation(math.pi)
@@ -38,7 +39,7 @@ for la in (0.8, 2 * math.asinh(1.0), 2.4):
 
 # handle orientation: crossing axes give +1, disjoint axes -1
 P = make_translation(2.0)
-Q = psl2r.R_LEFT @ make_translation(2.0) @ psl2r.R_RIGHT
+Q = mmul(psl2r.R_LEFT, make_translation(2.0), psl2r.R_RIGHT)
 print("\nhandle_sign, crossing axes:", handle_sign(P, Q),
       " Tr[P,Q] =", round(mtrace(commutator(P, Q)), 4))
 

@@ -9,6 +9,7 @@ hexagon, by the sign of the delta invariant).
 import numpy as np
 
 from srk import hyptrig, pants
+from srk.psl2r import mmul, mtrace
 
 a = (1.0, 1.1, 1.3)
 print("delta invariant:", hyptrig.delta_invariant(*a))
@@ -37,5 +38,5 @@ for case in (pants.EU_PLUS1, pants.EU_MINUS1, pants.EU0_PLUS_TRIANGLE):
 for case in (pants.EU_PLUS1, pants.EU0_PLUS_TRIANGLE):
     rep = pants.build_pants(a, case)
     la, lb = pants.free_generators(rep)
-    print(f"{str(case):>18}: tr(AB) = {float((la @ lb).trace()):+.4f} "
+    print(f"{str(case):>18}: tr(AB) = {mtrace(mmul(la, lb)):+.4f} "
           f"-> class {pants.pants_trace_sign(rep)}")

@@ -25,17 +25,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import hyptrig, psl2r
 from .hyptrig import long_shift, rotation
 from .pants import PantsCase, PantsRep, build_pants, case_from_string
-from .psl2r import (PSL2Error, Quad, _mat, _qcommutator, _qinv, _qmul,
-                    _qtrace, _qtranslation)
+from .psl2r import (PSL2Error, Quad, commutator, make_translation, minv, mmul,
+                    mtrace)
 from .tolerances import TRACE_BAND, TWIST_EDGE
-
-if TYPE_CHECKING:
-    import numpy as np
 
 GAMMA_TAGS = ("gamma1", "gamma2", "gamma3")
 BETA_TAGS = ("beta1", "beta2", "beta3")
@@ -76,8 +73,8 @@ class GluedRep:
 
     @cached_property
     def quads(self) -> Dict[str, Quad]:
-        """The curve quads evaluated so far, by tag: `trace_curve_matrix`
-        and the search's found-curve and torus steps read and fill it."""
+        """The curve matrices evaluated so far, by tag: `curve_matrix` and
+        the search's found-curve step read and fill it."""
         return {}
 
     @property
@@ -161,27 +158,27 @@ def rotate(rep: GluedRep, shift: int) -> GluedRep:
 # ---------------------------------------------------------------------------
 
 def curve_quad(x, y, a, t, tag: str, memo: Optional[Dict] = None) -> Quad:
-    """Holonomy of a named curve (SL2 lift fixed by the word) as a 4-tuple.
+    """Holonomy matrix of a named curve (SL2 lift fixed by the word).
 
-    x and y are the two pants' edge matrices as 4-tuples, a and t the
-    half-lengths and twists: a certificate replay needs nothing else.
-    `memo`, if given, holds the quads already evaluated at these
+    x and y are the two pants' edge matrices, a and t the half-lengths and
+    twists: a certificate replay needs nothing else.
+    `memo`, if given, holds the matrices already evaluated at these
     coordinates by tag, and receives the new ones, so a delta word reuses
     its beta and gamma.
     """
     if memo is not None and tag in memo:
         return memo[tag]
     if tag in GAMMA_TAGS:
-        q = _qtranslation(2.0 * a[GAMMA_TAGS.index(tag)])
+        q = make_translation(2.0 * a[GAMMA_TAGS.index(tag)])
     elif tag in BETA_TAGS:
         i = BETA_TAGS.index(tag)
         j, k = (i + 1) % 3, (i + 2) % 3
-        q = _qmul(_qinv(x[i]), _qtranslation(-t[k]), y[i],
-                  _qtranslation(t[j]))
+        q = mmul(minv(x[i]), make_translation(-t[k]), y[i],
+                 make_translation(t[j]))
     elif tag in DELTA_TAGS:
         bt, gt = _DELTA_PAIRS[tag]
-        q = _qcommutator(curve_quad(x, y, a, t, bt, memo),
-                         curve_quad(x, y, a, t, gt, memo))
+        q = commutator(curve_quad(x, y, a, t, bt, memo),
+                       curve_quad(x, y, a, t, gt, memo))
     else:
         raise Genus2Error(f"unknown curve tag {tag!r}")
     if memo is not None:
@@ -197,22 +194,22 @@ def loop_quads(x, y, a, t) -> Tuple[Tuple[Quad, Quad, Quad],
     transport the base vertex v0 to the vertices v3 and v5 of the first
     pants.  Same arguments as `curve_quad`.
     """
-    tr_, inv = _qtranslation, _qinv
-    p3 = _qmul(x[1], tr_(a[2]), x[0])                # transport v0 -> v3
-    p5 = _qmul(x[2], tr_(a[0]), p3)                  # transport v0 -> v5
-    g = (_qmul(inv(p3), tr_(2 * a[0]), p3),
-         _qmul(inv(p5), tr_(2 * a[1]), p5),
-         _qmul(inv(x[0]), tr_(2 * a[2]), x[0]))
-    b = (_qmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(-a[0]),
-               inv(y[2]), tr_(t[1]), p5),
-         _qmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(t[0]), p3),
-         _qmul(inv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3))
+    tr_, inv = make_translation, minv
+    p3 = mmul(x[1], tr_(a[2]), x[0])                 # transport v0 -> v3
+    p5 = mmul(x[2], tr_(a[0]), p3)                   # transport v0 -> v5
+    g = (mmul(inv(p3), tr_(2 * a[0]), p3),
+         mmul(inv(p5), tr_(2 * a[1]), p5),
+         mmul(inv(x[0]), tr_(2 * a[2]), x[0]))
+    b = (mmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(-a[0]),
+              inv(y[2]), tr_(t[1]), p5),
+         mmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(t[0]), p3),
+         mmul(inv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3))
     return g, b
 
 
-def curve_matrix(rep: GluedRep, tag: str) -> np.ndarray:
-    """Holonomy matrix of a named curve (SL2 lift fixed by the word)."""
-    return _mat(curve_quad(*rep.coords, tag))
+def curve_matrix(rep: GluedRep, tag: str) -> Quad:
+    """`curve_quad` at the coordinates of `rep`, memoised in `rep.quads`."""
+    return curve_quad(*rep.coords, tag, rep.quads)
 
 
 def trace_curve_matrix(rep: GluedRep, tag: str) -> float:
@@ -223,7 +220,7 @@ def trace_curve_matrix(rep: GluedRep, tag: str) -> float:
     Raises Genus2Error when the product overflows (huge twists).
     """
     try:
-        tr = _qtrace(curve_quad(*rep.coords, tag, rep.quads))
+        tr = mtrace(curve_matrix(rep, tag))
     except ArithmeticError:    # a translation's exp overflows or hits 0
         tr = math.inf
     if not math.isfinite(tr):
@@ -242,9 +239,9 @@ def delta_twist_coeffs(x, y, a, k: int) -> Tuple[float, float, float, float]:
     E22 Y_i; it depends on t_k alone.  Same arguments as `curve_quad`.
     """
     i, j = (k + 1) % 3, (k + 2) % 3
-    xi = _qinv(x[i])
-    p = _qmul(xi, (1.0, 0.0, 0.0, 0.0), y[i])
-    q = _qmul(xi, (0.0, 0.0, 0.0, 1.0), y[i])
+    xi = minv(x[i])
+    p = mmul(xi, (1.0, 0.0, 0.0, 0.0), y[i])
+    q = mmul(xi, (0.0, 0.0, 0.0, 1.0), y[i])
     return (4.0 * math.sinh(a[j]) ** 2, p[1] * p[2],
             p[1] * q[2] + q[1] * p[2], q[1] * q[2])
 
@@ -463,24 +460,18 @@ def delta_side_consistency(rep: GluedRep) -> bool:
 # Euler class of the glued representation
 # ---------------------------------------------------------------------------
 
-def generator_images(rep: GluedRep) -> Tuple[np.ndarray, np.ndarray,
-                                             np.ndarray, np.ndarray]:
+def generator_images(rep: GluedRep) -> Tuple[Quad, Quad, Quad, Quad]:
     """Images (A1, B1, A2, B2) of a standard generating quadruple.
 
     Built from the co-based loops of `loop_quads`: the first handle is
     carried by (beta_1, gamma_2), the second by (beta_2, gamma_1)
     conjugated through the connector gamma_2^-1 beta_3.  The matrix product
     [A2, B2][A1, B1] is +-identity, and its lifted deck power is the Euler
-    class.  The images are returned as ndarrays.
+    class.
     """
-    return tuple(_mat(q) for q in _generator_quads(rep))
-
-
-def _generator_quads(rep: GluedRep) -> Tuple[Quad, Quad, Quad, Quad]:
-    """`generator_images` as 4-tuples."""
     g, b = loop_quads(*rep.coords)
-    w = _qmul(_qinv(g[1]), b[2])
-    return b[0], g[1], _qmul(w, b[1], _qinv(w)), _qmul(w, g[0], _qinv(w))
+    w = mmul(minv(g[1]), b[2])
+    return b[0], g[1], mmul(w, b[1], minv(w)), mmul(w, g[0], minv(w))
 
 
 def euler_class(rep: GluedRep) -> int:
@@ -491,4 +482,4 @@ def euler_class(rep: GluedRep) -> int:
     like e^{|t|/2} and, past |t| ~ 15, the relator and the lifted deck
     shift drown in rounding error.
     """
-    return psl2r.euler_class_closed(*_generator_quads(normalize_twists(rep)))
+    return psl2r.euler_class_closed(*generator_images(normalize_twists(rep)))

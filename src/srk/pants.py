@@ -15,9 +15,8 @@ vanishes.  Conventions follow a fixed reading of the gluing figure and are
 validated against the cocycle relations and the trace formulas downstream.
 
 Each edge-matrix formula has one home, the scalar builder of its family,
-which works on row-major 4-tuples with the psl2r kernel.  The boundary
-loops are computed on 4-tuples too; `PantsRep.x`, `boundary_holonomies`
-and `free_generators` convert to ndarrays only where they return.
+which works with the psl2r kernel: the edge matrices and the boundary
+loops are psl2r matrices, row-major 4-tuples.
 """
 
 from __future__ import annotations
@@ -25,17 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import hyptrig, psl2r
 from .hyptrig import long_shift, rotation
-from .psl2r import (_IDENTITY, _R_LEFT, _R_RIGHT, _S, PSL2Error, Quad, _mat,
-                    _qdeviation, _qinv, _qmul, _qrotation, _qtrace,
-                    _qtranslation)
+from .psl2r import (IDENTITY, R_LEFT, R_RIGHT, S, PSL2Error, Quad,
+                    deviation_from_projective_identity, make_rotation,
+                    make_translation, minv, mmul, mtrace)
 from .tolerances import FLAT_BAND, RELATOR_TOL
-
-if TYPE_CHECKING:
-    from .psl2r import Matrix
 
 
 class PantsError(PSL2Error):
@@ -128,8 +124,7 @@ def case_from_string(name: str) -> PantsCase:
 
 @dataclass(frozen=True)
 class PantsRep:
-    """Half-lengths, construction tag, and the edge matrices as row-major
-    4-tuples `q` (see psl2r); `x` returns the edge matrices as ndarrays.
+    """Half-lengths, construction tag, and the edge matrices `q`.
 
     `solution` is the hyptrig solution `build_pants` solved for the edge
     matrices (None for flat pants); the closed trace formulas and the
@@ -141,26 +136,19 @@ class PantsRep:
     q: Tuple[Quad, Quad, Quad]
     solution: Optional[hyptrig.Solution] = field(compare=False, repr=False)
 
-    @property
-    def x(self) -> Tuple[Matrix, Matrix, Matrix]:
-        return tuple(_mat(m) for m in self.q)
-
     def cocycle_residuals(self) -> Tuple[float, float]:
         return _cocycle_residuals(self.a, self.q)
-
-
-# The builders below compute each edge matrix as a row-major 4-tuple (see
-# psl2r); build_pants checks the cocycle on the 4-tuples and keeps them.
 
 
 def _cocycle_residuals(a, x) -> Tuple[float, float]:
     """Deviations of the two cocycle products from +-identity."""
     a1, a2, a3 = a
     x1, x2, x3 = x
-    tr = _qtranslation
-    first = _qmul(tr(a2), x3, tr(a1), x2, tr(a3), x1)
-    second = _qmul(tr(-a2), x3, tr(-a1), x2, tr(-a3), x1)
-    return _qdeviation(first), _qdeviation(second)
+    tr = make_translation
+    first = mmul(tr(a2), x3, tr(a1), x2, tr(a3), x1)
+    second = mmul(tr(-a2), x3, tr(-a1), x2, tr(-a3), x1)
+    return (deviation_from_projective_identity(first),
+            deviation_from_projective_identity(second))
 
 
 def _upper(x: float) -> Quad:
@@ -172,20 +160,20 @@ def _lower(x: float) -> Quad:
 
 
 def _hexagon_matrices(b, left: bool) -> Tuple[Quad, ...]:
-    rc = _R_LEFT if left else _R_RIGHT
-    return tuple(_qmul(rc, _qtranslation(bi), rc) for bi in b)
+    rc = R_LEFT if left else R_RIGHT
+    return tuple(mmul(rc, make_translation(bi), rc) for bi in b)
 
 
 def _triangle_matrices(theta, eps: int) -> Tuple[Quad, ...]:
-    return tuple(_qmul(_S, _qrotation(eps * th)) for th in theta)
+    return tuple(mmul(S, make_rotation(eps * th)) for th in theta)
 
 
 def _selfhex_matrices_canonical(d, eps: int) -> Tuple[Quad, ...]:
     # canonical arrangement: long side at index 2
     d = [eps * di for di in d]
-    return (_qmul(_R_LEFT, _qtranslation(d[0]), _R_LEFT),
-            _qmul(_R_RIGHT, _qtranslation(d[1]), _R_RIGHT),
-            _qmul(_R_LEFT, _qtranslation(d[2]), _R_RIGHT))
+    return (mmul(R_LEFT, make_translation(d[0]), R_LEFT),
+            mmul(R_RIGHT, make_translation(d[1]), R_RIGHT),
+            mmul(R_LEFT, make_translation(d[2]), R_RIGHT))
 
 
 def _flat_matrices_canonical(a, eps: int, lower: bool) -> Tuple[Quad, ...]:
@@ -194,8 +182,8 @@ def _flat_matrices_canonical(a, eps: int, lower: bool) -> Tuple[Quad, ...]:
     # diagonal solution)
     par = _lower if lower else _upper
     sh = [math.sinh(x) for x in a]
-    return (_qmul(_S, par(-eps * sh[0])),
-            _qmul(par(-eps * sh[1]), _S),
+    return (mmul(S, par(-eps * sh[0])),
+            mmul(par(-eps * sh[1]), S),
             par(eps * sh[2]))
 
 
@@ -236,7 +224,7 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     elif case.kind in ("flat_upper", "flat_lower", "flat_diag"):
         shift = long_shift(a)
         if case.kind == "flat_diag":
-            x = _permuted(lambda _a: (_S, _S, _IDENTITY), a, shift)
+            x = _permuted(lambda _a: (S, S, IDENTITY), a, shift)
         else:
             x = _permuted(_flat_matrices_canonical, a, shift, case.eps,
                           case.kind == "flat_lower")
@@ -259,44 +247,36 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
 # boundary holonomies and classification
 # ---------------------------------------------------------------------------
 
-def _boundary_quads(rep: PantsRep) -> Tuple[Quad, Quad, Quad]:
-    a1, a2, a3 = rep.a
-    x1, x2, _ = rep.q
-    tr = _qtranslation
-    x1_inv = _qinv(x1)
-    loop1 = _qmul(x1_inv, tr(-a3), _qinv(x2), tr(2 * a1), x2, tr(a3), x1)
-    loop2 = tr(2 * a2)
-    loop3 = _qmul(x1_inv, tr(2 * a3), x1)
-    return loop1, loop2, loop3
-
-
-def _free_quads(rep: PantsRep) -> Tuple[Quad, Quad]:
-    la, lb, _ = _boundary_quads(rep)
-    return tuple(tuple(-v for v in q) if _qtrace(q) < 0 else q
-                 for q in (la, lb))
-
-
-def boundary_holonomies(rep: PantsRep) -> Tuple[Matrix, Matrix, Matrix]:
+def boundary_holonomies(rep: PantsRep) -> Tuple[Quad, Quad, Quad]:
     """Based loops around the three boundary curves.
 
     With A, B, C the loops around boundaries 1, 2, 3 based at the corner of
     the first seam, the product A B C is +-identity.
     """
-    return tuple(_mat(q) for q in _boundary_quads(rep))
+    a1, a2, a3 = rep.a
+    x1, x2, _ = rep.q
+    tr = make_translation
+    x1_inv = minv(x1)
+    loop1 = mmul(x1_inv, tr(-a3), minv(x2), tr(2 * a1), x2, tr(a3), x1)
+    loop2 = tr(2 * a2)
+    loop3 = mmul(x1_inv, tr(2 * a3), x1)
+    return loop1, loop2, loop3
 
 
-def free_generators(rep: PantsRep) -> Tuple[Matrix, Matrix]:
+def free_generators(rep: PantsRep) -> Tuple[Quad, Quad]:
     """Images (A, B) of free generators with A, B, (AB) the boundaries.
 
     Lift signs are normalised so that tr A and tr B are positive; tr(AB)
     then carries the Euler parity of the construction.
     """
-    return tuple(_mat(q) for q in _free_quads(rep))
+    la, lb, _ = boundary_holonomies(rep)
+    return tuple(tuple(-v for v in q) if mtrace(q) < 0 else q
+                 for q in (la, lb))
 
 
 def euler_class_relative(rep: PantsRep) -> int:
     """Relative Euler class via canonical lifts of the boundary loops."""
-    la, lb, lc = _boundary_quads(rep)
+    la, lb, lc = boundary_holonomies(rep)
     return psl2r.euler_class_relative([], [lc, lb, la])
 
 
@@ -309,7 +289,7 @@ def pants_trace_sign(rep: PantsRep) -> int:
     """
     if abs(hyptrig.delta_invariant(*rep.a)) <= FLAT_BAND:
         raise PantsError("trace-sign classification excludes the flat stratum")
-    tr = _qtrace(_qmul(*_free_quads(rep)))
+    tr = mtrace(mmul(*free_generators(rep)))
     if abs(tr) <= 2.0:
         raise PantsError("boundary 3 holonomy is not hyperbolic")
     eu = rep.case.euler

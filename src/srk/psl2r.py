@@ -11,22 +11,20 @@ The boundary circle of the disc model is parametrised by an angle in
 [0, 2pi); the rotation-by-theta matrix acts on that angle as x -> x + theta,
 which pins the deck generator of the universal cover to +2pi.
 
-All 2x2 arithmetic is done on row-major 4-tuples of floats (a, b, c, d)
-standing for [[a, b], [c, d]]; a product of such tuples costs a fraction of
-a numpy call on a 2x2 array.  ndarrays are only a boundary format: a public
-function accepts an ndarray, a nested sequence or a 4-tuple, converts it
-once with `_quad`, and returns an ndarray made by `_mat` where it returns a
-matrix.  numpy is imported only inside `_as_matrix` and `_mat`, so importing
-this module, and every computation on 4-tuples, loads no numpy; the ndarray
-constants `S`, `R_LEFT` and `R_RIGHT` are built on first access.
+A matrix is a row-major 4-tuple of floats (a, b, c, d) standing for
+[[a, b], [c, d]]: every function here takes and returns matrices in that
+form, and a product of such tuples costs a fraction of a numpy call on a
+2x2 array.  The entries that a caller outside the kernel reaches (`lift`,
+`LiftedIsometry`, `classify`, the Euler classes, `handle_sign`,
+`elliptic_power`, `evaluate_word`) check with `_quad` that they were given
+a 4-tuple; the arithmetic primitives take one on trust.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple,
-                    Union)
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .tolerances import (CROSSING_BAND, DECK_SHIFT_PAD, DECK_SHIFT_TOL,
                          DEGENERATE_PAIR, ENTRY_ZERO,
@@ -37,10 +35,8 @@ TWO_PI = 2.0 * math.pi
 
 Quad = Tuple[float, float, float, float]
 
-if TYPE_CHECKING:
-    import numpy as np
-    Matrix = np.ndarray
-    MatrixLike = Union[Matrix, Sequence]
+# |n| up to which `elliptic_power` looks for an elliptic B A^n
+ELLIPTIC_POWER_BOUND = 50
 
 
 class PSL2Error(ValueError):
@@ -51,54 +47,36 @@ class PSL2Error(ValueError):
 # basic matrices
 # ---------------------------------------------------------------------------
 
-def _as_matrix(g: MatrixLike) -> Matrix:
-    import numpy as np
-    m = np.asarray(g, dtype=float)
-    if type(g) is tuple and m.shape == (4,):
-        return m.reshape(2, 2)
-    if m.shape != (2, 2):
-        raise PSL2Error(f"expected a 2x2 matrix, got shape {m.shape}")
-    return m
-
-
-# 2x2 arithmetic on row-major 4-tuples of floats (a, b, c, d)
-
-def _quad(g: MatrixLike) -> Quad:
-    """Entries (a, b, c, d) of a matrix; a 4-tuple of floats passes as is."""
-    if type(g) is tuple and len(g) == 4 and type(g[0]) is float:
+def _quad(g) -> Quad:
+    """`g` itself if it is a matrix, a 4-tuple; PSL2Error otherwise."""
+    if type(g) is tuple and len(g) == 4:
         return g
-    (a, b), (c, d) = _as_matrix(g).tolist()
-    return (a, b, c, d)
+    raise PSL2Error(f"expected a matrix as a 4-tuple (a, b, c, d), got {g!r}")
 
 
-def _mat(q: Quad) -> Matrix:
-    import numpy as np
-    return np.array(q, dtype=float).reshape(2, 2)
-
-
-def _qmul(*qs: Quad) -> Quad:
-    """Product q_1 q_2 ... q_n, multiplied left to right as mmul does."""
+def mmul(*qs: Quad) -> Quad:
+    """Product q_1 q_2 ... q_n, multiplied left to right."""
     a, b, c, d = qs[0]
     for e, f, g, h in qs[1:]:
         a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
     return (a, b, c, d)
 
 
-def _qinv(q: Quad) -> Quad:
+def minv(q: Quad) -> Quad:
     a, b, c, d = q
     return (d, -b, -c, a)
 
 
-def _qtrace(q: Quad) -> float:
+def mtrace(q: Quad) -> float:
     return q[0] + q[3]
 
 
-def _qcommutator(p: Quad, q: Quad) -> Quad:
-    """[P, Q] = Q^-1 P^-1 Q P, as `commutator`."""
-    return _qmul(_qinv(q), _qinv(p), q, p)
+def commutator(p: Quad, q: Quad) -> Quad:
+    """[P, Q] = Q^-1 P^-1 Q P; sign-unambiguous in SL(2,R)."""
+    return mmul(minv(q), minv(p), q, p)
 
 
-def _qtranslation(length: float) -> Quad:
+def make_translation(length: float) -> Quad:
     """Translation by `length` along the axis (0, infinity)."""
     if not math.isfinite(length):
         raise PSL2Error("translation length must be finite")
@@ -106,7 +84,7 @@ def _qtranslation(length: float) -> Quad:
     return (e, 0.0, 0.0, 1.0 / e)
 
 
-def _qrotation(theta: float) -> Quad:
+def make_rotation(theta: float) -> Quad:
     """Rotation by `theta` around the point i."""
     if not math.isfinite(theta):
         raise PSL2Error("rotation angle must be finite")
@@ -114,62 +92,20 @@ def _qrotation(theta: float) -> Quad:
     return (c, s, -s, c)
 
 
-def make_translation(length: float) -> Matrix:
-    """Translation by `length` along the axis (0, infinity)."""
-    return _mat(_qtranslation(length))
+IDENTITY = (1.0, 0.0, 0.0, 1.0)
+S = (0.0, 1.0, -1.0, 0.0)         # rotation by pi, with exact zeros
+R_LEFT = make_rotation(math.pi / 2.0)
+R_RIGHT = make_rotation(-math.pi / 2.0)
 
 
-def make_rotation(theta: float) -> Matrix:
-    """Rotation by `theta` around the point i."""
-    return _mat(_qrotation(theta))
-
-
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
-_S = (0.0, 1.0, -1.0, 0.0)        # rotation by pi, with exact zeros
-_R_LEFT = _qrotation(math.pi / 2.0)
-_R_RIGHT = _qrotation(-math.pi / 2.0)
-_CONSTANTS = {"S": _S, "R_LEFT": _R_LEFT, "R_RIGHT": _R_RIGHT}
-
-
-def __getattr__(name: str) -> Matrix:
-    """The ndarray constants `S`, `R_LEFT` and `R_RIGHT`, made by `_mat`
-    on first access and then kept as module attributes."""
-    if name not in _CONSTANTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    m = globals()[name] = _mat(_CONSTANTS[name])
-    return m
-
-
-def mmul(*ms: MatrixLike) -> Matrix:
-    return _mat(_qmul(_IDENTITY, *(_quad(m) for m in ms)))
-
-
-def minv(g: MatrixLike) -> Matrix:
-    return _mat(_qinv(_quad(g)))
-
-
-def mtrace(g: MatrixLike) -> float:
-    return _qtrace(_quad(g))
-
-
-def deviation_from_projective_identity(g: MatrixLike) -> float:
+def deviation_from_projective_identity(q: Quad) -> float:
     """max-norm distance to the nearer of +I, -I; inf for non-finite entries."""
-    return _qdeviation(_quad(g))
-
-
-def _qdeviation(q: Quad) -> float:
-    """`deviation_from_projective_identity` of a 4-tuple."""
     a, b, c, d = q
     if not math.isfinite(a + b + c + d):
         return math.inf
     off = max(abs(b), abs(c))
     return min(max(abs(a - 1.0), off, abs(d - 1.0)),
                max(abs(a + 1.0), off, abs(d + 1.0)))
-
-
-def commutator(a: MatrixLike, b: MatrixLike) -> Matrix:
-    """[A, B] = B^-1 A^-1 B A; sign-unambiguous in SL(2,R)."""
-    return _mat(_qcommutator(_quad(a), _quad(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +159,10 @@ def _conjugate_fixed_point_to_i(z: complex) -> Quad:
     return (1.0 / s, -z.real / s, 0.0, s)
 
 
-def classify(g: MatrixLike) -> IsometryClass:
+def classify(g: Quad) -> IsometryClass:
     """Trichotomy by |tr| against 2, with the geometric data."""
     q = _quad(g)
-    if _qdeviation(q) <= IDENTITY_BAND:
+    if deviation_from_projective_identity(q) <= IDENTITY_BAND:
         return Identity()
     a, b, c, d = q
     tr = a + d
@@ -244,7 +180,7 @@ def classify(g: MatrixLike) -> IsometryClass:
     im = math.sqrt(4.0 - tr * tr) / (2.0 * abs(c))
     z = complex((a - d) / (2.0 * c), im)
     conj = _conjugate_fixed_point_to_i(z)
-    r = _qmul(conj, q, _qinv(conj))
+    r = mmul(conj, q, minv(conj))
     theta = 2.0 * math.atan2(r[1], r[0])
     theta %= TWO_PI
     return Elliptic(angle=theta, fixed_point=z)
@@ -283,20 +219,20 @@ def word_letters(word: Word) -> List[Tuple[str, int]]:
     return letters
 
 
-def evaluate_word(images: Dict[str, MatrixLike], word: Word) -> Matrix:
+def evaluate_word(images: Dict[str, Quad], word: Word) -> Quad:
     """Evaluate a word under the reversed convention.
 
     Concatenation uv maps to the matrix product M(v) M(u): the first letter
     of the word is the rightmost factor.
     """
     quads = {name: _quad(m) for name, m in images.items()}
-    out = _IDENTITY
+    out = IDENTITY
     for name, sgn in word_letters(word):
         if name not in quads:
             raise PSL2Error(f"unbound letter {name!r}")
         q = quads[name]
-        out = _qmul(q if sgn > 0 else _qinv(q), out)
-    return _mat(out)
+        out = mmul(q if sgn > 0 else minv(q), out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +287,8 @@ def boundary_angle(x: float) -> float:
     return (-2.0 * math.atan2(1.0, x)) % TWO_PI
 
 
-def circle_position(g: MatrixLike, phi: float) -> float:
+def circle_position(q: Quad, phi: float) -> float:
     """Image in [0, 2pi) of the boundary angle phi under the isometry."""
-    return _qcircle_position(_quad(g), phi)
-
-
-def _qcircle_position(q: Quad, phi: float) -> float:
-    """`circle_position` of a 4-tuple."""
     a, b, c, d = q
     half = phi / 2.0
     x, y = math.cos(half), -math.sin(half)
@@ -369,77 +300,58 @@ class LiftedIsometry:
 
     The full lifted map is reconstructed from monotonicity; composing with
     the deck generator adds exactly 2pi to the base.  The isometry is held
-    as the row-major 4-tuple `q`, on which all lift arithmetic works; the
-    constructor accepts any matrix form and converts it once (`_qlifted`
-    takes a 4-tuple as is), and `m` returns the isometry as an ndarray.
-    Operations return new lifts and never modify their arguments.
+    as the matrix `q`.  Operations return new lifts and never modify their
+    arguments.
     """
 
     __slots__ = ("q", "base")
 
-    def __init__(self, m: MatrixLike, base: float) -> None:
-        self.q: Quad = _quad(m)
+    def __init__(self, q: Quad, base: float) -> None:
+        self.q: Quad = _quad(q)
         self.base = base
 
     def __repr__(self) -> str:
         return f"LiftedIsometry(q={self.q!r}, base={self.base!r})"
-
-    @property
-    def m(self) -> Matrix:
-        return _mat(self.q)
 
     def __call__(self, y: float) -> float:
         k = round(y / TWO_PI)
         if abs(y - k * TWO_PI) < LIFT_SNAP:
             return k * TWO_PI + self.base
         mdiv, r = divmod(y, TWO_PI)
-        adv = (_qcircle_position(self.q, r)
-               - _qcircle_position(self.q, 0.0)) % TWO_PI
+        adv = (circle_position(self.q, r)
+               - circle_position(self.q, 0.0)) % TWO_PI
         return mdiv * TWO_PI + self.base + adv
 
     def deck(self, k: int) -> "LiftedIsometry":
-        return _qlifted(self.q, self.base + k * TWO_PI)
+        return LiftedIsometry(self.q, self.base + k * TWO_PI)
 
 
-def _qlifted(q: Quad, base: float) -> LiftedIsometry:
-    """`LiftedIsometry(q, base)` for a 4-tuple q, taken as is."""
-    f = object.__new__(LiftedIsometry)
-    f.q, f.base = q, base
-    return f
-
-
-def lift(g: MatrixLike, kind: str = "base") -> LiftedIsometry:
-    """Lift with base in [0, 2pi), or the canonical lift of a hyperbolic.
-
-    kind="canonical" requires a hyperbolic element (or the identity) and
-    returns the lift fixing its boundary fixed points, with translation
-    number zero.
-    """
+def lift(g: Quad) -> LiftedIsometry:
+    """Lift with base in [0, 2pi)."""
     q = _quad(g)
-    base = _qcircle_position(q, 0.0)
-    if kind == "base":
-        return _qlifted(q, base)
-    if kind != "canonical":
-        raise PSL2Error(f"unknown lift kind {kind!r}")
-    cl = classify(q)
+    return LiftedIsometry(q, circle_position(q, 0.0))
+
+
+def canonical_lift(g: Quad) -> LiftedIsometry:
+    """The lift of a hyperbolic element (or the identity) that fixes its
+    boundary fixed points, with translation number zero."""
+    f0 = lift(g)
+    cl = classify(f0.q)
     if isinstance(cl, Identity):
-        return _qlifted(q, 0.0)
+        return LiftedIsometry(f0.q, 0.0)
     if not isinstance(cl, Hyperbolic):
         raise PSL2Error("canonical lifts exist only for hyperbolic elements")
     phi = boundary_angle(cl.axis[1])
-    f0 = _qlifted(q, base)
-    k = round((f0(phi) - phi) / TWO_PI)
-    return _qlifted(q, base - k * TWO_PI)
+    return f0.deck(-round((f0(phi) - phi) / TWO_PI))
 
 
 def lifted_compose(f: LiftedIsometry, g: LiftedIsometry) -> LiftedIsometry:
     """Composite lift x -> f~(g~(x)); projects to the matrix product."""
-    return _qlifted(_qmul(f.q, g.q), f(g.base))
+    return LiftedIsometry(mmul(f.q, g.q), f(g.base))
 
 
 def lifted_inverse(f: LiftedIsometry) -> LiftedIsometry:
-    q = _qinv(f.q)
-    g0 = _qlifted(q, _qcircle_position(q, 0.0))
+    g0 = lift(minv(f.q))
     k = round(g0(f.base) / TWO_PI)
     return g0.deck(-k)
 
@@ -451,10 +363,10 @@ def lifted_commutator(fa: LiftedIsometry, fb: LiftedIsometry) -> LiftedIsometry:
 
 
 def _relation_scale(*qs: Quad) -> float:
-    """Tolerance scale for relator residuals of 4-tuples: floating-point
-    error in a product of words grows with the square of the largest entry
-    size.  Raises PSL2Error where that square overflows a float: no relator
-    check can pass or fail on an infinite scale."""
+    """Tolerance scale for relator residuals: floating-point error in a
+    product of words grows with the square of the largest entry size.
+    Raises PSL2Error where that square overflows a float: no relator check
+    can pass or fail on an infinite scale."""
     top = max(abs(x) for q in qs for x in q)
     try:
         scale = max(1.0, top) ** 2
@@ -468,7 +380,7 @@ def _relation_scale(*qs: Quad) -> float:
 
 def _deck_power(l: LiftedIsometry, scale: float = 1.0) -> int:
     """Integer k with l = deck^k, by consensus over several sample points."""
-    if _qdeviation(l.q) > RELATOR_TOL * scale:
+    if deviation_from_projective_identity(l.q) > RELATOR_TOL * scale:
         raise PSL2Error("lifted element does not project to the identity")
     shifts = [l.base] + [l(x) - x for x in (1.1, 2.7, 4.4)]
     ks = {round(s / TWO_PI) for s in shifts}
@@ -482,29 +394,25 @@ def _deck_power(l: LiftedIsometry, scale: float = 1.0) -> int:
     return ks.pop()
 
 
-def euler_class_closed(a1: MatrixLike, b1: MatrixLike,
-                       a2: MatrixLike, b2: MatrixLike) -> int:
+def euler_class_closed(a1: Quad, b1: Quad, a2: Quad, b2: Quad) -> int:
     """Euler class of a closed genus-2 representation (Milnor algorithm).
 
     The four matrices are the images of a standard generating quadruple and
     must satisfy the surface relation [a1,b1][a2,b2] = 1 up to sign.  The
     lifted relator is a deck power, independent of the choice of lifts; the
     sign is calibrated so that the Fuchsian gluings take the value -2.
-    The matrices may come in any accepted form; they are converted to
-    4-tuples once, here, and the lifts and the relator are computed on
-    4-tuples throughout.
     """
     qa1, qb1, qa2, qb2 = (_quad(m) for m in (a1, b1, a2, b2))
     scale = _relation_scale(qa1, qb1, qa2, qb2)
     rel = lifted_compose(lifted_commutator(lift(qa2), lift(qb2)),
                          lifted_commutator(lift(qa1), lift(qb1)))
-    if _qdeviation(rel.q) > RELATOR_TOL * scale:
+    if deviation_from_projective_identity(rel.q) > RELATOR_TOL * scale:
         raise PSL2Error("surface relation violated beyond tolerance")
     return _deck_power(rel, scale)
 
 
-def euler_class_relative(handles: Sequence[Tuple[MatrixLike, MatrixLike]],
-                         boundaries: Sequence[MatrixLike]) -> int:
+def euler_class_relative(handles: Sequence[Tuple[Quad, Quad]],
+                         boundaries: Sequence[Quad]) -> int:
     """Relative Euler class, canonical lifts on the boundary images.
 
     `handles` holds the images (A_i, B_i) of the interior handle generators
@@ -525,7 +433,7 @@ def euler_class_relative(handles: Sequence[Tuple[MatrixLike, MatrixLike]],
         com = lifted_commutator(lift(am), lift(bm))
         rel = com if rel is None else lifted_compose(com, rel)
     for c in boundaries:
-        lc = lift(c, kind="canonical")
+        lc = canonical_lift(c)
         rel = lc if rel is None else lifted_compose(lc, rel)
     return _deck_power(rel, scale)
 
@@ -534,7 +442,7 @@ def euler_class_relative(handles: Sequence[Tuple[MatrixLike, MatrixLike]],
 # handle sign, elliptic powers
 # ---------------------------------------------------------------------------
 
-def handle_sign(p: MatrixLike, q: MatrixLike) -> Union[int, str]:
+def handle_sign(p: Quad, q: Quad) -> Union[int, str]:
     """Orientation class of a handle pair, from the commutator trace.
 
     Returns +1 when Tr[P, Q] < 2 (hyperbolic images with crossing axes),
@@ -542,7 +450,7 @@ def handle_sign(p: MatrixLike, q: MatrixLike) -> Union[int, str]:
     parabolic paired with a hyperbolic avoiding its fixed point), and the
     string "degenerate" inside the tolerance band around 2.
     """
-    c = _qtrace(_qcommutator(_quad(p), _quad(q)))
+    c = mtrace(commutator(_quad(p), _quad(q)))
     if c < 2.0 - TRACE_BAND:
         return 1
     if c > 2.0 + TRACE_BAND:
@@ -550,8 +458,9 @@ def handle_sign(p: MatrixLike, q: MatrixLike) -> Union[int, str]:
     return "degenerate"
 
 
-def elliptic_power(a: MatrixLike, b: MatrixLike, search_bound: int = 50) -> int:
-    """Smallest |n| with B A^n elliptic and not of order two.
+def elliptic_power(a: Quad, b: Quad) -> int:
+    """Smallest |n| <= ELLIPTIC_POWER_BOUND with B A^n elliptic and not of
+    order two.
 
     A must be elliptic; writing A as a rotation in an adapted basis with
     B = [[x, y], [z, t]] there, the trace of B A^n is
@@ -562,17 +471,18 @@ def elliptic_power(a: MatrixLike, b: MatrixLike, search_bound: int = 50) -> int:
     if not isinstance(cl, Elliptic):
         raise PSL2Error("first element must be elliptic")
     conj = _conjugate_fixed_point_to_i(cl.fixed_point)
-    conj_inv = _qinv(conj)
-    x, y, z, t = _qmul(conj, _quad(b), conj_inv)
-    ap = _qmul(conj, qa, conj_inv)
+    conj_inv = minv(conj)
+    x, y, z, t = mmul(conj, _quad(b), conj_inv)
+    ap = mmul(conj, qa, conj_inv)
     alpha = math.atan2(ap[1], ap[0])
     u = x + t
     v = z - y
     if math.hypot(u, v) < DEGENERATE_PAIR:
         raise PSL2Error("degenerate pair: (x + t, z - y) = (0, 0)")
-    for k in range(search_bound + 1):
+    for k in range(ELLIPTIC_POWER_BOUND + 1):
         for n in ([0] if k == 0 else [k, -k]):
             tr = u * math.cos(n * alpha) + v * math.sin(n * alpha)
             if ORDER_TWO_BAND < abs(tr) < 2.0 - TRACE_BAND:
                 return n
-    raise PSL2Error(f"no elliptic power found within |n| <= {search_bound}")
+    raise PSL2Error(f"no elliptic power found within "
+                    f"|n| <= {ELLIPTIC_POWER_BOUND}")

@@ -28,7 +28,7 @@ from .hyptrig import long_shift, rotation
 # bench/test_bench.py checks that the tracer wraps it at this binding too
 from .genus2 import GluedRep, build_glued, trace_curve_matrix  # noqa: F401
 from .pants import PantsCase
-from .psl2r import PSL2Error, Quad, _qcommutator, _qinv, _qmul, _qtrace
+from .psl2r import IDENTITY, PSL2Error, Quad, commutator, minv, mmul, mtrace
 from .tolerances import (B2_HALF_SLACK, LINK_TOL, MU_MIN_DEFAULT,
                          RECOORD_FLAT_BAND, STRATEGY_SLACK, TRACE_BAND,
                          WINDOW_END_SLACK, WINDOW_START_SLACK)
@@ -292,9 +292,11 @@ def _is_move(mv) -> bool:
 
 
 def _is_word(word) -> bool:
+    """Whether `word` is a list of [name, +-1] letters, as the search emits
+    them."""
     return isinstance(word, list) and all(
         isinstance(w, list) and len(w) == 2 and w[0] in _WORD_NAMES
-        and type(w[1]) is int for w in word)
+        and type(w[1]) is int and w[1] in (1, -1) for w in word)
 
 
 _WORD_NAMES = genus2.CURVE_TAGS + tuple(f"{c}loop{i}" for c in "gb"
@@ -341,13 +343,13 @@ def _coords_from_snapshot(snap: Dict):
 
 
 def _trace(coords, tag: str) -> float:
-    return _qtrace(genus2.curve_quad(*coords, tag))
+    return mtrace(genus2.curve_quad(*coords, tag))
 
 
 def _word_quad(coords, word: Sequence, memo: Optional[Dict] = None) -> Quad:
-    """Product of a word over the named curves and the co-based loops;
-    `memo` as in `genus2.curve_quad`."""
-    out = (1.0, 0.0, 0.0, 1.0)
+    """Product of a word of +-1 letters over the named curves and the
+    co-based loops; `memo` as in `genus2.curve_quad`."""
+    out = IDENTITY
     loops = None
     for name, exp in word:
         if name.startswith(("gloop", "bloop")):
@@ -355,11 +357,7 @@ def _word_quad(coords, word: Sequence, memo: Optional[Dict] = None) -> Quad:
             m = loops[name[0] == "b"][int(name[-1]) - 1]
         else:
             m = genus2.curve_quad(*coords, name, memo)
-        exp = int(exp)
-        if exp < 0:
-            m, exp = _qinv(m), -exp
-        for _ in range(exp):
-            out = _qmul(out, m)
+        out = mmul(out, m if exp > 0 else minv(m))
     return out
 
 
@@ -374,7 +372,7 @@ def _link_targets(old, rho: Sequence[int]) -> List[float]:
     g, b = genus2.loop_quads(*old)
     return ([_trace(old, f"beta{r+1}") for r in rho]
             + [_trace(old, f"gamma{r+1}") for r in rho]
-            + [_qtrace(_qcommutator(g[rho[(k + 1) % 3]], b[rho[(k + 2) % 3]]))
+            + [mtrace(commutator(g[rho[(k + 1) % 3]], b[rho[(k + 2) % 3]]))
                for k in range(3)])
 
 
@@ -429,7 +427,7 @@ def _replay(cert: Certificate, tol: float) -> Dict:
             return {"ok": False, "reason": f"unknown move {kind!r}"}
     if cert.curve is None:
         return {"ok": False, "reason": "certificate has no curve"}
-    tr = _qtrace(_word_quad((x, y, a, t), cert.curve))
+    tr = mtrace(_word_quad((x, y, a, t), cert.curve))
     if not math.isfinite(tr):
         raise OverflowError(f"replayed trace {tr}")
     ok = abs(tr) <= 2.0 + TRACE_BAND and abs(tr - cert.trace) <= LINK_TOL
@@ -464,7 +462,7 @@ def _align(state: SearchState) -> None:
 
 
 def _found(state: SearchState, word: List) -> FoundCurve:
-    tr = _qtrace(_word_quad(state.rep.coords, word, state.rep.quads))
+    tr = mtrace(_word_quad(state.rep.coords, word, state.rep.quads))
     if abs(tr) > 2.0 + TRACE_BAND:
         raise SearchError(
             f"found-curve verification failed: |{tr}| > 2 for {word}")
@@ -523,7 +521,7 @@ def _torus_window(rep: GluedRep, k: int) -> Optional[str]:
     if abs(tr) <= 2.0 + TRACE_BAND or 2.0 < tr <= TORUS_TRACE_MAX:
         return f"delta_torus:{k}"
     p, q, _, _ = _complement_handle(rep, k)
-    if 2.0 < _qtrace(_qcommutator(p, q)) <= TORUS_TRACE_MAX:
+    if 2.0 < mtrace(commutator(p, q)) <= TORUS_TRACE_MAX:
         return f"delta_torus_complement:{k}"
     return None
 
@@ -577,9 +575,8 @@ def _torus_route(state: SearchState, k: int, complement: bool = False):
         p, q, name_p, name_q = _complement_handle(rep, k)
     else:
         name_p, name_q = genus2._DELTA_PAIRS[f"delta{k}"]
-        p, q = (genus2.curve_quad(*rep.coords, n, rep.quads)
-                for n in (name_p, name_q))
-    x, y, z = _qtrace(p), _qtrace(q), _qtrace(_qmul(p, q))
+        p, q = (genus2.curve_matrix(rep, n) for n in (name_p, name_q))
+    x, y, z = mtrace(p), mtrace(q), mtrace(mmul(p, q))
     kappa = torus.kappa(x, y, z)
     if not 2.0 < kappa <= TORUS_TRACE_MAX:
         return _stalled(state, f"handle at delta_{k} has commutator trace "

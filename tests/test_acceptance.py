@@ -11,7 +11,7 @@ import numpy as np
 
 from srk import genus2, hyptrig, inequalities, pants, search, torus
 from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
-from srk.psl2r import mtrace
+from srk.psl2r import mmul, mtrace
 
 PC = PantsCase
 CH, SH = math.cosh, math.sinh
@@ -192,7 +192,7 @@ def test_criterion_04_pants_sign_lemma():
         for _ in range(1000):
             rep = pants.build_pants(sample_a(case, rng, 1.9), case)
             la, lb = pants.free_generators(rep)
-            tr = mtrace(la @ lb)
+            tr = mtrace(mmul(la, lb))
             if (tr > 0) != (case.euler % 2 == 0):
                 ok = False
                 break

@@ -172,8 +172,14 @@ def _string_length(d):
     d["initial"]["a"] = ["x", 1, 1]
 
 
+def _huge_exponent(d):
+    # srk writes curve words of +-1 letters only; a power would cost one
+    # product per unit of exponent
+    d["curve"] = [["gamma1", 1000000000]]
+
+
 @pytest.mark.parametrize("spoil", [_cut_matrix, _rename_curve, _twist_index,
-                                   _string_length])
+                                   _string_length, _huge_exponent])
 def test_malformed_certificate_is_usage_error(tmp_path, capsys, spoil):
     data = json.loads(CERTIFICATE.read_text())
     spoil(data)

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -524,3 +525,21 @@ def test_no_numpy_import(tmp_path):
         print(seen)
     """)
     assert out.strip() == "[False, False, False, False, False, True]"
+
+
+def test_only_inequalities_imports_numpy():
+    # every other module computes on floats and 4-tuples: an import of
+    # numpy there, at module level, in a function or under TYPE_CHECKING,
+    # fails here
+    importers = set()
+    for path in Path(srk.search.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == "numpy" for n in names):
+                importers.add(path.stem)
+    assert importers <= {"inequalities"}, sorted(importers)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from srk import torus
-from srk.psl2r import make_rotation, make_translation, minv, mtrace
+from srk.psl2r import (IDENTITY, make_rotation, make_translation, minv, mmul,
+                       mtrace)
 from srk.torus import ReductionError, kappa, reduce_triple, replay_moves
 
 rng = np.random.default_rng(99)
@@ -76,18 +77,19 @@ class TestReduce:
         for _ in range(50):
             p = make_translation(rng.uniform(0.5, 2.0))
             theta = rng.uniform(0.4, math.pi - 0.4)
-            q = (make_rotation(theta) @ make_translation(rng.uniform(0.5, 2.0))
-                 @ make_rotation(-theta))
-            x, y, z = mtrace(p), mtrace(q), mtrace(p @ q)
+            q = mmul(make_rotation(theta),
+                     make_translation(rng.uniform(0.5, 2.0)),
+                     make_rotation(-theta))
+            x, y, z = mtrace(p), mtrace(q), mtrace(mmul(p, q))
             if not 2.0 < kappa(x, y, z) <= 18.0:
                 continue
             res = reduce_triple(x, y, z)
             if res.found_index is None:
                 continue
             word = res.curve_word
-            m = np.eye(2)
+            m = IDENTITY
             for c in word:
-                m = m @ (p if c == "a" else q if c == "b"
+                m = mmul(m, p if c == "a" else q if c == "b"
                          else minv(p) if c == "A" else minv(q))
             assert abs(mtrace(m)) <= 2.0 + 1e-9
 
