@@ -3,48 +3,53 @@
 Matrices are unit-determinant 2x2 reals modulo sign, written as row-major
 4-tuples (a, b, c, d) and multiplied with `mmul`; words use the opposite
 composition order (first letter acts first), and the commutator [A, B] is
-B^-1 A^-1 B A, whose trace needs no sign choice.
+B^-1 A^-1 B A, whose trace needs no sign choice.  Lifts to the universal
+cover of the boundary circle turn the surface relator into a power of the
+deck generator: the Milnor Euler class.
 """
 
 import math
 
-import numpy as np
-
-from srk import psl2r
-from srk.psl2r import (classify, commutator, commutator_geometry,
-                       elliptic_power, evaluate_word, handle_sign,
-                       make_rotation, make_translation, mmul, mtrace)
+from srk import genus2, pants, psl2r
+from srk.psl2r import (commutator, euler_class_closed, handle_sign, lift,
+                       lifted_commutator, make_rotation, make_translation,
+                       minv, mmul, mtrace)
 
 # translations and rotations
 T2 = make_translation(2.0)
 R = make_rotation(math.pi / 2)
 print("tr T_2 =", mtrace(T2), "= 2 cosh(1) =", 2 * math.cosh(1.0))
-print("classify(T_2):", classify(T2))
-print("classify(R_(pi/2)):", classify(R))
+print("tr R_(pi/2) =", mtrace(R), "= 2 cos(pi/4) =", 2 * math.cos(math.pi / 4))
 
-# the reversed composition convention: "ab" maps to M(b) M(a)
-word = evaluate_word({"a": T2, "b": R}, "ab")
-print("\nword 'ab' equals R T2:", np.allclose(word, mmul(R, T2)))
+# the reversed composition convention: the word "ab" maps to M(b) M(a)
+print("\nword 'ab' under a -> T_2, b -> R_(pi/2):", mmul(R, T2))
 
 # commutator of a translation with the half-turn S doubles the shift
-S = make_rotation(math.pi)
-print("\n[T_2, S] = T_4?",
-      np.allclose(commutator(T2, S), make_translation(4.0), atol=1e-12))
-
-# perpendicular crossing axes: elliptic / parabolic / hyperbolic commutator
-# according to sinh(l_A/2) sinh(l_B/2) against 1
-for la in (0.8, 2 * math.asinh(1.0), 2.4):
-    geo = commutator_geometry(la, la)
-    print(f"lambda = {la:.3f}: {type(geo).__name__} (crossing {geo.crossing:.3f})")
+gap = max(abs(x - y) for x, y in zip(commutator(T2, psl2r.S),
+                                     make_translation(4.0)))
+print("\n[T_2, S] = T_4 up to", gap)
 
 # handle orientation: crossing axes give +1, disjoint axes -1
-P = make_translation(2.0)
-Q = mmul(psl2r.R_LEFT, make_translation(2.0), psl2r.R_RIGHT)
+P = make_translation(2.0)                                    # axis (0, inf)
+Q = mmul(psl2r.R_LEFT, make_translation(2.0), psl2r.R_RIGHT)  # axis (-1, 1)
+C = tuple(v / math.sqrt(2.0) for v in (7.0, 5.0, 1.0, 1.0))  # 0, inf -> 5, 7
+F = mmul(C, make_translation(1.5), minv(C))                  # axis (5, 7)
 print("\nhandle_sign, crossing axes:", handle_sign(P, Q),
       " Tr[P,Q] =", round(mtrace(commutator(P, Q)), 4))
+print("handle_sign, disjoint axes:", handle_sign(P, F),
+      " Tr[P,F] =", round(mtrace(commutator(P, F)), 4))
 
-# an elliptic power makes B A^n elliptic and not of order two
-A = make_rotation(1.0)
-B = make_translation(3.0)
-n = elliptic_power(A, B)
-print("\nsmallest n with B A^n elliptic:", n)
+# a lifted commutator does not depend on the lifts chosen for P and Q
+fp, fq = lift(P), lift(Q)
+print("\nlifted [P, Q] base:", lifted_commutator(fp, fq).base,
+      "; after deck shifts 3, -2:",
+      lifted_commutator(fp.deck(3), fq.deck(-2)).base)
+
+# the Milnor algorithm on a Fuchsian gluing: the lifted relator
+# [A2, B2][A1, B1] is the deck generator to the power -2
+rep = genus2.build_glued(pants.EU_MINUS1, pants.EU_MINUS1,
+                         (0.8, 1.0, 1.2), (0.3, 0.0, -0.2))
+a1, b1, a2, b2 = genus2.generator_images(rep)
+print("\n(-1, -1) gluing: handle signs", handle_sign(a1, b1),
+      handle_sign(a2, b2), "and Euler class",
+      euler_class_closed(a1, b1, a2, b2))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Optional, Tuple
 
-from . import hyptrig, psl2r
+from . import hyptrig
 from .hyptrig import long_shift, rotation
 from .psl2r import (IDENTITY, R_LEFT, R_RIGHT, S, PSL2Error, Quad,
                     deviation_from_projective_identity, make_rotation,
@@ -272,12 +272,6 @@ def free_generators(rep: PantsRep) -> Tuple[Quad, Quad]:
     la, lb, _ = boundary_holonomies(rep)
     return tuple(tuple(-v for v in q) if mtrace(q) < 0 else q
                  for q in (la, lb))
-
-
-def euler_class_relative(rep: PantsRep) -> int:
-    """Relative Euler class via canonical lifts of the boundary loops."""
-    la, lb, lc = boundary_holonomies(rep)
-    return psl2r.euler_class_relative([], [lc, lb, la])
 
 
 def pants_trace_sign(rep: PantsRep) -> int:

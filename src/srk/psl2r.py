@@ -15,28 +15,22 @@ A matrix is a row-major 4-tuple of floats (a, b, c, d) standing for
 [[a, b], [c, d]]: every function here takes and returns matrices in that
 form, and a product of such tuples costs a fraction of a numpy call on a
 2x2 array.  The entries that a caller outside the kernel reaches (`lift`,
-`LiftedIsometry`, `classify`, the Euler classes, `handle_sign`,
-`elliptic_power`, `evaluate_word`) check with `_quad` that they were given
-a 4-tuple; the arithmetic primitives take one on trust.
+`LiftedIsometry`, `euler_class_closed`, `handle_sign`) check with `_quad`
+that they were given a 4-tuple; the arithmetic primitives take one on
+trust.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Tuple, Union
 
-from .tolerances import (CROSSING_BAND, DECK_SHIFT_PAD, DECK_SHIFT_TOL,
-                         DEGENERATE_PAIR, ENTRY_ZERO,
-                         IDENTITY_BAND, LIFT_SNAP, ORDER_TWO_BAND,
+from .tolerances import (DECK_SHIFT_PAD, DECK_SHIFT_TOL, LIFT_SNAP,
                          RELATOR_TOL, TRACE_BAND)
 
 TWO_PI = 2.0 * math.pi
 
 Quad = Tuple[float, float, float, float]
-
-# |n| up to which `elliptic_power` looks for an elliptic B A^n
-ELLIPTIC_POWER_BOUND = 50
 
 
 class PSL2Error(ValueError):
@@ -109,183 +103,8 @@ def deviation_from_projective_identity(q: Quad) -> float:
 
 
 # ---------------------------------------------------------------------------
-# classification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Identity:
-    pass
-
-
-@dataclass(frozen=True)
-class Elliptic:
-    angle: float                  # rotation angle in (0, 2*pi)
-    fixed_point: complex          # in the upper half plane
-
-
-@dataclass(frozen=True)
-class Parabolic:
-    boundary_fixed_point: float   # in R, or math.inf
-
-
-@dataclass(frozen=True)
-class Hyperbolic:
-    displacement: float
-    axis: Tuple[float, float]     # (repelling, attracting) boundary points
-
-
-IsometryClass = Union[Identity, Elliptic, Parabolic, Hyperbolic]
-
-
-def _fixed_boundary_points(q: Quad) -> List[float]:
-    """Real fixed points of the Moebius action, infinity as math.inf.  A
-    discriminant that rounds below zero (a parabolic read within
-    TRACE_BAND) counts as zero."""
-    a, b, c, d = q
-    if abs(c) < ENTRY_ZERO:
-        pts = [math.inf]
-        if abs(a - d) > ENTRY_ZERO:
-            pts.append(b / (d - a))
-        return pts
-    r = math.sqrt(max((a - d) ** 2 + 4.0 * b * c, 0.0))   # sqrt(tr^2 - 4)
-    # roots of c x^2 + (d - a) x - b, without cancellation in either
-    h = ((a - d) + math.copysign(r, a - d)) / 2.0
-    return [h / c, -b / h] if h else [0.0]
-
-
-def _conjugate_fixed_point_to_i(z: complex) -> Quad:
-    """Matrix g with g(z) = i for z in the upper half plane."""
-    s = math.sqrt(z.imag)
-    return (1.0 / s, -z.real / s, 0.0, s)
-
-
-def classify(g: Quad) -> IsometryClass:
-    """Trichotomy by |tr| against 2, with the geometric data."""
-    q = _quad(g)
-    if deviation_from_projective_identity(q) <= IDENTITY_BAND:
-        return Identity()
-    a, b, c, d = q
-    tr = a + d
-    if abs(tr) > 2.0 + TRACE_BAND:
-        lam = 2.0 * math.acosh(abs(tr) / 2.0)
-        # the eigenvalue at a fixed point x is c x + d (a at infinity):
-        # the repelling point has the smaller modulus
-        pts = sorted(_fixed_boundary_points(q),
-                     key=lambda x: abs(a if math.isinf(x) else c * x + d))
-        return Hyperbolic(displacement=lam, axis=(pts[0], pts[1]))
-    if abs(tr) >= 2.0 - TRACE_BAND:
-        pts = _fixed_boundary_points(q)
-        return Parabolic(boundary_fixed_point=pts[0])
-    # c vanishes only for matrices with real spectrum, never for elliptics
-    im = math.sqrt(4.0 - tr * tr) / (2.0 * abs(c))
-    z = complex((a - d) / (2.0 * c), im)
-    conj = _conjugate_fixed_point_to_i(z)
-    r = mmul(conj, q, minv(conj))
-    theta = 2.0 * math.atan2(r[1], r[0])
-    theta %= TWO_PI
-    return Elliptic(angle=theta, fixed_point=z)
-
-
-# ---------------------------------------------------------------------------
-# words
-# ---------------------------------------------------------------------------
-
-Word = Union[str, Iterable[Tuple[str, int]]]
-
-
-def word_letters(word: Word) -> List[Tuple[str, int]]:
-    """Normalise a word to (letter, +-1) tokens.
-
-    A plain string is read one character at a time, uppercase meaning the
-    inverse letter.  Any other iterable must yield (name, exponent) pairs;
-    exponents may be arbitrary integers.
-    """
-    letters: List[Tuple[str, int]] = []
-    if isinstance(word, str):
-        for ch in word:
-            if ch.isspace():
-                continue
-            if ch.isupper():
-                letters.append((ch.lower(), -1))
-            else:
-                letters.append((ch, 1))
-        return letters
-    for name, exp in word:
-        exp = int(exp)
-        if exp == 0:
-            continue
-        sgn = 1 if exp > 0 else -1
-        letters.extend([(name, sgn)] * abs(exp))
-    return letters
-
-
-def evaluate_word(images: Dict[str, Quad], word: Word) -> Quad:
-    """Evaluate a word under the reversed convention.
-
-    Concatenation uv maps to the matrix product M(v) M(u): the first letter
-    of the word is the rightmost factor.
-    """
-    quads = {name: _quad(m) for name, m in images.items()}
-    out = IDENTITY
-    for name, sgn in word_letters(word):
-        if name not in quads:
-            raise PSL2Error(f"unbound letter {name!r}")
-        q = quads[name]
-        out = mmul(q if sgn > 0 else minv(q), out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# commutator geometry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EllipticComm:
-    quarter_angle: float
-    crossing: float
-
-
-@dataclass(frozen=True)
-class ParabolicComm:
-    crossing: float
-
-
-@dataclass(frozen=True)
-class HyperbolicComm:
-    quarter_displacement: float
-    crossing: float
-
-
-CommutatorGeometry = Union[EllipticComm, ParabolicComm, HyperbolicComm]
-
-
-def commutator_geometry(lam_a: float, lam_b: float) -> CommutatorGeometry:
-    """Commutator type for perpendicularly crossing axes.
-
-    The crossing datum is p = sinh(lam_a/2) sinh(lam_b/2); the commutator is
-    elliptic, parabolic or hyperbolic according to p < 1, p = 1, p > 1, with
-    quarter angle arccos(p) resp. quarter displacement arccosh(p).
-    """
-    if lam_a <= 0.0 or lam_b <= 0.0:
-        raise PSL2Error("displacements must be positive")
-    p = math.sinh(lam_a / 2.0) * math.sinh(lam_b / 2.0)
-    if p < 1.0 - CROSSING_BAND:
-        return EllipticComm(quarter_angle=math.acos(p), crossing=p)
-    if p > 1.0 + CROSSING_BAND:
-        return HyperbolicComm(quarter_displacement=math.acosh(p), crossing=p)
-    return ParabolicComm(crossing=p)
-
-
-# ---------------------------------------------------------------------------
 # boundary circle lifts
 # ---------------------------------------------------------------------------
-
-def boundary_angle(x: float) -> float:
-    """Disc-model boundary angle of a real point (or math.inf)."""
-    if math.isinf(x):
-        return (-2.0 * math.atan2(0.0, 1.0)) % TWO_PI   # direction (1, 0)
-    return (-2.0 * math.atan2(1.0, x)) % TWO_PI
-
 
 def circle_position(q: Quad, phi: float) -> float:
     """Image in [0, 2pi) of the boundary angle phi under the isometry."""
@@ -330,19 +149,6 @@ def lift(g: Quad) -> LiftedIsometry:
     """Lift with base in [0, 2pi)."""
     q = _quad(g)
     return LiftedIsometry(q, circle_position(q, 0.0))
-
-
-def canonical_lift(g: Quad) -> LiftedIsometry:
-    """The lift of a hyperbolic element (or the identity) that fixes its
-    boundary fixed points, with translation number zero."""
-    f0 = lift(g)
-    cl = classify(f0.q)
-    if isinstance(cl, Identity):
-        return LiftedIsometry(f0.q, 0.0)
-    if not isinstance(cl, Hyperbolic):
-        raise PSL2Error("canonical lifts exist only for hyperbolic elements")
-    phi = boundary_angle(cl.axis[1])
-    return f0.deck(-round((f0(phi) - phi) / TWO_PI))
 
 
 def lifted_compose(f: LiftedIsometry, g: LiftedIsometry) -> LiftedIsometry:
@@ -411,35 +217,8 @@ def euler_class_closed(a1: Quad, b1: Quad, a2: Quad, b2: Quad) -> int:
     return _deck_power(rel, scale)
 
 
-def euler_class_relative(handles: Sequence[Tuple[Quad, Quad]],
-                         boundaries: Sequence[Quad]) -> int:
-    """Relative Euler class, canonical lifts on the boundary images.
-
-    `handles` holds the images (A_i, B_i) of the interior handle generators
-    (arbitrary lifts), `boundaries` the images of the boundary curves, each
-    of which must be hyperbolic.  Computes the deck power of
-    C~_n ... C~_1 [A~_g, B~_g] ... [A~_1, B~_1].
-    """
-    if not boundaries:
-        raise PSL2Error("relative Euler class needs at least one boundary")
-    handles = [(_quad(am), _quad(bm)) for am, bm in handles]
-    boundaries = [_quad(c) for c in boundaries]
-    for c in boundaries:
-        if not isinstance(classify(c), Hyperbolic):
-            raise PSL2Error("boundary image is not hyperbolic")
-    scale = _relation_scale(*boundaries, *(m for pair in handles for m in pair))
-    rel = None
-    for am, bm in handles:
-        com = lifted_commutator(lift(am), lift(bm))
-        rel = com if rel is None else lifted_compose(com, rel)
-    for c in boundaries:
-        lc = canonical_lift(c)
-        rel = lc if rel is None else lifted_compose(lc, rel)
-    return _deck_power(rel, scale)
-
-
 # ---------------------------------------------------------------------------
-# handle sign, elliptic powers
+# handle sign
 # ---------------------------------------------------------------------------
 
 def handle_sign(p: Quad, q: Quad) -> Union[int, str]:
@@ -456,33 +235,3 @@ def handle_sign(p: Quad, q: Quad) -> Union[int, str]:
     if c > 2.0 + TRACE_BAND:
         return -1
     return "degenerate"
-
-
-def elliptic_power(a: Quad, b: Quad) -> int:
-    """Smallest |n| <= ELLIPTIC_POWER_BOUND with B A^n elliptic and not of
-    order two.
-
-    A must be elliptic; writing A as a rotation in an adapted basis with
-    B = [[x, y], [z, t]] there, the trace of B A^n is
-    (x + t) cos(n alpha) + (z - y) sin(n alpha).
-    """
-    qa = _quad(a)
-    cl = classify(qa)
-    if not isinstance(cl, Elliptic):
-        raise PSL2Error("first element must be elliptic")
-    conj = _conjugate_fixed_point_to_i(cl.fixed_point)
-    conj_inv = minv(conj)
-    x, y, z, t = mmul(conj, _quad(b), conj_inv)
-    ap = mmul(conj, qa, conj_inv)
-    alpha = math.atan2(ap[1], ap[0])
-    u = x + t
-    v = z - y
-    if math.hypot(u, v) < DEGENERATE_PAIR:
-        raise PSL2Error("degenerate pair: (x + t, z - y) = (0, 0)")
-    for k in range(ELLIPTIC_POWER_BOUND + 1):
-        for n in ([0] if k == 0 else [k, -k]):
-            tr = u * math.cos(n * alpha) + v * math.sin(n * alpha)
-            if ORDER_TWO_BAND < abs(tr) < 2.0 - TRACE_BAND:
-                return n
-    raise PSL2Error(f"no elliptic power found within "
-                    f"|n| <= {ELLIPTIC_POWER_BOUND}")

@@ -483,7 +483,15 @@ def _stalled(state: SearchState, why: str) -> Stalled:
 # ---------------------------------------------------------------------------
 
 def classify_scope(rep: GluedRep) -> str:
-    """"plus1", "minus1" or "zero_minus"; raises OutOfScopeError otherwise."""
+    """"plus1", "minus1" or "zero_minus"; raises OutOfScopeError otherwise.
+
+    A twist so large that t_i + 2 k a_i rounds outside [-a_i, a_i] has lost
+    its place in the twist orbit, and is out of scope too.
+    """
+    for ti, k, ai in zip(rep.t, genus2.twist_counts(rep), rep.a):
+        if abs(ti + 2.0 * k * ai) > ai:        # as normalize_twists rounds
+            raise OutOfScopeError(f"twists {rep.t} are too large to "
+                                  f"normalise into [-a_i, a_i]")
     eu = rep.euler_nominal
     if eu == 1:
         return "plus1"

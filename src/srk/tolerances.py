@@ -6,20 +6,10 @@ equal values that guard different quantities do not.  A bound written
 "times s" is multiplied by the scale s that its caller computes.
 """
 
-# --- traces and isometry classes -------------------------------------------
+# --- traces ----------------------------------------------------------------
 
-# ||tr| - 2| read as 2: isometry classes, signs, every |tr| <= 2 verdict
+# ||tr| - 2| read as 2: handle signs, sign invariant, every |tr| <= 2 verdict
 TRACE_BAND = 1e-9
-# max-norm distance to +-I that psl2r.classify reports as the identity
-IDENTITY_BAND = 1e-9
-# |p - 1| of the crossing datum that commutator_geometry calls parabolic
-CROSSING_BAND = 1e-9
-# |tr| below which elliptic_power skips a power as order two
-ORDER_TWO_BAND = 1e-9
-# |(x + t, z - y)| below which elliptic_power refuses the pair
-DEGENERATE_PAIR = 1e-12
-# |c| (then |a - d|) below which a Moebius fixed point sits at infinity
-ENTRY_ZERO = 1e-300
 
 # --- lifts and the Euler class ---------------------------------------------
 

@@ -1,0 +1,54 @@
+"""Canonical boundary lifts and the relative Euler class, a test oracle.
+
+A hyperbolic element has one lift to the universal cover of the boundary
+circle that fixes its two boundary fixed points.  The relative Euler class
+of a bordered representation is the deck power of the product of these
+canonical lifts of the boundary images; relative classes add when pants
+are glued.  The fixed points come from numpy's eigenvectors, not from srk.
+"""
+
+import math
+
+import numpy as np
+from matrices import arr
+
+from srk.psl2r import (TWO_PI, _deck_power, _relation_scale, lift,
+                       lifted_compose)
+
+
+def fixed_points(g):
+    """(repelling, attracting) boundary fixed points of a hyperbolic g, as
+    reals or math.inf."""
+    m = arr(g)
+    if abs(np.trace(m)) <= 2.0:
+        raise ValueError(f"{g} is not hyperbolic")
+    w, v = np.linalg.eig(m)
+    # the eigenvector (x, y) spans the fixed point x / y; the attracting
+    # one has the eigenvalue of larger modulus
+    return tuple(math.inf if v[1, k] == 0.0 else v[0, k] / v[1, k]
+                 for k in np.argsort(np.abs(w)))
+
+
+def boundary_angle(x):
+    """Disc-model boundary angle of a real point (or math.inf)."""
+    if math.isinf(x):
+        return 0.0
+    return (-2.0 * math.atan2(1.0, x)) % TWO_PI
+
+
+def canonical_lift(g):
+    """The lift of a hyperbolic g that fixes its boundary fixed points,
+    with translation number zero."""
+    f = lift(g)
+    phi = boundary_angle(fixed_points(g)[1])
+    return f.deck(-round((f(phi) - phi) / TWO_PI))
+
+
+def euler_class_relative(boundaries):
+    """Relative Euler class of a surface without handles: the deck power
+    of C~_1 C~_2 ... C~_n, the canonical lifts of the boundary images C_i
+    composed as maps (C~_n acts first)."""
+    rel = canonical_lift(boundaries[0])
+    for c in boundaries[1:]:
+        rel = lifted_compose(rel, canonical_lift(c))
+    return _deck_power(rel, _relation_scale(*boundaries))

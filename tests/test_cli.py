@@ -77,29 +77,42 @@ class TestClassify:
         assert "out of range" in capsys.readouterr().err
 
 
+OVERFLOW = dict.fromkeys(["classify", "search"],
+                         "out of range: half-lengths overflow")
+
+# each record with the start of the stderr line of each command
 HUGE_RECORDS = [
     # cosh(800) overflows a float
-    {"eps": ["EuPlus1", "EuMinus1"], "a": [800, 1, 1], "t": [0, 0, 0]},
+    ({"eps": ["EuPlus1", "EuMinus1"], "a": [800, 1, 1], "t": [0, 0, 0]},
+     OVERFLOW),
     # cosh(711) overflows a float
-    {"eps": ["Eu0PlusTriangle", "Eu0MinusTriangle"], "a": [711] * 3,
-     "t": [0, 0, 0]},
+    ({"eps": ["Eu0PlusTriangle", "Eu0MinusTriangle"], "a": [711] * 3,
+      "t": [0, 0, 0]}, OVERFLOW),
     # cosh(700) is finite, but its products overflow: the delta invariant
     # is inf - inf
-    {"eps": ["Eu0PlusTriangle", "Eu0MinusTriangle"], "a": [700] * 3,
-     "t": [0, 0, 0]},
+    ({"eps": ["Eu0PlusTriangle", "Eu0MinusTriangle"], "a": [700] * 3,
+      "t": [0, 0, 0]}, OVERFLOW),
+    # classify reads the traces at t_3 = 1e20, where they overflow; the
+    # search normalises t_3 first, and it rounds to -16384, far outside
+    # [-a_3, a_3]
+    ({"eps": ["EuPlus1", "EuMinus1"], "a": [1, 1.1, 1.2], "t": [0, 0, 1e20]},
+     {"classify": "out of range: trace of beta1 overflows",
+      "search": "out of scope: twists (0.0, 0.0, 1e+20) are too large"}),
 ]
 
 
 @pytest.mark.parametrize("command", ["classify", "search"])
-@pytest.mark.parametrize("record", HUGE_RECORDS)
+@pytest.mark.parametrize("record,why", [
+    pytest.param(record, why, id=f"record{i}")
+    for i, (record, why) in enumerate(HUGE_RECORDS)])
 def test_overflowing_half_lengths_are_out_of_scope(tmp_path, capsys, command,
-                                                   record):
+                                                   record, why):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(record))
     assert cli.main([command, str(path)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith(f"{command}: out of range: half-lengths overflow")
+    assert err.startswith(f"{command}: {why[command]}")
 
 
 @pytest.mark.parametrize("a", [100, 150, 200, 236])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from boundary_lifts import euler_class_relative
 from matrices import arr
 
 from srk import hyptrig, pants
@@ -10,8 +11,8 @@ from srk.pants import (EU0_DIAGONAL_FLAT, EU0_MINUS_SELFHEX,
                        EU0_MINUS_TRIANGLE, EU0_PLUS_SELFHEX,
                        EU0_PLUS_TRIANGLE, EU_MINUS1, EU_PLUS1, PantsCase,
                        PantsError, boundary_holonomies, build_pants,
-                       case_from_string, euler_class_relative,
-                       free_generators, pants_trace_sign)
+                       case_from_string, free_generators,
+                       pants_trace_sign)
 from srk.psl2r import deviation_from_projective_identity, mmul, mtrace
 
 rng = np.random.default_rng(7)
@@ -119,7 +120,7 @@ class TestEulerAndSign:
     def test_euler_class_relative_matches_tag(self, case, expect):
         for _ in range(100):
             rep = build_pants(sample_a(case, rng), case)
-            assert euler_class_relative(rep) == expect
+            assert euler_class_relative(boundary_holonomies(rep)) == expect
 
     @pytest.mark.parametrize("case", [EU_PLUS1, EU_MINUS1, EU0_PLUS_TRIANGLE,
                                       EU0_MINUS_TRIANGLE, EU0_PLUS_SELFHEX,
@@ -140,9 +141,9 @@ class TestEulerAndSign:
     def test_euler_relative_pants_values(self):
         # hexagon pants: +-1; triangle pants: 0 (diagonal deformation)
         rep = build_pants((0.9, 1.0, 1.1), EU_PLUS1)
-        assert euler_class_relative(rep) == 1
+        assert euler_class_relative(boundary_holonomies(rep)) == 1
         rep = build_pants((0.9, 1.0, 1.1), EU0_PLUS_TRIANGLE)
-        assert euler_class_relative(rep) == 0
+        assert euler_class_relative(boundary_holonomies(rep)) == 0
 
 
 def _mirror(q):

@@ -2,17 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from boundary_lifts import boundary_angle, fixed_points
 from matrices import arr, quad
 
 from srk import psl2r
-from srk.psl2r import (IDENTITY, Elliptic, Hyperbolic, Identity,
-                       LiftedIsometry, Parabolic, PSL2Error, boundary_angle,
-                       canonical_lift, classify, commutator,
-                       commutator_geometry, elliptic_power,
-                       euler_class_closed, euler_class_relative,
-                       evaluate_word, handle_sign, lift, lifted_commutator,
-                       lifted_compose, make_rotation, make_translation, minv,
-                       mmul, mtrace)
+from srk.psl2r import (IDENTITY, LiftedIsometry, PSL2Error, commutator,
+                       euler_class_closed, handle_sign, lift,
+                       lifted_commutator, lifted_compose, make_rotation,
+                       make_translation, minv, mmul, mtrace)
 
 rng = np.random.default_rng(20240811)
 
@@ -42,10 +39,8 @@ def axes_cross(a, b):
     Decided by interleaving of endpoint angles on the boundary circle,
     independently of any trace identity: the oracle for handle_sign.
     """
-    ca, cb = classify(a), classify(b)
-    assert isinstance(ca, Hyperbolic) and isinstance(cb, Hyperbolic)
-    p, q = (boundary_angle(x) for x in ca.axis)
-    r, s = (boundary_angle(x) for x in cb.axis)
+    p, q = (boundary_angle(x) for x in fixed_points(a))
+    r, s = (boundary_angle(x) for x in fixed_points(b))
     for u in (r, s):
         for v in (p, q):
             if abs((u - v + math.pi) % TWO_PI - math.pi) < 1e-12:
@@ -78,65 +73,12 @@ class TestBasicMatrices:
     def test_rotation_quarter(self):
         m = make_rotation(math.pi / 2)
         assert mtrace(m) == pytest.approx(math.sqrt(2.0))
-        cl = classify(m)
-        assert isinstance(cl, Elliptic)
-        assert cl.angle == pytest.approx(math.pi / 2)
+        # a rotation by theta moves every boundary angle by theta
+        assert lift(m).base == pytest.approx(math.pi / 2)
 
     def test_translation_rejects_non_finite(self):
         with pytest.raises(PSL2Error):
             make_translation(float("nan"))
-
-
-class TestClassify:
-    def test_translation(self):
-        cl = classify(make_translation(2.0))
-        assert isinstance(cl, Hyperbolic)
-        assert cl.displacement == pytest.approx(2.0, rel=1e-12)
-        assert sorted(cl.axis) == [0.0, math.inf]
-
-    def test_parabolic(self):
-        cl = classify((1.0, 1.0, 0.0, 1.0))
-        assert isinstance(cl, Parabolic)
-        assert math.isinf(cl.boundary_fixed_point)
-
-    def test_parabolic_within_the_band_of_an_elliptic(self):
-        # tr = 2 cos(2.5e-6) lies within TRACE_BAND of 2, and the fixed
-        # point discriminant rounds below zero
-        cl = classify(make_rotation(1e-5))
-        assert isinstance(cl, Parabolic)
-        assert cl.boundary_fixed_point == pytest.approx(0.0, abs=1e-12)
-
-    def test_hyperbolic_axis_repelling_then_attracting(self):
-        # the translation moves 0 toward infinity, so along p -> q for a
-        # positive length; the axis lists the repelling end first
-        draw = np.random.default_rng(5)
-        for _ in range(200):
-            p, q = np.sort(draw.uniform(-5.0, 5.0, 2))
-            length = draw.choice([-1.0, 1.0]) * draw.uniform(0.1, 3.0)
-            cl = classify(_axis_through(p, q, length))
-            ends = (p, q) if length > 0 else (q, p)
-            assert cl.axis == pytest.approx(ends, rel=1e-9, abs=1e-9)
-
-    def test_rotation(self):
-        cl = classify(make_rotation(math.pi / 2))
-        assert isinstance(cl, Elliptic)
-        assert cl.fixed_point == pytest.approx(1j)
-
-    def test_identity(self):
-        assert isinstance(classify(IDENTITY), Identity)
-        assert isinstance(classify((-1.0, 0.0, 0.0, -1.0)), Identity)
-
-    def test_displacement_matches_translation(self):
-        for l in (-2.0, -0.3, 0.7, 1.9):
-            cl = classify(make_translation(l))
-            assert cl.displacement == pytest.approx(abs(l), rel=1e-12)
-
-    def test_elliptic_angle_of_conjugated_rotation(self):
-        g = np.array([[1.3, 0.4], [0.2, 1.0]])
-        g = quad(g / math.sqrt(np.linalg.det(g)))
-        for theta in (0.7, 2.0, 4.4):
-            cl = classify(mmul(g, make_rotation(theta), minv(g)))
-            assert cl.angle == pytest.approx(theta, rel=1e-9)
 
 
 class TestWordsAndCommutators:
@@ -158,28 +100,6 @@ class TestWordsAndCommutators:
             lhs = mtrace(commutator(a, b))
             assert lhs == pytest.approx(x * x + y * y + z * z - x * y * z - 2,
                                         abs=1e-9 * max(1, abs(lhs)))
-
-    def test_word_single_letter(self):
-        a = make_translation(0.8)
-        assert np.allclose(evaluate_word({"a": a}, "a"), a)
-
-    def test_word_reversed_convention(self):
-        a, b = make_translation(0.8), make_rotation(1.1)
-        assert np.allclose(evaluate_word({"a": a, "b": b}, "ab"), mmul(b, a))
-
-    def test_word_commutator_consistency(self):
-        a, b = random_hyperbolic(rng), random_hyperbolic(rng)
-        w = evaluate_word({"a": a, "b": b}, "abAB")
-        assert np.allclose(w, commutator(a, b))
-
-    def test_word_token_form(self):
-        a, b = make_translation(0.8), make_rotation(1.1)
-        w = evaluate_word({"x": a, "y": b}, [("x", 2), ("y", -1)])
-        assert np.allclose(w, mmul(minv(b), a, a))
-
-    def test_unbound_letter(self):
-        with pytest.raises(PSL2Error):
-            evaluate_word({"a": IDENTITY}, "ab")
 
 
 class TestAxesAndCrossing:
@@ -205,34 +125,6 @@ class TestAxesAndCrossing:
             assert mtrace(commutator(a, b)) == pytest.approx(expect, abs=1e-10)
 
 
-class TestCommutatorGeometry:
-    def test_parabolic_threshold(self):
-        lam = 2.0 * math.asinh(1.0)
-        geo = commutator_geometry(lam, lam)
-        assert type(geo).__name__ == "ParabolicComm"
-
-    def test_elliptic_angle(self):
-        # p = 0.5 -> quarter angle pi/3
-        lam = 2.0 * math.asinh(math.sqrt(0.5))
-        geo = commutator_geometry(lam, lam)
-        assert geo.quarter_angle == pytest.approx(math.pi / 3, rel=1e-12)
-
-    def test_hyperbolic_displacement(self):
-        # p = cosh(1) -> quarter displacement 1, so lambda([A,B]) = 4
-        p = math.cosh(1.0)
-        lam = 2.0 * math.asinh(math.sqrt(p))
-        geo = commutator_geometry(lam, lam)
-        assert geo.quarter_displacement == pytest.approx(1.0, rel=1e-12)
-        a = make_translation(lam)
-        b = mmul(psl2r.R_LEFT, make_translation(lam), psl2r.R_RIGHT)
-        assert classify(commutator(a, b)).displacement == pytest.approx(
-            4.0, rel=1e-9)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(PSL2Error):
-            commutator_geometry(0.0, 1.0)
-
-
 class TestLifts:
     def test_rotation_circle_map(self):
         for theta in (0.4, 1.9, 5.5):
@@ -251,22 +143,6 @@ class TestLifts:
         assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
         for x in xs[:10]:
             assert f(x + TWO_PI) == pytest.approx(f(x) + TWO_PI, abs=1e-9)
-
-    def test_identity_canonical(self):
-        assert canonical_lift(IDENTITY).base == 0.0
-
-    def test_canonical_requires_hyperbolic(self):
-        with pytest.raises(PSL2Error):
-            canonical_lift(make_rotation(1.0))
-
-    def test_canonical_translation_number_zero(self):
-        m = random_hyperbolic(rng)
-        f = canonical_lift(m)
-        x = 1.234
-        shifts = [f(x) - x]
-        for _ in range(60):
-            x = f(x)
-        assert abs(x) < 1e3          # no drift to +-infinity
 
     def test_compose_projects_and_deck(self):
         f = lift(make_rotation(1.0))
@@ -344,13 +220,6 @@ class TestEulerOps:
         with pytest.raises(PSL2Error):
             euler_class_closed(huge, huge, huge, huge)
 
-    def test_relative_requires_hyperbolic_boundary(self):
-        # commuting images along one axis: boundary is the identity
-        a = make_translation(1.0)
-        b = make_translation(0.5)
-        with pytest.raises(PSL2Error):
-            euler_class_relative([(a, b)], [commutator(a, b)])
-
 
 class TestHandleSign:
     def test_crossing_axes_plus(self):
@@ -374,30 +243,3 @@ class TestHandleSign:
         p = make_rotation(1.0)                       # fixed point i
         q = _axis_through(5.0, 7.0, 1.5)             # axis avoids i
         assert handle_sign(p, q) == -1
-
-
-class TestEllipticPower:
-    def test_b_already_elliptic(self):
-        a = make_rotation(1.0)
-        b = make_rotation(0.8)
-        assert elliptic_power(a, b) == 0
-
-    def test_translation_target(self):
-        a = make_rotation(1.0)
-        b = make_translation(3.0)
-        n = elliptic_power(a, b)
-        tr = np.trace(arr(b) @ np.linalg.matrix_power(arr(a), n) if n >= 0
-                      else arr(b) @ np.linalg.matrix_power(arr(minv(a)), -n))
-        assert 1e-9 < abs(tr) < 2.0
-
-    def test_degenerate_pair(self):
-        # (x + t, z - y) = (0, 0) forces det(b) < 0, so the guard can only
-        # fire on a malformed input; it must still fail loudly
-        a = make_rotation(1.0)
-        b = (0.0, 1.0, 1.0, 0.0)
-        with pytest.raises(PSL2Error):
-            elliptic_power(a, b)
-
-    def test_requires_elliptic(self):
-        with pytest.raises(PSL2Error):
-            elliptic_power(make_translation(1.0), IDENTITY)

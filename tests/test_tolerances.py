@@ -61,3 +61,20 @@ def test_merged_bands_keep_their_values():
     assert tolerances.TRACE_BAND == 1e-9
     assert tolerances.LINK_TOL == 1e-6
     assert tolerances.RELATOR_TOL == 1e-9
+
+
+def test_every_band_has_a_reader():
+    # a band whose last reader is deleted goes with it
+    bands = {node.targets[0].id
+             for node in _tree(SRC / "tolerances.py").body[1:]}
+    read = set()
+    for path in MODULES:
+        tree = _tree(path)
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module == "tolerances"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        read |= imported & used
+    assert sorted(bands - read) == []
