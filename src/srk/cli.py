@@ -29,7 +29,6 @@ from typing import List, Optional
 
 from . import genus2, hyptrig, inequalities, pants, pcg64, search
 from .psl2r import PSL2Error
-from .tolerances import LINK_TOL, MU_MIN_DEFAULT
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -122,8 +121,7 @@ def cmd_classify(args) -> int:
             table[tag] = {"matrix": tm, "closed_form": tc if covered else None,
                           "agreement": gap}
         euler = genus2.euler_class(rep)
-        sign = (str(genus2.sign_invariant(rep)) if rep.euler_nominal == 0
-                else None)
+        sign = genus2.sign_invariant(rep) if rep.euler_nominal == 0 else None
     except PSL2Error as exc:      # overflow, or a relator lost to rounding
         sys.stderr.write(f"classify: out of range: {exc}\n")
         return EXIT_OUT_OF_SCOPE
@@ -143,8 +141,7 @@ def cmd_search(args) -> int:
     if isinstance(rep, int):
         return rep
     try:
-        out = search.search_nonhyperbolic(rep, max_rounds=args.max_rounds,
-                                          mu_min=args.mu_min)
+        out = search.search_nonhyperbolic(rep)
     except search.OutOfScopeError as exc:
         sys.stderr.write(f"search: out of scope: {exc}\n")
         return EXIT_OUT_OF_SCOPE
@@ -152,7 +149,7 @@ def cmd_search(args) -> int:
         sys.stderr.write(f"search: stalled: {out.diagnostic}\n")
         _emit(out.certificate.to_json(), args.out)
         return EXIT_STALLED
-    replay = search.replay_certificate(out.certificate, tol=args.tol)
+    replay = search.replay_certificate(out.certificate)
     payload = json.loads(out.certificate.to_json())
     payload["replay"] = replay
     _emit(json.dumps(payload, default=float), args.out)
@@ -167,7 +164,7 @@ def cmd_replay(args) -> int:
         sys.stderr.write(f"replay: bad certificate: {exc}\n")
         return EXIT_USAGE
     try:
-        report = search.replay_certificate(cert, tol=args.tol)
+        report = search.replay_certificate(cert)
     except search.OutOfScopeError as exc:
         sys.stderr.write(f"replay: out of range: {exc}\n")
         return EXIT_OUT_OF_SCOPE
@@ -218,7 +215,7 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     # seed,index | step | eps1,eps2,a1..a3 | t1..t3 | tr_d1..tr_d3 | sign
     cols = [f"{seed},{index}", "0",
             ",".join([str(eps1), str(eps2)] + [_fl(v) for v in a]),
-            "", "", "", "", "", "", str(genus2.sign_invariant(rep))]
+            "", "", "", "", "", "", genus2.sign_invariant(rep)]
 
     def put(j: int) -> None:
         """Reformat t_{j+1} and tr delta_{j+1}, the columns a twist along
@@ -289,19 +286,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _finite(zero_ok: bool = False):
-    """argparse type: a finite float above 0, or at least 0 if zero_ok."""
-    def parse(text: str) -> float:
-        try:
-            v = float(text)
-        except ValueError:
-            v = math.nan
-        if not (math.isfinite(v) and (v >= 0.0 if zero_ok else v > 0.0)):
-            raise argparse.ArgumentTypeError(
-                f"expected a finite number {'>=' if zero_ok else '>'} 0, "
-                f"got {text!r}")
-        return v
-    return parse
+def _positive(text: str) -> float:
+    """argparse type: a finite float above 0."""
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not (math.isfinite(v) and v > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text!r}")
+    return v
 
 
 def _count(text: str) -> int:
@@ -331,19 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("search", help="find a non-hyperbolic simple curve")
     s.add_argument("rep")
     s.add_argument("--out")
-    s.add_argument("--max-rounds", type=_count,
-                   default=search.MAX_ROUNDS_DEFAULT)
-    s.add_argument("--mu-min", type=_finite(zero_ok=True),
-                   default=MU_MIN_DEFAULT)
-    s.add_argument("--tol", type=_finite(), default=LINK_TOL,
-                   help="certificate link tolerance for the replay check")
     s.set_defaults(fn=cmd_search)
 
     r = sub.add_parser("replay", help="re-verify a search certificate")
     r.add_argument("certificate")
     r.add_argument("--out")
-    r.add_argument("--tol", type=_finite(), default=LINK_TOL,
-                   help="certificate link tolerance")
     r.set_defaults(fn=cmd_replay)
 
     o = sub.add_parser("orbit-stats", help="twist-orbit trace table (CSV)")
@@ -354,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(fn=cmd_orbit_stats)
 
     v = sub.add_parser("verify", help="re-check the grid inequalities")
-    v.add_argument("--scale", type=_finite(), default=1.0,
+    v.add_argument("--scale", type=_positive, default=1.0,
                    help="grid refinement multiplier")
     v.add_argument("--format", choices=("json", "csv"), default="json")
     v.add_argument("--out")

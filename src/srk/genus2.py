@@ -395,14 +395,27 @@ def twist_counts(rep: GluedRep) -> Tuple[int, int, int]:
     """Twist multiples k_i with t_i + 2 k_i a_i in [-a_i, a_i].
 
     Boundary ties resolve to +a_i.  `normalize_twists` applies the counts;
-    the search logs them as twist moves.
+    the search logs them as twist moves.  Raises Genus2Error for a twist so
+    huge that it has lost its place in its orbit: the rounded t_i + 2 k_i
+    a_i lies more than TWIST_EDGE outside [-a_i, a_i] (before a tie moves
+    it) or off the exact remainder of t_i modulo 2 a_i.
     """
     counts = []
     for ti, ai in zip(rep.t, rep.a):
         width = 2.0 * ai
-        k = -math.floor((ti + ai) / width)
-        if abs(ti + k * width + ai) < TWIST_EDGE:   # on the lower edge
+        try:
+            k = -math.floor((ti + ai) / width)
+        except OverflowError:       # t_i / 2 a_i overflows: refused below
+            k = 0
+        tn = ti + k * width
+        placed = abs(tn) <= ai + TWIST_EDGE
+        if abs(tn + ai) < TWIST_EDGE:               # on the lower edge
             k += 1
+            tn = ti + k * width
+        gap = abs(tn - math.remainder(ti, width))
+        if not placed or (gap > TWIST_EDGE and abs(width - gap) > TWIST_EDGE):
+            raise Genus2Error(f"twist {ti} lands off its orbit when "
+                              f"normalised modulo {width}")
         counts.append(k)
     return tuple(counts)
 
@@ -414,16 +427,9 @@ def normalize_twists(rep: GluedRep) -> GluedRep:
     return GluedRep(p1=rep.p1, p2=rep.p2, t=t)
 
 
-@dataclass(frozen=True)
-class SignClass:
-    value: str                       # "Plus", "Minus" or "Degenerate"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-def sign_invariant(rep: GluedRep) -> SignClass:
-    """Sign invariant of an Euler class 0 representation.
+def sign_invariant(rep: GluedRep) -> str:
+    """Sign invariant of an Euler class 0 representation: "Plus", "Minus"
+    or "Degenerate".
 
     Degenerate when any of tr delta_1..3 lies within the tolerance band of
     2 (a separating curve too close to the identity to classify), so that
@@ -438,12 +444,12 @@ def sign_invariant(rep: GluedRep) -> SignClass:
     rep = normalize_twists(rep)
     *others, tr = (trace_curve_matrix(rep, tag) for tag in DELTA_TAGS)
     if any(abs(x - 2.0) <= TRACE_BAND for x in others):
-        return SignClass("Degenerate")
+        return "Degenerate"
     if tr < 2.0 - TRACE_BAND:
-        return SignClass("Plus")
+        return "Plus"
     if tr > 2.0 + TRACE_BAND:
-        return SignClass("Minus")
-    return SignClass("Degenerate")
+        return "Minus"
+    return "Degenerate"
 
 
 def delta_side_consistency(rep: GluedRep) -> bool:

@@ -29,15 +29,15 @@ from .hyptrig import long_shift, rotation
 from .genus2 import GluedRep, build_glued, trace_curve_matrix  # noqa: F401
 from .pants import PantsCase
 from .psl2r import IDENTITY, PSL2Error, Quad, commutator, minv, mmul, mtrace
-from .tolerances import (B2_HALF_SLACK, LINK_TOL, MU_MIN_DEFAULT,
-                         RECOORD_FLAT_BAND, STRATEGY_SLACK, TRACE_BAND,
-                         WINDOW_END_SLACK, WINDOW_START_SLACK)
+from .tolerances import (B2_HALF_SLACK, LINK_TOL, MU_MIN, RECOORD_FLAT_BAND,
+                         STRATEGY_SLACK, TRACE_BAND, WINDOW_END_SLACK,
+                         WINDOW_START_SLACK)
 
 B2_HALF = 2.2254             # admissible half-length bound of the search
 COSH_B2_HALF = 4.67          # reported Bers value, used by constant checks
 REGION_A3_MAX = 2.23         # region decomposition covers a3 up to here
 TORUS_TRACE_MAX = 18.0
-MAX_ROUNDS_DEFAULT = 64
+MAX_ROUNDS = 64
 
 _CH, _SH = math.cosh, math.sinh
 
@@ -326,7 +326,6 @@ class SearchState:
     cert: Certificate
     rounds: int = 0
     history: List[Dict] = field(default_factory=list)
-    mu_min: float = MU_MIN_DEFAULT
 
     @property
     def max_boundary_trace(self) -> float:
@@ -485,25 +484,23 @@ def _stalled(state: SearchState, why: str) -> Stalled:
 def classify_scope(rep: GluedRep) -> str:
     """"plus1", "minus1" or "zero_minus"; raises OutOfScopeError otherwise.
 
-    A twist so large that t_i + 2 k a_i rounds outside [-a_i, a_i] has lost
-    its place in the twist orbit, and is out of scope too.
+    A twist that `genus2.twist_counts` cannot normalise has lost its place
+    in the twist orbit, and is out of scope too.
     """
-    for ti, k, ai in zip(rep.t, genus2.twist_counts(rep), rep.a):
-        if abs(ti + 2.0 * k * ai) > ai:        # as normalize_twists rounds
-            raise OutOfScopeError(f"twists {rep.t} are too large to "
-                                  f"normalise into [-a_i, a_i]")
+    try:
+        genus2.twist_counts(rep)
+    except genus2.Genus2Error:
+        raise OutOfScopeError(f"twists {rep.t} are too large to normalise "
+                              f"into [-a_i, a_i]") from None
     eu = rep.euler_nominal
     if eu == 1:
         return "plus1"
     if eu == -1:
         return "minus1"
     if eu == 0:
-        sign = genus2.sign_invariant(rep)
-        if sign.value == "Minus":
-            return "zero_minus"
-        if sign.value == "Degenerate":
-            # a separating curve within tolerance of trace 2 is itself
-            # non-hyperbolic, so the search can still run
+        # Minus, or Degenerate: a separating curve within tolerance of
+        # trace 2 is itself non-hyperbolic, so the search can still run
+        if genus2.sign_invariant(rep) != "Plus":
             return "zero_minus"
         raise OutOfScopeError(
             "Euler class 0 with sign Plus is outside the search's scope")
@@ -623,16 +620,10 @@ def flat_twist_step(state: SearchState):
             state.history.append({"move": "strategy", "id": "flat_twist"})
             return _torus_route(state, 3,
                                 complement=route.startswith("delta_torus_c"))
-        t3 = state.rep.t[2]
-        up = abs(_flat_delta3_probe(state.rep, t3 + 2 * state.rep.a[2]) - 2.0)
-        dn = abs(_flat_delta3_probe(state.rep, t3 - 2 * state.rep.a[2]) - 2.0)
+        probes = (genus2.dehn_twist_gamma(state.rep, 3, k) for k in (1, -1))
+        up, dn = (abs(trace_curve_matrix(p, "delta3") - 2.0) for p in probes)
         _apply_twist(state, 3, 1 if up <= dn else -1)
     return _stalled(state, "flat twisting did not reach the torus window")
-
-
-def _flat_delta3_probe(rep: GluedRep, t3: float) -> float:
-    x, y, a, t = rep.coords
-    return _trace((x, y, a, (t[0], t[1], t3)), "delta3")
 
 
 def intervals_step(state: SearchState):
@@ -862,7 +853,7 @@ def _improve(state: SearchState):
             return _found(state, [[f"beta{i+1}", 1]])
     old_max = state.max_boundary_trace
     new_max = max(abs(v) for v in tb)
-    if new_max > old_max - state.mu_min:
+    if new_max > old_max - MU_MIN:
         return _stalled(state, f"no strict decrease: max |tr beta| "
                                f"{new_max} vs {old_max}")
     # cyclic relabel: the new index i names the old beta_{rho(i)}
@@ -908,9 +899,7 @@ _STRATEGY_STEPS = {
 }
 
 
-def search_nonhyperbolic(rep: GluedRep,
-                         max_rounds: int = MAX_ROUNDS_DEFAULT,
-                         mu_min: float = MU_MIN_DEFAULT):
+def search_nonhyperbolic(rep: GluedRep):
     """Find a simple closed curve whose image has |trace| <= 2.
 
     The representation must have all half-lengths at most B2_HALF and total
@@ -922,9 +911,8 @@ def search_nonhyperbolic(rep: GluedRep,
             raise OutOfScopeError(f"half-length {v} exceeds the Bers bound "
                                   f"{B2_HALF}")
     classify_scope(rep)
-    state = SearchState(rep=rep, cert=Certificate(initial=_snapshot(rep)),
-                        mu_min=mu_min)
-    while state.rounds <= max_rounds:
+    state = SearchState(rep=rep, cert=Certificate(initial=_snapshot(rep)))
+    while state.rounds <= MAX_ROUNDS:
         _normalize(state)
         _align(state)
         strategy = dispatch(state)
@@ -941,4 +929,4 @@ def search_nonhyperbolic(rep: GluedRep,
         out = step(state)
         if out is not None:
             return out
-    return _stalled(state, f"round budget {max_rounds} exhausted")
+    return _stalled(state, f"round budget {MAX_ROUNDS} exhausted")

@@ -30,15 +30,16 @@ CLAMP = 1e-12
 DELTA_BAND = 1e-12
 # |delta| that build_pants and pants_trace_sign treat as the flat stratum
 FLAT_BAND = 1e-9
-# distance of a normalised twist above -a_i that twist_counts moves to +a_i
+# rounding of a normalised twist: one this close to -a_i moves to +a_i, and
+# one further outside [-a_i, a_i] or off t_i mod 2 a_i is refused
 TWIST_EDGE = 1e-13
 
 # --- the search ------------------------------------------------------------
 
-# certificate link error (fit and replay) and replayed trace gap; --tol
+# certificate link error (fit and replay) and replayed trace gap
 LINK_TOL = 1e-6
-# least fall of the max boundary trace per re-coordinatisation; --mu-min
-MU_MIN_DEFAULT = 1e-4
+# least fall of the max boundary trace per re-coordinatisation
+MU_MIN = 1e-4
 # |delta| of new half-lengths at which a re-coordinatisation stalls as flat
 RECOORD_FLAT_BAND = 1e-7
 # slack on the polygon strategies' analytic conditions

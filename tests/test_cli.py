@@ -98,6 +98,24 @@ HUGE_RECORDS = [
     ({"eps": ["EuPlus1", "EuMinus1"], "a": [1, 1.1, 1.2], "t": [0, 0, 1e20]},
      {"classify": "out of range: trace of beta1 overflows",
       "search": "out of scope: twists (0.0, 0.0, 1e+20) are too large"}),
+    # t_3 = 1e16 and 1.2e29 normalise to 0.0, where the exact remainders
+    # of the floats are -0.43 and -0.17: refused as off their orbits
+    ({"eps": ["EuPlus1", "EuMinus1"], "a": [1, 1.1, 1.2], "t": [0, 0, 1e16]},
+     {"classify": "out of range: trace of beta1 overflows",
+      "search": "out of scope: twists (0.0, 0.0, 1e+16) are too large"}),
+    ({"eps": ["EuPlus1", "EuMinus1"], "a": [1, 1.1, 1.2],
+      "t": [0, 0, 1.2e29]},
+     {"classify": "out of range: trace of beta1 overflows",
+      "search": "out of scope: twists (0.0, 0.0, 1.2e+29) are too large"}),
+    # t_1 normalises to -2.0: on its orbit, but a period outside [-a_1, a_1]
+    ({"eps": ["EuPlus1", "EuMinus1"], "a": [1.5, 1.1, 1.2], "t": [1e16, 0, 0]},
+     {"classify": "out of range: trace of beta2 overflows",
+      "search": "out of scope: twists (1e+16, 0.0, 0.0) are too large"}),
+    # t_1 / (2 a_1) overflows a float
+    ({"eps": ["EuPlus1", "EuMinus1"], "a": [0.05, 0.06, 0.07],
+      "t": [1e308, 0, 0]},
+     {"classify": "out of range: trace of beta2 overflows",
+      "search": "out of scope: twists (1e+308, 0.0, 0.0) are too large"}),
 ]
 
 
@@ -283,6 +301,22 @@ class TestSearch:
         path = tmp_path / "plus.json"
         path.write_text(rep.to_json())
         assert cli.main(["search", str(path)]) == 3
+
+    @pytest.mark.parametrize("t3", [-1.1999999999999995, -1.19999999999999])
+    def test_twist_on_the_lower_edge(self, tmp_path, t3):
+        # t_3 + a_3 < TWIST_EDGE: t_3 moves to +a_3, where it rounds just
+        # above a_3, and stays on its orbit
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"eps": ["EuPlus1", "EuMinus1"],
+                                    "a": [1, 1.1, 1.2], "t": [0, 0, t3]}))
+        cert = tmp_path / "cert.json"
+        assert cli.main(["search", str(path), "--out", str(cert)]) == 0
+        data = json.loads(cert.read_text())
+        assert data.pop("replay")["ok"]
+        cert.write_text(json.dumps(data))
+        out = tmp_path / "replay.json"
+        assert cli.main(["replay", str(cert), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["ok"]
 
 
 def _python_m_srk(argv, **kwargs):
@@ -569,6 +603,13 @@ def test_broken_link_with_nan_tol_is_refused(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_replay_takes_no_tol(tmp_path, capsys):
+    # a loose --tol would accept the broken link (error 19.7)
+    path = _broken_link(tmp_path)
+    assert cli.main(["replay", str(path), "--tol", "100"]) == 64
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["search", "-h"],
                                   ["verify", "--help"]])
 def test_help_exits_zero(capsys, argv):
@@ -577,16 +618,10 @@ def test_help_exits_zero(capsys, argv):
 
 
 def test_bounded_flags_accept_their_edges():
-    args = cli.build_parser().parse_args(
-        ["search", "rep.json", "--mu-min", "0", "--tol", "1e-300"])
-    assert (args.mu_min, args.tol) == (0.0, 1e-300)
     assert cli.build_parser().parse_args(["verify", "--scale", "2"]).scale == 2
 
 
 def test_count_flags_accept_zero(tmp_path, capsys):
-    args = cli.build_parser().parse_args(
-        ["search", "rep.json", "--max-rounds", "0"])
-    assert args.max_rounds == 0
     out = tmp_path / "orbits.csv"
     assert cli.main(["orbit-stats", "--seed", "0", "--n", "0", "--length",
                      "0", "--out", str(out)]) == 0

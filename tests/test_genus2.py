@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from srk.psl2r import (commutator, deviation_from_projective_identity, mmul,
                        mtrace)
 from srk.search import (Certificate, SearchState, replay_certificate,
                         search_nonhyperbolic)
+from srk.tolerances import TWIST_EDGE
 
 rng = np.random.default_rng(13)
 
@@ -547,3 +549,22 @@ class TestProperties:
                 assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref)), tag
 
         check()
+
+    @settings(_PROPERTY, max_examples=300)
+    @given(a=st.tuples(*[st.floats(0.05, 2.3)] * 3),
+           t=st.tuples(*[st.one_of(st.floats(-100.0, 100.0),
+                                   st.floats(-1e30, 1e30))] * 3))
+    def test_normalised_twists_keep_their_orbit(self, a, t):
+        # an accepted normalisation lies within TWIST_EDGE of the exact
+        # remainder of t_i modulo 2 a_i; twists up to 100 are never refused
+        rep = build_glued(EU_PLUS1, EU_MINUS1, a, t)
+        try:
+            out = normalize_twists(rep)
+        except Genus2Error:
+            assert max(map(abs, t)) > 100.0
+            return
+        for ti, ni, ai in zip(rep.t, out.t, a):
+            width = 2 * Fraction(ai)
+            gap = Fraction(ni) - Fraction(ti)
+            gap -= round(gap / width) * width
+            assert abs(gap) <= TWIST_EDGE and abs(ni) <= ai + TWIST_EDGE

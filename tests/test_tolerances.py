@@ -33,7 +33,7 @@ def test_no_small_float_literal_outside_tolerances(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_replay_takes_a_tol(path):
     # a band is a module constant, not a per-call knob; the certificate
-    # replay keeps its link tolerance as the CLI's --tol
+    # replay keeps its link tolerance, which bench/ops.py passes
     takers = [node.name for node in ast.walk(_tree(path))
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               and any(arg.arg == "tol" for arg in
