@@ -45,6 +45,10 @@ _DELTA_PAIRS = {"delta1": ("beta2", "gamma3"),
                 "delta3": ("beta1", "gamma2")}
 
 
+# the co-based loops (gamma_1..3, beta_1..3) of `loop_quads`
+Loops = Tuple[Tuple[Quad, Quad, Quad], Tuple[Quad, Quad, Quad]]
+
+
 class Genus2Error(PSL2Error):
     pass
 
@@ -74,8 +78,27 @@ class GluedRep:
     @cached_property
     def quads(self) -> Dict[str, Quad]:
         """The curve matrices evaluated so far, by tag: `curve_matrix` and
-        the search's found-curve step read and fill it."""
+        the search's found-curve step read and fill it, and `rotate`
+        carries it over."""
         return {}
+
+    @cached_property
+    def loops(self) -> Loops:
+        """`loop_quads` at the coordinates of the rep."""
+        return loop_quads(*self.coords)
+
+    @cached_property
+    def _normal(self) -> Optional["GluedRep"]:
+        """The rep with its twists normalised, or None when no count moves
+        (see `normalize_twists`)."""
+        counts = twist_counts(self)
+        if not any(counts):
+            return None
+        # only nonzero counts are applied, as the search's twist moves do,
+        # so that a twist of -0.0 keeps its bits
+        t = tuple(ti + 2.0 * k * ai if k else ti
+                  for ti, k, ai in zip(self.t, counts, self.a))
+        return GluedRep(p1=self.p1, p2=self.p2, t=t)
 
     @property
     def coords(self):
@@ -141,7 +164,9 @@ def rotate(rep: GluedRep, shift: int) -> GluedRep:
     The relabelling is an exact symmetry of the cocycle equations, so the
     built pants are permuted, not rebuilt: their matrices, half-lengths,
     twists and solutions equal those `build_glued` gives on the relabelled
-    (a, t), bit for bit.
+    (a, t), bit for bit.  So do the curve words: the evaluated gamma, beta
+    and delta matrices carry over, re-keyed.  The co-based loops do not,
+    as the relabelling moves their base point.
     """
     perm = rotation(shift)
     pick = itemgetter(*perm)
@@ -150,7 +175,12 @@ def rotate(rep: GluedRep, shift: int) -> GluedRep:
         sol = p.solution and hyptrig.relabel(p.solution, perm)
         return PantsRep(a=pick(p.a), case=p.case, q=pick(p.q), solution=sol)
 
-    return GluedRep(p1=permuted(rep.p1), p2=permuted(rep.p2), t=pick(rep.t))
+    out = GluedRep(p1=permuted(rep.p1), p2=permuted(rep.p2), t=pick(rep.t))
+    memo = rep.quads
+    out.quads.update((tags[i], memo[tags[p]])
+                     for tags in (GAMMA_TAGS, BETA_TAGS, DELTA_TAGS)
+                     for i, p in enumerate(perm) if tags[p] in memo)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +216,7 @@ def curve_quad(x, y, a, t, tag: str, memo: Optional[Dict] = None) -> Quad:
     return q
 
 
-def loop_quads(x, y, a, t) -> Tuple[Tuple[Quad, Quad, Quad],
-                                    Tuple[Quad, Quad, Quad]]:
+def loop_quads(x, y, a, t) -> Loops:
     """Co-based loops (gamma_1..3, beta_1..3) at a common base point.
 
     The loops come from a spanning tree of the gluing complex: p3 and p5
@@ -421,10 +450,12 @@ def twist_counts(rep: GluedRep) -> Tuple[int, int, int]:
 
 
 def normalize_twists(rep: GluedRep) -> GluedRep:
-    """Twist each t_i into [-a_i, a_i]; boundary ties resolve to +a_i."""
-    t = tuple(ti + 2.0 * k * ai
-              for ti, k, ai in zip(rep.t, twist_counts(rep), rep.a))
-    return GluedRep(p1=rep.p1, p2=rep.p2, t=t)
+    """Twist each t_i into [-a_i, a_i]; boundary ties resolve to +a_i.
+
+    Cached on `rep`, so that its callers share one normalised rep and its
+    evaluated curves; `rep` itself when no count moves.
+    """
+    return rep._normal or rep
 
 
 def sign_invariant(rep: GluedRep) -> str:
@@ -475,7 +506,7 @@ def generator_images(rep: GluedRep) -> Tuple[Quad, Quad, Quad, Quad]:
     [A2, B2][A1, B1] is +-identity, and its lifted deck power is the Euler
     class.
     """
-    g, b = loop_quads(*rep.coords)
+    g, b = rep.loops
     w = mmul(minv(g[1]), b[2])
     return b[0], g[1], mmul(w, b[1], minv(w)), mmul(w, g[0], minv(w))
 

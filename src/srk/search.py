@@ -299,7 +299,8 @@ def _is_word(word) -> bool:
         and type(w[1]) is int and w[1] in (1, -1) for w in word)
 
 
-_WORD_NAMES = genus2.CURVE_TAGS + tuple(f"{c}loop{i}" for c in "gb"
+_LOOP_PREFIXES = ("gloop", "bloop")
+_WORD_NAMES = genus2.CURVE_TAGS + tuple(f"{c}{i}" for c in _LOOP_PREFIXES
                                         for i in "123")
 
 
@@ -341,17 +342,17 @@ def _coords_from_snapshot(snap: Dict):
     return x, y, list(snap["a"]), list(snap["t"])
 
 
-def _trace(coords, tag: str) -> float:
-    return mtrace(genus2.curve_quad(*coords, tag))
+def _trace(coords, tag: str, memo: Optional[Dict] = None) -> float:
+    return mtrace(genus2.curve_quad(*coords, tag, memo))
 
 
-def _word_quad(coords, word: Sequence, memo: Optional[Dict] = None) -> Quad:
+def _word_quad(coords, word: Sequence, memo: Optional[Dict] = None,
+               loops: Optional[genus2.Loops] = None) -> Quad:
     """Product of a word of +-1 letters over the named curves and the
-    co-based loops; `memo` as in `genus2.curve_quad`."""
+    co-based loops; `memo` and `loops` as in `_link_targets`."""
     out = IDENTITY
-    loops = None
     for name, exp in word:
-        if name.startswith(("gloop", "bloop")):
+        if name.startswith(_LOOP_PREFIXES):
             loops = loops or genus2.loop_quads(*coords)
             m = loops[name[0] == "b"][int(name[-1]) - 1]
         else:
@@ -360,28 +361,40 @@ def _word_quad(coords, word: Sequence, memo: Optional[Dict] = None) -> Quad:
     return out
 
 
-def _link_targets(old, rho: Sequence[int]) -> List[float]:
+def _link_targets(old, rho: Sequence[int], memo: Optional[Dict] = None,
+                  loops: Optional[genus2.Loops] = None) -> List[float]:
     """Traces of (gamma_1..3, beta_1..3, delta_1..3) after re-coordinatising
     the coordinates `old` on relabel rho (new index i <- old rho[i]).
 
     gamma'_i is the old beta_{rho(i)} and beta'_i the old gamma_{rho(i)};
     delta'_k pairs the old co-based handle (gamma_{rho(i)}, beta_{rho(j)}),
-    (i, j, k) cyclic.
+    (i, j, k) cyclic.  `memo` as in `genus2.curve_quad`, and `loops` the
+    old `loop_quads` if already evaluated.
     """
-    g, b = genus2.loop_quads(*old)
-    return ([_trace(old, f"beta{r+1}") for r in rho]
-            + [_trace(old, f"gamma{r+1}") for r in rho]
+    g, b = loops or genus2.loop_quads(*old)
+    return ([_trace(old, f"beta{r+1}", memo) for r in rho]
+            + [_trace(old, f"gamma{r+1}", memo) for r in rho]
             + [mtrace(commutator(g[rho[(k + 1) % 3]], b[rho[(k + 2) % 3]]))
                for k in range(3)])
 
 
-def _link_error(new, targets: Sequence[float]) -> float:
-    """Largest gap between the traces at `new` and the `_link_targets`;
+def _link_gap(coords, tag: str, target: float, memo: Dict) -> float:
+    """Gap between the trace of `tag` at `coords` and its link target;
     gamma and beta compare in absolute value, as their lifts' signs are
     free."""
-    return max(abs(_trace(new, tag) - v) if tag in genus2.DELTA_TAGS
-               else abs(abs(_trace(new, tag)) - abs(v))
-               for tag, v in zip(genus2.CURVE_TAGS, targets))
+    tr = _trace(coords, tag, memo)
+    if tag in genus2.DELTA_TAGS:
+        return abs(tr - target)
+    return abs(abs(tr) - abs(target))
+
+
+def _link_error(new, targets: Sequence[float]) -> float:
+    """Largest gap between the traces at `new` and the `_link_targets`,
+    or the first gap that is not finite: a NaN fails every check."""
+    memo: Dict = {}
+    gaps = [_link_gap(new, tag, v, memo)
+            for tag, v in zip(genus2.CURVE_TAGS, targets)]
+    return next((g for g in gaps if not math.isfinite(g)), max(gaps))
 
 
 def replay_certificate(cert: Certificate, tol: float = LINK_TOL) -> Dict:
@@ -437,17 +450,25 @@ def _replay(cert: Certificate, tol: float) -> Dict:
 # state moves
 # ---------------------------------------------------------------------------
 
-def _apply_twist(state: SearchState, i: int, k: int) -> None:
-    if k == 0:
-        return
-    state.rep = genus2.dehn_twist_gamma(state.rep, i, k)
+def _log_twist(state: SearchState, i: int, k: int) -> None:
     state.cert.moves.append({"kind": "twist", "i": i, "k": k})
     state.history.append({"move": "twist", "i": i, "k": k})
 
 
+def _apply_twist(state: SearchState, i: int, k: int) -> None:
+    if k == 0:
+        return
+    state.rep = genus2.dehn_twist_gamma(state.rep, i, k)
+    _log_twist(state, i, k)
+
+
 def _normalize(state: SearchState) -> None:
+    """Log the twist moves into [-a_i, a_i] and move to the normalised rep
+    that `genus2.normalize_twists` keeps, with the curves it evaluated."""
     for i, k in enumerate(genus2.twist_counts(state.rep)):
-        _apply_twist(state, i + 1, k)
+        if k:
+            _log_twist(state, i + 1, k)
+    state.rep = genus2.normalize_twists(state.rep)
 
 
 def _align(state: SearchState) -> None:
@@ -461,7 +482,10 @@ def _align(state: SearchState) -> None:
 
 
 def _found(state: SearchState, word: List) -> FoundCurve:
-    tr = mtrace(_word_quad(state.rep.coords, word, state.rep.quads))
+    rep = state.rep
+    loops = (rep.loops if any(name.startswith(_LOOP_PREFIXES)
+                              for name, _ in word) else None)
+    tr = mtrace(_word_quad(rep.coords, word, rep.quads, loops))
     if abs(tr) > 2.0 + TRACE_BAND:
         raise SearchError(
             f"found-curve verification failed: |{tr}| > 2 for {word}")
@@ -516,7 +540,7 @@ def _complement_handle(rep: GluedRep, k: int) -> Tuple[Quad, Quad, str, str]:
     of them has trace above 2 whenever |tr delta_k| > 2.
     """
     i, j = k % 3, (k + 1) % 3          # 0-based successors of k-1
-    g_loops, b_loops = genus2.loop_quads(*rep.coords)
+    g_loops, b_loops = rep.loops
     return (g_loops[i], b_loops[j], f"gloop{i+1}", f"bloop{j+1}")
 
 
@@ -821,10 +845,31 @@ def _delta_twist_roots(x, y, a, k: int, d: float) -> List[float]:
                   _positive_roots(c_plus, c_mid + (d - 2.0) / s, c_minus))
 
 
+def _worst_gap(coords, tags, targets, memo: Dict, bound: float,
+               worst: float = 0.0) -> Optional[float]:
+    """The largest of `worst` and the `_link_gap`s over `tags`, or None as
+    soon as one of them is not below `bound` (a NaN never is)."""
+    if not worst < bound:
+        return None
+    for tag, v in zip(tags, targets):
+        gap = _link_gap(coords, tag, v, memo)
+        if not gap < bound:
+            return None
+        worst = max(worst, gap)
+    return worst
+
+
 def _fit_candidate(eps_pair, a_new, targets):
     """Solve the three twists against the delta targets; verify all traces
     against the `_link_targets`, as the certificate replay does.  Returns
-    (the fitted rep, glued from the pants built here, link error) or None."""
+    (the fitted rep, glued from the pants built here, link error) or None.
+
+    The link error is the largest of the nine gaps, and the fit keeps the
+    first root combination of least error below LINK_TOL.  Each gap is
+    checked against the least error so far as soon as it is evaluated:
+    the gamma gaps read no twist and are checked once, and a combination
+    is dropped at its first beta or delta gap that cannot improve on it.
+    """
     case1, case2 = genus2.pants_cases(*eps_pair)
     try:
         p1 = pants.build_pants(a_new, case1)
@@ -836,12 +881,19 @@ def _fit_candidate(eps_pair, a_new, targets):
               if -10.0 <= r <= 10.0] for k in range(3)]
     if not all(roots):
         return None
-    best = None
+    gammas: Dict = {}
+    g_err = _worst_gap((p1.q, p2.q, a_new, None), genus2.GAMMA_TAGS,
+                       targets[:3], gammas, LINK_TOL)
+    if g_err is None:
+        return None
+    best, bound = None, LINK_TOL
     for combo in itertools.product(*roots):
-        err = _link_error((p1.q, p2.q, a_new, combo), targets)
-        if err < LINK_TOL and (best is None or err < best[1]):
-            best = (combo, err)
-    return best and (GluedRep(p1=p1, p2=p2, t=best[0]), best[1])
+        err = _worst_gap((p1.q, p2.q, a_new, combo),
+                         genus2.BETA_TAGS + genus2.DELTA_TAGS, targets[3:],
+                         dict(gammas), bound, g_err)
+        if err is not None:
+            best, bound = combo, err
+    return best and (GluedRep(p1=p1, p2=p2, t=best), bound)
 
 
 def _improve(state: SearchState):
@@ -858,7 +910,7 @@ def _improve(state: SearchState):
                                f"{new_max} vs {old_max}")
     # cyclic relabel: the new index i names the old beta_{rho(i)}
     rho = list(rotation(long_shift([abs(v) for v in tb])))
-    targets = _link_targets(rep.coords, rho)
+    targets = _link_targets(rep.coords, rho, rep.quads, rep.loops)
     a_new = tuple(math.acosh(abs(v) / 2.0) for v in targets[:3])
     delta_new = hyptrig.delta_invariant(*a_new)
     if abs(delta_new) < RECOORD_FLAT_BAND:

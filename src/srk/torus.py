@@ -40,6 +40,18 @@ def _invert_word(w: str) -> str:
     return "".join(_INVERT[c] for c in reversed(w))
 
 
+def _move_triple(move: str, triple):
+    """One move on the trace triple alone: (y,x,z), (x,z,y), (x,y,xy-z)."""
+    x, y, z = triple
+    if move == "P12":
+        return y, x, z
+    if move == "P23":
+        return x, z, y
+    if move == "M3":
+        return x, y, x * y - z
+    raise ReductionError(f"unknown move {move!r}")
+
+
 def _apply_move(move: str, triple, words):
     """One move on the trace triple and the tracked pair words.
 
@@ -47,15 +59,13 @@ def _apply_move(move: str, triple, words):
     (p, q) by (p, q^-1).  All three keep both entries simple closed curves
     of the torus and act on the triple by (y,x,z), (x,z,y), (x,y,xy-z).
     """
-    x, y, z = triple
+    triple = _move_triple(move, triple)
     wa, wb = words
     if move == "P12":
-        return (y, x, z), (wb, wa)
+        return triple, (wb, wa)
     if move == "P23":
-        return (x, z, y), (_invert_word(wa), wa + wb)
-    if move == "M3":
-        return (x, y, x * y - z), (wa, _invert_word(wb))
-    raise ReductionError(f"unknown move {move!r}")
+        return triple, (_invert_word(wa), wa + wb)
+    return triple, (wa, _invert_word(wb))
 
 
 def _found_index(triple) -> Optional[int]:
@@ -131,7 +141,7 @@ def reduce_triple(x: float, y: float, z: float,
         for word in _PERM_WORDS:
             cand = triple
             for mv in word:
-                cand, _ = _apply_move(mv, cand, ("a", "b"))
+                cand = _move_triple(mv, cand)
             score = _max_abs(cand)
             if score < cur - DESCENT_MARGIN \
                     and (best is None or score < best[0]):

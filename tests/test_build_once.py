@@ -8,8 +8,10 @@ and the rebuilding `_align` and gluing that these replaced: every result
 must match them bit for bit.
 """
 
+import itertools
 import json
 import math
+import struct
 import sys
 
 import numpy as np
@@ -269,6 +271,10 @@ _A_BY_STRATUM = {
 }
 
 
+def _bits(floats) -> bytes:
+    return struct.pack(f"{len(floats)}d", *floats)
+
+
 class TestRotation:
     @pytest.mark.parametrize("names", ALL_PAIRS, ids="/".join)
     def test_rotation_is_the_relabelled_build(self, names):
@@ -301,6 +307,44 @@ class TestRotation:
             assert euler_class(rot) == euler_class(rep)
             if rep.euler_nominal == 0:
                 assert str(sign_invariant(rot)) == str(sign_invariant(rep))
+
+        check()
+
+    @pytest.mark.parametrize("names", ALL_PAIRS, ids="/".join)
+    def test_rotation_carries_the_curve_memo(self, names):
+        """The matrices `rotate` carries over are, bit for bit, those
+        evaluated afresh at the rotated coordinates; it carries no loops.
+        The normalised rep is kept on the rep: the rep itself when no count
+        moves, with the bits of every twist whose count is 0."""
+        eps1, eps2 = (case_from_string(s) for s in names)
+
+        @settings(deadline=None, derandomize=True, database=None,
+                  max_examples=8)
+        @given(a=_A_BY_STRATUM[_anchor(eps1, eps2)],
+               t=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+               shift=st.integers(1, 2),
+               tags=st.sets(st.sampled_from(CURVE_TAGS)))
+        def check(a, t, shift, tags):
+            rep = build_glued(eps1, eps2, a, t)
+            for tag in tags:
+                genus2.curve_matrix(rep, tag)
+            rep.loops                 # evaluated, yet not to be carried
+            rot = genus2.rotate(rep, shift)
+            assert "loops" not in vars(rot)
+            perm = hyptrig.rotation(shift)
+            assert sorted(rot.quads) == sorted(
+                fam[i] for fam in (GAMMA_TAGS, BETA_TAGS, DELTA_TAGS)
+                for i in range(3) if fam[perm[i]] in rep.quads)
+            for tag, q in rot.quads.items():
+                assert _bits(q) == _bits(genus2.curve_quad(*rot.coords, tag))
+
+            norm = genus2.normalize_twists(rep)
+            assert genus2.normalize_twists(rep) is norm
+            counts = genus2.twist_counts(rep)
+            assert (norm is rep) == (counts == (0, 0, 0))
+            assert genus2.normalize_twists(norm) is norm
+            for k, ti, ni in zip(counts, rep.t, norm.t):
+                assert k or _bits([ti]) == _bits([ni])
 
         check()
 
@@ -345,6 +389,42 @@ def _rebuilding_align(state):
     state.rep = build_glued(rep.eps1, rep.eps2, a, t)
     state.cert.moves.append({"kind": "rotate", "shift": shift})
     state.history.append({"move": "rotate", "shift": shift})
+
+
+def _memo_free_normalize(state):
+    """`_normalize` as it was: one Dehn twist, and one rep, per move."""
+    for i, k in enumerate(genus2.twist_counts(state.rep)):
+        search._apply_twist(state, i + 1, k)
+
+
+def _memo_free_link_error(new, targets):
+    """`_link_error` as it was: each delta re-evaluates its beta and
+    gamma."""
+    return max(abs(search._trace(new, tag) - v) if tag in DELTA_TAGS
+               else abs(abs(search._trace(new, tag)) - abs(v))
+               for tag, v in zip(CURVE_TAGS, targets))
+
+
+def _all_combination_fit(eps_pair, a_new, targets):
+    """`_fit_candidate` as it was: every root combination scored on all
+    nine gaps, the fitted rep glued by `build_glued`."""
+    case1, case2 = genus2.pants_cases(*eps_pair)
+    try:
+        p1 = pants.build_pants(a_new, case1)
+        p2 = pants.build_pants(a_new, case2)
+    except (pants.PantsError, hyptrig.TrigError):
+        return None
+    roots = [[r for r in search._delta_twist_roots(p1.q, p2.q, a_new, k,
+                                                   targets[6 + k])
+              if -10.0 <= r <= 10.0] for k in range(3)]
+    if not all(roots):
+        return None
+    best = None
+    for combo in itertools.product(*roots):
+        err = _memo_free_link_error((p1.q, p2.q, a_new, combo), targets)
+        if err < search.LINK_TOL and (best is None or err < best[1]):
+            best = (combo, err)
+    return best and (build_glued(*eps_pair, a_new, best[0]), best[1])
 
 
 def _search_reps(seed, n):
@@ -392,20 +472,28 @@ def _search_outputs(rep):
 class TestSearchBuildsOnce:
     def test_matches_rebuilding_reference(self, monkeypatch):
         """Certificates, history, rounds and replays are those of the
-        rebuilding `_align` and of gluing a fit by `build_glued`."""
+        memo-free references: the rebuilding `_align`, one Dehn twist per
+        normalising move, and the fit that scores every root combination
+        on all nine gaps and glues its rep by `build_glued`.  The residual
+        of each link is the replay's link error, bit for bit."""
         reps = _search_reps(103, 160)
         got = [_search_outputs(rep) for rep in reps]
-        fit = search._fit_candidate
-
-        def rebuilding_fit(eps_pair, a_new, targets):
-            out = fit(eps_pair, a_new, targets)
-            return out and (build_glued(*eps_pair, a_new, out[0].t), out[1])
-
         monkeypatch.setattr(search, "_align", _rebuilding_align)
-        monkeypatch.setattr(search, "_fit_candidate", rebuilding_fit)
+        monkeypatch.setattr(search, "_normalize", _memo_free_normalize)
+        monkeypatch.setattr(search, "_fit_candidate", _all_combination_fit)
         assert [_search_outputs(rep) for rep in reps] == got
         assert sum(g[2] > 0 for g in got) >= 5       # re-coordinatised
         assert sum('"rotate"' in g[0] for g in got) >= 100
+        linked = 0
+        for g in got:
+            residuals = [mv["residual"] for mv in json.loads(g[0])["moves"]
+                         if mv["kind"] == "recoordinatize"]
+            if residuals and len(g) > 4:             # a replayed FoundCurve
+                linked += 1
+                for replay in g[-2:]:
+                    errors = json.loads(replay)["link_errors"]
+                    assert _bits(errors) == _bits(residuals)
+        assert linked >= 5
 
     def test_builds_pants_only_to_fit(self, monkeypatch):
         reps = _search_reps(104, 80)

@@ -209,6 +209,21 @@ class TestTwists:
         again = normalize_twists(out)
         assert again.t == out.t
 
+    def test_normalize_twists_is_kept_on_the_rep(self):
+        # only a twist whose count moves changes: t_1 = -0.0 keeps its
+        # sign, as it does under the search's twist moves
+        rep = build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.0, 1.0),
+                          (-0.0, 5.0, 0.4))
+        out = normalize_twists(rep)
+        assert math.copysign(1.0, out.t[0]) == -1.0
+        assert out.t == (0.0, 1.0, 0.4)
+        assert normalize_twists(rep) is out
+        assert normalize_twists(out) is out
+        state = SearchState(rep=rep, cert=Certificate(initial={}))
+        for i, k in enumerate(genus2.twist_counts(rep)):
+            search._apply_twist(state, i + 1, k)
+        assert [math.copysign(1.0, v) for v in state.rep.t] == [-1.0, 1.0, 1.0]
+
 
 class TestEulerClass:
     @pytest.mark.parametrize("eps1,eps2,sampler", PAIR_SAMPLERS,

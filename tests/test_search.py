@@ -458,6 +458,54 @@ class TestFitRoots:
         assert small == pytest.approx(1e-9, rel=1e-15)
 
 
+# one re-coordinatisation, replay ok with one link error of 6.9e-14
+RECOORD_A = (2.198357685272788, 2.0959027896033517, 2.0510531380398436)
+RECOORD_T = (1.6175391777729755, 1.3997193333038709, 1.527668421916658)
+
+
+class TestLinkGaps:
+    """A link gap that is not finite fails the fit and the replay, wherever
+    it sits among the nine."""
+
+    def test_nan_target_anywhere_gives_nan(self):
+        rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, (1, 1.1, 1.2),
+                                 (0.1, 0.2, 0.3))
+        targets = search._link_targets(rep.coords, [0, 1, 2])
+        assert math.isfinite(search._link_error(rep.coords, targets))
+        for idx in range(9):
+            bad = list(targets)
+            bad[idx] = math.nan
+            assert math.isnan(search._link_error(rep.coords, bad)), idx
+
+    @staticmethod
+    def _nan_beta2_target(monkeypatch):
+        link_targets = search._link_targets
+
+        def nan_beta2(*args):
+            out = link_targets(*args)
+            out[4] = math.nan
+            return out
+
+        monkeypatch.setattr(search, "_link_targets", nan_beta2)
+
+    def _recoord_rep(self):
+        return genus2.build_glued(EU_PLUS1, EU_MINUS1, RECOORD_A, RECOORD_T)
+
+    def test_fit_refuses_a_nan_target(self, monkeypatch):
+        assert search_nonhyperbolic(self._recoord_rep()).rounds == 1
+        self._nan_beta2_target(monkeypatch)
+        out = search_nonhyperbolic(self._recoord_rep())
+        assert isinstance(out, search.Stalled) and out.rounds == 0
+        assert out.diagnostic == "no coordinate fit for the new curve triple"
+
+    def test_replay_refuses_a_nan_gap(self, monkeypatch):
+        cert = search_nonhyperbolic(self._recoord_rep()).certificate
+        assert replay_certificate(cert)["ok"]
+        self._nan_beta2_target(monkeypatch)
+        with pytest.raises(OutOfScopeError, match="link error nan"):
+            replay_certificate(cert)
+
+
 def _run_fresh(code: str) -> str:
     """Run `code` in a fresh interpreter on this checkout's sources; its
     stdout."""
