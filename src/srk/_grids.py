@@ -1,0 +1,693 @@
+"""The grid claims behind `srk.inequalities`, evaluated block by block.
+
+No grid is held whole.  A claim evaluates its grid in blocks of whole rows
+(slices along its first axis), at most `_BLOCK_POINTS` points each, and a
+`MinPad` folds each block into the running minimum and the largest
+neighbour difference along each axis; the last row of a block is kept for
+the difference with the first row of the next.  Every per-point quantity is
+written with `out=` into the buffers of one `Workspace`, made once per
+`verify_paper_inequalities` call and reused by every block of every claim,
+and each quantity is evaluated only on the axes it depends on, broadcast
+against the others.  So a call allocates no array the size of a block
+after its buffers, and its memory does not grow with `scale` until one
+row outgrows a block.  The reports equal those of whole-grid arrays bit
+for bit: every point sees the same floating-point operations in the same
+order, and minima and maxima are exact in any order.
+
+Each function that builds or reads a grid imports numpy itself, and
+`srk.inequalities` imports this module on its first call, so that
+`import srk` compiles neither this code nor numpy.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import (TYPE_CHECKING, Callable, Iterator, List, Sequence,
+                    Tuple)
+
+from .inequalities import ClaimReport
+from .search import (B2_HALF, COSH_B2_HALF, REGION_A3_MAX, _iso_lambda,
+                     line_l1, line_l2)
+from .tolerances import FLAT_IDENTITY_RESID, LAMBDA_FLOOR_RESID, X4_MASK_SLACK
+
+if TYPE_CHECKING:
+    import numpy as np
+
+ACOSH3 = math.acosh(3.0)
+
+# points in one block, the length of every workspace buffer: 150 KB of
+# float64, 16 rows of the equi1 grid at scale 1.  On a 2-core Xeon a verify
+# call took 14-18% more CPU time with 9600-point blocks, which pay numpy's
+# per-call cost twice as often; 28800 to 57600 points came within 4% of
+# this size, but the buffers, mapped afresh by each call, then cost 641 to
+# 831 minor page faults per call against 451.
+_BLOCK_POINTS = 16 * 1200
+
+
+class Workspace:
+    """Scratch arrays for one `verify_paper_inequalities` call.
+
+    Flat float64 buffers of `_BLOCK_POINTS` each, made when a claim first
+    asks for them and reused by every later block; `MinPad` owns the first
+    two.  A grid row longer than a block enlarges every buffer to one row.
+    """
+
+    def __init__(self) -> None:
+        self._size = _BLOCK_POINTS
+        self._bufs: List[np.ndarray] = []
+        self._flags = None
+        self._index = None
+
+    def _fit(self, points: int) -> None:
+        if points > self._size:
+            self._size = points
+            self._bufs, self._flags, self._index = [], None, None
+
+    def blocks(self, runs: Sequence[Tuple[int, int]],
+               row_points: int) -> Iterator[Tuple[int, int]]:
+        """Cut each (start, stop) run of grid rows into (lo, hi) blocks of
+        as many whole rows of `row_points` points as one buffer holds."""
+        self._fit(row_points)
+        step = self._size // row_points
+        for start, stop in runs:
+            for lo in range(start, stop, step):
+                yield lo, min(lo + step, stop)
+
+    def buffer(self, i: int, shape: Tuple[int, ...]) -> np.ndarray:
+        import numpy as np
+        self._fit(math.prod(shape))
+        while len(self._bufs) <= i:
+            self._bufs.append(np.empty(self._size))
+        return self._bufs[i][:math.prod(shape)].reshape(shape)
+
+    def arrays(self, shape: Tuple[int, ...], count: int) -> List[np.ndarray]:
+        """`count` float arrays of `shape`, none of them `MinPad`'s."""
+        return [self.buffer(2 + i, shape) for i in range(count)]
+
+    def flags(self, shape: Tuple[int, ...]) -> np.ndarray:
+        """A bool array of `shape`, for a block's mask."""
+        import numpy as np
+        if self._flags is None:
+            self._flags = np.empty(self._size, dtype=bool)
+        return self._flags[:math.prod(shape)].reshape(shape)
+
+    def index(self, k: int) -> np.ndarray:
+        """0.0, 1.0, ..., k - 1 as floats."""
+        import numpy as np
+        if self._index is None:
+            self._index = np.arange(self._size, dtype=float)
+        return self._index[:k]
+
+
+class MinPad:
+    """Raw minimum and Lipschitz pad of a grid, folded block by block.
+
+    The pad is half the largest neighbour difference along each axis,
+    summed over the axes; NaN cells are skipped.  Blocks are runs of whole
+    rows in ascending order, and rows never added count as NaN: a block's
+    first row is the neighbour of the previous block's last row only when
+    their indices are adjacent.
+    """
+
+    def __init__(self, shape: Tuple[int, ...], ws: Workspace) -> None:
+        self._shape = shape
+        self._ws = ws
+        self._raw = math.nan
+        self._hi = [math.nan] * len(shape)
+        self._lo = [math.nan] * len(shape)
+        self._next = -1                 # the row adjacent to the last block
+
+    def _fold(self, axis: int, diff: np.ndarray) -> None:
+        import numpy as np
+        self._hi[axis] = np.fmax(self._hi[axis],
+                                 np.fmax.reduce(diff, axis=None))
+        self._lo[axis] = np.fmin(self._lo[axis],
+                                 np.fmin.reduce(diff, axis=None))
+
+    def add(self, first: int, block: np.ndarray) -> None:
+        """Fold in grid rows first, first + 1, ..., first + len(block) - 1."""
+        import numpy as np
+        self._raw = np.fmin(self._raw, np.fmin.reduce(block, axis=None))
+        last = self._ws.buffer(1, (1,) + block.shape[1:])
+        if first == self._next:
+            diff = self._ws.buffer(0, last.shape)
+            np.subtract(block[:1], last, out=diff)
+            self._fold(0, diff)
+        for axis, size in enumerate(block.shape):
+            if size > 1:
+                head = (slice(None),) * axis
+                shape = block.shape[:axis] + (size - 1,) + block.shape[axis + 1:]
+                diff = self._ws.buffer(0, shape)
+                np.subtract(block[head + (slice(1, None),)],
+                            block[head + (slice(None, -1),)], out=diff)
+                self._fold(axis, diff)
+        np.copyto(last, block[-1:])
+        self._next = first + len(block)
+
+    def result(self) -> Tuple[float, float]:
+        pad = 0.0
+        for axis, size in enumerate(self._shape):
+            if size > 1:
+                pad += max(float(self._hi[axis]), -float(self._lo[axis])) / 2.0
+        return float(self._raw), pad
+
+    def report(self, claim_id: str, detail: str = "") -> ClaimReport:
+        raw, pad = self.result()
+        return ClaimReport(claim_id=claim_id, margin=raw - pad, raw_min=raw,
+                           lipschitz_pad=pad,
+                           grid_points=math.prod(self._shape), detail=detail)
+
+
+def _runs(mask: np.ndarray) -> List[Tuple[int, int]]:
+    """(start, stop) of each run of True in a 1-D bool array."""
+    import numpy as np
+    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
+    return [(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
+
+
+def _linspace(start, stop, num: int, out: np.ndarray, ws: Workspace,
+              first: int = 0) -> np.ndarray:
+    """Points first, first + 1, ... of np.linspace(start, stop, num) along
+    the last axis of `out`, bit for bit: point i is
+    i * ((stop - start) / (num - 1)) + start and the last point is stop.
+    `start` and `stop` are floats or hold one value per row of `out`."""
+    import numpy as np
+    k = out.shape[-1]
+    step = np.subtract(stop, start, dtype=float) / (num - 1)
+    np.add(ws.index(k), first, out=out)
+    out *= np.reshape(step, np.shape(step) + (1,))
+    out += np.reshape(start, np.shape(start) + (1,))
+    if first + k == num:
+        out[..., -1] = stop
+    return out
+
+
+def _lambda_floor(ch3: np.ndarray, out: np.ndarray,
+                  tmp: np.ndarray) -> np.ndarray:
+    """Lower bound for the equilateral twist length at given cosh(a3):
+    2 acosh((17 ch3 + 1) / (ch3 + 17)) - acosh(ch3), into out."""
+    import numpy as np
+    np.multiply(17.0, ch3, out=out)
+    out += 1.0
+    np.add(ch3, 17.0, out=tmp)
+    out /= tmp
+    np.arccosh(out, out=out)
+    out *= 2.0
+    np.arccosh(ch3, out=tmp)
+    return np.subtract(out, tmp, out=out)
+
+
+def _lambda_of(b: np.ndarray, a3: np.ndarray, ch3: np.ndarray,
+               out: np.ndarray, sh_sq: np.ndarray,
+               ch_sq: np.ndarray) -> np.ndarray:
+    """Twist length from cosh(b/2)^2 cosh((a3+lam)/2) = cosh a3 + sinh(b/2)^2,
+    into out, given ch3 = cosh(a3); sinh(b/2)^2 and cosh(b/2)^2 are left in
+    sh_sq and ch_sq."""
+    import numpy as np
+    np.divide(b, 2.0, out=ch_sq)
+    np.sinh(ch_sq, out=sh_sq)
+    np.cosh(ch_sq, out=ch_sq)
+    sh_sq *= sh_sq
+    ch_sq *= ch_sq
+    np.add(ch3, sh_sq, out=out)
+    out /= ch_sq
+    np.maximum(out, 1.0, out=out)
+    np.arccosh(out, out=out)
+    out *= 2.0
+    return np.subtract(out, a3, out=out)
+
+
+# ---------------------------------------------------------------------------
+# individual claims
+# ---------------------------------------------------------------------------
+
+def _claim_equ0_cond0(n: int, ws: Workspace) -> ClaimReport:
+    # the cubic sufficient condition for the equilateral strategy's
+    # condition (0): 17 x^2 - x^3 - 8x - 8 > 0 on x = cosh(a3/2)
+    import numpy as np
+    acc = MinPad((n,), ws)
+    for lo, hi in ws.blocks([(0, n)], 1):
+        x, v, t = ws.arrays((hi - lo,), 3)
+        _linspace(math.sqrt(2.0), math.sqrt(5.68 / 2.0), n, x, ws, lo)
+        np.multiply(x, x, out=v)
+        v *= 17.0
+        np.power(x, 3, out=t)
+        v -= t
+        np.multiply(8.0, x, out=t)
+        v -= t
+        acc.add(lo, np.subtract(v, 8.0, out=v))
+    return acc.report("equ0_cond0_cubic",
+                      "x^3 + 8x + 8 < 17 x^2 on [sqrt 2, sqrt(5.68/2)]")
+
+
+def _claim_equ0_cond1(n: int, ws: Workspace) -> ClaimReport:
+    # 2 - (cosh a3 + 1)/8 sinh^2((3 a3 - lam)/4) at the floor lam
+    import numpy as np
+    acc = MinPad((n,), ws)
+    for lo, hi in ws.blocks([(0, n)], 1):
+        a3, ch3, lam, t = ws.arrays((hi - lo,), 4)
+        _linspace(ACOSH3, B2_HALF, n, a3, ws, lo)
+        np.cosh(a3, out=ch3)
+        _lambda_floor(ch3, lam, t)
+        np.multiply(3, a3, out=t)
+        t -= lam
+        t /= 4.0
+        np.sinh(t, out=t)
+        t *= t
+        ch3 += 1.0
+        ch3 /= 8.0
+        ch3 *= t
+        acc.add(lo, np.subtract(2.0, ch3, out=ch3))
+    return acc.report("equ0_cond1",
+                      "(cosh b3 - 1) sinh^2((3a3 - lam)/4) <= 2 at extremal b3")
+
+
+def _claim_equ0_cond2(n: int, ws: Workspace) -> ClaimReport:
+    # 1 + cosh(b1) sinh(lam/2) sinh(a3/2) - cosh(lam/2) cosh(a3/2) with
+    # cosh(b1) = (3 + cosh^2 a3) / sinh^2 a3, at the floor lam
+    import numpy as np
+    acc = MinPad((n,), ws)
+    for lo, hi in ws.blocks([(0, n)], 1):
+        a3, v, lam, t, s = ws.arrays((hi - lo,), 5)
+        _linspace(ACOSH3, B2_HALF, n, a3, ws, lo)
+        np.cosh(a3, out=v)
+        _lambda_floor(v, lam, t)
+        v *= v
+        v += 3.0
+        np.sinh(a3, out=t)
+        t *= t
+        v /= t  # cosh(b1)
+        np.divide(lam, 2.0, out=t)
+        np.sinh(t, out=s)
+        np.cosh(t, out=t)  # cosh(lam/2)
+        v *= s
+        a3 /= 2.0
+        np.sinh(a3, out=s)
+        np.cosh(a3, out=a3)
+        v *= s
+        v += 1.0
+        t *= a3
+        acc.add(lo, np.subtract(v, t, out=v))
+    return acc.report("equ0_cond2",
+                      "cosh(lam/2)cosh(a3/2) - cosh(b1) sinh(lam/2) sinh(a3/2) "
+                      "<= 1")
+
+
+def _claim_equ0_lambda_floor(n: int, ws: Workspace) -> ClaimReport:
+    # lam is decreasing in b3 and equals the closed floor exactly at the
+    # largest admissible b3; the claim checks the strict gap on an interior
+    # band and the boundary identity separately
+    import numpy as np
+    m = max(int(math.sqrt(n)), 64)
+    a3 = np.linspace(ACOSH3, B2_HALF, m)
+    ch3 = np.cosh(a3)
+    floor = _lambda_floor(ch3, np.empty(m), np.empty(m))
+    b3max = np.arccosh((ch3 + 9.0) / 8.0)
+    lam = _lambda_of(b3max, a3, ch3, *np.empty((3, m)))
+    boundary_resid = float(np.max(np.abs(lam - floor)))
+    b3_stop = b3max - 0.05
+    acc = MinPad((m, m), ws)
+    for lo, hi in ws.blocks([(0, m)], m):
+        b3, lam, t, u = ws.arrays((hi - lo, m), 4)
+        _linspace(0.2, b3_stop[lo:hi], m, b3, ws)
+        _lambda_of(b3, a3[lo:hi, None], ch3[lo:hi, None], lam, t, u)
+        acc.add(lo, np.subtract(lam, floor[lo:hi, None], out=lam))
+    rep = acc.report("equ0_lambda_floor",
+                     f"lam(b3, a3) above the closed floor on the interior band; "
+                     f"boundary identity residual {boundary_resid:.2e}")
+    if boundary_resid > LAMBDA_FLOOR_RESID:
+        return ClaimReport(claim_id=rep.claim_id, margin=-1.0,
+                           raw_min=rep.raw_min,
+                           lipschitz_pad=rep.lipschitz_pad,
+                           grid_points=rep.grid_points,
+                           detail=f"boundary identity residual "
+                                  f"{boundary_resid:.2e} too large")
+    return rep
+
+
+def _claim_iso0_conditions(n: int, ws: Workspace) -> ClaimReport:
+    # isosceles strategy in the (+1, -1) case on the region
+    # cosh(a2) >= cosh(a1) + 2, a2 <= a3 <= B2/2; grid axes (a1, a2, a3)
+    import numpy as np
+    m = max(int(round(n ** (1.0 / 3.0))), 24)
+    a1 = np.linspace(0.02, math.acosh(COSH_B2_HALF - 2.0), m)
+    a2 = np.linspace(ACOSH3, B2_HALF, m)
+    a3 = np.linspace(ACOSH3, B2_HALF, m)
+    ch1, ch2, ch3 = np.cosh(a1), np.cosh(a2), np.cosh(a3)
+    sh1, sh2, sh3 = np.sinh(a1), np.sinh(a2), np.sinh(a3)
+    ch1h, sh1h = np.cosh(a1 / 2), np.sinh(a1 / 2)
+    ch3h, sh3h = np.cosh(a3 / 2), np.sinh(a3 / 2)
+    a3x3 = 3 * a3
+    ch23 = ch2[:, None] * ch3               # b1 = acosh((ch1 + ch23) / sh23)
+    sh23 = sh2[:, None] * sh3
+    a2_le_a3 = a2[:, None] <= a3
+    acc = MinPad((m, m, m), ws)
+    for lo, hi in ws.blocks([(0, m)], m * m):
+        r = slice(lo, hi)
+        b1, b3, lam, s, c, t, v = ws.arrays((hi - lo, m, m), 7)
+        np.add(ch1[r, None, None], ch23, out=b1)
+        b1 /= sh23
+        np.arccosh(b1, out=b1)
+        np.add(ch3, (ch1[r, None] * ch2)[:, :, None], out=b3)
+        b3 /= (sh1[r, None] * sh2)[:, :, None]
+        np.arccosh(b3, out=b3)
+        _lambda_of(b1, a3, ch3, lam, s, c)      # s, c: sinh^2, cosh^2 (b1/2)
+        np.maximum(lam, 0.0, out=lam)
+        # c1 = 1 - (cosh(lam/2) cosh(a3/2) - cosh(b1) sinh(lam/2) sinh(a3/2))
+        np.divide(lam, 2, out=t)
+        np.cosh(t, out=v)
+        v *= ch3h
+        np.sinh(t, out=t)
+        np.cosh(b1, out=b1)
+        b1 *= t
+        b1 *= sh3h
+        v -= b1
+        np.subtract(1.0, v, out=v)
+        # c2 = 1 - (sinh(b1/2)^2 cosh((3 a3 - lam)/2) - cosh(b1/2)^2)
+        np.subtract(a3x3, lam, out=t)
+        t /= 2
+        np.cosh(t, out=t)
+        s *= t
+        s -= c
+        np.subtract(1.0, s, out=s)
+        np.minimum(v, s, out=v)
+        # c3 = cosh a3 - (cosh(a1/2) cosh(a3/2) + cosh(b3) sinh(a1/2) sinh(a3/2))
+        np.cosh(b3, out=b3)
+        b3 *= sh1h[r, None, None]
+        b3 *= sh3h
+        np.add((ch1h[r, None] * ch3h)[:, None, :], b3, out=t)
+        np.subtract(ch3, t, out=t)
+        np.minimum(v, t, out=v)
+        mask = ws.flags(v.shape)
+        np.logical_and((ch2 >= (ch1[r] + 2.0)[:, None])[:, :, None], a2_le_a3,
+                       out=mask)
+        np.copyto(v, np.nan, where=np.logical_not(mask, out=mask))
+        acc.add(lo, v)
+    return acc.report("iso0_conditions",
+                      "isosceles conditions (1)-(3) on cosh(a2) > cosh(a1) + 2")
+
+
+def _claim_interval_u3(n: int, ws: Workspace) -> ClaimReport:
+    # grid axes (a2, a3); u3max = cosh(a2/2) / cosh(a3/2)
+    # sqrt(cosh(a2 + a3/2) cosh(a2 - a3/2))
+    import numpy as np
+    m = max(int(math.sqrt(n)), 64)
+    a2 = np.linspace(0.05, B2_HALF, m)
+    a3 = np.linspace(0.05, B2_HALF, m)
+    ch2h, ch3h, half3 = np.cosh(a2 / 2), np.cosh(a3 / 2), a3 / 2
+    ch2p1 = np.cosh(a2) + 1.0
+    acc = MinPad((m, m), ws)
+    for lo, hi in ws.blocks([(0, m)], m):
+        r = slice(lo, hi)
+        v, t, u = ws.arrays((hi - lo, m), 3)
+        np.divide(ch2h[r, None], ch3h, out=v)
+        np.add(a2[r, None], half3, out=t)
+        np.cosh(t, out=t)
+        np.subtract(a2[r, None], half3, out=u)
+        np.cosh(u, out=u)
+        t *= u
+        np.sqrt(t, out=t)
+        v *= t
+        np.subtract(ch2p1[r, None], v, out=v)
+        mask = np.less_equal(a2[r, None], a3, out=ws.flags(v.shape))
+        np.copyto(v, np.nan, where=np.logical_not(mask, out=mask))
+        acc.add(lo, v)
+    return acc.report("interval_u3_bound",
+                      "max u3 <= cosh(a2) + 1 for a2 <= a3")
+
+
+def _claim_phi_below_9(n: int, ws: Workspace) -> ClaimReport:
+    # the true threshold sits within 2e-3 of 9 at a3 = 1.459, so the
+    # certified band stops one crossing-tolerance short of it; the claim
+    # below brackets the crossing itself
+    import numpy as np
+    m = max(int(math.sqrt(n)), 64)
+    a3 = np.linspace(0.05, 1.449, m)
+    vals = np.subtract(9.0, phi_max(a3, m, ws))
+    acc = MinPad((m,), ws)
+    acc.add(0, vals)
+    return acc.report("phi_below_9",
+                      "max_a1 Phi(a1, a3) <= 9 for a3 <= 1.459 - 0.01")
+
+
+def phi_max(a3: np.ndarray, n: int, ws: Workspace) -> np.ndarray:
+    """max of Phi(a1, a3) over n points a1 in [1e-3, a3] for each entry of
+    the 1-D array a3, a block of a3 values at a time:
+    Phi = (s3^2 - s1^2) / s3^2 + sqrt(s6^2 - s1^2) s1 / s3 with
+    s1 = sinh a1, s3 = sinh a3, s6 = sinh(2 a3)."""
+    import numpy as np
+    out = np.empty(a3.size)
+    for lo, hi in ws.blocks([(0, a3.size)], n):
+        s1, t, u = ws.arrays((hi - lo, n), 3)
+        s3 = np.sinh(a3[lo:hi])[:, None]
+        s6 = np.sinh(2 * a3[lo:hi])[:, None]
+        s3_sq = s3 ** 2
+        _linspace(1e-3, a3[lo:hi], n, s1, ws)
+        np.sinh(s1, out=s1)
+        np.multiply(s1, s1, out=t)
+        np.subtract(s6 ** 2, t, out=u)
+        np.sqrt(u, out=u)
+        u *= s1
+        u /= s3
+        np.subtract(s3_sq, t, out=t)
+        t /= s3_sq
+        t += u
+        np.max(t, axis=1, out=out[lo:hi])
+    return out
+
+
+def _claim_phi_crossing(n: int, ws: Workspace) -> ClaimReport:
+    # the maximum of Phi crosses 9 inside a3 in [1.449, 1.469]
+    import numpy as np
+    phi = phi_max(np.array([1.449, 1.469]), max(n, 512), ws)
+    low = min(9.0 - float(phi[0]), float(phi[1]) - 9.0)
+    return ClaimReport(claim_id="phi_crossing_near_1459",
+                       margin=low, raw_min=low,
+                       lipschitz_pad=0.0, grid_points=2 * max(n, 512),
+                       detail="max Phi < 9 at a3 = 1.449 and > 9 at 1.469")
+
+
+def _claim_equi1_on_x2(n: int, ws: Workspace) -> ClaimReport:
+    # the binding corner (a1 = l2(2.23), a3 = 2.23) leaves a margin of only
+    # 5e-3, so the mesh must be fine enough for the pad to fit under it;
+    # grid axes (a3, a1), a1 in [max(l1, l2)(a3), a3], empty rows NaN
+    import numpy as np
+    m = max(int(math.sqrt(n)) * 3, 384)
+    a3 = np.linspace(1.42, REGION_A3_MAX, m)
+    lo = np.maximum(line_l1(a3), line_l2(a3))
+    acc = MinPad((m, m), ws)
+    for r0, r1 in ws.blocks(_runs(lo <= a3), m):
+        acc.add(r0, _equi1_worst(lo[r0:r1], a3[r0:r1], m, ws))
+    return acc.report("equi1_on_X2",
+                      "equilateral conditions (0)-(3) across region X2")
+
+
+def _equi1_worst(lo: np.ndarray, a3: np.ndarray, m: int,
+                 ws: Workspace) -> np.ndarray:
+    """min of conditions (0)-(3) on the rows a1 = linspace(lo, a3, m).
+
+    No inverse function is evaluated: with y = sin(alpha),
+    cos(alpha) = sqrt((1 - y)(1 + y)); with x = cosh(a3) tanh(a1)^2 =
+    cosh(lam), L = e^{lam/2} = sqrt(x + sqrt((x - 1)(x + 1))), and with
+    E = e^{a3/2} the half-angle terms are rational in L and E:
+    sinh((3 a3 - lam)/2) = (E^3/L - L/E^3)/2 and
+    cos(alpha) cosh((a3 - lam)/2) - sin(alpha) sinh((a3 + lam)/2)
+    = ((cos(alpha) E + sin(alpha)/E)/L + (cos(alpha)/E - sin(alpha) E) L)/2.
+    """
+    import numpy as np
+    a1, s1, th1, s2a1, x, t, u, worst = ws.arrays((a3.size, m), 8)
+    _linspace(lo, a3, m, a1, ws)
+    v = a3[:, None]
+    ch3, sh3, e = np.cosh(v), np.sinh(v), np.exp(v / 2.0)
+    e3 = e ** 3
+    np.sinh(a1, out=s1)
+    c1 = np.cosh(a1, out=a1)
+    np.divide(s1, c1, out=th1)  # tanh(a1)
+    np.multiply(2.0, s1, out=s2a1)
+    s2a1 *= c1  # sinh(2 a1)
+    np.multiply(th1, th1, out=x)
+    x *= ch3  # cosh(lam), unclipped
+    # condition (0) and alpha_M being defined, then condition (1)
+    np.subtract(x, 1.0, out=worst)
+    np.subtract(s2a1, sh3, out=t)
+    np.minimum(worst, t, out=worst)
+    np.multiply(s1, s1, out=t)
+    t *= 2.0 * ch3
+    np.add(s2a1, sh3 ** 2, out=u)
+    t -= u
+    np.minimum(worst, t, out=worst)
+    # el = L, into t
+    np.maximum(x, 1.0, out=x)
+    np.subtract(x, 1.0, out=t)
+    np.add(x, 1.0, out=u)
+    t *= u
+    np.sqrt(t, out=t)
+    t += x
+    el = np.sqrt(t, out=t)
+    # condition (2) with sin_M in u, cos_M in x
+    np.divide(sh3, s2a1, out=u)
+    np.minimum(u, 1.0, out=u)
+    np.subtract(1.0, u, out=x)
+    np.add(1.0, u, out=s2a1)
+    x *= s2a1
+    np.sqrt(x, out=x)
+    np.divide(e3, el, out=s2a1)
+    np.divide(el, e3, out=a1)
+    s2a1 -= a1
+    u *= s2a1
+    u /= 2.0
+    u -= x
+    np.subtract(th1, u, out=u)
+    np.minimum(worst, u, out=worst)
+    # condition (3) with sin_m in s2a1, cos_m in x
+    np.divide(s1, np.sinh(2.0 * v), out=s2a1)
+    np.subtract(1.0, s2a1, out=x)
+    np.add(1.0, s2a1, out=u)
+    x *= u
+    np.sqrt(x, out=x)
+    np.multiply(x, e, out=u)
+    np.divide(s2a1, e, out=a1)
+    u += a1
+    u /= el
+    np.divide(x, e, out=a1)
+    np.multiply(s2a1, e, out=s1)
+    a1 -= s1
+    a1 *= el
+    u += a1
+    u /= 2.0
+    np.subtract(th1, u, out=u)
+    return np.minimum(worst, u, out=worst)
+
+
+def _claim_iso1_on_x4(n: int, ws: Workspace) -> ClaimReport:
+    # grid axes (a3, a1, a2), rows outside region X4's a3 range NaN
+    import numpy as np
+    m = max(int(round(n ** (1.0 / 3.0))), 24)
+    a3 = np.linspace(1.696, REGION_A3_MAX, m)
+    lo1, hi1 = line_l1(a3), line_l2(a3)
+    sh3 = np.sinh(a3)
+    in_x4 = (lo1 <= hi1) & (sh3 >= 2.0)
+    rows = np.flatnonzero(in_x4)
+    # every condition depends on (a3, a1) alone; a2 enters only the mask
+    v3, sh3 = a3[rows, None, None], sh3[rows, None, None]
+    lam = np.array([_iso_lambda(s) for s in sh3.ravel()])[:, None, None]
+    A1 = np.linspace(lo1[rows], hi1[rows], m, axis=1)[:, :, None]
+    A2 = np.linspace(lo1[rows], a3[rows], m, axis=1)[:, None, :]
+    sq = np.sqrt(np.cosh(lam) * np.cosh(v3))
+    sh2v3 = np.sinh(2 * v3)
+    cos2aM = ((np.cosh(2 * lam) * np.cosh(2 * v3) - np.cosh(2 * A1))
+              / (np.sinh(2 * lam) * sh2v3))
+    sh1 = np.sinh(A1)
+    with np.errstate(invalid="ignore"):
+        alpha_M = np.arccos(np.clip(cos2aM, -1.0, 1.0)) / 2.0
+        alpha_m = np.arcsin(sh1 / sh2v3)
+        pre = sh3 - (sh1 + 1.0 / sh1)
+        c2 = sq - (1.0 + np.sin(alpha_M) * sh3)
+        c3 = sq - (-np.cos(alpha_M)
+                   + np.sin(alpha_M) * np.sinh((3 * v3 - lam) / 2.0))
+        c4 = sq - (np.cos(alpha_m) * np.cosh((v3 - lam) / 2.0)
+                   - np.sin(alpha_m) * np.sinh((v3 + lam) / 2.0))
+        c5 = (np.cosh(v3) * sh3 * sh1
+              - np.cosh(A1) ** 2 * np.cosh(2 * v3 - lam))
+        vals = np.minimum.reduce([pre, c2, c3, c4, c5])
+    # a2 >= lam is the defining inequality of X4 itself (equality on the
+    # region boundary), so it is folded into the mask
+    a2_ok = (np.cosh(A2) ** 2 >= np.sinh(A2) * sh3) & (A2 >= lam - X4_MASK_SLACK)
+    acc = MinPad((m, m, m), ws)
+    for lo, hi in ws.blocks(_runs(in_x4), m * m):
+        k0 = int(np.searchsorted(rows, lo))
+        k = slice(k0, k0 + hi - lo)
+        (v,) = ws.arrays((hi - lo, m, m), 1)
+        np.copyto(v, vals[k])
+        mask = np.greater_equal(A2[k], A1[k], out=ws.flags(v.shape))
+        np.logical_and(mask, a2_ok[k], out=mask)
+        np.copyto(v, np.nan, where=np.logical_not(mask, out=mask))
+        acc.add(lo, v)
+    return acc.report("iso1_on_X4",
+                      "isosceles conditions and preconditions across region X4")
+
+
+def _claim_flat_identity(n: int, ws: Workspace) -> ClaimReport:
+    # grid axes (a1, a2), a3 = a1 + a2
+    import numpy as np
+    m = max(int(math.sqrt(n)), 128)
+    a1 = np.linspace(0.05, B2_HALF / 2.0, m)
+    a2 = np.linspace(0.05, B2_HALF / 2.0, m)
+    ch1, ch2, sh2 = np.cosh(a1), np.cosh(a2), np.sinh(a2)
+    sh2_sq, ch1x2 = sh2 ** 2, 2.0 * ch1
+    resid = -np.inf
+    acc = MinPad((m, m), ws)
+    for lo, hi in ws.blocks([(0, m)], m):
+        r = slice(lo, hi)
+        lhs, sh3, rhs = ws.arrays((hi - lo, m), 3)
+        np.add(a1[r, None], a2, out=lhs)
+        np.sinh(lhs, out=sh3)
+        np.cosh(lhs, out=lhs)
+        # lhs = (cosh b1 - 1) sinh^2 a2 with
+        # cosh b1 = (cosh a1 + cosh a2 cosh a3) / (sinh a2 sinh a3)
+        lhs *= ch2
+        lhs += ch1[r, None]
+        np.multiply(sh2, sh3, out=rhs)
+        lhs /= rhs
+        lhs -= 1.0
+        lhs *= sh2_sq
+        # rhs = 2 cosh a1 sinh a2 / sinh a3
+        np.multiply(ch1x2[r, None], sh2, out=rhs)
+        rhs /= sh3
+        np.subtract(lhs, rhs, out=rhs)
+        resid = np.maximum(resid, np.abs(rhs, out=rhs).max())
+        acc.add(lo, np.subtract(2.0, lhs, out=lhs))
+    rep = acc.report("flat_delta3_identity",
+                     f"(cosh b1 - 1) sinh^2 a2 = 2 cosh a1 sinh a2 / sinh a3 < 2"
+                     f"; identity residual {resid:.2e}")
+    if resid > FLAT_IDENTITY_RESID:
+        return ClaimReport(claim_id=rep.claim_id, margin=-1.0,
+                           raw_min=rep.raw_min, lipschitz_pad=rep.lipschitz_pad,
+                           grid_points=rep.grid_points,
+                           detail=f"identity residual {resid:.2e} too large")
+    return rep
+
+
+def _claim_selfhex_cap(n: int, ws: Workspace) -> ClaimReport:
+    import numpy as np
+    acc = MinPad((n,), ws)
+    for lo, hi in ws.blocks([(0, n)], 1):
+        a3, v = ws.arrays((hi - lo,), 2)
+        _linspace(0.05, B2_HALF, n, a3, ws, lo)
+        a3 /= 2.0
+        np.sinh(a3, out=v)
+        np.power(v, 4, out=v)
+        np.cosh(a3, out=a3)
+        a3 *= a3
+        v *= 4.0
+        v /= a3
+        v += 2.0
+        acc.add(lo, np.subtract(6.8, v, out=v))
+    return acc.report("selfhex_delta3_cap_6.8",
+                      "2 + 4 sinh^4(a3/2)/cosh^2(a3/2) <= 6.8 up to the Bers "
+                      "bound")
+
+
+def _claim_comdelta_cap(n: int, ws: Workspace) -> ClaimReport:
+    val = 11.35 - (2.0 + 2.0 * COSH_B2_HALF)
+    return ClaimReport(claim_id="mixed_delta3_cap_11.35", margin=val,
+                       raw_min=val, lipschitz_pad=0.0, grid_points=1,
+                       detail="2 + 2 cosh(B2/2) <= 11.35 at the reported "
+                              "Bers value")
+
+
+CLAIMS: List[Tuple[Callable[[int, Workspace], ClaimReport], int]] = [
+    (_claim_equ0_cond0, 200_000),
+    (_claim_equ0_cond1, 200_000),
+    (_claim_equ0_cond2, 200_000),
+    (_claim_equ0_lambda_floor, 160_000),
+    (_claim_iso0_conditions, 130_000),
+    (_claim_interval_u3, 160_000),
+    (_claim_phi_below_9, 160_000),
+    (_claim_phi_crossing, 4_096),
+    (_claim_equi1_on_x2, 160_000),
+    (_claim_iso1_on_x4, 130_000),
+    (_claim_flat_identity, 160_000),
+    (_claim_selfhex_cap, 200_000),
+    (_claim_comdelta_cap, 1),
+]

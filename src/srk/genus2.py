@@ -88,6 +88,12 @@ class GluedRep:
         return loop_quads(*self.coords)
 
     @cached_property
+    def _counts(self) -> Tuple[int, int, int]:
+        """`twist_counts`, computed once: `search.classify_scope`, `_normal`
+        and the search's move log read it."""
+        return _count_twists(self)
+
+    @cached_property
     def _normal(self) -> Optional["GluedRep"]:
         """The rep with its twists normalised, or None when no count moves
         (see `normalize_twists`)."""
@@ -427,8 +433,12 @@ def twist_counts(rep: GluedRep) -> Tuple[int, int, int]:
     the search logs them as twist moves.  Raises Genus2Error for a twist so
     huge that it has lost its place in its orbit: the rounded t_i + 2 k_i
     a_i lies more than TWIST_EDGE outside [-a_i, a_i] (before a tie moves
-    it) or off the exact remainder of t_i modulo 2 a_i.
+    it) or off the exact remainder of t_i modulo 2 a_i.  Cached on `rep`.
     """
+    return rep._counts
+
+
+def _count_twists(rep: GluedRep) -> Tuple[int, int, int]:
     counts = []
     for ti, ai in zip(rep.t, rep.a):
         width = 2.0 * ai

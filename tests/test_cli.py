@@ -522,6 +522,21 @@ class TestVerify:
         lines = out.read_text().strip().split("\n")
         assert lines[0].startswith("claim,margin")
 
+    @pytest.mark.parametrize("scale", ["0.05", "1"])
+    def test_golden_csv(self, tmp_path, scale):
+        """The committed tables, written from whole-grid arrays: `_fl`
+        prints 17 significant digits, so they pin every bit of every
+        margin, minimum and pad.  numpy's AVX-512 kernels (SVML) round some
+        float64 functions differently from the libm that numpy calls
+        without them, so each scale has a table for either."""
+        out = tmp_path / "verify.csv"
+        assert cli.main(["verify", "--scale", scale, "--format", "csv",
+                         "--out", str(out)]) == 0
+        found = set(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
+        kernels = "" if found & {"X86_V4", "AVX512_SKX"} else ".no_avx512"
+        golden = CERTIFICATE.parent / f"verify_scale{scale}{kernels}.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
 
 @pytest.mark.parametrize("argv", [
     ["classify", "REP"], ["search", "REP"], ["replay", str(CERTIFICATE)],

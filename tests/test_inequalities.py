@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from srk import inequalities
+from srk import _grids
 from srk.inequalities import phi_max_over_a1, verify_paper_inequalities
 from srk.search import REGION_A3_MAX, line_l1, line_l2
 
@@ -95,7 +96,7 @@ def _equi1_reference(n):
 def test_equi1_matches_inverse_trig_reference(scale):
     n = int(160_000 * scale)
     raw, pad, points = _equi1_reference(n)
-    rep = inequalities._claim_equi1_on_x2(n)
+    rep = _grids._claim_equi1_on_x2(n, _grids.Workspace())
     assert rep.grid_points == points
     assert rep.raw_min == pytest.approx(raw, abs=1e-12)
     assert rep.lipschitz_pad == pytest.approx(pad, abs=1e-12)
@@ -109,3 +110,76 @@ def test_phi_max_broadcasts_over_a3():
     want = [phi_max_over_a1(float(v), 200) for v in a3]
     assert all(type(w) is float for w in want)
     assert got.tolist() == want
+
+
+def test_memory_does_not_grow_with_scale():
+    """At scale 4 a whole-grid evaluation held 88 MB of arrays; streamed
+    through one workspace, a call holds its buffers and per-axis vectors."""
+    verify_paper_inequalities(scale=0.05)
+    tracemalloc.start()
+    try:
+        verify_paper_inequalities(scale=4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+def _pad_and_min(values):
+    """The whole-grid reference: raw minimum and a Lipschitz pad, half the
+    largest neighbour difference along each axis, summed over the axes
+    (NaN cells skipped)."""
+    raw = float(np.nanmin(values))
+    pad = 0.0
+    for axis in range(values.ndim):
+        if values.shape[axis] > 1:
+            dv = np.diff(values, axis=axis)
+            pad += max(float(np.nanmax(dv)), -float(np.nanmin(dv))) / 2.0
+    return raw, pad
+
+
+def _streamed(values, block, skip_nan_rows):
+    """`MinPad` fed `block` rows at a time; with `skip_nan_rows`, rows that
+    are entirely NaN are never added, as the claims skip empty rows."""
+    acc = _grids.MinPad(values.shape, _grids.Workspace())
+    runs = [(0, len(values))]
+    if skip_nan_rows:
+        empty = np.isnan(values).reshape(len(values), -1).all(axis=1)
+        runs = _grids._runs(~empty)
+    for start, stop in runs:
+        for lo in range(start, stop, block):
+            acc.add(lo, values[lo:min(lo + block, stop)])
+    return acc.result()
+
+
+def _bits(pair):
+    return tuple(float(x).hex() for x in pair)
+
+
+def _grid(shape, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=shape).cumsum(axis=0)
+    values[rng.random(shape) < 0.1] = np.nan       # scattered NaN cells
+    values[3:6] = np.nan                           # a gap of NaN rows
+    values[-1] = np.nan
+    return values
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 1000])
+@pytest.mark.parametrize("shape", [(50,), (23, 17), (11, 7, 5), (9, 1, 4)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+@pytest.mark.parametrize("skip_nan_rows", [False, True])
+def test_streamed_pad_equals_whole_grid(shape, block, skip_nan_rows):
+    values = _grid(shape, seed=len(shape) * 100 + block)
+    assert _bits(_streamed(values, block, skip_nan_rows)) == \
+        _bits(_pad_and_min(values))
+
+
+@pytest.mark.filterwarnings("error")
+def test_streamed_all_nan_grid_is_nan_without_warning():
+    values = np.full((6, 4), np.nan)
+    with pytest.warns(RuntimeWarning, match="All-NaN"):
+        want = _pad_and_min(values)
+    assert _bits(_streamed(values, 2, False)) == _bits(want) == ("nan", "nan")
+    assert _bits(_streamed(values, 2, True)) == ("nan", "nan")

@@ -506,6 +506,29 @@ class TestLinkGaps:
             replay_certificate(cert)
 
 
+@pytest.mark.parametrize("a, t", [
+    ((1.0, 1.1, 1.2), (0.3, -0.2, 0.5)), ((1.0, 1.1, 1.2), (2.5, -3.0, 7.1)),
+    (RECOORD_A, RECOORD_T)], ids=["placed", "wide", "recoord"])
+def test_twist_counts_once_per_rep(monkeypatch, a, t):
+    """`classify_scope`, `normalize_twists` and the move log share one count
+    per rep: the input rep is counted once, then the rep of each later
+    round once."""
+    counted = []
+    count_twists = genus2._count_twists
+
+    def counting(rep):
+        counted.append(rep)
+        return count_twists(rep)
+
+    monkeypatch.setattr(genus2, "_count_twists", counting)
+    rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, a, t)
+    out = search_nonhyperbolic(rep)
+    assert isinstance(out, FoundCurve)
+    assert counted[0] is rep
+    assert len(counted) == out.rounds + 1
+    assert len({id(r) for r in counted}) == len(counted)
+
+
 def _run_fresh(code: str) -> str:
     """Run `code` in a fresh interpreter on this checkout's sources; its
     stdout."""
@@ -576,7 +599,8 @@ def test_no_numpy_import(tmp_path):
 
 
 def test_only_inequalities_imports_numpy():
-    # every other module computes on floats and 4-tuples: an import of
+    # every module but `inequalities` and the grid code it imports on its
+    # first call (`_grids`) computes on floats and 4-tuples: an import of
     # numpy there, at module level, in a function or under TYPE_CHECKING,
     # fails here
     importers = set()
@@ -590,4 +614,4 @@ def test_only_inequalities_imports_numpy():
                 continue
             if any(n.split(".")[0] == "numpy" for n in names):
                 importers.add(path.stem)
-    assert importers <= {"inequalities"}, sorted(importers)
+    assert importers <= {"inequalities", "_grids"}, sorted(importers)
