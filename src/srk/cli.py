@@ -209,9 +209,8 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
         break
     t = rng.uniform(-1.5, 1.5, 3)
     rep = genus2.build_glued(eps1, eps2, a, t)
-    x, y, a, t = rep.coords
-    t = list(t)
-    coeffs = [genus2.delta_twist_coeffs(x, y, a, k) for k in range(3)]
+    a, t = rep.a, list(rep.t)
+    coeffs = [genus2.delta_twist_coeffs(rep, k) for k in range(3)]
     # seed,index | step | eps1,eps2,a1..a3 | t1..t3 | tr_d1..tr_d3 | sign
     cols = [f"{seed},{index}", "0",
             ",".join([str(eps1), str(eps2)] + [_fl(v) for v in a]),

@@ -16,13 +16,18 @@ The second pants realises its tag through the mirrored construction
 (`pants_cases`); with that convention the published closed trace formulas
 hold verbatim and the relative Euler classes of the two sides add up to
 the Euler class of the closed representation.
+
+A `GluedRep` is the one thing that gets evaluated: `curve_matrix` reads
+the words above off a rep and keeps each matrix in the rep's memo, and
+`GluedRep.loops` holds its co-based loops.  The search and the certificate
+replay move between reps with `dehn_twist_gamma` and `rotate`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Dict, Optional, Tuple
@@ -45,7 +50,7 @@ _DELTA_PAIRS = {"delta1": ("beta2", "gamma3"),
                 "delta3": ("beta1", "gamma2")}
 
 
-# the co-based loops (gamma_1..3, beta_1..3) of `loop_quads`
+# the co-based loops (gamma_1..3, beta_1..3) of `GluedRep.loops`
 Loops = Tuple[Tuple[Quad, Quad, Quad], Tuple[Quad, Quad, Quad]]
 
 
@@ -60,6 +65,10 @@ class GluedRep:
     p1: PantsRep
     p2: PantsRep
     t: Tuple[float, float, float]
+    # the curve matrices evaluated so far, by tag: `curve_matrix` reads and
+    # fills it, `rotate` carries it over and the fit seeds it
+    quads: Dict[str, Quad] = field(default_factory=dict, init=False,
+                                   compare=False, repr=False)
 
     @property
     def a(self) -> Tuple[float, float, float]:
@@ -76,16 +85,25 @@ class GluedRep:
         return self.p2.case.euler_flipped()
 
     @cached_property
-    def quads(self) -> Dict[str, Quad]:
-        """The curve matrices evaluated so far, by tag: `curve_matrix` and
-        the search's found-curve step read and fill it, and `rotate`
-        carries it over."""
-        return {}
-
-    @cached_property
     def loops(self) -> Loops:
-        """`loop_quads` at the coordinates of the rep."""
-        return loop_quads(*self.coords)
+        """Co-based loops (gamma_1..3, beta_1..3) at a common base point.
+
+        The loops come from a spanning tree of the gluing complex: p3 and
+        p5 transport the base vertex v0 to the vertices v3 and v5 of the
+        first pants.
+        """
+        x, y, a, t = self.p1.q, self.p2.q, self.a, self.t
+        tr_, inv = make_translation, minv
+        p3 = mmul(x[1], tr_(a[2]), x[0])                 # transport v0 -> v3
+        p5 = mmul(x[2], tr_(a[0]), p3)                   # transport v0 -> v5
+        g = (mmul(inv(p3), tr_(2 * a[0]), p3),
+             mmul(inv(p5), tr_(2 * a[1]), p5),
+             mmul(inv(x[0]), tr_(2 * a[2]), x[0]))
+        b = (mmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(-a[0]),
+                  inv(y[2]), tr_(t[1]), p5),
+             mmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(t[0]), p3),
+             mmul(inv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3))
+        return g, b
 
     @cached_property
     def _counts(self) -> Tuple[int, int, int]:
@@ -105,11 +123,6 @@ class GluedRep:
         t = tuple(ti + 2.0 * k * ai if k else ti
                   for ti, k, ai in zip(self.t, counts, self.a))
         return GluedRep(p1=self.p1, p2=self.p2, t=t)
-
-    @property
-    def coords(self):
-        """(x, y, a, t), as `curve_quad` and `loop_quads` take them."""
-        return self.p1.q, self.p2.q, self.a, self.t
 
     @property
     def euler_nominal(self) -> int:
@@ -193,58 +206,30 @@ def rotate(rep: GluedRep, shift: int) -> GluedRep:
 # curve words and traces
 # ---------------------------------------------------------------------------
 
-def curve_quad(x, y, a, t, tag: str, memo: Optional[Dict] = None) -> Quad:
+def curve_matrix(rep: GluedRep, tag: str) -> Quad:
     """Holonomy matrix of a named curve (SL2 lift fixed by the word).
 
-    x and y are the two pants' edge matrices, a and t the half-lengths and
-    twists: a certificate replay needs nothing else.
-    `memo`, if given, holds the matrices already evaluated at these
-    coordinates by tag, and receives the new ones, so a delta word reuses
-    its beta and gamma.
+    Memoised in `rep.quads`, so a delta word reuses its beta and gamma; the
+    pants matrices are read only on a miss.
     """
-    if memo is not None and tag in memo:
+    memo = rep.quads
+    if tag in memo:
         return memo[tag]
     if tag in GAMMA_TAGS:
-        q = make_translation(2.0 * a[GAMMA_TAGS.index(tag)])
+        q = make_translation(2.0 * rep.a[GAMMA_TAGS.index(tag)])
     elif tag in BETA_TAGS:
         i = BETA_TAGS.index(tag)
         j, k = (i + 1) % 3, (i + 2) % 3
-        q = mmul(minv(x[i]), make_translation(-t[k]), y[i],
+        t = rep.t
+        q = mmul(minv(rep.p1.q[i]), make_translation(-t[k]), rep.p2.q[i],
                  make_translation(t[j]))
     elif tag in DELTA_TAGS:
         bt, gt = _DELTA_PAIRS[tag]
-        q = commutator(curve_quad(x, y, a, t, bt, memo),
-                       curve_quad(x, y, a, t, gt, memo))
+        q = commutator(curve_matrix(rep, bt), curve_matrix(rep, gt))
     else:
         raise Genus2Error(f"unknown curve tag {tag!r}")
-    if memo is not None:
-        memo[tag] = q
+    memo[tag] = q
     return q
-
-
-def loop_quads(x, y, a, t) -> Loops:
-    """Co-based loops (gamma_1..3, beta_1..3) at a common base point.
-
-    The loops come from a spanning tree of the gluing complex: p3 and p5
-    transport the base vertex v0 to the vertices v3 and v5 of the first
-    pants.  Same arguments as `curve_quad`.
-    """
-    tr_, inv = make_translation, minv
-    p3 = mmul(x[1], tr_(a[2]), x[0])                 # transport v0 -> v3
-    p5 = mmul(x[2], tr_(a[0]), p3)                   # transport v0 -> v5
-    g = (mmul(inv(p3), tr_(2 * a[0]), p3),
-         mmul(inv(p5), tr_(2 * a[1]), p5),
-         mmul(inv(x[0]), tr_(2 * a[2]), x[0]))
-    b = (mmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(-a[0]),
-              inv(y[2]), tr_(t[1]), p5),
-         mmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(t[0]), p3),
-         mmul(inv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3))
-    return g, b
-
-
-def curve_matrix(rep: GluedRep, tag: str) -> Quad:
-    """`curve_quad` at the coordinates of `rep`, memoised in `rep.quads`."""
-    return curve_quad(*rep.coords, tag, rep.quads)
 
 
 def trace_curve_matrix(rep: GluedRep, tag: str) -> float:
@@ -263,7 +248,8 @@ def trace_curve_matrix(rep: GluedRep, tag: str) -> float:
     return tr
 
 
-def delta_twist_coeffs(x, y, a, k: int) -> Tuple[float, float, float, float]:
+def delta_twist_coeffs(rep: GluedRep,
+                       k: int) -> Tuple[float, float, float, float]:
     """(s, c_minus, c_mid, c_plus) with tr delta_{k+1} = 2 - s (c_minus
     e^{-t_k} + c_mid + c_plus e^{t_k}), k in 0..2 (0-based).
 
@@ -271,13 +257,13 @@ def delta_twist_coeffs(x, y, a, k: int) -> Tuple[float, float, float, float]:
     diag(e^{a_j}, e^{-a_j}) commutes with the T(t_j) that ends beta_i, so
     the trace is 2 - s b12 b21 with s = 4 sinh(a_j)^2 and b = X_i^-1 T(-t_k)
     Y_i = e^{-t_k/2} P + e^{t_k/2} Q for P = X_i^-1 E11 Y_i and Q = X_i^-1
-    E22 Y_i; it depends on t_k alone.  Same arguments as `curve_quad`.
+    E22 Y_i; it depends on t_k alone.  The coefficients read no twist.
     """
     i, j = (k + 1) % 3, (k + 2) % 3
-    xi = minv(x[i])
-    p = mmul(xi, (1.0, 0.0, 0.0, 0.0), y[i])
-    q = mmul(xi, (0.0, 0.0, 0.0, 1.0), y[i])
-    return (4.0 * math.sinh(a[j]) ** 2, p[1] * p[2],
+    xi, yi = minv(rep.p1.q[i]), rep.p2.q[i]
+    p = mmul(xi, (1.0, 0.0, 0.0, 0.0), yi)
+    q = mmul(xi, (0.0, 0.0, 0.0, 1.0), yi)
+    return (4.0 * math.sinh(rep.a[j]) ** 2, p[1] * p[2],
             p[1] * q[2] + q[1] * p[2], q[1] * q[2])
 
 
@@ -510,7 +496,7 @@ def delta_side_consistency(rep: GluedRep) -> bool:
 def generator_images(rep: GluedRep) -> Tuple[Quad, Quad, Quad, Quad]:
     """Images (A1, B1, A2, B2) of a standard generating quadruple.
 
-    Built from the co-based loops of `loop_quads`: the first handle is
+    Built from the co-based loops `GluedRep.loops`: the first handle is
     carried by (beta_1, gamma_2), the second by (beta_2, gamma_1)
     conjugated through the connector gamma_2^-1 beta_3.  The matrix product
     [A2, B2][A1, B1] is +-identity, and its lifted deck power is the Euler

@@ -11,7 +11,11 @@ where the dispatch either hands a separating curve of commutator trace in
 non-hyperbolic window (bandwidth and polygon strategies), or certifies that
 the dual curve triple (beta_1, beta_2, beta_3) has strictly smaller traces
 and re-coordinatises on it.  Every terminal answer carries a certificate
-whose replay needs only plain 2x2 matrix arithmetic.
+whose replay needs only plain 2x2 matrix arithmetic: it glues a rep from
+each snapshot's recorded matrices, moves it with the search's own twist
+and rotation (`genus2.dehn_twist_gamma`, `genus2.rotate`), and checks each
+re-coordinatisation link with the fit's own `_worst_gap`.  Every curve is
+evaluated on a `GluedRep`, by `genus2.curve_matrix` and `GluedRep.loops`.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .hyptrig import long_shift, rotation
 # the search builds no representation; build_glued stays bound here because
 # bench/test_bench.py checks that the tracer wraps it at this binding too
 from .genus2 import GluedRep, build_glued, trace_curve_matrix  # noqa: F401
-from .pants import PantsCase
+from .pants import PantsCase, PantsRep
 from .psl2r import IDENTITY, PSL2Error, Quad, commutator, minv, mmul, mtrace
 from .tolerances import (B2_HALF_SLACK, LINK_TOL, MU_MIN, RECOORD_FLAT_BAND,
                          STRATEGY_SLACK, TRACE_BAND, WINDOW_END_SLACK,
@@ -60,15 +64,6 @@ def line_l1(a3: float) -> float:
 
 def line_l2(a3: float) -> float:
     return 0.8 * (a3 - 1.695) + 1.18
-
-
-def phi_bound(a1: float, a3: float) -> float:
-    """Upper bound 2*Phi for |tr delta_3| at |t_3| <= a_3, a_1 <= a_3."""
-    if not 0.0 < a1 <= a3:
-        raise SearchError("phi_bound needs 0 < a1 <= a3")
-    s1, s3 = _SH(a1), _SH(a3)
-    return ((s3 * s3 - s1 * s1) / (s3 * s3)
-            + math.sqrt(max(_SH(2 * a3) ** 2 - s1 * s1, 0.0)) * s1 / s3)
 
 
 def region_of(a_min: float, a_mid: float, a3: float) -> str:
@@ -269,13 +264,17 @@ def _finite(nums: list) -> bool:
 
 
 def _is_snapshot(s) -> bool:
-    """Whether X and Y hold three rows of four, and a and t three, finite
-    numbers."""
+    """Whether eps names two pants cases, X and Y hold three rows of four,
+    and a and t three, finite numbers."""
     try:
         parts = [s["X"], s["Y"], s["a"], s["t"], *s["X"], *s["Y"]]
+        eps = s["eps"]
         return (list(map(len, parts)) == [3] * 4 + [4] * 6
-                and _finite([v for p in parts[2:] for v in p]))
-    except (TypeError, KeyError):
+                and _finite([v for p in parts[2:] for v in p])
+                and type(eps) is list and len(eps) == 2
+                # raises on a name that is no case
+                and all(map(pants.case_from_string, eps)))
+    except (TypeError, KeyError, pants.PantsError):
         return False
 
 
@@ -337,64 +336,71 @@ class SearchState:
 # replay (matrix arithmetic only)
 # ---------------------------------------------------------------------------
 
-def _coords_from_snapshot(snap: Dict):
-    x, y = ([tuple(map(float, m)) for m in snap[key]] for key in "XY")
-    return x, y, list(snap["a"]), list(snap["t"])
+def _rep_from_snapshot(snap: Dict) -> GluedRep:
+    """The rep of a snapshot, glued from its matrices as recorded: no pants
+    is built and nothing is solved."""
+    eps1, eps2 = map(pants.case_from_string, snap["eps"])
+    a = tuple(snap["a"])
+    x, y = (tuple([tuple(map(float, m)) for m in snap[key]]) for key in "XY")
+    return GluedRep(p1=PantsRep(a=a, case=eps1, q=x, solution=None),
+                    p2=PantsRep(a=a, case=eps2.euler_flipped(), q=y,
+                                solution=None), t=tuple(snap["t"]))
 
 
-def _trace(coords, tag: str, memo: Optional[Dict] = None) -> float:
-    return mtrace(genus2.curve_quad(*coords, tag, memo))
+def _trace(rep: GluedRep, tag: str) -> float:
+    return mtrace(genus2.curve_matrix(rep, tag))
 
 
-def _word_quad(coords, word: Sequence, memo: Optional[Dict] = None,
-               loops: Optional[genus2.Loops] = None) -> Quad:
+def _word_quad(rep: GluedRep, word: Sequence) -> Quad:
     """Product of a word of +-1 letters over the named curves and the
-    co-based loops; `memo` and `loops` as in `_link_targets`."""
+    co-based loops of `rep`."""
     out = IDENTITY
     for name, exp in word:
         if name.startswith(_LOOP_PREFIXES):
-            loops = loops or genus2.loop_quads(*coords)
-            m = loops[name[0] == "b"][int(name[-1]) - 1]
+            m = rep.loops[name[0] == "b"][int(name[-1]) - 1]
         else:
-            m = genus2.curve_quad(*coords, name, memo)
+            m = genus2.curve_matrix(rep, name)
         out = mmul(out, m if exp > 0 else minv(m))
     return out
 
 
-def _link_targets(old, rho: Sequence[int], memo: Optional[Dict] = None,
-                  loops: Optional[genus2.Loops] = None) -> List[float]:
+def _link_targets(old: GluedRep, rho: Sequence[int]) -> List[float]:
     """Traces of (gamma_1..3, beta_1..3, delta_1..3) after re-coordinatising
-    the coordinates `old` on relabel rho (new index i <- old rho[i]).
+    `old` on relabel rho (new index i <- old rho[i]).
 
     gamma'_i is the old beta_{rho(i)} and beta'_i the old gamma_{rho(i)};
     delta'_k pairs the old co-based handle (gamma_{rho(i)}, beta_{rho(j)}),
-    (i, j, k) cyclic.  `memo` as in `genus2.curve_quad`, and `loops` the
-    old `loop_quads` if already evaluated.
+    (i, j, k) cyclic.
     """
-    g, b = loops or genus2.loop_quads(*old)
-    return ([_trace(old, f"beta{r+1}", memo) for r in rho]
-            + [_trace(old, f"gamma{r+1}", memo) for r in rho]
+    g, b = old.loops
+    return ([_trace(old, f"beta{r+1}") for r in rho]
+            + [_trace(old, f"gamma{r+1}") for r in rho]
             + [mtrace(commutator(g[rho[(k + 1) % 3]], b[rho[(k + 2) % 3]]))
                for k in range(3)])
 
 
-def _link_gap(coords, tag: str, target: float, memo: Dict) -> float:
-    """Gap between the trace of `tag` at `coords` and its link target;
-    gamma and beta compare in absolute value, as their lifts' signs are
-    free."""
-    tr = _trace(coords, tag, memo)
+def _link_gap(rep: GluedRep, tag: str, target: float) -> float:
+    """Gap between the trace of `tag` at `rep` and its link target; gamma
+    and beta compare in absolute value, as their lifts' signs are free."""
+    tr = _trace(rep, tag)
     if tag in genus2.DELTA_TAGS:
         return abs(tr - target)
     return abs(abs(tr) - abs(target))
 
 
-def _link_error(new, targets: Sequence[float]) -> float:
-    """Largest gap between the traces at `new` and the `_link_targets`,
-    or the first gap that is not finite: a NaN fails every check."""
-    memo: Dict = {}
-    gaps = [_link_gap(new, tag, v, memo)
-            for tag, v in zip(genus2.CURVE_TAGS, targets)]
-    return next((g for g in gaps if not math.isfinite(g)), max(gaps))
+def _worst_gap(rep: GluedRep, tags, targets, bound: float,
+               worst: float = 0.0) -> Optional[float]:
+    """The largest of `worst` and the `_link_gap`s over `tags`, or None as
+    soon as one of them is not below `bound` (a NaN never is).  The fit
+    and the replay check every link with it."""
+    if not worst < bound:
+        return None
+    for tag, v in zip(tags, targets):
+        gap = _link_gap(rep, tag, v)
+        if not gap < bound:
+            return None
+        worst = max(worst, gap)
+    return worst
 
 
 def replay_certificate(cert: Certificate, tol: float = LINK_TOL) -> Dict:
@@ -415,22 +421,20 @@ def replay_certificate(cert: Certificate, tol: float = LINK_TOL) -> Dict:
 
 
 def _replay(cert: Certificate, tol: float) -> Dict:
-    x, y, a, t = _coords_from_snapshot(cert.initial)
+    rep = _rep_from_snapshot(cert.initial)
     checks = []
     for mv in cert.moves:
         kind = mv["kind"]
         if kind == "twist":
-            i, k = mv["i"] - 1, mv["k"]
-            t[i] += 2.0 * k * a[i]
+            rep = genus2.dehn_twist_gamma(rep, mv["i"], mv["k"])
         elif kind == "rotate":
-            perm = rotation(mv["shift"])
-            x, y, a, t = ([v[i] for i in perm] for v in (x, y, a, t))
+            rep = genus2.rotate(rep, mv["shift"])
         elif kind == "recoordinatize":
-            old = (x, y, a, t)
-            x, y, a, t = new = _coords_from_snapshot(mv["snapshot"])
-            worst = _link_error(new, _link_targets(old, mv["relabel"]))
-            if not math.isfinite(worst):
-                raise OverflowError(f"link error {worst}")
+            old, rep = rep, _rep_from_snapshot(mv["snapshot"])
+            worst = _worst_gap(rep, genus2.CURVE_TAGS,
+                               _link_targets(old, mv["relabel"]), math.inf)
+            if worst is None:
+                raise OverflowError("a link error is not finite")
             checks.append(worst)
             if not worst <= tol:    # fails closed on a NaN tol
                 return {"ok": False, "reason": "recoordinatisation link",
@@ -439,7 +443,7 @@ def _replay(cert: Certificate, tol: float) -> Dict:
             return {"ok": False, "reason": f"unknown move {kind!r}"}
     if cert.curve is None:
         return {"ok": False, "reason": "certificate has no curve"}
-    tr = mtrace(_word_quad((x, y, a, t), cert.curve))
+    tr = mtrace(_word_quad(rep, cert.curve))
     if not math.isfinite(tr):
         raise OverflowError(f"replayed trace {tr}")
     ok = abs(tr) <= 2.0 + TRACE_BAND and abs(tr - cert.trace) <= LINK_TOL
@@ -482,10 +486,7 @@ def _align(state: SearchState) -> None:
 
 
 def _found(state: SearchState, word: List) -> FoundCurve:
-    rep = state.rep
-    loops = (rep.loops if any(name.startswith(_LOOP_PREFIXES)
-                              for name, _ in word) else None)
-    tr = mtrace(_word_quad(rep.coords, word, rep.quads, loops))
+    tr = mtrace(_word_quad(state.rep, word))
     if abs(tr) > 2.0 + TRACE_BAND:
         raise SearchError(
             f"found-curve verification failed: |{tr}| > 2 for {word}")
@@ -833,42 +834,30 @@ def _candidate_pairs(euler: int, delta: float) -> List[Tuple[PantsCase, PantsCas
     return [(PC("selfhex", 1), hexs), (PC("selfhex", -1), hexs)]
 
 
-def _delta_twist_roots(x, y, a, k: int, d: float) -> List[float]:
+def _delta_twist_roots(rep: GluedRep, k: int, d: float) -> List[float]:
     """Twists t_k, ascending, with tr delta_{k+1} = d (the trace depends
     on t_k alone).
 
     With the coefficients of `genus2.delta_twist_coeffs`, u = e^{t_k}
     solves c_plus u^2 + (c_mid + (d - 2) / s) u + c_minus = 0.
     """
-    s, c_minus, c_mid, c_plus = genus2.delta_twist_coeffs(x, y, a, k)
+    s, c_minus, c_mid, c_plus = genus2.delta_twist_coeffs(rep, k)
     return sorted(math.log(u) for u in
                   _positive_roots(c_plus, c_mid + (d - 2.0) / s, c_minus))
-
-
-def _worst_gap(coords, tags, targets, memo: Dict, bound: float,
-               worst: float = 0.0) -> Optional[float]:
-    """The largest of `worst` and the `_link_gap`s over `tags`, or None as
-    soon as one of them is not below `bound` (a NaN never is)."""
-    if not worst < bound:
-        return None
-    for tag, v in zip(tags, targets):
-        gap = _link_gap(coords, tag, v, memo)
-        if not gap < bound:
-            return None
-        worst = max(worst, gap)
-    return worst
 
 
 def _fit_candidate(eps_pair, a_new, targets):
     """Solve the three twists against the delta targets; verify all traces
     against the `_link_targets`, as the certificate replay does.  Returns
-    (the fitted rep, glued from the pants built here, link error) or None.
+    (the fitted rep, with the matrices its check evaluated, link error) or
+    None.
 
     The link error is the largest of the nine gaps, and the fit keeps the
     first root combination of least error below LINK_TOL.  Each gap is
     checked against the least error so far as soon as it is evaluated:
-    the gamma gaps read no twist and are checked once, and a combination
-    is dropped at its first beta or delta gap that cannot improve on it.
+    the gamma gaps read no twist and are checked once, on the untwisted
+    rep, whose gamma matrices seed each combination's rep; a combination is
+    dropped at its first beta or delta gap that cannot improve on it.
     """
     case1, case2 = genus2.pants_cases(*eps_pair)
     try:
@@ -876,24 +865,23 @@ def _fit_candidate(eps_pair, a_new, targets):
         p2 = pants.build_pants(a_new, case2)
     except (pants.PantsError, hyptrig.TrigError):
         return None
-    roots = [[r for r in _delta_twist_roots(p1.q, p2.q, a_new, k,
-                                            targets[6 + k])
+    untwisted = GluedRep(p1=p1, p2=p2, t=(0.0, 0.0, 0.0))
+    roots = [[r for r in _delta_twist_roots(untwisted, k, targets[6 + k])
               if -10.0 <= r <= 10.0] for k in range(3)]
     if not all(roots):
         return None
-    gammas: Dict = {}
-    g_err = _worst_gap((p1.q, p2.q, a_new, None), genus2.GAMMA_TAGS,
-                       targets[:3], gammas, LINK_TOL)
+    g_err = _worst_gap(untwisted, genus2.GAMMA_TAGS, targets[:3], LINK_TOL)
     if g_err is None:
         return None
     best, bound = None, LINK_TOL
     for combo in itertools.product(*roots):
-        err = _worst_gap((p1.q, p2.q, a_new, combo),
-                         genus2.BETA_TAGS + genus2.DELTA_TAGS, targets[3:],
-                         dict(gammas), bound, g_err)
+        rep = GluedRep(p1=p1, p2=p2, t=combo)
+        rep.quads.update(untwisted.quads)
+        err = _worst_gap(rep, genus2.BETA_TAGS + genus2.DELTA_TAGS,
+                         targets[3:], bound, g_err)
         if err is not None:
-            best, bound = combo, err
-    return best and (GluedRep(p1=p1, p2=p2, t=best), bound)
+            best, bound = rep, err
+    return best and (best, bound)
 
 
 def _improve(state: SearchState):
@@ -910,7 +898,7 @@ def _improve(state: SearchState):
                                f"{new_max} vs {old_max}")
     # cyclic relabel: the new index i names the old beta_{rho(i)}
     rho = list(rotation(long_shift([abs(v) for v in tb])))
-    targets = _link_targets(rep.coords, rho, rep.quads, rep.loops)
+    targets = _link_targets(rep, rho)
     a_new = tuple(math.acosh(abs(v) / 2.0) for v in targets[:3])
     delta_new = hyptrig.delta_invariant(*a_new)
     if abs(delta_new) < RECOORD_FLAT_BAND:

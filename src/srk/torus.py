@@ -81,8 +81,14 @@ class ReductionResult:
     triple: Tuple[float, float, float]
     moves: Tuple[str, ...]
     found_index: Optional[int]          # 1, 2 or 3; None for AllNegative
-    all_negative: bool
-    steps: int
+
+    @property
+    def all_negative(self) -> bool:
+        return self.found_index is None
+
+    @property
+    def steps(self) -> int:
+        return len(self.moves)
 
     @property
     def curve_word(self) -> Optional[str]:
@@ -116,7 +122,6 @@ def reduce_triple(x: float, y: float, z: float,
     kappa0 = kappa(*start)
     triple = start
     moves: List[str] = []
-    steps = 0
     while True:
         if max(abs(v) for v in triple) > 1e8:
             raise ReductionError(
@@ -127,13 +132,11 @@ def reduce_triple(x: float, y: float, z: float,
         idx = _found_index(triple)
         if idx is not None:
             return ReductionResult(start=start, triple=triple,
-                                   moves=tuple(moves), found_index=idx,
-                                   all_negative=False, steps=steps)
+                                   moves=tuple(moves), found_index=idx)
         if all(v < -2.0 for v in triple):
             return ReductionResult(start=start, triple=triple,
-                                   moves=tuple(moves), found_index=None,
-                                   all_negative=True, steps=steps)
-        if steps >= max_steps:
+                                   moves=tuple(moves), found_index=None)
+        if len(moves) >= max_steps:
             raise ReductionError(
                 f"no terminal state within {max_steps} steps from {start}")
         cur = _max_abs(triple)
@@ -152,7 +155,6 @@ def reduce_triple(x: float, y: float, z: float,
                 f"{kappa(*triple):.6f})")
         _, word, triple = best
         moves.extend(word)
-        steps += len(word)
 
 
 def replay_moves(start: Tuple[float, float, float],

@@ -275,6 +275,11 @@ def _bits(floats) -> bytes:
     return struct.pack(f"{len(floats)}d", *floats)
 
 
+def _fresh(rep: GluedRep) -> GluedRep:
+    """`rep` with an empty memo: each word is evaluated whole."""
+    return GluedRep(p1=rep.p1, p2=rep.p2, t=rep.t)
+
+
 class TestRotation:
     @pytest.mark.parametrize("names", ALL_PAIRS, ids="/".join)
     def test_rotation_is_the_relabelled_build(self, names):
@@ -336,7 +341,7 @@ class TestRotation:
                 fam[i] for fam in (GAMMA_TAGS, BETA_TAGS, DELTA_TAGS)
                 for i in range(3) if fam[perm[i]] in rep.quads)
             for tag, q in rot.quads.items():
-                assert _bits(q) == _bits(genus2.curve_quad(*rot.coords, tag))
+                assert _bits(q) == _bits(genus2.curve_matrix(_fresh(rot), tag))
 
             norm = genus2.normalize_twists(rep)
             assert genus2.normalize_twists(rep) is norm
@@ -359,17 +364,25 @@ class TestRotation:
         assert str(sign_invariant(genus2.rotate(rep, shift))) == "Degenerate"
 
     def test_replay_rotation_shares_the_rule(self):
+        """The replay moves a rep as the search does: its trace is, bit for
+        bit, `curve_matrix` on `rotate` or `dehn_twist_gamma` of the rep."""
         rep = build_glued(case_from_string("Eu0PlusTriangle"),
                           case_from_string("EuMinus1"), (1.4, 1.0, 1.2),
                           (0.3, -0.2, 0.5))
-        for shift in (-4, -1, 0, 1, 2, 5):
-            coords = genus2.rotate(rep, shift).coords
-            snap = search._snapshot(rep)
-            cert = search.Certificate(initial=snap, moves=[
-                {"kind": "rotate", "shift": shift}], curve=[["beta1", 1]],
-                trace=search._trace(coords, "beta1"))
-            report = search.replay_certificate(cert)
-            assert report["trace"] == cert.trace
+        moves = ([({"kind": "rotate", "shift": s},
+                   lambda r, s=s: genus2.rotate(r, s))
+                  for s in (-4, -1, 0, 1, 2, 5)]
+                 + [({"kind": "twist", "i": i, "k": k},
+                     lambda r, i=i, k=k: genus2.dehn_twist_gamma(r, i, k))
+                    for i in (1, 2, 3) for k in (-2, 1, 3)])
+        for move, apply in moves:
+            moved = _fresh(apply(rep))
+            for tag in ("beta1", "delta2"):
+                cert = search.Certificate(
+                    initial=search._snapshot(rep), moves=[move],
+                    curve=[[tag, 1]], trace=search._trace(moved, tag))
+                report = search.replay_certificate(cert)
+                assert _bits([report["trace"]]) == _bits([cert.trace]), move
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +411,10 @@ def _memo_free_normalize(state):
 
 
 def _memo_free_link_error(new, targets):
-    """`_link_error` as it was: each delta re-evaluates its beta and
+    """The link check with no memo: each delta re-evaluates its beta and
     gamma."""
-    return max(abs(search._trace(new, tag) - v) if tag in DELTA_TAGS
-               else abs(abs(search._trace(new, tag)) - abs(v))
+    return max(abs(search._trace(_fresh(new), tag) - v) if tag in DELTA_TAGS
+               else abs(abs(search._trace(_fresh(new), tag)) - abs(v))
                for tag, v in zip(CURVE_TAGS, targets))
 
 
@@ -414,14 +427,15 @@ def _all_combination_fit(eps_pair, a_new, targets):
         p2 = pants.build_pants(a_new, case2)
     except (pants.PantsError, hyptrig.TrigError):
         return None
-    roots = [[r for r in search._delta_twist_roots(p1.q, p2.q, a_new, k,
+    untwisted = GluedRep(p1=p1, p2=p2, t=(0.0, 0.0, 0.0))
+    roots = [[r for r in search._delta_twist_roots(untwisted, k,
                                                    targets[6 + k])
               if -10.0 <= r <= 10.0] for k in range(3)]
     if not all(roots):
         return None
     best = None
     for combo in itertools.product(*roots):
-        err = _memo_free_link_error((p1.q, p2.q, a_new, combo), targets)
+        err = _memo_free_link_error(GluedRep(p1=p1, p2=p2, t=combo), targets)
         if err < search.LINK_TOL and (best is None or err < best[1]):
             best = (combo, err)
     return best and (build_glued(*eps_pair, a_new, best[0]), best[1])

@@ -203,6 +203,20 @@ def _string_length(d):
     d["initial"]["a"] = ["x", 1, 1]
 
 
+def _no_initial_eps(d):
+    del d["initial"]["eps"]
+
+
+def _unknown_link_case(d):
+    link = next(mv for mv in d["moves"] if mv["kind"] == "recoordinatize")
+    link["snapshot"]["eps"][1] = "EuPlus2"
+
+
+def _link_eps_not_a_pair(d):
+    link = next(mv for mv in d["moves"] if mv["kind"] == "recoordinatize")
+    link["snapshot"]["eps"] = "EuPlus1"
+
+
 def _huge_exponent(d):
     # srk writes curve words of +-1 letters only; a power would cost one
     # product per unit of exponent
@@ -210,14 +224,17 @@ def _huge_exponent(d):
 
 
 @pytest.mark.parametrize("spoil", [_cut_matrix, _rename_curve, _twist_index,
-                                   _string_length, _huge_exponent])
+                                   _string_length, _huge_exponent,
+                                   _no_initial_eps, _unknown_link_case,
+                                   _link_eps_not_a_pair])
 def test_malformed_certificate_is_usage_error(tmp_path, capsys, spoil):
     data = json.loads(CERTIFICATE.read_text())
     spoil(data)
     path = tmp_path / "bad_cert.json"
     path.write_text(json.dumps(data))
     assert cli.main(["replay", str(path)]) == 64
-    assert "bad certificate" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bad certificate" in err
 
 
 def _twists_of(k):
@@ -456,9 +473,8 @@ def _scalar_orbit_rows(seed, index, length):
         break
     t = rng.uniform(-1.5, 1.5, 3)
     rep = genus2.build_glued(eps1, eps2, a, t)
-    x, y, a, t = rep.coords
-    t = list(t)
-    coeffs = [genus2.delta_twist_coeffs(x, y, a, k) for k in range(3)]
+    a, t = rep.a, list(rep.t)
+    coeffs = [genus2.delta_twist_coeffs(rep, k) for k in range(3)]
     sign = str(genus2.sign_invariant(rep))
     row = ",".join([str(seed), str(index), "%d", str(eps1), str(eps2)]
                    + [cli._fl(v) for v in a] + ["%.17g"] * 6 + [sign])

@@ -432,12 +432,13 @@ class TestSingleEvaluator:
         rep = build_glued(eps1, eps2, sampler(self.rng),
                           tuple(self.rng.uniform(-1.5, 1.5, 3)))
         x, y = ([arr(q) for q in p.q] for p in (rep.p1, rep.p2))
-        coords = (rep.p1.q, rep.p2.q, rep.a, rep.t)
         for tag in CURVE_TAGS:
             ref = _np_curve(x, y, rep.a, rep.t, tag)
-            _assert_rel_close(genus2.curve_quad(*coords, tag), ref)
+            # a fresh rep evaluates the whole word, `rep` reuses its memo
+            fresh = GluedRep(p1=rep.p1, p2=rep.p2, t=rep.t)
+            _assert_rel_close(curve_matrix(fresh, tag), ref)
             _assert_rel_close(curve_matrix(rep, tag), ref)
-        g, b = genus2.loop_quads(*coords)
+        g, b = rep.loops
         for got, ref in zip(g + b, _np_loops(x, y, rep.a, rep.t)):
             _assert_rel_close(got, ref)
 
@@ -555,9 +556,9 @@ class TestProperties:
         @given(a=_A_STRATEGIES[sampler], t=_twists(40.0))
         def check(a, t):
             rep = build_glued(eps1, eps2, a, t)
-            x, y, a, t = rep.coords
+            t = rep.t
             for k, tag in enumerate(DELTA_TAGS):
-                s, cm, c0, cp = delta_twist_coeffs(x, y, a, k)
+                s, cm, c0, cp = delta_twist_coeffs(rep, k)
                 val = 2.0 - s * (cm * math.exp(-t[k]) + c0
                                  + cp * math.exp(t[k]))
                 ref = trace_curve_matrix(rep, tag)

@@ -15,7 +15,7 @@ import srk.search
 from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
 from srk.search import (B2_HALF, Certificate, FoundCurve, OutOfScopeError,
                         bandwidth_window, boum_bound,
-                        intervals_test, line_l1, line_l2, phi_bound,
+                        intervals_test, line_l1, line_l2,
                         region_of, replay_certificate, search_nonhyperbolic)
 
 rng = np.random.default_rng(2718)
@@ -112,11 +112,6 @@ class TestIntervalsAndRegions:
             u3 = sol.heron * SH(abs(t3) / 2) / SH(1.4)
             disp, _ = intervals_test(a, u3)
             assert disp in ("separating_small", "bandwidth")
-
-    def test_phi_limits(self):
-        assert phi_bound(1e-9, 1.0) == pytest.approx(1.0, abs=1e-6)
-        for a1 in np.linspace(0.05, 1.0, 30):
-            assert phi_bound(a1, 1.0) < 9.0
 
     def test_phi_threshold_near_1459(self):
         from srk.inequalities import phi_max_over_a1
@@ -403,8 +398,9 @@ class TestRareStrategies:
         assert self._hits("flat_twist", draws(3000)) >= 10
 
 
-def _curve_trace(x, y, a, t, tag):
-    q = genus2.curve_quad(x, y, a, t, tag)
+def _curve_trace(p1, p2, t, tag):
+    """The trace of `tag` on a fresh rep glued from the pants p1, p2."""
+    q = genus2.curve_matrix(genus2.GluedRep(p1=p1, p2=p2, t=tuple(t)), tag)
     return q[0] + q[3]
 
 
@@ -423,29 +419,31 @@ class TestFitRoots:
             pairs = search._candidate_pairs(euler, hyptrig.delta_invariant(*a))
             assert len(pairs) == 2
             for eps1, eps2 in pairs:
-                x = pants.build_pants(a, eps1).q
-                y = pants.build_pants(a, eps2.euler_flipped()).q
+                p1 = pants.build_pants(a, eps1)
+                p2 = pants.build_pants(a, eps2.euler_flipped())
                 for k in range(3):
                     t = [0.0, 0.0, 0.0]
                     t[k] = rng.uniform(-3.0, 3.0)
                     tag = f"delta{k+1}"
-                    d = _curve_trace(x, y, a, t, tag)
-                    roots = search._delta_twist_roots(x, y, a, k, d)
+                    d = _curve_trace(p1, p2, t, tag)
+                    # the coefficients read no twist: any rep of the pants
+                    untwisted = genus2.GluedRep(p1=p1, p2=p2,
+                                                t=(0.0, 0.0, 0.0))
+                    roots = search._delta_twist_roots(untwisted, k, d)
                     assert roots == sorted(roots)
                     assert min(abs(r - t[k]) for r in roots) < 1e-6
                     for r in roots:
                         t[k] = r
-                        assert _curve_trace(x, y, a, t, tag) == pytest.approx(
+                        assert _curve_trace(p1, p2, t, tag) == pytest.approx(
                             d, rel=1e-9, abs=1e-9)
 
     def test_unreachable_target_has_no_roots(self):
         # for the (+1, -1) pair tr delta_k = 2 + 4 (sinh a sinh b
         # sinh(t/2))^2 >= 2, so a target of 1 has no root
-        a = (1.0, 1.1, 1.2)
-        x = pants.build_pants(a, EU_PLUS1).q
-        y = pants.build_pants(a, EU_MINUS1.euler_flipped()).q
+        rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.1, 1.2),
+                                 (0.0, 0.0, 0.0))
         for k in range(3):
-            assert search._delta_twist_roots(x, y, a, k, 1.0) == []
+            assert search._delta_twist_roots(rep, k, 1.0) == []
 
     def test_positive_roots(self):
         assert search._positive_roots(1.0, -3.0, 2.0) == pytest.approx(
@@ -468,14 +466,18 @@ class TestLinkGaps:
     it sits among the nine."""
 
     def test_nan_target_anywhere_gives_nan(self):
+        """A NaN target gives a NaN gap, which the link check refuses even
+        with no bound."""
         rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, (1, 1.1, 1.2),
                                  (0.1, 0.2, 0.3))
-        targets = search._link_targets(rep.coords, [0, 1, 2])
-        assert math.isfinite(search._link_error(rep.coords, targets))
+        targets = search._link_targets(rep, [0, 1, 2])
+        tags = genus2.CURVE_TAGS
+        assert search._worst_gap(rep, tags, targets, math.inf) is not None
         for idx in range(9):
             bad = list(targets)
             bad[idx] = math.nan
-            assert math.isnan(search._link_error(rep.coords, bad)), idx
+            assert math.isnan(search._link_gap(rep, tags[idx], math.nan))
+            assert search._worst_gap(rep, tags, bad, math.inf) is None, idx
 
     @staticmethod
     def _nan_beta2_target(monkeypatch):
@@ -502,7 +504,7 @@ class TestLinkGaps:
         cert = search_nonhyperbolic(self._recoord_rep()).certificate
         assert replay_certificate(cert)["ok"]
         self._nan_beta2_target(monkeypatch)
-        with pytest.raises(OutOfScopeError, match="link error nan"):
+        with pytest.raises(OutOfScopeError, match="link error is not finite"):
             replay_certificate(cert)
 
 
