@@ -72,14 +72,14 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _load_rep(cmd: str, path: str):
     """The coordinate record at `path` as a GluedRep, or the exit code of
-    a malformed record (64) or of half-lengths too long for a float build
-    (3), after one stderr line."""
+    a malformed record (64) or of half-lengths outside the float build's
+    range, too long or too short (3), after one stderr line."""
     try:
         with open(path) as fh:
             return genus2.GluedRep.from_json(fh.read())
     except pants.CocycleResidualError as exc:   # rounding, not bad input
-        sys.stderr.write(f"{cmd}: out of range: half-lengths too long for "
-                         f"a float build ({exc})\n")
+        sys.stderr.write(f"{cmd}: out of range: half-lengths outside the "
+                         f"float build's range ({exc})\n")
         return EXIT_OUT_OF_SCOPE
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"{cmd}: bad input: {exc}\n")
@@ -103,7 +103,9 @@ def cmd_classify(args) -> int:
 
     A curve's "agreement" is |matrix - closed_form| / max(1, |matrix|), or
     None where no formula covers it; "worst_agreement" is the largest.
-    Exit 3 when a half-length or a trace overflows a float or the Euler
+    Exit 3 when a half-length or a trace overflows a float, when the
+    half-lengths are outside the float build's range (too long or too
+    short for the pants' cocycle relations to hold), or when the Euler
     class relator is lost to rounding (huge half-lengths).
     """
     rep = _load_rep("classify", args.rep)

@@ -21,14 +21,14 @@ A `GluedRep` is the one thing that gets evaluated: `curve_matrix` reads
 the words above off a rep and keeps each matrix in the rep's memo, and
 `GluedRep.loops` holds its co-based loops.  The search and the certificate
 replay move between reps with `dehn_twist_gamma` and `rotate`.
+
+Value objects are `__slots__` classes or named tuples.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
 from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
@@ -58,17 +58,38 @@ class Genus2Error(PSL2Error):
     pass
 
 
-@dataclass(frozen=True)
 class GluedRep:
-    """Glued genus-2 coordinate datum: the two pants and the twists."""
+    """Glued genus-2 coordinate datum: the two pants and the twists.
 
-    p1: PantsRep
-    p2: PantsRep
-    t: Tuple[float, float, float]
-    # the curve matrices evaluated so far, by tag: `curve_matrix` reads and
-    # fills it, `rotate` carries it over and the fit seeds it
-    quads: Dict[str, Quad] = field(default_factory=dict, init=False,
-                                   compare=False, repr=False)
+    Two reps are equal when `p1`, `p2` and `t` are; the memo `quads` and
+    the cached loops, twist counts and normalised rep take no part, nor in
+    the hash or the repr.
+    """
+
+    __slots__ = ("p1", "p2", "t", "quads", "_loops", "_counts", "_normal")
+
+    def __init__(self, p1: PantsRep, p2: PantsRep,
+                 t: Tuple[float, float, float]) -> None:
+        self.p1, self.p2, self.t = p1, p2, t
+        # the curve matrices evaluated so far, by tag: `curve_matrix` reads
+        # and fills it, `rotate` carries it over and the fit seeds it
+        self.quads: Dict[str, Quad] = {}
+        # `loops`, `twist_counts` and `normalize_twists`, once computed
+        self._loops = self._counts = self._normal = None
+
+    def _key(self) -> tuple:
+        return self.p1, self.p2, self.t
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"GluedRep(p1={self.p1!r}, p2={self.p2!r}, t={self.t!r})"
 
     @property
     def a(self) -> Tuple[float, float, float]:
@@ -84,14 +105,17 @@ class GluedRep:
         `pants_cases`)."""
         return self.p2.case.euler_flipped()
 
-    @cached_property
+    @property
     def loops(self) -> Loops:
-        """Co-based loops (gamma_1..3, beta_1..3) at a common base point.
+        """Co-based loops (gamma_1..3, beta_1..3) at a common base point,
+        computed once.
 
         The loops come from a spanning tree of the gluing complex: p3 and
         p5 transport the base vertex v0 to the vertices v3 and v5 of the
         first pants.
         """
+        if self._loops is not None:
+            return self._loops
         x, y, a, t = self.p1.q, self.p2.q, self.a, self.t
         tr_, inv = make_translation, minv
         p3 = mmul(x[1], tr_(a[2]), x[0])                 # transport v0 -> v3
@@ -103,26 +127,8 @@ class GluedRep:
                   inv(y[2]), tr_(t[1]), p5),
              mmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(t[0]), p3),
              mmul(inv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3))
-        return g, b
-
-    @cached_property
-    def _counts(self) -> Tuple[int, int, int]:
-        """`twist_counts`, computed once: `search.classify_scope`, `_normal`
-        and the search's move log read it."""
-        return _count_twists(self)
-
-    @cached_property
-    def _normal(self) -> Optional["GluedRep"]:
-        """The rep with its twists normalised, or None when no count moves
-        (see `normalize_twists`)."""
-        counts = twist_counts(self)
-        if not any(counts):
-            return None
-        # only nonzero counts are applied, as the search's twist moves do,
-        # so that a twist of -0.0 keeps its bits
-        t = tuple(ti + 2.0 * k * ai if k else ti
-                  for ti, k, ai in zip(self.t, counts, self.a))
-        return GluedRep(p1=self.p1, p2=self.p2, t=t)
+        self._loops = g, b
+        return self._loops
 
     @property
     def euler_nominal(self) -> int:
@@ -174,7 +180,7 @@ def build_glued(eps1: PantsCase, eps2: PantsCase,
     """
     case1, case2 = pants_cases(eps1, eps2)
     t = tuple(float(x) for x in t)
-    return GluedRep(p1=build_pants(a, case1), p2=build_pants(a, case2), t=t)
+    return GluedRep(build_pants(a, case1), build_pants(a, case2), t)
 
 
 def rotate(rep: GluedRep, shift: int) -> GluedRep:
@@ -192,14 +198,18 @@ def rotate(rep: GluedRep, shift: int) -> GluedRep:
 
     def permuted(p: PantsRep) -> PantsRep:
         sol = p.solution and hyptrig.relabel(p.solution, perm)
-        return PantsRep(a=pick(p.a), case=p.case, q=pick(p.q), solution=sol)
+        return PantsRep(pick(p.a), p.case, pick(p.q), sol)
 
-    out = GluedRep(p1=permuted(rep.p1), p2=permuted(rep.p2), t=pick(rep.t))
-    memo = rep.quads
-    out.quads.update((tags[i], memo[tags[p]])
-                     for tags in (GAMMA_TAGS, BETA_TAGS, DELTA_TAGS)
-                     for i, p in enumerate(perm) if tags[p] in memo)
+    out = GluedRep(permuted(rep.p1), permuted(rep.p2), pick(rep.t))
+    retag = _RETAG[shift % 3]
+    out.quads.update((retag[tag], q) for tag, q in rep.quads.items())
     return out
+
+
+# the new tag of each curve under `rotate` by each shift modulo 3: the new
+# index i names the old index rotation(shift)[i]
+_RETAG = [{tags[p]: tags[i] for tags in (GAMMA_TAGS, BETA_TAGS, DELTA_TAGS)
+           for i, p in enumerate(rotation(shift))} for shift in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +419,7 @@ def dehn_twist_gamma(rep: GluedRep, i: int, k: int = 1) -> GluedRep:
         raise Genus2Error("curve index must be 1, 2 or 3")
     t = list(rep.t)
     t[i - 1] += 2.0 * k * rep.a[i - 1]
-    return GluedRep(p1=rep.p1, p2=rep.p2, t=tuple(t))
+    return GluedRep(rep.p1, rep.p2, tuple(t))
 
 
 def twist_counts(rep: GluedRep) -> Tuple[int, int, int]:
@@ -419,8 +429,12 @@ def twist_counts(rep: GluedRep) -> Tuple[int, int, int]:
     the search logs them as twist moves.  Raises Genus2Error for a twist so
     huge that it has lost its place in its orbit: the rounded t_i + 2 k_i
     a_i lies more than TWIST_EDGE outside [-a_i, a_i] (before a tie moves
-    it) or off the exact remainder of t_i modulo 2 a_i.  Cached on `rep`.
+    it) or off the exact remainder of t_i modulo 2 a_i.  Cached on `rep`:
+    `search.classify_scope`, `normalize_twists` and the search's move log
+    read it.
     """
+    if rep._counts is None:
+        rep._counts = _count_twists(rep)
     return rep._counts
 
 
@@ -451,6 +465,14 @@ def normalize_twists(rep: GluedRep) -> GluedRep:
     Cached on `rep`, so that its callers share one normalised rep and its
     evaluated curves; `rep` itself when no count moves.
     """
+    if rep._normal is None:
+        counts = twist_counts(rep)
+        # False when no count moves: `rep` itself, held without a cycle.
+        # Only nonzero counts are applied, as the search's twist moves do,
+        # so that a twist of -0.0 keeps its bits.
+        rep._normal = any(counts) and GluedRep(rep.p1, rep.p2, tuple(
+            ti + 2.0 * k * ai if k else ti
+            for ti, k, ai in zip(rep.t, counts, rep.a)))
     return rep._normal or rep
 
 

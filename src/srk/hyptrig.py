@@ -8,9 +8,8 @@ attached to index i is computed from the two sides with the other indices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple, Union
 
 from .tolerances import CLAMP, DELTA_BAND
 
@@ -73,12 +72,11 @@ def delta_invariant(a1: float, a2: float, a3: float) -> float:
     return d
 
 
-# A solution holds per-side triples only; the Heron terms and the long side
-# derive from the half-lengths `a`.  So a cyclic relabelling of the sides
-# permutes every field (`relabel`).
+# A solution is a named tuple of per-side triples only; the Heron terms and
+# the long side derive from the half-lengths `a`.  So a cyclic relabelling
+# of the sides permutes every field (`relabel`).
 
-@dataclass(frozen=True)
-class HexagonSolution:
+class HexagonSolution(NamedTuple):
     a: Tuple[float, float, float]
     b: Tuple[float, float, float]
 
@@ -90,8 +88,7 @@ class HexagonSolution:
                          - 1.0)
 
 
-@dataclass(frozen=True)
-class TriangleSolution:
+class TriangleSolution(NamedTuple):
     a: Tuple[float, float, float]
     theta: Tuple[float, float, float]
 
@@ -101,8 +98,7 @@ class TriangleSolution:
         return math.sqrt(delta_invariant(*self.a))
 
 
-@dataclass(frozen=True)
-class SelfHexagonSolution:
+class SelfHexagonSolution(NamedTuple):
     a: Tuple[float, float, float]
     d: Tuple[float, float, float]
 
@@ -129,7 +125,7 @@ def relabel(sol: Solution, perm: Sequence[int]) -> Solution:
     afresh, bit for bit.
     """
     pick = itemgetter(*perm)
-    return type(sol)(*map(pick, vars(sol).values()))   # its fields, in order
+    return type(sol)._make(map(pick, sol))
 
 
 def solve_hexagon(a1: float, a2: float, a3: float) -> HexagonSolution:
@@ -142,7 +138,7 @@ def solve_hexagon(a1: float, a2: float, a3: float) -> HexagonSolution:
     sh = [math.sinh(x) for x in a]
     b = tuple(_acosh_clamped((ch[i] + ch[j] * ch[k]) / (sh[j] * sh[k]))
               for i, j, k in _CYCLIC)
-    return HexagonSolution(a=a, b=b)
+    return HexagonSolution(a, b)
 
 
 def solve_triangle(a1: float, a2: float, a3: float) -> TriangleSolution:
@@ -158,7 +154,7 @@ def solve_triangle(a1: float, a2: float, a3: float) -> TriangleSolution:
     sh = [math.sinh(x) for x in a]
     theta = tuple(_acos_clamped((ch[j] * ch[k] - ch[i]) / (sh[j] * sh[k]))
                   for i, j, k in _CYCLIC)
-    return TriangleSolution(a=a, theta=theta)
+    return TriangleSolution(a, theta)
 
 
 def solve_self_hexagon(a1: float, a2: float, a3: float) -> SelfHexagonSolution:
@@ -178,4 +174,4 @@ def solve_self_hexagon(a1: float, a2: float, a3: float) -> SelfHexagonSolution:
     d = tuple(_acosh_clamped((ch[i] - ch[j] * ch[k] if i == li
                               else ch[j] * ch[k] - ch[i]) / (sh[j] * sh[k]))
               for i, j, k in _CYCLIC)
-    return SelfHexagonSolution(a=a, d=d)
+    return SelfHexagonSolution(a, d)

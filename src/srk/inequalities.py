@@ -17,12 +17,10 @@ and `srk verify` loads both on its first claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(NamedTuple):
     claim_id: str
     margin: float               # padded minimum; must be positive
     raw_min: float

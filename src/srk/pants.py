@@ -17,14 +17,15 @@ validated against the cocycle relations and the trace formulas downstream.
 Each edge-matrix formula has one home, the scalar builder of its family,
 which works with the psl2r kernel: the edge matrices and the boundary
 loops are psl2r matrices, row-major 4-tuples.
+
+Value objects are `__slots__` classes or named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import hyptrig
 from .hyptrig import long_shift, rotation
@@ -40,12 +41,11 @@ class PantsError(PSL2Error):
 
 class CocycleResidualError(PantsError):
     """The edge matrices miss the cocycle relations by more than rounding
-    allows: the half-lengths are too long for a float build, though the
-    record is valid."""
+    allows: the half-lengths are outside the float build's range (too long
+    or too short), though the record is valid."""
 
 
-@dataclass(frozen=True)
-class PantsCase:
+class PantsCase(NamedTuple):
     """Construction tag: kind plus orientation datum.
 
     kind in {"plus1", "minus1", "tri", "selfhex", "flat_diag", "flat_upper",
@@ -122,19 +122,36 @@ def case_from_string(name: str) -> PantsCase:
     return _CASES[name]
 
 
-@dataclass(frozen=True)
 class PantsRep:
     """Half-lengths, construction tag, and the edge matrices `q`.
 
     `solution` is the hyptrig solution `build_pants` solved for the edge
-    matrices (None for flat pants); the closed trace formulas and the
-    search read it.
+    matrices (None for flat pants, and for pants glued from recorded
+    matrices); the closed trace formulas and the search read it.  Two
+    pants are equal when `a`, `case` and `q` are: `solution` takes no part,
+    nor in the hash or the repr.
     """
 
-    a: Tuple[float, float, float]
-    case: PantsCase
-    q: Tuple[Quad, Quad, Quad]
-    solution: Optional[hyptrig.Solution] = field(compare=False, repr=False)
+    __slots__ = ("a", "case", "q", "solution")
+
+    def __init__(self, a: Tuple[float, float, float], case: PantsCase,
+                 q: Tuple[Quad, Quad, Quad],
+                 solution: Optional[hyptrig.Solution]) -> None:
+        self.a, self.case, self.q, self.solution = a, case, q, solution
+
+    def _key(self) -> tuple:
+        return self.a, self.case, self.q
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"PantsRep(a={self.a!r}, case={self.case!r}, q={self.q!r})"
 
     def cocycle_residuals(self) -> Tuple[float, float]:
         return _cocycle_residuals(self.a, self.q)
@@ -240,7 +257,7 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     if max(res) > tol:
         raise CocycleResidualError(f"cocycle residuals {res} exceed "
                                    f"tolerance {tol}")
-    return PantsRep(a=a, case=case, q=x, solution=sol)
+    return PantsRep(a, case, x, sol)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import genus2, hyptrig, pants, torus
 from .hyptrig import long_shift, rotation
@@ -225,14 +224,31 @@ def _snapshot(rep: GluedRep) -> Dict:
     }
 
 
-@dataclass
 class Certificate:
-    """Replayable record of the search: snapshots, moves, final curve."""
+    """Replayable record of the search: snapshots, moves, final curve.
+    Two certificates are equal when all four fields are."""
 
-    initial: Dict
-    moves: List[Dict] = field(default_factory=list)
-    curve: Optional[List] = None
-    trace: Optional[float] = None
+    __slots__ = ("initial", "moves", "curve", "trace")
+
+    def __init__(self, initial: Dict, moves: Optional[List[Dict]] = None,
+                 curve: Optional[List] = None,
+                 trace: Optional[float] = None) -> None:
+        self.initial = initial
+        self.moves = [] if moves is None else moves
+        self.curve = curve
+        self.trace = trace
+
+    def _key(self) -> tuple:
+        return self.initial, self.moves, self.curve, self.trace
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return ("Certificate(initial={!r}, moves={!r}, curve={!r}, "
+                "trace={!r})".format(*self._key()))
 
     def to_json(self) -> str:
         return json.dumps({"initial": self.initial, "moves": self.moves,
@@ -303,8 +319,7 @@ _WORD_NAMES = genus2.CURVE_TAGS + tuple(f"{c}{i}" for c in _LOOP_PREFIXES
                                         for i in "123")
 
 
-@dataclass(frozen=True)
-class FoundCurve:
+class FoundCurve(NamedTuple):
     word: List            # [[tag, exponent], ...], matrices multiply l-to-r
     trace: float
     certificate: Certificate
@@ -312,20 +327,24 @@ class FoundCurve:
     history: List[Dict]   # the search's decision trace, not certified
 
 
-@dataclass(frozen=True)
-class Stalled:
+class Stalled(NamedTuple):
     diagnostic: str
     certificate: Certificate
     rounds: int
     history: List[Dict]
 
 
-@dataclass
 class SearchState:
-    rep: GluedRep
-    cert: Certificate
-    rounds: int = 0
-    history: List[Dict] = field(default_factory=list)
+    """The search's current rep, its certificate so far, the rounds it has
+    re-coordinatised and its decision trace."""
+
+    __slots__ = ("rep", "cert", "rounds", "history")
+
+    def __init__(self, rep: GluedRep, cert: Certificate) -> None:
+        self.rep = rep
+        self.cert = cert
+        self.rounds = 0
+        self.history: List[Dict] = []
 
     @property
     def max_boundary_trace(self) -> float:
@@ -342,9 +361,9 @@ def _rep_from_snapshot(snap: Dict) -> GluedRep:
     eps1, eps2 = map(pants.case_from_string, snap["eps"])
     a = tuple(snap["a"])
     x, y = (tuple([tuple(map(float, m)) for m in snap[key]]) for key in "XY")
-    return GluedRep(p1=PantsRep(a=a, case=eps1, q=x, solution=None),
-                    p2=PantsRep(a=a, case=eps2.euler_flipped(), q=y,
-                                solution=None), t=tuple(snap["t"]))
+    return GluedRep(PantsRep(a, eps1, x, None),
+                    PantsRep(a, eps2.euler_flipped(), y, None),
+                    tuple(snap["t"]))
 
 
 def _trace(rep: GluedRep, tag: str) -> float:
@@ -875,7 +894,7 @@ def _fit_candidate(eps_pair, a_new, targets):
         return None
     best, bound = None, LINK_TOL
     for combo in itertools.product(*roots):
-        rep = GluedRep(p1=p1, p2=p2, t=combo)
+        rep = GluedRep(p1, p2, combo)
         rep.quads.update(untwisted.quads)
         err = _worst_gap(rep, genus2.BETA_TAGS + genus2.DELTA_TAGS,
                          targets[3:], bound, g_err)

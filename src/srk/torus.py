@@ -15,8 +15,7 @@ so that the witness curve can be replayed as a word in the starting pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .tolerances import DESCENT_MARGIN, KAPPA_DRIFT
 
@@ -75,8 +74,7 @@ def _found_index(triple) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     start: Tuple[float, float, float]
     triple: Tuple[float, float, float]
     moves: Tuple[str, ...]

@@ -333,9 +333,12 @@ class TestRotation:
             rep = build_glued(eps1, eps2, a, t)
             for tag in tags:
                 genus2.curve_matrix(rep, tag)
-            rep.loops                 # evaluated, yet not to be carried
+            loops = rep.loops         # evaluated, yet not to be carried
             rot = genus2.rotate(rep, shift)
-            assert "loops" not in vars(rot)
+            assert rot.loops is not loops
+            assert (_bits([v for fam in rot.loops for q in fam for v in q])
+                    == _bits([v for fam in _fresh(rot).loops for q in fam
+                              for v in q]))
             perm = hyptrig.rotation(shift)
             assert sorted(rot.quads) == sorted(
                 fam[i] for fam in (GAMMA_TAGS, BETA_TAGS, DELTA_TAGS)

@@ -146,6 +146,20 @@ def test_long_hexagon_sides_are_out_of_scope(tmp_path, capsys, a):
     assert err.startswith("classify: out of range: ")
 
 
+def test_short_hexagon_sides_are_out_of_range(tmp_path, capsys):
+    # a = 1e-3 (1, 1.1, 1.2): the cocycle residuals (5.7e-8) exceed their
+    # rounding bound; the message must not call the half-lengths too long
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"eps": ["EuPlus1", "EuMinus1"],
+                                "a": [1e-3, 1.1e-3, 1.2e-3],
+                                "t": [0, 0, 0]}))
+    assert cli.main(["classify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("classify: out of range: half-lengths outside "
+                          "the float build's range (cocycle residuals")
+
+
 @pytest.mark.parametrize("record", [
     # the two tags live on different delta strata
     {"eps": ["Eu0PlusTriangle", "Eu0PlusSelfHex"], "a": [1.0, 1.1, 1.2],

@@ -99,6 +99,22 @@ class TestBuild:
         data = json.loads(rep.to_json())
         assert set(data) == {"eps", "a", "t"}
 
+    def test_equality_ignores_the_memo_and_caches(self):
+        rep = build_glued(EU_PLUS1, EU_PLUS1, (1.0, 1.1, 1.2), (3.0, 0, 0))
+        for tag in CURVE_TAGS:
+            curve_matrix(rep, tag)
+        rep.loops
+        norm = normalize_twists(rep)
+        assert norm is not rep
+        fresh = GluedRep(p1=rep.p1, p2=rep.p2, t=rep.t)
+        assert not fresh.quads
+        assert fresh == rep and hash(fresh) == hash(rep)
+        assert norm != rep and norm == GluedRep(rep.p1, rep.p2, norm.t)
+        assert rep.p1 != rep.p2 and GluedRep(rep.p2, rep.p1, rep.t) != rep
+        assert rep != (rep.p1, rep.p2, rep.t)
+        assert repr(fresh) == repr(rep) == (
+            f"GluedRep(p1={rep.p1!r}, p2={rep.p2!r}, t={rep.t!r})")
+
 
 class TestCurveWords:
     def test_gamma_is_translation(self):

@@ -75,6 +75,16 @@ class TestCocycle:
         with pytest.raises(PantsError):
             build_pants((0.0, 1.0, 1.0), EU_PLUS1)
 
+    @pytest.mark.parametrize("case", ALL_CASES, ids=str)
+    def test_equality_ignores_the_solution(self, case):
+        rep = build_pants(sample_a(case, rng), case)
+        bare = pants.PantsRep(rep.a, rep.case, rep.q, None)
+        assert bare == rep and hash(bare) == hash(rep)
+        assert repr(bare) == repr(rep)
+        other = EU_PLUS1 if case != EU_PLUS1 else EU_MINUS1
+        assert pants.PantsRep(rep.a, other, rep.q, None) != rep
+        assert pants.PantsRep(rep.a, rep.case, rep.q[::-1], None) != rep
+
     def test_flat_upper_matrix_form(self):
         # parabolic entry pattern of the triangular family
         a = (1.0, 1.3, 2.3)
@@ -215,6 +225,16 @@ class TestSerialization:
     def test_case_names_roundtrip(self):
         for case in ALL_CASES:
             assert case_from_string(str(case)) == case
+        assert len(pants._CASES) == len(set(ALL_CASES)) == 11
+        for name, case in pants._CASES.items():
+            assert str(case_from_string(name)) == name
+            # a case built afresh hashes as its (kind, eps) fields do, and
+            # finds its name
+            fresh = PantsCase(case.kind, case.eps)
+            assert hash(fresh) == hash(case) == hash((case.kind, case.eps))
+            assert pants._NAME_OF[fresh] == name == f"{fresh}"
+            assert repr(fresh) == (f"PantsCase(kind={case.kind!r}, "
+                                   f"eps={case.eps!r})")
 
     def test_unknown_name(self):
         with pytest.raises(PantsError):

@@ -329,6 +329,10 @@ class TestSearchEndToEnd:
         out = search_nonhyperbolic(rep)
         cert = Certificate.from_json(out.certificate.to_json())
         assert replay_certificate(cert)["ok"]
+        # equal field by field, as the benchmark's round-trip check reads it
+        assert cert == out.certificate and cert is not out.certificate
+        cert.trace = math.nextafter(cert.trace, math.inf)
+        assert cert != out.certificate
 
     def test_tampered_certificate_fails(self):
         rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.1, 1.2),
@@ -598,6 +602,21 @@ def test_no_numpy_import(tmp_path):
         print(seen)
     """)
     assert out.strip() == "[False, False, False, False, False, True]"
+
+
+def test_import_srk_stays_light():
+    # srk's value objects are __slots__ classes and named tuples, so
+    # `import srk`, which every CLI run pays, loads neither dataclasses nor
+    # the inspect and ast modules it pulls in, nor numpy; -S keeps site's
+    # own imports out of the fresh interpreter
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import srk; "
+            "print([m for m in ('dataclasses', 'inspect', 'ast', 'numpy') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
 
 
 def test_only_inequalities_imports_numpy():
