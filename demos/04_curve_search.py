@@ -2,7 +2,8 @@
 
 Any representation with half-lengths under the Bers bound and class Euler
 +-1 or Euler 0 of Minus sign admits such a curve; the search produces one
-together with a certificate whose replay uses only 2x2 matrix arithmetic.
+together with a certificate that records the coordinates of each
+representation it passes through, and whose replay rebuilds them.
 """
 
 import numpy as np

@@ -152,19 +152,42 @@ def cmd_search(args) -> int:
         _emit(out.certificate.to_json(), args.out)
         return EXIT_STALLED
     replay = search.replay_certificate(out.certificate)
-    payload = json.loads(out.certificate.to_json())
+    payload = out.certificate.to_dict()
     payload["replay"] = replay
     _emit(json.dumps(payload, default=float), args.out)
     return EXIT_OK if replay["ok"] else EXIT_VERIFY_FAIL
 
 
+def _not_the_record(cert, path: str) -> str:
+    """The initial snapshot's fields (eps, a, t) that differ from the
+    coordinate record at `path`, joined by commas; raises ValueError on a
+    malformed record."""
+    with open(path) as fh:
+        eps, a, t = genus2.parse_record(fh.read())
+    want = {"eps": [str(e) for e in eps], "a": a, "t": t}
+    return ", ".join(key for key, v in want.items() if cert.initial[key] != v)
+
+
 def cmd_replay(args) -> int:
+    """Replay a certificate: exit 1 when it fails, and 3 when its numbers
+    overflow a float or a snapshot's half-lengths are outside the float
+    build's range.  With --record, the certificate must also start from
+    that coordinate record."""
     try:
         with open(args.certificate) as fh:
             cert = search.Certificate.from_json(fh.read())
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"replay: bad certificate: {exc}\n")
         return EXIT_USAGE
+    try:
+        differ = args.record and _not_the_record(cert, args.record)
+    except (OSError, ValueError) as exc:
+        sys.stderr.write(f"replay: bad record: {exc}\n")
+        return EXIT_USAGE
+    if differ:
+        _emit(json.dumps({"ok": False, "reason": f"initial snapshot is not "
+                          f"the record: {differ} differ"}), args.out)
+        return EXIT_VERIFY_FAIL
     try:
         report = search.replay_certificate(cert)
     except search.OutOfScopeError as exc:
@@ -330,6 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("replay", help="re-verify a search certificate")
     r.add_argument("certificate")
+    r.add_argument("--record", help="coordinate JSON file the certificate "
+                                    "must start from")
     r.add_argument("--out")
     r.set_defaults(fn=cmd_replay)
 

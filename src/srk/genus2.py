@@ -140,15 +140,22 @@ class GluedRep:
 
     @classmethod
     def from_json(cls, text: str) -> "GluedRep":
-        """Parse {"eps": [2 case names], "a": [3 numbers], "t": [3 numbers]};
-        a record of any other shape or with a non-finite number raises
-        Genus2Error."""
-        data = json.loads(text)
-        eps = _field(data, "eps", 2, lambda s: isinstance(s, str))
-        a, t = (_field(data, key, 3, lambda x: type(x) in (int, float)
-                       and math.isfinite(x)) for key in ("a", "t"))
-        eps1, eps2 = (case_from_string(s) for s in eps)
+        """The rep of a coordinate record (see `parse_record`)."""
+        (eps1, eps2), a, t = parse_record(text)
         return build_glued(eps1, eps2, a, t)
+
+
+def parse_record(text: str) -> Tuple[Tuple[PantsCase, PantsCase], list,
+                                     list]:
+    """Parse {"eps": [2 case names], "a": [3 numbers], "t": [3 numbers]}
+    into the two cases and the a and t lists; a record of any other shape
+    or with a non-finite number raises Genus2Error, an unknown case name
+    PantsError."""
+    data = json.loads(text)
+    eps = _field(data, "eps", 2, lambda s: isinstance(s, str))
+    a, t = (_field(data, key, 3, lambda x: type(x) in (int, float)
+                   and math.isfinite(x)) for key in ("a", "t"))
+    return tuple(map(case_from_string, eps)), a, t
 
 
 def _field(data, key: str, n: int, valid) -> list:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import hyptrig
 from .hyptrig import long_shift, rotation
@@ -126,10 +126,10 @@ class PantsRep:
     """Half-lengths, construction tag, and the edge matrices `q`.
 
     `solution` is the hyptrig solution `build_pants` solved for the edge
-    matrices (None for flat pants, and for pants glued from recorded
-    matrices); the closed trace formulas and the search read it.  Two
-    pants are equal when `a`, `case` and `q` are: `solution` takes no part,
-    nor in the hash or the repr.
+    matrices (None for flat pants); the closed trace formulas and the
+    search read it.  Two pants are equal when `a`, `case` and `q` are:
+    `solution` takes no part, nor in the hash or the repr.  A built pants
+    is never assigned to: `build_pants` hands the same one out again.
     """
 
     __slots__ = ("a", "case", "q", "solution")
@@ -211,14 +211,28 @@ def _permuted(builder, v, shift: int, *args) -> Tuple[Quad, ...]:
     return itemgetter(*rotation(-shift))(mats)
 
 
+# how many pants `build_pants` remembers, oldest out first.  The replay
+# that checks a search's certificate rebuilds the input's two pants and the
+# fitted pair of each link; a search builds at most four pants a round, so
+# these are hits for any search of up to 15 rounds.
+_BUILT_MAX = 64
+_built: Dict[tuple, PantsRep] = {}
+
+
 def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     """Pants cocycle for the given half-length triple and construction tag.
 
     The tag's `stratum` must be the sign of the delta invariant (zero
     within FLAT_BAND): triangles need it positive, self-hexagons negative,
-    flat cases zero.  Hexagon families exist for every triple.
+    flat cases zero.  Hexagon families exist for every triple.  A triple
+    and tag built recently return the pants built then (the memo keys on
+    the exact floats); a refusal is raised afresh each time.
     """
     a = tuple(float(x) for x in a)
+    key = (a, case)
+    rep = _built.get(key)
+    if rep is not None:
+        return rep
     if any(x <= 0 or not math.isfinite(x) for x in a):
         raise PantsError(f"half-lengths must be positive, got {a}")
     delta = hyptrig.delta_invariant(*a)
@@ -257,7 +271,11 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     if max(res) > tol:
         raise CocycleResidualError(f"cocycle residuals {res} exceed "
                                    f"tolerance {tol}")
-    return PantsRep(a, case, x, sol)
+    rep = PantsRep(a, case, x, sol)
+    if len(_built) >= _BUILT_MAX:
+        del _built[next(iter(_built))]
+    _built[key] = rep
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ where the dispatch either hands a separating curve of commutator trace in
 non-hyperbolic window (bandwidth and polygon strategies), or certifies that
 the dual curve triple (beta_1, beta_2, beta_3) has strictly smaller traces
 and re-coordinatises on it.  Every terminal answer carries a certificate
-whose replay needs only plain 2x2 matrix arithmetic: it glues a rep from
-each snapshot's recorded matrices, moves it with the search's own twist
-and rotation (`genus2.dehn_twist_gamma`, `genus2.rotate`), and checks each
+about the representation its coordinates name.  Each snapshot records
+(eps, a, t) only, and the replay builds its rep with `genus2.build_glued`,
+so it trusts `pants.build_pants` and hyptrig's solvers, and the 2x2
+arithmetic after them.  It moves the rep with the search's own twist and
+rotation (`genus2.dehn_twist_gamma`, `genus2.rotate`), and checks each
 re-coordinatisation link with the fit's own `_worst_gap`.  Every curve is
 evaluated on a `GluedRep`, by `genus2.curve_matrix` and `GluedRep.loops`.
 """
@@ -27,14 +29,13 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import genus2, hyptrig, pants, torus
 from .hyptrig import long_shift, rotation
-# the search builds no representation; build_glued stays bound here because
-# bench/test_bench.py checks that the tracer wraps it at this binding too
-from .genus2 import GluedRep, build_glued, trace_curve_matrix  # noqa: F401
-from .pants import PantsCase, PantsRep
+# the certificate replay builds each snapshot's rep through this binding
+from .genus2 import GluedRep, build_glued, trace_curve_matrix
+from .pants import PantsCase
 from .psl2r import IDENTITY, PSL2Error, Quad, commutator, minv, mmul, mtrace
 from .tolerances import (B2_HALF_SLACK, LINK_TOL, MU_MIN, RECOORD_FLAT_BAND,
-                         STRATEGY_SLACK, TRACE_BAND, WINDOW_END_SLACK,
-                         WINDOW_START_SLACK)
+                         SNAPSHOT_MATRIX_TOL, STRATEGY_SLACK, TRACE_BAND,
+                         WINDOW_END_SLACK, WINDOW_START_SLACK)
 
 B2_HALF = 2.2254             # admissible half-length bound of the search
 COSH_B2_HALF = 4.67          # reported Bers value, used by constant checks
@@ -215,12 +216,11 @@ def _conclude_on_beta(state: SearchState, i: int, why: str):
 # ---------------------------------------------------------------------------
 
 def _snapshot(rep: GluedRep) -> Dict:
+    """The coordinates of `rep`: the replay rebuilds its matrices."""
     return {
         "eps": [str(rep.eps1), str(rep.eps2)],
         "a": [float(v) for v in rep.a],
         "t": [float(v) for v in rep.t],
-        "X": [list(m) for m in rep.p1.q],
-        "Y": [list(m) for m in rep.p2.q],
     }
 
 
@@ -250,9 +250,12 @@ class Certificate:
         return ("Certificate(initial={!r}, moves={!r}, curve={!r}, "
                 "trace={!r})".format(*self._key()))
 
+    def to_dict(self) -> Dict:
+        return {"initial": self.initial, "moves": self.moves,
+                "curve": self.curve, "trace": self.trace}
+
     def to_json(self) -> str:
-        return json.dumps({"initial": self.initial, "moves": self.moves,
-                           "curve": self.curve, "trace": self.trace})
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -280,14 +283,20 @@ def _finite(nums: list) -> bool:
 
 
 def _is_snapshot(s) -> bool:
-    """Whether eps names two pants cases, X and Y hold three rows of four,
-    and a and t three, finite numbers."""
+    """Whether eps names two pants cases and a and t hold three finite
+    numbers each.  A snapshot written before certificates dropped the
+    matrices also records X and Y, which must then hold three rows of four
+    finite numbers each."""
     try:
-        parts = [s["X"], s["Y"], s["a"], s["t"], *s["X"], *s["Y"]]
-        eps = s["eps"]
-        return (list(map(len, parts)) == [3] * 4 + [4] * 6
-                and _finite([v for p in parts[2:] for v in p])
-                and type(eps) is list and len(eps) == 2
+        a, t, eps = s["a"], s["t"], s["eps"]
+        nums = [*a, *t]
+        ok = len(a) == len(t) == 3
+        if "X" in s or "Y" in s:
+            rows = [*s["X"], *s["Y"]]
+            ok = ok and len(s["X"]) == len(s["Y"]) == 3 \
+                and all(len(r) == 4 for r in rows)
+            nums += [v for r in rows for v in r]
+        return (ok and _finite(nums) and type(eps) is list and len(eps) == 2
                 # raises on a name that is no case
                 and all(map(pants.case_from_string, eps)))
     except (TypeError, KeyError, pants.PantsError):
@@ -352,18 +361,35 @@ class SearchState:
 
 
 # ---------------------------------------------------------------------------
-# replay (matrix arithmetic only)
+# replay
 # ---------------------------------------------------------------------------
 
+class _NotARep(Exception):
+    """A snapshot names no representation, or records matrices that are
+    not the one it names; the replay reports it as not ok."""
+
+
 def _rep_from_snapshot(snap: Dict) -> GluedRep:
-    """The rep of a snapshot, glued from its matrices as recorded: no pants
-    is built and nothing is solved."""
+    """The rep a snapshot's coordinates name, built by `build_glued`: the
+    pants the search built are memo hits.  Raises _NotARep when
+    `build_glued` refuses the coordinates, or when the snapshot records X
+    and Y and they are not the pants built; a CocycleResidualError (the
+    float build's range) propagates."""
     eps1, eps2 = map(pants.case_from_string, snap["eps"])
-    a = tuple(snap["a"])
-    x, y = (tuple([tuple(map(float, m)) for m in snap[key]]) for key in "XY")
-    return GluedRep(PantsRep(a, eps1, x, None),
-                    PantsRep(a, eps2.euler_flipped(), y, None),
-                    tuple(snap["t"]))
+    try:
+        rep = build_glued(eps1, eps2, snap["a"], snap["t"])
+    except pants.CocycleResidualError:
+        raise
+    except (pants.PantsError, genus2.Genus2Error, hyptrig.TrigError) as exc:
+        raise _NotARep(f"snapshot coordinates name no representation: "
+                       f"{exc}") from None
+    if "X" in snap and not all(
+            abs(u - v) <= SNAPSHOT_MATRIX_TOL * max(1.0, abs(u))
+            for p, key in ((rep.p1, "X"), (rep.p2, "Y"))
+            for m, row in zip(p.q, snap[key]) for u, v in zip(m, row)):
+        raise _NotARep("snapshot matrices are not the pants of its "
+                       "coordinates")
+    return rep
 
 
 def _trace(rep: GluedRep, tag: str) -> float:
@@ -423,16 +449,26 @@ def _worst_gap(rep: GluedRep, tags, targets, bound: float,
 
 
 def replay_certificate(cert: Certificate, tol: float = LINK_TOL) -> Dict:
-    """Re-verify a certificate using nothing but 2x2 matrix arithmetic.
+    """Re-verify a certificate for the representation its coordinates name.
 
-    Walks the move list, checking every re-coordinatisation link (the new
-    named-curve traces must reproduce the recorded old-coordinate values)
-    and finally re-evaluates the curve word; returns a report dict with the
-    replayed trace.  Raises OutOfScopeError when the certificate's numbers
-    overflow a float (huge twists or half-lengths).
+    Builds the rep of each snapshot from its (eps, a, t) with
+    `build_glued`, so the replay trusts `pants.build_pants` and hyptrig's
+    solvers.  Walks the move list, checking every re-coordinatisation link
+    (the new named-curve traces must reproduce the recorded old-coordinate
+    values), and finally re-evaluates the curve word; returns a report dict
+    with the replayed trace.  A snapshot whose coordinates name no
+    representation, or whose recorded matrices are not its pants, makes
+    the report not ok.  Raises OutOfScopeError when the certificate's
+    numbers overflow a float (huge twists or half-lengths), or when a
+    snapshot's half-lengths are outside the float build's range.
     """
     try:
         return _replay(cert, tol)
+    except _NotARep as exc:
+        return {"ok": False, "reason": str(exc)}
+    except pants.CocycleResidualError as exc:
+        raise OutOfScopeError(f"a snapshot is outside the float build's "
+                              f"range: {exc}") from None
     except ArithmeticError as exc:   # an exp overflows, a translation hits 0
         # or a trace is not finite
         raise OutOfScopeError(f"certificate replay overflows a float: "

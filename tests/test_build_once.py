@@ -208,6 +208,20 @@ def _resolving_mixed(eps1, eps2, a, t, tag, i, j, k):
     return None
 
 
+class _Forgetful(dict):
+    """A pants memo that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.fixture
+def pants_memo_off(monkeypatch):
+    """`build_pants` with its memo off: every call builds and solves, so a
+    count of solves is one per pants built."""
+    monkeypatch.setattr(pants, "_built", _Forgetful())
+
+
 def _value(fn, *args):
     try:
         return repr(fn(*args))
@@ -230,6 +244,7 @@ class TestCarriedSolutions:
                 covered += ref != "None"
         assert covered > 56 * 10 * 4
 
+    @pytest.mark.usefixtures("pants_memo_off")
     def test_classify_solves_only_in_build_pants(self, monkeypatch):
         callers = []
         for name in ("solve_hexagon", "solve_triangle", "solve_self_hexagon"):
@@ -251,6 +266,25 @@ class TestCarriedSolutions:
             solved_pants += sum(not e.is_flat for e in eps)
         assert set(callers) == {"build_pants"}
         assert len(callers) == solved_pants
+
+    def test_memo_solves_each_pants_once(self, monkeypatch):
+        """With the memo, a pair whose two pants share a case solves that
+        pants once, and a record built twice solves nothing anew."""
+        monkeypatch.setattr(pants, "_built", {})
+        solves = []
+        for name in ("solve_hexagon", "solve_triangle", "solve_self_hexagon"):
+            def counted(*a, _solve=getattr(hyptrig, name)):
+                solves.append(a)
+                return _solve(*a)
+            monkeypatch.setattr(hyptrig, name, counted)
+        built = set()
+        for eps, a, t in _corpus(102, 56):
+            for _ in range(2):
+                rep = build_glued(*eps, a, t)
+            built |= {(p.a, p.case) for p in (rep.p1, rep.p2)
+                      if not p.case.is_flat}
+            assert rep.p1 is build_glued(*eps, a, t).p1
+        assert len(solves) == len(built) < 56 * 2
 
 
 # ---------------------------------------------------------------------------

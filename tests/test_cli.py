@@ -308,6 +308,165 @@ def test_replay_fails_closed_on_a_bad_tol(tmp_path, tol):
     assert search.replay_certificate(good, tol=tol)["ok"] is False
 
 
+# CI's two records: one found at round 0, one that re-coordinatises once
+CI_RECORDS = [
+    {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
+     "t": [0.3, -0.2, 0.5]},
+    {"eps": ["EuPlus1", "EuMinus1"],
+     "a": [2.198357685272788, 2.0959027896033517, 2.0510531380398436],
+     "t": [1.6175391777729755, 1.3997193333038709, 1.527668421916658]}]
+
+
+def _searched(tmp_path, record):
+    """(record path, certificate path, the search's stdout) of `srk search`
+    on `record`; the certificate file holds no "replay" field."""
+    rec = tmp_path / "rec.json"
+    rec.write_text(json.dumps(record))
+    proc = _python_m_srk(["search", str(rec)], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    del data["replay"]
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(data))
+    return rec, cert, proc.stdout
+
+
+@pytest.mark.parametrize("record", CI_RECORDS, ids=["round0", "recoord"])
+def test_search_output_is_the_certificate_and_its_replay(tmp_path, record):
+    """`srk search` prints the certificate's JSON with the replay report
+    added, as it did when it parsed the certificate's JSON back for it."""
+    rec, _, stdout = _searched(tmp_path, record)
+    out = search.search_nonhyperbolic(genus2.GluedRep.from_json(
+        rec.read_text()))
+    old = json.loads(out.certificate.to_json())
+    old["replay"] = search.replay_certificate(out.certificate)
+    assert stdout == json.dumps(old, default=float) + "\n"
+
+
+def _set_eps(eps):
+    def spoil(d):
+        d["initial"]["eps"] = eps
+    return spoil
+
+
+def _set_a(d):
+    d["initial"]["a"][1] = 1.2
+
+
+def _first_link_eps(d):
+    next(mv for mv in d["moves"]
+         if mv["kind"] == "recoordinatize")["snapshot"]["eps"] = \
+        ["Eu0PlusTriangle", "Eu0PlusTriangle"]
+
+
+def _a_with_old_matrices(d):
+    d["initial"]["a"][0] += 1e-3
+
+
+@pytest.mark.parametrize("spoil, reason", [
+    (_set_eps(["EuPlus1", "EuPlus1"]), None),
+    (_set_eps(["Eu0PlusTriangle", "Eu0MinusTriangle"]), None),
+    (_set_a, None),
+    (_set_eps(["Eu0PlusSelfHex", "Eu0MinusSelfHex"]),
+     "snapshot coordinates name no representation")])
+def test_tampered_certificate_fails_replay(tmp_path, capsys, spoil, reason):
+    _, cert, _ = _searched(tmp_path, CI_RECORDS[0])
+    data = json.loads(cert.read_text())
+    spoil(data)
+    cert.write_text(json.dumps(data))
+    assert cli.main(["replay", str(cert)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    if reason:
+        assert report["reason"].startswith(reason)
+
+
+@pytest.mark.parametrize("spoil, matrices, reason", [
+    (_first_link_eps, False, "recoordinatisation link"),
+    (_a_with_old_matrices, True,
+     "snapshot matrices are not the pants of its coordinates")])
+def test_tampered_older_certificate_fails_replay(tmp_path, capsys, spoil,
+                                                 matrices, reason):
+    """The committed certificate records X and Y; without them, a
+    relabelled link is rebuilt and fails its link check."""
+    data = json.loads(CERTIFICATE.read_text())
+    spoil(data)
+    if not matrices:
+        for snap in [data["initial"]] + [mv["snapshot"] for mv in data["moves"]
+                                         if mv["kind"] == "recoordinatize"]:
+            del snap["X"], snap["Y"]
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["replay", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["reason"] == reason
+
+
+def test_snapshot_outside_the_float_range_is_out_of_scope(tmp_path, capsys):
+    _, cert, _ = _searched(tmp_path, CI_RECORDS[0])
+    data = json.loads(cert.read_text())
+    data["initial"]["a"] = [1e-3, 1.1e-3, 1.2e-3]
+    cert.write_text(json.dumps(data))
+    assert cli.main(["replay", str(cert)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "float build's range" in err
+
+
+class TestReplayRecord:
+    def test_the_record_of_the_search(self, tmp_path, capsys):
+        rec, cert, _ = _searched(tmp_path, CI_RECORDS[1])
+        assert cli.main(["replay", str(cert), "--record", str(rec)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    @pytest.mark.parametrize("key, value", [
+        ("eps", ["EuMinus1", "EuPlus1"]),
+        ("a", [1.0, 1.1, 1.25]),
+        ("t", [0.3, -0.2, 0.5000000000000001])])
+    def test_another_record_fails(self, tmp_path, capsys, key, value):
+        rec, cert, _ = _searched(tmp_path, CI_RECORDS[0])
+        other = dict(CI_RECORDS[0], **{key: value})
+        rec.write_text(json.dumps(other))
+        assert cli.main(["replay", str(cert), "--record", str(rec)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "ok": False,
+            "reason": f"initial snapshot is not the record: {key} differ"}
+
+    def test_the_mirrored_labelling_needs_the_record(self, tmp_path, capsys):
+        """(EuMinus1, EuPlus1) names the mirror image of the record's rep,
+        whose beta_1 has the same trace: only the record rejects it."""
+        rec, cert, _ = _searched(tmp_path, CI_RECORDS[0])
+        data = json.loads(cert.read_text())
+        data["initial"]["eps"] = ["EuMinus1", "EuPlus1"]
+        cert.write_text(json.dumps(data))
+        assert cli.main(["replay", str(cert)]) == 0
+        capsys.readouterr()
+        assert cli.main(["replay", str(cert), "--record", str(rec)]) == 1
+        assert "eps differ" in json.loads(capsys.readouterr().out)["reason"]
+
+    def test_integer_coordinates_match(self, tmp_path, capsys):
+        rec, cert, _ = _searched(tmp_path, {"eps": ["EuPlus1", "EuMinus1"],
+                                            "a": [1, 1.1, 1.2],
+                                            "t": [0, 0, 1]})
+        assert cli.main(["replay", str(cert), "--record", str(rec)]) == 0
+
+    @pytest.mark.parametrize("text", [
+        "{", "[]", json.dumps({"eps": ["EuPlus1"], "a": [1, 1, 1],
+                               "t": [0, 0, 0]}),
+        json.dumps({"eps": ["EuPlus1", "EuPlus3"], "a": [1, 1, 1],
+                    "t": [0, 0, 0]}),
+        json.dumps({"eps": ["EuPlus1", "EuMinus1"], "a": [1, 1, "x"],
+                    "t": [0, 0, 0]}),
+        None])
+    def test_a_malformed_record_is_usage_error(self, tmp_path, capsys, text):
+        _, cert, _ = _searched(tmp_path, CI_RECORDS[0])
+        rec = tmp_path / "bad_rec.json"
+        if text is not None:
+            rec.write_text(text)
+        assert cli.main(["replay", str(cert), "--record", str(rec)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "bad record" in captured.err
+
+
 class TestSearch:
     def test_certificate_file(self, rep_file, tmp_path):
         out = tmp_path / "cert.json"
