@@ -14,24 +14,22 @@ row outgrows a block.  The reports equal those of whole-grid arrays bit
 for bit: every point sees the same floating-point operations in the same
 order, and minima and maxima are exact in any order.
 
-Each function that builds or reads a grid imports numpy itself, and
-`srk.inequalities` imports this module on its first call, so that
-`import srk` compiles neither this code nor numpy.
+This module imports numpy at its top, and within srk only `srk.inequalities`
+imports it, on the first call of `verify_paper_inequalities` or
+`phi_max_over_a1`, so that `import srk` compiles neither this code nor numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import (TYPE_CHECKING, Callable, Iterator, List, Sequence,
-                    Tuple)
+from typing import Callable, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from .inequalities import ClaimReport
 from .search import (B2_HALF, COSH_B2_HALF, REGION_A3_MAX, _iso_lambda,
                      line_l1, line_l2)
 from .tolerances import FLAT_IDENTITY_RESID, LAMBDA_FLOOR_RESID, X4_MASK_SLACK
-
-if TYPE_CHECKING:
-    import numpy as np
 
 ACOSH3 = math.acosh(3.0)
 
@@ -74,7 +72,6 @@ class Workspace:
                 yield lo, min(lo + step, stop)
 
     def buffer(self, i: int, shape: Tuple[int, ...]) -> np.ndarray:
-        import numpy as np
         self._fit(math.prod(shape))
         while len(self._bufs) <= i:
             self._bufs.append(np.empty(self._size))
@@ -86,14 +83,12 @@ class Workspace:
 
     def flags(self, shape: Tuple[int, ...]) -> np.ndarray:
         """A bool array of `shape`, for a block's mask."""
-        import numpy as np
         if self._flags is None:
             self._flags = np.empty(self._size, dtype=bool)
         return self._flags[:math.prod(shape)].reshape(shape)
 
     def index(self, k: int) -> np.ndarray:
         """0.0, 1.0, ..., k - 1 as floats."""
-        import numpy as np
         if self._index is None:
             self._index = np.arange(self._size, dtype=float)
         return self._index[:k]
@@ -118,7 +113,6 @@ class MinPad:
         self._next = -1                 # the row adjacent to the last block
 
     def _fold(self, axis: int, diff: np.ndarray) -> None:
-        import numpy as np
         self._hi[axis] = np.fmax(self._hi[axis],
                                  np.fmax.reduce(diff, axis=None))
         self._lo[axis] = np.fmin(self._lo[axis],
@@ -126,7 +120,6 @@ class MinPad:
 
     def add(self, first: int, block: np.ndarray) -> None:
         """Fold in grid rows first, first + 1, ..., first + len(block) - 1."""
-        import numpy as np
         self._raw = np.fmin(self._raw, np.fmin.reduce(block, axis=None))
         last = self._ws.buffer(1, (1,) + block.shape[1:])
         if first == self._next:
@@ -160,7 +153,6 @@ class MinPad:
 
 def _runs(mask: np.ndarray) -> List[Tuple[int, int]]:
     """(start, stop) of each run of True in a 1-D bool array."""
-    import numpy as np
     edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
     return [(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
 
@@ -171,7 +163,6 @@ def _linspace(start, stop, num: int, out: np.ndarray, ws: Workspace,
     the last axis of `out`, bit for bit: point i is
     i * ((stop - start) / (num - 1)) + start and the last point is stop.
     `start` and `stop` are floats or hold one value per row of `out`."""
-    import numpy as np
     k = out.shape[-1]
     step = np.subtract(stop, start, dtype=float) / (num - 1)
     np.add(ws.index(k), first, out=out)
@@ -186,7 +177,6 @@ def _lambda_floor(ch3: np.ndarray, out: np.ndarray,
                   tmp: np.ndarray) -> np.ndarray:
     """Lower bound for the equilateral twist length at given cosh(a3):
     2 acosh((17 ch3 + 1) / (ch3 + 17)) - acosh(ch3), into out."""
-    import numpy as np
     np.multiply(17.0, ch3, out=out)
     out += 1.0
     np.add(ch3, 17.0, out=tmp)
@@ -203,7 +193,6 @@ def _lambda_of(b: np.ndarray, a3: np.ndarray, ch3: np.ndarray,
     """Twist length from cosh(b/2)^2 cosh((a3+lam)/2) = cosh a3 + sinh(b/2)^2,
     into out, given ch3 = cosh(a3); sinh(b/2)^2 and cosh(b/2)^2 are left in
     sh_sq and ch_sq."""
-    import numpy as np
     np.divide(b, 2.0, out=ch_sq)
     np.sinh(ch_sq, out=sh_sq)
     np.cosh(ch_sq, out=ch_sq)
@@ -224,7 +213,6 @@ def _lambda_of(b: np.ndarray, a3: np.ndarray, ch3: np.ndarray,
 def _claim_equ0_cond0(n: int, ws: Workspace) -> ClaimReport:
     # the cubic sufficient condition for the equilateral strategy's
     # condition (0): 17 x^2 - x^3 - 8x - 8 > 0 on x = cosh(a3/2)
-    import numpy as np
     acc = MinPad((n,), ws)
     for lo, hi in ws.blocks([(0, n)], 1):
         x, v, t = ws.arrays((hi - lo,), 3)
@@ -242,7 +230,6 @@ def _claim_equ0_cond0(n: int, ws: Workspace) -> ClaimReport:
 
 def _claim_equ0_cond1(n: int, ws: Workspace) -> ClaimReport:
     # 2 - (cosh a3 + 1)/8 sinh^2((3 a3 - lam)/4) at the floor lam
-    import numpy as np
     acc = MinPad((n,), ws)
     for lo, hi in ws.blocks([(0, n)], 1):
         a3, ch3, lam, t = ws.arrays((hi - lo,), 4)
@@ -265,7 +252,6 @@ def _claim_equ0_cond1(n: int, ws: Workspace) -> ClaimReport:
 def _claim_equ0_cond2(n: int, ws: Workspace) -> ClaimReport:
     # 1 + cosh(b1) sinh(lam/2) sinh(a3/2) - cosh(lam/2) cosh(a3/2) with
     # cosh(b1) = (3 + cosh^2 a3) / sinh^2 a3, at the floor lam
-    import numpy as np
     acc = MinPad((n,), ws)
     for lo, hi in ws.blocks([(0, n)], 1):
         a3, v, lam, t, s = ws.arrays((hi - lo,), 5)
@@ -297,7 +283,6 @@ def _claim_equ0_lambda_floor(n: int, ws: Workspace) -> ClaimReport:
     # lam is decreasing in b3 and equals the closed floor exactly at the
     # largest admissible b3; the claim checks the strict gap on an interior
     # band and the boundary identity separately
-    import numpy as np
     m = max(int(math.sqrt(n)), 64)
     a3 = np.linspace(ACOSH3, B2_HALF, m)
     ch3 = np.cosh(a3)
@@ -316,19 +301,14 @@ def _claim_equ0_lambda_floor(n: int, ws: Workspace) -> ClaimReport:
                      f"lam(b3, a3) above the closed floor on the interior band; "
                      f"boundary identity residual {boundary_resid:.2e}")
     if boundary_resid > LAMBDA_FLOOR_RESID:
-        return ClaimReport(claim_id=rep.claim_id, margin=-1.0,
-                           raw_min=rep.raw_min,
-                           lipschitz_pad=rep.lipschitz_pad,
-                           grid_points=rep.grid_points,
-                           detail=f"boundary identity residual "
-                                  f"{boundary_resid:.2e} too large")
+        return rep._replace(margin=-1.0, detail=f"boundary identity residual "
+                                                f"{boundary_resid:.2e} too large")
     return rep
 
 
 def _claim_iso0_conditions(n: int, ws: Workspace) -> ClaimReport:
     # isosceles strategy in the (+1, -1) case on the region
     # cosh(a2) >= cosh(a1) + 2, a2 <= a3 <= B2/2; grid axes (a1, a2, a3)
-    import numpy as np
     m = max(int(round(n ** (1.0 / 3.0))), 24)
     a1 = np.linspace(0.02, math.acosh(COSH_B2_HALF - 2.0), m)
     a2 = np.linspace(ACOSH3, B2_HALF, m)
@@ -390,7 +370,6 @@ def _claim_iso0_conditions(n: int, ws: Workspace) -> ClaimReport:
 def _claim_interval_u3(n: int, ws: Workspace) -> ClaimReport:
     # grid axes (a2, a3); u3max = cosh(a2/2) / cosh(a3/2)
     # sqrt(cosh(a2 + a3/2) cosh(a2 - a3/2))
-    import numpy as np
     m = max(int(math.sqrt(n)), 64)
     a2 = np.linspace(0.05, B2_HALF, m)
     a3 = np.linspace(0.05, B2_HALF, m)
@@ -420,7 +399,6 @@ def _claim_phi_below_9(n: int, ws: Workspace) -> ClaimReport:
     # the true threshold sits within 2e-3 of 9 at a3 = 1.459, so the
     # certified band stops one crossing-tolerance short of it; the claim
     # below brackets the crossing itself
-    import numpy as np
     m = max(int(math.sqrt(n)), 64)
     a3 = np.linspace(0.05, 1.449, m)
     vals = np.subtract(9.0, phi_max(a3, m, ws))
@@ -435,7 +413,6 @@ def phi_max(a3: np.ndarray, n: int, ws: Workspace) -> np.ndarray:
     the 1-D array a3, a block of a3 values at a time:
     Phi = (s3^2 - s1^2) / s3^2 + sqrt(s6^2 - s1^2) s1 / s3 with
     s1 = sinh a1, s3 = sinh a3, s6 = sinh(2 a3)."""
-    import numpy as np
     out = np.empty(a3.size)
     for lo, hi in ws.blocks([(0, a3.size)], n):
         s1, t, u = ws.arrays((hi - lo, n), 3)
@@ -458,7 +435,6 @@ def phi_max(a3: np.ndarray, n: int, ws: Workspace) -> np.ndarray:
 
 def _claim_phi_crossing(n: int, ws: Workspace) -> ClaimReport:
     # the maximum of Phi crosses 9 inside a3 in [1.449, 1.469]
-    import numpy as np
     phi = phi_max(np.array([1.449, 1.469]), max(n, 512), ws)
     low = min(9.0 - float(phi[0]), float(phi[1]) - 9.0)
     return ClaimReport(claim_id="phi_crossing_near_1459",
@@ -471,7 +447,6 @@ def _claim_equi1_on_x2(n: int, ws: Workspace) -> ClaimReport:
     # the binding corner (a1 = l2(2.23), a3 = 2.23) leaves a margin of only
     # 5e-3, so the mesh must be fine enough for the pad to fit under it;
     # grid axes (a3, a1), a1 in [max(l1, l2)(a3), a3], empty rows NaN
-    import numpy as np
     m = max(int(math.sqrt(n)) * 3, 384)
     a3 = np.linspace(1.42, REGION_A3_MAX, m)
     lo = np.maximum(line_l1(a3), line_l2(a3))
@@ -494,7 +469,6 @@ def _equi1_worst(lo: np.ndarray, a3: np.ndarray, m: int,
     cos(alpha) cosh((a3 - lam)/2) - sin(alpha) sinh((a3 + lam)/2)
     = ((cos(alpha) E + sin(alpha)/E)/L + (cos(alpha)/E - sin(alpha) E) L)/2.
     """
-    import numpy as np
     a1, s1, th1, s2a1, x, t, u, worst = ws.arrays((a3.size, m), 8)
     _linspace(lo, a3, m, a1, ws)
     v = a3[:, None]
@@ -561,7 +535,6 @@ def _equi1_worst(lo: np.ndarray, a3: np.ndarray, m: int,
 
 def _claim_iso1_on_x4(n: int, ws: Workspace) -> ClaimReport:
     # grid axes (a3, a1, a2), rows outside region X4's a3 range NaN
-    import numpy as np
     m = max(int(round(n ** (1.0 / 3.0))), 24)
     a3 = np.linspace(1.696, REGION_A3_MAX, m)
     lo1, hi1 = line_l1(a3), line_l2(a3)
@@ -609,7 +582,6 @@ def _claim_iso1_on_x4(n: int, ws: Workspace) -> ClaimReport:
 
 def _claim_flat_identity(n: int, ws: Workspace) -> ClaimReport:
     # grid axes (a1, a2), a3 = a1 + a2
-    import numpy as np
     m = max(int(math.sqrt(n)), 128)
     a1 = np.linspace(0.05, B2_HALF / 2.0, m)
     a2 = np.linspace(0.05, B2_HALF / 2.0, m)
@@ -641,15 +613,12 @@ def _claim_flat_identity(n: int, ws: Workspace) -> ClaimReport:
                      f"(cosh b1 - 1) sinh^2 a2 = 2 cosh a1 sinh a2 / sinh a3 < 2"
                      f"; identity residual {resid:.2e}")
     if resid > FLAT_IDENTITY_RESID:
-        return ClaimReport(claim_id=rep.claim_id, margin=-1.0,
-                           raw_min=rep.raw_min, lipschitz_pad=rep.lipschitz_pad,
-                           grid_points=rep.grid_points,
-                           detail=f"identity residual {resid:.2e} too large")
+        return rep._replace(margin=-1.0,
+                            detail=f"identity residual {resid:.2e} too large")
     return rep
 
 
 def _claim_selfhex_cap(n: int, ws: Workspace) -> ClaimReport:
-    import numpy as np
     acc = MinPad((n,), ws)
     for lo, hi in ws.blocks([(0, n)], 1):
         a3, v = ws.arrays((hi - lo,), 2)

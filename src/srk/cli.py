@@ -9,8 +9,9 @@ tests cross-check against the matrix words.  Each Dehn twist changes one
 t_i, so it reevaluates one delta trace and reformats those two columns; the
 moves are drawn in blocks, from the same random stream as one draw per
 move.  Exit codes: 0 success, 1 verifier failure, 2 search stalled, 3
-out-of-scope input, 64 usage errors (an --out file or a stdout that cannot
-be written, or a closed stdout, among them).
+out-of-scope input (for classify also a Milnor Euler class that differs
+from the nominal class), 64 usage errors (an --out file or a stdout that
+cannot be written, or a closed stdout, among them).
 
 numpy is imported only where an ndarray is made: verify evaluates its grids
 with it, while classify, search and replay run on floats and 4-tuples, and
@@ -105,8 +106,10 @@ def cmd_classify(args) -> int:
     None where no formula covers it; "worst_agreement" is the largest.
     Exit 3 when a half-length or a trace overflows a float, when the
     half-lengths are outside the float build's range (too long or too
-    short for the pants' cocycle relations to hold), or when the Euler
-    class relator is lost to rounding (huge half-lengths).
+    short for the pants' cocycle relations to hold), when the Euler
+    class relator is lost to rounding (huge half-lengths), or when the
+    Milnor Euler class differs from the nominal class of the case pair
+    (long half-lengths with wide twists, where the float sum drifts).
     """
     rep = _load_rep("classify", args.rep)
     if isinstance(rep, int):
@@ -123,6 +126,11 @@ def cmd_classify(args) -> int:
             table[tag] = {"matrix": tm, "closed_form": tc if covered else None,
                           "agreement": gap}
         euler = genus2.euler_class(rep)
+        if euler != rep.euler_nominal:      # the float Milnor sum drifted
+            sys.stderr.write(f"classify: out of range: Milnor Euler class "
+                             f"{euler} differs from the nominal class "
+                             f"{rep.euler_nominal}\n")
+            return EXIT_OUT_OF_SCOPE
         sign = genus2.sign_invariant(rep) if rep.euler_nominal == 0 else None
     except PSL2Error as exc:      # overflow, or a relator lost to rounding
         sys.stderr.write(f"classify: out of range: {exc}\n")

@@ -134,9 +134,14 @@ class GluedRep:
     def euler_nominal(self) -> int:
         return self.eps1.euler + self.eps2.euler
 
+    def to_dict(self) -> Dict:
+        """The coordinate record that `to_json` writes and `parse_record`
+        reads; a certificate's snapshots are these records."""
+        return {"eps": [str(self.eps1), str(self.eps2)],
+                "a": list(self.a), "t": list(self.t)}
+
     def to_json(self) -> str:
-        return json.dumps({"eps": [str(self.eps1), str(self.eps2)],
-                           "a": list(self.a), "t": list(self.t)})
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "GluedRep":

@@ -10,9 +10,10 @@ level of the original computer checks; formal interval arithmetic is out of
 scope.
 
 The claims stream their grids through reused block buffers (see
-`srk._grids`).  That module, and numpy with it, is imported on the first
-call: importing this module (as `srk` and its CLI do) compiles neither,
-and `srk verify` loads both on its first claim.
+`srk._grids`, which imports numpy at its top).  Both functions below import
+that module, and numpy with it, on their first call: importing this module
+(as `srk` and its CLI do) compiles neither, and `srk verify` loads both on
+its first claim.
 """
 
 from __future__ import annotations

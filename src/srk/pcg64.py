@@ -99,47 +99,26 @@ class Generator:
 
     def uniform(self, low: float, high: float,
                 size: Optional[int] = None) -> Union[float, List[float]]:
-        span = high - low
         if size is None:
-            return low + span * ((self.next64() >> 11) * 2.0 ** -53)
-        return [low + span * ((self.next64() >> 11) * 2.0 ** -53)
-                for _ in range(size)]
+            return low + (high - low) * ((self.next64() >> 11) * 2.0 ** -53)
+        return [self.uniform(low, high) for _ in range(size)]
 
     def integers(self, low: Sequence[int], high: Sequence[int]) -> List[int]:
-        """One draw in [low[i], high[i]) per i, for 0 < high - low <= 2**32.
-
-        The 32-bit words are drawn inline, with the constants held in
-        locals: a move of `srk orbit-stats` takes both halves of one 64-bit
-        output, and for n = 3 and 5 Lemire rejects only the word 0 (2**32
-        mod n = 1), so the loop leaves the inline path only for a rejected
-        word or a single-valued range.
-        """
-        state, inc, carry = self.state, self.inc, self.carry
-        m32, m64, m128, mult, two32 = _M32, _M64, _M128, _MULT, 1 << 32
+        """One draw in [low[i], high[i]) per i, for 0 < high - low <= 2**32."""
         out = []
         for lo, hi in zip(low, high):
             n = hi - lo
-            if not 1 < n <= two32:
+            if not 1 < n <= 1 << 32:
                 if n != 1:
                     raise ValueError(f"bounds [{lo}, {hi}) out of range")
                 out.append(lo)          # numpy draws no word for one value
                 continue
-            if carry is None:
-                state = (state * mult + inc) & m128
-                x = (state >> 64) ^ (state & m64)
-                x = ((x << 64 | x) >> (state >> 122)) & m64
-                m, carry = (x & m32) * n, x >> 32
-            else:
-                m, carry = carry * n, None
-            if m & m32 < n:
-                threshold = (two32 - n) % n
-                if m & m32 < threshold:
-                    self.state, self.carry = state, carry
-                    while m & m32 < threshold:
-                        m = self.next32() * n
-                    state, carry = self.state, self.carry
+            m = self.next32() * n
+            if m & _M32 < n:
+                threshold = ((1 << 32) - n) % n
+                while m & _M32 < threshold:
+                    m = self.next32() * n
             out.append(lo + (m >> 32))
-        self.state, self.carry = state, carry
         return out
 
 

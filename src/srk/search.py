@@ -215,15 +215,6 @@ def _conclude_on_beta(state: SearchState, i: int, why: str):
 # certificates
 # ---------------------------------------------------------------------------
 
-def _snapshot(rep: GluedRep) -> Dict:
-    """The coordinates of `rep`: the replay rebuilds its matrices."""
-    return {
-        "eps": [str(rep.eps1), str(rep.eps2)],
-        "a": [float(v) for v in rep.a],
-        "t": [float(v) for v in rep.t],
-    }
-
-
 class Certificate:
     """Replayable record of the search: snapshots, moves, final curve.
     Two certificates are equal when all four fields are."""
@@ -970,7 +961,7 @@ def _improve(state: SearchState):
     link = {
         "kind": "recoordinatize",
         "relabel": rho,
-        "snapshot": _snapshot(new_rep),
+        "snapshot": new_rep.to_dict(),
         "delta_targets": {f"delta{k+1}": targets[6 + k] for k in range(3)},
         "residual": fit[1],
     }
@@ -1006,7 +997,7 @@ def search_nonhyperbolic(rep: GluedRep):
             raise OutOfScopeError(f"half-length {v} exceeds the Bers bound "
                                   f"{B2_HALF}")
     classify_scope(rep)
-    state = SearchState(rep=rep, cert=Certificate(initial=_snapshot(rep)))
+    state = SearchState(rep=rep, cert=Certificate(initial=rep.to_dict()))
     while state.rounds <= MAX_ROUNDS:
         _normalize(state)
         _align(state)

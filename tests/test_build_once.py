@@ -416,7 +416,7 @@ class TestRotation:
             moved = _fresh(apply(rep))
             for tag in ("beta1", "delta2"):
                 cert = search.Certificate(
-                    initial=search._snapshot(rep), moves=[move],
+                    initial=rep.to_dict(), moves=[move],
                     curve=[[tag, 1]], trace=search._trace(moved, tag))
                 report = search.replay_certificate(cert)
                 assert _bits([report["trace"]]) == _bits([cert.trace]), move

@@ -191,8 +191,7 @@ class TestPantsMemo:
             assert _hexed(replay_certificate(cert)) == report
             pants._built.clear()
             for hit in hits:
-                fresh = search._rep_from_snapshot(
-                    search._snapshot(hit))
+                fresh = search._rep_from_snapshot(hit.to_dict())
                 for p, q in ((hit.p1, fresh.p1), (hit.p2, fresh.p2)):
                     assert p is not q
                     assert p == q and p.solution == q.solution

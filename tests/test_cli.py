@@ -76,6 +76,27 @@ class TestClassify:
         assert cli.main(["classify", str(path)]) == 3
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", [
+        {"eps": ["Eu0LowerFlat(+1)", "Eu0DiagonalFlat"],
+         "a": [2.7736871024401544, 4.35969620988864, 7.133383312328794],
+         "t": [-55.992219455184, 30.475245757058445, -16.105772258698877]},
+        {"eps": ["EuPlus1", "EuMinus1"],
+         "a": [11.44967107379082, 11.839110446527727, 11.407274038077015],
+         "t": [42.891993419819414, 39.17687610093613, -36.22884388689101]},
+    ])
+    def test_euler_class_drift_exit(self, tmp_path, capsys, record):
+        # the relator and deck-shift checks pass here, but the float Milnor
+        # sum reads class 1 on a class-0 pair: one line, exit 3, no report
+        path = tmp_path / "drift.json"
+        path.write_text(json.dumps(record))
+        rep = genus2.GluedRep.from_json(path.read_text())
+        assert (genus2.euler_class(rep), rep.euler_nominal) == (1, 0)
+        assert cli.main(["classify", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["classify: out of range: Milnor Euler "
+                                    "class 1 differs from the nominal class 0"]
+
 
 OVERFLOW = dict.fromkeys(["classify", "search"],
                          "out of range: half-lengths overflow")

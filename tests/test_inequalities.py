@@ -183,3 +183,19 @@ def test_streamed_all_nan_grid_is_nan_without_warning():
         want = _pad_and_min(values)
     assert _bits(_streamed(values, 2, False)) == _bits(want) == ("nan", "nan")
     assert _bits(_streamed(values, 2, True)) == ("nan", "nan")
+
+
+@pytest.mark.parametrize("claim, band", [
+    (_grids._claim_equ0_lambda_floor, "LAMBDA_FLOOR_RESID"),
+    (_grids._claim_flat_identity, "FLAT_IDENTITY_RESID"),
+])
+def test_identity_residual_over_band_fails_the_claim(monkeypatch, claim,
+                                                     band):
+    # a residual above its band turns the claim's report into a failure
+    # that keeps the grid figures and names the residual
+    good = claim(4096, _grids.Workspace())
+    monkeypatch.setattr(_grids, band, -1.0)
+    bad = claim(4096, _grids.Workspace())
+    assert good.ok and not bad.ok and bad.margin == -1.0
+    assert bad._replace(margin=good.margin, detail=good.detail) == good
+    assert bad.detail.endswith("too large") and "residual" in bad.detail

@@ -621,9 +621,9 @@ def test_import_srk_stays_light():
 
 def test_only_inequalities_imports_numpy():
     # every module but `inequalities` and the grid code it imports on its
-    # first call (`_grids`) computes on floats and 4-tuples: an import of
-    # numpy there, at module level, in a function or under TYPE_CHECKING,
-    # fails here
+    # first call (`_grids`, which imports numpy at its top) computes on
+    # floats and 4-tuples: an import of numpy there, at module level, in a
+    # function or under TYPE_CHECKING, fails here
     importers = set()
     for path in Path(srk.search.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
