@@ -28,11 +28,14 @@ hard = genus2.build_glued(pants.EU_PLUS1, pants.EU_MINUS1,
                            -1.8424879178000826))
 out = search.search_nonhyperbolic(hard)
 print("\nhard case: rounds of re-coordinatisation:", out.rounds)
-for mv in out.certificate.moves:
-    if mv["kind"] == "recoordinatize":
-        print("  new coordinates:", mv["snapshot"]["eps"],
-              np.round(mv["snapshot"]["a"], 4).tolist(),
-              " link residual:", f"{mv['residual']:.1e}")
+# the certificate holds each link's new coordinates, the search's history
+# the fit's residual, which the replay recomputes as the link error
+links = [mv["snapshot"] for mv in out.certificate.moves
+         if mv["kind"] == "recoordinatize"]
+fits = [h["residual"] for h in out.history if h["move"] == "recoordinatize"]
+for snap, residual in zip(links, fits):
+    print("  new coordinates:", snap["eps"], np.round(snap["a"], 4).tolist(),
+          " link residual:", f"{residual:.1e}")
 print("found curve:", out.word, " trace:", round(out.trace, 6))
 print("replay ok:", search.replay_certificate(out.certificate)["ok"])
 

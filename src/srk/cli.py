@@ -171,7 +171,7 @@ def _not_the_record(cert, path: str) -> str:
     coordinate record at `path`, joined by commas; raises ValueError on a
     malformed record."""
     with open(path) as fh:
-        eps, a, t = genus2.parse_record(fh.read())
+        eps, a, t = genus2.parse_record(json.load(fh))
     want = {"eps": [str(e) for e in eps], "a": a, "t": t}
     return ", ".join(key for key, v in want.items() if cert.initial[key] != v)
 

@@ -146,29 +146,28 @@ class GluedRep:
     @classmethod
     def from_json(cls, text: str) -> "GluedRep":
         """The rep of a coordinate record (see `parse_record`)."""
-        (eps1, eps2), a, t = parse_record(text)
+        (eps1, eps2), a, t = parse_record(json.loads(text))
         return build_glued(eps1, eps2, a, t)
 
 
-def parse_record(text: str) -> Tuple[Tuple[PantsCase, PantsCase], list,
-                                     list]:
-    """Parse {"eps": [2 case names], "a": [3 numbers], "t": [3 numbers]}
-    into the two cases and the a and t lists; a record of any other shape
-    or with a non-finite number raises Genus2Error, an unknown case name
-    PantsError."""
-    data = json.loads(text)
-    eps = _field(data, "eps", 2, lambda s: isinstance(s, str))
-    a, t = (_field(data, key, 3, lambda x: type(x) in (int, float)
-                   and math.isfinite(x)) for key in ("a", "t"))
-    return tuple(map(case_from_string, eps)), a, t
-
-
-def _field(data, key: str, n: int, valid) -> list:
-    v = data.get(key) if isinstance(data, dict) else None
-    if not (isinstance(v, list) and len(v) == n and all(map(valid, v))):
-        raise Genus2Error(f"coordinate record needs {n} valid {key!r} "
-                          f"entries, got {v!r}")
-    return v
+def parse_record(data) -> Tuple[Tuple[PantsCase, PantsCase], list, list]:
+    """The two cases and the a and t lists of a decoded coordinate record
+    {"eps": [2 case names], "a": [3 numbers], "t": [3 numbers]}, the one
+    check of input records and certificate snapshots.  Any other shape, a
+    bool or a non-finite number raises Genus2Error, an unknown case name
+    PantsError; other keys are not read."""
+    get = data.get if isinstance(data, dict) else {}.get
+    eps, a, t = get("eps"), get("a"), get("t")
+    if not (type(eps) is list and len(eps) == 2
+            and type(eps[0]) is type(eps[1]) is str):
+        raise Genus2Error(f"coordinate record needs 2 case names in 'eps', "
+                          f"got {eps!r}")
+    if not (type(a) is type(t) is list and len(a) == len(t) == 3
+            and set(map(type, a + t)) <= {int, float}
+            and all(map(math.isfinite, a + t))):
+        raise Genus2Error(f"coordinate record needs 3 finite numbers in each "
+                          f"of 'a' and 't', got {a!r} and {t!r}")
+    return (case_from_string(eps[0]), case_from_string(eps[1])), a, t
 
 
 def pants_cases(eps1: PantsCase,

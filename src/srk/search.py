@@ -11,11 +11,12 @@ where the dispatch either hands a separating curve of commutator trace in
 non-hyperbolic window (bandwidth and polygon strategies), or certifies that
 the dual curve triple (beta_1, beta_2, beta_3) has strictly smaller traces
 and re-coordinatises on it.  Every terminal answer carries a certificate
-about the representation its coordinates name.  Each snapshot records
-(eps, a, t) only, and the replay builds its rep with `genus2.build_glued`,
-so it trusts `pants.build_pants` and hyptrig's solvers, and the 2x2
-arithmetic after them.  It moves the rep with the search's own twist and
-rotation (`genus2.dehn_twist_gamma`, `genus2.rotate`), and checks each
+about the representation its coordinates name, holding only what the
+replay reads.  Each snapshot is a coordinate record (eps, a, t), and the
+replay builds its rep with `genus2.build_glued`, so it trusts
+`pants.build_pants` and hyptrig's solvers, and the 2x2 arithmetic after
+them.  It moves the rep with the search's own twist and rotation
+(`genus2.dehn_twist_gamma`, `genus2.rotate`), and checks each
 re-coordinatisation link with the fit's own `_worst_gap`.  Every curve is
 evaluated on a `GluedRep`, by `genus2.curve_matrix` and `GluedRep.loops`.
 """
@@ -34,8 +35,8 @@ from .genus2 import GluedRep, build_glued, trace_curve_matrix
 from .pants import PantsCase
 from .psl2r import IDENTITY, PSL2Error, Quad, commutator, minv, mmul, mtrace
 from .tolerances import (B2_HALF_SLACK, LINK_TOL, MU_MIN, RECOORD_FLAT_BAND,
-                         SNAPSHOT_MATRIX_TOL, STRATEGY_SLACK, TRACE_BAND,
-                         WINDOW_END_SLACK, WINDOW_START_SLACK)
+                         STRATEGY_SLACK, TRACE_BAND, WINDOW_END_SLACK,
+                         WINDOW_START_SLACK)
 
 B2_HALF = 2.2254             # admissible half-length bound of the search
 COSH_B2_HALF = 4.67          # reported Bers value, used by constant checks
@@ -217,7 +218,9 @@ def _conclude_on_beta(state: SearchState, i: int, why: str):
 
 class Certificate:
     """Replayable record of the search: snapshots, moves, final curve.
-    Two certificates are equal when all four fields are."""
+    Snapshots and moves hold exactly the keys the replay reads
+    (`_SNAPSHOT_KEYS`, `_MOVE_KEYS`).  Two certificates are equal when all
+    four fields are."""
 
     __slots__ = ("initial", "moves", "curve", "trace")
 
@@ -251,7 +254,8 @@ class Certificate:
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         """Parse a certificate; raises SearchError unless its snapshots,
-        moves, curve word and trace have the shapes the replay reads."""
+        moves, curve word and trace have the shapes and keys the replay
+        reads.  Each snapshot is checked by `genus2.parse_record`."""
         d = json.loads(text)
         if not (isinstance(d, dict) and _is_snapshot(d.get("initial"))
                 and isinstance(d.get("moves"), list)):
@@ -260,50 +264,43 @@ class Certificate:
             if not _is_move(mv):
                 raise SearchError(f"malformed certificate: move {mv!r}")
         curve, trace = d.get("curve"), d.get("trace")
-        if not (curve is None or (_is_word(curve) and _finite([trace]))):
+        if not (curve is None or (_is_word(curve) and type(trace) in (
+                int, float) and math.isfinite(trace))):
             raise SearchError(f"malformed certificate: curve {curve!r} "
                               f"with trace {trace!r}")
         return cls(initial=d["initial"], moves=d["moves"],
                    curve=curve, trace=trace)
 
 
-def _finite(nums: list) -> bool:
-    """Whether every entry is an int or float (not a bool) and finite."""
-    return set(map(type, nums)) <= {int, float} and all(map(math.isfinite,
-                                                            nums))
+_SNAPSHOT_KEYS = frozenset(("eps", "a", "t"))
+# the keys of each kind of move: exactly what the replay reads
+_MOVE_KEYS = {"twist": frozenset(("kind", "i", "k")),
+              "rotate": frozenset(("kind", "shift")),
+              "recoordinatize": frozenset(("kind", "relabel", "snapshot"))}
 
 
 def _is_snapshot(s) -> bool:
-    """Whether eps names two pants cases and a and t hold three finite
-    numbers each.  A snapshot written before certificates dropped the
-    matrices also records X and Y, which must then hold three rows of four
-    finite numbers each."""
+    """Whether `s` is a coordinate record (`genus2.parse_record`) with no
+    other key."""
     try:
-        a, t, eps = s["a"], s["t"], s["eps"]
-        nums = [*a, *t]
-        ok = len(a) == len(t) == 3
-        if "X" in s or "Y" in s:
-            rows = [*s["X"], *s["Y"]]
-            ok = ok and len(s["X"]) == len(s["Y"]) == 3 \
-                and all(len(r) == 4 for r in rows)
-            nums += [v for r in rows for v in r]
-        return (ok and _finite(nums) and type(eps) is list and len(eps) == 2
-                # raises on a name that is no case
-                and all(map(pants.case_from_string, eps)))
-    except (TypeError, KeyError, pants.PantsError):
+        return s.keys() == _SNAPSHOT_KEYS and bool(genus2.parse_record(s))
+    except (AttributeError, genus2.Genus2Error, pants.PantsError):
         return False
 
 
 def _is_move(mv) -> bool:
+    """Whether `mv` has exactly its kind's keys, with values the replay
+    can apply."""
     kind = mv.get("kind") if isinstance(mv, dict) else None
+    if not (type(kind) is str and mv.keys() == _MOVE_KEYS.get(kind)):
+        return False
     if kind == "twist":
-        return (mv.get("i") in (1, 2, 3)
-                and type(mv["i"]) is int and type(mv.get("k")) is int)
+        return mv["i"] in (1, 2, 3) and type(mv["i"]) is type(mv["k"]) is int
     if kind == "rotate":
-        return type(mv.get("shift")) is int
-    rho = mv.get("relabel") if kind == "recoordinatize" else None
+        return type(mv["shift"]) is int
+    rho = mv["relabel"]
     return (isinstance(rho, list) and set(map(type, rho)) <= {int}
-            and sorted(rho) == [0, 1, 2] and _is_snapshot(mv.get("snapshot")))
+            and sorted(rho) == [0, 1, 2] and _is_snapshot(mv["snapshot"]))
 
 
 def _is_word(word) -> bool:
@@ -356,31 +353,22 @@ class SearchState:
 # ---------------------------------------------------------------------------
 
 class _NotARep(Exception):
-    """A snapshot names no representation, or records matrices that are
-    not the one it names; the replay reports it as not ok."""
+    """A snapshot names no representation: the replay's report is not ok."""
 
 
 def _rep_from_snapshot(snap: Dict) -> GluedRep:
     """The rep a snapshot's coordinates name, built by `build_glued`: the
     pants the search built are memo hits.  Raises _NotARep when
-    `build_glued` refuses the coordinates, or when the snapshot records X
-    and Y and they are not the pants built; a CocycleResidualError (the
+    `build_glued` refuses the coordinates; a CocycleResidualError (the
     float build's range) propagates."""
     eps1, eps2 = map(pants.case_from_string, snap["eps"])
     try:
-        rep = build_glued(eps1, eps2, snap["a"], snap["t"])
+        return build_glued(eps1, eps2, snap["a"], snap["t"])
     except pants.CocycleResidualError:
         raise
     except (pants.PantsError, genus2.Genus2Error, hyptrig.TrigError) as exc:
         raise _NotARep(f"snapshot coordinates name no representation: "
                        f"{exc}") from None
-    if "X" in snap and not all(
-            abs(u - v) <= SNAPSHOT_MATRIX_TOL * max(1.0, abs(u))
-            for p, key in ((rep.p1, "X"), (rep.p2, "Y"))
-            for m, row in zip(p.q, snap[key]) for u, v in zip(m, row)):
-        raise _NotARep("snapshot matrices are not the pants of its "
-                       "coordinates")
-    return rep
 
 
 def _trace(rep: GluedRep, tag: str) -> float:
@@ -398,6 +386,17 @@ def _word_quad(rep: GluedRep, word: Sequence) -> Quad:
             m = genus2.curve_matrix(rep, name)
         out = mmul(out, m if exp > 0 else minv(m))
     return out
+
+
+def _freely_trivial(word: Sequence) -> bool:
+    """Whether cancelling each letter next to its inverse leaves nothing."""
+    left: List = []
+    for name, exp in word:
+        if left and left[-1] == [name, -exp]:
+            left.pop()
+        else:
+            left.append([name, exp])
+    return not left
 
 
 def _link_targets(old: GluedRep, rho: Sequence[int]) -> List[float]:
@@ -448,8 +447,8 @@ def replay_certificate(cert: Certificate, tol: float = LINK_TOL) -> Dict:
     (the new named-curve traces must reproduce the recorded old-coordinate
     values), and finally re-evaluates the curve word; returns a report dict
     with the replayed trace.  A snapshot whose coordinates name no
-    representation, or whose recorded matrices are not its pants, makes
-    the report not ok.  Raises OutOfScopeError when the certificate's
+    representation, or a curve word that reduces freely to the identity,
+    makes the report not ok.  Raises OutOfScopeError when the certificate's
     numbers overflow a float (huge twists or half-lengths), or when a
     snapshot's half-lengths are outside the float build's range.
     """
@@ -489,6 +488,8 @@ def _replay(cert: Certificate, tol: float) -> Dict:
             return {"ok": False, "reason": f"unknown move {kind!r}"}
     if cert.curve is None:
         return {"ok": False, "reason": "certificate has no curve"}
+    if _freely_trivial(cert.curve):
+        return {"ok": False, "reason": "curve word reduces to the identity"}
     tr = mtrace(_word_quad(rep, cert.curve))
     if not math.isfinite(tr):
         raise OverflowError(f"replayed trace {tr}")
@@ -958,14 +959,8 @@ def _improve(state: SearchState):
     if fit is None:
         return _stalled(state, "no coordinate fit for the new curve triple")
     new_rep = fit[0]
-    link = {
-        "kind": "recoordinatize",
-        "relabel": rho,
-        "snapshot": new_rep.to_dict(),
-        "delta_targets": {f"delta{k+1}": targets[6 + k] for k in range(3)},
-        "residual": fit[1],
-    }
-    state.cert.moves.append(link)
+    state.cert.moves.append({"kind": "recoordinatize", "relabel": rho,
+                             "snapshot": new_rep.to_dict()})
     state.history.append({"move": "recoordinatize", "residual": fit[1],
                           "eps": [str(new_rep.eps1), str(new_rep.eps2)],
                           "max_trace_before": old_max,

@@ -38,9 +38,6 @@ TWIST_EDGE = 1e-13
 
 # certificate link error (fit and replay) and replayed trace gap
 LINK_TOL = 1e-6
-# entry gap, times max(1, |entry|), between the matrices X, Y that a snapshot
-# of the older certificate format records and the pants the replay builds
-SNAPSHOT_MATRIX_TOL = 1e-12
 # least fall of the max boundary trace per re-coordinatisation
 MU_MIN = 1e-4
 # |delta| of new half-lengths at which a re-coordinatisation stalls as flat

@@ -526,7 +526,8 @@ class TestSearchBuildsOnce:
         memo-free references: the rebuilding `_align`, one Dehn twist per
         normalising move, and the fit that scores every root combination
         on all nine gaps and glues its rep by `build_glued`.  The residual
-        of each link is the replay's link error, bit for bit."""
+        that the history records for each link is the replay's link error,
+        bit for bit."""
         reps = _search_reps(103, 160)
         got = [_search_outputs(rep) for rep in reps]
         monkeypatch.setattr(search, "_align", _rebuilding_align)
@@ -537,8 +538,8 @@ class TestSearchBuildsOnce:
         assert sum('"rotate"' in g[0] for g in got) >= 100
         linked = 0
         for g in got:
-            residuals = [mv["residual"] for mv in json.loads(g[0])["moves"]
-                         if mv["kind"] == "recoordinatize"]
+            residuals = [h["residual"] for h in json.loads(g[1])
+                         if h["move"] == "recoordinatize"]
             if residuals and len(g) > 4:             # a replayed FoundCurve
                 linked += 1
                 for replay in g[-2:]:

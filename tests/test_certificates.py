@@ -1,11 +1,14 @@
 """A certificate certifies the representation its coordinates name.
 
-Each snapshot records (eps, a, t), and the replay builds its rep with
+Each snapshot is the coordinate record (eps, a, t) that
+`genus2.parse_record` reads, and the replay builds its rep with
 `genus2.build_glued`: a relabelled eps or a tampered a fails the replay.
-Certificates of the older format also record the pants matrices X and Y,
-which must be those the coordinates build.  `pants.build_pants` remembers
-the pants it built recently, so the replay after a search rebuilds nothing;
-the memo must never change what a replay reports.
+A certificate holds exactly the keys the replay reads, so one of the older
+format, whose snapshots also record the pants matrices X and Y and whose
+links record delta_targets and residual, is malformed.  A curve word that
+reduces freely to the identity certifies nothing.  `pants.build_pants`
+remembers the pants it built recently, so the replay after a search
+rebuilds nothing; the memo must never change what a replay reports.
 """
 
 import ast
@@ -15,10 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from srk import genus2, pants, search
+from srk import cli, genus2, pants, search
 from srk.genus2 import GluedRep
-from srk.search import (Certificate, OutOfScopeError, replay_certificate,
-                        search_nonhyperbolic)
+from srk.search import (Certificate, OutOfScopeError, SearchError,
+                        replay_certificate, search_nonhyperbolic)
 
 ROOT = Path(__file__).resolve().parents[1]
 TWO_ROUNDS = ROOT / "tests" / "data" / "certificate_two_rounds.json"
@@ -62,6 +65,26 @@ def _hexed(obj):
     return obj
 
 
+# the keys of each kind of move
+GRAMMAR = {"twist": {"kind", "i", "k"}, "rotate": {"kind", "shift"},
+           "recoordinatize": {"kind", "relabel", "snapshot"}}
+
+# the keys the older format wrote, and one no srk ever wrote
+EXTRA_KEYS = {"X": [[1.0, 0.0, 0.0, 1.0]] * 3, "Y": [[1.0, 0.0, 0.0, 1.0]] * 3,
+              "delta_targets": {"delta1": 2.5, "delta2": 3.0, "delta3": 4.0},
+              "residual": 1e-10, "note": "unread"}
+
+
+def _first(data: dict, where: str) -> dict:
+    """The initial snapshot, the first link's snapshot, or the first move
+    of kind `where`."""
+    if where == "initial":
+        return data["initial"]
+    if where == "snapshot":
+        return _snapshots(data)[1]
+    return next(mv for mv in data["moves"] if mv["kind"] == where)
+
+
 class TestFormat:
     def test_snapshots_record_coordinates_only(self):
         data = json.loads(TWO_ROUNDS.read_text())
@@ -74,14 +97,73 @@ class TestFormat:
         assert [sorted(s) for s in _snapshots(fresh)] == \
             [["a", "eps", "t"]] * 3
 
-    def test_older_certificate_replays_with_or_without_matrices(self):
+    def test_the_committed_certificate_replays(self):
+        """An older srk wrote its coordinates and moves; stripped of X, Y,
+        delta_targets and residual, it replays with the trace and link
+        errors it had with them (to rounding: a link error of 1e-10 is a
+        gap between traces of up to 60)."""
+        report = _replay(json.loads(TWO_ROUNDS.read_text()))
+        assert report["ok"] is True
+        assert report["trace"] == pytest.approx(1.2274132366649728, abs=1e-12)
+        assert report["link_errors"] == pytest.approx(
+            [1.702247232060472e-10, 2.1039880948592327e-10], rel=1e-2)
+
+    def test_corpus_certificates_hold_the_grammar_keys(self):
+        """Every fresh certificate of the benchmark's search corpora has
+        exactly the grammar's keys in each snapshot and move."""
+        corpus = _load_corpus()
+        records = corpus.search_corpus(101, 1500) + \
+            corpus.corner_corpus(101, 750)
+        kinds = set()
+        for rec in records:
+            out = search_nonhyperbolic(GluedRep.from_json(rec["text"]))
+            data = json.loads(out.certificate.to_json())
+            for snap in _snapshots(data):
+                assert snap.keys() == {"eps", "a", "t"}
+            for mv in data["moves"]:
+                assert mv.keys() == GRAMMAR[mv["kind"]]
+                kinds.add(mv["kind"])
+        assert kinds == set(GRAMMAR)
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("key", sorted(EXTRA_KEYS))
+    @pytest.mark.parametrize("where", ["initial", "snapshot", "twist",
+                                       "rotate", "recoordinatize"])
+    def test_an_extra_key_is_malformed(self, tmp_path, capsys, where, key):
+        """A key the replay does not read makes the certificate malformed:
+        the library raises SearchError and `srk replay` exits 64 with one
+        stderr line."""
         data = json.loads(TWO_ROUNDS.read_text())
-        assert all("X" in s and "Y" in s for s in _snapshots(data))
-        with_xy = _replay(data)
-        for snap in _snapshots(data):
-            del snap["X"], snap["Y"]
-        assert with_xy == _replay(data)
-        assert with_xy["ok"] and len(with_xy["link_errors"]) == 2
+        _first(data, where)[key] = EXTRA_KEYS[key]
+        text = json.dumps(data)
+        with pytest.raises(SearchError, match="malformed certificate"):
+            Certificate.from_json(text)
+        path = tmp_path / "extra.json"
+        path.write_text(text)
+        assert cli.main(["replay", str(path)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("replay: bad certificate: ")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("where", ["initial", "snapshot"])
+    @pytest.mark.parametrize("spoil", [
+        lambda s: s["a"].__setitem__(0, True),
+        lambda s: s["t"].__setitem__(1, float("inf")),
+        lambda s: s["a"].append(1.0),
+        lambda s: s["eps"].__setitem__(1, "EuPlus2")],
+        ids=["bool", "inf", "length", "case"])
+    def test_a_snapshot_parse_record_refuses(self, where, spoil):
+        """Snapshots are checked by `genus2.parse_record` alone: what it
+        refuses in a snapshot makes the certificate malformed."""
+        data = json.loads(TWO_ROUNDS.read_text())
+        snap = _first(data, where)
+        spoil(snap)
+        with pytest.raises((genus2.Genus2Error, pants.PantsError)):
+            genus2.parse_record(snap)
+        with pytest.raises(SearchError, match="malformed certificate"):
+            Certificate.from_json(json.dumps(data))
 
 
 def _relabel(eps):
@@ -136,30 +218,33 @@ class TestTamperedCertificates:
         (1, ["EuMinus1", "EuPlus1"], True)])
     def test_a_link_snapshot_relabelled(self, link, eps, ok):
         data = json.loads(TWO_ROUNDS.read_text())
-        snaps = _snapshots(data)
-        snaps[1 + link]["eps"] = eps
-        assert _replay(data) == {
-            "ok": False,
-            "reason": "snapshot matrices are not the pants of its coordinates"}
-        for snap in snaps:
-            del snap["X"], snap["Y"]
+        _snapshots(data)[1 + link]["eps"] = eps
         report = _replay(data)
         assert report["ok"] is ok
         if not ok:
             assert report["reason"] == "recoordinatisation link"
 
     @pytest.mark.parametrize("where", ["initial", "link"])
-    def test_a_tampered_with_the_old_matrices_kept(self, where):
+    def test_a_tampered_fails_a_link(self, where):
+        """A snapshot's a moved by 1e-3 names another rep, which the
+        first link check tells apart."""
         data = json.loads(TWO_ROUNDS.read_text())
-        snap = _snapshots(data)[0 if where == "initial" else 1]
-        snap["a"][0] += 1e-3
-        assert _replay(data)["reason"] == ("snapshot matrices are not the "
-                                           "pants of its coordinates")
+        _snapshots(data)[0 if where == "initial" else 1]["a"][0] += 1e-3
+        report = _replay(data)
+        assert report["ok"] is False
+        assert report["reason"] == "recoordinatisation link"
 
-    def test_zero_matrices_are_not_the_pants(self):
-        data = json.loads(TWO_ROUNDS.read_text())
-        data["initial"]["X"] = data["initial"]["Y"] = [[0.0] * 4] * 3
-        assert _replay(data)["ok"] is False
+    @pytest.mark.parametrize("curve, trace", [
+        ([], 2.0), ([["beta1", 1], ["beta1", -1]], 1.9999999999999982),
+        ([["gloop2", -1], ["beta1", 1], ["beta1", -1], ["gloop2", 1]], 2.0)])
+    def test_a_trivial_word_certifies_nothing(self, curve, trace):
+        """A word that cancels freely to nothing is no closed curve, though
+        its trace is 2 up to rounding."""
+        data = _ci_certificate()
+        data["curve"], data["trace"] = curve, trace
+        assert _replay(data) == {"ok": False,
+                                 "reason": "curve word reduces to the "
+                                           "identity"}
 
     def test_half_lengths_outside_the_float_range(self):
         data = _ci_certificate()

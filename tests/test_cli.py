@@ -223,7 +223,8 @@ CERTIFICATE = Path(__file__).resolve().parent / "data" / \
 
 
 def _cut_matrix(d):
-    d["initial"]["X"][0] = d["initial"]["X"][0][:3]
+    # an older-format pants matrix, and cut short at that
+    d["initial"]["X"] = [[1.0, 0.0, 0.0]] * 3
 
 
 def _rename_curve(d):
@@ -380,7 +381,7 @@ def _first_link_eps(d):
         ["Eu0PlusTriangle", "Eu0PlusTriangle"]
 
 
-def _a_with_old_matrices(d):
+def _initial_a(d):
     d["initial"]["a"][0] += 1e-3
 
 
@@ -402,24 +403,18 @@ def test_tampered_certificate_fails_replay(tmp_path, capsys, spoil, reason):
         assert report["reason"].startswith(reason)
 
 
-@pytest.mark.parametrize("spoil, matrices, reason", [
-    (_first_link_eps, False, "recoordinatisation link"),
-    (_a_with_old_matrices, True,
-     "snapshot matrices are not the pants of its coordinates")])
-def test_tampered_older_certificate_fails_replay(tmp_path, capsys, spoil,
-                                                 matrices, reason):
-    """The committed certificate records X and Y; without them, a
-    relabelled link is rebuilt and fails its link check."""
+@pytest.mark.parametrize("spoil", [_first_link_eps, _initial_a])
+def test_tampered_committed_certificate_fails_a_link(tmp_path, capsys,
+                                                     spoil):
+    """A relabelled link, or an initial a moved by 1e-3, is rebuilt as
+    another rep and fails its link check."""
     data = json.loads(CERTIFICATE.read_text())
     spoil(data)
-    if not matrices:
-        for snap in [data["initial"]] + [mv["snapshot"] for mv in data["moves"]
-                                         if mv["kind"] == "recoordinatize"]:
-            del snap["X"], snap["Y"]
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(data))
     assert cli.main(["replay", str(path)]) == 1
-    assert json.loads(capsys.readouterr().out)["reason"] == reason
+    assert json.loads(capsys.readouterr().out)["reason"] == \
+        "recoordinatisation link"
 
 
 def test_snapshot_outside_the_float_range_is_out_of_scope(tmp_path, capsys):
@@ -462,6 +457,19 @@ class TestReplayRecord:
         capsys.readouterr()
         assert cli.main(["replay", str(cert), "--record", str(rec)]) == 1
         assert "eps differ" in json.loads(capsys.readouterr().out)["reason"]
+
+    @pytest.mark.parametrize("curve, trace", [
+        ([], 2.0), ([["beta1", 1], ["beta1", -1]], 1.9999999999999982)])
+    def test_a_trivial_word_fails(self, tmp_path, capsys, curve, trace):
+        """The record matches, but a word that reduces freely to the
+        identity is no closed curve."""
+        rec, cert, _ = _searched(tmp_path, CI_RECORDS[0])
+        data = json.loads(cert.read_text())
+        data.update(moves=[], curve=curve, trace=trace)
+        cert.write_text(json.dumps(data))
+        assert cli.main(["replay", str(cert), "--record", str(rec)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "ok": False, "reason": "curve word reduces to the identity"}
 
     def test_integer_coordinates_match(self, tmp_path, capsys):
         rec, cert, _ = _searched(tmp_path, {"eps": ["EuPlus1", "EuMinus1"],
