@@ -8,10 +8,9 @@ come from per-orbit coefficients (`genus2.delta_twist_coeffs`), which the
 tests cross-check against the matrix words.  Each Dehn twist changes one
 t_i, so it reevaluates one delta trace and reformats those two columns; the
 moves are drawn in blocks, from the same random stream as one draw per
-move.  Exit codes: 0 success, 1 verifier failure, 2 search stalled, 3
-out-of-scope input (for classify also a Milnor Euler class that differs
-from the nominal class), 64 usage errors (an --out file or a stdout that
-cannot be written, or a closed stdout, among them).
+move.  A command that fails raises `_Exit`, and `main` writes its one
+stderr line and returns its code; README's exit-code table lists the
+codes and their causes.
 
 numpy is imported only where an ndarray is made: verify evaluates its grids
 with it, while classify, search and replay run on floats and 4-tuples, and
@@ -42,9 +41,13 @@ def _fl(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class _WriteError(Exception):
-    """The output (--out or stdout) could not be written; `main` reports
-    it, exit 64."""
+class _Exit(Exception):
+    """A command's failure: `main` writes `<command>: <message>` as one
+    stderr line and returns `code`."""
+
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -53,11 +56,11 @@ def _emit(text: str, out: Optional[str]) -> None:
             with open(out, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _WriteError(f"cannot write {out}: "
-                              f"{exc.strerror or exc}") from exc
+            raise _Exit(EXIT_USAGE, f"cannot write {out}: "
+                                    f"{exc.strerror or exc}") from exc
         return
     if sys.stdout is None:        # the interpreter started without fd 1
-        raise _WriteError("cannot write stdout: stdout is closed")
+        raise _Exit(EXIT_USAGE, "cannot write stdout: stdout is closed")
     try:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
         sys.stdout.flush()
@@ -67,28 +70,25 @@ def _emit(text: str, out: Optional[str]) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        raise _WriteError(f"cannot write stdout: "
-                          f"{exc.strerror or exc}") from exc
+        raise _Exit(EXIT_USAGE, f"cannot write stdout: "
+                                f"{exc.strerror or exc}") from exc
 
 
-def _load_rep(cmd: str, path: str):
-    """The coordinate record at `path` as a GluedRep, or the exit code of
-    a malformed record (64) or of half-lengths outside the float build's
-    range, too long or too short (3), after one stderr line."""
+def _load_rep(path: str) -> genus2.GluedRep:
+    """The coordinate record at `path` as a GluedRep; raises `_Exit` on a
+    malformed record (64) or on half-lengths outside the float build's
+    range, too long or too short (3)."""
     try:
         with open(path) as fh:
             return genus2.GluedRep.from_json(fh.read())
     except pants.CocycleResidualError as exc:   # rounding, not bad input
-        sys.stderr.write(f"{cmd}: out of range: half-lengths outside the "
-                         f"float build's range ({exc})\n")
-        return EXIT_OUT_OF_SCOPE
+        raise _Exit(EXIT_OUT_OF_SCOPE, f"out of range: half-lengths outside "
+                    f"the float build's range ({exc})") from exc
     except (OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(f"{cmd}: bad input: {exc}\n")
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"bad input: {exc}") from exc
     except ArithmeticError as exc:     # cosh of a half-length overflows
-        sys.stderr.write(f"{cmd}: out of range: half-lengths overflow a "
-                         f"float ({exc})\n")
-        return EXIT_OUT_OF_SCOPE
+        raise _Exit(EXIT_OUT_OF_SCOPE, f"out of range: half-lengths overflow "
+                    f"a float ({exc})") from exc
 
 
 def _threads() -> int:
@@ -104,16 +104,9 @@ def cmd_classify(args) -> int:
 
     A curve's "agreement" is |matrix - closed_form| / max(1, |matrix|), or
     None where no formula covers it; "worst_agreement" is the largest.
-    Exit 3 when a half-length or a trace overflows a float, when the
-    half-lengths are outside the float build's range (too long or too
-    short for the pants' cocycle relations to hold), when the Euler
-    class relator is lost to rounding (huge half-lengths), or when the
-    Milnor Euler class differs from the nominal class of the case pair
-    (long half-lengths with wide twists, where the float sum drifts).
+    README's exit-code table lists the causes of exit 3 and 64.
     """
-    rep = _load_rep("classify", args.rep)
-    if isinstance(rep, int):
-        return rep
+    rep = _load_rep(args.rep)
     table = {}
     worst = 0.0
     try:
@@ -127,14 +120,12 @@ def cmd_classify(args) -> int:
                           "agreement": gap}
         euler = genus2.euler_class(rep)
         if euler != rep.euler_nominal:      # the float Milnor sum drifted
-            sys.stderr.write(f"classify: out of range: Milnor Euler class "
-                             f"{euler} differs from the nominal class "
-                             f"{rep.euler_nominal}\n")
-            return EXIT_OUT_OF_SCOPE
+            raise _Exit(EXIT_OUT_OF_SCOPE, f"out of range: Milnor Euler "
+                        f"class {euler} differs from the nominal class "
+                        f"{rep.euler_nominal}")
         sign = genus2.sign_invariant(rep) if rep.euler_nominal == 0 else None
     except PSL2Error as exc:      # overflow, or a relator lost to rounding
-        sys.stderr.write(f"classify: out of range: {exc}\n")
-        return EXIT_OUT_OF_SCOPE
+        raise _Exit(EXIT_OUT_OF_SCOPE, f"out of range: {exc}") from exc
     report = {
         "euler": euler,
         "euler_nominal": rep.euler_nominal,
@@ -147,18 +138,14 @@ def cmd_classify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    rep = _load_rep("search", args.rep)
-    if isinstance(rep, int):
-        return rep
+    rep = _load_rep(args.rep)
     try:
         out = search.search_nonhyperbolic(rep)
     except search.OutOfScopeError as exc:
-        sys.stderr.write(f"search: out of scope: {exc}\n")
-        return EXIT_OUT_OF_SCOPE
+        raise _Exit(EXIT_OUT_OF_SCOPE, f"out of scope: {exc}") from exc
     if isinstance(out, search.Stalled):
-        sys.stderr.write(f"search: stalled: {out.diagnostic}\n")
         _emit(out.certificate.to_json(), args.out)
-        return EXIT_STALLED
+        raise _Exit(EXIT_STALLED, f"stalled: {out.diagnostic}")
     replay = search.replay_certificate(out.certificate)
     payload = out.certificate.to_dict()
     payload["replay"] = replay
@@ -177,21 +164,18 @@ def _not_the_record(cert, path: str) -> str:
 
 
 def cmd_replay(args) -> int:
-    """Replay a certificate: exit 1 when it fails, and 3 when its numbers
-    overflow a float or a snapshot's half-lengths are outside the float
-    build's range.  With --record, the certificate must also start from
-    that coordinate record."""
+    """Replay a certificate, and with --record check that it starts from
+    that coordinate record; README's exit-code table lists its exit codes
+    and their causes."""
     try:
         with open(args.certificate) as fh:
             cert = search.Certificate.from_json(fh.read())
     except (OSError, ValueError, KeyError) as exc:
-        sys.stderr.write(f"replay: bad certificate: {exc}\n")
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"bad certificate: {exc}") from exc
     try:
         differ = args.record and _not_the_record(cert, args.record)
     except (OSError, ValueError) as exc:
-        sys.stderr.write(f"replay: bad record: {exc}\n")
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, f"bad record: {exc}") from exc
     if differ:
         _emit(json.dumps({"ok": False, "reason": f"initial snapshot is not "
                           f"the record: {differ} differ"}), args.out)
@@ -199,8 +183,7 @@ def cmd_replay(args) -> int:
     try:
         report = search.replay_certificate(cert)
     except search.OutOfScopeError as exc:
-        sys.stderr.write(f"replay: out of range: {exc}\n")
-        return EXIT_OUT_OF_SCOPE
+        raise _Exit(EXIT_OUT_OF_SCOPE, f"out of range: {exc}") from exc
     _emit(json.dumps(report, default=float), args.out)
     return EXIT_OK if report.get("ok") else EXIT_VERIFY_FAIL
 
@@ -281,8 +264,7 @@ def cmd_orbit_stats(args) -> int:
         for i in range(args.n):
             lines.extend(_orbit_rows(args.seed, i, args.length))
     except OverflowError as exc:     # e^{t_k} overflows on a very long orbit
-        sys.stderr.write(f"orbit-stats: out of range: {exc}\n")
-        return EXIT_OUT_OF_SCOPE
+        raise _Exit(EXIT_OUT_OF_SCOPE, f"out of range: {exc}") from exc
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -393,9 +375,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except _WriteError as exc:
+    except _Exit as exc:
         sys.stderr.write(f"{args.command}: {exc}\n")
-        return EXIT_USAGE
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -48,13 +48,9 @@ def verify_paper_inequalities(scale: float = 1.0) -> List[ClaimReport]:
             for fn, base_n in _grids.CLAIMS]
 
 
-def phi_max_over_a1(a3, n: int = 512):
-    """max of Phi(a1, a3) over n points a1 in [1e-3, a3].
-
-    A float for a scalar a3; for an array, the maximum at each entry.
-    """
+def phi_max_over_a1(a3: float, n: int = 512) -> float:
+    """max of Phi(a1, a3) over n points a1 in [1e-3, a3]."""
     import numpy as np
     from . import _grids
-    a3 = np.asarray(a3, dtype=float)
-    out = _grids.phi_max(a3.ravel(), n, _grids.Workspace()).reshape(a3.shape)
-    return float(out) if out.ndim == 0 else out
+    return float(_grids.phi_max(np.array([float(a3)]), n,
+                                _grids.Workspace())[0])

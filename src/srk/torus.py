@@ -97,9 +97,12 @@ class ReductionResult(NamedTuple):
         return (wa, wb, wa + wb)[self.found_index - 1]
 
 
-# candidate compound steps: a permutation prefix followed by M3
-_PERM_WORDS = (("M3",), ("P12", "M3"), ("P23", "M3"), ("P12", "P23", "M3"),
-               ("P23", "P12", "M3"), ("P12", "P23", "P12", "M3"))
+# candidate compound steps: one flip z -> xy - z of each coordinate, moved
+# to the third place by a permutation prefix.  Three words suffice: a prefix
+# that also swapped the two factors of the product would reach a triple of
+# the same score (the product commutes in floats), later in the scan, so it
+# could never win the strict descent.
+_PERM_WORDS = (("M3",), ("P23", "M3"), ("P12", "P23", "M3"))
 
 
 def _max_abs(triple) -> float:
@@ -117,13 +120,15 @@ def reduce_triple(x: float, y: float, z: float,
     compound move descends or after `max_steps`.
     """
     start = (float(x), float(y), float(z))
+    # each step lowers the largest |coordinate|, so only the start can
+    # exceed this bound
+    if _max_abs(start) > 1e8:
+        raise ReductionError(
+            f"coordinates grew beyond float integrity from {start}")
     kappa0 = kappa(*start)
     triple = start
     moves: List[str] = []
     while True:
-        if max(abs(v) for v in triple) > 1e8:
-            raise ReductionError(
-                f"coordinates grew beyond float integrity from {start}")
         if abs(kappa(*triple) - kappa0) > KAPPA_DRIFT * max(1.0, abs(kappa0)):
             raise ReductionError(
                 f"kappa drifted from {kappa0} to {kappa(*triple)}")

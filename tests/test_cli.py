@@ -538,6 +538,46 @@ class TestSearch:
         assert json.loads(out.read_text())["ok"]
 
 
+class TestStall:
+    """A stalled search writes its certificate, which has no curve, and
+    then fails with one stderr line.  `search_nonhyperbolic` is replaced by
+    a stall, so that these tests do not depend on a record the search
+    stalls on."""
+
+    DIAGNOSTIC = "equilateral1 escape trace -3.0281200345184995"
+
+    @pytest.fixture(autouse=True)
+    def stall(self, rep_file, monkeypatch):
+        record = json.loads(Path(rep_file).read_text())
+        stalled = search.Stalled(diagnostic=self.DIAGNOSTIC,
+                                 certificate=search.Certificate(record),
+                                 rounds=0, history=[])
+        monkeypatch.setattr(search, "search_nonhyperbolic",
+                            lambda rep: stalled)
+
+    def test_certificate_without_a_curve(self, rep_file, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        assert cli.main(["search", rep_file, "--out", str(cert)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"search: stalled: {self.DIAGNOSTIC}\n"
+        assert json.loads(cert.read_text())["curve"] is None
+        assert cli.main(["replay", str(cert)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "ok": False, "reason": "certificate has no curve"}
+        assert captured.err == ""
+
+    def test_unwritable_out_is_the_one_line(self, rep_file, tmp_path,
+                                            capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert cli.main(["search", rep_file, "--out", str(out)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"search: cannot write {out}: " \
+            "No such file or directory\n"
+
+
 def _python_m_srk(argv, **kwargs):
     """Run `python -W error -m srk argv` in a fresh interpreter, its stdout
     block-buffered (Python's default) whatever PYTHONUNBUFFERED says."""

@@ -4,9 +4,9 @@ import struct
 import numpy as np
 import pytest
 
-from srk.hyptrig import (TrigError, delta_invariant, long_shift, relabel,
-                         rotation, solve_hexagon, solve_self_hexagon,
-                         solve_triangle)
+from srk.hyptrig import (TrigError, _acos_clamped, _acosh_clamped,
+                         delta_invariant, long_shift, relabel, rotation,
+                         solve_hexagon, solve_self_hexagon, solve_triangle)
 
 rng = np.random.default_rng(42)
 
@@ -88,6 +88,22 @@ class TestDeltaInvariant:
         # leave a NaN or -inf for the sign tests
         with pytest.raises(OverflowError):
             delta_invariant(*a)
+
+
+class TestClamps:
+    """Arguments within CLAMP (1e-12) outside the domain are rounding and
+    clamp to its edge; beyond it they raise."""
+
+    def test_acosh_just_below_one(self):
+        assert _acosh_clamped(1.0 - 1e-13) == 0.0
+        with pytest.raises(TrigError, match="below domain"):
+            _acosh_clamped(1.0 - 1e-11)
+
+    @pytest.mark.parametrize("sign, edge", [(1.0, 0.0), (-1.0, math.pi)])
+    def test_acos_just_outside_one(self, sign, edge):
+        assert _acos_clamped(sign * (1.0 + 1e-13)) == edge
+        with pytest.raises(TrigError, match="outside domain"):
+            _acos_clamped(sign * (1.0 + 1e-11))
 
 
 class TestHexagon:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from srk import _grids
-from srk.inequalities import phi_max_over_a1, verify_paper_inequalities
+from srk.inequalities import verify_paper_inequalities
 from srk.search import REGION_A3_MAX, line_l1, line_l2
 
 
@@ -103,13 +103,30 @@ def test_equi1_matches_inverse_trig_reference(scale):
     assert rep.margin == pytest.approx(raw - pad, abs=1e-12)
 
 
-def test_phi_max_broadcasts_over_a3():
-    a3 = np.linspace(0.05, 1.469, 37)
-    got = phi_max_over_a1(a3, 200)
-    assert got.shape == a3.shape
-    want = [phi_max_over_a1(float(v), 200) for v in a3]
-    assert all(type(w) is float for w in want)
-    assert got.tolist() == want
+def _phi_max_whole_row(a3, n):
+    """max of Phi(a1, a3) over n points a1, evaluated on one whole row."""
+    s3, s6 = np.sinh(np.array([a3])), np.sinh(np.array([2 * a3]))
+    s1 = np.sinh(np.linspace(1e-3, a3, n))
+    t = s1 * s1
+    phi = (s3 ** 2 - t) / s3 ** 2 + np.sqrt(s6 ** 2 - t) * s1 / s3
+    return float(np.max(phi))
+
+
+def test_a_row_longer_than_a_block_grows_the_workspace():
+    """A claim whose rows outgrow a block (verify above scale 4.7 or so)
+    enlarges every buffer to one row; the reports do not change, and
+    neither do those of later claims on the grown workspace."""
+    n = 20480
+    assert n > _grids._BLOCK_POINTS
+    ws = _grids.Workspace()
+    rep = _grids._claim_phi_crossing(n, ws)
+    assert ws._size == n
+    want = min(9.0 - _phi_max_whole_row(1.449, n),
+               _phi_max_whole_row(1.469, n) - 9.0)
+    assert rep.raw_min == want
+    assert rep == _grids._claim_phi_crossing(n, _grids.Workspace())
+    assert _grids._claim_equi1_on_x2(8000, ws) == \
+        _grids._claim_equi1_on_x2(8000, _grids.Workspace())
 
 
 def test_memory_does_not_grow_with_scale():

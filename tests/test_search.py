@@ -402,6 +402,64 @@ class TestRareStrategies:
         assert self._hits("flat_twist", draws(3000)) >= 10
 
 
+def _found(record):
+    """The search of a coordinate record: a curve whose certificate
+    replays ok."""
+    out = search_nonhyperbolic(genus2.GluedRep.from_json(json.dumps(record)))
+    assert isinstance(out, FoundCurve), out.diagnostic
+    assert replay_certificate(out.certificate)["ok"]
+    return out
+
+
+class TestRareBranches:
+    """Records that reach branches neither the samplers above nor the
+    bench corpora reach."""
+
+    @pytest.mark.parametrize("record", [
+        {"eps": ["Eu0LowerFlat(-1)", "EuMinus1"],
+         "a": [1.044295054792829, 2.13160545389733, 1.0873103991045012],
+         "t": [-0.9286845702875723, -2.33262333979277, 2.253827383933281]},
+        {"eps": ["EuPlus1", "Eu0LowerFlat(-1)"],
+         "a": [1.9063295682698538, 0.8362671387397037, 1.0700624295301502],
+         "t": [-1.577897784709196, 0.42326323859711934, 2.0418978937248387]},
+    ], ids=["flat_first", "flat_second"])
+    def test_flat_pants_on_euler_one(self, record):
+        # Euler +-1 with one flat pants dispatches to flat_twist
+        out = _found(record)
+        assert {"move": "strategy", "id": "flat_twist"} in out.history
+        assert (out.rounds, out.word) == (0, [["delta3", 1]])
+
+    @pytest.mark.parametrize("record, rounds, positive, escape", [
+        ({"eps": ["EuMinus1", "Eu0MinusTriangle"],
+          "a": [1.937157798423551, 1.8740627376227528, 1.9715050926779945],
+          "t": [-1.6574273391425292, -1.8037046755639752,
+                -1.6153880670178788]}, 1, True, (-1, 0)),
+        ({"eps": ["Eu0MinusTriangle", "EuMinus1"],
+          "a": [2.1071585971702147, 1.9447414783259165, 2.1216197340641902],
+          "t": [-2.089016312360866, -1.3658665239366967,
+                -2.1074513120520897]}, 0, False, (1, 0)),
+    ], ids=["positive_sum", "negative_sum"])
+    def test_equilateral1_escape(self, monkeypatch, record, rounds, positive,
+                                 escape):
+        # the escape twists (t_j, t_k) back toward the corner square: by
+        # -1 on t_j when t_j + t_k > 0 and t_j > 0, by +1 when both < 0
+        seen = []
+
+        def spy(tj, tk, *args):
+            esc = real(tj, tk, *args)
+            if esc is not None:
+                seen.append((tj + tk > 0.0, esc))
+            return esc
+
+        real = search._polygon_escape
+        monkeypatch.setattr(search, "_polygon_escape", spy)
+        out = _found(record)
+        assert seen == [(positive, escape)]
+        assert out.history[-1] == {"move": "strategy", "id": "equilateral1",
+                                   "branch": "escape", "beta": 2}
+        assert (out.rounds, out.word) == (rounds, [["beta2", 1]])
+
+
 def _curve_trace(p1, p2, t, tag):
     """The trace of `tag` on a fresh rep glued from the pants p1, p2."""
     q = genus2.curve_matrix(genus2.GluedRep(p1=p1, p2=p2, t=tuple(t)), tag)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srk import torus
 from srk.psl2r import (IDENTITY, make_rotation, make_translation, minv, mmul,
                        mtrace)
+from srk.tolerances import DESCENT_MARGIN, KAPPA_DRIFT
 from srk.torus import ReductionError, kappa, reduce_triple, replay_moves
 
 rng = np.random.default_rng(99)
@@ -103,3 +106,90 @@ class TestReduce:
         assert reduce_triple(9.0, 28.5, 253.0).steps == 6
         with pytest.raises(ReductionError, match="no terminal state within"):
             reduce_triple(9.0, 28.5, 253.0, max_steps=2)
+
+    def test_float_integrity_raises(self):
+        with pytest.raises(ReductionError, match="float integrity"):
+            reduce_triple(1e9, 3.0, 3.0)
+
+
+# every permutation prefix of M3, as `reduce_triple` once scored them
+_SIX_WORDS = (("M3",), ("P12", "M3"), ("P23", "M3"), ("P12", "P23", "M3"),
+              ("P23", "P12", "M3"), ("P12", "P23", "P12", "M3"))
+
+
+def _six_word_greedy(x, y, z, max_steps):
+    """The reference descent: scores all six words and checks float
+    integrity at every step.  Returns (triple, moves, found index)."""
+    start = (float(x), float(y), float(z))
+    k0 = kappa(*start)
+    triple, moves = start, []
+    while True:
+        if max(map(abs, triple)) > 1e8:
+            raise ReductionError(
+                f"coordinates grew beyond float integrity from {start}")
+        if abs(kappa(*triple) - k0) > KAPPA_DRIFT * max(1.0, abs(k0)):
+            raise ReductionError(
+                f"kappa drifted from {k0} to {kappa(*triple)}")
+        for idx, v in enumerate(triple):
+            if abs(v) <= 2.0:
+                return triple, tuple(moves), idx + 1
+        if all(v < -2.0 for v in triple):
+            return triple, tuple(moves), None
+        if len(moves) >= max_steps:
+            raise ReductionError(
+                f"no terminal state within {max_steps} steps from {start}")
+        cur = max(map(abs, triple))
+        best = None
+        for word in _SIX_WORDS:
+            cand = triple
+            for mv in word:
+                cand = torus._move_triple(mv, cand)
+            score = max(map(abs, cand))
+            if score < cur - DESCENT_MARGIN and (best is None
+                                                 or score < best[0]):
+                best = (score, word, cand)
+        if best is None:
+            raise ReductionError(f"greedy descent stalled at {triple} "
+                                 f"(kappa={kappa(*triple):.6f})")
+        _, word, triple = best
+        moves.extend(word)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ReductionError as exc:
+        return str(exc)
+
+
+_COORD = st.one_of(st.floats(-8.0, 8.0), st.floats(-300.0, 300.0),
+                   st.floats(-2e8, 2e8))
+
+
+@st.composite
+def _triples(draw):
+    """Independent coordinates (most raise or end at once), or a triple
+    grown by flips x_i -> x_j x_k - x_i that raise |x_i|, which takes
+    steps to reduce."""
+    if draw(st.booleans()):
+        return draw(st.tuples(_COORD, _COORD, _COORD))
+    triple = list(draw(st.tuples(st.floats(-3.0, 3.0),
+                                 *[st.floats(-6.0, 6.0)] * 2)))
+    for i in draw(st.lists(st.integers(0, 2), max_size=12)):
+        flip = triple[i - 1] * triple[i - 2] - triple[i]
+        if abs(flip) > abs(triple[i]):
+            triple[i] = flip
+    return tuple(triple)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=400)
+@given(triple=_triples(), max_steps=st.sampled_from([3, 10_000]))
+def test_three_flips_descend_as_six_words(triple, max_steps):
+    """The three words `reduce_triple` scores reach every triple the six
+    words do, at the same score and earlier in the scan, so results,
+    moves and error messages are the six-word greedy's."""
+    def reduced(*args):
+        res = reduce_triple(*args)
+        return res.triple, res.moves, res.found_index
+    assert _outcome(reduced, *triple, max_steps) == \
+        _outcome(_six_word_greedy, *triple, max_steps)
