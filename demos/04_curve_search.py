@@ -19,13 +19,14 @@ out = search.search_nonhyperbolic(rep)
 print("found curve:", out.word, " trace:", round(out.trace, 6))
 print("replay:", search.replay_certificate(out.certificate))
 
-# near the Bers corner the polygon strategies engage and the search
-# re-coordinatises on the dual curve triple before concluding
-hard = genus2.build_glued(pants.EU_PLUS1, pants.EU_MINUS1,
-                          (2.093250468557487, 2.1264520637935904,
-                           2.020753959571758),
-                          (-1.6226775954328718, -1.495973116882266,
-                           -1.8424879178000826))
+# near the Bers corner: no torus window opens, and no twist of the lattice
+# step brings a beta curve to |trace| <= 2, so the search re-coordinatises
+# on the dual curve triple once, then concludes on delta_3
+hard = genus2.build_glued(PantsCase("tri", 1), pants.EU_MINUS1,
+                          (2.177271425843055, 2.0216335715832017,
+                           2.2096542923498688),
+                          (1.1546330313413034, 0.7929074417928108,
+                           1.2030657845188415))
 out = search.search_nonhyperbolic(hard)
 print("\nhard case: rounds of re-coordinatisation:", out.rounds)
 # the certificate holds each link's new coordinates, the search's history

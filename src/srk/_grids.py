@@ -27,11 +27,32 @@ from typing import Callable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .inequalities import ClaimReport
-from .search import (B2_HALF, COSH_B2_HALF, REGION_A3_MAX, _iso_lambda,
-                     line_l1, line_l2)
+from .search import B2_HALF
 from .tolerances import FLAT_IDENTITY_RESID, LAMBDA_FLOOR_RESID, X4_MASK_SLACK
 
 ACOSH3 = math.acosh(3.0)
+COSH_B2_HALF = 4.67          # reported Bers value, used by constant checks
+REGION_A3_MAX = 2.23         # region decomposition covers a3 up to here
+
+
+def line_l1(a3):
+    """The line bounding region X1 of the Euler +-1 decomposition."""
+    return -0.9 * (a3 - 1.695) + 1.18
+
+
+def line_l2(a3):
+    """The line bounding region X2 of the Euler +-1 decomposition."""
+    return 0.8 * (a3 - 1.695) + 1.18
+
+
+def _iso_lambda(sha3: float) -> float:
+    """Largest root of cosh(x)^2 = sinh(x) * sha3 (needs sha3 >= 2).
+
+    With y = sinh(x) the equation reads y^2 - sha3 y + 1 = 0.
+    """
+    if sha3 < 2.0:
+        raise ValueError("isosceles twist length needs sinh(a3) >= 2")
+    return math.asinh((sha3 + math.sqrt(sha3 * sha3 - 4.0)) / 2.0)
 
 # points in one block, the length of every workspace buffer: 150 KB of
 # float64, 16 rows of the equi1 grid at scale 1.  On a 2-core Xeon a verify

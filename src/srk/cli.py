@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="srk",
         description="Genus-2 surface group representations: coordinates, "
                     "trace formulas, twist orbits, and the curve search.")
-    sub = p.add_subparsers(dest="command")
+    sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="Euler class, sign, trace table")
     c.add_argument("rep", help="path to a coordinate JSON file")
@@ -370,9 +370,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:     # -h (0) or a usage error (64)
         return exc.code
-    if not getattr(args, "fn", None):
-        parser.print_help()
-        return EXIT_USAGE
     try:
         return args.fn(args)
     except _Exit as exc:

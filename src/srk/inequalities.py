@@ -10,15 +10,23 @@ level of the original computer checks; formal interval arithmetic is out of
 scope.
 
 The claims stream their grids through reused block buffers (see
-`srk._grids`, which imports numpy at its top).  Both functions below import
-that module, and numpy with it, on their first call: importing this module
-(as `srk` and its CLI do) compiles neither, and `srk verify` loads both on
-its first claim.
+`srk._grids`, which imports numpy at its top).  `verify_paper_inequalities`
+and `phi_max_over_a1` import that module, and numpy with it, on their first
+call: importing this module (as `srk` and its CLI do) compiles neither, and
+`srk verify` loads both on its first claim.
+
+`boum_bound` and `bandwidth_window` are two of the paper's trace bounds in
+closed form, on floats; acceptance criterion 10 checks them against matrix
+traces.
 """
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+import math
+from typing import List, NamedTuple, Optional, Tuple
+
+from .search import _positive_roots
+from .tolerances import TRACE_BAND, WINDOW_END_SLACK, WINDOW_START_SLACK
 
 
 class ClaimReport(NamedTuple):
@@ -54,3 +62,63 @@ def phi_max_over_a1(a3: float, n: int = 512) -> float:
     from . import _grids
     return float(_grids.phi_max(np.array([float(a3)]), n,
                                 _grids.Workspace())[0])
+
+
+def boum_bound(a, t) -> Tuple[Tuple[float, float, float], bool]:
+    """Cauchy-Schwarz bounds on |tr beta_i| and the sufficiency flag.
+
+    bound_i = 2 sqrt(cosh t_j cosh t_k / (tanh a_j tanh a_k)); the flag is
+    whether cosh(a_i)^2 / sinh(a_i) <= sinh(a_3) holds for the two smaller
+    sides, which forces every bound below 2 cosh(a_3).
+    """
+    a = tuple(float(v) for v in a)
+    bounds = []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        bounds.append(2.0 * math.sqrt(math.cosh(t[j]) * math.cosh(t[k])
+                                      / (math.tanh(a[j]) * math.tanh(a[k]))))
+    a3 = max(a)
+    flag = all(math.cosh(a[i]) ** 2 / math.sinh(a[i]) <= math.sinh(a3)
+               for i in range(3) if a[i] < a3 or a.count(a[i]) > 1)
+    return tuple(bounds), flag
+
+
+def bandwidth_window(a1: float, b2: float, t3: float,
+                     t1: float = 0.0) -> Optional[float]:
+    """Twisted t_1 with |A e^{t1/2} + B e^{-t1/2}| <= 2, if the window opens.
+
+    A, B = cosh(t3/2) +- cosh(b2) sinh(t3/2); the window condition is
+    tanh(a1/2) <= sinh(|t3|/2) sinh(b2) <= coth(a1/2), which makes the set
+    {|trace| <= 2} wider than one twist period 2*a1.  Returns a value
+    congruent to `t1` modulo 2*a1, or None when the window is closed.
+    """
+    if a1 <= 0.0 or b2 <= 0.0:
+        raise ValueError("bandwidth needs positive a1, b2")
+    q = math.sinh(abs(t3) / 2.0) * math.sinh(b2)
+    th, ct = math.tanh(a1 / 2.0), 1.0 / math.tanh(a1 / 2.0)
+    if not (th <= q <= ct):
+        return None
+    big_a = math.cosh(t3 / 2.0) + math.cosh(b2) * math.sinh(t3 / 2.0)
+    big_b = math.cosh(t3 / 2.0) - math.cosh(b2) * math.sinh(t3 / 2.0)
+
+    def phi(tt):
+        return big_a * math.exp(tt / 2.0) + big_b * math.exp(-tt / 2.0)
+
+    # roots of A x + B / x = c over x = e^{t/2} > 0, for c = +-2
+    cuts = [2.0 * math.log(x) for c in (2.0, -2.0)
+            for x in _positive_roots(big_a, -c, big_b)]
+    if not cuts:
+        return None
+    lo, hi = min(cuts), max(cuts)
+    # the sublevel set {|phi| <= 2} contains [lo, hi] between extreme cuts
+    # whenever phi is monotone (AB < 0); for AB > 0 it is exactly the span
+    # of the two roots on the relevant side.  Width >= 2*a1 by the window
+    # condition, so the residue class of t1 meets it.
+    width = 2.0 * a1
+    n = math.ceil((lo - t1) / width) - 1
+    while t1 + n * width < hi + WINDOW_END_SLACK:
+        cc = t1 + n * width
+        if cc >= lo - WINDOW_START_SLACK and abs(phi(cc)) <= 2.0 + TRACE_BAND:
+            return cc
+        n += 1
+    return None

@@ -42,8 +42,6 @@ LINK_TOL = 1e-6
 MU_MIN = 1e-4
 # |delta| of new half-lengths at which a re-coordinatisation stalls as flat
 RECOORD_FLAT_BAND = 1e-7
-# slack on the polygon strategies' analytic conditions
-STRATEGY_SLACK = 1e-12
 # half-length excess over B2_HALF that search_nonhyperbolic still accepts
 B2_HALF_SLACK = 1e-12
 # twist past the bandwidth window's upper cut that its scan still reaches

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from srk import genus2, hyptrig, inequalities, pants, search, torus
+from srk import _grids, genus2, hyptrig, inequalities, pants, search, torus
 from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
 from srk.psl2r import mmul, mtrace
 
@@ -277,7 +277,7 @@ def test_criterion_06_paper_constants():
                            genus2.trace_curve_matrix(r2, f"delta{pivot}"))
         ok &= worst_tr <= cap(a3) + 1e-9
     # (b) mixed-case cap at the reported Bers value
-    ok &= 2.0 + 2.0 * search.COSH_B2_HALF <= 11.35 + 0.01
+    ok &= 2.0 + 2.0 * _grids.COSH_B2_HALF <= 11.35 + 0.01
     # (c) the Phi threshold crosses 9 near a3 = 1.459
     ok &= inequalities.phi_max_over_a1(1.449) < 9.0
     ok &= inequalities.phi_max_over_a1(1.469) > 9.0
@@ -403,7 +403,7 @@ def test_criterion_10_bound_validity():
         a = sample_a(TRI_P, rng, 1.9)
         t = tuple(rng.uniform(-1.5, 1.5, 3))
         rep = genus2.build_glued(TRI_P, EU_MINUS1, a, t)
-        bounds, _ = search.boum_bound(a, t)
+        bounds, _ = inequalities.boum_bound(a, t)
         for i in range(3):
             if abs(genus2.trace_curve_matrix(rep, f"beta{i+1}")) \
                     > bounds[i] + 1e-9:
@@ -441,7 +441,7 @@ def test_criterion_10_bound_validity():
         a1 = rng.uniform(0.4, 2.0)
         b2 = rng.uniform(0.4, 2.0)
         t3 = rng.uniform(-2.0, 2.0)
-        t1 = search.bandwidth_window(a1, b2, t3, t1=rng.uniform(-3, 3))
+        t1 = inequalities.bandwidth_window(a1, b2, t3, t1=rng.uniform(-3, 3))
         if t1 is None:
             continue
         opened += 1

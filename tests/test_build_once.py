@@ -478,10 +478,34 @@ def _all_combination_fit(eps_pair, a_new, targets):
     return best and (build_glued(*eps_pair, a_new, best[0]), best[1])
 
 
+# records from the benchmark's corner corpus whose searches re-coordinatise
+# once: the lattice step leaves about one corner search in 3000 to the fit
+LINKING = [
+    ("Eu0PlusTriangle", "EuMinus1",
+     (2.177271425843055, 2.0216335715832017, 2.2096542923498688),
+     (1.1546330313413034, 0.7929074417928108, 1.2030657845188415)),
+    ("Eu0MinusTriangle", "EuPlus1",
+     (2.1586917835799397, 2.1805017854172615, 2.189178872070682),
+     (1.1132127056456316, 1.0162646373150839, 0.9380069051012798)),
+    ("Eu0PlusTriangle", "Eu0MinusTriangle",
+     (2.1750322387098557, 2.0751280116119153, 2.130530884994086),
+     (1.0466397691676281, 0.5715379794039412, 0.8929889601796077)),
+    ("Eu0PlusTriangle", "Eu0MinusTriangle",
+     (2.1735389522114072, 2.1197692698793356, 2.1261902423297268),
+     (1.0828189227367453, 0.602374444294763, 1.112120497148993)),
+    ("Eu0PlusTriangle", "Eu0MinusTriangle",
+     (2.089429656913838, 2.0322541740548883, 2.156651200104319),
+     (0.7820571596775734, -2.9915930392514705, 0.4390226505913333)),
+    ("Eu0MinusTriangle", "EuPlus1",
+     (2.204489354493055, 2.1914092499559734, 2.2164474333886686),
+     (-1.0452622268286174, -1.1872732107771364, -1.2462270473956738)),
+]
+
+
 def _search_reps(seed, n):
     """Seeded search records: the eight search pairs with every
     half-length at most B2_HALF, then the four Bers-corner pairs with every
-    half-length in [1.9, B2_HALF], where re-coordinatisations are common."""
+    half-length in [1.9, B2_HALF], then the `LINKING` records."""
     rng = np.random.default_rng(seed)
     search_pairs = [("EuPlus1", "EuMinus1"),
                     ("Eu0PlusTriangle", "Eu0MinusTriangle"),
@@ -504,6 +528,9 @@ def _search_reps(seed, n):
             if eps[0].kind != "tri" or hyptrig.delta_invariant(*a) > 0.02:
                 break
         reps.append(build_glued(*eps, a, rng.uniform(-3.0, 3.0, 3)))
+    for eps1, eps2, a, t in LINKING:
+        reps.append(build_glued(case_from_string(eps1),
+                                case_from_string(eps2), a, t))
     return reps
 
 

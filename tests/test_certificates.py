@@ -30,6 +30,12 @@ TWO_ROUNDS = ROOT / "tests" / "data" / "certificate_two_rounds.json"
 # 1.9586
 CI_RECORD = {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
              "t": [0.3, -0.2, 0.5]}
+# a corner record whose search re-coordinatises once, then finds delta_3
+LINK_RECORD = {"eps": ["Eu0PlusTriangle", "EuMinus1"],
+               "a": [2.177271425843055, 2.0216335715832017,
+                     2.2096542923498688],
+               "t": [1.1546330313413034, 0.7929074417928108,
+                     1.2030657845188415]}
 
 
 def _load_corpus():
@@ -87,15 +93,15 @@ def _first(data: dict, where: str) -> dict:
 
 class TestFormat:
     def test_snapshots_record_coordinates_only(self):
-        data = json.loads(TWO_ROUNDS.read_text())
-        snap = data["initial"]
-        rep = genus2.build_glued(*map(pants.case_from_string, snap["eps"]),
-                                 snap["a"], snap["t"])
-        out = search_nonhyperbolic(rep)
-        assert out.rounds == 2
+        out = search_nonhyperbolic(GluedRep.from_json(json.dumps(LINK_RECORD)))
+        assert out.rounds == 1
         fresh = json.loads(out.certificate.to_json())
         assert [sorted(s) for s in _snapshots(fresh)] == \
-            [["a", "eps", "t"]] * 3
+            [["a", "eps", "t"]] * 2
+        # two links: the committed certificate, as srk writes it back
+        cert = Certificate.from_json(TWO_ROUNDS.read_text())
+        assert [sorted(s) for s in _snapshots(json.loads(cert.to_json()))] \
+            == [["a", "eps", "t"]] * 3
 
     def test_the_committed_certificate_replays(self):
         """An older srk wrote its coordinates and moves; stripped of X, Y,
@@ -109,11 +115,13 @@ class TestFormat:
             [1.702247232060472e-10, 2.1039880948592327e-10], rel=1e-2)
 
     def test_corpus_certificates_hold_the_grammar_keys(self):
-        """Every fresh certificate of the benchmark's search corpora has
-        exactly the grammar's keys in each snapshot and move."""
+        """Every fresh certificate of the benchmark's search corpora, and
+        of a record that re-coordinatises, has exactly the grammar's keys
+        in each snapshot and move."""
         corpus = _load_corpus()
-        records = corpus.search_corpus(101, 1500) + \
-            corpus.corner_corpus(101, 750)
+        records = (corpus.search_corpus(101, 1500)
+                   + corpus.corner_corpus(101, 750)
+                   + [{"text": json.dumps(LINK_RECORD)}])
         kinds = set()
         for rec in records:
             out = search_nonhyperbolic(GluedRep.from_json(rec["text"]))
@@ -259,8 +267,9 @@ class TestPantsMemo:
         same bits with the memo as after clearing it, and each pants the
         replay finds in the memo equals a fresh build, solution included."""
         corpus = _load_corpus()
-        records = corpus.search_corpus(101, 1500) + \
-            corpus.corner_corpus(101, 750)
+        records = (corpus.search_corpus(101, 1500)
+                   + corpus.corner_corpus(101, 750)
+                   + [{"text": json.dumps(LINK_RECORD)}])
         replayed = 0
         for rec in records:
             rep = GluedRep.from_json(rec["text"])

@@ -469,16 +469,25 @@ class TestSingleEvaluator:
         assert report["trace"] == pytest.approx(cert.trace, rel=1e-12)
 
     def test_certificate_json_roundtrip_replays(self):
-        snap = json.loads(
-            (Path(__file__).parent / "data" / "certificate_two_rounds.json")
-            .read_text())["initial"]
-        rep = build_glued(*(pants.case_from_string(s) for s in snap["eps"]),
-                          snap["a"], snap["t"])
+        # a fresh search that re-coordinatises once, on a corner record
+        rep = build_glued(PantsCase("tri", 1), EU_MINUS1,
+                          (2.177271425843055, 2.0216335715832017,
+                           2.2096542923498688),
+                          (1.1546330313413034, 0.7929074417928108,
+                           1.2030657845188415))
         out = search_nonhyperbolic(rep)
-        assert out.rounds == 2
+        assert out.rounds == 1
         back = Certificate.from_json(out.certificate.to_json())
         assert back == out.certificate
         assert replay_certificate(back)["ok"]
+        # two links: the certificate an older search wrote
+        text = (Path(__file__).parent / "data"
+                / "certificate_two_rounds.json").read_text()
+        cert = Certificate.from_json(text)
+        back = Certificate.from_json(cert.to_json())
+        assert back == cert
+        report = replay_certificate(back)
+        assert report["ok"] and len(report["link_errors"]) == 2
 
     def test_search_logs_the_normalising_twists(self):
         rep = build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.1, 1.2),

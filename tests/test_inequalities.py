@@ -6,7 +6,7 @@ import pytest
 
 from srk import _grids
 from srk.inequalities import verify_paper_inequalities
-from srk.search import REGION_A3_MAX, line_l1, line_l2
+from srk._grids import REGION_A3_MAX, line_l1, line_l2
 
 
 @pytest.fixture(scope="module")

@@ -10,18 +10,45 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srk import genus2, hyptrig, pants, search
+from srk import _grids, genus2, hyptrig, pants, search
 import srk.search
+from srk._grids import line_l1, line_l2
+from srk.inequalities import bandwidth_window, boum_bound
 from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
 from srk.search import (B2_HALF, Certificate, FoundCurve, OutOfScopeError,
-                        bandwidth_window, boum_bound,
-                        intervals_test, line_l1, line_l2,
-                        region_of, replay_certificate, search_nonhyperbolic)
+                        replay_certificate, search_nonhyperbolic)
 
 rng = np.random.default_rng(2718)
 
 PC = PantsCase
 CH, SH = math.cosh, math.sinh
+
+
+# records near the Bers corner, from the benchmark's corner corpus, that no
+# torus window and no twist of the lattice step concludes on: each search
+# re-coordinatises once on the dual curve triple, then finds a curve
+LINKING = [
+    {"eps": ["Eu0PlusTriangle", "EuMinus1"],
+     "a": [2.177271425843055, 2.0216335715832017, 2.2096542923498688],
+     "t": [1.1546330313413034, 0.7929074417928108, 1.2030657845188415]},
+    {"eps": ["Eu0PlusTriangle", "Eu0MinusTriangle"],
+     "a": [2.1750322387098557, 2.0751280116119153, 2.130530884994086],
+     "t": [1.0466397691676281, 0.5715379794039412, 0.8929889601796077]},
+    {"eps": ["Eu0PlusTriangle", "Eu0MinusTriangle"],
+     "a": [2.1338511894921486, 2.1394742638119824, 2.1308679337340375],
+     "t": [0.7234787346138236, 0.7024305422652244, 0.8023916170624776]},
+    {"eps": ["Eu0MinusTriangle", "EuPlus1"],
+     "a": [2.1586917835799397, 2.1805017854172615, 2.189178872070682],
+     "t": [1.1132127056456316, 1.0162646373150839, 0.9380069051012798]},
+]
+# the record that re-coordinatises once, with one link error of 4.4e-14
+RECOORD = LINKING[0]
+# written by an older search: two re-coordinatisation links
+TWO_ROUNDS = Path(__file__).parent / "data" / "certificate_two_rounds.json"
+
+
+def _rep(record):
+    return genus2.GluedRep.from_json(json.dumps(record))
 
 
 def sample_tri_a(rng, lo=0.3, hi=B2_HALF):
@@ -94,36 +121,10 @@ class TestBandwidthWindow:
 
 
 class TestIntervalsAndRegions:
-    def test_dispositions(self):
-        small = (0.8, 1.0, 1.4)
-        assert intervals_test(small, 0.0) == ("separating_small", None)
-        # bands only engage above the separating window u3 <= 2
-        big = (1.9, 2.0, 2.2)
-        assert intervals_test(big, CH(1.9) - 1.0) == ("bandwidth", 1)
-        assert intervals_test(big, CH(2.0) + 1.0 - 1e-9) == ("bandwidth", 2)
-        assert intervals_test(big, 100.0) == ("dichotomy", None)
-
-    def test_dichotomy_region_always_disposed(self):
-        # small sides: the intervals overlap, so u3 always lands somewhere
-        a = (0.8, 1.0, 1.4)
-        assert CH(0.8) <= 3.0 and CH(1.0) <= CH(0.8) + 2.0
-        sol = hyptrig.solve_hexagon(*a)
-        for t3 in np.linspace(-1.4, 1.4, 200):
-            u3 = sol.heron * SH(abs(t3) / 2) / SH(1.4)
-            disp, _ = intervals_test(a, u3)
-            assert disp in ("separating_small", "bandwidth")
-
     def test_phi_threshold_near_1459(self):
         from srk.inequalities import phi_max_over_a1
         assert phi_max_over_a1(1.449) < 9.0
         assert phi_max_over_a1(1.469) > 9.0
-
-    def test_region_cover_and_partition(self):
-        for _ in range(4000):
-            a3 = rng.uniform(0.05, 2.23)
-            a1 = rng.uniform(0.01, a3)
-            a2 = rng.uniform(a1, a3)
-            assert region_of(a1, a2, a3) in ("X1", "X2", "X3", "X4")
 
     def test_region_lines(self):
         assert line_l1(1.695) == pytest.approx(1.18)
@@ -204,11 +205,11 @@ class TestDoubledTriangleData:
 
     def test_iso_lambda_root(self):
         # largest root of cosh(x)^2 = sinh(x) sinh(a3) at sinh(a3) = 2
-        lam = search._iso_lambda(2.0)
+        lam = _grids._iso_lambda(2.0)
         assert CH(lam) ** 2 == pytest.approx(2.0 * SH(lam), abs=1e-10)
         assert lam >= math.asinh(1.0)
-        with pytest.raises(search.SearchError):
-            search._iso_lambda(1.5)
+        with pytest.raises(ValueError):
+            _grids._iso_lambda(1.5)
         # against the closed form and a bisection of f = cosh^2 - s sinh,
         # which is <= 0 at asinh(1) and 1 at asinh(s), over s in [2, 20];
         # at s = 2 the root is double and a bisection only finds it to ~1e-8
@@ -221,7 +222,7 @@ class TestDoubledTriangleData:
                     lo = mid
                 else:
                     hi = mid
-            lam = search._iso_lambda(s)
+            lam = _grids._iso_lambda(s)
             assert lam == pytest.approx(closed, rel=1e-12)
             assert lam == pytest.approx(lo, abs=1e-7 if s == 2.0 else 1e-12)
             assert CH(lam) ** 2 == pytest.approx(s * SH(lam), rel=1e-12)
@@ -278,41 +279,32 @@ class TestSearchEndToEnd:
             search_nonhyperbolic(rep)
 
     def test_multi_round_descent(self):
-        # near the Bers corner the polygon strategies engage and the search
-        # re-coordinatises on the dual curve triple before concluding
-        hard = [
-            ((2.198357685272788, 2.0959027896033517, 2.0510531380398436),
-             (1.6175391777729755, 1.3997193333038709, 1.527668421916658), 1),
-            ((2.093250468557487, 2.1264520637935904, 2.020753959571758),
-             (-1.6226775954328718, -1.495973116882266, -1.8424879178000826),
-             2),
-            ((2.100260727481017, 2.094002255072442, 2.192444177381235),
-             (-1.7656058694910144, -1.8770951274596857, -1.5944732330287885),
-             2),
-        ]
-        for a, t, expect_rounds in hard:
-            rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, a, t)
-            out = search_nonhyperbolic(rep)
+        # near the Bers corner, where neither a torus window nor the lattice
+        # step concludes, the search re-coordinatises on the dual curve
+        # triple before concluding
+        for record in LINKING:
+            out = search_nonhyperbolic(_rep(record))
             assert isinstance(out, FoundCurve)
-            assert out.rounds == expect_rounds
+            assert out.rounds == 1
             assert any(mv["kind"] == "recoordinatize"
                        for mv in out.certificate.moves)
             assert replay_certificate(out.certificate)["ok"]
+        # two links: the certificate an older search wrote
+        report = replay_certificate(Certificate.from_json(
+            TWO_ROUNDS.read_text()))
+        assert report["ok"] and len(report["link_errors"]) == 2
 
     @pytest.mark.parametrize("eps1,a,t,kind", [
-        (EU_PLUS1,
-         (2.093250468557487, 2.1264520637935904, 2.020753959571758),
-         (-1.6226775954328718, -1.495973116882266, -1.8424879178000826),
-         FoundCurve),
-        (PantsCase("tri", 1),
-         (1.908404397457957, 2.153087053993022, 2.210361055660192),
-         (1.9268671253769547, -1.7233252044846268, -1.7505724989637994),
-         search.Stalled),
+        (PantsCase("tri", 1), RECOORD["a"], RECOORD["t"], FoundCurve),
+        (PantsCase("tri", 1), RECOORD["a"], RECOORD["t"], search.Stalled),
     ])
-    def test_history_is_returned(self, eps1, a, t, kind):
+    def test_history_is_returned(self, monkeypatch, eps1, a, t, kind):
         """Both outcomes carry the decision trace of a re-coordinatising
         search; its twist moves are the certificate's, and the certificate
-        JSON leaves it out."""
+        JSON leaves it out.  The stall is forced: with no round to spare,
+        the search stalls right after its first link."""
+        if kind is search.Stalled:
+            monkeypatch.setattr(search, "MAX_ROUNDS", 0)
         out = search_nonhyperbolic(genus2.build_glued(eps1, EU_MINUS1, a, t))
         assert isinstance(out, kind) and out.rounds >= 1
         moves = [(h["i"], h["k"]) for h in out.history
@@ -368,24 +360,6 @@ class TestRareStrategies:
             assert replay_certificate(out.certificate)["ok"]
         return hits
 
-    def test_isosceles0(self):
-        # (+1, -1) with cosh a_mid > cosh a_min + 2 and cosh a_min <= 3:
-        # the interval test's isosceles branch
-        rng = np.random.default_rng(31)
-
-        def draws(n):
-            while n:
-                a_min = rng.uniform(0.3, 1.65)
-                a_mid = math.acosh(CH(a_min) + 2.0 + rng.uniform(0.0, 1.5))
-                if a_mid > B2_HALF:
-                    continue
-                a = np.array([a_min, a_mid, rng.uniform(a_mid, B2_HALF)])
-                yield (EU_PLUS1, EU_MINUS1, tuple(a[rng.permutation(3)]),
-                       tuple(rng.uniform(-3, 3, 3)))
-                n -= 1
-
-        assert self._hits("isosceles0", draws(1500)) >= 10
-
     def test_flat_twist(self):
         # both pants flat (a_3 = a_1 + a_2) with wide twists, so that
         # delta_3 often starts outside the torus window
@@ -413,7 +387,8 @@ def _found(record):
 
 class TestRareBranches:
     """Records that reach branches neither the samplers above nor the
-    bench corpora reach."""
+    bench corpora reach, and records the paper's polygon strategies
+    stalled on or escaped from."""
 
     @pytest.mark.parametrize("record", [
         {"eps": ["Eu0LowerFlat(-1)", "EuMinus1"],
@@ -429,35 +404,46 @@ class TestRareBranches:
         assert {"move": "strategy", "id": "flat_twist"} in out.history
         assert (out.rounds, out.word) == (0, [["delta3", 1]])
 
-    @pytest.mark.parametrize("record, rounds, positive, escape", [
-        ({"eps": ["EuMinus1", "Eu0MinusTriangle"],
-          "a": [1.937157798423551, 1.8740627376227528, 1.9715050926779945],
-          "t": [-1.6574273391425292, -1.8037046755639752,
-                -1.6153880670178788]}, 1, True, (-1, 0)),
-        ({"eps": ["Eu0MinusTriangle", "EuMinus1"],
-          "a": [2.1071585971702147, 1.9447414783259165, 2.1216197340641902],
-          "t": [-2.089016312360866, -1.3658665239366967,
-                -2.1074513120520897]}, 0, False, (1, 0)),
-    ], ids=["positive_sum", "negative_sum"])
-    def test_equilateral1_escape(self, monkeypatch, record, rounds, positive,
-                                 escape):
-        # the escape twists (t_j, t_k) back toward the corner square: by
-        # -1 on t_j when t_j + t_k > 0 and t_j > 0, by +1 when both < 0
-        seen = []
-
-        def spy(tj, tk, *args):
-            esc = real(tj, tk, *args)
-            if esc is not None:
-                seen.append((tj + tk > 0.0, esc))
-            return esc
-
-        real = search._polygon_escape
-        monkeypatch.setattr(search, "_polygon_escape", spy)
-        out = _found(record)
-        assert seen == [(positive, escape)]
-        assert out.history[-1] == {"move": "strategy", "id": "equilateral1",
-                                   "branch": "escape", "beta": 2}
-        assert (out.rounds, out.word) == (rounds, [["beta2", 1]])
+    @pytest.mark.parametrize("record", [
+        # the corner corpus's stalls under the paper's polygon strategies,
+        # each "equilateral1 escape trace" with |tr| just above 3; the first
+        # is CI's stall record
+        {"eps": ["Eu0PlusTriangle", "EuMinus1"],
+         "a": [1.908404397457957, 2.153087053993022, 2.210361055660192],
+         "t": [1.9268671253769547, -1.7233252044846268,
+               -1.7505724989637994]},
+        {"eps": ["Eu0PlusTriangle", "EuMinus1"],
+         "a": [2.022423349074833, 2.0921631017842706, 2.085923768674561],
+         "t": [1.770546325487663, -2.511640826265828, -2.3935423077134885]},
+        {"eps": ["Eu0MinusTriangle", "EuPlus1"],
+         "a": [2.083799301410556, 1.9324702994283094, 1.942171576097855],
+         "t": [1.955538475347307, 1.7077523583798158, -2.2376280912226836]},
+        {"eps": ["Eu0PlusTriangle", "EuMinus1"],
+         "a": [2.014648630993693, 2.017007243554485, 2.0813994119461103],
+         "t": [-1.7219332563115874, -1.6672860420686642,
+               -1.9133801776240764]},
+        {"eps": ["Eu0PlusTriangle", "EuMinus1"],
+         "a": [2.028428891229098, 2.1166358067163, 2.0662267525898144],
+         "t": [-1.9246082283853936, 2.324330017497145,
+               -1.8501602396955705]},
+        {"eps": ["Eu0PlusTriangle", "EuMinus1"],
+         "a": [2.1182321256577445, 2.135250886987239, 1.9325086365248751],
+         "t": [1.780602055401058, 1.8928754696368486, 1.919971377213649]},
+        # the polygon escape along beta_2, from a positive and a negative
+        # twist sum
+        {"eps": ["EuMinus1", "Eu0MinusTriangle"],
+         "a": [1.937157798423551, 1.8740627376227528, 1.9715050926779945],
+         "t": [-1.6574273391425292, -1.8037046755639752,
+               -1.6153880670178788]},
+        {"eps": ["Eu0MinusTriangle", "EuMinus1"],
+         "a": [2.1071585971702147, 1.9447414783259165, 2.1216197340641902],
+         "t": [-2.089016312360866, -1.3658665239366967,
+               -2.1074513120520897]},
+    ], ids=["corner_stall_ci", "corner_stall_2", "corner_stall_3",
+            "corner_stall_4", "corner_stall_5", "corner_stall_6",
+            "positive_sum", "negative_sum"])
+    def test_found_curve(self, record):
+        _found(record)
 
 
 def _curve_trace(p1, p2, t, tag):
@@ -518,11 +504,6 @@ class TestFitRoots:
         assert small == pytest.approx(1e-9, rel=1e-15)
 
 
-# one re-coordinatisation, replay ok with one link error of 6.9e-14
-RECOORD_A = (2.198357685272788, 2.0959027896033517, 2.0510531380398436)
-RECOORD_T = (1.6175391777729755, 1.3997193333038709, 1.527668421916658)
-
-
 class TestLinkGaps:
     """A link gap that is not finite fails the fit and the replay, wherever
     it sits among the nine."""
@@ -553,7 +534,7 @@ class TestLinkGaps:
         monkeypatch.setattr(search, "_link_targets", nan_beta2)
 
     def _recoord_rep(self):
-        return genus2.build_glued(EU_PLUS1, EU_MINUS1, RECOORD_A, RECOORD_T)
+        return _rep(RECOORD)
 
     def test_fit_refuses_a_nan_target(self, monkeypatch):
         assert search_nonhyperbolic(self._recoord_rep()).rounds == 1
@@ -570,10 +551,13 @@ class TestLinkGaps:
             replay_certificate(cert)
 
 
-@pytest.mark.parametrize("a, t", [
-    ((1.0, 1.1, 1.2), (0.3, -0.2, 0.5)), ((1.0, 1.1, 1.2), (2.5, -3.0, 7.1)),
-    (RECOORD_A, RECOORD_T)], ids=["placed", "wide", "recoord"])
-def test_twist_counts_once_per_rep(monkeypatch, a, t):
+@pytest.mark.parametrize("record", [
+    {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
+     "t": [0.3, -0.2, 0.5]},
+    {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
+     "t": [2.5, -3.0, 7.1]},
+    RECOORD], ids=["placed", "wide", "recoord"])
+def test_twist_counts_once_per_rep(monkeypatch, record):
     """`classify_scope`, `normalize_twists` and the move log share one count
     per rep: the input rep is counted once, then the rep of each later
     round once."""
@@ -585,7 +569,7 @@ def test_twist_counts_once_per_rep(monkeypatch, a, t):
         return count_twists(rep)
 
     monkeypatch.setattr(genus2, "_count_twists", counting)
-    rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, a, t)
+    rep = _rep(record)
     out = search_nonhyperbolic(rep)
     assert isinstance(out, FoundCurve)
     assert counted[0] is rep
@@ -607,11 +591,6 @@ def _run_fresh(code: str) -> str:
     return proc.stdout
 
 
-# the re-coordinatising record: its search concludes in round 1
-RECOORD = ("(2.198357685272788, 2.0959027896033517, 2.0510531380398436), "
-           "(1.6175391777729755, 1.3997193333038709, 1.527668421916658)")
-
-
 def test_no_scipy_import():
     # srk computes every root in closed form: import, a re-coordinatising
     # search and `srk verify` load no scipy module
@@ -619,8 +598,7 @@ def test_no_scipy_import():
         import contextlib, io, sys
         import srk
         from srk import cli, genus2, search
-        from srk.pants import EU_MINUS1, EU_PLUS1
-        rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, {RECOORD})
+        rep = genus2.GluedRep.from_json({json.dumps(RECOORD)!r})
         out = search.search_nonhyperbolic(rep)
         assert isinstance(out, search.FoundCurve) and out.rounds == 1
         with contextlib.redirect_stdout(io.StringIO()):
@@ -638,9 +616,8 @@ def test_no_numpy_import(tmp_path):
         import contextlib, io, sys
         import srk
         from srk import cli, genus2
-        from srk.pants import EU_MINUS1, EU_PLUS1
         seen = ["numpy" in sys.modules]
-        rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, {RECOORD})
+        rep = genus2.GluedRep.from_json({json.dumps(RECOORD)!r})
         tmp = {str(tmp_path)!r}
         with open(tmp + "/rep.json", "w") as fh:
             fh.write(rep.to_json())
