@@ -41,8 +41,9 @@ class PantsError(PSL2Error):
 
 class CocycleResidualError(PantsError):
     """The edge matrices miss the cocycle relations by more than rounding
-    allows: the half-lengths are outside the float build's range (too long
-    or too short), though the record is valid."""
+    allows, or a polygon side they translate by overflows: the half-lengths
+    are outside the float build's range (too long or too short), though the
+    record is valid."""
 
 
 class PantsCase(NamedTuple):
@@ -242,25 +243,34 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
                          f"{case.stratum}, got {delta}")
 
     sol = None
-    if case.kind in ("plus1", "minus1"):
-        sol = hyptrig.solve_hexagon(*a)
-        x = _hexagon_matrices(sol.b, left=(case.kind == "minus1"))
-    elif case.kind == "tri":
-        sol = hyptrig.solve_triangle(*a)
-        x = _triangle_matrices(sol.theta, case.eps)
-    elif case.kind == "selfhex":
-        sol = hyptrig.solve_self_hexagon(*a)
-        x = _permuted(_selfhex_matrices_canonical, sol.d, long_shift(a),
-                      case.eps)
-    elif case.kind in ("flat_upper", "flat_lower", "flat_diag"):
-        shift = long_shift(a)
-        if case.kind == "flat_diag":
-            x = _permuted(lambda _a: (S, S, IDENTITY), a, shift)
+    try:
+        if case.kind in ("plus1", "minus1"):
+            sol = hyptrig.solve_hexagon(*a)
+            x = _hexagon_matrices(sol.b, left=(case.kind == "minus1"))
+        elif case.kind == "tri":
+            sol = hyptrig.solve_triangle(*a)
+            x = _triangle_matrices(sol.theta, case.eps)
+        elif case.kind == "selfhex":
+            sol = hyptrig.solve_self_hexagon(*a)
+            x = _permuted(_selfhex_matrices_canonical, sol.d, long_shift(a),
+                          case.eps)
+        elif case.kind in ("flat_upper", "flat_lower", "flat_diag"):
+            shift = long_shift(a)
+            if case.kind == "flat_diag":
+                x = _permuted(lambda _a: (S, S, IDENTITY), a, shift)
+            else:
+                x = _permuted(_flat_matrices_canonical, a, shift, case.eps,
+                              case.kind == "flat_lower")
         else:
-            x = _permuted(_flat_matrices_canonical, a, shift, case.eps,
-                          case.kind == "flat_lower")
-    else:
-        raise PantsError(f"unknown case kind {case.kind!r}")
+            raise PantsError(f"unknown case kind {case.kind!r}")
+    except PantsError:
+        raise
+    except PSL2Error as exc:
+        # a subnormal half-length: sinh a_j sinh a_k leaves the float
+        # range, and a polygon side (b_i or d_i) solves to inf, which no
+        # edge matrix translates by
+        raise CocycleResidualError(f"a polygon side overflows a float: "
+                                   f"{exc}") from exc
 
     res = _cocycle_residuals(a, x)
     # scaled like the Euler class relator check, by psl2r._relation_scale

@@ -328,6 +328,9 @@ def _replay(cert: Certificate, tol: float) -> Dict:
         kind = mv["kind"]
         if kind == "twist":
             rep = genus2.dehn_twist_gamma(rep, mv["i"], mv["k"])
+            t = rep.t[mv["i"] - 1]
+            if not math.isfinite(t):     # no rep is glued at an infinite twist
+                raise OverflowError(f"a twist move carries t_{mv['i']} to {t}")
         elif kind == "rotate":
             rep = genus2.rotate(rep, mv["shift"])
         elif kind == "recoordinatize":

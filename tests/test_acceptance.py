@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+from case_pairs import ALL_PAIRS
 
 from srk import _grids, genus2, hyptrig, inequalities, pants, search, torus
 from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
@@ -123,39 +124,11 @@ def test_criterion_02_formula_matrix_oracle():
             f"trace formulas across the nine cases, worst {worst:.2e}", t0)
 
 
-def _valid_pairs():
-    pairs = []
-    hexes = [EU_PLUS1, EU_MINUS1]
-    for e1 in hexes + [TRI_P, TRI_M]:
-        for e2 in hexes + [TRI_P, TRI_M]:
-            pairs.append((e1, e2))
-    for e1 in [SH_P, SH_M]:
-        for e2 in hexes + [SH_P, SH_M]:
-            pairs.append((e1, e2))
-            if e2 in hexes:
-                pairs.append((e2, e1))
-    for u in [FU_P, FU_M]:
-        for l in [FL_P, FL_M]:
-            pairs.append((u, l))
-            pairs.append((l, u))
-    for f in [FU_P, FU_M, FL_P, FL_M, FD]:
-        for h in hexes:
-            pairs.append((f, h))
-            pairs.append((h, f))
-    seen, out = set(), []
-    for p in pairs:
-        key = (str(p[0]), str(p[1]))
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
-
-
 def test_criterion_03_euler_calibration():
     """Milnor output equals eps1 + eps2 for all valid case pairs."""
     t0 = time.time()
     rng = np.random.default_rng(103)
-    pairs = _valid_pairs()
+    pairs = [tuple(map(pants.case_from_string, p)) for p in ALL_PAIRS]
     n_per = max(1000 // len(pairs) * len(pairs), 1000)  # total >= 1000 each
 
     checked = 0

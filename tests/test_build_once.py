@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 import pytest
+from case_pairs import ALL_PAIRS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,34 +25,6 @@ from srk.genus2 import (BETA_TAGS, CURVE_TAGS, GAMMA_TAGS, DELTA_TAGS,
                         GluedRep, build_glued, euler_class, sign_invariant,
                         trace_curve_matrix)
 from srk.pants import PantsCase, case_from_string
-
-HEX = ("EuPlus1", "EuMinus1")
-TRI = ("Eu0PlusTriangle", "Eu0MinusTriangle")
-SELFHEX = ("Eu0PlusSelfHex", "Eu0MinusSelfHex")
-UPPER = ("Eu0UpperFlat(+1)", "Eu0UpperFlat(-1)")
-LOWER = ("Eu0LowerFlat(+1)", "Eu0LowerFlat(-1)")
-DIAG = "Eu0DiagonalFlat"
-
-
-def _all_pairs():
-    """The ordered case-name pairs that glue."""
-    pairs = [(e1, e2) for e1 in HEX + TRI for e2 in HEX + TRI]
-    for e1 in SELFHEX:
-        for e2 in HEX + SELFHEX:
-            pairs.append((e1, e2))
-            if e2 in HEX:
-                pairs.append((e2, e1))
-    for u in UPPER:
-        for lo in LOWER:
-            pairs += [(u, lo), (lo, u)]
-    for f in UPPER + LOWER + (DIAG,):
-        for h in HEX:
-            pairs += [(f, h), (h, f)]
-    return list(dict.fromkeys(pairs))
-
-
-ALL_PAIRS = _all_pairs()
-assert len(ALL_PAIRS) == 56
 
 
 def _anchor(eps1: PantsCase, eps2: PantsCase) -> str:

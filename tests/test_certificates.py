@@ -26,10 +26,10 @@ from srk.search import (Certificate, OutOfScopeError, SearchError,
 ROOT = Path(__file__).resolve().parents[1]
 TWO_ROUNDS = ROOT / "tests" / "data" / "certificate_two_rounds.json"
 
-# the record that CI searches and replays: no moves, found beta_1 at trace
-# 1.9586
-CI_RECORD = {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
-             "t": [0.3, -0.2, 0.5]}
+# the record that the CLI tests search and replay: no moves, found beta_1 at
+# trace 1.9586
+ROUND0_RECORD = {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
+                 "t": [0.3, -0.2, 0.5]}
 # a corner record whose search re-coordinatises once, then finds delta_3
 LINK_RECORD = {"eps": ["Eu0PlusTriangle", "EuMinus1"],
                "a": [2.177271425843055, 2.0216335715832017,
@@ -46,8 +46,8 @@ def _load_corpus():
     return mod
 
 
-def _ci_certificate() -> dict:
-    out = search_nonhyperbolic(GluedRep.from_json(json.dumps(CI_RECORD)))
+def _round0_certificate() -> dict:
+    out = search_nonhyperbolic(GluedRep.from_json(json.dumps(ROUND0_RECORD)))
     return json.loads(out.certificate.to_json())
 
 
@@ -190,7 +190,7 @@ class TestTamperedCertificates:
         (_relabel(["Eu0PlusTriangle", "Eu0MinusTriangle"]), 1.4692),
         (_tamper_a, None)])
     def test_the_replay_builds_what_the_snapshot_names(self, spoil, trace):
-        data = _ci_certificate()
+        data = _round0_certificate()
         assert _replay(data)["ok"]
         spoil(data)
         report = _replay(data)
@@ -203,7 +203,7 @@ class TestTamperedCertificates:
         of the record's rep: beta_1 has the same trace there, so the
         certificate is true of the rep it names (only `srk replay
         --record` tells the two records apart)."""
-        data = _ci_certificate()
+        data = _round0_certificate()
         data["initial"]["eps"] = ["EuMinus1", "EuPlus1"]
         report = _replay(data)
         assert report["ok"] and report["trace"] == data["trace"]
@@ -212,7 +212,7 @@ class TestTamperedCertificates:
                                      ["Eu0PlusTriangle", "Eu0PlusSelfHex"],
                                      ["Eu0DiagonalFlat", "EuPlus1"]])
     def test_a_wrong_stratum_names_no_rep(self, eps):
-        data = _ci_certificate()
+        data = _round0_certificate()
         data["initial"]["eps"] = eps
         report = _replay(data)
         assert report["ok"] is False
@@ -248,14 +248,14 @@ class TestTamperedCertificates:
     def test_a_trivial_word_certifies_nothing(self, curve, trace):
         """A word that cancels freely to nothing is no closed curve, though
         its trace is 2 up to rounding."""
-        data = _ci_certificate()
+        data = _round0_certificate()
         data["curve"], data["trace"] = curve, trace
         assert _replay(data) == {"ok": False,
                                  "reason": "curve word reduces to the "
                                            "identity"}
 
     def test_half_lengths_outside_the_float_range(self):
-        data = _ci_certificate()
+        data = _round0_certificate()
         data["initial"]["a"] = [1e-3, 1.1e-3, 1.2e-3]
         with pytest.raises(OutOfScopeError, match="float build's range"):
             _replay(data)

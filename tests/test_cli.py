@@ -137,6 +137,12 @@ HUGE_RECORDS = [
       "t": [1e308, 0, 0]},
      {"classify": "out of range: trace of beta2 overflows",
       "search": "out of scope: twists (1e+308, 0.0, 0.0) are too large"}),
+    # sinh(1e-310) is subnormal: the hexagon sides b_2, b_3 solve to inf
+    ({"eps": ["EuPlus1", "EuMinus1"], "a": [1e-310, 1.0, 1.0],
+      "t": [0, 0, 0]},
+     dict.fromkeys(["classify", "search"],
+                   "out of range: half-lengths outside the float build's "
+                   "range (a polygon side overflows a float")),
 ]
 
 
@@ -286,10 +292,12 @@ def _huge_length(d):
 
 
 @pytest.mark.parametrize("spoil", [
-    # a link trace overflows to inf; a translation's exp reaches 0; cosh
-    # overflows
+    # a link trace overflows to inf; a translation's exp reaches 0; a twist
+    # reaches +-inf; cosh overflows
     pytest.param(_twists_of(200), id="k200"),
     pytest.param(_twists_of(1000000), id="k1e6"),
+    pytest.param(_twists_of(10 ** 308), id="k1e308"),
+    pytest.param(_twists_of(-10 ** 308), id="k-1e308"),
     pytest.param(_huge_length, id="a1e300")])
 def test_overflowing_certificate_is_out_of_scope(tmp_path, capsys, spoil):
     data = json.loads(CERTIFICATE.read_text())
@@ -330,8 +338,9 @@ def test_replay_fails_closed_on_a_bad_tol(tmp_path, tol):
     assert search.replay_certificate(good, tol=tol)["ok"] is False
 
 
-# CI's two records: one found at round 0, one that re-coordinatises once
-CI_RECORDS = [
+# the two records the CLI tests search: one found at round 0, one that
+# re-coordinatises once
+SEARCH_RECORDS = [
     {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
      "t": [0.3, -0.2, 0.5]},
     {"eps": ["Eu0PlusTriangle", "EuMinus1"],
@@ -353,7 +362,7 @@ def _searched(tmp_path, record):
     return rec, cert, proc.stdout
 
 
-@pytest.mark.parametrize("record", CI_RECORDS, ids=["round0", "recoord"])
+@pytest.mark.parametrize("record", SEARCH_RECORDS, ids=["round0", "recoord"])
 def test_search_output_is_the_certificate_and_its_replay(tmp_path, record):
     """`srk search` prints the certificate's JSON with the replay report
     added, as it did when it parsed the certificate's JSON back for it."""
@@ -392,12 +401,14 @@ def _initial_a(d):
     (_set_eps(["Eu0PlusSelfHex", "Eu0MinusSelfHex"]),
      "snapshot coordinates name no representation")])
 def test_tampered_certificate_fails_replay(tmp_path, capsys, spoil, reason):
-    _, cert, _ = _searched(tmp_path, CI_RECORDS[0])
+    _, cert, _ = _searched(tmp_path, SEARCH_RECORDS[0])
     data = json.loads(cert.read_text())
     spoil(data)
     cert.write_text(json.dumps(data))
     assert cli.main(["replay", str(cert)]) == 1
-    report = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
     assert report["ok"] is False
     if reason:
         assert report["reason"].startswith(reason)
@@ -417,10 +428,16 @@ def test_tampered_committed_certificate_fails_a_link(tmp_path, capsys,
         "recoordinatisation link"
 
 
-def test_snapshot_outside_the_float_range_is_out_of_scope(tmp_path, capsys):
-    _, cert, _ = _searched(tmp_path, CI_RECORDS[0])
+@pytest.mark.parametrize("a", [
+    # the cocycle residuals exceed their rounding bound
+    [1e-3, 1.1e-3, 1.2e-3],
+    # a polygon side solves to inf
+    [1e-310, 1.0, 1.0]], ids=["1e-3", "1e-310"])
+def test_snapshot_outside_the_float_range_is_out_of_scope(tmp_path, capsys,
+                                                          a):
+    _, cert, _ = _searched(tmp_path, SEARCH_RECORDS[0])
     data = json.loads(cert.read_text())
-    data["initial"]["a"] = [1e-3, 1.1e-3, 1.2e-3]
+    data["initial"]["a"] = a
     cert.write_text(json.dumps(data))
     assert cli.main(["replay", str(cert)]) == 3
     err = capsys.readouterr().err
@@ -429,7 +446,7 @@ def test_snapshot_outside_the_float_range_is_out_of_scope(tmp_path, capsys):
 
 class TestReplayRecord:
     def test_the_record_of_the_search(self, tmp_path, capsys):
-        rec, cert, _ = _searched(tmp_path, CI_RECORDS[1])
+        rec, cert, _ = _searched(tmp_path, SEARCH_RECORDS[1])
         assert cli.main(["replay", str(cert), "--record", str(rec)]) == 0
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
@@ -438,8 +455,8 @@ class TestReplayRecord:
         ("a", [1.0, 1.1, 1.25]),
         ("t", [0.3, -0.2, 0.5000000000000001])])
     def test_another_record_fails(self, tmp_path, capsys, key, value):
-        rec, cert, _ = _searched(tmp_path, CI_RECORDS[0])
-        other = dict(CI_RECORDS[0], **{key: value})
+        rec, cert, _ = _searched(tmp_path, SEARCH_RECORDS[0])
+        other = dict(SEARCH_RECORDS[0], **{key: value})
         rec.write_text(json.dumps(other))
         assert cli.main(["replay", str(cert), "--record", str(rec)]) == 1
         assert json.loads(capsys.readouterr().out) == {
@@ -449,7 +466,7 @@ class TestReplayRecord:
     def test_the_mirrored_labelling_needs_the_record(self, tmp_path, capsys):
         """(EuMinus1, EuPlus1) names the mirror image of the record's rep,
         whose beta_1 has the same trace: only the record rejects it."""
-        rec, cert, _ = _searched(tmp_path, CI_RECORDS[0])
+        rec, cert, _ = _searched(tmp_path, SEARCH_RECORDS[0])
         data = json.loads(cert.read_text())
         data["initial"]["eps"] = ["EuMinus1", "EuPlus1"]
         cert.write_text(json.dumps(data))
@@ -463,12 +480,14 @@ class TestReplayRecord:
     def test_a_trivial_word_fails(self, tmp_path, capsys, curve, trace):
         """The record matches, but a word that reduces freely to the
         identity is no closed curve."""
-        rec, cert, _ = _searched(tmp_path, CI_RECORDS[0])
+        rec, cert, _ = _searched(tmp_path, SEARCH_RECORDS[0])
         data = json.loads(cert.read_text())
         data.update(moves=[], curve=curve, trace=trace)
         cert.write_text(json.dumps(data))
         assert cli.main(["replay", str(cert), "--record", str(rec)]) == 1
-        assert json.loads(capsys.readouterr().out) == {
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out) == {
             "ok": False, "reason": "curve word reduces to the identity"}
 
     def test_integer_coordinates_match(self, tmp_path, capsys):
@@ -486,7 +505,7 @@ class TestReplayRecord:
                     "t": [0, 0, 0]}),
         None])
     def test_a_malformed_record_is_usage_error(self, tmp_path, capsys, text):
-        _, cert, _ = _searched(tmp_path, CI_RECORDS[0])
+        _, cert, _ = _searched(tmp_path, SEARCH_RECORDS[0])
         rec = tmp_path / "bad_rec.json"
         if text is not None:
             rec.write_text(text)
@@ -578,7 +597,7 @@ class TestStall:
             "No such file or directory\n"
 
 
-def _python_m_srk(argv, **kwargs):
+def _python_m_srk(argv, text=True, **kwargs):
     """Run `python -W error -m srk argv` in a fresh interpreter, its stdout
     block-buffered (Python's default) whatever PYTHONUNBUFFERED says."""
     src = str(Path(srk.__file__).resolve().parent.parent)
@@ -586,17 +605,71 @@ def _python_m_srk(argv, **kwargs):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
     return subprocess.run([sys.executable, "-W", "error", "-m", "srk",
-                           *argv], text=True, env=env, timeout=120, **kwargs)
+                           *argv], text=text, env=env, timeout=120, **kwargs)
 
 
-def test_python_m_srk_runs_without_warnings(rep_file):
+def _verify_golden(scale):
+    """The committed verify table for numpy's SIMD target: its AVX-512
+    kernels (SVML) round some float64 functions differently from the libm
+    that numpy calls without them."""
+    found = set(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
+    kernels = "" if found & {"X86_V4", "AVX512_SKX"} else ".no_avx512"
+    return CERTIFICATE.parent / f"verify_scale{scale}{kernels}.csv"
+
+
+def _replayed(links):
+    """A check that a replay report is ok with `links` link errors, each
+    below 1e-6."""
+    def check(out):
+        report = json.loads(out)
+        return report["ok"] is True and len(report["link_errors"]) == links \
+            and all(e < 1e-6 for e in report["link_errors"])
+    return check
+
+
+# each success command of the CLI with a check of what it writes (stdout,
+# or the --out file): RECi is SEARCH_RECORDS[i] and CERTi the certificate
+# `srk search RECi --out CERTi` writes
+@pytest.mark.parametrize("argv, check", [
+    pytest.param(["classify", "REC0"],
+                 lambda out: json.loads(out)["euler"] == 0, id="classify"),
+    pytest.param(["search", "REC0", "--out", "OUT"],
+                 lambda out: json.loads(out)["replay"]["ok"] is True,
+                 id="search"),
+    pytest.param(["replay", "CERT0"], _replayed(0), id="replay"),
+    pytest.param(["replay", "CERT0", "--record", "REC0"], _replayed(0),
+                 id="replay_record"),
+    pytest.param(["replay", str(CERTIFICATE)], _replayed(2),
+                 id="replay_committed"),
+    pytest.param(["search", "REC1", "--out", "OUT"],
+                 lambda out: json.loads(out)["replay"]["ok"] is True,
+                 id="search_recoord"),
+    pytest.param(["replay", "CERT1"], _replayed(1), id="replay_recoord"),
+    pytest.param(["orbit-stats", "--seed", "7", "--n", "6", "--length", "8"],
+                 lambda out: out == (CERTIFICATE.parent /
+                                     "orbits_seed7_n6_len8.csv").read_bytes(),
+                 id="orbit_stats"),
+    pytest.param(["verify", "--scale", "0.05", "--format", "csv"],
+                 lambda out: out == _verify_golden("0.05").read_bytes(),
+                 id="verify"),
+])
+def test_python_m_srk_runs_without_warnings(tmp_path, argv, check):
     """`python -m srk` runs the CLI in a fresh interpreter, with every
     warning an error (runpy warns when `-m` names a module the package
-    already imported)."""
-    proc = _python_m_srk(["classify", rep_file], capture_output=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
-    assert json.loads(proc.stdout)["euler"] == 0
+    already imported): exit 0, no stderr, and the output its check
+    expects."""
+    files = {"OUT": tmp_path / "out"}
+    for i, record in enumerate(SEARCH_RECORDS):
+        files[f"REC{i}"] = rec = tmp_path / f"rec{i}.json"
+        files[f"CERT{i}"] = cert = tmp_path / f"cert{i}.json"
+        rec.write_text(json.dumps(record))
+        assert cli.main(["search", str(rec), "--out", str(cert)]) == 0
+    proc = _python_m_srk([str(files.get(v, v)) for v in argv],
+                         text=False, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    if "OUT" in argv:
+        assert proc.stdout == b""
+    assert check(files["OUT"].read_bytes() if "OUT" in argv else proc.stdout)
 
 
 class TestOrbitStats:
@@ -784,16 +857,12 @@ class TestVerify:
     def test_golden_csv(self, tmp_path, scale):
         """The committed tables, written from whole-grid arrays: `_fl`
         prints 17 significant digits, so they pin every bit of every
-        margin, minimum and pad.  numpy's AVX-512 kernels (SVML) round some
-        float64 functions differently from the libm that numpy calls
-        without them, so each scale has a table for either."""
+        margin, minimum and pad.  Each scale has a table for either SIMD
+        target (`_verify_golden`)."""
         out = tmp_path / "verify.csv"
         assert cli.main(["verify", "--scale", scale, "--format", "csv",
                          "--out", str(out)]) == 0
-        found = set(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
-        kernels = "" if found & {"X86_V4", "AVX512_SKX"} else ".no_avx512"
-        golden = CERTIFICATE.parent / f"verify_scale{scale}{kernels}.csv"
-        assert out.read_bytes() == golden.read_bytes()
+        assert out.read_bytes() == _verify_golden(scale).read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

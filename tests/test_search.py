@@ -45,6 +45,7 @@ LINKING = [
 RECOORD = LINKING[0]
 # written by an older search: two re-coordinatisation links
 TWO_ROUNDS = Path(__file__).parent / "data" / "certificate_two_rounds.json"
+SAMPLER_STALLS = TWO_ROUNDS.parent / "sampler_stalls_e0be987.json"
 
 
 def _rep(record):
@@ -407,7 +408,7 @@ class TestRareBranches:
     @pytest.mark.parametrize("record", [
         # the corner corpus's stalls under the paper's polygon strategies,
         # each "equilateral1 escape trace" with |tr| just above 3; the first
-        # is CI's stall record
+        # is the record an earlier CI step searched with an unwritable --out
         {"eps": ["Eu0PlusTriangle", "EuMinus1"],
          "a": [1.908404397457957, 2.153087053993022, 2.210361055660192],
          "t": [1.9268671253769547, -1.7233252044846268,
@@ -443,6 +444,21 @@ class TestRareBranches:
             "corner_stall_4", "corner_stall_5", "corner_stall_6",
             "positive_sum", "negative_sum"])
     def test_found_curve(self, record):
+        _found(record)
+
+    @pytest.mark.parametrize("record", [
+        pytest.param(s["record"], id=f"draw{s['draw']}")
+        for s in json.loads(SAMPLER_STALLS.read_text())])
+    def test_sampler_stall_finds_a_curve(self, record):
+        """The 52 records on which the paper's polygon strategies stalled
+        (commit e0be987, each "equilateral1 escape trace"), among the first
+        20000 draws of the triangle-hexagon sampler: `random.Random(29)`;
+        the eight pairs `[(t, h) for t in TRI for h in HEX] + [(h, t) for t
+        in TRI for h in HEX]`, TRI = ("Eu0PlusTriangle",
+        "Eu0MinusTriangle"), HEX = ("EuPlus1", "EuMinus1"); each draw takes
+        `pairs[randrange(8)]`, then three a_i = uniform(1.6, 2.2254), then
+        s = choice([-1, 1]), then three t_i = s * uniform(a_i / 2, a_i).
+        Each id is the draw's index, from 0."""
         _found(record)
 
 
