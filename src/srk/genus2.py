@@ -20,7 +20,7 @@ the Euler class of the closed representation.
 A `GluedRep` is the one thing that gets evaluated: `curve_matrix` reads
 the words above off a rep and keeps each matrix in the rep's memo, and
 `GluedRep.loops` holds its co-based loops.  The search and the certificate
-replay move between reps with `dehn_twist_gamma` and `rotate`.
+replay move between reps with `dehn_twist_gamma`.
 
 Value objects are `__slots__` classes or named tuples.
 """
@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import json
 import math
-from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
-from . import hyptrig, psl2r
-from .hyptrig import long_shift, rotation
+from . import psl2r
+from .hyptrig import long_shift
 from .pants import PantsCase, PantsRep, build_pants, case_from_string
 from .psl2r import (PSL2Error, Quad, commutator, make_translation, minv, mmul,
                     mtrace)
@@ -72,7 +71,7 @@ class GluedRep:
                  t: Tuple[float, float, float]) -> None:
         self.p1, self.p2, self.t = p1, p2, t
         # the curve matrices evaluated so far, by tag: `curve_matrix` reads
-        # and fills it, `rotate` carries it over and the fit seeds it
+        # and fills it, and the fit seeds it
         self.quads: Dict[str, Quad] = {}
         # `loops`, `twist_counts` and `normalize_twists`, once computed
         self._loops = self._counts = self._normal = None
@@ -192,35 +191,6 @@ def build_glued(eps1: PantsCase, eps2: PantsCase,
     case1, case2 = pants_cases(eps1, eps2)
     t = tuple(float(x) for x in t)
     return GluedRep(build_pants(a, case1), build_pants(a, case2), t)
-
-
-def rotate(rep: GluedRep, shift: int) -> GluedRep:
-    """`rep` relabelled cyclically by `shift` (see `hyptrig.rotation`).
-
-    The relabelling is an exact symmetry of the cocycle equations, so the
-    built pants are permuted, not rebuilt: their matrices, half-lengths,
-    twists and solutions equal those `build_glued` gives on the relabelled
-    (a, t), bit for bit.  So do the curve words: the evaluated gamma, beta
-    and delta matrices carry over, re-keyed.  The co-based loops do not,
-    as the relabelling moves their base point.
-    """
-    perm = rotation(shift)
-    pick = itemgetter(*perm)
-
-    def permuted(p: PantsRep) -> PantsRep:
-        sol = p.solution and hyptrig.relabel(p.solution, perm)
-        return PantsRep(pick(p.a), p.case, pick(p.q), sol)
-
-    out = GluedRep(permuted(rep.p1), permuted(rep.p2), pick(rep.t))
-    retag = _RETAG[shift % 3]
-    out.quads.update((retag[tag], q) for tag, q in rep.quads.items())
-    return out
-
-
-# the new tag of each curve under `rotate` by each shift modulo 3: the new
-# index i names the old index rotation(shift)[i]
-_RETAG = [{tags[p]: tags[i] for tags in (GAMMA_TAGS, BETA_TAGS, DELTA_TAGS)
-           for i, p in enumerate(rotation(shift))} for shift in range(3)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ attached to index i is computed from the two sides with the other indices.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import NamedTuple, Sequence, Tuple, Union
 
 from .tolerances import CLAMP, DELTA_BAND
@@ -19,7 +18,7 @@ _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 def long_shift(v: Sequence[float]) -> int:
     """The cyclic shift (see `rotation`) that moves the first largest entry
     of `v` to index 2: the long-side-third frame of the self-hexagon and
-    flat formulas and of the search's alignment."""
+    flat formulas; the search's flat step twists along that side."""
     return (2 - max(range(3), key=v.__getitem__)) % 3
 
 
@@ -73,8 +72,7 @@ def delta_invariant(a1: float, a2: float, a3: float) -> float:
 
 
 # A solution is a named tuple of per-side triples only; the Heron terms and
-# the long side derive from the half-lengths `a`.  So a cyclic relabelling
-# of the sides permutes every field (`relabel`).
+# the long side derive from the half-lengths `a`.
 
 class HexagonSolution(NamedTuple):
     a: Tuple[float, float, float]
@@ -113,19 +111,6 @@ class SelfHexagonSolution(NamedTuple):
 
 
 Solution = Union[HexagonSolution, TriangleSolution, SelfHexagonSolution]
-
-
-def relabel(sol: Solution, perm: Sequence[int]) -> Solution:
-    """The solution for the sides (a_{perm[0]}, a_{perm[1]}, a_{perm[2]}),
-    perm a cyclic shift.
-
-    Each per-side value reads its two neighbours in cyclic order, or
-    through a two-factor product, which commutes exactly; so it moves with
-    its side unchanged, and the result equals solving the relabelled sides
-    afresh, bit for bit.
-    """
-    pick = itemgetter(*perm)
-    return type(sol)._make(map(pick, sol))
 
 
 def solve_hexagon(a1: float, a2: float, a3: float) -> HexagonSolution:

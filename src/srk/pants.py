@@ -265,10 +265,10 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
             raise PantsError(f"unknown case kind {case.kind!r}")
     except PantsError:
         raise
-    except PSL2Error as exc:
+    except (PSL2Error, ZeroDivisionError) as exc:
         # a subnormal half-length: sinh a_j sinh a_k leaves the float
         # range, and a polygon side (b_i or d_i) solves to inf, which no
-        # edge matrix translates by
+        # edge matrix translates by, or the product rounds to 0
         raise CocycleResidualError(f"a polygon side overflows a float: "
                                    f"{exc}") from exc
 

@@ -4,25 +4,26 @@ Entry point: `search_nonhyperbolic`.  Given a glued representation whose
 half-lengths are below the Bers bound and whose class is Euler +-1 or Euler
 0 of Minus sign, the search iterates
 
-    normalize twists -> align the largest half-length -> dispatch
+    normalize twists -> dispatch
 
-where the dispatch hands a separating curve of commutator trace in (2, 18]
-to the one-holed-torus reduction, twists flat pants along gamma_3 until
-delta_3 opens such a window, or takes the lattice step: for i = 1, 2, 3 it
-tries the twists (k_j, k_k) in {-1, 0, 1}^2 along the other two gammas,
-nearest first, and concludes on the first beta_i with |trace| <= 2.  When
-no lattice point does, the search certifies that the dual curve triple
-(beta_1, beta_2, beta_3) has strictly smaller traces and re-coordinatises
-on it.  The paper's theorem says that a curve exists; that the search finds
-one is measured on the benchmark's corpora, not proved.  Every terminal
+in the frame of its input.  The dispatch hands a separating curve of
+commutator trace in (2, 18] to the one-holed-torus reduction, twists flat
+pants along gamma_L, L the long side, until delta_L opens such a window,
+or takes the lattice step: for i = 1, 2, 3 it tries the twists (k_j, k_k)
+in {-1, 0, 1}^2 along the other two gammas, nearest first, and concludes
+on the first beta_i with |trace| <= 2.  When no lattice point does, the
+search certifies that the dual curve triple (beta_1, beta_2, beta_3) has
+strictly smaller traces and re-coordinatises on it.  The paper's theorem
+says that a curve exists; that the search finds one is measured on the
+benchmark's corpora, not proved.  Every terminal
 answer carries a certificate about the representation its coordinates name,
 holding only what the replay reads.  Each snapshot is a coordinate record
 (eps, a, t), and the replay builds its rep with `genus2.build_glued`, so it
 trusts `pants.build_pants` and hyptrig's solvers, and the 2x2 arithmetic
-after them.  It moves the rep with the search's own twist and rotation
-(`genus2.dehn_twist_gamma`, `genus2.rotate`), and checks each
-re-coordinatisation link with the fit's own `_worst_gap`.  Every curve is
-evaluated on a `GluedRep`, by `genus2.curve_matrix` and `GluedRep.loops`.
+after them.  It moves the rep with the search's own twist
+(`genus2.dehn_twist_gamma`), and checks each re-coordinatisation link
+with the fit's own `_worst_gap`.  Every curve is evaluated on a
+`GluedRep`, by `genus2.curve_matrix` and `GluedRep.loops`.
 """
 
 from __future__ import annotations
@@ -131,7 +132,6 @@ class Certificate:
 _SNAPSHOT_KEYS = frozenset(("eps", "a", "t"))
 # the keys of each kind of move: exactly what the replay reads
 _MOVE_KEYS = {"twist": frozenset(("kind", "i", "k")),
-              "rotate": frozenset(("kind", "shift")),
               "recoordinatize": frozenset(("kind", "relabel", "snapshot"))}
 
 
@@ -152,8 +152,6 @@ def _is_move(mv) -> bool:
         return False
     if kind == "twist":
         return mv["i"] in (1, 2, 3) and type(mv["i"]) is type(mv["k"]) is int
-    if kind == "rotate":
-        return type(mv["shift"]) is int
     rho = mv["relabel"]
     return (isinstance(rho, list) and set(map(type, rho)) <= {int}
             and sorted(rho) == [0, 1, 2] and _is_snapshot(mv["snapshot"]))
@@ -331,8 +329,6 @@ def _replay(cert: Certificate, tol: float) -> Dict:
             t = rep.t[mv["i"] - 1]
             if not math.isfinite(t):     # no rep is glued at an infinite twist
                 raise OverflowError(f"a twist move carries t_{mv['i']} to {t}")
-        elif kind == "rotate":
-            rep = genus2.rotate(rep, mv["shift"])
         elif kind == "recoordinatize":
             old, rep = rep, _rep_from_snapshot(mv["snapshot"])
             worst = _worst_gap(rep, genus2.CURVE_TAGS,
@@ -379,16 +375,6 @@ def _normalize(state: SearchState) -> None:
         if k:
             _log_twist(state, i + 1, k)
     state.rep = genus2.normalize_twists(state.rep)
-
-
-def _align(state: SearchState) -> None:
-    """Cyclic rotation putting the largest half-length at index 3."""
-    shift = long_shift(state.rep.a)
-    if shift == 0:
-        return
-    state.rep = genus2.rotate(state.rep, shift)
-    state.cert.moves.append({"kind": "rotate", "shift": shift})
-    state.history.append({"move": "rotate", "shift": shift})
 
 
 def _found(state: SearchState, word: List) -> FoundCurve:
@@ -463,27 +449,16 @@ def _torus_window(rep: GluedRep, k: int) -> Optional[str]:
 
 
 def dispatch(state: SearchState) -> str:
-    """Strategy id for the current (normalized, aligned) state: a torus
-    window, "flat_twist" for flat pants, else "lattice"."""
+    """Strategy id for the current (normalized) state: a torus window,
+    "flat_twist" for flat pants, else "lattice".  The windows read all
+    three delta curves, so no id depends on which side is long."""
     rep = state.rep
     for k in (3, 1, 2):
         route = _torus_window(rep, k)
         if route is not None:
             return route
-    kinds = {rep.eps1.kind, rep.eps2.kind}
-    if rep.euler_nominal == 0:
-        if kinds <= {"flat_upper", "flat_lower"}:
-            return "flat_twist"
-        if "selfhex" in kinds and "tri" not in kinds:
-            # the normalized delta_3 trace is at most 6.8 here, so the
-            # torus route above must have fired
-            raise SearchError("self-intersecting Euler 0 case missed the "
-                              "separating route")
-    elif kinds & {"flat_upper", "flat_lower", "flat_diag"}:
+    if rep.eps1.is_flat or rep.eps2.is_flat:
         return "flat_twist"
-    elif "selfhex" in kinds:
-        raise SearchError("Euler +-1 with negative delta invariant missed "
-                          "the separating route")
     return "lattice"
 
 
@@ -525,21 +500,26 @@ def _torus_route(state: SearchState, k: int, complement: bool = False):
 # ---------------------------------------------------------------------------
 
 def flat_twist_step(state: SearchState):
-    """Twist along gamma_3 until the delta_3 trace enters the torus window.
+    """Twist along gamma_L until the delta_L trace enters the torus window,
+    L the long side (the first largest a_L, as `long_shift` picks it).
 
-    On the flat stratum tr delta_3 = L + C e^{-t_3} (or e^{+t_3}); against a
-    hexagon side |L| < 2, so a bounded number of twists brings the trace
-    into [-2, 18] and the separating route concludes.
+    On the flat stratum tr delta_L = c + C e^{-t_L} (or e^{+t_L}): the
+    formula stated with the long side third holds in any frame, as the
+    cyclic relabelling is an exact symmetry.  Against a hexagon side
+    |c| < 2, so a bounded number of twists brings the trace into [-2, 18]
+    and the separating route concludes.
     """
+    long = rotation(long_shift(state.rep.a))[2] + 1
+    tag = f"delta{long}"
     for _ in range(200):
-        route = _torus_window(state.rep, 3)
+        route = _torus_window(state.rep, long)
         if route is not None:
             state.history.append({"move": "strategy", "id": "flat_twist"})
-            return _torus_route(state, 3,
+            return _torus_route(state, long,
                                 complement=route.startswith("delta_torus_c"))
-        probes = (genus2.dehn_twist_gamma(state.rep, 3, k) for k in (1, -1))
-        up, dn = (abs(trace_curve_matrix(p, "delta3") - 2.0) for p in probes)
-        _apply_twist(state, 3, 1 if up <= dn else -1)
+        probes = (genus2.dehn_twist_gamma(state.rep, long, k) for k in (1, -1))
+        up, dn = (abs(trace_curve_matrix(p, tag) - 2.0) for p in probes)
+        _apply_twist(state, long, 1 if up <= dn else -1)
     return _stalled(state, "flat twisting did not reach the torus window")
 
 
@@ -696,7 +676,6 @@ def search_nonhyperbolic(rep: GluedRep):
     state = SearchState(rep=rep, cert=Certificate(initial=rep.to_dict()))
     while state.rounds <= MAX_ROUNDS:
         _normalize(state)
-        _align(state)
         strategy = dispatch(state)
         sid, _, k = strategy.partition(":")
         if k:

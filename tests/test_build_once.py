@@ -1,11 +1,11 @@
 """Each genus-2 representation is built, solved and evaluated once.
 
 The pants carry the hyptrig solutions they were built from and the closed
-trace formulas read them; a cyclic relabelling permutes a built
-representation instead of rebuilding it; the re-coordinatisation glues the
-pants its fit built.  The references below are the re-solving closed forms
-and the rebuilding `_align` and gluing that these replaced: every result
-must match them bit for bit.
+trace formulas read them; the re-coordinatisation glues the pants its fit
+built.  The references below are the re-solving closed forms and the
+rebuilding normalisation and gluing that these replaced: every result must
+match them bit for bit.  A cyclic relabelling of the coordinates permutes
+the build exactly.
 """
 
 import itertools
@@ -13,6 +13,7 @@ import json
 import math
 import struct
 import sys
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -287,12 +288,24 @@ def _fresh(rep: GluedRep) -> GluedRep:
     return GluedRep(p1=rep.p1, p2=rep.p2, t=rep.t)
 
 
+def _relabelled(eps1, eps2, a, t, shift):
+    """`build_glued` on (a, t) relabelled cyclically by `shift` (see
+    `hyptrig.rotation`), and the relabelling."""
+    perm = hyptrig.rotation(shift)
+    pick = itemgetter(*perm)
+    return build_glued(eps1, eps2, pick(a), pick(t)), perm
+
+
 class TestRotation:
+    """A cyclic relabelling is an exact symmetry of the build: the search's
+    flat step reads delta_L in the frame of its input, on the strength of
+    formulas stated with the long side third."""
+
     @pytest.mark.parametrize("names", ALL_PAIRS, ids="/".join)
     def test_rotation_is_the_relabelled_build(self, names):
-        """Rotating a built rep gives, bit for bit, the pants, solutions and
-        nine traces (tags relabelled) of `build_glued` on the relabelled
-        (a, t), and the same Euler class and sign."""
+        """`build_glued` on the relabelled (a, t) permutes, bit for bit, the
+        pants matrices, solutions and nine traces (tags relabelled) of the
+        rep, and keeps its Euler class and sign."""
         eps1, eps2 = (case_from_string(s) for s in names)
 
         @settings(deadline=None, derandomize=True, database=None,
@@ -302,16 +315,17 @@ class TestRotation:
                shift=st.integers(1, 2))
         def check(a, t, shift):
             rep = build_glued(eps1, eps2, a, t)
-            rot = genus2.rotate(rep, shift)
-            perm = hyptrig.rotation(shift)
-            ref = build_glued(eps1, eps2, [a[i] for i in perm],
-                              [t[i] for i in perm])
-            assert (rot.t, rot.eps1, rot.eps2) == (ref.t, eps1, eps2)
-            for got, want in ((rot.p1, ref.p1), (rot.p2, ref.p2)):
-                assert (got.a, got.case, got.q) == (want.a, want.case, want.q)
-                assert got.solution == want.solution
-                if want.solution is not None:
-                    assert got.solution.heron == want.solution.heron
+            rot, perm = _relabelled(eps1, eps2, a, t, shift)
+            pick = itemgetter(*perm)
+            assert (rot.t, rot.eps1, rot.eps2) == (pick(rep.t), eps1, eps2)
+            for got, had in ((rot.p1, rep.p1), (rot.p2, rep.p2)):
+                assert (got.a, got.case, got.q) == (pick(had.a), had.case,
+                                                    pick(had.q))
+                if had.solution is None:
+                    assert got.solution is None
+                    continue
+                assert type(got.solution) is type(had.solution)
+                assert got.solution == tuple(map(pick, had.solution))
             for fam in ("gamma", "beta", "delta"):
                 for i in range(3):
                     assert (trace_curve_matrix(rot, f"{fam}{i + 1}")
@@ -324,10 +338,9 @@ class TestRotation:
 
     @pytest.mark.parametrize("names", ALL_PAIRS, ids="/".join)
     def test_rotation_carries_the_curve_memo(self, names):
-        """The matrices `rotate` carries over are, bit for bit, those
-        evaluated afresh at the rotated coordinates; it carries no loops.
-        The normalised rep is kept on the rep: the rep itself when no count
-        moves, with the bits of every twist whose count is 0."""
+        """The relabelling is exact for the curve matrices too: each one
+        the rep evaluated is, bit for bit, the relabelled build's matrix of
+        the relabelled tag, so the memo could be carried over re-keyed."""
         eps1, eps2 = (case_from_string(s) for s in names)
 
         @settings(deadline=None, derandomize=True, database=None,
@@ -340,19 +353,60 @@ class TestRotation:
             rep = build_glued(eps1, eps2, a, t)
             for tag in tags:
                 genus2.curve_matrix(rep, tag)
-            loops = rep.loops         # evaluated, yet not to be carried
-            rot = genus2.rotate(rep, shift)
-            assert rot.loops is not loops
-            assert (_bits([v for fam in rot.loops for q in fam for v in q])
-                    == _bits([v for fam in _fresh(rot).loops for q in fam
-                              for v in q]))
-            perm = hyptrig.rotation(shift)
-            assert sorted(rot.quads) == sorted(
-                fam[i] for fam in (GAMMA_TAGS, BETA_TAGS, DELTA_TAGS)
-                for i in range(3) if fam[perm[i]] in rep.quads)
-            for tag, q in rot.quads.items():
-                assert _bits(q) == _bits(genus2.curve_matrix(_fresh(rot), tag))
+            rot, perm = _relabelled(eps1, eps2, a, t, shift)
+            for fam in (GAMMA_TAGS, BETA_TAGS, DELTA_TAGS):
+                for i in range(3):
+                    if fam[perm[i]] in rep.quads:
+                        assert (_bits(genus2.curve_matrix(rot, fam[i]))
+                                == _bits(rep.quads[fam[perm[i]]]))
 
+        check()
+
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    @pytest.mark.parametrize("names", [("EuPlus1", "EuMinus1"),
+                                       ("EuMinus1", "EuPlus1")])
+    def test_sign_ignores_the_labelling(self, names, shift):
+        """delta_1 sits at trace 2 exactly (t_1 = 0) while delta_3 reads
+        above 2: the sign reads Degenerate under every relabelling."""
+        eps1, eps2 = map(case_from_string, names)
+        a, t = (1.0, 1.0, 1.0), (0.0, 0.0, 1.0)
+        rot, _ = _relabelled(eps1, eps2, a, t, shift)
+        assert str(sign_invariant(rot)) == "Degenerate"
+        assert str(sign_invariant(build_glued(eps1, eps2, a, t))) \
+            == "Degenerate"
+
+    def test_replay_rotation_shares_the_rule(self):
+        """The replay moves a rep as the search does: its trace is, bit for
+        bit, `curve_matrix` on `dehn_twist_gamma` of the rep."""
+        rep = build_glued(case_from_string("Eu0PlusTriangle"),
+                          case_from_string("EuMinus1"), (1.4, 1.0, 1.2),
+                          (0.3, -0.2, 0.5))
+        for i in (1, 2, 3):
+            for k in (-2, 1, 3):
+                move = {"kind": "twist", "i": i, "k": k}
+                moved = _fresh(genus2.dehn_twist_gamma(rep, i, k))
+                for tag in ("beta1", "delta2"):
+                    cert = search.Certificate(
+                        initial=rep.to_dict(), moves=[move],
+                        curve=[[tag, 1]], trace=search._trace(moved, tag))
+                    report = search.replay_certificate(cert)
+                    assert _bits([report["trace"]]) == _bits([cert.trace]), \
+                        move
+
+
+class TestNormalisedRep:
+    @pytest.mark.parametrize("names", ALL_PAIRS, ids="/".join)
+    def test_normalised_rep_is_kept_on_the_rep(self, names):
+        """The normalised rep is kept on the rep: the rep itself when no
+        count moves, with the bits of every twist whose count is 0."""
+        eps1, eps2 = (case_from_string(s) for s in names)
+
+        @settings(deadline=None, derandomize=True, database=None,
+                  max_examples=8)
+        @given(a=_A_BY_STRATUM[_anchor(eps1, eps2)],
+               t=st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+        def check(a, t):
+            rep = build_glued(eps1, eps2, a, t)
             norm = genus2.normalize_twists(rep)
             assert genus2.normalize_twists(rep) is norm
             counts = genus2.twist_counts(rep)
@@ -363,56 +417,10 @@ class TestRotation:
 
         check()
 
-    @pytest.mark.parametrize("shift", [0, 1, 2])
-    @pytest.mark.parametrize("names", [("EuPlus1", "EuMinus1"),
-                                       ("EuMinus1", "EuPlus1")])
-    def test_sign_ignores_the_labelling(self, names, shift):
-        """delta_1 sits at trace 2 exactly (t_1 = 0) while delta_3 reads
-        above 2: the sign reads Degenerate under every relabelling."""
-        rep = build_glued(*map(case_from_string, names), (1.0, 1.0, 1.0),
-                          (0.0, 0.0, 1.0))
-        assert str(sign_invariant(genus2.rotate(rep, shift))) == "Degenerate"
-
-    def test_replay_rotation_shares_the_rule(self):
-        """The replay moves a rep as the search does: its trace is, bit for
-        bit, `curve_matrix` on `rotate` or `dehn_twist_gamma` of the rep."""
-        rep = build_glued(case_from_string("Eu0PlusTriangle"),
-                          case_from_string("EuMinus1"), (1.4, 1.0, 1.2),
-                          (0.3, -0.2, 0.5))
-        moves = ([({"kind": "rotate", "shift": s},
-                   lambda r, s=s: genus2.rotate(r, s))
-                  for s in (-4, -1, 0, 1, 2, 5)]
-                 + [({"kind": "twist", "i": i, "k": k},
-                     lambda r, i=i, k=k: genus2.dehn_twist_gamma(r, i, k))
-                    for i in (1, 2, 3) for k in (-2, 1, 3)])
-        for move, apply in moves:
-            moved = _fresh(apply(rep))
-            for tag in ("beta1", "delta2"):
-                cert = search.Certificate(
-                    initial=rep.to_dict(), moves=[move],
-                    curve=[[tag, 1]], trace=search._trace(moved, tag))
-                report = search.replay_certificate(cert)
-                assert _bits([report["trace"]]) == _bits([cert.trace]), move
-
 
 # ---------------------------------------------------------------------------
 # the search builds nothing twice
 # ---------------------------------------------------------------------------
-
-def _rebuilding_align(state):
-    """`_align` as it was: rebuild both pants on the rotated coordinates."""
-    long_index = max(range(3), key=lambda i: state.rep.a[i])
-    shift = (2 - long_index) % 3
-    if shift == 0:
-        return
-    perm = [(i - shift) % 3 for i in range(3)]       # new i <- old perm[i]
-    rep = state.rep
-    a = tuple(rep.a[perm[i]] for i in range(3))
-    t = tuple(rep.t[perm[i]] for i in range(3))
-    state.rep = build_glued(rep.eps1, rep.eps2, a, t)
-    state.cert.moves.append({"kind": "rotate", "shift": shift})
-    state.history.append({"move": "rotate", "shift": shift})
-
 
 def _memo_free_normalize(state):
     """`_normalize` as it was: one Dehn twist, and one rep, per move."""
@@ -523,19 +531,16 @@ def _search_outputs(rep):
 class TestSearchBuildsOnce:
     def test_matches_rebuilding_reference(self, monkeypatch):
         """Certificates, history, rounds and replays are those of the
-        memo-free references: the rebuilding `_align`, one Dehn twist per
-        normalising move, and the fit that scores every root combination
-        on all nine gaps and glues its rep by `build_glued`.  The residual
-        that the history records for each link is the replay's link error,
-        bit for bit."""
+        memo-free references: one Dehn twist per normalising move, and the
+        fit that scores every root combination on all nine gaps and glues
+        its rep by `build_glued`.  The residual that the history records
+        for each link is the replay's link error, bit for bit."""
         reps = _search_reps(103, 160)
         got = [_search_outputs(rep) for rep in reps]
-        monkeypatch.setattr(search, "_align", _rebuilding_align)
         monkeypatch.setattr(search, "_normalize", _memo_free_normalize)
         monkeypatch.setattr(search, "_fit_candidate", _all_combination_fit)
         assert [_search_outputs(rep) for rep in reps] == got
         assert sum(g[2] > 0 for g in got) >= 5       # re-coordinatised
-        assert sum('"rotate"' in g[0] for g in got) >= 100
         linked = 0
         for g in got:
             residuals = [h["residual"] for h in json.loads(g[1])

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from srk import cli, genus2, pants, search
+from srk import cli, genus2, hyptrig, pants, search
 from srk.genus2 import GluedRep
 from srk.search import (Certificate, OutOfScopeError, SearchError,
                         replay_certificate, search_nonhyperbolic)
@@ -72,7 +72,7 @@ def _hexed(obj):
 
 
 # the keys of each kind of move
-GRAMMAR = {"twist": {"kind", "i", "k"}, "rotate": {"kind", "shift"},
+GRAMMAR = {"twist": {"kind", "i", "k"},
            "recoordinatize": {"kind", "relabel", "snapshot"}}
 
 # the keys the older format wrote, and one no srk ever wrote
@@ -134,26 +134,43 @@ class TestFormat:
         assert kinds == set(GRAMMAR)
 
 
+def _assert_malformed(tmp_path, capsys, data: dict) -> None:
+    """The library raises SearchError and `srk replay` exits 64 with one
+    stderr line."""
+    text = json.dumps(data)
+    with pytest.raises(SearchError, match="malformed certificate"):
+        Certificate.from_json(text)
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    assert cli.main(["replay", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("replay: bad certificate: ")
+    assert "Traceback" not in captured.err
+
+
 class TestGrammar:
     @pytest.mark.parametrize("key", sorted(EXTRA_KEYS))
     @pytest.mark.parametrize("where", ["initial", "snapshot", "twist",
-                                       "rotate", "recoordinatize"])
+                                       "recoordinatize"])
     def test_an_extra_key_is_malformed(self, tmp_path, capsys, where, key):
-        """A key the replay does not read makes the certificate malformed:
-        the library raises SearchError and `srk replay` exits 64 with one
-        stderr line."""
+        """A key the replay does not read makes the certificate
+        malformed."""
         data = json.loads(TWO_ROUNDS.read_text())
         _first(data, where)[key] = EXTRA_KEYS[key]
-        text = json.dumps(data)
-        with pytest.raises(SearchError, match="malformed certificate"):
-            Certificate.from_json(text)
-        path = tmp_path / "extra.json"
-        path.write_text(text)
-        assert cli.main(["replay", str(path)]) == 64
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith("replay: bad certificate: ")
-        assert "Traceback" not in captured.err
+        _assert_malformed(tmp_path, capsys, data)
+
+    def test_a_rotate_move_is_malformed(self, tmp_path, capsys):
+        """The search works in the frame of its input, and no move
+        relabels it: the committed certificate as an older srk wrote it,
+        its initial snapshot relabelled by a leading rotate move, is
+        malformed."""
+        data = json.loads(TWO_ROUNDS.read_text())
+        initial = data["initial"]
+        for key in ("a", "t"):
+            initial[key] = [initial[key][i] for i in hyptrig.rotation(-1)]
+        data["moves"].insert(0, {"kind": "rotate", "shift": 1})
+        _assert_malformed(tmp_path, capsys, data)
 
     @pytest.mark.parametrize("where", ["initial", "snapshot"])
     @pytest.mark.parametrize("spoil", [

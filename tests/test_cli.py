@@ -100,6 +100,9 @@ class TestClassify:
 
 OVERFLOW = dict.fromkeys(["classify", "search"],
                          "out of range: half-lengths overflow")
+UNDERFLOW = dict.fromkeys(["classify", "search"],
+                          "out of range: half-lengths outside the float "
+                          "build's range (a polygon side overflows a float")
 
 # each record with the start of the stderr line of each command
 HUGE_RECORDS = [
@@ -139,10 +142,13 @@ HUGE_RECORDS = [
       "search": "out of scope: twists (1e+308, 0.0, 0.0) are too large"}),
     # sinh(1e-310) is subnormal: the hexagon sides b_2, b_3 solve to inf
     ({"eps": ["EuPlus1", "EuMinus1"], "a": [1e-310, 1.0, 1.0],
-      "t": [0, 0, 0]},
-     dict.fromkeys(["classify", "search"],
-                   "out of range: half-lengths outside the float build's "
-                   "range (a polygon side overflows a float")),
+      "t": [0, 0, 0]}, UNDERFLOW),
+    # sinh(5e-324)^2 rounds to 0: the hexagon and the self-hexagon
+    # solvers divide by it
+    ({"eps": ["EuPlus1", "EuMinus1"], "a": [5e-324] * 3, "t": [0, 0, 0]},
+     UNDERFLOW),
+    ({"eps": ["Eu0PlusSelfHex", "Eu0PlusSelfHex"], "a": [5e-324, 5e-324, 1.0],
+      "t": [0, 0, 0]}, UNDERFLOW),
 ]
 
 
@@ -432,7 +438,9 @@ def test_tampered_committed_certificate_fails_a_link(tmp_path, capsys,
     # the cocycle residuals exceed their rounding bound
     [1e-3, 1.1e-3, 1.2e-3],
     # a polygon side solves to inf
-    [1e-310, 1.0, 1.0]], ids=["1e-3", "1e-310"])
+    [1e-310, 1.0, 1.0],
+    # sinh a_j sinh a_k rounds to 0
+    [5e-324] * 3], ids=["1e-3", "1e-310", "5e-324"])
 def test_snapshot_outside_the_float_range_is_out_of_scope(tmp_path, capsys,
                                                           a):
     _, cert, _ = _searched(tmp_path, SEARCH_RECORDS[0])

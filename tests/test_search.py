@@ -362,8 +362,8 @@ class TestRareStrategies:
         return hits
 
     def test_flat_twist(self):
-        # both pants flat (a_3 = a_1 + a_2) with wide twists, so that
-        # delta_3 often starts outside the torus window
+        # both pants flat (a_3 = a_1 + a_2, the long side third) with wide
+        # twists, so that delta_3 often starts outside the torus window
         rng = np.random.default_rng(32)
         pairs = [(PC("flat_upper", s), PC("flat_lower", r))
                  for s in (1, -1) for r in (1, -1)]
@@ -400,10 +400,13 @@ class TestRareBranches:
          "t": [-1.577897784709196, 0.42326323859711934, 2.0418978937248387]},
     ], ids=["flat_first", "flat_second"])
     def test_flat_pants_on_euler_one(self, record):
-        # Euler +-1 with one flat pants dispatches to flat_twist
+        # Euler +-1 with one flat pants dispatches to flat_twist, which
+        # concludes on delta_L, L the long side (the first largest a_L), in
+        # the frame of the record: L is 2 and 1 here
         out = _found(record)
         assert {"move": "strategy", "id": "flat_twist"} in out.history
-        assert (out.rounds, out.word) == (0, [["delta3", 1]])
+        long = record["a"].index(max(record["a"])) + 1
+        assert (out.rounds, out.word) == (0, [[f"delta{long}", 1]])
 
     @pytest.mark.parametrize("record", [
         # the corner corpus's stalls under the paper's polygon strategies,
