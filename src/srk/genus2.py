@@ -32,7 +32,7 @@ import math
 from typing import Dict, Optional, Tuple
 
 from . import psl2r
-from .hyptrig import long_shift
+from .hyptrig import long_index
 from .pants import PantsCase, PantsRep, build_pants, case_from_string
 from .psl2r import (PSL2Error, Quad, commutator, make_translation, minv, mmul,
                     mtrace)
@@ -149,12 +149,21 @@ class GluedRep:
         return build_glued(eps1, eps2, a, t)
 
 
+def is_finite_number(x) -> bool:
+    """Whether the JSON value `x` is an int or float that converts to a
+    finite float: not a bool, inf, NaN or an int too large for a float."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def parse_record(data) -> Tuple[Tuple[PantsCase, PantsCase], list, list]:
     """The two cases and the a and t lists of a decoded coordinate record
     {"eps": [2 case names], "a": [3 numbers], "t": [3 numbers]}, the one
-    check of input records and certificate snapshots.  Any other shape, a
-    bool or a non-finite number raises Genus2Error, an unknown case name
-    PantsError; other keys are not read."""
+    check of input records and certificate snapshots.  Any other shape, or
+    a value that `is_finite_number` refuses, raises Genus2Error, an unknown
+    case name PantsError; other keys are not read."""
     get = data.get if isinstance(data, dict) else {}.get
     eps, a, t = get("eps"), get("a"), get("t")
     if not (type(eps) is list and len(eps) == 2
@@ -162,8 +171,7 @@ def parse_record(data) -> Tuple[Tuple[PantsCase, PantsCase], list, list]:
         raise Genus2Error(f"coordinate record needs 2 case names in 'eps', "
                           f"got {eps!r}")
     if not (type(a) is type(t) is list and len(a) == len(t) == 3
-            and set(map(type, a + t)) <= {int, float}
-            and all(map(math.isfinite, a + t))):
+            and all(map(is_finite_number, a + t))):
         raise Genus2Error(f"coordinate record needs 3 finite numbers in each "
                           f"of 'a' and 't', got {a!r} and {t!r}")
     return (case_from_string(eps[0]), case_from_string(eps[1])), a, t
@@ -281,9 +289,9 @@ def trace_curve_closed_form(rep: GluedRep, tag: str) -> Tuple[float, bool]:
 def _closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
                  p1: PantsRep, p2: PantsRep) -> Optional[float]:
     """The formula for `tag`; p1 and p2 are the pants realising eps1 and
-    the mirrored eps2, whose solutions the formulas read.  The
-    self-hexagon and flat formulas are stated for the long side third
-    (`long_shift(a) == 0`)."""
+    the mirrored eps2, whose solutions the formulas read.  i is the tag's
+    index and (i, j, k) is cyclic; the self-hexagon and flat formulas name
+    the long side L by its index (`long_index`)."""
     ch, sh = math.cosh, math.sinh
     if tag in GAMMA_TAGS:
         return 2.0 * ch(a[GAMMA_TAGS.index(tag)])
@@ -317,26 +325,24 @@ def _closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
         return 2.0 + 4.0 * (math.sin(theta[j]) * sh(a[k]) * ch(t[i] / 2)) ** 2
 
     if k1 == "selfhex" and k2 == "selfhex":
-        if long_shift(a):
-            return None
         d = p1.solution.d
         if s1 == s2:
             if is_beta:
                 return None
             return 2.0 + 4.0 * (sh(t[i] / 2) * sh(d[j]) * sh(a[k])) ** 2
         if is_beta:
-            sign = -1.0 if i == 2 else 1.0
+            sign = -1.0 if i == long_index(a) else 1.0
             return (sign * 2.0 * sh(t[j] / 2) * sh(t[k] / 2)
                     + 2.0 * ch(d[i]) * ch(t[j] / 2) * ch(t[k] / 2))
         return 2.0 - 4.0 * (ch(t[i] / 2) * sh(d[j]) * sh(a[k])) ** 2
 
     if {k1, k2} == {"flat_upper", "flat_lower"}:
-        if is_beta or i != 2 or long_shift(a):
+        if is_beta or i != long_index(a):
             return None
         u = s1 if k1 == "flat_upper" else s2
         v = s2 if k1 == "flat_upper" else s1
-        return (2.0 + 4.0 * u * v * sh(a[0]) ** 2 * sh(a[1]) ** 2
-                * math.exp(-t[2] if k1 == "flat_upper" else t[2]))
+        return (2.0 + 4.0 * u * v * sh(a[j]) ** 2 * sh(a[k]) ** 2
+                * math.exp(-t[i] if k1 == "flat_upper" else t[i]))
 
     zero_kinds = ("tri", "selfhex", "flat_upper", "flat_lower", "flat_diag")
     if k1 in zero_kinds and k2 in hexkinds:
@@ -375,8 +381,8 @@ def _mixed_closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
         return (2.0 * (sh(a[j]) ** 2 - sh(a[k]) ** 2) / sh(a[i]) ** 2
                 + 2.0 * math.sin(theta[j]) * sh(b[j]) * sh(a[k]) ** 2
                 * sh(t[i]))
-    # the self-hexagon and flat delta_3 formulas, long side third
-    if is_beta or i != 2 or long_shift(a):
+    # the self-hexagon and flat formulas of delta_L, L the long side
+    if is_beta or i != long_index(a):
         return None
     if eps1.kind == "selfhex":
         d = [s_eff * x for x in p1.solution.d]
@@ -384,10 +390,10 @@ def _mixed_closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
                 - 2.0 * ch(b[j]) * ch(d[j]) * sh(a[k]) ** 2
                 - 2.0 * ch(t[i]) * sh(a[k]) ** 2 * sh(b[j]) * sh(d[j]))
     if eps1.kind in ("flat_upper", "flat_lower"):
-        return (2.0 - 4.0 * sh(b[0] / 2) ** 2 * sh(a[1]) ** 2
-                + 2.0 * s_eff * sh(a[0]) * sh(a[1]) ** 2 * sh(b[0])
-                * math.exp(-t[2] if eps1.kind == "flat_upper" else t[2]))
-    return 2.0 * ch(a[1]) ** 2 - 2.0 * ch(b[0]) * sh(a[1]) ** 2  # flat_diag
+        return (2.0 - 4.0 * sh(b[j] / 2) ** 2 * sh(a[k]) ** 2
+                + 2.0 * s_eff * sh(a[j]) * sh(a[k]) ** 2 * sh(b[j])
+                * math.exp(-t[i] if eps1.kind == "flat_upper" else t[i]))
+    return 2.0 * ch(a[k]) ** 2 - 2.0 * ch(b[j]) * sh(a[k]) ** 2  # flat_diag
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ self-intersecting hexagon, together with both Heron-type invariants.
 
 All lengths are hyperbolic; indices follow the convention that the quantity
 attached to index i is computed from the two sides with the other indices.
+The long side of a triple is named by its index, `long_index`.
 """
 
 from __future__ import annotations
@@ -15,17 +16,11 @@ from .tolerances import CLAMP, DELTA_BAND
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def long_shift(v: Sequence[float]) -> int:
-    """The cyclic shift (see `rotation`) that moves the first largest entry
-    of `v` to index 2: the long-side-third frame of the self-hexagon and
-    flat formulas; the search's flat step twists along that side."""
-    return (2 - max(range(3), key=v.__getitem__)) % 3
-
-
-def rotation(shift: int) -> Tuple[int, int, int]:
-    """The cyclic relabelling by `shift`: new index i <- old index perm[i].
-    `rotation(-shift)` undoes it."""
-    return (-shift) % 3, (1 - shift) % 3, (2 - shift) % 3
+def long_index(v: Sequence[float]) -> int:
+    """Index of the first largest entry of `v`: the long side L of a
+    self-hexagon or flat triple, which the pants builders and the closed
+    forms name by its index; the search's flat step twists along it."""
+    return max(range(3), key=v.__getitem__)
 
 
 class TrigError(ValueError):
@@ -107,7 +102,7 @@ class SelfHexagonSolution(NamedTuple):
     @property
     def long_index(self) -> int:
         """Index of the side exceeding the sum of the others."""
-        return rotation(long_shift(self.a))[2]
+        return long_index(self.a)
 
 
 Solution = Union[HexagonSolution, TriangleSolution, SelfHexagonSolution]
@@ -145,15 +140,15 @@ def solve_triangle(a1: float, a2: float, a3: float) -> TriangleSolution:
 def solve_self_hexagon(a1: float, a2: float, a3: float) -> SelfHexagonSolution:
     """Self-intersecting right-angled hexagon; one side exceeds the others.
 
-    With the long side labelled 3, cosh(d_3) = (cosh a_3 - cosh a_1 cosh a_2)
-    / (sinh a_1 sinh a_2), and the short-side formulas mirror the hexagon
-    ones with a sign flip.  The input may carry the long side anywhere; the
-    solution's `long_index` records which one it was.
+    With L the long side and (L, j, k) cyclic, cosh(d_L) = (cosh a_L -
+    cosh a_j cosh a_k) / (sinh a_j sinh a_k), and the short-side formulas
+    mirror the hexagon ones with a sign flip.  The long side may be at any
+    index; the solution's `long_index` names it.
     """
     a = _check_sides((a1, a2, a3))
     if delta_invariant(*a) >= -DELTA_BAND:
         raise TrigError(f"sides {a} are not in the self-intersecting range")
-    li = rotation(long_shift(a))[2]
+    li = long_index(a)
     ch = [math.cosh(x) for x in a]
     sh = [math.sinh(x) for x in a]
     d = tuple(_acosh_clamped((ch[i] - ch[j] * ch[k] if i == li

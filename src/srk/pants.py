@@ -16,7 +16,8 @@ validated against the cocycle relations and the trace formulas downstream.
 
 Each edge-matrix formula has one home, the scalar builder of its family,
 which works with the psl2r kernel: the edge matrices and the boundary
-loops are psl2r matrices, row-major 4-tuples.
+loops are psl2r matrices, row-major 4-tuples.  The self-hexagon and flat
+builders place each matrix by its index relative to the long side.
 
 Value objects are `__slots__` classes or named tuples.
 """
@@ -24,11 +25,10 @@ Value objects are `__slots__` classes or named tuples.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import hyptrig
-from .hyptrig import long_shift, rotation
+from .hyptrig import long_index
 from .psl2r import (IDENTITY, R_LEFT, R_RIGHT, S, PSL2Error, Quad,
                     deviation_from_projective_identity, make_rotation,
                     make_translation, minv, mmul, mtrace)
@@ -186,30 +186,28 @@ def _triangle_matrices(theta, eps: int) -> Tuple[Quad, ...]:
     return tuple(mmul(S, make_rotation(eps * th)) for th in theta)
 
 
-def _selfhex_matrices_canonical(d, eps: int) -> Tuple[Quad, ...]:
-    # canonical arrangement: long side at index 2
-    d = [eps * di for di in d]
-    return (mmul(R_LEFT, make_translation(d[0]), R_LEFT),
-            mmul(R_RIGHT, make_translation(d[1]), R_RIGHT),
-            mmul(R_LEFT, make_translation(d[2]), R_RIGHT))
+def _placed(long: int, x) -> Tuple:
+    """The triple x = (at L, at L+1, at L+2) indexed by side, L the long
+    side and indices mod 3."""
+    return tuple(x[(i - long) % 3] for i in range(3))
 
 
-def _flat_matrices_canonical(a, eps: int, lower: bool) -> Tuple[Quad, ...]:
-    # canonical arrangement: a3 = a1 + a2; parabolic entries solve both
-    # cocycle equations exactly (the one-parameter family through the
-    # diagonal solution)
+def _selfhex_matrices(d, eps: int, long: int) -> Tuple[Quad, ...]:
+    t = [make_translation(eps * di) for di in d]
+    j, k = (long + 1) % 3, (long + 2) % 3
+    return _placed(long, (mmul(R_LEFT, t[long], R_RIGHT),
+                          mmul(R_LEFT, t[j], R_LEFT),
+                          mmul(R_RIGHT, t[k], R_RIGHT)))
+
+
+def _flat_matrices(a, eps: int, lower: bool, long: int) -> Tuple[Quad, ...]:
+    # a_L = a_j + a_k; parabolic entries solve both cocycle equations
+    # exactly (the one-parameter family through the diagonal solution)
     par = _lower if lower else _upper
     sh = [math.sinh(x) for x in a]
-    return (mmul(S, par(-eps * sh[0])),
-            mmul(par(-eps * sh[1]), S),
-            par(eps * sh[2]))
-
-
-def _permuted(builder, v, shift: int, *args) -> Tuple[Quad, ...]:
-    """Build from the per-side triple `v` relabelled by `shift` (long side
-    third) and relabel the matrices back."""
-    mats = builder(itemgetter(*rotation(shift))(v), *args)
-    return itemgetter(*rotation(-shift))(mats)
+    j, k = (long + 1) % 3, (long + 2) % 3
+    return _placed(long, (par(eps * sh[long]), mmul(S, par(-eps * sh[j])),
+                          mmul(par(-eps * sh[k]), S)))
 
 
 # how many pants `build_pants` remembers, oldest out first.  The replay
@@ -252,15 +250,12 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
             x = _triangle_matrices(sol.theta, case.eps)
         elif case.kind == "selfhex":
             sol = hyptrig.solve_self_hexagon(*a)
-            x = _permuted(_selfhex_matrices_canonical, sol.d, long_shift(a),
-                          case.eps)
-        elif case.kind in ("flat_upper", "flat_lower", "flat_diag"):
-            shift = long_shift(a)
-            if case.kind == "flat_diag":
-                x = _permuted(lambda _a: (S, S, IDENTITY), a, shift)
-            else:
-                x = _permuted(_flat_matrices_canonical, a, shift, case.eps,
-                              case.kind == "flat_lower")
+            x = _selfhex_matrices(sol.d, case.eps, sol.long_index)
+        elif case.kind == "flat_diag":
+            x = _placed(long_index(a), (IDENTITY, S, S))
+        elif case.kind in ("flat_upper", "flat_lower"):
+            x = _flat_matrices(a, case.eps, case.kind == "flat_lower",
+                               long_index(a))
         else:
             raise PantsError(f"unknown case kind {case.kind!r}")
     except PantsError:

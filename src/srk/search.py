@@ -13,7 +13,8 @@ or takes the lattice step: for i = 1, 2, 3 it tries the twists (k_j, k_k)
 in {-1, 0, 1}^2 along the other two gammas, nearest first, and concludes
 on the first beta_i with |trace| <= 2.  When no lattice point does, the
 search certifies that the dual curve triple (beta_1, beta_2, beta_3) has
-strictly smaller traces and re-coordinatises on it.  The paper's theorem
+strictly smaller traces and re-coordinatises on it, index by index: the
+new gamma_i is the old beta_i.  The paper's theorem
 says that a curve exists; that the search finds one is measured on the
 benchmark's corpora, not proved.  Every terminal
 answer carries a certificate about the representation its coordinates name,
@@ -23,7 +24,9 @@ trusts `pants.build_pants` and hyptrig's solvers, and the 2x2 arithmetic
 after them.  It moves the rep with the search's own twist
 (`genus2.dehn_twist_gamma`), and checks each re-coordinatisation link
 with the fit's own `_worst_gap`.  Every curve is evaluated on a
-`GluedRep`, by `genus2.curve_matrix` and `GluedRep.loops`.
+`GluedRep`, by `genus2.curve_matrix` and, for the complement torus route's
+words, `GluedRep.loops`; the dispatch and the links read that route's
+handle trace off delta_k (`_complement_trace`).
 """
 
 from __future__ import annotations
@@ -34,11 +37,11 @@ import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import genus2, hyptrig, pants, torus
-from .hyptrig import long_shift, rotation
+from .hyptrig import long_index
 # the certificate replay builds each snapshot's rep through this binding
 from .genus2 import GluedRep, build_glued, trace_curve_matrix
 from .pants import PantsCase
-from .psl2r import IDENTITY, PSL2Error, Quad, commutator, minv, mmul, mtrace
+from .psl2r import IDENTITY, PSL2Error, Quad, minv, mmul, mtrace
 from .tolerances import (B2_HALF_SLACK, LINK_TOL, MU_MIN, RECOORD_FLAT_BAND,
                          TRACE_BAND)
 
@@ -121,8 +124,8 @@ class Certificate:
             if not _is_move(mv):
                 raise SearchError(f"malformed certificate: move {mv!r}")
         curve, trace = d.get("curve"), d.get("trace")
-        if not (curve is None or (_is_word(curve) and type(trace) in (
-                int, float) and math.isfinite(trace))):
+        if not (curve is None or (_is_word(curve)
+                                  and genus2.is_finite_number(trace))):
             raise SearchError(f"malformed certificate: curve {curve!r} "
                               f"with trace {trace!r}")
         return cls(initial=d["initial"], moves=d["moves"],
@@ -132,7 +135,7 @@ class Certificate:
 _SNAPSHOT_KEYS = frozenset(("eps", "a", "t"))
 # the keys of each kind of move: exactly what the replay reads
 _MOVE_KEYS = {"twist": frozenset(("kind", "i", "k")),
-              "recoordinatize": frozenset(("kind", "relabel", "snapshot"))}
+              "recoordinatize": frozenset(("kind", "snapshot"))}
 
 
 def _is_snapshot(s) -> bool:
@@ -152,9 +155,7 @@ def _is_move(mv) -> bool:
         return False
     if kind == "twist":
         return mv["i"] in (1, 2, 3) and type(mv["i"]) is type(mv["k"]) is int
-    rho = mv["relabel"]
-    return (isinstance(rho, list) and set(map(type, rho)) <= {int}
-            and sorted(rho) == [0, 1, 2] and _is_snapshot(mv["snapshot"]))
+    return _is_snapshot(mv["snapshot"])
 
 
 def _is_word(word) -> bool:
@@ -253,19 +254,25 @@ def _freely_trivial(word: Sequence) -> bool:
     return not left
 
 
-def _link_targets(old: GluedRep, rho: Sequence[int]) -> List[float]:
-    """Traces of (gamma_1..3, beta_1..3, delta_1..3) after re-coordinatising
-    `old` on relabel rho (new index i <- old rho[i]).
+def _complement_trace(rep: GluedRep, k: int) -> float:
+    """Commutator trace of the handle across delta_k (`_complement_handle`):
+    the two handles' commutators multiply to the surface relator of the
+    lift, (-1)^e I for Euler class e (Goldman 1988), so it is (-1)^e tr
+    delta_k."""
+    tr = _trace(rep, f"delta{k}")
+    return -tr if rep.euler_nominal % 2 else tr
 
-    gamma'_i is the old beta_{rho(i)} and beta'_i the old gamma_{rho(i)};
-    delta'_k pairs the old co-based handle (gamma_{rho(i)}, beta_{rho(j)}),
-    (i, j, k) cyclic.
+
+def _link_targets(old: GluedRep) -> List[float]:
+    """Traces of (gamma_1..3, beta_1..3, delta_1..3) after re-coordinatising
+    `old` on its dual curve triple, index by index.
+
+    gamma'_i is the old beta_i and beta'_i the old gamma_i; delta'_k is
+    the old delta_k seen from the other side, the handle of (gamma_i,
+    beta_j), (i, j, k) cyclic.
     """
-    g, b = old.loops
-    return ([_trace(old, f"beta{r+1}") for r in rho]
-            + [_trace(old, f"gamma{r+1}") for r in rho]
-            + [mtrace(commutator(g[rho[(k + 1) % 3]], b[rho[(k + 2) % 3]]))
-               for k in range(3)])
+    return ([_trace(old, tag) for tag in genus2.BETA_TAGS + genus2.GAMMA_TAGS]
+            + [_complement_trace(old, k) for k in (1, 2, 3)])
 
 
 def _link_gap(rep: GluedRep, tag: str, target: float) -> float:
@@ -331,8 +338,8 @@ def _replay(cert: Certificate, tol: float) -> Dict:
                 raise OverflowError(f"a twist move carries t_{mv['i']} to {t}")
         elif kind == "recoordinatize":
             old, rep = rep, _rep_from_snapshot(mv["snapshot"])
-            worst = _worst_gap(rep, genus2.CURVE_TAGS,
-                               _link_targets(old, mv["relabel"]), math.inf)
+            worst = _worst_gap(rep, genus2.CURVE_TAGS, _link_targets(old),
+                               math.inf)
             if worst is None:
                 raise OverflowError("a link error is not finite")
             checks.append(worst)
@@ -428,9 +435,9 @@ def _complement_handle(rep: GluedRep, k: int) -> Tuple[Quad, Quad, str, str]:
     """Co-based pair spanning the torus on the other side of delta_k.
 
     delta_k bounds the handle of (beta_i, gamma_j) on one side and the
-    handle of (gamma_i, beta_j) on the other, (i, j, k) cyclic; the two
-    sides carry opposite canonical lifts of the commutator, so exactly one
-    of them has trace above 2 whenever |tr delta_k| > 2.
+    handle of (gamma_i, beta_j) on the other, (i, j, k) cyclic; their
+    commutator traces are equal for even Euler class and opposite for odd
+    (`_complement_trace`).
     """
     i, j = k % 3, (k + 1) % 3          # 0-based successors of k-1
     g_loops, b_loops = rep.loops
@@ -442,8 +449,7 @@ def _torus_window(rep: GluedRep, k: int) -> Optional[str]:
     tr = trace_curve_matrix(rep, f"delta{k}")
     if abs(tr) <= 2.0 + TRACE_BAND or 2.0 < tr <= TORUS_TRACE_MAX:
         return f"delta_torus:{k}"
-    p, q, _, _ = _complement_handle(rep, k)
-    if 2.0 < mtrace(commutator(p, q)) <= TORUS_TRACE_MAX:
+    if 2.0 < _complement_trace(rep, k) <= TORUS_TRACE_MAX:
         return f"delta_torus_complement:{k}"
     return None
 
@@ -501,15 +507,14 @@ def _torus_route(state: SearchState, k: int, complement: bool = False):
 
 def flat_twist_step(state: SearchState):
     """Twist along gamma_L until the delta_L trace enters the torus window,
-    L the long side (the first largest a_L, as `long_shift` picks it).
+    L the long side (`hyptrig.long_index`).
 
-    On the flat stratum tr delta_L = c + C e^{-t_L} (or e^{+t_L}): the
-    formula stated with the long side third holds in any frame, as the
-    cyclic relabelling is an exact symmetry.  Against a hexagon side
-    |c| < 2, so a bounded number of twists brings the trace into [-2, 18]
-    and the separating route concludes.
+    On the flat stratum tr delta_L = c + C e^{-t_L} (or e^{+t_L}), the
+    closed forms of `genus2`.  Against a hexagon side |c| < 2, so a bounded
+    number of twists brings the trace into [-2, 18] and the separating
+    route concludes.
     """
-    long = rotation(long_shift(state.rep.a))[2] + 1
+    long = long_index(state.rep.a) + 1
     tag = f"delta{long}"
     for _ in range(200):
         route = _torus_window(state.rep, long)
@@ -631,9 +636,7 @@ def _improve(state: SearchState):
     if new_max > old_max - MU_MIN:
         return _stalled(state, f"no strict decrease: max |tr beta| "
                                f"{new_max} vs {old_max}")
-    # cyclic relabel: the new index i names the old beta_{rho(i)}
-    rho = list(rotation(long_shift([abs(v) for v in tb])))
-    targets = _link_targets(rep, rho)
+    targets = _link_targets(rep)
     a_new = tuple(math.acosh(abs(v) / 2.0) for v in targets[:3])
     delta_new = hyptrig.delta_invariant(*a_new)
     if abs(delta_new) < RECOORD_FLAT_BAND:
@@ -647,7 +650,7 @@ def _improve(state: SearchState):
     if fit is None:
         return _stalled(state, "no coordinate fit for the new curve triple")
     new_rep = fit[0]
-    state.cert.moves.append({"kind": "recoordinatize", "relabel": rho,
+    state.cert.moves.append({"kind": "recoordinatize",
                              "snapshot": new_rep.to_dict()})
     state.history.append({"move": "recoordinatize", "residual": fit[1],
                           "eps": [str(new_rep.eps1), str(new_rep.eps2)],

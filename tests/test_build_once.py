@@ -73,10 +73,6 @@ def _corpus(seed, n, amax=1.8, wide_every=8):
 # the closed forms read the carried solutions
 # ---------------------------------------------------------------------------
 
-def _aligned(a):
-    return max(range(3), key=lambda i: a[i]) == 2
-
-
 def _resolving_closed_form(eps1, eps2, a, t, tag):
     """The closed forms as they were before the pants carried their
     solutions: every beta and delta tag solves its polygons afresh."""
@@ -113,26 +109,24 @@ def _resolving_closed_form(eps1, eps2, a, t, tag):
         return 2.0 + 4.0 * (math.sin(theta[j]) * sh(a[k]) * ch(t[i] / 2)) ** 2
 
     if k1 == "selfhex" and k2 == "selfhex":
-        if not _aligned(a):
-            return None
         d = hyptrig.solve_self_hexagon(*a).d
         if s1 == s2:
             if is_beta:
                 return None
             return 2.0 + 4.0 * (sh(t[i] / 2) * sh(d[j]) * sh(a[k])) ** 2
         if is_beta:
-            sign = -1.0 if i == 2 else 1.0
+            sign = -1.0 if i == hyptrig.long_index(a) else 1.0
             return (sign * 2.0 * sh(t[j] / 2) * sh(t[k] / 2)
                     + 2.0 * ch(d[i]) * ch(t[j] / 2) * ch(t[k] / 2))
         return 2.0 - 4.0 * (ch(t[i] / 2) * sh(d[j]) * sh(a[k])) ** 2
 
     if {k1, k2} == {"flat_upper", "flat_lower"}:
-        if is_beta or not _aligned(a) or i != 2:
+        if is_beta or i != hyptrig.long_index(a):
             return None
         u = s1 if k1 == "flat_upper" else s2
         v = s2 if k1 == "flat_upper" else s1
-        return (2.0 + 4.0 * u * v * sh(a[0]) ** 2 * sh(a[1]) ** 2
-                * math.exp(-t[2] if k1 == "flat_upper" else t[2]))
+        return (2.0 + 4.0 * u * v * sh(a[j]) ** 2 * sh(a[k]) ** 2
+                * math.exp(-t[i] if k1 == "flat_upper" else t[i]))
 
     zero_kinds = ("tri", "selfhex", "flat_upper", "flat_lower", "flat_diag")
     if k1 in zero_kinds and k2 in hexkinds:
@@ -160,25 +154,19 @@ def _resolving_mixed(eps1, eps2, a, t, tag, i, j, k):
         return (2.0 * (sh(a[j]) ** 2 - sh(a[k]) ** 2) / sh(a[i]) ** 2
                 + 2.0 * math.sin(theta[j]) * sh(b[j]) * sh(a[k]) ** 2
                 * sh(t[i]))
-    if is_beta:
+    if is_beta or i != hyptrig.long_index(a):
         return None
     if eps1.kind == "selfhex":
-        if not _aligned(a) or i != 2:
-            return None
         d = [s_eff * x for x in hyptrig.solve_self_hexagon(*a).d]
         return (2.0 * ch(a[k]) ** 2
                 - 2.0 * ch(b[j]) * ch(d[j]) * sh(a[k]) ** 2
                 - 2.0 * ch(t[i]) * sh(a[k]) ** 2 * sh(b[j]) * sh(d[j]))
     if eps1.kind in ("flat_upper", "flat_lower"):
-        if not _aligned(a) or i != 2:
-            return None
-        return (2.0 - 4.0 * sh(b[0] / 2) ** 2 * sh(a[1]) ** 2
-                + 2.0 * s_eff * sh(a[0]) * sh(a[1]) ** 2 * sh(b[0])
-                * math.exp(-t[2] if eps1.kind == "flat_upper" else t[2]))
+        return (2.0 - 4.0 * sh(b[j] / 2) ** 2 * sh(a[k]) ** 2
+                + 2.0 * s_eff * sh(a[j]) * sh(a[k]) ** 2 * sh(b[j])
+                * math.exp(-t[i] if eps1.kind == "flat_upper" else t[i]))
     if eps1.kind == "flat_diag":
-        if not _aligned(a) or i != 2:
-            return None
-        return 2.0 * ch(a[1]) ** 2 - 2.0 * ch(b[0]) * sh(a[1]) ** 2
+        return 2.0 * ch(a[k]) ** 2 - 2.0 * ch(b[j]) * sh(a[k]) ** 2
     return None
 
 
@@ -289,17 +277,17 @@ def _fresh(rep: GluedRep) -> GluedRep:
 
 
 def _relabelled(eps1, eps2, a, t, shift):
-    """`build_glued` on (a, t) relabelled cyclically by `shift` (see
-    `hyptrig.rotation`), and the relabelling."""
-    perm = hyptrig.rotation(shift)
+    """`build_glued` on (a, t) relabelled cyclically by `shift`, and the
+    relabelling: new index i <- old index perm[i] = i - shift (mod 3)."""
+    perm = tuple((i - shift) % 3 for i in range(3))
     pick = itemgetter(*perm)
     return build_glued(eps1, eps2, pick(a), pick(t)), perm
 
 
 class TestRotation:
-    """A cyclic relabelling is an exact symmetry of the build: the search's
-    flat step reads delta_L in the frame of its input, on the strength of
-    formulas stated with the long side third."""
+    """A cyclic relabelling is an exact symmetry of the build, though no
+    layer of srk relabels a rep: the pants builders and closed forms name
+    the long side by its index, wherever it sits."""
 
     @pytest.mark.parametrize("names", ALL_PAIRS, ids="/".join)
     def test_rotation_is_the_relabelled_build(self, names):

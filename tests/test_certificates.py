@@ -12,13 +12,13 @@ rebuilds nothing; the memo must never change what a replay reports.
 """
 
 import ast
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+from bench_corpus import corpus
 
-from srk import cli, genus2, hyptrig, pants, search
+from srk import cli, genus2, pants, search
 from srk.genus2 import GluedRep
 from srk.search import (Certificate, OutOfScopeError, SearchError,
                         replay_certificate, search_nonhyperbolic)
@@ -36,14 +36,6 @@ LINK_RECORD = {"eps": ["Eu0PlusTriangle", "EuMinus1"],
                      2.2096542923498688],
                "t": [1.1546330313413034, 0.7929074417928108,
                      1.2030657845188415]}
-
-
-def _load_corpus():
-    spec = importlib.util.spec_from_file_location("bench_corpus",
-                                                  ROOT / "bench" / "corpus.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 def _round0_certificate() -> dict:
@@ -73,7 +65,7 @@ def _hexed(obj):
 
 # the keys of each kind of move
 GRAMMAR = {"twist": {"kind", "i", "k"},
-           "recoordinatize": {"kind", "relabel", "snapshot"}}
+           "recoordinatize": {"kind", "snapshot"}}
 
 # the keys the older format wrote, and one no srk ever wrote
 EXTRA_KEYS = {"X": [[1.0, 0.0, 0.0, 1.0]] * 3, "Y": [[1.0, 0.0, 0.0, 1.0]] * 3,
@@ -105,9 +97,11 @@ class TestFormat:
 
     def test_the_committed_certificate_replays(self):
         """An older srk wrote its coordinates and moves; stripped of X, Y,
-        delta_targets and residual, it replays with the trace and link
-        errors it had with them (to rounding: a link error of 1e-10 is a
-        gap between traces of up to 60)."""
+        delta_targets and residual, and with its second link's relabel
+        folded into the snapshot, the later twists and the curve, it
+        replays with the trace and link errors it had with them (to
+        rounding: a link error of 1e-10 is a gap between traces of up to
+        60)."""
         report = _replay(json.loads(TWO_ROUNDS.read_text()))
         assert report["ok"] is True
         assert report["trace"] == pytest.approx(1.2274132366649728, abs=1e-12)
@@ -118,7 +112,6 @@ class TestFormat:
         """Every fresh certificate of the benchmark's search corpora, and
         of a record that re-coordinatises, has exactly the grammar's keys
         in each snapshot and move."""
-        corpus = _load_corpus()
         records = (corpus.search_corpus(101, 1500)
                    + corpus.corner_corpus(101, 750)
                    + [{"text": json.dumps(LINK_RECORD)}])
@@ -168,9 +161,30 @@ class TestGrammar:
         data = json.loads(TWO_ROUNDS.read_text())
         initial = data["initial"]
         for key in ("a", "t"):
-            initial[key] = [initial[key][i] for i in hyptrig.rotation(-1)]
+            initial[key] = [initial[key][(i + 1) % 3] for i in range(3)]
         data["moves"].insert(0, {"kind": "rotate", "shift": 1})
         _assert_malformed(tmp_path, capsys, data)
+
+    def test_a_relabelled_link_is_malformed(self, tmp_path, capsys):
+        """A link re-coordinatises index by index: the committed
+        certificate's second link as an older srk wrote it, with a
+        `relabel` and its snapshot, twists and curve in the relabelled
+        frame, is malformed."""
+        data = json.loads(TWO_ROUNDS.read_text())
+        rho = [1, 2, 0]            # new index i <- old index rho[i]
+        link = [n for n, mv in enumerate(data["moves"])
+                if mv["kind"] == "recoordinatize"][1]
+        snap = data["moves"][link]["snapshot"]
+        for key in ("a", "t"):
+            snap[key] = [snap[key][r] for r in rho]
+        data["moves"][link]["relabel"] = rho
+        for mv in data["moves"][link + 1:]:
+            mv["i"] = rho.index(mv["i"] - 1) + 1
+        data["curve"] = [[name[:-1] + str(rho.index(int(name[-1]) - 1) + 1),
+                          e] for name, e in data["curve"]]
+        _assert_malformed(tmp_path, capsys, data)
+        del data["moves"][link]["relabel"]
+        assert _replay(data)["ok"] is False
 
     @pytest.mark.parametrize("where", ["initial", "snapshot"])
     @pytest.mark.parametrize("spoil", [
@@ -283,7 +297,6 @@ class TestPantsMemo:
         """Over the benchmark's search corpora, each replay reports the
         same bits with the memo as after clearing it, and each pants the
         replay finds in the memo equals a fresh build, solution included."""
-        corpus = _load_corpus()
         records = (corpus.search_corpus(101, 1500)
                    + corpus.corner_corpus(101, 750)
                    + [{"text": json.dumps(LINK_RECORD)}])

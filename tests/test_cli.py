@@ -233,6 +233,46 @@ def test_bad_coordinate_record_is_usage_error(tmp_path, capsys, command,
 CERTIFICATE = Path(__file__).resolve().parent / "data" / \
     "certificate_two_rounds.json"
 
+# a JSON integer that converts to no float: malformed, as 1e400 is
+HUGE_INT = 10 ** 400
+
+
+def _huge_int_input(tmp_path, where):
+    """(argv, stderr prefix) of a command given HUGE_INT at `where`."""
+    record = {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
+              "t": [0.3, -0.2, 0.5]}
+    data = search.search_nonhyperbolic(genus2.GluedRep.from_json(
+        json.dumps(record))).certificate.to_dict()
+    command, key = where.split(":")
+    if command in ("classify", "search"):
+        record[key][1] = HUGE_INT
+    elif key == "a":
+        data["initial"]["a"][1] = HUGE_INT
+    elif key == "trace":
+        data["trace"] = HUGE_INT
+    else:                          # the --record
+        record["t"][1] = HUGE_INT
+    rec, cert = tmp_path / "rec.json", tmp_path / "cert.json"
+    rec.write_text(json.dumps(record))
+    cert.write_text(json.dumps(data))
+    if command != "replay":
+        return [command, str(rec)], f"{command}: bad input: "
+    if key == "record":
+        return (["replay", str(cert), "--record", str(rec)],
+                "replay: bad record: ")
+    return ["replay", str(cert)], "replay: bad certificate: "
+
+
+@pytest.mark.parametrize("where", ["classify:t", "search:t", "replay:a",
+                                   "replay:trace", "replay:record"])
+def test_an_integer_too_large_for_a_float_is_usage_error(tmp_path, capsys,
+                                                         where):
+    argv, prefix = _huge_int_input(tmp_path, where)
+    assert cli.main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(prefix)
+
 
 def _cut_matrix(d):
     # an older-format pants matrix, and cut short at that

@@ -154,6 +154,36 @@ class TestClosedForms:
                     assert abs(val - ref) < 1e-9, (str(eps1), str(eps2), tag)
         assert covered_any
 
+    @pytest.mark.parametrize("long", [0, 1])
+    @pytest.mark.parametrize("eps1,eps2,sampler", [
+        (SH_P, SH_P, sample_self_a), (SH_P, SH_M, sample_self_a),
+        (SH_M, SH_P, sample_self_a), (FU(1), FL(1), sample_flat_a),
+        (FL(-1), FU(1), sample_flat_a), (SH_P, EU_MINUS1, sample_self_a),
+        (SH_M, EU_PLUS1, sample_self_a), (EU_PLUS1, SH_P, sample_self_a),
+        (FU(1), EU_MINUS1, sample_flat_a), (FL(-1), EU_PLUS1, sample_flat_a),
+        (EU_MINUS1, FU(-1), sample_flat_a),
+        (EU0_DIAGONAL_FLAT, EU_PLUS1, sample_flat_a)],
+        ids=lambda v: str(v) if isinstance(v, PC) else "")
+    def test_the_long_side_anywhere(self, eps1, eps2, sampler, long):
+        """The self-hexagon and flat formulas name the long side L by its
+        index: delta_L, and each beta of the opposite-sign self-hexagon
+        pair, are covered with L first or second too."""
+        tags = [f"delta{long + 1}"]
+        if eps1.kind == eps2.kind == "selfhex" and eps1.eps != eps2.eps:
+            tags += ["beta1", "beta2", "beta3"]
+        draw = np.random.default_rng(30 + long)
+        for _ in range(10):
+            a = sampler(draw)                # the long side third
+            a = tuple(a[(i - long + 2) % 3] for i in range(3))
+            rep = build_glued(eps1, eps2, a,
+                              tuple(draw.uniform(-1.5, 1.5, 3)))
+            assert hyptrig.long_index(rep.a) == long
+            for tag in tags:
+                val, covered = trace_curve_closed_form(rep, tag)
+                ref = trace_curve_matrix(rep, tag)
+                assert covered, tag
+                assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref)), tag
+
     def test_specific_delta3_formula(self):
         # (1,-1), a = (1,1,1), t3 = 1
         rep = build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.0, 1.0),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from srk.hyptrig import (TrigError, _acos_clamped, _acosh_clamped,
-                         delta_invariant, long_shift, rotation,
-                         solve_hexagon, solve_self_hexagon, solve_triangle)
+                         delta_invariant, long_index, solve_hexagon,
+                         solve_self_hexagon, solve_triangle)
 
 rng = np.random.default_rng(42)
 
@@ -24,23 +24,24 @@ def sample_selfhex_sides(rng):
     return out[rng.permutation(3)]
 
 
-class TestRelabelling:
-    def test_long_shift_takes_the_first_largest(self):
-        assert long_shift((1.2, 1.2, 1.0)) == 2
-        assert long_shift((1.0, 1.2, 1.2)) == 1
-        assert long_shift((1.0, 1.0, 1.0)) == 2
+class TestLongIndex:
+    def test_long_index_takes_the_first_largest(self):
+        assert long_index((1.2, 1.2, 1.0)) == 0
+        assert long_index((1.0, 1.2, 1.2)) == 1
+        assert long_index((1.0, 1.0, 1.0)) == 0
 
     @pytest.mark.parametrize("v", [(3.0, 1.0, 2.0), (1.0, 3.0, 2.0),
                                    (1.0, 2.0, 3.0)])
-    def test_long_shift_puts_the_long_side_third(self, v):
-        perm = rotation(long_shift(v))
-        assert [v[i] for i in perm][2] == max(v)
+    def test_long_index_names_the_long_side(self, v):
+        assert v[long_index(v)] == max(v) == 3.0
 
     @pytest.mark.parametrize("shift", range(-4, 6))
-    def test_rotation_inverse(self, shift):
-        v = ("x", "y", "z")
-        there = [v[i] for i in rotation(shift)]
-        assert [there[i] for i in rotation(-shift)] == list(v)
+    def test_long_index_follows_a_cyclic_shift(self, shift):
+        """Moving every entry of a triple with one largest entry `shift`
+        places on moves its long index the same way."""
+        v = (1.0, 3.0, 2.0)
+        moved = [v[(i - shift) % 3] for i in range(3)]
+        assert long_index(moved) == (long_index(v) + shift) % 3
 
 
 class TestDeltaInvariant:

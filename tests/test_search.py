@@ -9,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from bench_corpus import corpus
 
 from srk import _grids, genus2, hyptrig, pants, search
 import srk.search
 from srk._grids import line_l1, line_l2
 from srk.inequalities import bandwidth_window, boum_bound
 from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
+from srk.psl2r import commutator, mtrace
 from srk.search import (B2_HALF, Certificate, FoundCurve, OutOfScopeError,
                         replay_certificate, search_nonhyperbolic)
 
@@ -532,7 +534,7 @@ class TestLinkGaps:
         with no bound."""
         rep = genus2.build_glued(EU_PLUS1, EU_MINUS1, (1, 1.1, 1.2),
                                  (0.1, 0.2, 0.3))
-        targets = search._link_targets(rep, [0, 1, 2])
+        targets = search._link_targets(rep)
         tags = genus2.CURVE_TAGS
         assert search._worst_gap(rep, tags, targets, math.inf) is not None
         for idx in range(9):
@@ -568,6 +570,48 @@ class TestLinkGaps:
         self._nan_beta2_target(monkeypatch)
         with pytest.raises(OutOfScopeError, match="link error is not finite"):
             replay_certificate(cert)
+
+
+class TestHandleAcrossDelta:
+    """delta_k bounds two handles, and the surface relator of the lift is
+    (-1)^e I, e the Euler class: the handle across delta_k from the one
+    its word spans has commutator trace (-1)^e tr delta_k.  The dispatch
+    and the links read it so, and build no co-based loops."""
+
+    def test_the_relator_sign(self):
+        """Over every case pair at |t| <= 1.5, the co-based loops'
+        commutator has the trace `_complement_trace` reads off delta_k, to
+        1e-9 relative to max(1, |trace|), as `srk classify` measures
+        agreement."""
+        pairs = set()
+        for rec in corpus.classify_corpus(101, 56 * 12):
+            if rec["wide"]:
+                continue
+            rep = genus2.GluedRep.from_json(rec["text"])
+            pairs.add((str(rep.eps1), str(rep.eps2)))
+            for k in (1, 2, 3):
+                p, q, _, _ = search._complement_handle(rep, k)
+                want = mtrace(commutator(p, q))
+                gap = abs(search._complement_trace(rep, k) - want)
+                assert gap <= 1e-9 * max(1.0, abs(want)), (rec["text"], k)
+        assert len(pairs) == 56
+
+    def test_dispatch_and_links_build_no_loops(self, monkeypatch):
+        reps = [genus2.normalize_twists(genus2.GluedRep.from_json(
+            rec["text"])) for rec in (corpus.corner_corpus(101, 400)
+                                      + corpus.search_corpus(101, 400))]
+
+        def refuse(rep):
+            raise AssertionError("the co-based loops were built")
+
+        monkeypatch.setattr(genus2.GluedRep, "loops", property(refuse))
+        routes = set()
+        for rep in reps:
+            state = search.SearchState(rep, Certificate(initial={}))
+            routes.add(search.dispatch(state).partition(":")[0])
+            assert len(search._link_targets(rep)) == 9
+        assert routes == {"delta_torus", "delta_torus_complement",
+                          "lattice"}
 
 
 @pytest.mark.parametrize("record", [
@@ -690,3 +734,27 @@ def test_only_inequalities_imports_numpy():
             if any(n.split(".")[0] == "numpy" for n in names):
                 importers.add(path.stem)
     assert importers <= {"inequalities", "_grids"}, sorted(importers)
+
+
+def test_no_unused_imports():
+    """No module of srk imports a name it never reads (`__init__`
+    re-exports, and `__future__` imports switch features on)."""
+    unused = []
+    for path in sorted(Path(srk.search.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {n}" for n in names
+                       if n not in read]
+    assert unused == []
