@@ -1,12 +1,11 @@
-"""The descent search for a simple closed curve with |trace| <= 2.
+"""The search for a simple closed curve with |trace| <= 2.
 
 Any representation with half-lengths under the Bers bound and class Euler
 +-1 or Euler 0 of Minus sign admits such a curve; the search produces one
-together with a certificate that records the coordinates of each
-representation it passes through, and whose replay rebuilds them.
+together with a certificate that records the input's coordinates, the
+twist moves along the gammas and the curve word, whose replay rebuilds the
+representation and re-evaluates the word.
 """
-
-import numpy as np
 
 from srk import genus2, pants, search
 from srk.pants import PantsCase
@@ -20,24 +19,26 @@ print("found curve:", out.word, " trace:", round(out.trace, 6))
 print("replay:", search.replay_certificate(out.certificate))
 
 # near the Bers corner: no torus window opens, and no twist of the lattice
-# step brings a beta curve to |trace| <= 2, so the search re-coordinatises
-# on the dual curve triple once, then concludes on delta_3
+# step brings a beta curve to |trace| <= 2, so the search twists once along
+# beta_3 and reduces on a handle of the twisted delta_3.  The twist is a
+# mapping-class move on the co-based loops: the curve is a word in them,
+# and the certificate records no move for it.
 hard = genus2.build_glued(PantsCase("tri", 1), pants.EU_MINUS1,
                           (2.177271425843055, 2.0216335715832017,
                            2.2096542923498688),
                           (1.1546330313413034, 0.7929074417928108,
                            1.2030657845188415))
 out = search.search_nonhyperbolic(hard)
-print("\nhard case: rounds of re-coordinatisation:", out.rounds)
-# the certificate holds each link's new coordinates, the search's history
-# the fit's residual, which the replay recomputes as the link error
-links = [mv["snapshot"] for mv in out.certificate.moves
-         if mv["kind"] == "recoordinatize"]
-fits = [h["residual"] for h in out.history if h["move"] == "recoordinatize"]
-for snap, residual in zip(links, fits):
-    print("  new coordinates:", snap["eps"], np.round(snap["a"], 4).tolist(),
-          " link residual:", f"{residual:.1e}")
+print("\nhard case: rounds:", out.rounds)
+step = next(h for h in out.history if h["move"] == "beta_twist")
+print(f"  twist along beta_{step['beta']} by {step['k']:+d}")
+# a torus reduction ran, or the twisted delta_3 is itself non-hyperbolic
+# and the word is its handle's commutator
+route = [h for h in out.history if h["move"] == "torus"]
+print("  torus route:", route[0]["moves"] if route else "none, the word "
+      "is the twisted delta_3")
 print("found curve:", out.word, " trace:", round(out.trace, 6))
+print("certificate moves:", out.certificate.moves)
 print("replay ok:", search.replay_certificate(out.certificate)["ok"])
 
 # a Markov reduction on the one-holed torus, by hand

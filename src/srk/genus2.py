@@ -71,7 +71,7 @@ class GluedRep:
                  t: Tuple[float, float, float]) -> None:
         self.p1, self.p2, self.t = p1, p2, t
         # the curve matrices evaluated so far, by tag: `curve_matrix` reads
-        # and fills it, and the fit seeds it
+        # and fills it
         self.quads: Dict[str, Quad] = {}
         # `loops`, `twist_counts` and `normalize_twists`, once computed
         self._loops = self._counts = self._normal = None

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Tuple
 
-from .search import _positive_roots
 from .tolerances import TRACE_BAND, WINDOW_END_SLACK, WINDOW_START_SLACK
 
 
@@ -81,6 +80,20 @@ def boum_bound(a, t) -> Tuple[Tuple[float, float, float], bool]:
     flag = all(math.cosh(a[i]) ** 2 / math.sinh(a[i]) <= math.sinh(a3)
                for i in range(3) if a[i] < a3 or a.count(a[i]) > 1)
     return tuple(bounds), flag
+
+
+def _positive_roots(c2: float, c1: float, c0: float) -> List[float]:
+    """Roots u > 0 of c2 u^2 + c1 u + c0 = 0, by the stable form of the
+    quadratic formula (-c1 and the square root never cancel)."""
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    if c2 == 0.0:
+        us = [-c0 / c1] if c1 else []
+    else:
+        h = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+        us = [h / c2, c0 / h] if h else []
+    return [u for u in us if u > 0.0]
 
 
 def bandwidth_window(a1: float, b2: float, t3: float,

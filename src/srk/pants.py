@@ -210,10 +210,9 @@ def _flat_matrices(a, eps: int, lower: bool, long: int) -> Tuple[Quad, ...]:
                           mmul(par(-eps * sh[k]), S)))
 
 
-# how many pants `build_pants` remembers, oldest out first.  The replay
-# that checks a search's certificate rebuilds the input's two pants and the
-# fitted pair of each link; a search builds at most four pants a round, so
-# these are hits for any search of up to 15 rounds.
+# how many pants `build_pants` remembers, oldest out first.  A search builds
+# only its input's two pants, and the replay that checks its certificate
+# rebuilds the same two: memo hits.
 _BUILT_MAX = 64
 _built: Dict[tuple, PantsRep] = {}
 

@@ -1,32 +1,29 @@
-"""Descent search for a simple closed curve with non-hyperbolic image.
+"""Search for a simple closed curve with non-hyperbolic image.
 
 Entry point: `search_nonhyperbolic`.  Given a glued representation whose
 half-lengths are below the Bers bound and whose class is Euler +-1 or Euler
-0 of Minus sign, the search iterates
+0 of Minus sign, the search normalises the twists and dispatches, in the
+frame of its input.  The dispatch hands a separating curve of commutator
+trace in (2, 18] to the one-holed-torus reduction, twists flat pants along
+gamma_L, L the long side, until delta_L opens such a window, or takes the
+lattice step: for i = 1, 2, 3 it tries the twists (k_j, k_k) in
+{-1, 0, 1}^2 along the other two gammas, nearest first, and concludes on
+the first beta_i with |trace| <= 2.  When no lattice point does, it
+twists once along beta_3, either way, and runs the torus route on a handle
+of the twisted delta_3 (`beta_twist_step`).  The paper's theorem says that
+a curve exists; that the search finds one is measured on the benchmark's
+corpora, not proved.
 
-    normalize twists -> dispatch
-
-in the frame of its input.  The dispatch hands a separating curve of
-commutator trace in (2, 18] to the one-holed-torus reduction, twists flat
-pants along gamma_L, L the long side, until delta_L opens such a window,
-or takes the lattice step: for i = 1, 2, 3 it tries the twists (k_j, k_k)
-in {-1, 0, 1}^2 along the other two gammas, nearest first, and concludes
-on the first beta_i with |trace| <= 2.  When no lattice point does, the
-search certifies that the dual curve triple (beta_1, beta_2, beta_3) has
-strictly smaller traces and re-coordinatises on it, index by index: the
-new gamma_i is the old beta_i.  The paper's theorem
-says that a curve exists; that the search finds one is measured on the
-benchmark's corpora, not proved.  Every terminal
-answer carries a certificate about the representation its coordinates name,
-holding only what the replay reads.  Each snapshot is a coordinate record
-(eps, a, t), and the replay builds its rep with `genus2.build_glued`, so it
+Every terminal answer carries a certificate about the representation its
+initial coordinates name, holding only what the replay reads: the
+coordinate record (eps, a, t), the twist moves along the gammas, and the
+curve word.  The replay builds the rep with `genus2.build_glued`, so it
 trusts `pants.build_pants` and hyptrig's solvers, and the 2x2 arithmetic
-after them.  It moves the rep with the search's own twist
-(`genus2.dehn_twist_gamma`), and checks each re-coordinatisation link
-with the fit's own `_worst_gap`.  Every curve is evaluated on a
-`GluedRep`, by `genus2.curve_matrix` and, for the complement torus route's
-words, `GluedRep.loops`; the dispatch and the links read that route's
-handle trace off delta_k (`_complement_trace`).
+after them; it moves the rep with the search's own twist
+(`genus2.dehn_twist_gamma`).  Every curve is evaluated on a `GluedRep`, by
+`genus2.curve_matrix` and, for the torus route's words in the co-based
+loops, `GluedRep.loops`; the dispatch reads the complement handle's trace
+off delta_k (`_complement_trace`).
 """
 
 from __future__ import annotations
@@ -40,14 +37,11 @@ from . import genus2, hyptrig, pants, torus
 from .hyptrig import long_index
 # the certificate replay builds each snapshot's rep through this binding
 from .genus2 import GluedRep, build_glued, trace_curve_matrix
-from .pants import PantsCase
 from .psl2r import IDENTITY, PSL2Error, Quad, minv, mmul, mtrace
-from .tolerances import (B2_HALF_SLACK, LINK_TOL, MU_MIN, RECOORD_FLAT_BAND,
-                         TRACE_BAND)
+from .tolerances import B2_HALF_SLACK, REPLAY_TOL, TRACE_BAND
 
 B2_HALF = 2.2254             # admissible half-length bound of the search
 TORUS_TRACE_MAX = 18.0
-MAX_ROUNDS = 64
 
 
 class SearchError(PSL2Error):
@@ -56,20 +50,6 @@ class SearchError(PSL2Error):
 
 class OutOfScopeError(SearchError):
     """Representation class outside the search's guarantee."""
-
-
-def _positive_roots(c2: float, c1: float, c0: float) -> List[float]:
-    """Roots u > 0 of c2 u^2 + c1 u + c0 = 0, by the stable form of the
-    quadratic formula (-c1 and the square root never cancel)."""
-    disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return []
-    if c2 == 0.0:
-        us = [-c0 / c1] if c1 else []
-    else:
-        h = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-        us = [h / c2, c0 / h] if h else []
-    return [u for u in us if u > 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +113,8 @@ class Certificate:
 
 
 _SNAPSHOT_KEYS = frozenset(("eps", "a", "t"))
-# the keys of each kind of move: exactly what the replay reads
-_MOVE_KEYS = {"twist": frozenset(("kind", "i", "k")),
-              "recoordinatize": frozenset(("kind", "snapshot"))}
+# the keys of a move, the one kind there is: exactly what the replay reads
+_MOVE_KEYS = frozenset(("kind", "i", "k"))
 
 
 def _is_snapshot(s) -> bool:
@@ -148,14 +127,11 @@ def _is_snapshot(s) -> bool:
 
 
 def _is_move(mv) -> bool:
-    """Whether `mv` has exactly its kind's keys, with values the replay
-    can apply."""
-    kind = mv.get("kind") if isinstance(mv, dict) else None
-    if not (type(kind) is str and mv.keys() == _MOVE_KEYS.get(kind)):
-        return False
-    if kind == "twist":
-        return mv["i"] in (1, 2, 3) and type(mv["i"]) is type(mv["k"]) is int
-    return _is_snapshot(mv["snapshot"])
+    """Whether `mv` is a twist move with exactly its keys, with values the
+    replay can apply."""
+    return (isinstance(mv, dict) and mv.keys() == _MOVE_KEYS
+            and mv["kind"] == "twist" and mv["i"] in (1, 2, 3)
+            and type(mv["i"]) is type(mv["k"]) is int)
 
 
 def _is_word(word) -> bool:
@@ -187,8 +163,8 @@ class Stalled(NamedTuple):
 
 
 class SearchState:
-    """The search's current rep, its certificate so far, the rounds it has
-    re-coordinatised and its decision trace."""
+    """The search's current rep, its certificate so far, its rounds (1
+    once it twists along beta_3) and its decision trace."""
 
     __slots__ = ("rep", "cert", "rounds", "history")
 
@@ -197,10 +173,6 @@ class SearchState:
         self.cert = cert
         self.rounds = 0
         self.history: List[Dict] = []
-
-    @property
-    def max_boundary_trace(self) -> float:
-        return 2.0 * math.cosh(max(self.rep.a))
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +205,29 @@ def _trace(rep: GluedRep, tag: str) -> float:
 def _word_quad(rep: GluedRep, word: Sequence) -> Quad:
     """Product of a word of +-1 letters over the named curves and the
     co-based loops of `rep`."""
-    out = IDENTITY
+    quads = []
     for name, exp in word:
         if name.startswith(_LOOP_PREFIXES):
             m = rep.loops[name[0] == "b"][int(name[-1]) - 1]
         else:
             m = genus2.curve_matrix(rep, name)
-        out = mmul(out, m if exp > 0 else minv(m))
-    return out
+        quads.append(m if exp > 0 else minv(m))
+    return mmul(*quads) if quads else IDENTITY
 
 
-def _freely_trivial(word: Sequence) -> bool:
-    """Whether cancelling each letter next to its inverse leaves nothing."""
+def _free_reduce(word: Sequence) -> List:
+    """`word` with each letter next to its inverse cancelled."""
     left: List = []
     for name, exp in word:
-        if left and left[-1] == [name, -exp]:
+        if left and left[-1][0] == name and left[-1][1] == -exp:
             left.pop()
         else:
             left.append([name, exp])
-    return not left
+    return left
+
+
+def _inverse(word: Sequence) -> List:
+    return [[name, -exp] for name, exp in reversed(word)]
 
 
 def _complement_trace(rep: GluedRep, k: int) -> float:
@@ -263,55 +239,19 @@ def _complement_trace(rep: GluedRep, k: int) -> float:
     return -tr if rep.euler_nominal % 2 else tr
 
 
-def _link_targets(old: GluedRep) -> List[float]:
-    """Traces of (gamma_1..3, beta_1..3, delta_1..3) after re-coordinatising
-    `old` on its dual curve triple, index by index.
-
-    gamma'_i is the old beta_i and beta'_i the old gamma_i; delta'_k is
-    the old delta_k seen from the other side, the handle of (gamma_i,
-    beta_j), (i, j, k) cyclic.
-    """
-    return ([_trace(old, tag) for tag in genus2.BETA_TAGS + genus2.GAMMA_TAGS]
-            + [_complement_trace(old, k) for k in (1, 2, 3)])
-
-
-def _link_gap(rep: GluedRep, tag: str, target: float) -> float:
-    """Gap between the trace of `tag` at `rep` and its link target; gamma
-    and beta compare in absolute value, as their lifts' signs are free."""
-    tr = _trace(rep, tag)
-    if tag in genus2.DELTA_TAGS:
-        return abs(tr - target)
-    return abs(abs(tr) - abs(target))
-
-
-def _worst_gap(rep: GluedRep, tags, targets, bound: float,
-               worst: float = 0.0) -> Optional[float]:
-    """The largest of `worst` and the `_link_gap`s over `tags`, or None as
-    soon as one of them is not below `bound` (a NaN never is).  The fit
-    and the replay check every link with it."""
-    if not worst < bound:
-        return None
-    for tag, v in zip(tags, targets):
-        gap = _link_gap(rep, tag, v)
-        if not gap < bound:
-            return None
-        worst = max(worst, gap)
-    return worst
-
-
-def replay_certificate(cert: Certificate, tol: float = LINK_TOL) -> Dict:
+def replay_certificate(cert: Certificate, tol: float = REPLAY_TOL) -> Dict:
     """Re-verify a certificate for the representation its coordinates name.
 
-    Builds the rep of each snapshot from its (eps, a, t) with
+    Builds the rep of the initial snapshot from its (eps, a, t) with
     `build_glued`, so the replay trusts `pants.build_pants` and hyptrig's
-    solvers.  Walks the move list, checking every re-coordinatisation link
-    (the new named-curve traces must reproduce the recorded old-coordinate
-    values), and finally re-evaluates the curve word; returns a report dict
-    with the replayed trace.  A snapshot whose coordinates name no
-    representation, or a curve word that reduces freely to the identity,
-    makes the report not ok.  Raises OutOfScopeError when the certificate's
-    numbers overflow a float (huge twists or half-lengths), or when a
-    snapshot's half-lengths are outside the float build's range.
+    solvers; applies the twist moves, and re-evaluates the curve word.
+    Returns a report dict with the replayed trace, ok when |trace| <= 2 and
+    the trace is within `tol` of the recorded one (a NaN or negative `tol`
+    fails).  A snapshot whose coordinates name no representation, or a
+    curve word that reduces freely to the identity, makes the report not
+    ok.  Raises OutOfScopeError when the certificate's numbers overflow a
+    float (huge twists or half-lengths), or when the snapshot's
+    half-lengths are outside the float build's range.
     """
     try:
         return _replay(cert, tol)
@@ -328,35 +268,22 @@ def replay_certificate(cert: Certificate, tol: float = LINK_TOL) -> Dict:
 
 def _replay(cert: Certificate, tol: float) -> Dict:
     rep = _rep_from_snapshot(cert.initial)
-    checks = []
     for mv in cert.moves:
-        kind = mv["kind"]
-        if kind == "twist":
-            rep = genus2.dehn_twist_gamma(rep, mv["i"], mv["k"])
-            t = rep.t[mv["i"] - 1]
-            if not math.isfinite(t):     # no rep is glued at an infinite twist
-                raise OverflowError(f"a twist move carries t_{mv['i']} to {t}")
-        elif kind == "recoordinatize":
-            old, rep = rep, _rep_from_snapshot(mv["snapshot"])
-            worst = _worst_gap(rep, genus2.CURVE_TAGS, _link_targets(old),
-                               math.inf)
-            if worst is None:
-                raise OverflowError("a link error is not finite")
-            checks.append(worst)
-            if not worst <= tol:    # fails closed on a NaN tol
-                return {"ok": False, "reason": "recoordinatisation link",
-                        "link_error": worst}
-        else:
-            return {"ok": False, "reason": f"unknown move {kind!r}"}
+        if mv["kind"] != "twist":
+            return {"ok": False, "reason": f"unknown move {mv['kind']!r}"}
+        rep = genus2.dehn_twist_gamma(rep, mv["i"], mv["k"])
+        t = rep.t[mv["i"] - 1]
+        if not math.isfinite(t):     # no rep is glued at an infinite twist
+            raise OverflowError(f"a twist move carries t_{mv['i']} to {t}")
     if cert.curve is None:
         return {"ok": False, "reason": "certificate has no curve"}
-    if _freely_trivial(cert.curve):
+    if not _free_reduce(cert.curve):
         return {"ok": False, "reason": "curve word reduces to the identity"}
     tr = mtrace(_word_quad(rep, cert.curve))
     if not math.isfinite(tr):
         raise OverflowError(f"replayed trace {tr}")
-    ok = abs(tr) <= 2.0 + TRACE_BAND and abs(tr - cert.trace) <= LINK_TOL
-    return {"ok": bool(ok), "trace": tr, "link_errors": checks}
+    ok = abs(tr) <= 2.0 + TRACE_BAND and abs(tr - cert.trace) <= tol
+    return {"ok": bool(ok), "trace": tr}
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +358,9 @@ def classify_scope(rep: GluedRep) -> str:
     raise OutOfScopeError(f"Euler class {eu} is extremal (Fuchsian locus)")
 
 
-def _complement_handle(rep: GluedRep, k: int) -> Tuple[Quad, Quad, str, str]:
-    """Co-based pair spanning the torus on the other side of delta_k.
+def _complement_handle(k: int) -> Tuple[str, str]:
+    """Names of the co-based pair spanning the torus on the other side of
+    delta_k.
 
     delta_k bounds the handle of (beta_i, gamma_j) on one side and the
     handle of (gamma_i, beta_j) on the other, (i, j, k) cyclic; their
@@ -440,8 +368,7 @@ def _complement_handle(rep: GluedRep, k: int) -> Tuple[Quad, Quad, str, str]:
     (`_complement_trace`).
     """
     i, j = k % 3, (k + 1) % 3          # 0-based successors of k-1
-    g_loops, b_loops = rep.loops
-    return (g_loops[i], b_loops[j], f"gloop{i+1}", f"bloop{j+1}")
+    return f"gloop{i+1}", f"bloop{j+1}"
 
 
 def _torus_window(rep: GluedRep, k: int) -> Optional[str]:
@@ -472,32 +399,56 @@ def dispatch(state: SearchState) -> str:
 # torus route
 # ---------------------------------------------------------------------------
 
+def _handle_curve(rep: GluedRep, p: List, q: List) -> Tuple[
+        float, Optional[torus.ReductionResult], Optional[List]]:
+    """The torus route on the handle spanned by the co-based words p and q:
+    (kappa, the reduction, the curve word), with free pairs cancelled.
+
+    A handle whose boundary, the commutator q^-1 p^-1 q p of trace kappa,
+    is itself non-hyperbolic answers with that word and no reduction.
+    Otherwise the word is None when kappa is outside the window (2, 18] or
+    the reduction ends AllNegative, and else the reduction's word in a, b
+    with p, q put in their place, capitals inverted.
+    """
+    mp, mq = _word_quad(rep, p), _word_quad(rep, q)
+    x, y, z = mtrace(mp), mtrace(mq), mtrace(mmul(mp, mq))
+    kappa = torus.kappa(x, y, z)
+    if abs(kappa) <= 2.0 + TRACE_BAND:
+        return kappa, None, _free_reduce(_inverse(q) + _inverse(p) + q + p)
+    if not 2.0 < kappa <= TORUS_TRACE_MAX:
+        return kappa, None, None
+    red = torus.reduce_triple(x, y, z)
+    if red.found_index is None:
+        return kappa, red, None
+    letters = {"a": p, "b": q, "A": _inverse(p), "B": _inverse(q)}
+    return kappa, red, _free_reduce(
+        [letter for c in red.curve_word for letter in letters[c]])
+
+
+def _log_torus(state: SearchState, k: int, complement: bool, red) -> None:
+    """Log the reduction `red` on a handle of delta_k, if one ran."""
+    if red is not None:
+        state.history.append({"move": "torus", "delta": k,
+                              "complement": complement,
+                              "moves": list(red.moves), "steps": red.steps})
+
+
 def _torus_route(state: SearchState, k: int, complement: bool = False):
     """Reduce on a handle bounded by delta_k; terminal by construction."""
     rep = state.rep
     tr_delta = trace_curve_matrix(rep, f"delta{k}")
     if abs(tr_delta) <= 2.0 + TRACE_BAND:
         return _found(state, [[f"delta{k}", 1]])
-    if complement:
-        p, q, name_p, name_q = _complement_handle(rep, k)
-    else:
-        name_p, name_q = genus2._DELTA_PAIRS[f"delta{k}"]
-        p, q = (genus2.curve_matrix(rep, n) for n in (name_p, name_q))
-    x, y, z = mtrace(p), mtrace(q), mtrace(mmul(p, q))
-    kappa = torus.kappa(x, y, z)
-    if not 2.0 < kappa <= TORUS_TRACE_MAX:
-        return _stalled(state, f"handle at delta_{k} has commutator trace "
-                               f"{kappa} outside (2, 18]")
-    red = torus.reduce_triple(x, y, z)
-    if red.found_index is None:
-        return _stalled(state, f"torus reduction ended AllNegative at "
-                               f"kappa {kappa}")
-    word_chars = red.curve_word
-    word = [[{"a": name_p, "b": name_q}[c.lower()],
-             1 if c.islower() else -1] for c in word_chars]
-    state.history.append({"move": "torus", "delta": k,
-                          "complement": complement,
-                          "moves": list(red.moves), "steps": red.steps})
+    name_p, name_q = (_complement_handle(k) if complement
+                      else genus2._DELTA_PAIRS[f"delta{k}"])
+    kappa, red, word = _handle_curve(rep, [[name_p, 1]], [[name_q, 1]])
+    if word is None:
+        why = (f"torus reduction ended AllNegative at kappa {kappa}"
+               if red is not None
+               else f"handle at delta_{k} has commutator trace {kappa} "
+                    f"outside (2, 18]")
+        return _stalled(state, why)
+    _log_torus(state, k, complement, red)
     return _found(state, word)
 
 
@@ -536,7 +487,7 @@ _LATTICE = sorted(itertools.product((-1, 0, 1), repeat=2),
 def lattice_step(state: SearchState):
     """Conclude on the first beta_i, i = 1, 2, 3, that the twists
     (k_j, k_k) in {-1, 0, 1}^2 along the other two gammas, nearest first,
-    make non-hyperbolic; when no lattice point does, re-coordinatise."""
+    make non-hyperbolic; when no lattice point does, twist along beta_3."""
     rep = state.rep
     for i in range(3):
         j, k = (i + 1) % 3 + 1, (i + 2) % 3 + 1
@@ -553,112 +504,54 @@ def lattice_step(state: SearchState):
                 state.history.append({"move": "strategy", "id": "lattice",
                                       "beta": i + 1})
                 return _found(state, [[f"beta{i+1}", 1]])
-    return _improve(state)
+    return beta_twist_step(state)
 
 
-# ---------------------------------------------------------------------------
-# improvement / re-coordinatisation
-# ---------------------------------------------------------------------------
-
-def _candidate_pairs(euler: int, delta: float) -> List[Tuple[PantsCase, PantsCase]]:
-    PC = PantsCase
-    if euler == 0:
-        if delta > 0:
-            return [(pants.EU_PLUS1, pants.EU_MINUS1),
-                    (PC("tri", 1), PC("tri", -1))]
-        return [(pants.EU_PLUS1, pants.EU_MINUS1),
-                (PC("selfhex", 1), PC("selfhex", 1))]
-    hexs = pants.EU_PLUS1 if euler == 1 else pants.EU_MINUS1
-    if delta > 0:
-        return [(PC("tri", 1), hexs), (PC("tri", -1), hexs)]
-    return [(PC("selfhex", 1), hexs), (PC("selfhex", -1), hexs)]
+def _loop_word(text: str) -> List:
+    """A word in the co-based loops from letters such as "g1" (gloop1) and
+    "B3" (bloop3 inverted)."""
+    return [[("gloop" if c in "gG" else "bloop") + i, 1 if c.islower() else -1]
+            for c, i in text.split()]
 
 
-def _delta_twist_roots(rep: GluedRep, k: int, d: float) -> List[float]:
-    """Twists t_k, ascending, with tr delta_{k+1} = d (the trace depends
-    on t_k alone).
+# The handles of delta_3 after n = +-1 Dehn twists T^n along beta_3, as
+# words in the co-based loops (g_i, b_i) of `GluedRep.loops`: first the
+# handle of (gamma_1, beta_2), then that of (beta_1, gamma_2).  In the
+# generators of `genus2.generator_images`, A1 = b1, B1 = g2, A2 = w b2 w^-1
+# and B2 = w g1 w^-1 with w = g2^-1 b3, and with C = A2 B1^-1 A1^-1 B1, a
+# conjugate of beta_3, T fixes A1 and C and sends B1 to B1 C, A2 to
+# C^-1 A2 C and B2 to C^-1 B2.  T maps the surface relator to a cyclic
+# conjugate of itself, not of its inverse, so it is a mapping class: each
+# pair spans a handle of the twisted delta_3, and the simple curves of that
+# handle are simple curves of the surface.  The pairs are (T^n B2, T^n A2),
+# both words conjugated so that beta_2's image is the letter b2, and
+# (A1, T^n B1); at n = 0 they would be `_complement_handle(3)` and (b1, g2).
+_BETA3_HANDLES = {
+    n: tuple((_loop_word(p), _loop_word(q)) for p, q in pairs)
+    for n, pairs in (
+        (1, (("B2 g1 B3 b1 b3", "b2"), ("b1", "b3 b2 B3 B1 g2"))),
+        (-1, (("g1 b2 B3 B1 b3", "b2"), ("b1", "b1 b3 B2 B3 g2"))))}
 
-    With the coefficients of `genus2.delta_twist_coeffs`, u = e^{t_k}
-    solves c_plus u^2 + (c_mid + (d - 2) / s) u + c_minus = 0.
+
+def beta_twist_step(state: SearchState):
+    """Twist once along beta_3, n = +1 then -1, and conclude on the first
+    handle of the twisted delta_3 whose torus route finds a curve
+    (`_BETA3_HANDLES`, `_handle_curve`).
+
+    The twist is a mapping-class move on the co-based loops, so the curve
+    word names a simple curve of the rep the certificate's coordinates
+    name: the certificate records no move for it.
     """
-    s, c_minus, c_mid, c_plus = genus2.delta_twist_coeffs(rep, k)
-    return sorted(math.log(u) for u in
-                  _positive_roots(c_plus, c_mid + (d - 2.0) / s, c_minus))
-
-
-def _fit_candidate(eps_pair, a_new, targets):
-    """Solve the three twists against the delta targets; verify all traces
-    against the `_link_targets`, as the certificate replay does.  Returns
-    (the fitted rep, with the matrices its check evaluated, link error) or
-    None.
-
-    The link error is the largest of the nine gaps, and the fit keeps the
-    first root combination of least error below LINK_TOL.  Each gap is
-    checked against the least error so far as soon as it is evaluated:
-    the gamma gaps read no twist and are checked once, on the untwisted
-    rep, whose gamma matrices seed each combination's rep; a combination is
-    dropped at its first beta or delta gap that cannot improve on it.
-    """
-    case1, case2 = genus2.pants_cases(*eps_pair)
-    try:
-        p1 = pants.build_pants(a_new, case1)
-        p2 = pants.build_pants(a_new, case2)
-    except (pants.PantsError, hyptrig.TrigError):
-        return None
-    untwisted = GluedRep(p1=p1, p2=p2, t=(0.0, 0.0, 0.0))
-    roots = [[r for r in _delta_twist_roots(untwisted, k, targets[6 + k])
-              if -10.0 <= r <= 10.0] for k in range(3)]
-    if not all(roots):
-        return None
-    g_err = _worst_gap(untwisted, genus2.GAMMA_TAGS, targets[:3], LINK_TOL)
-    if g_err is None:
-        return None
-    best, bound = None, LINK_TOL
-    for combo in itertools.product(*roots):
-        rep = GluedRep(p1, p2, combo)
-        rep.quads.update(untwisted.quads)
-        err = _worst_gap(rep, genus2.BETA_TAGS + genus2.DELTA_TAGS,
-                         targets[3:], bound, g_err)
-        if err is not None:
-            best, bound = rep, err
-    return best and (best, bound)
-
-
-def _improve(state: SearchState):
-    """Re-coordinatise on the dual curve triple (beta_1, beta_2, beta_3)."""
-    rep = state.rep
-    tb = [trace_curve_matrix(rep, f"beta{i+1}") for i in range(3)]
-    for i in range(3):
-        if abs(tb[i]) <= 2.0 + TRACE_BAND:
-            return _found(state, [[f"beta{i+1}", 1]])
-    old_max = state.max_boundary_trace
-    new_max = max(abs(v) for v in tb)
-    if new_max > old_max - MU_MIN:
-        return _stalled(state, f"no strict decrease: max |tr beta| "
-                               f"{new_max} vs {old_max}")
-    targets = _link_targets(rep)
-    a_new = tuple(math.acosh(abs(v) / 2.0) for v in targets[:3])
-    delta_new = hyptrig.delta_invariant(*a_new)
-    if abs(delta_new) < RECOORD_FLAT_BAND:
-        return _stalled(state, f"new half-lengths sit on the flat stratum: "
-                               f"delta = {delta_new}")
-    fit = None
-    for eps_pair in _candidate_pairs(rep.euler_nominal, delta_new):
-        fit = _fit_candidate(eps_pair, a_new, targets)
-        if fit is not None:
-            break
-    if fit is None:
-        return _stalled(state, "no coordinate fit for the new curve triple")
-    new_rep = fit[0]
-    state.cert.moves.append({"kind": "recoordinatize",
-                             "snapshot": new_rep.to_dict()})
-    state.history.append({"move": "recoordinatize", "residual": fit[1],
-                          "eps": [str(new_rep.eps1), str(new_rep.eps2)],
-                          "max_trace_before": old_max,
-                          "max_trace_after": new_max})
-    state.rep = new_rep
-    state.rounds += 1
-    return None                      # improved; caller continues the loop
+    for n in (1, -1):
+        for far, (p, q) in zip((True, False), _BETA3_HANDLES[n]):
+            _, red, word = _handle_curve(state.rep, p, q)
+            if word is not None:
+                state.rounds = 1
+                state.history.append({"move": "beta_twist", "beta": 3,
+                                      "k": n})
+                _log_torus(state, 3, far, red)
+                return _found(state, word)
+    return _stalled(state, "no twist along beta_3 opens a torus window")
 
 
 _STRATEGY_STEPS = {"flat_twist": flat_twist_step, "lattice": lattice_step}
@@ -677,14 +570,10 @@ def search_nonhyperbolic(rep: GluedRep):
                                   f"{B2_HALF}")
     classify_scope(rep)
     state = SearchState(rep=rep, cert=Certificate(initial=rep.to_dict()))
-    while state.rounds <= MAX_ROUNDS:
-        _normalize(state)
-        strategy = dispatch(state)
-        sid, _, k = strategy.partition(":")
-        if k:
-            return _torus_route(state, int(k),
-                                complement=sid == "delta_torus_complement")
-        out = _STRATEGY_STEPS[strategy](state)
-        if out is not None:
-            return out
-    return _stalled(state, f"round budget {MAX_ROUNDS} exhausted")
+    _normalize(state)
+    strategy = dispatch(state)
+    sid, _, k = strategy.partition(":")
+    if k:
+        return _torus_route(state, int(k),
+                            complement=sid == "delta_torus_complement")
+    return _STRATEGY_STEPS[strategy](state)

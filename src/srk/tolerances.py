@@ -36,12 +36,8 @@ TWIST_EDGE = 1e-13
 
 # --- the search ------------------------------------------------------------
 
-# certificate link error (fit and replay) and replayed trace gap
-LINK_TOL = 1e-6
-# least fall of the max boundary trace per re-coordinatisation
-MU_MIN = 1e-4
-# |delta| of new half-lengths at which a re-coordinatisation stalls as flat
-RECOORD_FLAT_BAND = 1e-7
+# gap between a certificate's replayed curve trace and its recorded one
+REPLAY_TOL = 1e-6
 # half-length excess over B2_HALF that search_nonhyperbolic still accepts
 B2_HALF_SLACK = 1e-12
 # twist past the bandwidth window's upper cut that its scan still reaches

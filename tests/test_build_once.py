@@ -1,19 +1,19 @@
 """Each genus-2 representation is built, solved and evaluated once.
 
 The pants carry the hyptrig solutions they were built from and the closed
-trace formulas read them; the re-coordinatisation glues the pants its fit
-built.  The references below are the re-solving closed forms and the
-rebuilding normalisation and gluing that these replaced: every result must
-match them bit for bit.  A cyclic relabelling of the coordinates permutes
+trace formulas read them; a search builds no pants beyond its input's two.
+The references below are the re-solving closed forms and the rebuilding
+normalisation that these replaced: every result must match them bit for
+bit.  A cyclic relabelling of the coordinates permutes
 the build exactly.
 """
 
-import itertools
 import json
 import math
 import struct
 import sys
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,65 +416,16 @@ def _memo_free_normalize(state):
         search._apply_twist(state, i + 1, k)
 
 
-def _memo_free_link_error(new, targets):
-    """The link check with no memo: each delta re-evaluates its beta and
-    gamma."""
-    return max(abs(search._trace(_fresh(new), tag) - v) if tag in DELTA_TAGS
-               else abs(abs(search._trace(_fresh(new), tag)) - abs(v))
-               for tag, v in zip(CURVE_TAGS, targets))
-
-
-def _all_combination_fit(eps_pair, a_new, targets):
-    """`_fit_candidate` as it was: every root combination scored on all
-    nine gaps, the fitted rep glued by `build_glued`."""
-    case1, case2 = genus2.pants_cases(*eps_pair)
-    try:
-        p1 = pants.build_pants(a_new, case1)
-        p2 = pants.build_pants(a_new, case2)
-    except (pants.PantsError, hyptrig.TrigError):
-        return None
-    untwisted = GluedRep(p1=p1, p2=p2, t=(0.0, 0.0, 0.0))
-    roots = [[r for r in search._delta_twist_roots(untwisted, k,
-                                                   targets[6 + k])
-              if -10.0 <= r <= 10.0] for k in range(3)]
-    if not all(roots):
-        return None
-    best = None
-    for combo in itertools.product(*roots):
-        err = _memo_free_link_error(GluedRep(p1=p1, p2=p2, t=combo), targets)
-        if err < search.LINK_TOL and (best is None or err < best[1]):
-            best = (combo, err)
-    return best and (build_glued(*eps_pair, a_new, best[0]), best[1])
-
-
-# records from the benchmark's corner corpus whose searches re-coordinatise
-# once: the lattice step leaves about one corner search in 3000 to the fit
-LINKING = [
-    ("Eu0PlusTriangle", "EuMinus1",
-     (2.177271425843055, 2.0216335715832017, 2.2096542923498688),
-     (1.1546330313413034, 0.7929074417928108, 1.2030657845188415)),
-    ("Eu0MinusTriangle", "EuPlus1",
-     (2.1586917835799397, 2.1805017854172615, 2.189178872070682),
-     (1.1132127056456316, 1.0162646373150839, 0.9380069051012798)),
-    ("Eu0PlusTriangle", "Eu0MinusTriangle",
-     (2.1750322387098557, 2.0751280116119153, 2.130530884994086),
-     (1.0466397691676281, 0.5715379794039412, 0.8929889601796077)),
-    ("Eu0PlusTriangle", "Eu0MinusTriangle",
-     (2.1735389522114072, 2.1197692698793356, 2.1261902423297268),
-     (1.0828189227367453, 0.602374444294763, 1.112120497148993)),
-    ("Eu0PlusTriangle", "Eu0MinusTriangle",
-     (2.089429656913838, 2.0322541740548883, 2.156651200104319),
-     (0.7820571596775734, -2.9915930392514705, 0.4390226505913333)),
-    ("Eu0MinusTriangle", "EuPlus1",
-     (2.204489354493055, 2.1914092499559734, 2.2164474333886686),
-     (-1.0452622268286174, -1.1872732107771364, -1.2462270473956738)),
-]
+# the records whose searches twist along beta_3 (`search.beta_twist_step`),
+# one search in about 3000 near the Bers corner
+LINKING = [row["record"] for row in json.loads(
+    (Path(__file__).parent / "data" / "beta_twist_records.json").read_text())]
 
 
 def _search_reps(seed, n):
     """Seeded search records: the eight search pairs with every
     half-length at most B2_HALF, then the four Bers-corner pairs with every
-    half-length in [1.9, B2_HALF], then the `LINKING` records."""
+    half-length in [1.9, B2_HALF], then the first six `LINKING` records."""
     rng = np.random.default_rng(seed)
     search_pairs = [("EuPlus1", "EuMinus1"),
                     ("Eu0PlusTriangle", "Eu0MinusTriangle"),
@@ -497,9 +448,8 @@ def _search_reps(seed, n):
             if eps[0].kind != "tri" or hyptrig.delta_invariant(*a) > 0.02:
                 break
         reps.append(build_glued(*eps, a, rng.uniform(-3.0, 3.0, 3)))
-    for eps1, eps2, a, t in LINKING:
-        reps.append(build_glued(case_from_string(eps1),
-                                case_from_string(eps2), a, t))
+    for record in LINKING[:6]:
+        reps.append(GluedRep.from_json(json.dumps(record)))
     return reps
 
 
@@ -519,28 +469,16 @@ def _search_outputs(rep):
 class TestSearchBuildsOnce:
     def test_matches_rebuilding_reference(self, monkeypatch):
         """Certificates, history, rounds and replays are those of the
-        memo-free references: one Dehn twist per normalising move, and the
-        fit that scores every root combination on all nine gaps and glues
-        its rep by `build_glued`.  The residual that the history records
-        for each link is the replay's link error, bit for bit."""
+        memo-free reference: one Dehn twist per normalising move."""
         reps = _search_reps(103, 160)
         got = [_search_outputs(rep) for rep in reps]
         monkeypatch.setattr(search, "_normalize", _memo_free_normalize)
-        monkeypatch.setattr(search, "_fit_candidate", _all_combination_fit)
         assert [_search_outputs(rep) for rep in reps] == got
-        assert sum(g[2] > 0 for g in got) >= 5       # re-coordinatised
-        linked = 0
-        for g in got:
-            residuals = [h["residual"] for h in json.loads(g[1])
-                         if h["move"] == "recoordinatize"]
-            if residuals and len(g) > 4:             # a replayed FoundCurve
-                linked += 1
-                for replay in g[-2:]:
-                    errors = json.loads(replay)["link_errors"]
-                    assert _bits(errors) == _bits(residuals)
-        assert linked >= 5
+        assert sum(g[2] > 0 for g in got) >= 6       # twisted along beta_3
 
-    def test_builds_pants_only_to_fit(self, monkeypatch):
+    def test_builds_no_pants(self, monkeypatch):
+        """A search, the beta-twist step included, evaluates the rep it is
+        given: it glues no rep and builds no pants."""
         reps = _search_reps(104, 80)
         callers = []
 
@@ -556,5 +494,5 @@ class TestSearchBuildsOnce:
         monkeypatch.setattr(pants, "build_pants", counted)
         monkeypatch.setattr(genus2, "build_pants", counted)
         rounds = sum(search.search_nonhyperbolic(rep).rounds for rep in reps)
-        assert rounds > 0
-        assert set(callers) == {"_fit_candidate"}
+        assert rounds >= 6
+        assert callers == []

@@ -1,14 +1,15 @@
 """A certificate certifies the representation its coordinates name.
 
-Each snapshot is the coordinate record (eps, a, t) that
+Its one snapshot is the coordinate record (eps, a, t) that
 `genus2.parse_record` reads, and the replay builds its rep with
 `genus2.build_glued`: a relabelled eps or a tampered a fails the replay.
-A certificate holds exactly the keys the replay reads, so one of the older
-format, whose snapshots also record the pants matrices X and Y and whose
-links record delta_targets and residual, is malformed.  A curve word that
-reduces freely to the identity certifies nothing.  `pants.build_pants`
-remembers the pants it built recently, so the replay after a search
-rebuilds nothing; the memo must never change what a replay reports.
+A certificate holds exactly the keys the replay reads, so one of an older
+format, whose snapshots also record the pants matrices X and Y, is
+malformed, and so is one with a re-coordinatisation link, whose snapshot
+may name another rep.  A curve word that reduces freely to the identity
+certifies nothing.  `pants.build_pants` remembers the pants it built
+recently, so the replay after a search rebuilds nothing; the memo must
+never change what a replay reports.
 """
 
 import ast
@@ -24,13 +25,40 @@ from srk.search import (Certificate, OutOfScopeError, SearchError,
                         replay_certificate, search_nonhyperbolic)
 
 ROOT = Path(__file__).resolve().parents[1]
-TWO_ROUNDS = ROOT / "tests" / "data" / "certificate_two_rounds.json"
+# the certificate of a search that twists along beta_3: one twist move and
+# a 7-letter word in the co-based loops
+COMMITTED = ROOT / "tests" / "data" / "certificate_beta_twist.json"
+# a certificate an older srk wrote, with two re-coordinatisation links
+OLDER_LINKS = {
+    "initial": {"eps": ["EuPlus1", "EuMinus1"],
+                "a": [2.020753959571758, 2.093250468557487,
+                      2.1264520637935904],
+                "t": [-1.8424879178000826, -1.6226775954328718,
+                      -1.495973116882266]},
+    "moves": [
+        {"kind": "recoordinatize",
+         "snapshot": {"eps": ["Eu0PlusTriangle", "Eu0MinusTriangle"],
+                      "a": [1.6501968001332494, 1.7761237979785098,
+                            1.8488921887733418],
+                      "t": [-2.45613547575, -2.21866805839,
+                            -2.08072082035]}},
+        {"kind": "twist", "i": 1, "k": 1}, {"kind": "twist", "i": 2, "k": 1},
+        {"kind": "twist", "i": 3, "k": 1},
+        {"kind": "recoordinatize",
+         "snapshot": {"eps": ["EuPlus1", "EuMinus1"],
+                      "a": [1.3079078434311062, 0.9413444671621414,
+                            0.6723870609996497],
+                      "t": [1.82552532589, 1.22849163698, 0.85550006829]}},
+        {"kind": "twist", "i": 2, "k": -1}, {"kind": "twist", "i": 3, "k": -1},
+        {"kind": "twist", "i": 1, "k": -1}],
+    "curve": [["beta2", 1], ["gamma3", 1]], "trace": 1.2274132366649728}
 
 # the record that the CLI tests search and replay: no moves, found beta_1 at
 # trace 1.9586
 ROUND0_RECORD = {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
                  "t": [0.3, -0.2, 0.5]}
-# a corner record whose search re-coordinatises once, then finds delta_3
+# a corner record whose search twists along beta_3, then finds a word in
+# the co-based loops
 LINK_RECORD = {"eps": ["Eu0PlusTriangle", "EuMinus1"],
                "a": [2.177271425843055, 2.0216335715832017,
                      2.2096542923498688],
@@ -47,11 +75,6 @@ def _replay(data: dict) -> dict:
     return replay_certificate(Certificate.from_json(json.dumps(data)))
 
 
-def _snapshots(data: dict) -> list:
-    return [data["initial"]] + [mv["snapshot"] for mv in data["moves"]
-                                if mv["kind"] == "recoordinatize"]
-
-
 def _hexed(obj):
     """`obj` with every float spelled by `float.hex`, to compare bits."""
     if isinstance(obj, float):
@@ -63,9 +86,8 @@ def _hexed(obj):
     return obj
 
 
-# the keys of each kind of move
-GRAMMAR = {"twist": {"kind", "i", "k"},
-           "recoordinatize": {"kind", "snapshot"}}
+# the keys of a move, of its one kind
+GRAMMAR = {"twist": {"kind", "i", "k"}}
 
 # the keys the older format wrote, and one no srk ever wrote
 EXTRA_KEYS = {"X": [[1.0, 0.0, 0.0, 1.0]] * 3, "Y": [[1.0, 0.0, 0.0, 1.0]] * 3,
@@ -74,12 +96,9 @@ EXTRA_KEYS = {"X": [[1.0, 0.0, 0.0, 1.0]] * 3, "Y": [[1.0, 0.0, 0.0, 1.0]] * 3,
 
 
 def _first(data: dict, where: str) -> dict:
-    """The initial snapshot, the first link's snapshot, or the first move
-    of kind `where`."""
+    """The initial snapshot, or the first move of kind `where`."""
     if where == "initial":
         return data["initial"]
-    if where == "snapshot":
-        return _snapshots(data)[1]
     return next(mv for mv in data["moves"] if mv["kind"] == where)
 
 
@@ -88,30 +107,24 @@ class TestFormat:
         out = search_nonhyperbolic(GluedRep.from_json(json.dumps(LINK_RECORD)))
         assert out.rounds == 1
         fresh = json.loads(out.certificate.to_json())
-        assert [sorted(s) for s in _snapshots(fresh)] == \
-            [["a", "eps", "t"]] * 2
-        # two links: the committed certificate, as srk writes it back
-        cert = Certificate.from_json(TWO_ROUNDS.read_text())
-        assert [sorted(s) for s in _snapshots(json.loads(cert.to_json()))] \
-            == [["a", "eps", "t"]] * 3
+        assert sorted(fresh) == ["curve", "initial", "moves", "trace"]
+        assert sorted(fresh["initial"]) == ["a", "eps", "t"]
+        # the committed certificate, as srk writes it back
+        cert = Certificate.from_json(COMMITTED.read_text())
+        assert cert.to_json() + "\n" == COMMITTED.read_text()
 
     def test_the_committed_certificate_replays(self):
-        """An older srk wrote its coordinates and moves; stripped of X, Y,
-        delta_targets and residual, and with its second link's relabel
-        folded into the snapshot, the later twists and the curve, it
-        replays with the trace and link errors it had with them (to
-        rounding: a link error of 1e-10 is a gap between traces of up to
-        60)."""
-        report = _replay(json.loads(TWO_ROUNDS.read_text()))
+        """A beta-twist certificate names the rep it certifies: the replay
+        rebuilds it from the initial snapshot, twists it once along
+        gamma_2, and reads the word's recorded trace."""
+        report = _replay(json.loads(COMMITTED.read_text()))
         assert report["ok"] is True
-        assert report["trace"] == pytest.approx(1.2274132366649728, abs=1e-12)
-        assert report["link_errors"] == pytest.approx(
-            [1.702247232060472e-10, 2.1039880948592327e-10], rel=1e-2)
+        assert report["trace"] == pytest.approx(1.9906015942866908, abs=1e-12)
 
     def test_corpus_certificates_hold_the_grammar_keys(self):
         """Every fresh certificate of the benchmark's search corpora, and
-        of a record that re-coordinatises, has exactly the grammar's keys
-        in each snapshot and move."""
+        of a record that twists along beta_3, has exactly the grammar's
+        keys in its snapshot and each move."""
         records = (corpus.search_corpus(101, 1500)
                    + corpus.corner_corpus(101, 750)
                    + [{"text": json.dumps(LINK_RECORD)}])
@@ -119,8 +132,7 @@ class TestFormat:
         for rec in records:
             out = search_nonhyperbolic(GluedRep.from_json(rec["text"]))
             data = json.loads(out.certificate.to_json())
-            for snap in _snapshots(data):
-                assert snap.keys() == {"eps", "a", "t"}
+            assert data["initial"].keys() == {"eps", "a", "t"}
             for mv in data["moves"]:
                 assert mv.keys() == GRAMMAR[mv["kind"]]
                 kinds.add(mv["kind"])
@@ -144,49 +156,38 @@ def _assert_malformed(tmp_path, capsys, data: dict) -> None:
 
 class TestGrammar:
     @pytest.mark.parametrize("key", sorted(EXTRA_KEYS))
-    @pytest.mark.parametrize("where", ["initial", "snapshot", "twist",
-                                       "recoordinatize"])
+    @pytest.mark.parametrize("where", ["initial", "twist"])
     def test_an_extra_key_is_malformed(self, tmp_path, capsys, where, key):
         """A key the replay does not read makes the certificate
         malformed."""
-        data = json.loads(TWO_ROUNDS.read_text())
+        data = json.loads(COMMITTED.read_text())
         _first(data, where)[key] = EXTRA_KEYS[key]
         _assert_malformed(tmp_path, capsys, data)
 
     def test_a_rotate_move_is_malformed(self, tmp_path, capsys):
         """The search works in the frame of its input, and no move
-        relabels it: the committed certificate as an older srk wrote it,
-        its initial snapshot relabelled by a leading rotate move, is
+        relabels it: the committed certificate with its initial snapshot
+        relabelled by a leading rotate move, as an older srk wrote one, is
         malformed."""
-        data = json.loads(TWO_ROUNDS.read_text())
+        data = json.loads(COMMITTED.read_text())
         initial = data["initial"]
         for key in ("a", "t"):
             initial[key] = [initial[key][(i + 1) % 3] for i in range(3)]
         data["moves"].insert(0, {"kind": "rotate", "shift": 1})
         _assert_malformed(tmp_path, capsys, data)
 
-    def test_a_relabelled_link_is_malformed(self, tmp_path, capsys):
-        """A link re-coordinatises index by index: the committed
-        certificate's second link as an older srk wrote it, with a
-        `relabel` and its snapshot, twists and curve in the relabelled
-        frame, is malformed."""
-        data = json.loads(TWO_ROUNDS.read_text())
-        rho = [1, 2, 0]            # new index i <- old index rho[i]
-        link = [n for n, mv in enumerate(data["moves"])
-                if mv["kind"] == "recoordinatize"][1]
-        snap = data["moves"][link]["snapshot"]
-        for key in ("a", "t"):
-            snap[key] = [snap[key][r] for r in rho]
-        data["moves"][link]["relabel"] = rho
-        for mv in data["moves"][link + 1:]:
-            mv["i"] = rho.index(mv["i"] - 1) + 1
-        data["curve"] = [[name[:-1] + str(rho.index(int(name[-1]) - 1) + 1),
-                          e] for name, e in data["curve"]]
+    def test_an_older_link_is_malformed(self, tmp_path, capsys):
+        """A re-coordinatisation link carries a snapshot that a fit chose,
+        and may name another rep than the image of the one before it: the
+        certificate an older srk wrote with two links is malformed, and so
+        is the committed certificate with that certificate's first link put
+        in front of its moves."""
+        _assert_malformed(tmp_path, capsys, OLDER_LINKS)
+        data = json.loads(COMMITTED.read_text())
+        data["moves"].insert(0, OLDER_LINKS["moves"][0])
         _assert_malformed(tmp_path, capsys, data)
-        del data["moves"][link]["relabel"]
-        assert _replay(data)["ok"] is False
 
-    @pytest.mark.parametrize("where", ["initial", "snapshot"])
+    @pytest.mark.parametrize("where", ["initial"])
     @pytest.mark.parametrize("spoil", [
         lambda s: s["a"].__setitem__(0, True),
         lambda s: s["t"].__setitem__(1, float("inf")),
@@ -196,7 +197,7 @@ class TestGrammar:
     def test_a_snapshot_parse_record_refuses(self, where, spoil):
         """Snapshots are checked by `genus2.parse_record` alone: what it
         refuses in a snapshot makes the certificate malformed."""
-        data = json.loads(TWO_ROUNDS.read_text())
+        data = json.loads(COMMITTED.read_text())
         snap = _first(data, where)
         spoil(snap)
         with pytest.raises((genus2.Genus2Error, pants.PantsError)):
@@ -250,29 +251,6 @@ class TestTamperedCertificates:
         assert report["reason"].startswith(
             "snapshot coordinates name no representation")
 
-    @pytest.mark.parametrize("link, eps, ok", [
-        (0, ["Eu0PlusTriangle", "Eu0PlusTriangle"], False),
-        (1, ["EuPlus1", "EuPlus1"], False),
-        # the mirror image: every trace, so every link, is the same
-        (1, ["EuMinus1", "EuPlus1"], True)])
-    def test_a_link_snapshot_relabelled(self, link, eps, ok):
-        data = json.loads(TWO_ROUNDS.read_text())
-        _snapshots(data)[1 + link]["eps"] = eps
-        report = _replay(data)
-        assert report["ok"] is ok
-        if not ok:
-            assert report["reason"] == "recoordinatisation link"
-
-    @pytest.mark.parametrize("where", ["initial", "link"])
-    def test_a_tampered_fails_a_link(self, where):
-        """A snapshot's a moved by 1e-3 names another rep, which the
-        first link check tells apart."""
-        data = json.loads(TWO_ROUNDS.read_text())
-        _snapshots(data)[0 if where == "initial" else 1]["a"][0] += 1e-3
-        report = _replay(data)
-        assert report["ok"] is False
-        assert report["reason"] == "recoordinatisation link"
-
     @pytest.mark.parametrize("curve, trace", [
         ([], 2.0), ([["beta1", 1], ["beta1", -1]], 1.9999999999999982),
         ([["gloop2", -1], ["beta1", 1], ["beta1", -1], ["gloop2", 1]], 2.0)])
@@ -307,18 +285,16 @@ class TestPantsMemo:
             if not isinstance(out, search.FoundCurve):
                 continue
             cert = out.certificate
-            hits = [search._rep_from_snapshot(s)
-                    for s in _snapshots(cert.to_dict())]
-            assert hits[0].p1 is rep.p1 and hits[0].p2 is rep.p2
+            hit = search._rep_from_snapshot(cert.initial)
+            assert hit.p1 is rep.p1 and hit.p2 is rep.p2
             report = _hexed(replay_certificate(cert))
             pants._built.clear()
             assert _hexed(replay_certificate(cert)) == report
             pants._built.clear()
-            for hit in hits:
-                fresh = search._rep_from_snapshot(hit.to_dict())
-                for p, q in ((hit.p1, fresh.p1), (hit.p2, fresh.p2)):
-                    assert p is not q
-                    assert p == q and p.solution == q.solution
+            fresh = search._rep_from_snapshot(hit.to_dict())
+            for p, q in ((hit.p1, fresh.p1), (hit.p2, fresh.p2)):
+                assert p is not q
+                assert p == q and p.solution == q.solution
             replayed += 1
         assert replayed > 2200
 

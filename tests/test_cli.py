@@ -230,8 +230,9 @@ def test_bad_coordinate_record_is_usage_error(tmp_path, capsys, command,
     assert "bad input" in capsys.readouterr().err
 
 
+# a search's certificate: one twist move, then a word in the co-based loops
 CERTIFICATE = Path(__file__).resolve().parent / "data" / \
-    "certificate_two_rounds.json"
+    "certificate_beta_twist.json"
 
 # a JSON integer that converts to no float: malformed, as 1e400 is
 HUGE_INT = 10 ** 400
@@ -295,16 +296,6 @@ def _no_initial_eps(d):
     del d["initial"]["eps"]
 
 
-def _unknown_link_case(d):
-    link = next(mv for mv in d["moves"] if mv["kind"] == "recoordinatize")
-    link["snapshot"]["eps"][1] = "EuPlus2"
-
-
-def _link_eps_not_a_pair(d):
-    link = next(mv for mv in d["moves"] if mv["kind"] == "recoordinatize")
-    link["snapshot"]["eps"] = "EuPlus1"
-
-
 def _huge_exponent(d):
     # srk writes curve words of +-1 letters only; a power would cost one
     # product per unit of exponent
@@ -313,8 +304,7 @@ def _huge_exponent(d):
 
 @pytest.mark.parametrize("spoil", [_cut_matrix, _rename_curve, _twist_index,
                                    _string_length, _huge_exponent,
-                                   _no_initial_eps, _unknown_link_case,
-                                   _link_eps_not_a_pair])
+                                   _no_initial_eps])
 def test_malformed_certificate_is_usage_error(tmp_path, capsys, spoil):
     data = json.loads(CERTIFICATE.read_text())
     spoil(data)
@@ -338,8 +328,8 @@ def _huge_length(d):
 
 
 @pytest.mark.parametrize("spoil", [
-    # a link trace overflows to inf; a translation's exp reaches 0; a twist
-    # reaches +-inf; cosh overflows
+    # the curve's trace overflows to inf; a translation's exp reaches 0; a
+    # twist reaches +-inf; cosh overflows
     pytest.param(_twists_of(200), id="k200"),
     pytest.param(_twists_of(1000000), id="k1e6"),
     pytest.param(_twists_of(10 ** 308), id="k1e308"),
@@ -355,37 +345,38 @@ def test_overflowing_certificate_is_out_of_scope(tmp_path, capsys, spoil):
     assert err.count("\n") == 1 and "overflows" in err
 
 
-def _broken_link(d):
-    """The certificate with 0.5 added to the first re-coordinatisation
-    snapshot's t[0]: its link error is about 19.7."""
+def _broken_trace(d):
+    """The certificate with 0.5 taken from its recorded trace: the
+    replayed trace is 0.5 off it."""
     data = json.loads(CERTIFICATE.read_text())
-    link = next(mv for mv in data["moves"] if mv["kind"] == "recoordinatize")
-    link["snapshot"]["t"][0] += 0.5
-    path = d / "broken_link.json"
+    data["trace"] -= 0.5
+    path = d / "broken_trace.json"
     path.write_text(json.dumps(data))
     return path
 
 
-def test_broken_link_fails_replay(tmp_path, capsys):
-    path = _broken_link(tmp_path)
+def test_broken_trace_fails_replay(tmp_path, capsys):
+    path = _broken_trace(tmp_path)
     assert cli.main(["replay", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
-    assert report["reason"] == "recoordinatisation link"
-    assert 19.0 < report["link_error"] < 20.0
+    assert report["trace"] - json.loads(path.read_text())["trace"] == \
+        pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0])
 def test_replay_fails_closed_on_a_bad_tol(tmp_path, tol):
-    # `worst > tol` is False for a NaN tol; the replay must not pass then
-    cert = search.Certificate.from_json(_broken_link(tmp_path).read_text())
+    # `gap > tol` is False for a NaN tol; the replay must not pass then
+    cert = search.Certificate.from_json(_broken_trace(tmp_path).read_text())
     assert search.replay_certificate(cert, tol=tol)["ok"] is False
     good = search.Certificate.from_json(CERTIFICATE.read_text())
+    assert search.replay_certificate(good)["ok"] is True
     assert search.replay_certificate(good, tol=tol)["ok"] is False
 
 
 # the two records the CLI tests search: one found at round 0, one that
-# re-coordinatises once
+# twists along beta_3 in round 1 (an older search re-coordinatised on it,
+# hence the ids "recoord")
 SEARCH_RECORDS = [
     {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
      "t": [0.3, -0.2, 0.5]},
@@ -430,10 +421,8 @@ def _set_a(d):
     d["initial"]["a"][1] = 1.2
 
 
-def _first_link_eps(d):
-    next(mv for mv in d["moves"]
-         if mv["kind"] == "recoordinatize")["snapshot"]["eps"] = \
-        ["Eu0PlusTriangle", "Eu0PlusTriangle"]
+def _initial_eps(d):
+    d["initial"]["eps"] = ["Eu0PlusTriangle", "Eu0PlusTriangle"]
 
 
 def _initial_a(d):
@@ -460,18 +449,20 @@ def test_tampered_certificate_fails_replay(tmp_path, capsys, spoil, reason):
         assert report["reason"].startswith(reason)
 
 
-@pytest.mark.parametrize("spoil", [_first_link_eps, _initial_a])
-def test_tampered_committed_certificate_fails_a_link(tmp_path, capsys,
+@pytest.mark.parametrize("spoil", [_initial_eps, _initial_a])
+def test_tampered_committed_certificate_fails_replay(tmp_path, capsys,
                                                      spoil):
-    """A relabelled link, or an initial a moved by 1e-3, is rebuilt as
-    another rep and fails its link check."""
+    """A relabelled initial snapshot, or an initial a moved by 1e-3, is
+    rebuilt as another rep, on which the word's trace is not the recorded
+    one."""
     data = json.loads(CERTIFICATE.read_text())
     spoil(data)
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(data))
     assert cli.main(["replay", str(path)]) == 1
-    assert json.loads(capsys.readouterr().out)["reason"] == \
-        "recoordinatisation link"
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert abs(report["trace"] - data["trace"]) > 1e-6
 
 
 @pytest.mark.parametrize("a", [
@@ -665,14 +656,10 @@ def _verify_golden(scale):
     return CERTIFICATE.parent / f"verify_scale{scale}{kernels}.csv"
 
 
-def _replayed(links):
-    """A check that a replay report is ok with `links` link errors, each
-    below 1e-6."""
-    def check(out):
-        report = json.loads(out)
-        return report["ok"] is True and len(report["link_errors"]) == links \
-            and all(e < 1e-6 for e in report["link_errors"])
-    return check
+def _replayed(out):
+    """Whether a replay report is ok, with its trace and nothing more."""
+    return json.loads(out).keys() == {"ok", "trace"} and \
+        json.loads(out)["ok"] is True
 
 
 # each success command of the CLI with a check of what it writes (stdout,
@@ -684,15 +671,15 @@ def _replayed(links):
     pytest.param(["search", "REC0", "--out", "OUT"],
                  lambda out: json.loads(out)["replay"]["ok"] is True,
                  id="search"),
-    pytest.param(["replay", "CERT0"], _replayed(0), id="replay"),
-    pytest.param(["replay", "CERT0", "--record", "REC0"], _replayed(0),
+    pytest.param(["replay", "CERT0"], _replayed, id="replay"),
+    pytest.param(["replay", "CERT0", "--record", "REC0"], _replayed,
                  id="replay_record"),
-    pytest.param(["replay", str(CERTIFICATE)], _replayed(2),
+    pytest.param(["replay", str(CERTIFICATE)], _replayed,
                  id="replay_committed"),
     pytest.param(["search", "REC1", "--out", "OUT"],
                  lambda out: json.loads(out)["replay"]["ok"] is True,
                  id="search_recoord"),
-    pytest.param(["replay", "CERT1"], _replayed(1), id="replay_recoord"),
+    pytest.param(["replay", "CERT1"], _replayed, id="replay_recoord"),
     pytest.param(["orbit-stats", "--seed", "7", "--n", "6", "--length", "8"],
                  lambda out: out == (CERTIFICATE.parent /
                                      "orbits_seed7_n6_len8.csv").read_bytes(),
@@ -992,15 +979,15 @@ def test_argparse_errors_exit_usage(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
-def test_broken_link_with_nan_tol_is_refused(tmp_path, capsys):
-    path = _broken_link(tmp_path)
+def test_broken_trace_with_nan_tol_is_refused(tmp_path, capsys):
+    path = _broken_trace(tmp_path)
     assert cli.main(["replay", str(path), "--tol", "nan"]) == 64
     assert capsys.readouterr().out == ""
 
 
 def test_replay_takes_no_tol(tmp_path, capsys):
-    # a loose --tol would accept the broken link (error 19.7)
-    path = _broken_link(tmp_path)
+    # a loose --tol would accept the broken trace (0.5 off)
+    path = _broken_trace(tmp_path)
     assert cli.main(["replay", str(path), "--tol", "100"]) == 64
     assert capsys.readouterr().out == ""
 

@@ -489,17 +489,18 @@ class TestSingleEvaluator:
             _assert_rel_close(got, ref)
 
     def test_parent_certificate_replays(self):
-        # written by srk before the curve words moved onto 4-tuples; two
-        # re-coordinatisations, so the replay exercises the loop links
-        path = Path(__file__).parent / "data" / "certificate_two_rounds.json"
+        # the committed certificate of a beta-twist search: its word is in
+        # the co-based loops, so the replay evaluates `GluedRep.loops`
+        path = Path(__file__).parent / "data" / "certificate_beta_twist.json"
         cert = Certificate.from_json(path.read_text())
         report = replay_certificate(cert)
         assert report["ok"], report
-        assert len(report["link_errors"]) == 2
+        assert {name for name, _ in cert.curve} <= {
+            "gloop1", "gloop2", "gloop3", "bloop1", "bloop2", "bloop3"}
         assert report["trace"] == pytest.approx(cert.trace, rel=1e-12)
 
     def test_certificate_json_roundtrip_replays(self):
-        # a fresh search that re-coordinatises once, on a corner record
+        # a fresh search that twists along beta_3, on a corner record
         rep = build_glued(PantsCase("tri", 1), EU_MINUS1,
                           (2.177271425843055, 2.0216335715832017,
                            2.2096542923498688),
@@ -510,14 +511,13 @@ class TestSingleEvaluator:
         back = Certificate.from_json(out.certificate.to_json())
         assert back == out.certificate
         assert replay_certificate(back)["ok"]
-        # two links: the certificate an older search wrote
+        # the committed certificate of such a search
         text = (Path(__file__).parent / "data"
-                / "certificate_two_rounds.json").read_text()
+                / "certificate_beta_twist.json").read_text()
         cert = Certificate.from_json(text)
         back = Certificate.from_json(cert.to_json())
         assert back == cert
-        report = replay_certificate(back)
-        assert report["ok"] and len(report["link_errors"]) == 2
+        assert replay_certificate(back)["ok"]
 
     def test_search_logs_the_normalising_twists(self):
         rep = build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.1, 1.2),

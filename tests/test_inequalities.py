@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from srk import _grids
+from srk import _grids, inequalities
 from srk.inequalities import verify_paper_inequalities
 from srk._grids import REGION_A3_MAX, line_l1, line_l2
 
@@ -216,3 +216,14 @@ def test_identity_residual_over_band_fails_the_claim(monkeypatch, claim,
     assert good.ok and not bad.ok and bad.margin == -1.0
     assert bad._replace(margin=good.margin, detail=good.detail) == good
     assert bad.detail.endswith("too large") and "residual" in bad.detail
+
+
+def test_positive_roots():
+    assert inequalities._positive_roots(1.0, -3.0, 2.0) == pytest.approx(
+        [2.0, 1.0])
+    assert inequalities._positive_roots(0.0, 2.0, -4.0) == [2.0]
+    assert inequalities._positive_roots(1.0, 1.0, 1.0) == []
+    assert inequalities._positive_roots(1.0, 3.0, 2.0) == []
+    # no cancellation: the small root of u^2 - 1e9 u + 1 keeps its digits
+    small = min(inequalities._positive_roots(1.0, -1e9, 1.0))
+    assert small == pytest.approx(1e-9, rel=1e-15)

@@ -33,7 +33,7 @@ def test_no_small_float_literal_outside_tolerances(path):
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_replay_takes_a_tol(path):
     # a band is a module constant, not a per-call knob; the certificate
-    # replay keeps its link tolerance, which bench/ops.py passes
+    # replay keeps its trace tolerance, which bench/ops.py passes
     takers = [node.name for node in ast.walk(_tree(path))
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               and any(arg.arg == "tol" for arg in
@@ -59,7 +59,7 @@ def test_tolerances_is_constants_only():
 
 def test_merged_bands_keep_their_values():
     assert tolerances.TRACE_BAND == 1e-9
-    assert tolerances.LINK_TOL == 1e-6
+    assert tolerances.REPLAY_TOL == 1e-6
     assert tolerances.RELATOR_TOL == 1e-9
 
 
