@@ -6,16 +6,16 @@ JSON or CSV with full-precision floats so that replays are bit-faithful.
 orbit-stats runs in one thread and builds each orbit once: the delta traces
 come from per-orbit coefficients (`genus2.delta_twist_coeffs`), which the
 tests cross-check against the matrix words.  Each Dehn twist changes one
-t_i, so it reevaluates one delta trace and reformats those two columns; the
-moves are drawn in blocks, from the same random stream as one draw per
-move.  A command that fails raises `_Exit`, and `main` writes its one
-stderr line and returns its code; README's exit-code table lists the
-codes and their causes.
+t_i, so it reevaluates one delta trace and reformats those two columns.
+Each orbit draws from its own `random.Random`, seeded by an integer of
+(seed, index), so a seed gives the same table on every platform and on
+CPython 3.10 and later.  A command that fails raises `_Exit`, and `main`
+writes its one stderr line and returns its code; README's exit-code table
+lists the codes and their causes.
 
 numpy is imported only where an ndarray is made: verify evaluates its grids
-with it, while classify, search and replay run on floats and 4-tuples, and
-orbit-stats draws numpy's random stream from `pcg64`, a pure-Python copy of
-it; none of these four loads numpy.
+with it, while classify, search, replay and orbit-stats run on floats and
+4-tuples and load no numpy.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 from typing import List, Optional
 
-from . import genus2, hyptrig, inequalities, pants, pcg64, search
+from . import genus2, hyptrig, inequalities, pants, search
 from .psl2r import PSL2Error
 
 EXIT_OK = 0
@@ -188,13 +189,6 @@ def cmd_replay(args) -> int:
     return EXIT_OK if report.get("ok") else EXIT_VERIFY_FAIL
 
 
-# An orbit draws its moves (i, k), i in 1..3 and k in -2..2, in blocks of
-# _BLOCK steps: one `integers` call with per-element bounds gives the same
-# stream as two scalar calls per step, without per-step arrays for a long
-# --length.
-_BLOCK = 64
-
-
 def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     """One orbit's CSV rows: a random walk of Dehn twists along gamma_1..3.
 
@@ -202,12 +196,20 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     t_k alone, so the delta traces come from per-orbit coefficients
     (`genus2.delta_twist_coeffs`) and the sign invariant, constant on twist
     orbits, is read once.  A move along gamma_i changes t_i alone, so it
-    reevaluates tr delta_i and reformats those two columns.  The draws are
-    those of numpy's `default_rng(SeedSequence([seed, index]))`, made by
-    `pcg64` without numpy: `sorted` and `small[0] + small[1]` stand in for
-    `np.sort` and `small.sum()` on the two floats.
+    reevaluates tr delta_i and reformats those two columns.
+
+    The orbit draws from `random.Random(s)`, s the Cantor pairing of
+    (seed, index): an integer seed, never a `hash()`, which is salted per
+    process for a str.  Every draw is one `random()` call, the method whose
+    sequence CPython keeps for a given seed across versions: a uniform on
+    [lo, hi) is lo + (hi - lo) * u, and a move draws i = 1 + floor(3u),
+    then k = floor(5u) - 2.
     """
-    rng = pcg64.default_rng([seed, index])
+    u = random.Random((seed + index) * (seed + index + 1) // 2 + index).random
+
+    def uniform(lo: float, hi: float) -> float:
+        return lo + (hi - lo) * u()
+
     eps1, eps2 = pants.EU_PLUS1, pants.EU_MINUS1
     if index % 3 == 1:
         eps1, eps2 = (pants.PantsCase("tri", 1), pants.PantsCase("tri", -1))
@@ -215,15 +217,15 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
         eps1 = eps2 = pants.PantsCase("selfhex", 1)
     while True:
         if eps1.kind == "selfhex":
-            small = sorted(rng.uniform(0.2, 0.8, 2))
+            small = sorted(uniform(0.2, 0.8) for _ in range(2))
             a = (small[0], small[1],
-                 small[0] + small[1] + rng.uniform(0.1, 0.5))
+                 small[0] + small[1] + uniform(0.1, 0.5))
         else:
-            a = tuple(rng.uniform(0.3, 1.8, 3))
+            a = tuple(uniform(0.3, 1.8) for _ in range(3))
             if eps1.kind == "tri" and hyptrig.delta_invariant(*a) <= 0.05:
                 continue
         break
-    t = rng.uniform(-1.5, 1.5, 3)
+    t = [uniform(-1.5, 1.5) for _ in range(3)]
     rep = genus2.build_glued(eps1, eps2, a, t)
     a, t = rep.a, list(rep.t)
     coeffs = [genus2.delta_twist_coeffs(rep, k) for k in range(3)]
@@ -244,15 +246,14 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     for j in range(3):
         put(j)
     rows = [",".join(cols)]
-    for start in range(0, length, _BLOCK):
-        m = min(_BLOCK, length - start)
-        moves = iter(rng.integers([1, -2] * m, [4, 3] * m))
-        for step, i, k in zip(range(start + 1, start + m + 1), moves, moves):
-            if k:
-                t[i - 1] += 2.0 * k * a[i - 1]  # as genus2.dehn_twist_gamma
-                put(i - 1)
-            cols[1] = str(step)
-            rows.append(",".join(cols))
+    for step in range(1, length + 1):
+        j = int(3.0 * u())             # the move along gamma_{j+1}
+        k = int(5.0 * u()) - 2
+        if k:
+            t[j] += 2.0 * k * a[j]      # as genus2.dehn_twist_gamma
+            put(j)
+        cols[1] = str(step)
+        rows.append(",".join(cols))
     return rows
 
 

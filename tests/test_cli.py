@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -375,8 +376,7 @@ def test_replay_fails_closed_on_a_bad_tol(tmp_path, tol):
 
 
 # the two records the CLI tests search: one found at round 0, one that
-# twists along beta_3 in round 1 (an older search re-coordinatised on it,
-# hence the ids "recoord")
+# twists once along beta_3 in round 1 (hence the ids "beta_twist")
 SEARCH_RECORDS = [
     {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
      "t": [0.3, -0.2, 0.5]},
@@ -399,7 +399,8 @@ def _searched(tmp_path, record):
     return rec, cert, proc.stdout
 
 
-@pytest.mark.parametrize("record", SEARCH_RECORDS, ids=["round0", "recoord"])
+@pytest.mark.parametrize("record", SEARCH_RECORDS,
+                         ids=["round0", "beta_twist"])
 def test_search_output_is_the_certificate_and_its_replay(tmp_path, record):
     """`srk search` prints the certificate's JSON with the replay report
     added, as it did when it parsed the certificate's JSON back for it."""
@@ -636,13 +637,15 @@ class TestStall:
             "No such file or directory\n"
 
 
-def _python_m_srk(argv, text=True, **kwargs):
+def _python_m_srk(argv, text=True, extra_env=None, **kwargs):
     """Run `python -W error -m srk argv` in a fresh interpreter, its stdout
-    block-buffered (Python's default) whatever PYTHONUNBUFFERED says."""
+    block-buffered (Python's default) whatever PYTHONUNBUFFERED says, and
+    `extra_env` added to its environment."""
     src = str(Path(srk.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    env.update(extra_env or {})
     return subprocess.run([sys.executable, "-W", "error", "-m", "srk",
                            *argv], text=text, env=env, timeout=120, **kwargs)
 
@@ -678,8 +681,8 @@ def _replayed(out):
                  id="replay_committed"),
     pytest.param(["search", "REC1", "--out", "OUT"],
                  lambda out: json.loads(out)["replay"]["ok"] is True,
-                 id="search_recoord"),
-    pytest.param(["replay", "CERT1"], _replayed, id="replay_recoord"),
+                 id="search_beta_twist"),
+    pytest.param(["replay", "CERT1"], _replayed, id="replay_beta_twist"),
     pytest.param(["orbit-stats", "--seed", "7", "--n", "6", "--length", "8"],
                  lambda out: out == (CERTIFICATE.parent /
                                      "orbits_seed7_n6_len8.csv").read_bytes(),
@@ -719,13 +722,25 @@ class TestOrbitStats:
         assert len(lines) == 1 + 6 * 9
 
     def test_golden_csv(self, tmp_path):
-        """The committed table, made with numpy's own random stream: pins
-        the bytes whatever numpy is installed, or none."""
+        """The committed table: pins the bytes of the orbits' `random()`
+        streams and of every column formatted from them."""
         out = tmp_path / "o.csv"
         assert cli.main(["orbit-stats", "--seed", "7", "--n", "6",
                          "--length", "8", "--out", str(out)]) == 0
         golden = CERTIFICATE.parent / "orbits_seed7_n6_len8.csv"
         assert out.read_bytes() == golden.read_bytes()
+
+    def test_same_bytes_under_any_hash_seed(self):
+        """Two fresh interpreters with different str hash salts write the
+        golden table: no orbit's seed derives from `hash()` of a str."""
+        golden = CERTIFICATE.parent / "orbits_seed7_n6_len8.csv"
+        for hash_seed in ("1", "2"):
+            proc = _python_m_srk(
+                ["orbit-stats", "--seed", "7", "--n", "6", "--length", "8"],
+                text=False, capture_output=True,
+                extra_env={"PYTHONHASHSEED": hash_seed})
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert proc.stdout == golden.read_bytes(), hash_seed
 
     def test_sign_constant_along_orbits(self, tmp_path):
         out = tmp_path / "orbits.csv"
@@ -791,21 +806,21 @@ class TestOrbitStats:
                         assert abs(float(g[col]) - m) <= \
                             1e-12 * max(1.0, abs(m)), (seed, g, col)
 
-    @pytest.mark.parametrize("length", sorted({
-        0, 1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1, 50, 300}))
+    @pytest.mark.parametrize("length", [0, 1, 50, 300])
     def test_matches_scalar_reference(self, length):
-        """Block draws and two-column updates give the bytes of one scalar
-        draw per move and whole reformatted rows."""
+        """Two-column updates give the bytes of whole reformatted rows, on
+        the stream the reference draws apart from `cli`."""
         for seed in range(20):
             for index in range(9):
                 assert cli._orbit_rows(seed, index, length) == \
                     _scalar_orbit_rows(seed, index, length), (seed, index)
 
 
-def _scalar_orbit_rows(seed, index, length):
-    """Reference orbit: two scalar `integers` draws per move, and every
-    row's twist and trace columns recomputed and reformatted."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+def _orbit_start(seed, index):
+    """Reference orbit start, drawn apart from `cli`: the orbit's
+    `random()` stream, seeded by the Cantor pairing of (seed, index), and
+    the rep its first draws build (uniforms are lo + (hi - lo) * u)."""
+    u = random.Random((seed + index) * (seed + index + 1) // 2 + index).random
     eps1, eps2 = EU_PLUS1, EU_MINUS1
     if index % 3 == 1:
         eps1, eps2 = (PantsCase("tri", 1), PantsCase("tri", -1))
@@ -813,52 +828,46 @@ def _scalar_orbit_rows(seed, index, length):
         eps1 = eps2 = PantsCase("selfhex", 1)
     while True:
         if eps1.kind == "selfhex":
-            small = np.sort(rng.uniform(0.2, 0.8, 2))
-            a = (small[0], small[1],
-                 small.sum() + rng.uniform(0.1, 0.5))
+            small = sorted(0.2 + (0.8 - 0.2) * u() for _ in range(2))
+            a = (small[0], small[1], sum(small) + (0.1 + (0.5 - 0.1) * u()))
         else:
-            a = tuple(rng.uniform(0.3, 1.8, 3))
+            a = tuple(0.3 + (1.8 - 0.3) * u() for _ in range(3))
             if eps1.kind == "tri" and hyptrig.delta_invariant(*a) <= 0.05:
                 continue
         break
-    t = rng.uniform(-1.5, 1.5, 3)
-    rep = genus2.build_glued(eps1, eps2, a, t)
+    t = [-1.5 + (1.5 - -1.5) * u() for _ in range(3)]
+    return u, genus2.build_glued(eps1, eps2, a, t)
+
+
+def _move(u):
+    """A reference move (i, k): i in 1..3, then k in -2..2."""
+    i = 1 + math.floor(3 * u())
+    return i, math.floor(5 * u()) - 2
+
+
+def _scalar_orbit_rows(seed, index, length):
+    """Reference orbit: every row's twist and trace columns recomputed and
+    reformatted."""
+    u, rep = _orbit_start(seed, index)
     a, t = rep.a, list(rep.t)
     coeffs = [genus2.delta_twist_coeffs(rep, k) for k in range(3)]
     sign = str(genus2.sign_invariant(rep))
-    row = ",".join([str(seed), str(index), "%d", str(eps1), str(eps2)]
+    row = ",".join([str(seed), str(index), "%d", str(rep.eps1),
+                    str(rep.eps2)]
                    + [cli._fl(v) for v in a] + ["%.17g"] * 6 + [sign])
     rows = []
     for step in range(length + 1):
         tr = [2.0 - s * (cm * math.exp(-tk) + c0 + cp * math.exp(tk))
               for (s, cm, c0, cp), tk in zip(coeffs, t)]
         rows.append(row % (step, *t, *tr))
-        i = int(rng.integers(1, 4))
-        k = int(rng.integers(-2, 3))
+        i, k = _move(u)
         t[i - 1] += 2.0 * k * a[i - 1]
     return rows
 
 
 def _matrix_orbit_rows(seed, index, length):
     """Reference orbit: every row rebuilt through the delta matrix words."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    eps1, eps2 = EU_PLUS1, EU_MINUS1
-    if index % 3 == 1:
-        eps1, eps2 = (PantsCase("tri", 1), PantsCase("tri", -1))
-    if index % 3 == 2:
-        eps1 = eps2 = PantsCase("selfhex", 1)
-    while True:
-        if eps1.kind == "selfhex":
-            small = np.sort(rng.uniform(0.2, 0.8, 2))
-            a = (small[0], small[1],
-                 small.sum() + rng.uniform(0.1, 0.5))
-        else:
-            a = tuple(rng.uniform(0.3, 1.8, 3))
-            if eps1.kind == "tri" and hyptrig.delta_invariant(*a) <= 0.05:
-                continue
-        break
-    t = rng.uniform(-1.5, 1.5, 3)
-    rep = genus2.build_glued(eps1, eps2, a, t)
+    u, rep = _orbit_start(seed, index)
     rows = []
     for step in range(length + 1):
         tr = [genus2.trace_curve_matrix(rep, f"delta{k}") for k in (1, 2, 3)]
@@ -867,9 +876,7 @@ def _matrix_orbit_rows(seed, index, length):
             [str(seed), str(index), str(step), str(rep.eps1), str(rep.eps2)]
             + [cli._fl(v) for v in rep.a] + [cli._fl(v) for v in rep.t]
             + [cli._fl(v) for v in tr] + [sign]))
-        i = int(rng.integers(1, 4))
-        k = int(rng.integers(-2, 3))
-        rep = genus2.dehn_twist_gamma(rep, i, k)
+        rep = genus2.dehn_twist_gamma(rep, *_move(u))
     return rows
 
 

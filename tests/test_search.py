@@ -36,7 +36,7 @@ LINKING = [row["record"] for row in
            json.loads((DATA / "beta_twist_records.json").read_text())]
 # corner_corpus(124, 2960)[2838], on (Eu0PlusTriangle, EuMinus1): the
 # record that demo 04 and the CLI tests search
-RECOORD = LINKING[20]
+BETA_TWIST = LINKING[20]
 SAMPLER_STALLS = DATA / "sampler_stalls_e0be987.json"
 
 
@@ -291,8 +291,10 @@ class TestSearchEndToEnd:
         assert len(LINKING) == 58 and twists == {(3, 1), (3, -1)}
 
     @pytest.mark.parametrize("eps1,a,t,kind", [
-        (PantsCase("tri", 1), RECOORD["a"], RECOORD["t"], FoundCurve),
-        (PantsCase("tri", 1), RECOORD["a"], RECOORD["t"], search.Stalled),
+        (PantsCase("tri", 1), BETA_TWIST["a"], BETA_TWIST["t"],
+         FoundCurve),
+        (PantsCase("tri", 1), BETA_TWIST["a"], BETA_TWIST["t"],
+         search.Stalled),
     ])
     def test_history_is_returned(self, monkeypatch, eps1, a, t, kind):
         """Both outcomes carry the decision trace of a search that reaches
@@ -648,7 +650,7 @@ class TestBetaTwist:
      "t": [0.3, -0.2, 0.5]},
     {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
      "t": [2.5, -3.0, 7.1]},
-    RECOORD], ids=["placed", "wide", "recoord"])
+    BETA_TWIST], ids=["placed", "wide", "beta_twist"])
 def test_twist_counts_once_per_rep(monkeypatch, record):
     """`classify_scope`, `normalize_twists` and the move log share one count
     per rep, and only the input rep is counted: the search dispatches
@@ -688,7 +690,7 @@ def test_no_scipy_import():
         import contextlib, io, sys
         import srk
         from srk import cli, genus2, search
-        rep = genus2.GluedRep.from_json({json.dumps(RECOORD)!r})
+        rep = genus2.GluedRep.from_json({json.dumps(BETA_TWIST)!r})
         out = search.search_nonhyperbolic(rep)
         assert isinstance(out, search.FoundCurve) and out.rounds == 1
         with contextlib.redirect_stdout(io.StringIO()):
@@ -707,7 +709,7 @@ def test_no_numpy_import(tmp_path):
         import srk
         from srk import cli, genus2
         seen = ["numpy" in sys.modules]
-        rep = genus2.GluedRep.from_json({json.dumps(RECOORD)!r})
+        rep = genus2.GluedRep.from_json({json.dumps(BETA_TWIST)!r})
         tmp = {str(tmp_path)!r}
         with open(tmp + "/rep.json", "w") as fh:
             fh.write(rep.to_json())
