@@ -1,27 +1,21 @@
-"""numpy's default random stream, in pure Python.
+"""numpy's SeedSequence seeding of PCG64, in pure Python.
 
-`default_rng(entropy)` draws, bit for bit, what
-`numpy.random.default_rng(numpy.random.SeedSequence(entropy))` draws for the
-calls `srk orbit-stats` makes: `uniform`, with or without a size, and
-`integers` with per-element bounds.  So orbit-stats runs without numpy and
-its CSVs stay byte-identical.  The pieces, as numpy builds them:
+`default_rng(entropy)` holds, bit for bit, the PCG64 state and increment
+that `numpy.random.default_rng(numpy.random.SeedSequence(entropy))` starts
+from, and `next64` steps it to numpy's 64-bit outputs.  No srk command
+draws from it: `orbit-stats` draws from `random.Random`.  What is left:
 
 - SeedSequence mixes the 32-bit words of the entropy into a pool of four
   with `hashmix`/`mix`, and `generate_state(4, uint64)` hashes the pool into
   the PCG64 seed and increment;
 - PCG64 is the 128-bit LCG with numpy's multiplier, stepped before each
   output, whose 64-bit output is XSL-RR (high ^ low, rotated right by the
-  top six bits of the state);
-- `next_uint32` returns the low half of a 64-bit output and keeps the high
-  half for the next call; 64-bit draws leave that carried half alone;
-- `uniform` is low + (high - low) * ((u64 >> 11) * 2**-53);
-- `integers` with bounds at most 2**32 apart is Lemire's method on 32-bit
-  words: m = word * n is rejected while m mod 2**32 < 2**32 mod n.
+  top six bits of the state).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 _M32 = (1 << 32) - 1
 _M64 = (1 << 64) - 1
@@ -74,8 +68,9 @@ def _seed_words(entropy: Sequence[int]) -> List[int]:
 
 
 class Generator:
-    """PCG64 state (`state`, `inc`) and the carried 32-bit half (`carry`,
-    None when there is none), as numpy's `bit_generator.state` holds them."""
+    """PCG64 state (`state`, `inc`) and the carried 32-bit half (`carry`),
+    as numpy's `bit_generator.state` holds them.  Only 64-bit outputs are
+    drawn here, so no half is ever carried and `carry` stays None."""
 
     __slots__ = ("state", "inc", "carry")
 
@@ -87,39 +82,6 @@ class Generator:
         s = self.state = (self.state * _MULT + self.inc) & _M128
         x = (s >> 64) ^ (s & _M64)
         return ((x << 64 | x) >> (s >> 122)) & _M64
-
-    def next32(self) -> int:
-        w = self.carry
-        if w is not None:
-            self.carry = None
-            return w
-        x = self.next64()
-        self.carry = x >> 32
-        return x & _M32
-
-    def uniform(self, low: float, high: float,
-                size: Optional[int] = None) -> Union[float, List[float]]:
-        if size is None:
-            return low + (high - low) * ((self.next64() >> 11) * 2.0 ** -53)
-        return [self.uniform(low, high) for _ in range(size)]
-
-    def integers(self, low: Sequence[int], high: Sequence[int]) -> List[int]:
-        """One draw in [low[i], high[i]) per i, for 0 < high - low <= 2**32."""
-        out = []
-        for lo, hi in zip(low, high):
-            n = hi - lo
-            if not 1 < n <= 1 << 32:
-                if n != 1:
-                    raise ValueError(f"bounds [{lo}, {hi}) out of range")
-                out.append(lo)          # numpy draws no word for one value
-                continue
-            m = self.next32() * n
-            if m & _M32 < n:
-                threshold = ((1 << 32) - n) % n
-                while m & _M32 < threshold:
-                    m = self.next32() * n
-            out.append(lo + (m >> 32))
-        return out
 
 
 def default_rng(entropy: Sequence[int]) -> Generator:

@@ -806,7 +806,7 @@ class TestOrbitStats:
                         assert abs(float(g[col]) - m) <= \
                             1e-12 * max(1.0, abs(m)), (seed, g, col)
 
-    @pytest.mark.parametrize("length", [0, 1, 50, 300])
+    @pytest.mark.parametrize("length", [0, 1, 50, 63, 64, 65, 300])
     def test_matches_scalar_reference(self, length):
         """Two-column updates give the bytes of whole reformatted rows, on
         the stream the reference draws apart from `cli`."""
