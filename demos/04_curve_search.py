@@ -21,8 +21,8 @@ print("replay:", search.replay_certificate(out.certificate))
 # near the Bers corner: no torus window opens, and no twist of the lattice
 # step brings a beta curve to |trace| <= 2, so the search twists once along
 # beta_3 and reduces on a handle of the twisted delta_3.  The twist is a
-# mapping-class move on the co-based loops: the curve is a word in them,
-# and the certificate records no move for it.
+# mapping-class move on the generators A1, B1, A2, B2: the curve is a word
+# in them, and the certificate records no move for it.
 hard = genus2.build_glued(PantsCase("tri", 1), pants.EU_MINUS1,
                           (2.177271425843055, 2.0216335715832017,
                            2.2096542923498688),

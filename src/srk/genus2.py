@@ -19,8 +19,10 @@ the Euler class of the closed representation.
 
 A `GluedRep` is the one thing that gets evaluated: `curve_matrix` reads
 the words above off a rep and keeps each matrix in the rep's memo, and
-`GluedRep.loops` holds its co-based loops.  The search and the certificate
-replay move between reps with `dehn_twist_gamma`.
+`generator_images` holds the images of the four generators A1, B1, A2,
+B2, in which the search writes every word that is not a named curve.  The
+search and the certificate replay move between reps with
+`dehn_twist_gamma`.
 
 Value objects are `__slots__` classes or named tuples.
 """
@@ -48,9 +50,8 @@ _DELTA_PAIRS = {"delta1": ("beta2", "gamma3"),
                 "delta2": ("beta3", "gamma1"),
                 "delta3": ("beta1", "gamma2")}
 
-
-# the co-based loops (gamma_1..3, beta_1..3) of `GluedRep.loops`
-Loops = Tuple[Tuple[Quad, Quad, Quad], Tuple[Quad, Quad, Quad]]
+# the letters of the generators, in the order `generator_images` returns
+GENERATORS = ("A1", "B1", "A2", "B2")
 
 
 class Genus2Error(PSL2Error):
@@ -61,11 +62,11 @@ class GluedRep:
     """Glued genus-2 coordinate datum: the two pants and the twists.
 
     Two reps are equal when `p1`, `p2` and `t` are; the memo `quads` and
-    the cached loops, twist counts and normalised rep take no part, nor in
-    the hash or the repr.
+    the cached generator images, twist counts and normalised rep take no
+    part, nor in the hash or the repr.
     """
 
-    __slots__ = ("p1", "p2", "t", "quads", "_loops", "_counts", "_normal")
+    __slots__ = ("p1", "p2", "t", "quads", "_images", "_counts", "_normal")
 
     def __init__(self, p1: PantsRep, p2: PantsRep,
                  t: Tuple[float, float, float]) -> None:
@@ -73,8 +74,9 @@ class GluedRep:
         # the curve matrices evaluated so far, by tag: `curve_matrix` reads
         # and fills it
         self.quads: Dict[str, Quad] = {}
-        # `loops`, `twist_counts` and `normalize_twists`, once computed
-        self._loops = self._counts = self._normal = None
+        # `generator_images`, `twist_counts` and `normalize_twists`, once
+        # computed
+        self._images = self._counts = self._normal = None
 
     def _key(self) -> tuple:
         return self.p1, self.p2, self.t
@@ -103,31 +105,6 @@ class GluedRep:
         """The second tag, which its pants realises mirrored (see
         `pants_cases`)."""
         return self.p2.case.euler_flipped()
-
-    @property
-    def loops(self) -> Loops:
-        """Co-based loops (gamma_1..3, beta_1..3) at a common base point,
-        computed once.
-
-        The loops come from a spanning tree of the gluing complex: p3 and
-        p5 transport the base vertex v0 to the vertices v3 and v5 of the
-        first pants.
-        """
-        if self._loops is not None:
-            return self._loops
-        x, y, a, t = self.p1.q, self.p2.q, self.a, self.t
-        tr_, inv = make_translation, minv
-        p3 = mmul(x[1], tr_(a[2]), x[0])                 # transport v0 -> v3
-        p5 = mmul(x[2], tr_(a[0]), p3)                   # transport v0 -> v5
-        g = (mmul(inv(p3), tr_(2 * a[0]), p3),
-             mmul(inv(p5), tr_(2 * a[1]), p5),
-             mmul(inv(x[0]), tr_(2 * a[2]), x[0]))
-        b = (mmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(-a[0]),
-                  inv(y[2]), tr_(t[1]), p5),
-             mmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(t[0]), p3),
-             mmul(inv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3))
-        self._loops = g, b
-        return self._loops
 
     @property
     def euler_nominal(self) -> int:
@@ -503,17 +480,32 @@ def delta_side_consistency(rep: GluedRep) -> bool:
 # ---------------------------------------------------------------------------
 
 def generator_images(rep: GluedRep) -> Tuple[Quad, Quad, Quad, Quad]:
-    """Images (A1, B1, A2, B2) of a standard generating quadruple.
+    """Images (A1, B1, A2, B2) of a standard generating quadruple, computed
+    once per rep: the one home of the loop images.
 
-    Built from the co-based loops `GluedRep.loops`: the first handle is
-    carried by (beta_1, gamma_2), the second by (beta_2, gamma_1)
-    conjugated through the connector gamma_2^-1 beta_3.  The matrix product
+    Built from co-based loops g_i (gamma_i) and b_i (beta_i) at a common
+    base point, which a spanning tree of the gluing complex gives: p3 and
+    p5 transport the base vertex v0 to the vertices v3 and v5 of the first
+    pants.  The first handle is carried by (b1, g2), the second by (b2, g1)
+    conjugated through the connector w = g2^-1 b3.  The matrix product
     [A2, B2][A1, B1] is +-identity, and its lifted deck power is the Euler
     class.
     """
-    g, b = rep.loops
-    w = mmul(minv(g[1]), b[2])
-    return b[0], g[1], mmul(w, b[1], minv(w)), mmul(w, g[0], minv(w))
+    if rep._images is not None:
+        return rep._images
+    x, y, a, t = rep.p1.q, rep.p2.q, rep.a, rep.t
+    tr_, inv = make_translation, minv
+    p3 = mmul(x[1], tr_(a[2]), x[0])                 # transport v0 -> v3
+    p5 = mmul(x[2], tr_(a[0]), p3)                   # transport v0 -> v5
+    g1 = mmul(inv(p3), tr_(2 * a[0]), p3)
+    g2 = mmul(inv(p5), tr_(2 * a[1]), p5)
+    b1 = mmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(-a[0]),
+              inv(y[2]), tr_(t[1]), p5)
+    b2 = mmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(t[0]), p3)
+    b3 = mmul(inv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3)
+    w = mmul(inv(g2), b3)
+    rep._images = b1, g2, mmul(w, b2, inv(w)), mmul(w, g1, inv(w))
+    return rep._images
 
 
 def euler_class(rep: GluedRep) -> int:

@@ -20,10 +20,10 @@ coordinate record (eps, a, t), the twist moves along the gammas, and the
 curve word.  The replay builds the rep with `genus2.build_glued`, so it
 trusts `pants.build_pants` and hyptrig's solvers, and the 2x2 arithmetic
 after them; it moves the rep with the search's own twist
-(`genus2.dehn_twist_gamma`).  Every curve is evaluated on a `GluedRep`, by
-`genus2.curve_matrix` and, for the torus route's words in the co-based
-loops, `GluedRep.loops`; the dispatch reads the complement handle's trace
-off delta_k (`_complement_trace`).
+(`genus2.dehn_twist_gamma`).  A word's letters are curve tags and the
+generators A1, B1, A2, B2; every word is evaluated on a `GluedRep`, by
+`genus2.curve_matrix` and `genus2.generator_images`.  The dispatch reads
+the complement handle's trace off delta_k (`_complement_trace`).
 """
 
 from __future__ import annotations
@@ -142,9 +142,8 @@ def _is_word(word) -> bool:
         and type(w[1]) is int and w[1] in (1, -1) for w in word)
 
 
-_LOOP_PREFIXES = ("gloop", "bloop")
-_WORD_NAMES = genus2.CURVE_TAGS + tuple(f"{c}{i}" for c in _LOOP_PREFIXES
-                                        for i in "123")
+_WORD_NAMES = genus2.CURVE_TAGS + genus2.GENERATORS
+_GENERATOR_INDEX = {name: n for n, name in enumerate(genus2.GENERATORS)}
 
 
 class FoundCurve(NamedTuple):
@@ -198,17 +197,13 @@ def _rep_from_snapshot(snap: Dict) -> GluedRep:
                        f"{exc}") from None
 
 
-def _trace(rep: GluedRep, tag: str) -> float:
-    return mtrace(genus2.curve_matrix(rep, tag))
-
-
 def _word_quad(rep: GluedRep, word: Sequence) -> Quad:
     """Product of a word of +-1 letters over the named curves and the
-    co-based loops of `rep`."""
+    generators of `rep`."""
     quads = []
     for name, exp in word:
-        if name.startswith(_LOOP_PREFIXES):
-            m = rep.loops[name[0] == "b"][int(name[-1]) - 1]
+        if name in _GENERATOR_INDEX:
+            m = genus2.generator_images(rep)[_GENERATOR_INDEX[name]]
         else:
             m = genus2.curve_matrix(rep, name)
         quads.append(m if exp > 0 else minv(m))
@@ -235,7 +230,7 @@ def _complement_trace(rep: GluedRep, k: int) -> float:
     the two handles' commutators multiply to the surface relator of the
     lift, (-1)^e I for Euler class e (Goldman 1988), so it is (-1)^e tr
     delta_k."""
-    tr = _trace(rep, f"delta{k}")
+    tr = trace_curve_matrix(rep, f"delta{k}")
     return -tr if rep.euler_nominal % 2 else tr
 
 
@@ -358,17 +353,26 @@ def classify_scope(rep: GluedRep) -> str:
     raise OutOfScopeError(f"Euler class {eu} is extremal (Fuchsian locus)")
 
 
-def _complement_handle(k: int) -> Tuple[str, str]:
-    """Names of the co-based pair spanning the torus on the other side of
+_C = [["A2", 1], ["B1", -1], ["A1", -1], ["B1", 1]]     # C = B1^-1 b3 B1
+_COMPLEMENT_HANDLES = {1: ([["B1", 1]], _C),
+                       2: ([["B2", -1], ["B1", -1]], [["A1", 1]]),
+                       3: ([["B2", 1]], [["A2", 1]])}
+
+
+def _complement_handle(k: int) -> Tuple[List, List]:
+    """Generator words of the pair spanning the torus on the other side of
     delta_k.
 
     delta_k bounds the handle of (beta_i, gamma_j) on one side and the
     handle of (gamma_i, beta_j) on the other, (i, j, k) cyclic; their
     commutator traces are equal for even Euler class and opposite for odd
-    (`_complement_trace`).
+    (`_complement_trace`).  In the co-based loops of
+    `genus2.generator_images`, with w = g2^-1 b3, the pair (g1, b2)
+    conjugated by w is (B2, A2); (g2, b3) conjugated by B1^-1 is (B1, C);
+    and (g3, b1) conjugated by A1^-1 is (B2^-1 B1^-1, A1) up to the sign
+    of g3, which the torus route does not read.
     """
-    i, j = k % 3, (k + 1) % 3          # 0-based successors of k-1
-    return f"gloop{i+1}", f"bloop{j+1}"
+    return _COMPLEMENT_HANDLES[k]
 
 
 def _torus_window(rep: GluedRep, k: int) -> Optional[str]:
@@ -439,9 +443,9 @@ def _torus_route(state: SearchState, k: int, complement: bool = False):
     tr_delta = trace_curve_matrix(rep, f"delta{k}")
     if abs(tr_delta) <= 2.0 + TRACE_BAND:
         return _found(state, [[f"delta{k}", 1]])
-    name_p, name_q = (_complement_handle(k) if complement
-                      else genus2._DELTA_PAIRS[f"delta{k}"])
-    kappa, red, word = _handle_curve(rep, [[name_p, 1]], [[name_q, 1]])
+    p, q = (_complement_handle(k) if complement
+            else ([[tag, 1]] for tag in genus2._DELTA_PAIRS[f"delta{k}"]))
+    kappa, red, word = _handle_curve(rep, p, q)
     if word is None:
         why = (f"torus reduction ended AllNegative at kappa {kappa}"
                if red is not None
@@ -507,30 +511,31 @@ def lattice_step(state: SearchState):
     return beta_twist_step(state)
 
 
-def _loop_word(text: str) -> List:
-    """A word in the co-based loops from letters such as "g1" (gloop1) and
-    "B3" (bloop3 inverted)."""
-    return [[("gloop" if c in "gG" else "bloop") + i, 1 if c.islower() else -1]
-            for c, i in text.split()]
+def _twist_beta3(word: Sequence, n: int) -> List:
+    """T^n of a generator word, n = +-1, T the Dehn twist along beta_3.
+
+    With C = A2 B1^-1 A1^-1 B1, which T fixes, T fixes A1 and sends B1 to
+    B1 C, A2 to C^-1 A2 C and B2 to C^-1 B2; T^-1 sends them to B1 C^-1,
+    C A2 C^-1 and C B2.  T maps the surface relator to a cyclic conjugate
+    of itself, not of its inverse, so it is a mapping class: it sends
+    simple closed curves to simple closed curves.
+    """
+    c, c_inv = (_C, _inverse(_C)) if n > 0 else (_inverse(_C), _C)
+    images = {"A1": [["A1", 1]], "B1": [["B1", 1]] + c,
+              "A2": c_inv + [["A2", 1]] + c, "B2": c_inv + [["B2", 1]]}
+    return _free_reduce([letter for name, exp in word for letter in
+                         (images[name] if exp > 0
+                          else _inverse(images[name]))])
 
 
-# The handles of delta_3 after n = +-1 Dehn twists T^n along beta_3, as
-# words in the co-based loops (g_i, b_i) of `GluedRep.loops`: first the
-# handle of (gamma_1, beta_2), then that of (beta_1, gamma_2).  In the
-# generators of `genus2.generator_images`, A1 = b1, B1 = g2, A2 = w b2 w^-1
-# and B2 = w g1 w^-1 with w = g2^-1 b3, and with C = A2 B1^-1 A1^-1 B1, a
-# conjugate of beta_3, T fixes A1 and C and sends B1 to B1 C, A2 to
-# C^-1 A2 C and B2 to C^-1 B2.  T maps the surface relator to a cyclic
-# conjugate of itself, not of its inverse, so it is a mapping class: each
-# pair spans a handle of the twisted delta_3, and the simple curves of that
-# handle are simple curves of the surface.  The pairs are (T^n B2, T^n A2),
-# both words conjugated so that beta_2's image is the letter b2, and
-# (A1, T^n B1); at n = 0 they would be `_complement_handle(3)` and (b1, g2).
+# The handles of delta_3 after n = +-1 Dehn twists T^n along beta_3: first
+# T^n of the complement handle (B2, A2), then T^n of (A1, B1).  Each pair
+# spans a handle of the twisted delta_3, and the simple curves of that
+# handle are simple curves of the surface.
 _BETA3_HANDLES = {
-    n: tuple((_loop_word(p), _loop_word(q)) for p, q in pairs)
-    for n, pairs in (
-        (1, (("B2 g1 B3 b1 b3", "b2"), ("b1", "b3 b2 B3 B1 g2"))),
-        (-1, (("g1 b2 B3 B1 b3", "b2"), ("b1", "b1 b3 B2 B3 g2"))))}
+    n: tuple(tuple(_twist_beta3(w, n) for w in pair)
+             for pair in (_complement_handle(3), ([["A1", 1]], [["B1", 1]])))
+    for n in (1, -1)}
 
 
 def beta_twist_step(state: SearchState):
@@ -538,7 +543,7 @@ def beta_twist_step(state: SearchState):
     handle of the twisted delta_3 whose torus route finds a curve
     (`_BETA3_HANDLES`, `_handle_curve`).
 
-    The twist is a mapping-class move on the co-based loops, so the curve
+    The twist is a mapping-class move on the generators, so the curve
     word names a simple curve of the rep the certificate's coordinates
     name: the certificate records no move for it.
     """

@@ -376,7 +376,8 @@ class TestRotation:
                 for tag in ("beta1", "delta2"):
                     cert = search.Certificate(
                         initial=rep.to_dict(), moves=[move],
-                        curve=[[tag, 1]], trace=search._trace(moved, tag))
+                        curve=[[tag, 1]],
+                        trace=genus2.trace_curve_matrix(moved, tag))
                     report = search.replay_certificate(cert)
                     assert _bits([report["trace"]]) == _bits([cert.trace]), \
                         move

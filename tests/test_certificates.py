@@ -26,8 +26,20 @@ from srk.search import (Certificate, OutOfScopeError, SearchError,
 
 ROOT = Path(__file__).resolve().parents[1]
 # the certificate of a search that twists along beta_3: one twist move and
-# a 7-letter word in the co-based loops
+# a 13-letter word in the generators A1, B1, A2, B2
 COMMITTED = ROOT / "tests" / "data" / "certificate_beta_twist.json"
+# the certificate an older srk wrote for the same record, with its word in
+# the co-based loops gloop1..3 and bloop1..3
+OLDER_LOOP_LETTERS = {
+    "initial": {"eps": ["Eu0PlusTriangle", "Eu0MinusTriangle"],
+                "a": [2.089429656913838, 2.0322541740548883,
+                      2.156651200104319],
+                "t": [0.7820571596775734, -2.9915930392514705,
+                      0.4390226505913333]},
+    "moves": [{"kind": "twist", "i": 2, "k": 1}],
+    "curve": [["bloop2", 1], ["bloop3", -1], ["bloop1", -1], ["bloop3", 1],
+              ["gloop1", -1], ["bloop2", 1], ["bloop2", 1]],
+    "trace": 1.9906015942866908}
 # a certificate an older srk wrote, with two re-coordinatisation links
 OLDER_LINKS = {
     "initial": {"eps": ["EuPlus1", "EuMinus1"],
@@ -187,6 +199,12 @@ class TestGrammar:
         data["moves"].insert(0, OLDER_LINKS["moves"][0])
         _assert_malformed(tmp_path, capsys, data)
 
+    def test_loop_letters_are_malformed(self, tmp_path, capsys):
+        """A word's letters are curve tags and the four generators: the
+        certificate an older srk wrote in the co-based loops is
+        malformed."""
+        _assert_malformed(tmp_path, capsys, OLDER_LOOP_LETTERS)
+
     @pytest.mark.parametrize("where", ["initial"])
     @pytest.mark.parametrize("spoil", [
         lambda s: s["a"].__setitem__(0, True),
@@ -253,7 +271,7 @@ class TestTamperedCertificates:
 
     @pytest.mark.parametrize("curve, trace", [
         ([], 2.0), ([["beta1", 1], ["beta1", -1]], 1.9999999999999982),
-        ([["gloop2", -1], ["beta1", 1], ["beta1", -1], ["gloop2", 1]], 2.0)])
+        ([["B1", -1], ["beta1", 1], ["beta1", -1], ["B1", 1]], 2.0)])
     def test_a_trivial_word_certifies_nothing(self, curve, trace):
         """A word that cancels freely to nothing is no closed curve, though
         its trace is 2 up to rounding."""

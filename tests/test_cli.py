@@ -231,7 +231,7 @@ def test_bad_coordinate_record_is_usage_error(tmp_path, capsys, command,
     assert "bad input" in capsys.readouterr().err
 
 
-# a search's certificate: one twist move, then a word in the co-based loops
+# a search's certificate: one twist move, then a word in the generators
 CERTIFICATE = Path(__file__).resolve().parent / "data" / \
     "certificate_beta_twist.json"
 

@@ -103,7 +103,7 @@ class TestBuild:
         rep = build_glued(EU_PLUS1, EU_PLUS1, (1.0, 1.1, 1.2), (3.0, 0, 0))
         for tag in CURVE_TAGS:
             curve_matrix(rep, tag)
-        rep.loops
+        generator_images(rep)
         norm = normalize_twists(rep)
         assert norm is not rep
         fresh = GluedRep(p1=rep.p1, p2=rep.p2, t=rep.t)
@@ -293,6 +293,20 @@ class TestEulerClass:
                           (0.3, -24.5, -0.2))
         assert euler_class(rep) == 2
 
+    @pytest.mark.parametrize("s", [5.0, 10.0])
+    @pytest.mark.parametrize("names", [
+        ("EuPlus1", "EuMinus1"), ("EuPlus1", "EuPlus1"),
+        ("EuMinus1", "EuMinus1"), ("Eu0PlusTriangle", "EuPlus1"),
+        ("Eu0MinusTriangle", "EuMinus1"),
+        ("Eu0PlusTriangle", "Eu0MinusTriangle")], ids="/".join)
+    def test_long_half_lengths(self, names, s):
+        """At a = s (1, 1.1, 1.2) the generator images' entries reach
+        e^{2 s}; the Milnor sum still returns the nominal class."""
+        eps1, eps2 = map(pants.case_from_string, names)
+        rep = build_glued(eps1, eps2, tuple(s * x for x in (1.0, 1.1, 1.2)),
+                          (0.3, -0.2, 0.1))
+        assert euler_class(rep) == rep.euler_nominal
+
     def test_fuchsian_extremes(self):
         rep = build_glued(EU_MINUS1, EU_MINUS1, (0.8, 1.0, 1.2), (0.4, 0, -0.3))
         assert euler_class(rep) == -2
@@ -419,7 +433,7 @@ class TestRelabeling:
 
 # Reference words as plain numpy products, written out independently of the
 # 4-tuple evaluators: the curve words of the module docstring and the
-# co-based loops with the translations T(-t3) T(-a3) kept apart.
+# generator images, with the translations T(-t3) T(-a3) kept apart.
 
 def _np_translation(length):
     return np.diag([math.exp(length / 2.0), math.exp(-length / 2.0)])
@@ -450,18 +464,18 @@ def _np_curve(x, y, a, t, tag):
                           _np_curve(x, y, a, t, f"gamma{n2 + 1}"))
 
 
-def _np_loops(x, y, a, t):
+def _np_generators(x, y, a, t):
     tr_, mul, inv = _np_translation, _np_mul, _np_inv
     p3 = mul(x[1], tr_(a[2]), x[0])
     p5 = mul(x[2], tr_(a[0]), p3)
-    g = [mul(inv(p3), tr_(2 * a[0]), p3),
-         mul(inv(p5), tr_(2 * a[1]), p5),
-         mul(inv(x[0]), tr_(2 * a[2]), x[0])]
-    b = [mul(inv(x[0]), tr_(-t[2]), tr_(-a[2]), inv(y[1]), tr_(-a[0]),
-             inv(y[2]), tr_(t[1]), p5),
-         mul(inv(x[0]), tr_(-t[2]), tr_(-a[2]), inv(y[1]), tr_(t[0]), p3),
-         mul(inv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3)]
-    return g + b
+    g1 = mul(inv(p3), tr_(2 * a[0]), p3)
+    g2 = mul(inv(p5), tr_(2 * a[1]), p5)
+    b1 = mul(inv(x[0]), tr_(-t[2]), tr_(-a[2]), inv(y[1]), tr_(-a[0]),
+             inv(y[2]), tr_(t[1]), p5)
+    b2 = mul(inv(x[0]), tr_(-t[2]), tr_(-a[2]), inv(y[1]), tr_(t[0]), p3)
+    b3 = mul(inv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3)
+    w = mul(inv(g2), b3)
+    return b1, g2, mul(w, b2, inv(w)), mul(w, g1, inv(w))
 
 
 def _assert_rel_close(got, ref, rel=1e-12):
@@ -484,19 +498,18 @@ class TestSingleEvaluator:
             fresh = GluedRep(p1=rep.p1, p2=rep.p2, t=rep.t)
             _assert_rel_close(curve_matrix(fresh, tag), ref)
             _assert_rel_close(curve_matrix(rep, tag), ref)
-        g, b = rep.loops
-        for got, ref in zip(g + b, _np_loops(x, y, rep.a, rep.t)):
+        for got, ref in zip(generator_images(rep),
+                            _np_generators(x, y, rep.a, rep.t)):
             _assert_rel_close(got, ref)
 
     def test_parent_certificate_replays(self):
         # the committed certificate of a beta-twist search: its word is in
-        # the co-based loops, so the replay evaluates `GluedRep.loops`
+        # the generators, so the replay evaluates `generator_images`
         path = Path(__file__).parent / "data" / "certificate_beta_twist.json"
         cert = Certificate.from_json(path.read_text())
         report = replay_certificate(cert)
         assert report["ok"], report
-        assert {name for name, _ in cert.curve} <= {
-            "gloop1", "gloop2", "gloop3", "bloop1", "bloop2", "bloop3"}
+        assert {name for name, _ in cert.curve} <= set(genus2.GENERATORS)
         assert report["trace"] == pytest.approx(cert.trace, rel=1e-12)
 
     def test_certificate_json_roundtrip_replays(self):

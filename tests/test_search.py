@@ -470,13 +470,13 @@ class TestHandleAcrossDelta:
     """delta_k bounds two handles, and the surface relator of the lift is
     (-1)^e I, e the Euler class: the handle across delta_k from the one
     its word spans has commutator trace (-1)^e tr delta_k.  The dispatch
-    reads it so, and builds no co-based loops."""
+    reads it so, and builds no generator images."""
 
     def test_the_relator_sign(self):
-        """Over every case pair at |t| <= 1.5, the co-based loops'
-        commutator has the trace `_complement_trace` reads off delta_k, to
-        1e-9 relative to max(1, |trace|), as `srk classify` measures
-        agreement."""
+        """Over every case pair at |t| <= 1.5, the commutator of the
+        complement handle's generator words has the trace
+        `_complement_trace` reads off delta_k, to 1e-9 relative to max(1,
+        |trace|), as `srk classify` measures agreement."""
         pairs = set()
         for rec in corpus.classify_corpus(101, 56 * 12):
             if rec["wide"]:
@@ -484,8 +484,8 @@ class TestHandleAcrossDelta:
             rep = genus2.GluedRep.from_json(rec["text"])
             pairs.add((str(rep.eps1), str(rep.eps2)))
             for k in (1, 2, 3):
-                p, q = (search._word_quad(rep, [[name, 1]])
-                        for name in search._complement_handle(k))
+                p, q = (search._word_quad(rep, word)
+                        for word in search._complement_handle(k))
                 want = mtrace(commutator(p, q))
                 gap = abs(search._complement_trace(rep, k) - want)
                 assert gap <= 1e-9 * max(1.0, abs(want)), (rec["text"], k)
@@ -497,9 +497,9 @@ class TestHandleAcrossDelta:
                                       + corpus.search_corpus(101, 400))]
 
         def refuse(rep):
-            raise AssertionError("the co-based loops were built")
+            raise AssertionError("the generator images were built")
 
-        monkeypatch.setattr(genus2.GluedRep, "loops", property(refuse))
+        monkeypatch.setattr(genus2, "generator_images", refuse)
         routes = set()
         for rep in reps:
             state = search.SearchState(rep, Certificate(initial={}))
@@ -516,24 +516,6 @@ def _word(text):
 
 # [P, Q] = Q^-1 P^-1 Q P, and the surface relator is [A2, B2][A1, B1]
 RELATOR = _word("B2' A2' B2 A2 B1' A1' B1 A1")
-# the co-based loops of `GluedRep.loops` in the generators of
-# `genus2.generator_images`: b1 = A1, g2 = B1, b3 = B1 w, b2 = w^-1 A2 w,
-# g1 = w^-1 B2 w and g3 = (g1 g2)^-1, with w = A2 B1^-1 A1^-1
-_W = _word("A2 B1' A1'")
-LOOPS_IN_GENERATORS = {
-    "b1": _word("A1"), "g2": _word("B1"),
-    "b3": fg.reduce(_word("B1") + _W),
-    "b2": fg.reduce(fg.inverse(_W) + _word("A2") + _W),
-    "g1": fg.reduce(fg.inverse(_W) + _word("B2") + _W)}
-LOOPS_IN_GENERATORS["g3"] = fg.inverse(
-    fg.reduce(LOOPS_IN_GENERATORS["g1"] + LOOPS_IN_GENERATORS["g2"]))
-# and the generators in the loops: A1 = b1, B1 = g2, A2 = v b2 v^-1 and
-# B2 = v g1 v^-1, with v = g2^-1 b3
-_V = _word("g2' b3")
-GENERATORS_IN_LOOPS = {
-    "A1": _word("b1"), "B1": _word("g2"),
-    "A2": fg.reduce(_V + _word("b2") + fg.inverse(_V)),
-    "B2": fg.reduce(_V + _word("g1") + fg.inverse(_V))}
 # the Dehn twist T along beta_3 and its inverse: with C = A2 B1^-1 A1^-1 B1,
 # which T fixes, A1 -> A1, B1 -> B1 C^n, A2 -> C^-n A2 C^n, B2 -> C^-n B2
 _C = _word("A2 B1' A1' B1")
@@ -544,11 +526,6 @@ TWIST = {n: {"A1": _word("A1"),
              "B2": fg.reduce((fg.inverse(_C) if n > 0 else _C)
                              + _word("B2"))}
          for n in (1, -1)}
-
-
-def _loop_letters(word):
-    """A search word's [["gloop1", 1], ...] letters as ("g1", 1), ..."""
-    return [(name[0] + name[-1], exp) for name, exp in word]
 
 
 class TestBetaTwist:
@@ -569,41 +546,37 @@ class TestBetaTwist:
             assert not fg.conjugators(image, fg.inverse(RELATOR))
 
     def test_twist_fixes_the_curves_beta_3_misses(self):
-        """T fixes the classes of b1, b2, b3 and g3, which beta_3 does not
-        cross, and moves g1 and g2."""
+        """T fixes the classes of the co-based loops b1, b2, b3 and g3 of
+        `genus2.generator_images`, which beta_3 does not cross, and moves
+        g1 and g2: written in the generators, b1 = A1, g2 = B1, b3 = B1 w,
+        b2 = w^-1 A2 w, g1 = w^-1 B2 w and g3 = (g1 g2)^-1, with w = A2
+        B1^-1 A1^-1."""
+        w = _word("A2 B1' A1'")
+        loops = {"b1": _word("A1"), "g2": _word("B1"),
+                 "b3": fg.reduce(_word("B1") + w),
+                 "b2": fg.reduce(fg.inverse(w) + _word("A2") + w),
+                 "g1": fg.reduce(fg.inverse(w) + _word("B2") + w)}
+        loops["g3"] = fg.inverse(fg.reduce(loops["g1"] + loops["g2"]))
         for n in (1, -1):
-            for loop, word in LOOPS_IN_GENERATORS.items():
+            for loop, word in loops.items():
                 image = fg.substitute(word, TWIST[n])
                 assert bool(fg.conjugators(image, word)) == \
                     (loop in ("b1", "b2", "b3", "g3")), (n, loop)
 
-    def test_loops_and_generators_are_inverse(self):
-        for name, word in GENERATORS_IN_LOOPS.items():
-            assert fg.substitute(word, LOOPS_IN_GENERATORS) == [(name, 1)]
-
     @pytest.mark.parametrize("n", [1, -1, 0])
     def test_the_table_is_derived(self, n):
-        """`_BETA3_HANDLES[n]` is T^n of the handles (B2, A2) and (A1, B1)
-        in loop letters, both words of the first pair conjugated by the
-        element v that makes beta_2's image the letter b2, and the second
-        pair as it is; at n = 0 the same conversion gives
-        `_complement_handle(3)` and (b1, g2)."""
+        """`_BETA3_HANDLES[n]` is T^n of the handles (B2, A2) and (A1, B1);
+        at n = 0, (B2, A2) is `_complement_handle(3)`."""
         def image(name):
             word = [(name, 1)]
-            if n:
-                word = fg.substitute(word, TWIST[n])
-            return fg.substitute(word, GENERATORS_IN_LOOPS)
+            return fg.substitute(word, TWIST[n]) if n else word
 
-        v, core = fg.cyclic_core(image("A2"))
-        assert core == [("b2", 1)]
-        far = (fg.reduce(fg.inverse(v) + image("B2") + v), core)
-        near = (image("A1"), image("B1"))
+        far, near = (image("B2"), image("A2")), (image("A1"), image("B1"))
         if n == 0:
-            assert far == tuple([(name[0] + name[-1], 1)]
-                                for name in search._complement_handle(3))
-            assert near == ([("b1", 1)], [("g2", 1)])
+            assert far == tuple([tuple(letter) for letter in word]
+                                for word in search._complement_handle(3))
         else:
-            assert [tuple(_loop_letters(w) for w in pair)
+            assert [tuple([tuple(letter) for letter in word] for word in pair)
                     for pair in search._BETA3_HANDLES[n]] == [far, near]
 
     def test_twist_law(self):
