@@ -148,7 +148,7 @@ def cmd_search(args) -> int:
         _emit(out.certificate.to_json(), args.out)
         raise _Exit(EXIT_STALLED, f"stalled: {out.diagnostic}")
     replay = search.replay_certificate(out.certificate)
-    payload = out.certificate.to_dict()
+    payload = out.certificate._asdict()
     payload["replay"] = replay
     _emit(json.dumps(payload, default=float), args.out)
     return EXIT_OK if replay["ok"] else EXIT_VERIFY_FAIL

@@ -24,7 +24,8 @@ B2, in which the search writes every word that is not a named curve.  The
 search and the certificate replay move between reps with
 `dehn_twist_gamma`.
 
-Value objects are `__slots__` classes or named tuples.
+Value objects are named tuples, except `GluedRep`, which holds caches,
+and `psl2r.LiftedIsometry`, which checks its matrix.
 """
 
 from __future__ import annotations

@@ -19,7 +19,9 @@ which works with the psl2r kernel: the edge matrices and the boundary
 loops are psl2r matrices, row-major 4-tuples.  The self-hexagon and flat
 builders place each matrix by its index relative to the long side.
 
-Value objects are `__slots__` classes or named tuples.
+Value objects are named tuples; the two hand-written classes are
+`genus2.GluedRep`, which holds caches, and `psl2r.LiftedIsometry`, which
+checks its matrix.
 """
 
 from __future__ import annotations
@@ -123,36 +125,18 @@ def case_from_string(name: str) -> PantsCase:
     return _CASES[name]
 
 
-class PantsRep:
+class PantsRep(NamedTuple):
     """Half-lengths, construction tag, and the edge matrices `q`.
 
     `solution` is the hyptrig solution `build_pants` solved for the edge
     matrices (None for flat pants); the closed trace formulas and the
-    search read it.  Two pants are equal when `a`, `case` and `q` are:
-    `solution` takes no part, nor in the hash or the repr.  A built pants
-    is never assigned to: `build_pants` hands the same one out again.
+    search read it.  `build_pants` hands a built pants out again.
     """
 
-    __slots__ = ("a", "case", "q", "solution")
-
-    def __init__(self, a: Tuple[float, float, float], case: PantsCase,
-                 q: Tuple[Quad, Quad, Quad],
-                 solution: Optional[hyptrig.Solution]) -> None:
-        self.a, self.case, self.q, self.solution = a, case, q, solution
-
-    def _key(self) -> tuple:
-        return self.a, self.case, self.q
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"PantsRep(a={self.a!r}, case={self.case!r}, q={self.q!r})"
+    a: Tuple[float, float, float]
+    case: PantsCase
+    q: Tuple[Quad, Quad, Quad]
+    solution: Optional[hyptrig.Solution]
 
     def cocycle_residuals(self) -> Tuple[float, float]:
         return _cocycle_residuals(self.a, self.q)

@@ -14,16 +14,17 @@ of the twisted delta_3 (`beta_twist_step`).  The paper's theorem says that
 a curve exists; that the search finds one is measured on the benchmark's
 corpora, not proved.
 
-Every terminal answer carries a certificate about the representation its
-initial coordinates name, holding only what the replay reads: the
-coordinate record (eps, a, t), the twist moves along the gammas, and the
-curve word.  The replay builds the rep with `genus2.build_glued`, so it
-trusts `pants.build_pants` and hyptrig's solvers, and the 2x2 arithmetic
-after them; it moves the rep with the search's own twist
-(`genus2.dehn_twist_gamma`).  A word's letters are curve tags and the
-generators A1, B1, A2, B2; every word is evaluated on a `GluedRep`, by
-`genus2.curve_matrix` and `genus2.generator_images`.  The dispatch reads
-the complement handle's trace off delta_k (`_complement_trace`).
+Every terminal answer carries a certificate, written once when the search
+ends, about the representation its initial coordinates name, holding
+only what the replay reads: the coordinate record (eps, a, t), the twist
+moves along the gammas, and the curve word.  The replay builds the rep
+with `genus2.build_glued`, so it trusts `pants.build_pants` and hyptrig's
+solvers, and the 2x2 arithmetic after them; it moves the rep with the
+search's own twist (`genus2.dehn_twist_gamma`).  A word's letters are
+curve tags and the generators A1, B1, A2, B2; every word is evaluated on
+a `GluedRep`, by `genus2.curve_matrix` and `genus2.generator_images`.
+The dispatch reads the complement handle's trace off delta_k
+(`_complement_trace`).
 """
 
 from __future__ import annotations
@@ -56,46 +57,27 @@ class OutOfScopeError(SearchError):
 # certificates
 # ---------------------------------------------------------------------------
 
-class Certificate:
+class Certificate(NamedTuple):
     """Replayable record of the search: snapshots, moves, final curve.
     Snapshots and moves hold exactly the keys the replay reads
-    (`_SNAPSHOT_KEYS`, `_MOVE_KEYS`).  Two certificates are equal when all
-    four fields are."""
+    (`_SNAPSHOT_KEYS`, `_MOVE_KEYS`).  The search writes its certificate
+    once, when it ends (`_found`, `_stalled`); a stalled search's has no
+    curve and no trace."""
 
-    __slots__ = ("initial", "moves", "curve", "trace")
-
-    def __init__(self, initial: Dict, moves: Optional[List[Dict]] = None,
-                 curve: Optional[List] = None,
-                 trace: Optional[float] = None) -> None:
-        self.initial = initial
-        self.moves = [] if moves is None else moves
-        self.curve = curve
-        self.trace = trace
-
-    def _key(self) -> tuple:
-        return self.initial, self.moves, self.curve, self.trace
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return ("Certificate(initial={!r}, moves={!r}, curve={!r}, "
-                "trace={!r})".format(*self._key()))
-
-    def to_dict(self) -> Dict:
-        return {"initial": self.initial, "moves": self.moves,
-                "curve": self.curve, "trace": self.trace}
+    initial: Dict
+    moves: List[Dict]
+    curve: Optional[List]
+    trace: Optional[float]
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return json.dumps(self._asdict())
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         """Parse a certificate; raises SearchError unless its snapshots,
         moves, curve word and trace have the shapes and keys the replay
-        reads.  Each snapshot is checked by `genus2.parse_record`."""
+        reads, and a certificate with no curve has no trace.  Each
+        snapshot is checked by `genus2.parse_record`."""
         d = json.loads(text)
         if not (isinstance(d, dict) and _is_snapshot(d.get("initial"))
                 and isinstance(d.get("moves"), list)):
@@ -104,8 +86,8 @@ class Certificate:
             if not _is_move(mv):
                 raise SearchError(f"malformed certificate: move {mv!r}")
         curve, trace = d.get("curve"), d.get("trace")
-        if not (curve is None or (_is_word(curve)
-                                  and genus2.is_finite_number(trace))):
+        if not ((curve is None and trace is None) or (
+                _is_word(curve) and genus2.is_finite_number(trace))):
             raise SearchError(f"malformed certificate: curve {curve!r} "
                               f"with trace {trace!r}")
         return cls(initial=d["initial"], moves=d["moves"],
@@ -147,11 +129,18 @@ _GENERATOR_INDEX = {name: n for n, name in enumerate(genus2.GENERATORS)}
 
 
 class FoundCurve(NamedTuple):
-    word: List            # [[tag, exponent], ...], matrices multiply l-to-r
-    trace: float
     certificate: Certificate
     rounds: int
     history: List[Dict]   # the search's decision trace, not certified
+
+    @property
+    def word(self) -> List:
+        """[[tag, exponent], ...], matrices multiply left to right."""
+        return self.certificate.curve
+
+    @property
+    def trace(self) -> float:
+        return self.certificate.trace
 
 
 class Stalled(NamedTuple):
@@ -162,14 +151,16 @@ class Stalled(NamedTuple):
 
 
 class SearchState:
-    """The search's current rep, its certificate so far, its rounds (1
-    once it twists along beta_3) and its decision trace."""
+    """The search's current rep, the coordinate record it started from,
+    its twist moves so far, its rounds (1 once it twists along beta_3) and
+    its decision trace; `_found` and `_stalled` write the certificate."""
 
-    __slots__ = ("rep", "cert", "rounds", "history")
+    __slots__ = ("rep", "initial", "moves", "rounds", "history")
 
-    def __init__(self, rep: GluedRep, cert: Certificate) -> None:
+    def __init__(self, rep: GluedRep) -> None:
         self.rep = rep
-        self.cert = cert
+        self.initial = rep.to_dict()
+        self.moves: List[Dict] = []
         self.rounds = 0
         self.history: List[Dict] = []
 
@@ -286,7 +277,7 @@ def _replay(cert: Certificate, tol: float) -> Dict:
 # ---------------------------------------------------------------------------
 
 def _log_twist(state: SearchState, i: int, k: int) -> None:
-    state.cert.moves.append({"kind": "twist", "i": i, "k": k})
+    state.moves.append({"kind": "twist", "i": i, "k": k})
     state.history.append({"move": "twist", "i": i, "k": k})
 
 
@@ -311,24 +302,25 @@ def _found(state: SearchState, word: List) -> FoundCurve:
     if abs(tr) > 2.0 + TRACE_BAND:
         raise SearchError(
             f"found-curve verification failed: |{tr}| > 2 for {word}")
-    state.cert.curve = [[name, int(e)] for name, e in word]
-    state.cert.trace = float(tr)
-    return FoundCurve(word=state.cert.curve, trace=float(tr),
-                      certificate=state.cert, rounds=state.rounds,
+    cert = Certificate(state.initial, state.moves,
+                       [[name, int(e)] for name, e in word], float(tr))
+    return FoundCurve(certificate=cert, rounds=state.rounds,
                       history=state.history)
 
 
 def _stalled(state: SearchState, why: str) -> Stalled:
-    return Stalled(diagnostic=why, certificate=state.cert,
-                   rounds=state.rounds, history=state.history)
+    cert = Certificate(state.initial, state.moves, None, None)
+    return Stalled(diagnostic=why, certificate=cert, rounds=state.rounds,
+                   history=state.history)
 
 
 # ---------------------------------------------------------------------------
 # class and dispatch
 # ---------------------------------------------------------------------------
 
-def classify_scope(rep: GluedRep) -> str:
-    """"plus1", "minus1" or "zero_minus"; raises OutOfScopeError otherwise.
+def classify_scope(rep: GluedRep) -> None:
+    """Raise OutOfScopeError unless the search covers `rep`: Euler class
+    +-1, or 0 with a sign invariant other than Plus.  Returns nothing.
 
     A twist that `genus2.twist_counts` cannot normalise has lost its place
     in the twist orbit, and is out of scope too.
@@ -339,18 +331,13 @@ def classify_scope(rep: GluedRep) -> str:
         raise OutOfScopeError(f"twists {rep.t} are too large to normalise "
                               f"into [-a_i, a_i]") from None
     eu = rep.euler_nominal
-    if eu == 1:
-        return "plus1"
-    if eu == -1:
-        return "minus1"
-    if eu == 0:
-        # Minus, or Degenerate: a separating curve within tolerance of
-        # trace 2 is itself non-hyperbolic, so the search can still run
-        if genus2.sign_invariant(rep) != "Plus":
-            return "zero_minus"
+    if abs(eu) > 1:
+        raise OutOfScopeError(f"Euler class {eu} is extremal (Fuchsian locus)")
+    # Degenerate is in scope: a separating curve within tolerance of trace
+    # 2 is itself non-hyperbolic, so the search can still run
+    if eu == 0 and genus2.sign_invariant(rep) == "Plus":
         raise OutOfScopeError(
             "Euler class 0 with sign Plus is outside the search's scope")
-    raise OutOfScopeError(f"Euler class {eu} is extremal (Fuchsian locus)")
 
 
 _C = [["A2", 1], ["B1", -1], ["A1", -1], ["B1", 1]]     # C = B1^-1 b3 B1
@@ -567,18 +554,23 @@ def search_nonhyperbolic(rep: GluedRep):
 
     The representation must have all half-lengths at most B2_HALF and total
     Euler class +1, -1, or 0 with sign invariant Minus.  Returns a
-    FoundCurve with a replayable certificate, or Stalled with diagnostics.
+    FoundCurve with a replayable certificate, or Stalled with diagnostics,
+    which a torus reduction that fails (`torus.ReductionError`) also
+    returns.  Either answer's certificate is written once, as it ends.
     """
     for v in rep.a:
         if v > B2_HALF + B2_HALF_SLACK:
             raise OutOfScopeError(f"half-length {v} exceeds the Bers bound "
                                   f"{B2_HALF}")
     classify_scope(rep)
-    state = SearchState(rep=rep, cert=Certificate(initial=rep.to_dict()))
+    state = SearchState(rep)
     _normalize(state)
     strategy = dispatch(state)
     sid, _, k = strategy.partition(":")
-    if k:
-        return _torus_route(state, int(k),
-                            complement=sid == "delta_torus_complement")
-    return _STRATEGY_STEPS[strategy](state)
+    try:
+        if k:
+            return _torus_route(state, int(k),
+                                complement=sid == "delta_torus_complement")
+        return _STRATEGY_STEPS[strategy](state)
+    except torus.ReductionError as exc:
+        return _stalled(state, f"torus reduction failed: {exc}")

@@ -205,6 +205,15 @@ class TestGrammar:
         malformed."""
         _assert_malformed(tmp_path, capsys, OLDER_LOOP_LETTERS)
 
+    @pytest.mark.parametrize("trace", ["junk", 1.5])
+    def test_no_curve_means_no_trace(self, tmp_path, capsys, trace):
+        """A certificate with no curve, as a stalled search writes it, has
+        no trace either: the committed certificate with its curve nulled
+        and a trace kept is malformed."""
+        data = json.loads(COMMITTED.read_text())
+        data["curve"], data["trace"] = None, trace
+        _assert_malformed(tmp_path, capsys, data)
+
     @pytest.mark.parametrize("where", ["initial"])
     @pytest.mark.parametrize("spoil", [
         lambda s: s["a"].__setitem__(0, True),
@@ -334,8 +343,16 @@ class TestPantsMemo:
 
     def test_nothing_assigns_to_a_built_pants(self):
         """Only constructors set an object's fields: a memo hit hands out
-        the pants that every earlier caller holds."""
-        fields = set(pants.PantsRep.__slots__)
+        the pants that every earlier caller holds, and a search writes its
+        certificate once.  Named tuples refuse an assignment when it runs;
+        this reads every assignment in the source."""
+        built = pants.build_pants((1.0, 1.1, 1.2), pants.EU_PLUS1)
+        cert = Certificate.from_json(COMMITTED.read_text())
+        for value in (built, cert):
+            with pytest.raises(AttributeError):
+                setattr(value, value._fields[0], None)
+        fields = set(pants.PantsRep._fields + Certificate._fields)
+        assert len(fields) == 8
         for path in sorted((ROOT / "src" / "srk").glob("*.py")):
             tree = ast.parse(path.read_text())
             own = {id(node) for init in ast.walk(tree)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import srk
-from srk import cli, genus2, hyptrig, search
+from srk import cli, genus2, hyptrig, search, torus
 from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
 
 
@@ -244,7 +244,7 @@ def _huge_int_input(tmp_path, where):
     record = {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
               "t": [0.3, -0.2, 0.5]}
     data = search.search_nonhyperbolic(genus2.GluedRep.from_json(
-        json.dumps(record))).certificate.to_dict()
+        json.dumps(record))).certificate._asdict()
     command, key = where.split(":")
     if command in ("classify", "search"):
         record[key][1] = HUGE_INT
@@ -603,13 +603,14 @@ class TestStall:
     a stall, so that these tests do not depend on a record the search
     stalls on."""
 
-    DIAGNOSTIC = "no coordinate fit for the new curve triple"
+    DIAGNOSTIC = "no twist along beta_3 opens a torus window"
 
     @pytest.fixture(autouse=True)
     def stall(self, rep_file, monkeypatch):
         record = json.loads(Path(rep_file).read_text())
         stalled = search.Stalled(diagnostic=self.DIAGNOSTIC,
-                                 certificate=search.Certificate(record),
+                                 certificate=search.Certificate(
+                                     record, [], None, None),
                                  rounds=0, history=[])
         monkeypatch.setattr(search, "search_nonhyperbolic",
                             lambda rep: stalled)
@@ -635,6 +636,25 @@ class TestStall:
         assert captured.out == ""
         assert captured.err == f"search: cannot write {out}: " \
             "No such file or directory\n"
+
+
+def test_a_failed_torus_reduction_is_a_stall(rep_file, tmp_path, capsys,
+                                             monkeypatch):
+    """A torus reduction that raises ReductionError stalls the search: exit
+    2 with one stderr line, and the certificate, with no curve, is still
+    written.  The record's dispatch takes the route across delta_3."""
+    def fail(x, y, z):
+        raise torus.ReductionError("greedy descent stalled")
+
+    monkeypatch.setattr(torus, "reduce_triple", fail)
+    cert = tmp_path / "cert.json"
+    assert cli.main(["search", rep_file, "--out", str(cert)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("search: stalled: torus reduction failed: "
+                            "greedy descent stalled\n")
+    data = json.loads(cert.read_text())
+    assert data["curve"] is None and data["trace"] is None
 
 
 def _python_m_srk(argv, text=True, extra_env=None, **kwargs):

@@ -265,7 +265,7 @@ class TestTwists:
         assert out.t == (0.0, 1.0, 0.4)
         assert normalize_twists(rep) is out
         assert normalize_twists(out) is out
-        state = SearchState(rep=rep, cert=Certificate(initial={}))
+        state = SearchState(rep)
         for i, k in enumerate(genus2.twist_counts(rep)):
             search._apply_twist(state, i + 1, k)
         assert [math.copysign(1.0, v) for v in state.rep.t] == [-1.0, 1.0, 1.0]
@@ -535,10 +535,10 @@ class TestSingleEvaluator:
     def test_search_logs_the_normalising_twists(self):
         rep = build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.1, 1.2),
                           (5.0, -3.2, 0.4))
-        state = SearchState(rep=rep, cert=Certificate(initial={}))
+        state = SearchState(rep)
         search._normalize(state)
         assert state.rep.t == normalize_twists(rep).t
-        moves = [(mv["i"], mv["k"]) for mv in state.cert.moves]
+        moves = [(mv["i"], mv["k"]) for mv in state.moves]
         assert moves == [(i + 1, k)
                          for i, k in enumerate(genus2.twist_counts(rep)) if k]
 

@@ -76,11 +76,11 @@ class TestCocycle:
             build_pants((0.0, 1.0, 1.0), EU_PLUS1)
 
     @pytest.mark.parametrize("case", ALL_CASES, ids=str)
-    def test_equality_ignores_the_solution(self, case):
+    def test_equality_is_field_by_field(self, case):
         rep = build_pants(sample_a(case, rng), case)
-        bare = pants.PantsRep(rep.a, rep.case, rep.q, None)
-        assert bare == rep and hash(bare) == hash(rep)
-        assert repr(bare) == repr(rep)
+        same = pants.PantsRep(rep.a, rep.case, rep.q, rep.solution)
+        assert same == rep and hash(same) == hash(rep)
+        assert repr(same) == repr(rep)
         other = EU_PLUS1 if case != EU_PLUS1 else EU_MINUS1
         assert pants.PantsRep(rep.a, other, rep.q, None) != rep
         assert pants.PantsRep(rep.a, rep.case, rep.q[::-1], None) != rep

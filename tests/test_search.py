@@ -325,7 +325,7 @@ class TestSearchEndToEnd:
         assert replay_certificate(cert)["ok"]
         # equal field by field, as the benchmark's round-trip check reads it
         assert cert == out.certificate and cert is not out.certificate
-        cert.trace = math.nextafter(cert.trace, math.inf)
+        cert = cert._replace(trace=math.nextafter(cert.trace, math.inf))
         assert cert != out.certificate
 
     def test_tampered_certificate_fails(self):
@@ -502,7 +502,7 @@ class TestHandleAcrossDelta:
         monkeypatch.setattr(genus2, "generator_images", refuse)
         routes = set()
         for rep in reps:
-            state = search.SearchState(rep, Certificate(initial={}))
+            state = search.SearchState(rep)
             routes.add(search.dispatch(state).partition(":")[0])
         assert routes == {"delta_torus", "delta_torus_complement",
                           "lattice"}
