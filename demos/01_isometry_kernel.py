@@ -4,8 +4,10 @@ Matrices are unit-determinant 2x2 reals modulo sign, written as row-major
 4-tuples (a, b, c, d) and multiplied with `mmul`; words use the opposite
 composition order (first letter acts first), and the commutator [A, B] is
 B^-1 A^-1 B A, whose trace needs no sign choice.  Lifts to the universal
-cover of the boundary circle turn the surface relator into a power of the
-deck generator: the Milnor Euler class.
+cover turn the surface relator into a power of the deck generator: the
+Milnor Euler class.  The boundary-circle lifts carry a lifted circle map;
+the Euler class carries one angle instead, a branch of arg(c i + d), on
+which the deck generator is the shift -pi.
 """
 
 import math
@@ -45,8 +47,9 @@ print("\nlifted [P, Q] base:", lifted_commutator(fp, fq).base,
       "; after deck shifts 3, -2:",
       lifted_commutator(fp.deck(3), fq.deck(-2)).base)
 
-# the Milnor algorithm on a Fuchsian gluing: the lifted relator
-# [A2, B2][A1, B1] is the deck generator to the power -2
+# the Milnor algorithm on a Fuchsian gluing: in the angle model the
+# lifted relator [A2, B2][A1, B1] is (I, 2 pi), the deck generator to the
+# power -2
 rep = genus2.build_glued(pants.EU_MINUS1, pants.EU_MINUS1,
                          (0.8, 1.0, 1.2), (0.3, 0.0, -0.2))
 a1, b1, a2, b2 = genus2.generator_images(rep)

@@ -12,7 +12,7 @@ from srk import genus2, pants
 rep = genus2.build_glued(pants.EU_PLUS1, pants.EU_MINUS1,
                          a=(1.0, 1.1, 1.2), t=(0.4, -0.3, 0.7))
 print("coordinates:", rep.to_json())
-print("Euler class (Milnor algorithm):", genus2.euler_class(rep))
+print("Euler class (Milnor algorithm, angle model):", genus2.euler_class(rep))
 print("sign invariant:", genus2.sign_invariant(rep))
 
 print("\ncurve traces (closed form vs matrix):")

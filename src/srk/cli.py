@@ -120,7 +120,7 @@ def cmd_classify(args) -> int:
             table[tag] = {"matrix": tm, "closed_form": tc if covered else None,
                           "agreement": gap}
         euler = genus2.euler_class(rep)
-        if euler != rep.euler_nominal:      # the float Milnor sum drifted
+        if euler != rep.euler_nominal:      # a wrong class past its checks
             raise _Exit(EXIT_OUT_OF_SCOPE, f"out of range: Milnor Euler "
                         f"class {euler} differs from the nominal class "
                         f"{rep.euler_nominal}")

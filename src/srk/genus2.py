@@ -514,7 +514,7 @@ def euler_class(rep: GluedRep) -> int:
 
     Read at the normalised twists, as the sign invariant is: the class is
     constant along twist orbits, while the generator images' entries grow
-    like e^{|t|/2} and, past |t| ~ 15, the relator and the lifted deck
-    shift drown in rounding error.
+    like e^{|t|/2} and, past |t| ~ 15, the relator and its boundary shift
+    drown in rounding error.
     """
     return psl2r.euler_class_closed(*generator_images(normalize_twists(rep)))

@@ -9,7 +9,10 @@ element of SL(2,R) with an unambiguous trace.
 
 The boundary circle of the disc model is parametrised by an angle in
 [0, 2pi); the rotation-by-theta matrix acts on that angle as x -> x + theta,
-which pins the deck generator of the universal cover to +2pi.
+which pins the deck generator of the universal cover to +2pi.  The Euler
+class reads the universal cover in its angle model instead: a matrix with
+a continuous branch of arg(c i + d).  Rotation by theta carries the branch
+-theta/2, so there the deck generator is the angle shift -pi.
 
 A matrix is a row-major 4-tuple of floats (a, b, c, d) standing for
 [[a, b], [c, d]]: every function here takes and returns matrices in that
@@ -31,6 +34,7 @@ from .tolerances import (DECK_SHIFT_PAD, DECK_SHIFT_TOL, LIFT_SNAP,
 TWO_PI = 2.0 * math.pi
 
 Quad = Tuple[float, float, float, float]
+AngleLift = Tuple[Quad, float]     # (q, a branch of arg(c i + d))
 
 
 class PSL2Error(ValueError):
@@ -200,21 +204,69 @@ def _deck_power(l: LiftedIsometry, scale: float = 1.0) -> int:
     return ks.pop()
 
 
+def _angle_product(x: AngleLift, y: AngleLift, wraps: list) -> AngleLift:
+    """Product of two lifts in the angle model of the universal cover.
+
+    A lift is a pair (q, alpha), alpha a continuous branch of arg(c i + d)
+    for q = (a, b, c, d).  The product's branch is alpha + beta + w, where
+    w, the argument of the product's c i + d less alpha + beta, is reduced
+    into [-pi, pi]: the true w is the change of arg(c z + d) of the first
+    matrix from z = i to z = q_y i, and z -> c z + d maps the upper half
+    plane into an open half plane, so |w| < pi.  Appends |w| to `wraps`.
+    """
+    q, alpha = x
+    r, beta = y
+    q = mmul(q, r)
+    w = math.remainder(math.atan2(q[2], q[3]) - alpha - beta, TWO_PI)
+    wraps.append(abs(w))
+    return q, alpha + beta + w
+
+
+def _angle_commutator(p: AngleLift, q: AngleLift,
+                      wraps: list) -> AngleLift:
+    """Lift of [P, Q] = (PQ)^-1 (QP), the order `lifted_commutator` uses."""
+    (a, b, c, d), alpha = _angle_product(p, q, wraps)
+    inverse = ((d, -b, -c, a),
+               math.remainder(math.atan2(-c, a) + alpha, TWO_PI) - alpha)
+    return _angle_product(inverse, _angle_product(q, p, wraps), wraps)
+
+
 def euler_class_closed(a1: Quad, b1: Quad, a2: Quad, b2: Quad) -> int:
     """Euler class of a closed genus-2 representation (Milnor algorithm).
 
     The four matrices are the images of a standard generating quadruple and
-    must satisfy the surface relation [a1,b1][a2,b2] = 1 up to sign.  The
-    lifted relator is a deck power, independent of the choice of lifts; the
-    sign is calibrated so that the Fuchsian gluings take the value -2.
+    must satisfy the surface relation [a1,b1][a2,b2] = 1 up to sign.  Each
+    generator lifts to (g, arg(c i + d)) in the angle model, and the
+    relator [a2,b2][a1,b1] lifts to (+-I, m pi) whatever the lifts.  The
+    deck generator is the angle shift -pi, so the class is -m, calibrated
+    so that the Fuchsian gluings take the value -2.
+
+    Raises PSL2Error unless the relator is +-I to RELATOR_TOL times the
+    relation scale, moves each boundary angle 0, 1.1, 2.7, 4.4 by at most
+    err_tol, and every product's wrap stays more than err_tol inside
+    (-pi, pi), where its branch is certain.  A product that overflows
+    leaves inf or NaN in the relator, which its check refuses.
     """
-    qa1, qb1, qa2, qb2 = (_quad(m) for m in (a1, b1, a2, b2))
-    scale = _relation_scale(qa1, qb1, qa2, qb2)
-    rel = lifted_compose(lifted_commutator(lift(qa2), lift(qb2)),
-                         lifted_commutator(lift(qa1), lift(qb1)))
-    if deviation_from_projective_identity(rel.q) > RELATOR_TOL * scale:
+    qs = [_quad(m) for m in (a1, b1, a2, b2)]
+    scale = _relation_scale(*qs)
+    # boundary angles lose accuracy with the entry size of the words; the
+    # padding stays far below the half-turn pi between two branches
+    err_tol = min(max(DECK_SHIFT_TOL, DECK_SHIFT_PAD * scale), 0.5)
+    wraps: list = []
+    l1, l2, l3, l4 = ((q, math.atan2(q[2], q[3])) for q in qs)
+    rel, angle = _angle_product(_angle_commutator(l3, l4, wraps),
+                                _angle_commutator(l1, l2, wraps), wraps)
+    if deviation_from_projective_identity(rel) > RELATOR_TOL * scale:
         raise PSL2Error("surface relation violated beyond tolerance")
-    return _deck_power(rel, scale)
+    shift = max(abs(math.remainder(circle_position(rel, phi) - phi, TWO_PI))
+                for phi in (0.0, 1.1, 2.7, 4.4))
+    clearance = math.pi - max(wraps)
+    if not shift <= err_tol < clearance:
+        raise PSL2Error(f"relator moves the boundary by up to {shift:.3g} "
+                        f"rad and the smallest wrap clearance is "
+                        f"{clearance:.3g} rad, against a bound of "
+                        f"{err_tol:.3g} rad")
+    return -round(angle / math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ TRACE_BAND = 1e-9
 LIFT_SNAP = 1e-9
 # relator distance to +-I, times _relation_scale (psl2r), e^{max a} (pants)
 RELATOR_TOL = 1e-9
-# deviation of a lifted deck shift from 2*pi*Z (_deck_power's floor)
+# a relator's boundary shift off 2*pi*Z, and the margin every angle-model
+# wrap keeps below pi (psl2r.euler_class_closed, _deck_power)
 DECK_SHIFT_TOL = 1e-6
-# the same deviation allowed per unit of psl2r._relation_scale
+# the same bounds allowed per unit of psl2r._relation_scale
 DECK_SHIFT_PAD = 3e-10
 
 # --- half-lengths and twists -----------------------------------------------

@@ -1,4 +1,7 @@
-"""Canonical boundary lifts and the relative Euler class, a test oracle.
+"""Boundary-circle lifts: the Euler class oracles of the tests.
+
+`milnor_euler_class` is the Milnor sum on lifted circle maps, the reference
+that `psl2r.euler_class_closed`'s angle model is held against.
 
 A hyperbolic element has one lift to the universal cover of the boundary
 circle that fixes its two boundary fixed points.  The relative Euler class
@@ -13,7 +16,16 @@ import numpy as np
 from matrices import arr
 
 from srk.psl2r import (TWO_PI, _deck_power, _relation_scale, lift,
-                       lifted_compose)
+                       lifted_commutator, lifted_compose)
+
+
+def milnor_euler_class(a1, b1, a2, b2):
+    """Euler class of a closed genus-2 representation by lifted circle
+    maps: the deck power of the lifted relator [a2,b2][a1,b1], each
+    commutator lifted as (PQ)^-1 (QP).  The Fuchsian gluings read -2."""
+    rel = lifted_compose(lifted_commutator(lift(a2), lift(b2)),
+                         lifted_commutator(lift(a1), lift(b1)))
+    return _deck_power(rel, _relation_scale(a1, b1, a2, b2))
 
 
 def fixed_points(g):

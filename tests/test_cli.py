@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -86,17 +87,27 @@ class TestClassify:
          "t": [42.891993419819414, 39.17687610093613, -36.22884388689101]},
     ])
     def test_euler_class_drift_exit(self, tmp_path, capsys, record):
-        # the relator and deck-shift checks pass here, but the float Milnor
-        # sum reads class 1 on a class-0 pair: one line, exit 3, no report
+        # the boundary-circle Milnor sum drifted to class 1 here with both
+        # of its checks passing; the angle model reads the nominal class 0
         path = tmp_path / "drift.json"
         path.write_text(json.dumps(record))
         rep = genus2.GluedRep.from_json(path.read_text())
-        assert (genus2.euler_class(rep), rep.euler_nominal) == (1, 0)
+        assert genus2.euler_class(rep) == rep.euler_nominal == 0
+        assert cli.main(["classify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["euler"] == 0
+
+    def test_euler_refusal_names_its_margins(self, tmp_path, capsys):
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps({"eps": ["EuPlus1", "EuMinus1"],
+                                    "a": [15, 16.5, 18],
+                                    "t": [0.3, -0.2, 0.1]}))
         assert cli.main(["classify", str(path)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == ["classify: out of range: Milnor Euler "
-                                    "class 1 differs from the nominal class 0"]
+        assert re.fullmatch(
+            r"classify: out of range: relator moves the boundary by up to "
+            r"\S+ rad and the smallest wrap clearance is \S+ rad, against a "
+            r"bound of 0\.5 rad\n", err)
 
 
 OVERFLOW = dict.fromkeys(["classify", "search"],

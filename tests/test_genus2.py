@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from bench_corpus import corpus
+from boundary_lifts import milnor_euler_class
 from matrices import arr, quad
 
 from srk import genus2, hyptrig, pants, search
@@ -18,8 +20,8 @@ from srk.genus2 import (CURVE_TAGS, DELTA_TAGS, Genus2Error, GluedRep,
                         sign_invariant, trace_curve_closed_form,
                         trace_curve_matrix)
 from srk.pants import EU0_DIAGONAL_FLAT, EU_MINUS1, EU_PLUS1, PantsCase
-from srk.psl2r import (commutator, deviation_from_projective_identity, mmul,
-                       mtrace)
+from srk.psl2r import (PSL2Error, commutator,
+                       deviation_from_projective_identity, mmul, mtrace)
 from srk.search import (Certificate, SearchState, replay_certificate,
                         search_nonhyperbolic)
 from srk.tolerances import TWIST_EDGE
@@ -306,6 +308,34 @@ class TestEulerClass:
         rep = build_glued(eps1, eps2, tuple(s * x for x in (1.0, 1.1, 1.2)),
                           (0.3, -0.2, 0.1))
         assert euler_class(rep) == rep.euler_nominal
+
+    def test_long_half_length_scan(self):
+        """Hexagon and triangle pairs with a in [2, 20] and |t| <= 60, where
+        the boundary-circle Milnor sum read 6 wrong classes of 284: every
+        class answered is the nominal one."""
+        names = ["EuPlus1", "EuMinus1", "Eu0PlusTriangle", "Eu0MinusTriangle"]
+        scan = np.random.default_rng(2323)
+        answered = 0
+        for _ in range(2000):
+            eps = map(pants.case_from_string, scan.choice(names, 2))
+            a, t = scan.uniform(2, 20, 3), scan.uniform(-60, 60, 3)
+            try:
+                rep = build_glued(*eps, tuple(a), tuple(t))
+                euler = euler_class(rep)
+            except PSL2Error:
+                continue
+            assert euler == rep.euler_nominal, rep
+            answered += 1
+        assert answered >= 250
+
+    def test_agrees_with_boundary_circle_lifts(self):
+        # 10 records of each of the 56 case pairs, one in eight at a wide
+        # twist
+        for rec in corpus.classify_corpus(35, 560):
+            rep = GluedRep.from_json(rec["text"])
+            images = generator_images(normalize_twists(rep))
+            assert euler_class(rep) == milnor_euler_class(*images) \
+                == rec["euler"], rec
 
     def test_fuchsian_extremes(self):
         rep = build_glued(EU_MINUS1, EU_MINUS1, (0.8, 1.0, 1.2), (0.4, 0, -0.3))

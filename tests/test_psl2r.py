@@ -210,6 +210,15 @@ class TestEulerOps:
         com2 = lifted_commutator(lift(a).deck(3), lift(b).deck(-2))
         assert com1.base == pytest.approx(com2.base, abs=1e-9)
 
+    @pytest.mark.parametrize("p,q", [
+        ((1, 1e120, 0, 1), (1, 0, 1e120, 1)),
+        ((1, 0, 1e150, 1), (1, 1e150, 0, 1))])
+    def test_overflowing_products_raise(self, p, q):
+        # the scale is finite, but the commutators overflow to inf - inf:
+        # a NaN relator is refused before its angle is rounded
+        with pytest.raises(PSL2Error):
+            euler_class_closed(p, q, p, q)
+
     @pytest.mark.parametrize("top", [1e155, 1e300, math.inf])
     def test_relation_scale_overflow_fails_closed(self, top):
         # the square of the largest entry overflows a float: a relator
