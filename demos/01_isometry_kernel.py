@@ -5,17 +5,15 @@ Matrices are unit-determinant 2x2 reals modulo sign, written as row-major
 composition order (first letter acts first), and the commutator [A, B] is
 B^-1 A^-1 B A, whose trace needs no sign choice.  Lifts to the universal
 cover turn the surface relator into a power of the deck generator: the
-Milnor Euler class.  The boundary-circle lifts carry a lifted circle map;
-the Euler class carries one angle instead, a branch of arg(c i + d), on
-which the deck generator is the shift -pi.
+Milnor Euler class.  A lift carries one angle, a branch of arg(c i + d),
+on which the deck generator is the shift -pi.
 """
 
 import math
 
 from srk import genus2, pants, psl2r
 from srk.psl2r import (commutator, euler_class_closed, handle_sign, lift,
-                       lifted_commutator, make_rotation, make_translation,
-                       minv, mmul, mtrace)
+                       make_rotation, make_translation, minv, mmul, mtrace)
 
 # translations and rotations
 T2 = make_translation(2.0)
@@ -41,11 +39,11 @@ print("\nhandle_sign, crossing axes:", handle_sign(P, Q),
 print("handle_sign, disjoint axes:", handle_sign(P, F),
       " Tr[P,F] =", round(mtrace(commutator(P, F)), 4))
 
-# a lifted commutator does not depend on the lifts chosen for P and Q
-fp, fq = lift(P), lift(Q)
-print("\nlifted [P, Q] base:", lifted_commutator(fp, fq).base,
-      "; after deck shifts 3, -2:",
-      lifted_commutator(fp.deck(3), fq.deck(-2)).base)
+# the lift to the universal cover: (g, atan2(c, d)), a branch of
+# arg(c i + d); rotation by theta lifts to -theta/2
+for theta in (math.pi / 2, 3.0):
+    print(f"\nlift(R_{theta:.4g}) angle:", lift(make_rotation(theta))[1],
+          "= -theta/2 =", -theta / 2)
 
 # the Milnor algorithm on a Fuchsian gluing: in the angle model the
 # lifted relator [A2, B2][A1, B1] is (I, 2 pi), the deck generator to the

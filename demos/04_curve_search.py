@@ -44,8 +44,11 @@ print("replay ok:", search.replay_certificate(out.certificate)["ok"])
 # a Markov reduction on the one-holed torus, by hand
 from srk import torus
 res = torus.reduce_triple(3, 4, 10)
+# the witness is a word in the starting pair's letters ("a", +-1), ("b", +-1)
+word = " ".join(name if exp > 0 else f"{name}^-1"
+                for name, exp in res.curve_word)
 print("\ntrace triple (3, 4, 10) reduces via", res.moves, "to", res.triple,
-      "- witness word:", res.curve_word)
+      "- witness word:", word)
 
 # Euler class 0 with sign Plus is outside the search's guarantee
 plus = genus2.build_glued(PantsCase("tri", 1), PantsCase("tri", 1),

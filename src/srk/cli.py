@@ -270,7 +270,15 @@ def cmd_orbit_stats(args) -> int:
     return EXIT_OK
 
 
+# the largest `verify --scale`: the grids grow with the scale, and a run at
+# 64 already takes about 10 s on a 2-core x86-64 Xeon
+MAX_SCALE = 100.0
+
+
 def cmd_verify(args) -> int:
+    if args.scale > MAX_SCALE:
+        raise _Exit(EXIT_USAGE, f"--scale {args.scale:g} is above the "
+                                f"largest scale {MAX_SCALE:g}")
     reports = inequalities.verify_paper_inequalities(scale=args.scale)
     rows = []
     ok = True

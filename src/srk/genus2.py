@@ -24,8 +24,7 @@ B2, in which the search writes every word that is not a named curve.  The
 search and the certificate replay move between reps with
 `dehn_twist_gamma`.
 
-Value objects are named tuples, except `GluedRep`, which holds caches,
-and `psl2r.LiftedIsometry`, which checks its matrix.
+Value objects are named tuples, except `GluedRep`, which holds caches.
 """
 
 from __future__ import annotations

@@ -19,9 +19,8 @@ which works with the psl2r kernel: the edge matrices and the boundary
 loops are psl2r matrices, row-major 4-tuples.  The self-hexagon and flat
 builders place each matrix by its index relative to the long side.
 
-Value objects are named tuples; the two hand-written classes are
-`genus2.GluedRep`, which holds caches, and `psl2r.LiftedIsometry`, which
-checks its matrix.
+Value objects are named tuples; the one hand-written class is
+`genus2.GluedRep`, which holds caches.
 """
 
 from __future__ import annotations

@@ -8,19 +8,18 @@ of two elements is ``[A, B] = B^-1 A^-1 B A``, which is a well defined
 element of SL(2,R) with an unambiguous trace.
 
 The boundary circle of the disc model is parametrised by an angle in
-[0, 2pi); the rotation-by-theta matrix acts on that angle as x -> x + theta,
-which pins the deck generator of the universal cover to +2pi.  The Euler
-class reads the universal cover in its angle model instead: a matrix with
-a continuous branch of arg(c i + d).  Rotation by theta carries the branch
--theta/2, so there the deck generator is the angle shift -pi.
+[0, 2pi); the rotation-by-theta matrix acts on that angle as x -> x + theta
+(`circle_position`).  The universal cover is read in its angle model: a
+lift is a matrix with a continuous branch of arg(c i + d) (`lift`).
+Rotation by theta carries the branch -theta/2, so the deck generator is
+the angle shift -pi.
 
 A matrix is a row-major 4-tuple of floats (a, b, c, d) standing for
 [[a, b], [c, d]]: every function here takes and returns matrices in that
 form, and a product of such tuples costs a fraction of a numpy call on a
 2x2 array.  The entries that a caller outside the kernel reaches (`lift`,
-`LiftedIsometry`, `euler_class_closed`, `handle_sign`) check with `_quad`
-that they were given a 4-tuple; the arithmetic primitives take one on
-trust.
+`euler_class_closed`, `handle_sign`) check with `_quad` that they were
+given a 4-tuple; the arithmetic primitives take one on trust.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from __future__ import annotations
 import math
 from typing import Tuple, Union
 
-from .tolerances import (DECK_SHIFT_PAD, DECK_SHIFT_TOL, LIFT_SNAP,
-                         RELATOR_TOL, TRACE_BAND)
+from .tolerances import (DECK_SHIFT_PAD, DECK_SHIFT_TOL, RELATOR_TOL,
+                         TRACE_BAND)
 
 TWO_PI = 2.0 * math.pi
 
@@ -107,7 +106,7 @@ def deviation_from_projective_identity(q: Quad) -> float:
 
 
 # ---------------------------------------------------------------------------
-# boundary circle lifts
+# the boundary circle and the universal cover
 # ---------------------------------------------------------------------------
 
 def circle_position(q: Quad, phi: float) -> float:
@@ -118,58 +117,11 @@ def circle_position(q: Quad, phi: float) -> float:
     return (-2.0 * math.atan2(c * x + d * y, a * x + b * y)) % TWO_PI
 
 
-class LiftedIsometry:
-    """Lift to the universal cover: isometry plus base value f~(0).
-
-    The full lifted map is reconstructed from monotonicity; composing with
-    the deck generator adds exactly 2pi to the base.  The isometry is held
-    as the matrix `q`.  Operations return new lifts and never modify their
-    arguments.
-    """
-
-    __slots__ = ("q", "base")
-
-    def __init__(self, q: Quad, base: float) -> None:
-        self.q: Quad = _quad(q)
-        self.base = base
-
-    def __repr__(self) -> str:
-        return f"LiftedIsometry(q={self.q!r}, base={self.base!r})"
-
-    def __call__(self, y: float) -> float:
-        k = round(y / TWO_PI)
-        if abs(y - k * TWO_PI) < LIFT_SNAP:
-            return k * TWO_PI + self.base
-        mdiv, r = divmod(y, TWO_PI)
-        adv = (circle_position(self.q, r)
-               - circle_position(self.q, 0.0)) % TWO_PI
-        return mdiv * TWO_PI + self.base + adv
-
-    def deck(self, k: int) -> "LiftedIsometry":
-        return LiftedIsometry(self.q, self.base + k * TWO_PI)
-
-
-def lift(g: Quad) -> LiftedIsometry:
-    """Lift with base in [0, 2pi)."""
+def lift(g: Quad) -> AngleLift:
+    """Lift to the universal cover in its angle model: (g, atan2(c, d)),
+    the branch of arg(c i + d) in (-pi, pi]."""
     q = _quad(g)
-    return LiftedIsometry(q, circle_position(q, 0.0))
-
-
-def lifted_compose(f: LiftedIsometry, g: LiftedIsometry) -> LiftedIsometry:
-    """Composite lift x -> f~(g~(x)); projects to the matrix product."""
-    return LiftedIsometry(mmul(f.q, g.q), f(g.base))
-
-
-def lifted_inverse(f: LiftedIsometry) -> LiftedIsometry:
-    g0 = lift(minv(f.q))
-    k = round(g0(f.base) / TWO_PI)
-    return g0.deck(-k)
-
-
-def lifted_commutator(fa: LiftedIsometry, fb: LiftedIsometry) -> LiftedIsometry:
-    """Lift of [A, B] = (AB)^-1 BA; independent of the deck choices."""
-    return lifted_compose(lifted_inverse(lifted_compose(fa, fb)),
-                          lifted_compose(fb, fa))
+    return q, math.atan2(q[2], q[3])
 
 
 def _relation_scale(*qs: Quad) -> float:
@@ -186,22 +138,6 @@ def _relation_scale(*qs: Quad) -> float:
         raise PSL2Error(f"relator scale overflows a float: entries reach "
                         f"{top}")
     return scale
-
-
-def _deck_power(l: LiftedIsometry, scale: float = 1.0) -> int:
-    """Integer k with l = deck^k, by consensus over several sample points."""
-    if deviation_from_projective_identity(l.q) > RELATOR_TOL * scale:
-        raise PSL2Error("lifted element does not project to the identity")
-    shifts = [l.base] + [l(x) - x for x in (1.1, 2.7, 4.4)]
-    ks = {round(s / TWO_PI) for s in shifts}
-    # boundary angles lose accuracy with the entry size of the words
-    # feeding the lift; the padding stays far below the deck gap 2*pi, and
-    # the projection to +-identity has already been verified above
-    err_tol = min(max(DECK_SHIFT_TOL, DECK_SHIFT_PAD * scale), 0.5)
-    err = max(abs(s - round(s / TWO_PI) * TWO_PI) for s in shifts)
-    if len(ks) != 1 or err > err_tol:
-        raise PSL2Error(f"lifted shift {shifts} is not a consistent deck power")
-    return ks.pop()
 
 
 def _angle_product(x: AngleLift, y: AngleLift, wraps: list) -> AngleLift:
@@ -224,7 +160,7 @@ def _angle_product(x: AngleLift, y: AngleLift, wraps: list) -> AngleLift:
 
 def _angle_commutator(p: AngleLift, q: AngleLift,
                       wraps: list) -> AngleLift:
-    """Lift of [P, Q] = (PQ)^-1 (QP), the order `lifted_commutator` uses."""
+    """Lift of [P, Q] = (PQ)^-1 (QP)."""
     (a, b, c, d), alpha = _angle_product(p, q, wraps)
     inverse = ((d, -b, -c, a),
                math.remainder(math.atan2(-c, a) + alpha, TWO_PI) - alpha)
@@ -236,7 +172,7 @@ def euler_class_closed(a1: Quad, b1: Quad, a2: Quad, b2: Quad) -> int:
 
     The four matrices are the images of a standard generating quadruple and
     must satisfy the surface relation [a1,b1][a2,b2] = 1 up to sign.  Each
-    generator lifts to (g, arg(c i + d)) in the angle model, and the
+    generator lifts to (g, arg(c i + d)) in the angle model (`lift`), and the
     relator [a2,b2][a1,b1] lifts to (+-I, m pi) whatever the lifts.  The
     deck generator is the angle shift -pi, so the class is -m, calibrated
     so that the Fuchsian gluings take the value -2.
@@ -247,13 +183,12 @@ def euler_class_closed(a1: Quad, b1: Quad, a2: Quad, b2: Quad) -> int:
     (-pi, pi), where its branch is certain.  A product that overflows
     leaves inf or NaN in the relator, which its check refuses.
     """
-    qs = [_quad(m) for m in (a1, b1, a2, b2)]
-    scale = _relation_scale(*qs)
+    l1, l2, l3, l4 = lifts = [lift(m) for m in (a1, b1, a2, b2)]
+    scale = _relation_scale(*(q for q, _ in lifts))
     # boundary angles lose accuracy with the entry size of the words; the
     # padding stays far below the half-turn pi between two branches
     err_tol = min(max(DECK_SHIFT_TOL, DECK_SHIFT_PAD * scale), 0.5)
     wraps: list = []
-    l1, l2, l3, l4 = ((q, math.atan2(q[2], q[3])) for q in qs)
     rel, angle = _angle_product(_angle_commutator(l3, l4, wraps),
                                 _angle_commutator(l1, l2, wraps), wraps)
     if deviation_from_projective_identity(rel) > RELATOR_TOL * scale:

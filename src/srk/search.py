@@ -36,6 +36,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import genus2, hyptrig, pants, torus
 from .hyptrig import long_index
+from .words import inverse, reduce, substitute
 # the certificate replay builds each snapshot's rep through this binding
 from .genus2 import GluedRep, build_glued, trace_curve_matrix
 from .psl2r import IDENTITY, PSL2Error, Quad, minv, mmul, mtrace
@@ -201,21 +202,6 @@ def _word_quad(rep: GluedRep, word: Sequence) -> Quad:
     return mmul(*quads) if quads else IDENTITY
 
 
-def _free_reduce(word: Sequence) -> List:
-    """`word` with each letter next to its inverse cancelled."""
-    left: List = []
-    for name, exp in word:
-        if left and left[-1][0] == name and left[-1][1] == -exp:
-            left.pop()
-        else:
-            left.append([name, exp])
-    return left
-
-
-def _inverse(word: Sequence) -> List:
-    return [[name, -exp] for name, exp in reversed(word)]
-
-
 def _complement_trace(rep: GluedRep, k: int) -> float:
     """Commutator trace of the handle across delta_k (`_complement_handle`):
     the two handles' commutators multiply to the surface relator of the
@@ -263,7 +249,7 @@ def _replay(cert: Certificate, tol: float) -> Dict:
             raise OverflowError(f"a twist move carries t_{mv['i']} to {t}")
     if cert.curve is None:
         return {"ok": False, "reason": "certificate has no curve"}
-    if not _free_reduce(cert.curve):
+    if not reduce(cert.curve):
         return {"ok": False, "reason": "curve word reduces to the identity"}
     tr = mtrace(_word_quad(rep, cert.curve))
     if not math.isfinite(tr):
@@ -340,10 +326,10 @@ def classify_scope(rep: GluedRep) -> None:
             "Euler class 0 with sign Plus is outside the search's scope")
 
 
-_C = [["A2", 1], ["B1", -1], ["A1", -1], ["B1", 1]]     # C = B1^-1 b3 B1
-_COMPLEMENT_HANDLES = {1: ([["B1", 1]], _C),
-                       2: ([["B2", -1], ["B1", -1]], [["A1", 1]]),
-                       3: ([["B2", 1]], [["A2", 1]])}
+_C = [("A2", 1), ("B1", -1), ("A1", -1), ("B1", 1)]     # C = B1^-1 b3 B1
+_COMPLEMENT_HANDLES = {1: ([("B1", 1)], _C),
+                       2: ([("B2", -1), ("B1", -1)], [("A1", 1)]),
+                       3: ([("B2", 1)], [("A2", 1)])}
 
 
 def _complement_handle(k: int) -> Tuple[List, List]:
@@ -399,21 +385,19 @@ def _handle_curve(rep: GluedRep, p: List, q: List) -> Tuple[
     is itself non-hyperbolic answers with that word and no reduction.
     Otherwise the word is None when kappa is outside the window (2, 18] or
     the reduction ends AllNegative, and else the reduction's word in a, b
-    with p, q put in their place, capitals inverted.
+    with p, q put in their place (`words.substitute`).
     """
     mp, mq = _word_quad(rep, p), _word_quad(rep, q)
     x, y, z = mtrace(mp), mtrace(mq), mtrace(mmul(mp, mq))
     kappa = torus.kappa(x, y, z)
     if abs(kappa) <= 2.0 + TRACE_BAND:
-        return kappa, None, _free_reduce(_inverse(q) + _inverse(p) + q + p)
+        return kappa, None, reduce(inverse(q) + inverse(p) + q + p)
     if not 2.0 < kappa <= TORUS_TRACE_MAX:
         return kappa, None, None
     red = torus.reduce_triple(x, y, z)
     if red.found_index is None:
         return kappa, red, None
-    letters = {"a": p, "b": q, "A": _inverse(p), "B": _inverse(q)}
-    return kappa, red, _free_reduce(
-        [letter for c in red.curve_word for letter in letters[c]])
+    return kappa, red, substitute(red.curve_word, {"a": p, "b": q})
 
 
 def _log_torus(state: SearchState, k: int, complement: bool, red) -> None:
@@ -431,7 +415,7 @@ def _torus_route(state: SearchState, k: int, complement: bool = False):
     if abs(tr_delta) <= 2.0 + TRACE_BAND:
         return _found(state, [[f"delta{k}", 1]])
     p, q = (_complement_handle(k) if complement
-            else ([[tag, 1]] for tag in genus2._DELTA_PAIRS[f"delta{k}"]))
+            else ([(tag, 1)] for tag in genus2._DELTA_PAIRS[f"delta{k}"]))
     kappa, red, word = _handle_curve(rep, p, q)
     if word is None:
         why = (f"torus reduction ended AllNegative at kappa {kappa}"
@@ -498,30 +482,24 @@ def lattice_step(state: SearchState):
     return beta_twist_step(state)
 
 
-def _twist_beta3(word: Sequence, n: int) -> List:
-    """T^n of a generator word, n = +-1, T the Dehn twist along beta_3.
-
-    With C = A2 B1^-1 A1^-1 B1, which T fixes, T fixes A1 and sends B1 to
-    B1 C, A2 to C^-1 A2 C and B2 to C^-1 B2; T^-1 sends them to B1 C^-1,
-    C A2 C^-1 and C B2.  T maps the surface relator to a cyclic conjugate
-    of itself, not of its inverse, so it is a mapping class: it sends
-    simple closed curves to simple closed curves.
-    """
-    c, c_inv = (_C, _inverse(_C)) if n > 0 else (_inverse(_C), _C)
-    images = {"A1": [["A1", 1]], "B1": [["B1", 1]] + c,
-              "A2": c_inv + [["A2", 1]] + c, "B2": c_inv + [["B2", 1]]}
-    return _free_reduce([letter for name, exp in word for letter in
-                         (images[name] if exp > 0
-                          else _inverse(images[name]))])
-
+# T^n, n = +-1, T the Dehn twist along beta_3, as the images of the
+# generators.  With C = A2 B1^-1 A1^-1 B1, which T fixes, T fixes A1 and
+# sends B1 to B1 C, A2 to C^-1 A2 C and B2 to C^-1 B2; T^-1 puts C^-1 for
+# C.  T maps the surface relator to a cyclic conjugate of itself, not of
+# its inverse, so it is a mapping class: it sends simple closed curves to
+# simple closed curves.
+_BETA3_TWIST = {
+    n: {"A1": [("A1", 1)], "B1": [("B1", 1)] + c,
+        "A2": inverse(c) + [("A2", 1)] + c, "B2": inverse(c) + [("B2", 1)]}
+    for n, c in ((1, _C), (-1, inverse(_C)))}
 
 # The handles of delta_3 after n = +-1 Dehn twists T^n along beta_3: first
 # T^n of the complement handle (B2, A2), then T^n of (A1, B1).  Each pair
 # spans a handle of the twisted delta_3, and the simple curves of that
 # handle are simple curves of the surface.
 _BETA3_HANDLES = {
-    n: tuple(tuple(_twist_beta3(w, n) for w in pair)
-             for pair in (_complement_handle(3), ([["A1", 1]], [["B1", 1]])))
+    n: tuple(tuple(substitute(w, _BETA3_TWIST[n]) for w in pair)
+             for pair in (_complement_handle(3), ([("A1", 1)], [("B1", 1)])))
     for n in (1, -1)}
 
 

@@ -13,12 +13,10 @@ TRACE_BAND = 1e-9
 
 # --- lifts and the Euler class ---------------------------------------------
 
-# distance of a lift's argument from 2*pi*Z read as an exact deck multiple
-LIFT_SNAP = 1e-9
 # relator distance to +-I, times _relation_scale (psl2r), e^{max a} (pants)
 RELATOR_TOL = 1e-9
 # a relator's boundary shift off 2*pi*Z, and the margin every angle-model
-# wrap keeps below pi (psl2r.euler_class_closed, _deck_power)
+# wrap keeps below pi (psl2r.euler_class_closed)
 DECK_SHIFT_TOL = 1e-6
 # the same bounds allowed per unit of psl2r._relation_scale
 DECK_SHIFT_PAD = 3e-10

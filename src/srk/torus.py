@@ -18,12 +18,9 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Tuple
 
 from .tolerances import DESCENT_MARGIN, KAPPA_DRIFT
+from .words import Word, inverse
 
 MOVES = ("P12", "P23", "M3")
-
-# word letters: "a", "b" and capitals for inverses; matrices multiply left
-# to right, so the word of a product P Q is word(P) + word(Q)
-_INVERT = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 
 class ReductionError(RuntimeError):
@@ -33,10 +30,6 @@ class ReductionError(RuntimeError):
 def kappa(x: float, y: float, z: float) -> float:
     """x^2 + y^2 + z^2 - xyz - 2, the commutator trace of the pair."""
     return x * x + y * y + z * z - x * y * z - 2.0
-
-
-def _invert_word(w: str) -> str:
-    return "".join(_INVERT[c] for c in reversed(w))
 
 
 def _move_triple(move: str, triple):
@@ -63,8 +56,8 @@ def _apply_move(move: str, triple, words):
     if move == "P12":
         return triple, (wb, wa)
     if move == "P23":
-        return triple, (_invert_word(wa), wa + wb)
-    return triple, (wa, _invert_word(wb))
+        return triple, (inverse(wa), wa + wb)
+    return triple, (wa, inverse(wb))
 
 
 def _found_index(triple) -> Optional[int]:
@@ -89,8 +82,9 @@ class ReductionResult(NamedTuple):
         return len(self.moves)
 
     @property
-    def curve_word(self) -> Optional[str]:
-        """Witness word in the starting pair letters (a, b), or None."""
+    def curve_word(self) -> Optional[Word]:
+        """Witness word in the letters ("a", +-1) and ("b", +-1) of the
+        starting pair, or None."""
         if self.found_index is None:
             return None
         _, (wa, wb) = replay_moves(self.start, self.moves)
@@ -162,15 +156,15 @@ def reduce_triple(x: float, y: float, z: float,
 
 def replay_moves(start: Tuple[float, float, float],
                  moves: Tuple[str, ...]) -> Tuple[Tuple[float, float, float],
-                                                  Tuple[str, str]]:
+                                                  Tuple[Word, Word]]:
     """Replay a move word from a starting triple.
 
     Returns the final triple and the word pair expressing the final
-    generating pair in the starting letters; replay is exact (bitwise
-    reproducible from the same inputs).
+    generating pair in the starting letters ("a", +-1) and ("b", +-1);
+    replay is exact (bitwise reproducible from the same inputs).
     """
     triple = tuple(float(v) for v in start)
-    words = ("a", "b")
+    words = ([("a", 1)], [("b", 1)])
     for mv in moves:
         triple, words = _apply_move(mv, triple, words)
     return triple, words

@@ -1,7 +1,10 @@
 """Boundary-circle lifts: the Euler class oracles of the tests.
 
-`milnor_euler_class` is the Milnor sum on lifted circle maps, the reference
-that `psl2r.euler_class_closed`'s angle model is held against.
+A lift of an isometry to the universal cover of the boundary circle is
+held as the matrix and its base value f~(0) (`LiftedIsometry`); the deck
+generator adds 2pi.  `milnor_euler_class` is the Milnor sum on these
+lifted circle maps, the reference that `psl2r.euler_class_closed`'s angle
+model is held against.
 
 A hyperbolic element has one lift to the universal cover of the boundary
 circle that fixes its two boundary fixed points.  The relative Euler class
@@ -15,17 +18,92 @@ import math
 import numpy as np
 from matrices import arr
 
-from srk.psl2r import (TWO_PI, _deck_power, _relation_scale, lift,
-                       lifted_commutator, lifted_compose)
+from srk.psl2r import (TWO_PI, PSL2Error, _quad, _relation_scale,
+                       circle_position, deviation_from_projective_identity,
+                       minv, mmul)
+from srk.tolerances import DECK_SHIFT_PAD, DECK_SHIFT_TOL, RELATOR_TOL
+
+# distance of a lift's argument from 2*pi*Z read as an exact deck multiple
+LIFT_SNAP = 1e-9
+
+
+class LiftedIsometry:
+    """Lift to the universal cover: isometry plus base value f~(0).
+
+    The full lifted map is reconstructed from monotonicity; composing with
+    the deck generator adds exactly 2pi to the base.  The isometry is held
+    as the matrix `q`.  Operations return new lifts and never modify their
+    arguments.
+    """
+
+    __slots__ = ("q", "base")
+
+    def __init__(self, q, base):
+        self.q = _quad(q)
+        self.base = base
+
+    def __repr__(self):
+        return f"LiftedIsometry(q={self.q!r}, base={self.base!r})"
+
+    def __call__(self, y):
+        k = round(y / TWO_PI)
+        if abs(y - k * TWO_PI) < LIFT_SNAP:
+            return k * TWO_PI + self.base
+        mdiv, r = divmod(y, TWO_PI)
+        adv = (circle_position(self.q, r)
+               - circle_position(self.q, 0.0)) % TWO_PI
+        return mdiv * TWO_PI + self.base + adv
+
+    def deck(self, k):
+        return LiftedIsometry(self.q, self.base + k * TWO_PI)
+
+
+def circle_lift(g):
+    """Lift with base in [0, 2pi)."""
+    q = _quad(g)
+    return LiftedIsometry(q, circle_position(q, 0.0))
+
+
+def lifted_compose(f, g):
+    """Composite lift x -> f~(g~(x)); projects to the matrix product."""
+    return LiftedIsometry(mmul(f.q, g.q), f(g.base))
+
+
+def lifted_inverse(f):
+    g0 = circle_lift(minv(f.q))
+    k = round(g0(f.base) / TWO_PI)
+    return g0.deck(-k)
+
+
+def lifted_commutator(fa, fb):
+    """Lift of [A, B] = (AB)^-1 BA; independent of the deck choices."""
+    return lifted_compose(lifted_inverse(lifted_compose(fa, fb)),
+                          lifted_compose(fb, fa))
+
+
+def deck_power(l, scale=1.0):
+    """Integer k with l = deck^k, by consensus over several sample points."""
+    if deviation_from_projective_identity(l.q) > RELATOR_TOL * scale:
+        raise PSL2Error("lifted element does not project to the identity")
+    shifts = [l.base] + [l(x) - x for x in (1.1, 2.7, 4.4)]
+    ks = {round(s / TWO_PI) for s in shifts}
+    # boundary angles lose accuracy with the entry size of the words
+    # feeding the lift; the padding stays far below the deck gap 2*pi, and
+    # the projection to +-identity has already been verified above
+    err_tol = min(max(DECK_SHIFT_TOL, DECK_SHIFT_PAD * scale), 0.5)
+    err = max(abs(s - round(s / TWO_PI) * TWO_PI) for s in shifts)
+    if len(ks) != 1 or err > err_tol:
+        raise PSL2Error(f"lifted shift {shifts} is not a consistent deck power")
+    return ks.pop()
 
 
 def milnor_euler_class(a1, b1, a2, b2):
     """Euler class of a closed genus-2 representation by lifted circle
     maps: the deck power of the lifted relator [a2,b2][a1,b1], each
     commutator lifted as (PQ)^-1 (QP).  The Fuchsian gluings read -2."""
-    rel = lifted_compose(lifted_commutator(lift(a2), lift(b2)),
-                         lifted_commutator(lift(a1), lift(b1)))
-    return _deck_power(rel, _relation_scale(a1, b1, a2, b2))
+    rel = lifted_compose(lifted_commutator(circle_lift(a2), circle_lift(b2)),
+                         lifted_commutator(circle_lift(a1), circle_lift(b1)))
+    return deck_power(rel, _relation_scale(a1, b1, a2, b2))
 
 
 def fixed_points(g):
@@ -51,7 +129,7 @@ def boundary_angle(x):
 def canonical_lift(g):
     """The lift of a hyperbolic g that fixes its boundary fixed points,
     with translation number zero."""
-    f = lift(g)
+    f = circle_lift(g)
     phi = boundary_angle(fixed_points(g)[1])
     return f.deck(-round((f(phi) - phi) / TWO_PI))
 
@@ -63,4 +141,4 @@ def euler_class_relative(boundaries):
     rel = canonical_lift(boundaries[0])
     for c in boundaries[1:]:
         rel = lifted_compose(rel, canonical_lift(c))
-    return _deck_power(rel, _relation_scale(*boundaries))
+    return deck_power(rel, _relation_scale(*boundaries))

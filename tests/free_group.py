@@ -2,29 +2,11 @@
 
 A word is a list of (name, +-1) letters, read left to right as the
 search's curve words are.  The moves are automorphisms given by the words
-that the generators map to.
+that the generators map to.  `reduce`, `inverse` and `substitute` are
+srk's own (`srk.words`); conjugacy is decided here.
 """
 
-
-def reduce(word):
-    """`word` with each letter next to its inverse cancelled."""
-    out = []
-    for name, exp in word:
-        if out and out[-1] == (name, -exp):
-            out.pop()
-        else:
-            out.append((name, exp))
-    return out
-
-
-def inverse(word):
-    return [(name, -exp) for name, exp in reversed(word)]
-
-
-def substitute(word, images):
-    """The image of `word` under the map sending each name to a word."""
-    return reduce([letter for name, exp in word for letter in
-                   (images[name] if exp > 0 else inverse(images[name]))])
+from srk.words import inverse, reduce, substitute  # noqa: F401
 
 
 def cyclic_core(word):

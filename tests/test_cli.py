@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import srk
-from srk import cli, genus2, hyptrig, search, torus
+from srk import cli, genus2, hyptrig, inequalities, search, torus
 from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
 
 
@@ -936,6 +936,28 @@ class TestVerify:
         assert cli.main(["verify", "--scale", scale, "--format", "csv",
                          "--out", str(out)]) == 0
         assert out.read_bytes() == _verify_golden(scale).read_bytes()
+
+    @pytest.mark.parametrize("scale", ["100.5", "1e6", "1e300"])
+    def test_scale_above_the_bound_is_refused(self, monkeypatch, capsys,
+                                              scale):
+        """A scale past `cli.MAX_SCALE` exits 64 with one stderr line
+        before any grid is built: unbounded, --scale 1e300 walks a grid of
+        about 2e305 points."""
+        def refuse(scale):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(inequalities, "verify_paper_inequalities", refuse)
+        assert cli.main(["verify", "--scale", scale]) == 64
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("verify: --scale ")
+        assert out.err.count("\n") == 1
+
+    def test_scale_bound_is_inclusive(self, monkeypatch, capsys):
+        monkeypatch.setattr(inequalities, "verify_paper_inequalities",
+                            lambda scale: [])
+        assert cli.main(["verify", "--scale", str(cli.MAX_SCALE)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [

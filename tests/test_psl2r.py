@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 from boundary_lifts import boundary_angle, fixed_points
-from matrices import arr, quad
+from matrices import quad, random_hyperbolic
 
 from srk import psl2r
-from srk.psl2r import (IDENTITY, LiftedIsometry, PSL2Error, commutator,
-                       euler_class_closed, handle_sign, lift,
-                       lifted_commutator, lifted_compose, make_rotation,
+from srk.psl2r import (IDENTITY, PSL2Error, circle_position, commutator,
+                       euler_class_closed, handle_sign, lift, make_rotation,
                        make_translation, minv, mmul, mtrace)
 
 rng = np.random.default_rng(20240811)
@@ -21,16 +20,6 @@ def _axis_through(p, q, length):
     c = np.array([[q, p], [1.0, 1.0]])
     c = quad(c / math.sqrt(abs(np.linalg.det(c))))
     return mmul(c, make_translation(length), minv(c))
-
-
-def random_hyperbolic(rng, scale=2.0):
-    g = rng.normal(size=(2, 2), scale=scale)
-    while abs(np.linalg.det(g)) < 0.2:
-        g = rng.normal(size=(2, 2), scale=scale)
-    g /= math.sqrt(abs(np.linalg.det(g)))
-    q = quad(g)
-    m = mmul(q, make_translation(rng.uniform(0.5, 2.5)), minv(q))
-    return m if np.linalg.det(g) > 0 else minv(m)
 
 
 def axes_cross(a, b):
@@ -74,7 +63,7 @@ class TestBasicMatrices:
         m = make_rotation(math.pi / 2)
         assert mtrace(m) == pytest.approx(math.sqrt(2.0))
         # a rotation by theta moves every boundary angle by theta
-        assert lift(m).base == pytest.approx(math.pi / 2)
+        assert circle_position(m, 0.0) == pytest.approx(math.pi / 2)
 
     def test_translation_rejects_non_finite(self):
         with pytest.raises(PSL2Error):
@@ -125,55 +114,20 @@ class TestAxesAndCrossing:
             assert mtrace(commutator(a, b)) == pytest.approx(expect, abs=1e-10)
 
 
-class TestLifts:
-    def test_rotation_circle_map(self):
-        for theta in (0.4, 1.9, 5.5):
-            f = lift(make_rotation(theta))
-            assert f.base == pytest.approx(theta % TWO_PI, abs=1e-12)
-            for x in np.linspace(0.1, 9.0, 7):
-                assert f(x) == pytest.approx(x + (theta % TWO_PI), abs=1e-9)
-
-    def test_lift_monotone_and_equivariant(self):
-        m = arr(mmul(random_hyperbolic(rng), make_rotation(0.7)))
-        m /= math.copysign(math.sqrt(abs(np.linalg.det(m))),
-                           np.linalg.det(m))
-        f = lift(quad(m))
-        xs = np.linspace(0.0, TWO_PI, 40)
-        vals = [f(x) for x in xs]
-        assert all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
-        for x in xs[:10]:
-            assert f(x + TWO_PI) == pytest.approx(f(x) + TWO_PI, abs=1e-9)
-
-    def test_compose_projects_and_deck(self):
-        f = lift(make_rotation(1.0))
-        g = lift(make_translation(1.3))
-        h = lifted_compose(f, g)
-        assert np.allclose(h.q, mmul(f.q, g.q))
-        deck = LiftedIsometry(IDENTITY, TWO_PI)
-        assert lifted_compose(deck, g).base == pytest.approx(g.base + TWO_PI)
-
-    def test_rotation_lifts_add(self):
-        f = lift(make_rotation(4.0))
-        g = lift(make_rotation(5.0))
-        h = lifted_compose(f, g)
-        assert h.base == pytest.approx(9.0, abs=1e-9)
-
-    def test_compose_with_identity(self):
-        g = lift(make_translation(0.9))
-        h = lifted_compose(lift(IDENTITY), g)
-        assert h.base == pytest.approx(g.base, abs=1e-12)
+class TestAngleLift:
+    @pytest.mark.parametrize("theta", [0.0, 0.4, -1.9, 3.0, -5.5, 6.2])
+    def test_rotation_lift_is_minus_half_the_angle(self, theta):
+        # rotation by theta carries the branch -theta/2 of arg(c i + d),
+        # so the deck generator is the angle shift -pi
+        m = make_rotation(theta)
+        q, alpha = lift(m)
+        assert q == m
+        assert alpha == pytest.approx(-theta / 2, abs=1e-15)
 
 
 class TestMatrixForms:
     """A matrix is a 4-tuple: the entries that take matrices from outside
     the kernel refuse any other form."""
-
-    def test_lifted_isometry_from_ndarray(self):
-        with pytest.raises(PSL2Error):
-            LiftedIsometry(np.eye(2), TWO_PI)
-        deck = LiftedIsometry(IDENTITY, TWO_PI)
-        assert deck.q == (1.0, 0.0, 0.0, 1.0)
-        assert deck(1.0) == pytest.approx(1.0 + TWO_PI, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [np.eye(3), [[1.0, 2.0, 3.0]],
                                      np.array([1.0, 0.0, 0.0, 1.0]),
@@ -184,8 +138,6 @@ class TestMatrixForms:
         ok = make_translation(0.5)
         with pytest.raises(PSL2Error):
             lift(bad)
-        with pytest.raises(PSL2Error):
-            LiftedIsometry(bad, 0.0)
         with pytest.raises(PSL2Error):
             euler_class_closed(ok, ok, ok, bad)
 
@@ -203,12 +155,6 @@ class TestEulerOps:
         with pytest.raises(PSL2Error):
             euler_class_closed(make_translation(1.0), make_rotation(0.7),
                                make_translation(0.5), make_rotation(0.3))
-
-    def test_lift_choice_independence(self):
-        a, b = random_hyperbolic(rng), random_hyperbolic(rng)
-        com1 = lifted_commutator(lift(a), lift(b))
-        com2 = lifted_commutator(lift(a).deck(3), lift(b).deck(-2))
-        assert com1.base == pytest.approx(com2.base, abs=1e-9)
 
     @pytest.mark.parametrize("p,q", [
         ((1, 1e120, 0, 1), (1, 0, 1e120, 1)),

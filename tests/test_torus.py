@@ -30,7 +30,7 @@ class TestKappa:
         for _ in range(2000):
             tr = tuple(rng.uniform(-6, 6, 3))
             mv = torus.MOVES[rng.integers(0, 3)]
-            tr2, _ = torus._apply_move(mv, tr, ("a", "b"))
+            tr2, _ = torus._apply_move(mv, tr, ([("a", 1)], [("b", 1)]))
             k0, k1 = kappa(*tr), kappa(*tr2)
             assert abs(k1 - k0) <= 1e-9 * max(1.0, abs(k0))
 
@@ -91,9 +91,9 @@ class TestReduce:
                 continue
             word = res.curve_word
             m = IDENTITY
-            for c in word:
-                m = mmul(m, p if c == "a" else q if c == "b"
-                         else minv(p) if c == "A" else minv(q))
+            for name, exp in word:
+                g = p if name == "a" else q
+                m = mmul(m, g if exp > 0 else minv(g))
             assert abs(mtrace(m)) <= 2.0 + 1e-9
 
     def test_exhaustion_raises(self):
