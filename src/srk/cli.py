@@ -4,9 +4,10 @@ Subcommands: classify, search, orbit-stats, verify, replay.  Inputs are the
 JSON coordinate records {"eps": [...], "a": [...], "t": [...]}; outputs are
 JSON or CSV with full-precision floats so that replays are bit-faithful.
 orbit-stats runs in one thread and builds each orbit once: the delta traces
-come from per-orbit coefficients (`genus2.delta_twist_coeffs`), which the
-tests cross-check against the matrix words.  Each Dehn twist changes one
-t_i, so it reevaluates one delta trace and reformats those two columns.
+come from per-orbit coefficients (`genus2.twist_coeffs`, evaluated by
+`genus2.twist_trace`), which the tests cross-check against the matrix
+words.  Each Dehn twist changes one t_i, so it reevaluates one delta trace
+and reformats those two columns.  A table is at most `MAX_ORBIT_ROWS` rows.
 Each orbit draws from its own `random.Random`, seeded by an integer of
 (seed, index), so a seed gives the same table on every platform and on
 CPython 3.10 and later.  A command that fails raises `_Exit`, and `main`
@@ -193,10 +194,11 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     """One orbit's CSV rows: a random walk of Dehn twists along gamma_1..3.
 
     Only the twists change along the orbit, and tr delta_{k+1} depends on
-    t_k alone, so the delta traces come from per-orbit coefficients
-    (`genus2.delta_twist_coeffs`) and the sign invariant, constant on twist
-    orbits, is read once.  A move along gamma_i changes t_i alone, so it
-    reevaluates tr delta_i and reformats those two columns.
+    t_k alone, so the delta traces come from one `genus2.twist_coeffs`
+    tuple per delta per orbit, evaluated by `genus2.twist_trace`, and the
+    sign invariant, constant on twist orbits, is read once.  A move along
+    gamma_i changes t_i alone, so it reevaluates tr delta_i and reformats
+    those two columns.
 
     The orbit draws from `random.Random(s)`, s the Cantor pairing of
     (seed, index): an integer seed, never a `hash()`, which is salted per
@@ -228,7 +230,7 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     t = [uniform(-1.5, 1.5) for _ in range(3)]
     rep = genus2.build_glued(eps1, eps2, a, t)
     a, t = rep.a, list(rep.t)
-    coeffs = [genus2.delta_twist_coeffs(rep, k) for k in range(3)]
+    coeffs = [genus2.twist_coeffs(rep, tag) for tag in genus2.DELTA_TAGS]
     # seed,index | step | eps1,eps2,a1..a3 | t1..t3 | tr_d1..tr_d3 | sign
     cols = [f"{seed},{index}", "0",
             ",".join([str(eps1), str(eps2)] + [_fl(v) for v in a]),
@@ -237,11 +239,9 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     def put(j: int) -> None:
         """Reformat t_{j+1} and tr delta_{j+1}, the columns a twist along
         gamma_{j+1} changes; "%.17g" is `_fl`'s format."""
-        s, cm, c0, cp = coeffs[j]
-        tj = t[j]
-        cols[3 + j] = format(tj, ".17g")
-        cols[6 + j] = format(
-            2.0 - s * (cm * math.exp(-tj) + c0 + cp * math.exp(tj)), ".17g")
+        cols[3 + j] = format(t[j], ".17g")
+        cols[6 + j] = format(genus2.twist_trace(genus2.DELTA_TAGS[j],
+                                                coeffs[j], t), ".17g")
 
     for j in range(3):
         put(j)
@@ -257,7 +257,17 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
     return rows
 
 
+# the largest orbit-stats table, --n times (--length + 1) rows: the table
+# is held whole before it is written, about 0.5 KB a row
+MAX_ORBIT_ROWS = 1_000_000
+
+
 def cmd_orbit_stats(args) -> int:
+    rows = args.n * (args.length + 1)
+    if rows > MAX_ORBIT_ROWS:
+        raise _Exit(EXIT_USAGE, f"--n {args.n} --length {args.length} asks "
+                                f"for {rows} rows, above the largest table "
+                                f"of {MAX_ORBIT_ROWS}")
     header = ("seed,index,step,eps1,eps2,a1,a2,a3,t1,t2,t3,"
               "tr_d1,tr_d2,tr_d3,sign")
     lines = [header]
@@ -266,7 +276,10 @@ def cmd_orbit_stats(args) -> int:
             lines.extend(_orbit_rows(args.seed, i, args.length))
     except OverflowError as exc:     # e^{t_k} overflows on a very long orbit
         raise _Exit(EXIT_OUT_OF_SCOPE, f"out of range: {exc}") from exc
-    _emit("\n".join(lines) + "\n", args.out)
+    lines.append("")                 # the final newline, with no copy
+    text = "\n".join(lines)
+    del lines                        # the rows go before `_emit` encodes
+    _emit(text, args.out)
     return EXIT_OK
 
 

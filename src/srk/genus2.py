@@ -24,6 +24,21 @@ B2, in which the search writes every word that is not a named curve.  The
 search and the certificate replay move between reps with
 `dehn_twist_gamma`.
 
+`twist_coeffs` is the one home of how a beta or delta trace depends on the
+twists, and `twist_trace` evaluates it.  With T_{-t_k} = e^{-t_k/2} E11 +
+e^{t_k/2} E22, X_i^-1 T_{-t_k} Y_i = e^{-t_k/2} P + e^{t_k/2} Q for
+P = X_i^-1 E11 Y_i and Q = X_i^-1 E22 Y_i, so that
+
+    tr beta_i  = P11 e^{(t_j - t_k)/2} + Q11 e^{(t_j + t_k)/2}
+                 + P22 e^{-(t_j + t_k)/2} + Q22 e^{(t_k - t_j)/2}
+    tr delta_k = 2 - s (c_- e^{-t_k} + c_0 + c_+ e^{t_k})
+
+with s = 4 sinh(a_j)^2, c_- = P12 P21, c_0 = P12 Q21 + Q12 P21 and c_+ =
+Q12 Q21, as gamma_j commutes with the T_{t_j} that ends beta_i.  The
+search scores its lattice and flat-twist probes, and orbit-stats its rows,
+with `twist_trace`; `trace_curve_matrix` evaluates certificates, the
+classify table, the sign invariant and the torus windows.
+
 Value objects are named tuples, except `GluedRep`, which holds caches.
 """
 
@@ -62,11 +77,12 @@ class GluedRep:
     """Glued genus-2 coordinate datum: the two pants and the twists.
 
     Two reps are equal when `p1`, `p2` and `t` are; the memo `quads` and
-    the cached generator images, twist counts and normalised rep take no
-    part, nor in the hash or the repr.
+    the cached generator images, twist counts, normalised rep and twist
+    coefficients take no part, nor in the hash or the repr.
     """
 
-    __slots__ = ("p1", "p2", "t", "quads", "_images", "_counts", "_normal")
+    __slots__ = ("p1", "p2", "t", "quads", "_images", "_counts", "_normal",
+                 "_coeffs")
 
     def __init__(self, p1: PantsRep, p2: PantsRep,
                  t: Tuple[float, float, float]) -> None:
@@ -74,9 +90,9 @@ class GluedRep:
         # the curve matrices evaluated so far, by tag: `curve_matrix` reads
         # and fills it
         self.quads: Dict[str, Quad] = {}
-        # `generator_images`, `twist_counts` and `normalize_twists`, once
-        # computed
-        self._images = self._counts = self._normal = None
+        # `generator_images`, `twist_counts`, `normalize_twists` and
+        # `twist_coeffs`, once computed
+        self._images = self._counts = self._normal = self._coeffs = None
 
     def _key(self) -> tuple:
         return self.p1, self.p2, self.t
@@ -224,23 +240,31 @@ def trace_curve_matrix(rep: GluedRep, tag: str) -> float:
     return tr
 
 
-def delta_twist_coeffs(rep: GluedRep,
-                       k: int) -> Tuple[float, float, float, float]:
-    """(s, c_minus, c_mid, c_plus) with tr delta_{k+1} = 2 - s (c_minus
-    e^{-t_k} + c_mid + c_plus e^{t_k}), k in 0..2 (0-based).
+def twist_coeffs(rep: GluedRep, tag: str) -> Tuple[float, ...]:
+    """The twist coefficients of the beta or delta `tag` (module docstring):
+    (P11, Q11, P22, Q22) for beta_i and (s, c_-, c_0, c_+) for delta_k.
+    Cached on `rep`; one P and Q give both beta_i and delta_k."""
+    memo = rep._coeffs = rep._coeffs or {}
+    if tag not in memo:
+        i = BETA_TAGS.index(_DELTA_PAIRS[tag][0] if tag in DELTA_TAGS else tag)
+        xi, yi = minv(rep.p1.q[i]), rep.p2.q[i]
+        p = mmul(xi, (1.0, 0.0, 0.0, 0.0), yi)
+        q = mmul(xi, (0.0, 0.0, 0.0, 1.0), yi)
+        memo[BETA_TAGS[i]] = p[0], q[0], p[3], q[3]
+        memo[DELTA_TAGS[i - 1]] = (4.0 * math.sinh(rep.a[i - 2]) ** 2,
+                                   p[1] * p[2], p[1] * q[2] + q[1] * p[2],
+                                   q[1] * q[2])
+    return memo[tag]
 
-    delta_{k+1} = [beta_i, gamma_j], (i, j, k) cyclic.  gamma_j =
-    diag(e^{a_j}, e^{-a_j}) commutes with the T(t_j) that ends beta_i, so
-    the trace is 2 - s b12 b21 with s = 4 sinh(a_j)^2 and b = X_i^-1 T(-t_k)
-    Y_i = e^{-t_k/2} P + e^{t_k/2} Q for P = X_i^-1 E11 Y_i and Q = X_i^-1
-    E22 Y_i; it depends on t_k alone.  The coefficients read no twist.
-    """
-    i, j = (k + 1) % 3, (k + 2) % 3
-    xi, yi = minv(rep.p1.q[i]), rep.p2.q[i]
-    p = mmul(xi, (1.0, 0.0, 0.0, 0.0), yi)
-    q = mmul(xi, (0.0, 0.0, 0.0, 1.0), yi)
-    return (4.0 * math.sinh(rep.a[j]) ** 2, p[1] * p[2],
-            p[1] * q[2] + q[1] * p[2], q[1] * q[2])
+
+def twist_trace(tag: str, c: Tuple[float, ...], t) -> float:
+    """tr `tag` at the twists `t` from its `twist_coeffs` c (module doc)."""
+    if tag in DELTA_TAGS:
+        tk = t[DELTA_TAGS.index(tag)]
+        return 2.0 - c[0] * (c[1] * math.exp(-tk) + c[2] + c[3] * math.exp(tk))
+    i = BETA_TAGS.index(tag)
+    ej, ek = math.exp(t[i - 2] / 2), math.exp(t[i - 1] / 2)
+    return c[0] * ej / ek + c[1] * ej * ek + c[2] / (ej * ek) + c[3] * ek / ej
 
 
 def trace_curve_closed_form(rep: GluedRep, tag: str) -> Tuple[float, bool]:
@@ -381,9 +405,14 @@ def dehn_twist_gamma(rep: GluedRep, i: int, k: int = 1) -> GluedRep:
     """Twist along gamma_i: t_i -> t_i + 2 k a_i (positive twist adds)."""
     if i not in (1, 2, 3):
         raise Genus2Error("curve index must be 1, 2 or 3")
-    t = list(rep.t)
-    t[i - 1] += 2.0 * k * rep.a[i - 1]
-    return GluedRep(rep.p1, rep.p2, tuple(t))
+    return GluedRep(rep.p1, rep.p2, tuple(gamma_twists(rep.t, rep.a, i, k)))
+
+
+def gamma_twists(t, a, i: int, k: int) -> list:
+    """The twists of `dehn_twist_gamma`, with no rep: t_i + 2 k a_i."""
+    t = list(t)
+    t[i - 1] += 2.0 * k * a[i - 1]
+    return t
 
 
 def twist_counts(rep: GluedRep) -> Tuple[int, int, int]:

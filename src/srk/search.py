@@ -10,9 +10,11 @@ lattice step: for i = 1, 2, 3 it tries the twists (k_j, k_k) in
 {-1, 0, 1}^2 along the other two gammas, nearest first, and concludes on
 the first beta_i with |trace| <= 2.  When no lattice point does, it
 twists once along beta_3, either way, and runs the torus route on a handle
-of the twisted delta_3 (`beta_twist_step`).  The paper's theorem says that
-a curve exists; that the search finds one is measured on the benchmark's
-corpora, not proved.
+of the twisted delta_3 (`beta_twist_step`).  The lattice and flat-twist
+probes are scored by `genus2.twist_trace` from `genus2.twist_coeffs`, the
+one home of how a trace depends on the twists: no probe builds a rep.
+The paper's theorem says that a curve exists; that the search finds one
+is measured on the benchmark's corpora, not proved.
 
 Every terminal answer carries a certificate, written once when the search
 ends, about the representation its initial coordinates name, holding
@@ -38,7 +40,8 @@ from . import genus2, hyptrig, pants, torus
 from .hyptrig import long_index
 from .words import inverse, reduce, substitute
 # the certificate replay builds each snapshot's rep through this binding
-from .genus2 import GluedRep, build_glued, trace_curve_matrix
+from .genus2 import (GluedRep, build_glued, gamma_twists, trace_curve_matrix,
+                     twist_coeffs, twist_trace)
 from .psl2r import IDENTITY, PSL2Error, Quad, minv, mmul, mtrace
 from .tolerances import B2_HALF_SLACK, REPLAY_TOL, TRACE_BAND
 
@@ -438,18 +441,20 @@ def flat_twist_step(state: SearchState):
     On the flat stratum tr delta_L = c + C e^{-t_L} (or e^{+t_L}), the
     closed forms of `genus2`.  Against a hexagon side |c| < 2, so a bounded
     number of twists brings the trace into [-2, 18] and the separating
-    route concludes.
+    route concludes.  Each twist goes the way `genus2.twist_trace` puts
+    nearer 2; only the twist applied builds a rep.
     """
     long = long_index(state.rep.a) + 1
     tag = f"delta{long}"
+    coeffs = twist_coeffs(state.rep, tag)
     for _ in range(200):
         route = _torus_window(state.rep, long)
         if route is not None:
             state.history.append({"move": "strategy", "id": "flat_twist"})
             return _torus_route(state, long,
                                 complement=route.startswith("delta_torus_c"))
-        probes = (genus2.dehn_twist_gamma(state.rep, long, k) for k in (1, -1))
-        up, dn = (abs(trace_curve_matrix(p, tag) - 2.0) for p in probes)
+        up, dn = (abs(twist_trace(tag, coeffs, gamma_twists(
+            state.rep.t, state.rep.a, long, k)) - 2.0) for k in (1, -1))
         _apply_twist(state, long, 1 if up <= dn else -1)
     return _stalled(state, "flat twisting did not reach the torus window")
 
@@ -462,23 +467,20 @@ _LATTICE = sorted(itertools.product((-1, 0, 1), repeat=2),
 def lattice_step(state: SearchState):
     """Conclude on the first beta_i, i = 1, 2, 3, that the twists
     (k_j, k_k) in {-1, 0, 1}^2 along the other two gammas, nearest first,
-    make non-hyperbolic; when no lattice point does, twist along beta_3."""
+    make non-hyperbolic (`genus2.twist_trace`: only the twists applied
+    build a rep); when no lattice point does, twist along beta_3."""
     rep = state.rep
-    for i in range(3):
+    for i, tag in enumerate(genus2.BETA_TAGS):
+        coeffs = twist_coeffs(rep, tag)
         j, k = (i + 1) % 3 + 1, (i + 2) % 3 + 1
         for kj, kk in _LATTICE:
-            probe = rep
-            if kj:
-                probe = genus2.dehn_twist_gamma(probe, j, kj)
-            if kk:
-                probe = genus2.dehn_twist_gamma(probe, k, kk)
-            if abs(trace_curve_matrix(probe, f"beta{i+1}")) \
-                    <= 2.0 + TRACE_BAND:
+            t = gamma_twists(gamma_twists(rep.t, rep.a, j, kj), rep.a, k, kk)
+            if abs(twist_trace(tag, coeffs, t)) <= 2.0 + TRACE_BAND:
                 _apply_twist(state, j, kj)
                 _apply_twist(state, k, kk)
                 state.history.append({"move": "strategy", "id": "lattice",
                                       "beta": i + 1})
-                return _found(state, [[f"beta{i+1}", 1]])
+                return _found(state, [[tag, 1]])
     return beta_twist_step(state)
 
 

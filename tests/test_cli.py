@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -821,6 +822,38 @@ class TestOrbitStats:
         assert cli.main(["orbit-stats", "--n", "1"]) == 3
         assert "out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--n", "1000000"],
+                                      ["--n", "19608"],
+                                      ["--n", "1", "--length", "1000000"]])
+    def test_rows_above_the_bound_are_refused(self, monkeypatch, capsys,
+                                              argv):
+        """More than `cli.MAX_ORBIT_ROWS` rows exit 64 with one stderr line
+        before any orbit is drawn: unbounded, --n 1000000 at the default
+        length holds 51 million rows, several GB."""
+        def refuse(*args):
+            raise AssertionError("an orbit was drawn")
+
+        monkeypatch.setattr(cli, "_orbit_rows", refuse)
+        t0 = time.perf_counter()
+        assert cli.main(["orbit-stats", *argv]) == 64
+        assert time.perf_counter() - t0 < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("orbit-stats: --n ")
+        assert out.err.count("\n") == 1
+
+    def test_row_bound_is_inclusive(self, monkeypatch, tmp_path):
+        """n (length + 1) equal to the bound is written, with the final
+        newline and nothing more."""
+        monkeypatch.setattr(cli, "MAX_ORBIT_ROWS", 4 * 6)
+        out = tmp_path / "o.csv"
+        assert cli.main(["orbit-stats", "--n", "4", "--length", "5",
+                         "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text.count("\n") == 1 + 4 * 6
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        assert cli.main(["orbit-stats", "--n", "5", "--length", "5"]) == 64
+
     def test_matches_matrix_route(self):
         """Seeds 0-9: every column but the traces is byte-identical to the
         matrix-route reference, the traces agree to 1e-12 relative."""
@@ -881,15 +914,15 @@ def _scalar_orbit_rows(seed, index, length):
     reformatted."""
     u, rep = _orbit_start(seed, index)
     a, t = rep.a, list(rep.t)
-    coeffs = [genus2.delta_twist_coeffs(rep, k) for k in range(3)]
+    coeffs = [genus2.twist_coeffs(rep, tag) for tag in genus2.DELTA_TAGS]
     sign = str(genus2.sign_invariant(rep))
     row = ",".join([str(seed), str(index), "%d", str(rep.eps1),
                     str(rep.eps2)]
                    + [cli._fl(v) for v in a] + ["%.17g"] * 6 + [sign])
     rows = []
     for step in range(length + 1):
-        tr = [2.0 - s * (cm * math.exp(-tk) + c0 + cp * math.exp(tk))
-              for (s, cm, c0, cp), tk in zip(coeffs, t)]
+        tr = [genus2.twist_trace(tag, c, t)
+              for tag, c in zip(genus2.DELTA_TAGS, coeffs)]
         rows.append(row % (step, *t, *tr))
         i, k = _move(u)
         t[i - 1] += 2.0 * k * a[i - 1]

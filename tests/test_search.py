@@ -10,9 +10,10 @@ from pathlib import Path
 import free_group as fg
 import numpy as np
 import pytest
+import search_digests
 from bench_corpus import corpus
 
-from srk import _grids, genus2, hyptrig, search
+from srk import _grids, genus2, hyptrig, search, torus
 import srk.search
 from srk._grids import line_l1, line_l2
 from srk.inequalities import bandwidth_window, boum_bound
@@ -20,6 +21,7 @@ from srk.pants import EU_MINUS1, EU_PLUS1, PantsCase
 from srk.psl2r import commutator, minv, mmul, mtrace
 from srk.search import (B2_HALF, Certificate, FoundCurve, OutOfScopeError,
                         replay_certificate, search_nonhyperbolic)
+from srk.tolerances import TRACE_BAND
 
 rng = np.random.default_rng(2718)
 
@@ -376,6 +378,138 @@ class TestRareStrategies:
                        tuple(rng.uniform(-40, 40, 3)))
 
         assert self._hits("flat_twist", draws(3000)) >= 10
+
+
+def _probe_rep_lattice_point(rep):
+    """The lattice step's pick (i, k_j, k_k), or None, by the route it took
+    before the twist coefficients: every probe a twisted rep, read through
+    the beta matrix word."""
+    for i in range(1, 4):
+        j, k = i % 3 + 1, (i + 1) % 3 + 1
+        for kj, kk in search._LATTICE:
+            probe = rep
+            if kj:
+                probe = genus2.dehn_twist_gamma(probe, j, kj)
+            if kk:
+                probe = genus2.dehn_twist_gamma(probe, k, kk)
+            if abs(genus2.trace_curve_matrix(probe, f"beta{i}")) \
+                    <= 2.0 + TRACE_BAND:
+                return i, kj, kk
+    return None
+
+
+def _probe_rep_flat_moves(rep):
+    """The flat step's twist moves by the route it took before the twist
+    coefficients: both probes twisted reps, read through the delta_L
+    matrix word."""
+    long = hyptrig.long_index(rep.a) + 1
+    moves = []
+    while search._torus_window(rep, long) is None and len(moves) < 200:
+        up, dn = (abs(genus2.trace_curve_matrix(
+            genus2.dehn_twist_gamma(rep, long, k), f"delta{long}") - 2.0)
+            for k in (1, -1))
+        k = 1 if up <= dn else -1
+        rep = genus2.dehn_twist_gamma(rep, long, k)
+        moves.append({"kind": "twist", "i": long, "k": k})
+    return moves
+
+
+def _counting_reps(monkeypatch):
+    """A list that grows by one for every GluedRep built from now on."""
+    built, init = [], genus2.GluedRep.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(genus2.GluedRep, "__init__", counting)
+    return built
+
+
+class TestTwistCoefficientSteps:
+    """The lattice and flat-twist steps score their probes with
+    `genus2.twist_trace`; they decide as the probe-rep route did and build
+    a rep only for a twist they apply."""
+
+    @staticmethod
+    def _normalised(text):
+        rep = genus2.GluedRep.from_json(text)
+        try:
+            search.classify_scope(rep)
+        except OutOfScopeError:
+            return None
+        state = search.SearchState(rep)
+        search._normalize(state)
+        return state
+
+    def test_lattice_picks_as_probe_reps(self, monkeypatch):
+        """On every in-scope normalised rep of corner_corpus(101, 400), the
+        lattice step concludes on the (i, k_j, k_k) of the probe-rep route,
+        or on none, and builds one rep per nonzero twist it applies."""
+        picked = 0
+        for rec in corpus.corner_corpus(101, 400):
+            state = self._normalised(rec["text"])
+            if state is None:
+                continue
+            want = _probe_rep_lattice_point(state.rep)
+            n0, history0 = len(state.moves), len(state.history)
+            built = _counting_reps(monkeypatch)
+            try:
+                search.lattice_step(state)
+            except torus.ReductionError:
+                pass
+            finally:
+                monkeypatch.undo()
+            moves = {mv["i"]: mv["k"] for mv in state.moves[n0:]}
+            got = next(((h["beta"], moves.get(h["beta"] % 3 + 1, 0),
+                         moves.get((h["beta"] + 1) % 3 + 1, 0))
+                        for h in state.history[history0:]
+                        if h.get("id") == "lattice"), None)
+            assert got == want, rec["text"]
+            assert len(built) == len(moves), rec["text"]
+            picked += got is not None
+        assert picked >= 100
+
+    def test_flat_steps_move_as_probe_reps(self, monkeypatch):
+        """On the flat records of search_corpus(101, 800), normalised and
+        then twisted 0, 3 or -3 times along gamma_L, the flat step makes
+        the probe-rep route's twist moves and builds one rep per move."""
+        walked = 0
+        for rec in corpus.search_corpus(101, 800):
+            state = self._normalised(rec["text"])
+            if state is None or not (state.rep.eps1.is_flat
+                                     or state.rep.eps2.is_flat):
+                continue
+            long = hyptrig.long_index(state.rep.a) + 1
+            for m in (0, 3, -3):
+                start = search.SearchState(
+                    genus2.dehn_twist_gamma(state.rep, long, m))
+                want = _probe_rep_flat_moves(start.rep)
+                built = _counting_reps(monkeypatch)
+                try:
+                    search.flat_twist_step(start)
+                finally:
+                    monkeypatch.undo()
+                assert start.moves == want, (rec["text"], m)
+                assert len(built) == len(want), (rec["text"], m)
+                walked += bool(want)
+        assert walked >= 100
+
+
+class TestSearchOutputsPinned:
+    def test_outputs_match_golden(self):
+        """The search answers every record of `search_digests.CORPORA` as
+        `tests/data/search_sha256.json` pins: the same certificate JSON,
+        rounds and replay report.  A failure names the first record that
+        differs."""
+        golden = json.loads(search_digests.GOLDEN.read_text())
+        assert sorted(golden) == sorted(search_digests.CORPORA)
+        for name, make in search_digests.CORPORA.items():
+            records = make()
+            assert len(records) == len(golden[name]), name
+            for index, (rec, want) in enumerate(zip(records, golden[name])):
+                assert search_digests.digest(rec["text"]) == want, \
+                    f"{name}[{index}] differs: {rec['text']}"
 
 
 def _found(record):
