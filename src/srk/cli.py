@@ -176,7 +176,7 @@ def cmd_replay(args) -> int:
         raise _Exit(EXIT_USAGE, f"bad certificate: {exc}") from exc
     try:
         differ = args.record and _not_the_record(cert, args.record)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise _Exit(EXIT_USAGE, f"bad record: {exc}") from exc
     if differ:
         _emit(json.dumps({"ok": False, "reason": f"initial snapshot is not "

@@ -18,11 +18,11 @@ hold verbatim and the relative Euler classes of the two sides add up to
 the Euler class of the closed representation.
 
 A `GluedRep` is the one thing that gets evaluated: `curve_matrix` reads
-the words above off a rep and keeps each matrix in the rep's memo, and
-`generator_images` holds the images of the four generators A1, B1, A2,
-B2, in which the search writes every word that is not a named curve.  The
-search and the certificate replay move between reps with
-`dehn_twist_gamma`.
+every letter of a word off a rep, a named curve or one of the generators
+A1, B1, A2, B2 in which the search writes every word that is not a named
+curve, and keeps each matrix in the rep's memo; `generator_images` builds
+the four generator images.  The search and the certificate replay move
+between reps with `dehn_twist_gamma`.
 
 `twist_coeffs` is the one home of how a beta or delta trace depends on the
 twists, and `twist_trace` evaluates it.  With T_{-t_k} = e^{-t_k/2} E11 +
@@ -77,22 +77,20 @@ class GluedRep:
     """Glued genus-2 coordinate datum: the two pants and the twists.
 
     Two reps are equal when `p1`, `p2` and `t` are; the memo `quads` and
-    the cached generator images, twist counts, normalised rep and twist
-    coefficients take no part, nor in the hash or the repr.
+    the cached twist counts and normalised rep take no part, nor in the
+    hash or the repr.
     """
 
-    __slots__ = ("p1", "p2", "t", "quads", "_images", "_counts", "_normal",
-                 "_coeffs")
+    __slots__ = ("p1", "p2", "t", "quads", "_counts", "_normal")
 
     def __init__(self, p1: PantsRep, p2: PantsRep,
                  t: Tuple[float, float, float]) -> None:
         self.p1, self.p2, self.t = p1, p2, t
-        # the curve matrices evaluated so far, by tag: `curve_matrix` reads
-        # and fills it
+        # the matrices of the word letters evaluated so far, curve tags and
+        # generators: `curve_matrix` reads and fills it
         self.quads: Dict[str, Quad] = {}
-        # `generator_images`, `twist_counts`, `normalize_twists` and
-        # `twist_coeffs`, once computed
-        self._images = self._counts = self._normal = self._coeffs = None
+        # `twist_counts` and `normalize_twists`, once computed
+        self._counts = self._normal = None
 
     def _key(self) -> tuple:
         return self.p1, self.p2, self.t
@@ -138,7 +136,11 @@ class GluedRep:
     @classmethod
     def from_json(cls, text: str) -> "GluedRep":
         """The rep of a coordinate record (see `parse_record`)."""
-        (eps1, eps2), a, t = parse_record(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:          # malformed, as any bad record
+            raise Genus2Error("record nested too deeply to decode") from None
+        (eps1, eps2), a, t = parse_record(data)
         return build_glued(eps1, eps2, a, t)
 
 
@@ -199,10 +201,12 @@ def build_glued(eps1: PantsCase, eps2: PantsCase,
 # ---------------------------------------------------------------------------
 
 def curve_matrix(rep: GluedRep, tag: str) -> Quad:
-    """Holonomy matrix of a named curve (SL2 lift fixed by the word).
+    """Holonomy matrix of a word letter: a named curve (SL2 lift fixed by
+    the word) or a generator A1, B1, A2, B2 (`generator_images`).
 
-    Memoised in `rep.quads`, so a delta word reuses its beta and gamma; the
-    pants matrices are read only on a miss.
+    Memoised in `rep.quads`, so a delta word reuses its beta and gamma and
+    a search word its generators; the pants matrices are read only on a
+    miss, and the first generator letter asked for stores all four.
     """
     memo = rep.quads
     if tag in memo:
@@ -218,6 +222,9 @@ def curve_matrix(rep: GluedRep, tag: str) -> Quad:
     elif tag in DELTA_TAGS:
         bt, gt = _DELTA_PAIRS[tag]
         q = commutator(curve_matrix(rep, bt), curve_matrix(rep, gt))
+    elif tag in GENERATORS:
+        memo.update(zip(GENERATORS, generator_images(rep)))
+        return memo[tag]
     else:
         raise Genus2Error(f"unknown curve tag {tag!r}")
     memo[tag] = q
@@ -242,19 +249,17 @@ def trace_curve_matrix(rep: GluedRep, tag: str) -> float:
 
 def twist_coeffs(rep: GluedRep, tag: str) -> Tuple[float, ...]:
     """The twist coefficients of the beta or delta `tag` (module docstring):
-    (P11, Q11, P22, Q22) for beta_i and (s, c_-, c_0, c_+) for delta_k.
-    Cached on `rep`; one P and Q give both beta_i and delta_k."""
-    memo = rep._coeffs = rep._coeffs or {}
-    if tag not in memo:
-        i = BETA_TAGS.index(_DELTA_PAIRS[tag][0] if tag in DELTA_TAGS else tag)
-        xi, yi = minv(rep.p1.q[i]), rep.p2.q[i]
-        p = mmul(xi, (1.0, 0.0, 0.0, 0.0), yi)
-        q = mmul(xi, (0.0, 0.0, 0.0, 1.0), yi)
-        memo[BETA_TAGS[i]] = p[0], q[0], p[3], q[3]
-        memo[DELTA_TAGS[i - 1]] = (4.0 * math.sinh(rep.a[i - 2]) ** 2,
-                                   p[1] * p[2], p[1] * q[2] + q[1] * p[2],
-                                   q[1] * q[2])
-    return memo[tag]
+    (P11, Q11, P22, Q22) for beta_i and (s, c_-, c_0, c_+) for delta_k, from
+    the P and Q of beta_i.  Not cached: no caller reads one curve's twice."""
+    is_delta = tag in DELTA_TAGS
+    i = BETA_TAGS.index(_DELTA_PAIRS[tag][0] if is_delta else tag)
+    xi, yi = minv(rep.p1.q[i]), rep.p2.q[i]
+    p = mmul(xi, (1.0, 0.0, 0.0, 0.0), yi)
+    q = mmul(xi, (0.0, 0.0, 0.0, 1.0), yi)
+    if is_delta:
+        return (4.0 * math.sinh(rep.a[i - 2]) ** 2, p[1] * p[2],
+                p[1] * q[2] + q[1] * p[2], q[1] * q[2])
+    return p[0], q[0], p[3], q[3]
 
 
 def twist_trace(tag: str, c: Tuple[float, ...], t) -> float:
@@ -455,8 +460,9 @@ def _count_twists(rep: GluedRep) -> Tuple[int, int, int]:
 def normalize_twists(rep: GluedRep) -> GluedRep:
     """Twist each t_i into [-a_i, a_i]; boundary ties resolve to +a_i.
 
-    Cached on `rep`, so that its callers share one normalised rep and its
-    evaluated curves; `rep` itself when no count moves.
+    Cached on `rep`, so that its callers share one normalised rep and the
+    curves and generators evaluated on it; `rep` itself when no count
+    moves.
     """
     if rep._normal is None:
         counts = twist_counts(rep)
@@ -509,8 +515,9 @@ def delta_side_consistency(rep: GluedRep) -> bool:
 # ---------------------------------------------------------------------------
 
 def generator_images(rep: GluedRep) -> Tuple[Quad, Quad, Quad, Quad]:
-    """Images (A1, B1, A2, B2) of a standard generating quadruple, computed
-    once per rep: the one home of the loop images.
+    """Images (A1, B1, A2, B2) of a standard generating quadruple, built
+    afresh on each call: the one home of the loop images.  A word reads
+    them through `curve_matrix`, which keeps them in the rep's memo.
 
     Built from co-based loops g_i (gamma_i) and b_i (beta_i) at a common
     base point, which a spanning tree of the gluing complex gives: p3 and
@@ -520,8 +527,6 @@ def generator_images(rep: GluedRep) -> Tuple[Quad, Quad, Quad, Quad]:
     [A2, B2][A1, B1] is +-identity, and its lifted deck power is the Euler
     class.
     """
-    if rep._images is not None:
-        return rep._images
     x, y, a, t = rep.p1.q, rep.p2.q, rep.a, rep.t
     tr_, inv = make_translation, minv
     p3 = mmul(x[1], tr_(a[2]), x[0])                 # transport v0 -> v3
@@ -533,8 +538,7 @@ def generator_images(rep: GluedRep) -> Tuple[Quad, Quad, Quad, Quad]:
     b2 = mmul(inv(x[0]), tr_(-t[2] - a[2]), inv(y[1]), tr_(t[0]), p3)
     b3 = mmul(inv(p5), tr_(-t[1]), y[2], tr_(a[0] + t[0]), p3)
     w = mmul(inv(g2), b3)
-    rep._images = b1, g2, mmul(w, b2, inv(w)), mmul(w, g1, inv(w))
-    return rep._images
+    return b1, g2, mmul(w, b2, inv(w)), mmul(w, g1, inv(w))
 
 
 def euler_class(rep: GluedRep) -> int:

@@ -55,11 +55,11 @@ def verify_paper_inequalities(scale: float = 1.0) -> List[ClaimReport]:
             for fn, base_n in _grids.CLAIMS]
 
 
-def phi_max_over_a1(a3: float, n: int = 512) -> float:
-    """max of Phi(a1, a3) over n points a1 in [1e-3, a3]."""
+def phi_max_over_a1(a3: float) -> float:
+    """max of Phi(a1, a3) over 512 points a1 in [1e-3, a3]."""
     import numpy as np
     from . import _grids
-    return float(_grids.phi_max(np.array([float(a3)]), n,
+    return float(_grids.phi_max(np.array([float(a3)]), 512,
                                 _grids.Workspace())[0])
 
 

@@ -25,8 +25,9 @@ Value objects are named tuples; the one hand-written class is
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import hyptrig
 from .hyptrig import long_index
@@ -193,27 +194,21 @@ def _flat_matrices(a, eps: int, lower: bool, long: int) -> Tuple[Quad, ...]:
                           mmul(par(-eps * sh[k]), S)))
 
 
-# how many pants `build_pants` remembers, oldest out first.  A search builds
-# only its input's two pants, and the replay that checks its certificate
-# rebuilds the same two: memo hits.
-_BUILT_MAX = 64
-_built: Dict[tuple, PantsRep] = {}
-
-
 def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     """Pants cocycle for the given half-length triple and construction tag.
 
     The tag's `stratum` must be the sign of the delta invariant (zero
     within FLAT_BAND): triangles need it positive, self-hexagons negative,
-    flat cases zero.  Hexagon families exist for every triple.  A triple
-    and tag built recently return the pants built then (the memo keys on
-    the exact floats); a refusal is raised afresh each time.
+    flat cases zero.  Hexagon families exist for every triple.  The 64
+    triples and tags asked for last return the pants built then (keyed on
+    the exact floats), so the replay of a search's certificate rebuilds
+    neither of its two pants; a refusal is raised afresh each time.
     """
-    a = tuple(float(x) for x in a)
-    key = (a, case)
-    rep = _built.get(key)
-    if rep is not None:
-        return rep
+    return _build(tuple(float(x) for x in a), case)
+
+
+@functools.lru_cache(maxsize=64)        # caches no exception
+def _build(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     if any(x <= 0 or not math.isfinite(x) for x in a):
         raise PantsError(f"half-lengths must be positive, got {a}")
     delta = hyptrig.delta_invariant(*a)
@@ -258,11 +253,7 @@ def build_pants(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     if max(res) > tol:
         raise CocycleResidualError(f"cocycle residuals {res} exceed "
                                    f"tolerance {tol}")
-    rep = PantsRep(a, case, x, sol)
-    if len(_built) >= _BUILT_MAX:
-        del _built[next(iter(_built))]
-    _built[key] = rep
-    return rep
+    return PantsRep(a, case, x, sol)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ with `genus2.build_glued`, so it trusts `pants.build_pants` and hyptrig's
 solvers, and the 2x2 arithmetic after them; it moves the rep with the
 search's own twist (`genus2.dehn_twist_gamma`).  A word's letters are
 curve tags and the generators A1, B1, A2, B2; every word is evaluated on
-a `GluedRep`, by `genus2.curve_matrix` and `genus2.generator_images`.
+a `GluedRep`, letter by letter through `genus2.curve_matrix`.
 The dispatch reads the complement handle's trace off delta_k
 (`_complement_trace`).
 """
@@ -82,7 +82,11 @@ class Certificate(NamedTuple):
         moves, curve word and trace have the shapes and keys the replay
         reads, and a certificate with no curve has no trace.  Each
         snapshot is checked by `genus2.parse_record`."""
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except RecursionError:
+            raise SearchError("malformed certificate: nested too deeply "
+                              "to decode") from None
         if not (isinstance(d, dict) and _is_snapshot(d.get("initial"))
                 and isinstance(d.get("moves"), list)):
             raise SearchError("malformed certificate: initial or moves")
@@ -129,7 +133,6 @@ def _is_word(word) -> bool:
 
 
 _WORD_NAMES = genus2.CURVE_TAGS + genus2.GENERATORS
-_GENERATOR_INDEX = {name: n for n, name in enumerate(genus2.GENERATORS)}
 
 
 class FoundCurve(NamedTuple):
@@ -197,16 +200,13 @@ def _word_quad(rep: GluedRep, word: Sequence) -> Quad:
     generators of `rep`."""
     quads = []
     for name, exp in word:
-        if name in _GENERATOR_INDEX:
-            m = genus2.generator_images(rep)[_GENERATOR_INDEX[name]]
-        else:
-            m = genus2.curve_matrix(rep, name)
+        m = genus2.curve_matrix(rep, name)
         quads.append(m if exp > 0 else minv(m))
     return mmul(*quads) if quads else IDENTITY
 
 
 def _complement_trace(rep: GluedRep, k: int) -> float:
-    """Commutator trace of the handle across delta_k (`_complement_handle`):
+    """Commutator trace of the handle across delta_k (`_COMPLEMENT_HANDLES`):
     the two handles' commutators multiply to the surface relator of the
     lift, (-1)^e I for Euler class e (Goldman 1988), so it is (-1)^e tr
     delta_k."""
@@ -330,25 +330,18 @@ def classify_scope(rep: GluedRep) -> None:
 
 
 _C = [("A2", 1), ("B1", -1), ("A1", -1), ("B1", 1)]     # C = B1^-1 b3 B1
+# The generator words of the pair spanning the torus on the other side of
+# delta_k, by k.  delta_k bounds the handle of (beta_i, gamma_j) on one side
+# and the handle of (gamma_i, beta_j) on the other, (i, j, k) cyclic; their
+# commutator traces are equal for even Euler class and opposite for odd
+# (`_complement_trace`).  In the co-based loops of `genus2.generator_images`,
+# with w = g2^-1 b3, the pair (g1, b2) conjugated by w is (B2, A2); (g2, b3)
+# conjugated by B1^-1 is (B1, C); and (g3, b1) conjugated by A1^-1 is
+# (B2^-1 B1^-1, A1) up to the sign of g3, which the torus route does not
+# read.
 _COMPLEMENT_HANDLES = {1: ([("B1", 1)], _C),
                        2: ([("B2", -1), ("B1", -1)], [("A1", 1)]),
                        3: ([("B2", 1)], [("A2", 1)])}
-
-
-def _complement_handle(k: int) -> Tuple[List, List]:
-    """Generator words of the pair spanning the torus on the other side of
-    delta_k.
-
-    delta_k bounds the handle of (beta_i, gamma_j) on one side and the
-    handle of (gamma_i, beta_j) on the other, (i, j, k) cyclic; their
-    commutator traces are equal for even Euler class and opposite for odd
-    (`_complement_trace`).  In the co-based loops of
-    `genus2.generator_images`, with w = g2^-1 b3, the pair (g1, b2)
-    conjugated by w is (B2, A2); (g2, b3) conjugated by B1^-1 is (B1, C);
-    and (g3, b1) conjugated by A1^-1 is (B2^-1 B1^-1, A1) up to the sign
-    of g3, which the torus route does not read.
-    """
-    return _COMPLEMENT_HANDLES[k]
 
 
 def _torus_window(rep: GluedRep, k: int) -> Optional[str]:
@@ -417,7 +410,7 @@ def _torus_route(state: SearchState, k: int, complement: bool = False):
     tr_delta = trace_curve_matrix(rep, f"delta{k}")
     if abs(tr_delta) <= 2.0 + TRACE_BAND:
         return _found(state, [[f"delta{k}", 1]])
-    p, q = (_complement_handle(k) if complement
+    p, q = (_COMPLEMENT_HANDLES[k] if complement
             else ([(tag, 1)] for tag in genus2._DELTA_PAIRS[f"delta{k}"]))
     kappa, red, word = _handle_curve(rep, p, q)
     if word is None:
@@ -501,7 +494,7 @@ _BETA3_TWIST = {
 # handle are simple curves of the surface.
 _BETA3_HANDLES = {
     n: tuple(tuple(substitute(w, _BETA3_TWIST[n]) for w in pair)
-             for pair in (_complement_handle(3), ([("A1", 1)], [("B1", 1)])))
+             for pair in (_COMPLEMENT_HANDLES[3], ([("A1", 1)], [("B1", 1)])))
     for n in (1, -1)}
 
 

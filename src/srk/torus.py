@@ -11,6 +11,7 @@ the move z -> xy - z; when kappa lies in (2, 18] this action always reaches
 a triple with a coordinate in [-2, 2], i.e. a simple closed curve on the
 torus whose image is non-hyperbolic.  The reduction below records its moves
 so that the witness curve can be replayed as a word in the starting pair.
+A reduction that has not ended after `MAX_STEPS` steps raises.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .tolerances import DESCENT_MARGIN, KAPPA_DRIFT
 from .words import Word, inverse
 
 MOVES = ("P12", "P23", "M3")
+MAX_STEPS = 10_000
 
 
 class ReductionError(RuntimeError):
@@ -103,15 +105,14 @@ def _max_abs(triple) -> float:
     return max(abs(v) for v in triple)
 
 
-def reduce_triple(x: float, y: float, z: float,
-                  max_steps: int = 10_000) -> ReductionResult:
+def reduce_triple(x: float, y: float, z: float) -> ReductionResult:
     """Reduce a trace triple until a coordinate lies in [-2, 2].
 
     Greedy descent on max(|x|, |y|, |z|) over the compound moves
     (permutation then z -> xy - z); kappa is invariant throughout.  Ends in
     one of three states: a found coordinate, AllNegative (all three below
     -2, possible only when kappa > 18), or a ReductionError when no
-    compound move descends or after `max_steps`.
+    compound move descends or after `MAX_STEPS` steps.
     """
     start = (float(x), float(y), float(z))
     # each step lowers the largest |coordinate|, so only the start can
@@ -133,9 +134,9 @@ def reduce_triple(x: float, y: float, z: float,
         if all(v < -2.0 for v in triple):
             return ReductionResult(start=start, triple=triple,
                                    moves=tuple(moves), found_index=None)
-        if len(moves) >= max_steps:
+        if len(moves) >= MAX_STEPS:
             raise ReductionError(
-                f"no terminal state within {max_steps} steps from {start}")
+                f"no terminal state within {MAX_STEPS} steps from {start}")
         cur = _max_abs(triple)
         best = None
         for word in _PERM_WORDS:

@@ -313,7 +313,8 @@ def test_criterion_08_markov_reduction():
         if not 2.0 < kk <= 18.0:
             continue
         count += 1
-        res = torus.reduce_triple(xx, yy, zz, max_steps=1000)
+        res = torus.reduce_triple(xx, yy, zz)
+        assert res.steps <= 1000, (xx, yy, zz)
         if res.found_index is None and not res.all_negative:
             ok = False
             break

@@ -170,18 +170,11 @@ def _resolving_mixed(eps1, eps2, a, t, tag, i, j, k):
     return None
 
 
-class _Forgetful(dict):
-    """A pants memo that keeps nothing."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 @pytest.fixture
 def pants_memo_off(monkeypatch):
     """`build_pants` with its memo off: every call builds and solves, so a
     count of solves is one per pants built."""
-    monkeypatch.setattr(pants, "_built", _Forgetful())
+    monkeypatch.setattr(pants, "_build", pants._build.__wrapped__)
 
 
 def _value(fn, *args):
@@ -226,13 +219,13 @@ class TestCarriedSolutions:
                 trace_curve_matrix(rep, tag)
                 genus2.trace_curve_closed_form(rep, tag)
             solved_pants += sum(not e.is_flat for e in eps)
-        assert set(callers) == {"build_pants"}
+        assert set(callers) == {"_build"}
         assert len(callers) == solved_pants
 
     def test_memo_solves_each_pants_once(self, monkeypatch):
         """With the memo, a pair whose two pants share a case solves that
         pants once, and a record built twice solves nothing anew."""
-        monkeypatch.setattr(pants, "_built", {})
+        pants._build.cache_clear()
         solves = []
         for name in ("solve_hexagon", "solve_triangle", "solve_self_hexagon"):
             def counted(*a, _solve=getattr(hyptrig, name)):

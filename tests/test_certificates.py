@@ -150,6 +150,16 @@ class TestFormat:
                 kinds.add(mv["kind"])
         assert kinds == set(GRAMMAR)
 
+    @pytest.mark.parametrize("text", ["[" * 200_000,
+                                      '{"initial": ' + "[" * 200_000],
+                             ids=["top", "initial"])
+    def test_json_too_deep_to_decode_is_malformed(self, text):
+        """JSON nested past the decoder's recursion limit is a malformed
+        certificate, not a RecursionError."""
+        with pytest.raises(SearchError, match="malformed certificate: "
+                                              "nested too deeply"):
+            Certificate.from_json(text)
+
 
 def _assert_malformed(tmp_path, capsys, data: dict) -> None:
     """The library raises SearchError and `srk replay` exits 64 with one
@@ -315,9 +325,9 @@ class TestPantsMemo:
             hit = search._rep_from_snapshot(cert.initial)
             assert hit.p1 is rep.p1 and hit.p2 is rep.p2
             report = _hexed(replay_certificate(cert))
-            pants._built.clear()
+            pants._build.cache_clear()
             assert _hexed(replay_certificate(cert)) == report
-            pants._built.clear()
+            pants._build.cache_clear()
             fresh = search._rep_from_snapshot(hit.to_dict())
             for p, q in ((hit.p1, fresh.p1), (hit.p2, fresh.p2)):
                 assert p is not q
@@ -327,17 +337,20 @@ class TestPantsMemo:
 
     def test_a_refusal_is_not_remembered(self):
         a = (1.0, 1.0, 3.0)              # no triangle on these sides
+        pants._build.cache_clear()
         for _ in range(2):
             with pytest.raises(pants.PantsError):
                 pants.build_pants(a, pants.EU0_PLUS_TRIANGLE)
-        assert (a, pants.EU0_PLUS_TRIANGLE) not in pants._built
+        info = pants._build.cache_info()
+        assert info.currsize == info.hits == 0 and info.misses == 2
 
     def test_the_memo_is_bounded(self):
         early = pants.build_pants((1.0, 1.1, 1.2), pants.EU_PLUS1)
         assert early is pants.build_pants([1, 1.1, 1.2], pants.EU_PLUS1)
-        for i in range(1, 3 * pants._BUILT_MAX):
+        size = pants._build.cache_info().maxsize
+        for i in range(1, 3 * size):
             pants.build_pants((1.0 + i / 1024, 1.1, 1.2), pants.EU_PLUS1)
-        assert len(pants._built) == pants._BUILT_MAX
+        assert pants._build.cache_info().currsize == size == 64
         again = pants.build_pants((1.0, 1.1, 1.2), pants.EU_PLUS1)
         assert again is not early and again == early
 

@@ -9,6 +9,7 @@ import threading
 import time
 from pathlib import Path
 
+import classify_digests
 import numpy as np
 import pytest
 
@@ -27,6 +28,21 @@ def rep_file(tmp_path):
 
 
 class TestClassify:
+    def test_outputs_match_golden(self, tmp_path):
+        """`srk classify` answers every record of `classify_digests.CORPORA`
+        as `tests/data/classify_sha256.json` pins: the same exit code,
+        report and stderr.  A failure names the first record that
+        differs."""
+        golden = json.loads(classify_digests.GOLDEN.read_text())
+        assert sorted(golden) == sorted(classify_digests.CORPORA)
+        path = tmp_path / "record.json"
+        for name, make in classify_digests.CORPORA.items():
+            records = make()
+            assert len(records) == len(golden[name]), name
+            for index, (rec, want) in enumerate(zip(records, golden[name])):
+                assert classify_digests.digest(rec["text"], path) == want, \
+                    f"{name}[{index}] differs: {rec['text']}"
+
     def test_report(self, rep_file, tmp_path):
         out = tmp_path / "report.json"
         assert cli.main(["classify", rep_file, "--out", str(out)]) == 0
@@ -282,6 +298,27 @@ def _huge_int_input(tmp_path, where):
 def test_an_integer_too_large_for_a_float_is_usage_error(tmp_path, capsys,
                                                          where):
     argv, prefix = _huge_int_input(tmp_path, where)
+    assert cli.main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(prefix)
+
+
+@pytest.mark.parametrize("where", ["classify", "search", "replay",
+                                   "replay --record"])
+def test_json_too_deep_to_decode_is_usage_error(tmp_path, capsys, where):
+    """A record, certificate or --record nested past the JSON decoder's
+    recursion limit is malformed input: exit 64 with one stderr line."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    command = where.split()[0]
+    if where.endswith("--record"):
+        argv, prefix = ["replay", str(CERTIFICATE), "--record", str(deep)], \
+            "replay: bad record: "
+    else:
+        argv = [command, str(deep)]
+        prefix = ("replay: bad certificate: " if command == "replay"
+                  else f"{command}: bad input: ")
     assert cli.main(argv) == 64
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1

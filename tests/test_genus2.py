@@ -102,11 +102,19 @@ class TestBuild:
         data = json.loads(rep.to_json())
         assert set(data) == {"eps", "a", "t"}
 
+    @pytest.mark.parametrize("text", ["[" * 200_000,
+                                      '{"eps": ' + "[" * 200_000],
+                             ids=["top", "eps"])
+    def test_json_too_deep_to_decode_is_malformed(self, text):
+        """JSON nested past the decoder's recursion limit is a malformed
+        record, not a RecursionError."""
+        with pytest.raises(Genus2Error, match="nested too deeply"):
+            GluedRep.from_json(text)
+
     def test_equality_ignores_the_memo_and_caches(self):
         rep = build_glued(EU_PLUS1, EU_PLUS1, (1.0, 1.1, 1.2), (3.0, 0, 0))
-        for tag in CURVE_TAGS:
+        for tag in CURVE_TAGS + genus2.GENERATORS:
             curve_matrix(rep, tag)
-        generator_images(rep)
         norm = normalize_twists(rep)
         assert norm is not rep
         fresh = GluedRep(p1=rep.p1, p2=rep.p2, t=rep.t)
@@ -529,9 +537,10 @@ class TestSingleEvaluator:
             fresh = GluedRep(p1=rep.p1, p2=rep.p2, t=rep.t)
             _assert_rel_close(curve_matrix(fresh, tag), ref)
             _assert_rel_close(curve_matrix(rep, tag), ref)
-        for got, ref in zip(generator_images(rep),
-                            _np_generators(x, y, rep.a, rep.t)):
+        for name, got, ref in zip(genus2.GENERATORS, generator_images(rep),
+                                  _np_generators(x, y, rep.a, rep.t)):
             _assert_rel_close(got, ref)
+            assert curve_matrix(rep, name) == got
 
     def test_parent_certificate_replays(self):
         # the committed certificate of a beta-twist search: its word is in

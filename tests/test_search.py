@@ -619,7 +619,7 @@ class TestHandleAcrossDelta:
             pairs.add((str(rep.eps1), str(rep.eps2)))
             for k in (1, 2, 3):
                 p, q = (search._word_quad(rep, word)
-                        for word in search._complement_handle(k))
+                        for word in search._COMPLEMENT_HANDLES[k])
                 want = mtrace(commutator(p, q))
                 gap = abs(search._complement_trace(rep, k) - want)
                 assert gap <= 1e-9 * max(1.0, abs(want)), (rec["text"], k)
@@ -700,7 +700,7 @@ class TestBetaTwist:
     @pytest.mark.parametrize("n", [1, -1, 0])
     def test_the_table_is_derived(self, n):
         """`_BETA3_HANDLES[n]` is T^n of the handles (B2, A2) and (A1, B1);
-        at n = 0, (B2, A2) is `_complement_handle(3)`."""
+        at n = 0, (B2, A2) is `_COMPLEMENT_HANDLES[3]`."""
         def image(name):
             word = [(name, 1)]
             return fg.substitute(word, TWIST[n]) if n else word
@@ -708,7 +708,7 @@ class TestBetaTwist:
         far, near = (image("B2"), image("A2")), (image("A1"), image("B1"))
         if n == 0:
             assert far == tuple([tuple(letter) for letter in word]
-                                for word in search._complement_handle(3))
+                                for word in search._COMPLEMENT_HANDLES[3])
         else:
             assert [tuple([tuple(letter) for letter in word] for word in pair)
                     for pair in search._BETA3_HANDLES[n]] == [far, near]
@@ -774,6 +774,34 @@ def test_twist_counts_once_per_rep(monkeypatch, record):
     out = search_nonhyperbolic(rep)
     assert isinstance(out, FoundCurve)
     assert len(counted) == 1 and counted[0] is rep
+
+
+def test_generator_letters_read_the_memo(monkeypatch):
+    """A search and its replay read every generator letter of a word from
+    `rep.quads`: each rep builds its generator images at most once, on its
+    first generator letter, and the memo then holds all four under their
+    letters, bit for bit the images `genus2.generator_images` builds."""
+    images = genus2.generator_images
+    built = []
+
+    def counting(rep):
+        built.append(rep)
+        return images(rep)
+
+    monkeypatch.setattr(genus2, "generator_images", counting)
+    words = 0
+    for record in LINKING + [json.loads(rec["text"])
+                             for rec in corpus.corner_corpus(101, 400)]:
+        out = search_nonhyperbolic(_rep(record))
+        assert isinstance(out, FoundCurve)
+        if any(name in genus2.GENERATORS for name, _ in out.word):
+            words += 1
+        assert replay_certificate(out.certificate)["ok"]
+    assert len({id(rep) for rep in built}) == len(built)
+    assert len(built) >= 2 * words > 2 * len(LINKING)
+    for rep in built:
+        assert [rep.quads[name] for name in genus2.GENERATORS] == \
+            list(images(rep))
 
 
 def _run_fresh(code: str) -> str:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,8 +66,8 @@ class TestReduce:
             if max(abs(x), abs(y), abs(z)) <= 2.0:
                 continue
             count += 1
-            res = reduce_triple(x, y, z, max_steps=1000)
-            assert res.found_index is not None
+            res = reduce_triple(x, y, z)
+            assert res.found_index is not None and res.steps <= 1000
             assert abs(res.triple[res.found_index - 1]) <= 2.0
 
     def test_replay_reproduces(self):
@@ -97,15 +98,19 @@ class TestReduce:
             assert abs(mtrace(m)) <= 2.0 + 1e-9
 
     def test_exhaustion_raises(self):
-        # this triple stalls on the first greedy step, before max_steps
-        with pytest.raises(ReductionError, match="stalled"):
-            reduce_triple(30.0, 40.0, 50.0, max_steps=2)
+        # this triple stalls on the first greedy step, before the budget
+        with mock.patch.object(torus, "MAX_STEPS", 2), \
+                pytest.raises(ReductionError, match="stalled"):
+            reduce_triple(30.0, 40.0, 50.0)
 
     def test_step_budget_raises(self):
-        # unbounded, this triple reduces in 6 steps; 2 run out first
+        # with the budget, this triple reduces in 6 steps; 2 run out first
+        assert torus.MAX_STEPS == 10_000
         assert reduce_triple(9.0, 28.5, 253.0).steps == 6
-        with pytest.raises(ReductionError, match="no terminal state within"):
-            reduce_triple(9.0, 28.5, 253.0, max_steps=2)
+        with mock.patch.object(torus, "MAX_STEPS", 2), \
+                pytest.raises(ReductionError, match="no terminal state within"
+                                                    " 2 steps"):
+            reduce_triple(9.0, 28.5, 253.0)
 
     def test_float_integrity_raises(self):
         with pytest.raises(ReductionError, match="float integrity"):
@@ -191,5 +196,6 @@ def test_three_flips_descend_as_six_words(triple, max_steps):
     def reduced(*args):
         res = reduce_triple(*args)
         return res.triple, res.moves, res.found_index
-    assert _outcome(reduced, *triple, max_steps) == \
-        _outcome(_six_word_greedy, *triple, max_steps)
+    with mock.patch.object(torus, "MAX_STEPS", max_steps):
+        got = _outcome(reduced, *triple)
+    assert got == _outcome(_six_word_greedy, *triple, max_steps)
