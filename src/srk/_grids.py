@@ -3,16 +3,15 @@
 No grid is held whole.  A claim evaluates its grid in blocks of whole rows
 (slices along its first axis), at most `_BLOCK_POINTS` points each, and a
 `MinPad` folds each block into the running minimum and the largest
-neighbour difference along each axis; the last row of a block is kept for
-the difference with the first row of the next.  Every per-point quantity is
-written with `out=` into the buffers of one `Workspace`, made once per
-`verify_paper_inequalities` call and reused by every block of every claim,
-and each quantity is evaluated only on the axes it depends on, broadcast
-against the others.  So a call allocates no array the size of a block
-after its buffers, and its memory does not grow with `scale` until one
-row outgrows a block.  The reports equal those of whole-grid arrays bit
-for bit: every point sees the same floating-point operations in the same
-order, and minima and maxima are exact in any order.
+neighbour difference along each axis, keeping a copy of the block's last
+row for the difference with the first row of the next.  `_blocks` makes a
+claim's block buffers once and hands them to every block; each per-point
+quantity is written into them with `out=`, and is evaluated only on the
+axes it depends on, broadcast against the others.  So a claim's memory
+does not grow with `scale` until one row outgrows a block.  The reports
+equal those of whole-grid arrays bit for bit: every point sees the same
+floating-point operations in the same order, and minima and maxima are
+exact in any order.
 
 This module imports numpy at its top, and within srk only `srk.inequalities`
 imports it, on the first call of `verify_paper_inequalities` or
@@ -54,65 +53,32 @@ def _iso_lambda(sha3: float) -> float:
         raise ValueError("isosceles twist length needs sinh(a3) >= 2")
     return math.asinh((sha3 + math.sqrt(sha3 * sha3 - 4.0)) / 2.0)
 
-# points in one block, the length of every workspace buffer: 150 KB of
-# float64, 16 rows of the equi1 grid at scale 1.  On a 2-core Xeon a verify
-# call took 14-18% more CPU time with 9600-point blocks, which pay numpy's
-# per-call cost twice as often; 28800 to 57600 points came within 4% of
-# this size, but the buffers, mapped afresh by each call, then cost 641 to
-# 831 minor page faults per call against 451.
+# points in one block: 150 KB of float64, 16 rows of the equi1 grid at
+# scale 1.  On a 2-core Xeon a verify call took 14-18% more CPU time with
+# 9600-point blocks, which pay numpy's per-call cost twice as often; 28800
+# to 57600 points came within 4% of this size.
 _BLOCK_POINTS = 16 * 1200
 
 
-class Workspace:
-    """Scratch arrays for one `verify_paper_inequalities` call.
+def _blocks(runs: Sequence[Tuple[int, int]], row_shape: Tuple[int, ...],
+            count: int) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Cut each (start, stop) run of grid rows into (lo, hi) blocks of as
+    many whole rows of `row_shape` as `_BLOCK_POINTS` holds (at least one),
+    each with `count` float buffers shaped like the block, stacked in one
+    array made once and reused by every block.
 
-    Flat float64 buffers of `_BLOCK_POINTS` each, made when a claim first
-    asks for them and reused by every later block; `MinPad` owns the first
-    two.  A grid row longer than a block enlarges every buffer to one row.
-    """
-
-    def __init__(self) -> None:
-        self._size = _BLOCK_POINTS
-        self._bufs: List[np.ndarray] = []
-        self._flags = None
-        self._index = None
-
-    def _fit(self, points: int) -> None:
-        if points > self._size:
-            self._size = points
-            self._bufs, self._flags, self._index = [], None, None
-
-    def blocks(self, runs: Sequence[Tuple[int, int]],
-               row_points: int) -> Iterator[Tuple[int, int]]:
-        """Cut each (start, stop) run of grid rows into (lo, hi) blocks of
-        as many whole rows of `row_points` points as one buffer holds."""
-        self._fit(row_points)
-        step = self._size // row_points
-        for start, stop in runs:
-            for lo in range(start, stop, step):
-                yield lo, min(lo + step, stop)
-
-    def buffer(self, i: int, shape: Tuple[int, ...]) -> np.ndarray:
-        self._fit(math.prod(shape))
-        while len(self._bufs) <= i:
-            self._bufs.append(np.empty(self._size))
-        return self._bufs[i][:math.prod(shape)].reshape(shape)
-
-    def arrays(self, shape: Tuple[int, ...], count: int) -> List[np.ndarray]:
-        """`count` float arrays of `shape`, none of them `MinPad`'s."""
-        return [self.buffer(2 + i, shape) for i in range(count)]
-
-    def flags(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """A bool array of `shape`, for a block's mask."""
-        if self._flags is None:
-            self._flags = np.empty(self._size, dtype=bool)
-        return self._flags[:math.prod(shape)].reshape(shape)
-
-    def index(self, k: int) -> np.ndarray:
-        """0.0, 1.0, ..., k - 1 as floats."""
-        if self._index is None:
-            self._index = np.arange(self._size, dtype=float)
-        return self._index[:k]
+    One array, not `count`: glibc maps it afresh and, when it is freed,
+    raises its mmap and trim thresholds above it, so later claims and calls
+    reuse heap memory.  Separate 150 KB buffers would be mapped afresh by
+    every claim: about 1900 minor page faults per warm verify call, against
+    0-7."""
+    step = max(_BLOCK_POINTS // math.prod(row_shape), 1)
+    rows = min(step, max((stop - start for start, stop in runs), default=0))
+    bufs = np.empty((count, rows) + row_shape)
+    for start, stop in runs:
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            yield lo, hi, bufs[:, :hi - lo]
 
 
 class MinPad:
@@ -121,16 +87,16 @@ class MinPad:
     The pad is half the largest neighbour difference along each axis,
     summed over the axes; NaN cells are skipped.  Blocks are runs of whole
     rows in ascending order, and rows never added count as NaN: a block's
-    first row is the neighbour of the previous block's last row only when
-    their indices are adjacent.
+    first row is the neighbour of the previous block's last row, kept in
+    a copy, only when their indices are adjacent.
     """
 
-    def __init__(self, shape: Tuple[int, ...], ws: Workspace) -> None:
+    def __init__(self, shape: Tuple[int, ...]) -> None:
         self._shape = shape
-        self._ws = ws
         self._raw = math.nan
         self._hi = [math.nan] * len(shape)
         self._lo = [math.nan] * len(shape)
+        self._last = None               # a copy of the last row added
         self._next = -1                 # the row adjacent to the last block
 
     def _fold(self, axis: int, diff: np.ndarray) -> None:
@@ -142,20 +108,12 @@ class MinPad:
     def add(self, first: int, block: np.ndarray) -> None:
         """Fold in grid rows first, first + 1, ..., first + len(block) - 1."""
         self._raw = np.fmin(self._raw, np.fmin.reduce(block, axis=None))
-        last = self._ws.buffer(1, (1,) + block.shape[1:])
         if first == self._next:
-            diff = self._ws.buffer(0, last.shape)
-            np.subtract(block[:1], last, out=diff)
-            self._fold(0, diff)
+            self._fold(0, block[:1] - self._last)
         for axis, size in enumerate(block.shape):
             if size > 1:
-                head = (slice(None),) * axis
-                shape = block.shape[:axis] + (size - 1,) + block.shape[axis + 1:]
-                diff = self._ws.buffer(0, shape)
-                np.subtract(block[head + (slice(1, None),)],
-                            block[head + (slice(None, -1),)], out=diff)
-                self._fold(axis, diff)
-        np.copyto(last, block[-1:])
+                self._fold(axis, np.diff(block, axis=axis))
+        self._last = block[-1:].copy()
         self._next = first + len(block)
 
     def result(self) -> Tuple[float, float]:
@@ -178,7 +136,7 @@ def _runs(mask: np.ndarray) -> List[Tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
 
 
-def _linspace(start, stop, num: int, out: np.ndarray, ws: Workspace,
+def _linspace(start, stop, num: int, out: np.ndarray,
               first: int = 0) -> np.ndarray:
     """Points first, first + 1, ... of np.linspace(start, stop, num) along
     the last axis of `out`, bit for bit: point i is
@@ -186,7 +144,7 @@ def _linspace(start, stop, num: int, out: np.ndarray, ws: Workspace,
     `start` and `stop` are floats or hold one value per row of `out`."""
     k = out.shape[-1]
     step = np.subtract(stop, start, dtype=float) / (num - 1)
-    np.add(ws.index(k), first, out=out)
+    np.copyto(out, np.arange(first, first + k))
     out *= np.reshape(step, np.shape(step) + (1,))
     out += np.reshape(start, np.shape(start) + (1,))
     if first + k == num:
@@ -231,13 +189,12 @@ def _lambda_of(b: np.ndarray, a3: np.ndarray, ch3: np.ndarray,
 # individual claims
 # ---------------------------------------------------------------------------
 
-def _claim_equ0_cond0(n: int, ws: Workspace) -> ClaimReport:
+def _claim_equ0_cond0(n: int) -> ClaimReport:
     # the cubic sufficient condition for the equilateral strategy's
     # condition (0): 17 x^2 - x^3 - 8x - 8 > 0 on x = cosh(a3/2)
-    acc = MinPad((n,), ws)
-    for lo, hi in ws.blocks([(0, n)], 1):
-        x, v, t = ws.arrays((hi - lo,), 3)
-        _linspace(math.sqrt(2.0), math.sqrt(5.68 / 2.0), n, x, ws, lo)
+    acc = MinPad((n,))
+    for lo, hi, (x, v, t) in _blocks([(0, n)], (), 3):
+        _linspace(math.sqrt(2.0), math.sqrt(5.68 / 2.0), n, x, lo)
         np.multiply(x, x, out=v)
         v *= 17.0
         np.power(x, 3, out=t)
@@ -249,12 +206,11 @@ def _claim_equ0_cond0(n: int, ws: Workspace) -> ClaimReport:
                       "x^3 + 8x + 8 < 17 x^2 on [sqrt 2, sqrt(5.68/2)]")
 
 
-def _claim_equ0_cond1(n: int, ws: Workspace) -> ClaimReport:
+def _claim_equ0_cond1(n: int) -> ClaimReport:
     # 2 - (cosh a3 + 1)/8 sinh^2((3 a3 - lam)/4) at the floor lam
-    acc = MinPad((n,), ws)
-    for lo, hi in ws.blocks([(0, n)], 1):
-        a3, ch3, lam, t = ws.arrays((hi - lo,), 4)
-        _linspace(ACOSH3, B2_HALF, n, a3, ws, lo)
+    acc = MinPad((n,))
+    for lo, hi, (a3, ch3, lam, t) in _blocks([(0, n)], (), 4):
+        _linspace(ACOSH3, B2_HALF, n, a3, lo)
         np.cosh(a3, out=ch3)
         _lambda_floor(ch3, lam, t)
         np.multiply(3, a3, out=t)
@@ -270,13 +226,12 @@ def _claim_equ0_cond1(n: int, ws: Workspace) -> ClaimReport:
                       "(cosh b3 - 1) sinh^2((3a3 - lam)/4) <= 2 at extremal b3")
 
 
-def _claim_equ0_cond2(n: int, ws: Workspace) -> ClaimReport:
+def _claim_equ0_cond2(n: int) -> ClaimReport:
     # 1 + cosh(b1) sinh(lam/2) sinh(a3/2) - cosh(lam/2) cosh(a3/2) with
     # cosh(b1) = (3 + cosh^2 a3) / sinh^2 a3, at the floor lam
-    acc = MinPad((n,), ws)
-    for lo, hi in ws.blocks([(0, n)], 1):
-        a3, v, lam, t, s = ws.arrays((hi - lo,), 5)
-        _linspace(ACOSH3, B2_HALF, n, a3, ws, lo)
+    acc = MinPad((n,))
+    for lo, hi, (a3, v, lam, t, s) in _blocks([(0, n)], (), 5):
+        _linspace(ACOSH3, B2_HALF, n, a3, lo)
         np.cosh(a3, out=v)
         _lambda_floor(v, lam, t)
         v *= v
@@ -300,7 +255,7 @@ def _claim_equ0_cond2(n: int, ws: Workspace) -> ClaimReport:
                       "<= 1")
 
 
-def _claim_equ0_lambda_floor(n: int, ws: Workspace) -> ClaimReport:
+def _claim_equ0_lambda_floor(n: int) -> ClaimReport:
     # lam is decreasing in b3 and equals the closed floor exactly at the
     # largest admissible b3; the claim checks the strict gap on an interior
     # band and the boundary identity separately
@@ -312,10 +267,9 @@ def _claim_equ0_lambda_floor(n: int, ws: Workspace) -> ClaimReport:
     lam = _lambda_of(b3max, a3, ch3, *np.empty((3, m)))
     boundary_resid = float(np.max(np.abs(lam - floor)))
     b3_stop = b3max - 0.05
-    acc = MinPad((m, m), ws)
-    for lo, hi in ws.blocks([(0, m)], m):
-        b3, lam, t, u = ws.arrays((hi - lo, m), 4)
-        _linspace(0.2, b3_stop[lo:hi], m, b3, ws)
+    acc = MinPad((m, m))
+    for lo, hi, (b3, lam, t, u) in _blocks([(0, m)], (m,), 4):
+        _linspace(0.2, b3_stop[lo:hi], m, b3)
         _lambda_of(b3, a3[lo:hi, None], ch3[lo:hi, None], lam, t, u)
         acc.add(lo, np.subtract(lam, floor[lo:hi, None], out=lam))
     rep = acc.report("equ0_lambda_floor",
@@ -327,7 +281,7 @@ def _claim_equ0_lambda_floor(n: int, ws: Workspace) -> ClaimReport:
     return rep
 
 
-def _claim_iso0_conditions(n: int, ws: Workspace) -> ClaimReport:
+def _claim_iso0_conditions(n: int) -> ClaimReport:
     # isosceles strategy in the (+1, -1) case on the region
     # cosh(a2) >= cosh(a1) + 2, a2 <= a3 <= B2/2; grid axes (a1, a2, a3)
     m = max(int(round(n ** (1.0 / 3.0))), 24)
@@ -342,10 +296,9 @@ def _claim_iso0_conditions(n: int, ws: Workspace) -> ClaimReport:
     ch23 = ch2[:, None] * ch3               # b1 = acosh((ch1 + ch23) / sh23)
     sh23 = sh2[:, None] * sh3
     a2_le_a3 = a2[:, None] <= a3
-    acc = MinPad((m, m, m), ws)
-    for lo, hi in ws.blocks([(0, m)], m * m):
+    acc = MinPad((m, m, m))
+    for lo, hi, (b1, b3, lam, s, c, t, v) in _blocks([(0, m)], (m, m), 7):
         r = slice(lo, hi)
-        b1, b3, lam, s, c, t, v = ws.arrays((hi - lo, m, m), 7)
         np.add(ch1[r, None, None], ch23, out=b1)
         b1 /= sh23
         np.arccosh(b1, out=b1)
@@ -379,16 +332,14 @@ def _claim_iso0_conditions(n: int, ws: Workspace) -> ClaimReport:
         np.add((ch1h[r, None] * ch3h)[:, None, :], b3, out=t)
         np.subtract(ch3, t, out=t)
         np.minimum(v, t, out=v)
-        mask = ws.flags(v.shape)
-        np.logical_and((ch2 >= (ch1[r] + 2.0)[:, None])[:, :, None], a2_le_a3,
-                       out=mask)
-        np.copyto(v, np.nan, where=np.logical_not(mask, out=mask))
+        mask = (ch2 >= (ch1[r] + 2.0)[:, None])[:, :, None] & a2_le_a3
+        np.copyto(v, np.nan, where=~mask)
         acc.add(lo, v)
     return acc.report("iso0_conditions",
                       "isosceles conditions (1)-(3) on cosh(a2) > cosh(a1) + 2")
 
 
-def _claim_interval_u3(n: int, ws: Workspace) -> ClaimReport:
+def _claim_interval_u3(n: int) -> ClaimReport:
     # grid axes (a2, a3); u3max = cosh(a2/2) / cosh(a3/2)
     # sqrt(cosh(a2 + a3/2) cosh(a2 - a3/2))
     m = max(int(math.sqrt(n)), 64)
@@ -396,10 +347,9 @@ def _claim_interval_u3(n: int, ws: Workspace) -> ClaimReport:
     a3 = np.linspace(0.05, B2_HALF, m)
     ch2h, ch3h, half3 = np.cosh(a2 / 2), np.cosh(a3 / 2), a3 / 2
     ch2p1 = np.cosh(a2) + 1.0
-    acc = MinPad((m, m), ws)
-    for lo, hi in ws.blocks([(0, m)], m):
+    acc = MinPad((m, m))
+    for lo, hi, (v, t, u) in _blocks([(0, m)], (m,), 3):
         r = slice(lo, hi)
-        v, t, u = ws.arrays((hi - lo, m), 3)
         np.divide(ch2h[r, None], ch3h, out=v)
         np.add(a2[r, None], half3, out=t)
         np.cosh(t, out=t)
@@ -409,38 +359,36 @@ def _claim_interval_u3(n: int, ws: Workspace) -> ClaimReport:
         np.sqrt(t, out=t)
         v *= t
         np.subtract(ch2p1[r, None], v, out=v)
-        mask = np.less_equal(a2[r, None], a3, out=ws.flags(v.shape))
-        np.copyto(v, np.nan, where=np.logical_not(mask, out=mask))
+        np.copyto(v, np.nan, where=a2[r, None] > a3)
         acc.add(lo, v)
     return acc.report("interval_u3_bound",
                       "max u3 <= cosh(a2) + 1 for a2 <= a3")
 
 
-def _claim_phi_below_9(n: int, ws: Workspace) -> ClaimReport:
+def _claim_phi_below_9(n: int) -> ClaimReport:
     # the true threshold sits within 2e-3 of 9 at a3 = 1.459, so the
     # certified band stops one crossing-tolerance short of it; the claim
     # below brackets the crossing itself
     m = max(int(math.sqrt(n)), 64)
     a3 = np.linspace(0.05, 1.449, m)
-    vals = np.subtract(9.0, phi_max(a3, m, ws))
-    acc = MinPad((m,), ws)
+    vals = np.subtract(9.0, phi_max(a3, m))
+    acc = MinPad((m,))
     acc.add(0, vals)
     return acc.report("phi_below_9",
                       "max_a1 Phi(a1, a3) <= 9 for a3 <= 1.459 - 0.01")
 
 
-def phi_max(a3: np.ndarray, n: int, ws: Workspace) -> np.ndarray:
+def phi_max(a3: np.ndarray, n: int) -> np.ndarray:
     """max of Phi(a1, a3) over n points a1 in [1e-3, a3] for each entry of
     the 1-D array a3, a block of a3 values at a time:
     Phi = (s3^2 - s1^2) / s3^2 + sqrt(s6^2 - s1^2) s1 / s3 with
     s1 = sinh a1, s3 = sinh a3, s6 = sinh(2 a3)."""
     out = np.empty(a3.size)
-    for lo, hi in ws.blocks([(0, a3.size)], n):
-        s1, t, u = ws.arrays((hi - lo, n), 3)
+    for lo, hi, (s1, t, u) in _blocks([(0, a3.size)], (n,), 3):
         s3 = np.sinh(a3[lo:hi])[:, None]
         s6 = np.sinh(2 * a3[lo:hi])[:, None]
         s3_sq = s3 ** 2
-        _linspace(1e-3, a3[lo:hi], n, s1, ws)
+        _linspace(1e-3, a3[lo:hi], n, s1)
         np.sinh(s1, out=s1)
         np.multiply(s1, s1, out=t)
         np.subtract(s6 ** 2, t, out=u)
@@ -454,9 +402,9 @@ def phi_max(a3: np.ndarray, n: int, ws: Workspace) -> np.ndarray:
     return out
 
 
-def _claim_phi_crossing(n: int, ws: Workspace) -> ClaimReport:
+def _claim_phi_crossing(n: int) -> ClaimReport:
     # the maximum of Phi crosses 9 inside a3 in [1.449, 1.469]
-    phi = phi_max(np.array([1.449, 1.469]), max(n, 512), ws)
+    phi = phi_max(np.array([1.449, 1.469]), max(n, 512))
     low = min(9.0 - float(phi[0]), float(phi[1]) - 9.0)
     return ClaimReport(claim_id="phi_crossing_near_1459",
                        margin=low, raw_min=low,
@@ -464,23 +412,24 @@ def _claim_phi_crossing(n: int, ws: Workspace) -> ClaimReport:
                        detail="max Phi < 9 at a3 = 1.449 and > 9 at 1.469")
 
 
-def _claim_equi1_on_x2(n: int, ws: Workspace) -> ClaimReport:
+def _claim_equi1_on_x2(n: int) -> ClaimReport:
     # the binding corner (a1 = l2(2.23), a3 = 2.23) leaves a margin of only
     # 5e-3, so the mesh must be fine enough for the pad to fit under it;
     # grid axes (a3, a1), a1 in [max(l1, l2)(a3), a3], empty rows NaN
     m = max(int(math.sqrt(n)) * 3, 384)
     a3 = np.linspace(1.42, REGION_A3_MAX, m)
     lo = np.maximum(line_l1(a3), line_l2(a3))
-    acc = MinPad((m, m), ws)
-    for r0, r1 in ws.blocks(_runs(lo <= a3), m):
-        acc.add(r0, _equi1_worst(lo[r0:r1], a3[r0:r1], m, ws))
+    acc = MinPad((m, m))
+    for r0, r1, bufs in _blocks(_runs(lo <= a3), (m,), 8):
+        acc.add(r0, _equi1_worst(lo[r0:r1], a3[r0:r1], bufs))
     return acc.report("equi1_on_X2",
                       "equilateral conditions (0)-(3) across region X2")
 
 
-def _equi1_worst(lo: np.ndarray, a3: np.ndarray, m: int,
-                 ws: Workspace) -> np.ndarray:
-    """min of conditions (0)-(3) on the rows a1 = linspace(lo, a3, m).
+def _equi1_worst(lo: np.ndarray, a3: np.ndarray,
+                 bufs: np.ndarray) -> np.ndarray:
+    """min of conditions (0)-(3) on the rows a1 = linspace(lo, a3, m),
+    evaluated in `bufs`, eight (rows, m) arrays stacked.
 
     No inverse function is evaluated: with y = sin(alpha),
     cos(alpha) = sqrt((1 - y)(1 + y)); with x = cosh(a3) tanh(a1)^2 =
@@ -490,8 +439,8 @@ def _equi1_worst(lo: np.ndarray, a3: np.ndarray, m: int,
     cos(alpha) cosh((a3 - lam)/2) - sin(alpha) sinh((a3 + lam)/2)
     = ((cos(alpha) E + sin(alpha)/E)/L + (cos(alpha)/E - sin(alpha) E) L)/2.
     """
-    a1, s1, th1, s2a1, x, t, u, worst = ws.arrays((a3.size, m), 8)
-    _linspace(lo, a3, m, a1, ws)
+    a1, s1, th1, s2a1, x, t, u, worst = bufs
+    _linspace(lo, a3, a1.shape[1], a1)
     v = a3[:, None]
     ch3, sh3, e = np.cosh(v), np.sinh(v), np.exp(v / 2.0)
     e3 = e ** 3
@@ -554,7 +503,7 @@ def _equi1_worst(lo: np.ndarray, a3: np.ndarray, m: int,
     return np.minimum(worst, u, out=worst)
 
 
-def _claim_iso1_on_x4(n: int, ws: Workspace) -> ClaimReport:
+def _claim_iso1_on_x4(n: int) -> ClaimReport:
     # grid axes (a3, a1, a2), rows outside region X4's a3 range NaN
     m = max(int(round(n ** (1.0 / 3.0))), 24)
     a3 = np.linspace(1.696, REGION_A3_MAX, m)
@@ -587,21 +536,18 @@ def _claim_iso1_on_x4(n: int, ws: Workspace) -> ClaimReport:
     # a2 >= lam is the defining inequality of X4 itself (equality on the
     # region boundary), so it is folded into the mask
     a2_ok = (np.cosh(A2) ** 2 >= np.sinh(A2) * sh3) & (A2 >= lam - X4_MASK_SLACK)
-    acc = MinPad((m, m, m), ws)
-    for lo, hi in ws.blocks(_runs(in_x4), m * m):
+    acc = MinPad((m, m, m))
+    for lo, hi, (v,) in _blocks(_runs(in_x4), (m, m), 1):
         k0 = int(np.searchsorted(rows, lo))
         k = slice(k0, k0 + hi - lo)
-        (v,) = ws.arrays((hi - lo, m, m), 1)
         np.copyto(v, vals[k])
-        mask = np.greater_equal(A2[k], A1[k], out=ws.flags(v.shape))
-        np.logical_and(mask, a2_ok[k], out=mask)
-        np.copyto(v, np.nan, where=np.logical_not(mask, out=mask))
+        np.copyto(v, np.nan, where=~((A2[k] >= A1[k]) & a2_ok[k]))
         acc.add(lo, v)
     return acc.report("iso1_on_X4",
                       "isosceles conditions and preconditions across region X4")
 
 
-def _claim_flat_identity(n: int, ws: Workspace) -> ClaimReport:
+def _claim_flat_identity(n: int) -> ClaimReport:
     # grid axes (a1, a2), a3 = a1 + a2
     m = max(int(math.sqrt(n)), 128)
     a1 = np.linspace(0.05, B2_HALF / 2.0, m)
@@ -609,10 +555,9 @@ def _claim_flat_identity(n: int, ws: Workspace) -> ClaimReport:
     ch1, ch2, sh2 = np.cosh(a1), np.cosh(a2), np.sinh(a2)
     sh2_sq, ch1x2 = sh2 ** 2, 2.0 * ch1
     resid = -np.inf
-    acc = MinPad((m, m), ws)
-    for lo, hi in ws.blocks([(0, m)], m):
+    acc = MinPad((m, m))
+    for lo, hi, (lhs, sh3, rhs) in _blocks([(0, m)], (m,), 3):
         r = slice(lo, hi)
-        lhs, sh3, rhs = ws.arrays((hi - lo, m), 3)
         np.add(a1[r, None], a2, out=lhs)
         np.sinh(lhs, out=sh3)
         np.cosh(lhs, out=lhs)
@@ -639,11 +584,10 @@ def _claim_flat_identity(n: int, ws: Workspace) -> ClaimReport:
     return rep
 
 
-def _claim_selfhex_cap(n: int, ws: Workspace) -> ClaimReport:
-    acc = MinPad((n,), ws)
-    for lo, hi in ws.blocks([(0, n)], 1):
-        a3, v = ws.arrays((hi - lo,), 2)
-        _linspace(0.05, B2_HALF, n, a3, ws, lo)
+def _claim_selfhex_cap(n: int) -> ClaimReport:
+    acc = MinPad((n,))
+    for lo, hi, (a3, v) in _blocks([(0, n)], (), 2):
+        _linspace(0.05, B2_HALF, n, a3, lo)
         a3 /= 2.0
         np.sinh(a3, out=v)
         np.power(v, 4, out=v)
@@ -658,7 +602,7 @@ def _claim_selfhex_cap(n: int, ws: Workspace) -> ClaimReport:
                       "bound")
 
 
-def _claim_comdelta_cap(n: int, ws: Workspace) -> ClaimReport:
+def _claim_comdelta_cap(n: int) -> ClaimReport:
     val = 11.35 - (2.0 + 2.0 * COSH_B2_HALF)
     return ClaimReport(claim_id="mixed_delta3_cap_11.35", margin=val,
                        raw_min=val, lipschitz_pad=0.0, grid_points=1,
@@ -666,7 +610,7 @@ def _claim_comdelta_cap(n: int, ws: Workspace) -> ClaimReport:
                               "Bers value")
 
 
-CLAIMS: List[Tuple[Callable[[int, Workspace], ClaimReport], int]] = [
+CLAIMS: List[Tuple[Callable[[int], ClaimReport], int]] = [
     (_claim_equ0_cond0, 200_000),
     (_claim_equ0_cond1, 200_000),
     (_claim_equ0_cond2, 200_000),

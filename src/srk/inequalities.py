@@ -9,11 +9,11 @@ positivity at the granularity of the pad.  This reproduces the assurance
 level of the original computer checks; formal interval arithmetic is out of
 scope.
 
-The claims stream their grids through reused block buffers (see
-`srk._grids`, which imports numpy at its top).  `verify_paper_inequalities`
-and `phi_max_over_a1` import that module, and numpy with it, on their first
-call: importing this module (as `srk` and its CLI do) compiles neither, and
-`srk verify` loads both on its first claim.
+The claims stream their grids in blocks of whole rows, each claim through
+its own block buffers (see `srk._grids`, which imports numpy at its top).
+`verify_paper_inequalities` and `phi_max_over_a1` import that module, and
+numpy with it, on their first call: importing this module (as `srk` and its
+CLI do) compiles neither, and `srk verify` loads both on its first claim.
 
 `boum_bound` and `bandwidth_window` are two of the paper's trace bounds in
 closed form, on floats; acceptance criterion 10 checks them against matrix
@@ -46,21 +46,29 @@ def verify_paper_inequalities(scale: float = 1.0) -> List[ClaimReport]:
 
     `scale` multiplies the grid sizes (used by the refinement stability
     check).  A non-positive margin signals a genuine contradiction with the
-    source of the inequality and is surfaced, never suppressed.  Every
-    claim streams its grid through one workspace made here.
+    source of the inequality and is surfaced, never suppressed.
     """
     from . import _grids
-    ws = _grids.Workspace()
-    return [fn(max(int(base_n * scale), 16), ws)
-            for fn, base_n in _grids.CLAIMS]
+    return [fn(max(int(base_n * scale), 16)) for fn, base_n in _grids.CLAIMS]
 
 
 def phi_max_over_a1(a3: float) -> float:
-    """max of Phi(a1, a3) over 512 points a1 in [1e-3, a3]."""
+    """max of Phi(a1, a3) over 512 points a1 in [1e-3, a3].
+
+    The domain is a finite a3 >= 1e-3, else ValueError; past a3 of about
+    177.79, sinh(2 a3)^2 overflows a float and the call raises OverflowError.
+    """
+    a3 = float(a3)
+    if not (math.isfinite(a3) and a3 >= 1e-3):
+        raise ValueError(f"phi_max_over_a1 needs a finite a3 >= 1e-3, "
+                         f"got {a3!r}")
     import numpy as np
     from . import _grids
-    return float(_grids.phi_max(np.array([float(a3)]), 512,
-                                _grids.Workspace())[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = float(_grids.phi_max(np.array([a3]), 512)[0])
+    if not math.isfinite(phi):
+        raise OverflowError(f"max of Phi at a3 = {a3!r} overflows a float")
+    return phi
 
 
 def boum_bound(a, t) -> Tuple[Tuple[float, float, float], bool]:

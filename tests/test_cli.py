@@ -719,12 +719,16 @@ def _python_m_srk(argv, text=True, extra_env=None, **kwargs):
                            *argv], text=text, env=env, timeout=120, **kwargs)
 
 
+def _numpy_finds_avx512():
+    found = set(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
+    return bool(found & {"X86_V4", "AVX512_SKX"})
+
+
 def _verify_golden(scale):
     """The committed verify table for numpy's SIMD target: its AVX-512
     kernels (SVML) round some float64 functions differently from the libm
     that numpy calls without them."""
-    found = set(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
-    kernels = "" if found & {"X86_V4", "AVX512_SKX"} else ".no_avx512"
+    kernels = "" if _numpy_finds_avx512() else ".no_avx512"
     return CERTIFICATE.parent / f"verify_scale{scale}{kernels}.csv"
 
 
@@ -1006,6 +1010,21 @@ class TestVerify:
         assert cli.main(["verify", "--scale", scale, "--format", "csv",
                          "--out", str(out)]) == 0
         assert out.read_bytes() == _verify_golden(scale).read_bytes()
+
+    @pytest.mark.skipif(not _numpy_finds_avx512(),
+                        reason="test_golden_csv checks the table without "
+                               "AVX-512 on this host")
+    @pytest.mark.parametrize("scale", ["0.05", "1"])
+    def test_golden_csv_without_avx512(self, scale):
+        """With numpy's AVX-512 kernels switched off, `python -m srk verify`
+        writes the committed tables for a target without them."""
+        proc = _python_m_srk(
+            ["verify", "--scale", scale, "--format", "csv"], text=False,
+            capture_output=True, extra_env={
+                "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        golden = CERTIFICATE.parent / f"verify_scale{scale}.no_avx512.csv"
+        assert proc.stdout == golden.read_bytes()
 
     @pytest.mark.parametrize("scale", ["100.5", "1e6", "1e300"])
     def test_scale_above_the_bound_is_refused(self, monkeypatch, capsys,

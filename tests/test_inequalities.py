@@ -96,7 +96,7 @@ def _equi1_reference(n):
 def test_equi1_matches_inverse_trig_reference(scale):
     n = int(160_000 * scale)
     raw, pad, points = _equi1_reference(n)
-    rep = _grids._claim_equi1_on_x2(n, _grids.Workspace())
+    rep = _grids._claim_equi1_on_x2(n)
     assert rep.grid_points == points
     assert rep.raw_min == pytest.approx(raw, abs=1e-12)
     assert rep.lipschitz_pad == pytest.approx(pad, abs=1e-12)
@@ -112,26 +112,21 @@ def _phi_max_whole_row(a3, n):
     return float(np.max(phi))
 
 
-def test_a_row_longer_than_a_block_grows_the_workspace():
+def test_a_row_longer_than_a_block_equals_the_whole_row():
     """A claim whose rows outgrow a block (verify above scale 4.7 or so)
-    enlarges every buffer to one row; the reports do not change, and
-    neither do those of later claims on the grown workspace."""
+    takes one row per block, and reports what one whole row gives."""
     n = 20480
     assert n > _grids._BLOCK_POINTS
-    ws = _grids.Workspace()
-    rep = _grids._claim_phi_crossing(n, ws)
-    assert ws._size == n
+    rep = _grids._claim_phi_crossing(n)
     want = min(9.0 - _phi_max_whole_row(1.449, n),
                _phi_max_whole_row(1.469, n) - 9.0)
     assert rep.raw_min == want
-    assert rep == _grids._claim_phi_crossing(n, _grids.Workspace())
-    assert _grids._claim_equi1_on_x2(8000, ws) == \
-        _grids._claim_equi1_on_x2(8000, _grids.Workspace())
 
 
 def test_memory_does_not_grow_with_scale():
     """At scale 4 a whole-grid evaluation held 88 MB of arrays; streamed
-    through one workspace, a call holds its buffers and per-axis vectors."""
+    block by block, a call holds one claim's buffers and per-axis
+    vectors."""
     verify_paper_inequalities(scale=0.05)
     tracemalloc.start()
     try:
@@ -158,7 +153,7 @@ def _pad_and_min(values):
 def _streamed(values, block, skip_nan_rows):
     """`MinPad` fed `block` rows at a time; with `skip_nan_rows`, rows that
     are entirely NaN are never added, as the claims skip empty rows."""
-    acc = _grids.MinPad(values.shape, _grids.Workspace())
+    acc = _grids.MinPad(values.shape)
     runs = [(0, len(values))]
     if skip_nan_rows:
         empty = np.isnan(values).reshape(len(values), -1).all(axis=1)
@@ -210,12 +205,40 @@ def test_identity_residual_over_band_fails_the_claim(monkeypatch, claim,
                                                      band):
     # a residual above its band turns the claim's report into a failure
     # that keeps the grid figures and names the residual
-    good = claim(4096, _grids.Workspace())
+    good = claim(4096)
     monkeypatch.setattr(_grids, band, -1.0)
-    bad = claim(4096, _grids.Workspace())
+    bad = claim(4096)
     assert good.ok and not bad.ok and bad.margin == -1.0
     assert bad._replace(margin=good.margin, detail=good.detail) == good
     assert bad.detail.endswith("too large") and "residual" in bad.detail
+
+
+def _hexed(reports):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in r)
+            for r in reports]
+
+
+@pytest.mark.parametrize("points", [1000, 10**8])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, points):
+    """Every claim, end to end, reports the same bits whether its rows are
+    cut into blocks of 1000 points or each grid is one block."""
+    want = _hexed(verify_paper_inequalities(scale=0.3))
+    monkeypatch.setattr(_grids, "_BLOCK_POINTS", points)
+    assert _hexed(verify_paper_inequalities(scale=0.3)) == want
+
+
+@pytest.mark.parametrize("a3", [-1.0, 0.0, 1e-4, math.nan, math.inf, 178.0])
+def test_phi_max_outside_its_domain_raises(a3):
+    """Below 1e-3 the a1 interval [1e-3, a3] is empty; past about 177.79
+    sinh(2 a3)^2 overflows.  Neither answers, and no numpy warning
+    escapes (the suite turns warnings into errors)."""
+    with pytest.raises(OverflowError if a3 == 178.0 else ValueError):
+        inequalities.phi_max_over_a1(a3)
+
+
+@pytest.mark.parametrize("a3", [1e-3, 177.0])
+def test_phi_max_at_the_ends_of_its_domain_is_finite(a3):
+    assert math.isfinite(inequalities.phi_max_over_a1(a3))
 
 
 def test_positive_roots():
