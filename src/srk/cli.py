@@ -250,7 +250,7 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
         j = int(3.0 * u())             # the move along gamma_{j+1}
         k = int(5.0 * u()) - 2
         if k:
-            t[j] += 2.0 * k * a[j]      # as genus2.dehn_twist_gamma
+            t[j] += k * (2.0 * a[j])    # as genus2.dehn_twist_gamma
             put(j)
         cols[1] = str(step)
         rows.append(",".join(cols))
@@ -379,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="re-check the grid inequalities")
     v.add_argument("--scale", type=_positive, default=1.0,
-                   help="grid refinement multiplier")
+                   help="grid refinement multiplier; below about 0.05 "
+                        "a grid can be too coarse to prove a true claim, "
+                        "and verify exits 1")
     v.add_argument("--format", choices=("json", "csv"), default="json")
     v.add_argument("--out")
     v.set_defaults(fn=cmd_verify)

@@ -22,7 +22,9 @@ every letter of a word off a rep, a named curve or one of the generators
 A1, B1, A2, B2 in which the search writes every word that is not a named
 curve, and keeps each matrix in the rep's memo; `generator_images` builds
 the four generator images.  The search and the certificate replay move
-between reps with `dehn_twist_gamma`.
+between reps with `dehn_twist_gamma`, and `_place_twists` is the one home
+of twist normalisation: one pass finds each count and placed twist, which
+`twist_counts` and `normalize_twists` read from its cache on the rep.
 
 `twist_coeffs` is the one home of how a beta or delta trace depends on the
 twists, and `twist_trace` evaluates it.  With T_{-t_k} = e^{-t_k/2} E11 +
@@ -77,11 +79,10 @@ class GluedRep:
     """Glued genus-2 coordinate datum: the two pants and the twists.
 
     Two reps are equal when `p1`, `p2` and `t` are; the memo `quads` and
-    the cached twist counts and normalised rep take no part, nor in the
-    hash or the repr.
+    the cached twist placement take no part, nor in the hash or the repr.
     """
 
-    __slots__ = ("p1", "p2", "t", "quads", "_counts", "_normal")
+    __slots__ = ("p1", "p2", "t", "quads", "_normal")
 
     def __init__(self, p1: PantsRep, p2: PantsRep,
                  t: Tuple[float, float, float]) -> None:
@@ -89,8 +90,8 @@ class GluedRep:
         # the matrices of the word letters evaluated so far, curve tags and
         # generators: `curve_matrix` reads and fills it
         self.quads: Dict[str, Quad] = {}
-        # `twist_counts` and `normalize_twists`, once computed
-        self._counts = self._normal = None
+        # (counts, normalised rep or None) once `_place_twists` has run
+        self._normal = None
 
     def _key(self) -> tuple:
         return self.p1, self.p2, self.t
@@ -407,37 +408,43 @@ def _mixed_closed_form(eps1: PantsCase, eps2: PantsCase, a, t, tag: str,
 # ---------------------------------------------------------------------------
 
 def dehn_twist_gamma(rep: GluedRep, i: int, k: int = 1) -> GluedRep:
-    """Twist along gamma_i: t_i -> t_i + 2 k a_i (positive twist adds)."""
+    """Twist along gamma_i: t_i -> t_i + k (2 a_i) (positive twist adds)."""
     if i not in (1, 2, 3):
         raise Genus2Error("curve index must be 1, 2 or 3")
     return GluedRep(rep.p1, rep.p2, tuple(gamma_twists(rep.t, rep.a, i, k)))
 
 
 def gamma_twists(t, a, i: int, k: int) -> list:
-    """The twists of `dehn_twist_gamma`, with no rep: t_i + 2 k a_i."""
+    """The twists of `dehn_twist_gamma`, with no rep: t_i + k (2 a_i)."""
     t = list(t)
-    t[i - 1] += 2.0 * k * a[i - 1]
+    t[i - 1] += k * (2.0 * a[i - 1])
     return t
 
 
 def twist_counts(rep: GluedRep) -> Tuple[int, int, int]:
-    """Twist multiples k_i with t_i + 2 k_i a_i in [-a_i, a_i].
-
-    Boundary ties resolve to +a_i.  `normalize_twists` applies the counts;
-    the search logs them as twist moves.  Raises Genus2Error for a twist so
-    huge that it has lost its place in its orbit: the rounded t_i + 2 k_i
-    a_i lies more than TWIST_EDGE outside [-a_i, a_i] (before a tie moves
-    it) or off the exact remainder of t_i modulo 2 a_i.  Cached on `rep`:
-    `search.classify_scope`, `normalize_twists` and the search's move log
-    read it.
-    """
-    if rep._counts is None:
-        rep._counts = _count_twists(rep)
-    return rep._counts
+    """Twist multiples k_i with t_i + k_i (2 a_i) in [-a_i, a_i]
+    (`_place_twists`).  The search logs them as twist moves."""
+    return _place_twists(rep)[0]
 
 
-def _count_twists(rep: GluedRep) -> Tuple[int, int, int]:
-    counts = []
+def normalize_twists(rep: GluedRep) -> GluedRep:
+    """Twist each t_i into [-a_i, a_i]; boundary ties resolve to +a_i
+    (`_place_twists`).  Its callers share one normalised rep and the curves
+    and generators evaluated on it; `rep` itself when no count moves."""
+    return _place_twists(rep)[1] or rep
+
+
+def _place_twists(rep: GluedRep) -> Tuple[tuple, Optional[GluedRep]]:
+    """(counts k_i, normalised rep or None when no count moves) from one
+    pass over the twists, cached on `rep`.  Each placed twist is t_i +
+    k_i (2 a_i), a boundary tie moved to +a_i; a count of 0 keeps the bits
+    of t_i (-0.0 stays -0.0).  Raises Genus2Error for a twist so huge that
+    it has lost its place in its orbit: the rounded placed twist lies more
+    than TWIST_EDGE outside [-a_i, a_i] (before a tie moves it) or off the
+    exact remainder of t_i modulo 2 a_i."""
+    if rep._normal is not None:
+        return rep._normal
+    counts, placed = [], []
     for ti, ai in zip(rep.t, rep.a):
         width = 2.0 * ai
         try:
@@ -445,34 +452,19 @@ def _count_twists(rep: GluedRep) -> Tuple[int, int, int]:
         except OverflowError:       # t_i / 2 a_i overflows: refused below
             k = 0
         tn = ti + k * width
-        placed = abs(tn) <= ai + TWIST_EDGE
+        inside = abs(tn) <= ai + TWIST_EDGE
         if abs(tn + ai) < TWIST_EDGE:               # on the lower edge
             k += 1
             tn = ti + k * width
         gap = abs(tn - math.remainder(ti, width))
-        if not placed or (gap > TWIST_EDGE and abs(width - gap) > TWIST_EDGE):
+        if not inside or (gap > TWIST_EDGE and abs(width - gap) > TWIST_EDGE):
             raise Genus2Error(f"twist {ti} lands off its orbit when "
                               f"normalised modulo {width}")
         counts.append(k)
-    return tuple(counts)
-
-
-def normalize_twists(rep: GluedRep) -> GluedRep:
-    """Twist each t_i into [-a_i, a_i]; boundary ties resolve to +a_i.
-
-    Cached on `rep`, so that its callers share one normalised rep and the
-    curves and generators evaluated on it; `rep` itself when no count
-    moves.
-    """
-    if rep._normal is None:
-        counts = twist_counts(rep)
-        # False when no count moves: `rep` itself, held without a cycle.
-        # Only nonzero counts are applied, as the search's twist moves do,
-        # so that a twist of -0.0 keeps its bits.
-        rep._normal = any(counts) and GluedRep(rep.p1, rep.p2, tuple(
-            ti + 2.0 * k * ai if k else ti
-            for ti, k, ai in zip(rep.t, counts, rep.a)))
-    return rep._normal or rep
+        placed.append(tn if k else ti)
+    normal = GluedRep(rep.p1, rep.p2, tuple(placed)) if any(counts) else None
+    rep._normal = tuple(counts), normal
+    return rep._normal
 
 
 def sign_invariant(rep: GluedRep) -> str:

@@ -45,8 +45,13 @@ def verify_paper_inequalities(scale: float = 1.0) -> List[ClaimReport]:
     """Evaluate every computer-checked claim; all margins must be positive.
 
     `scale` multiplies the grid sizes (used by the refinement stability
-    check).  A non-positive margin signals a genuine contradiction with the
-    source of the inequality and is surfaced, never suppressed.
+    check).  A margin is the grid minimum less a Lipschitz pad that grows
+    with the grid spacing, so a positive margin proves the claim, while a
+    non-positive one says only that this grid cannot: on coarse grids the
+    pad exceeds a positive minimum.  At scale 0.02, phi_below_9 reads
+    -0.0117 on 64 points; at 0.001, selfhex_delta3_cap_6.8 also fails, at
+    -0.0165 on 200 points; at 0.05 all 13 claims pass.  A non-positive
+    margin is surfaced, never suppressed.
     """
     from . import _grids
     return [fn(max(int(base_n * scale), 16)) for fn, base_n in _grids.CLAIMS]

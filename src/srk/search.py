@@ -176,25 +176,6 @@ class SearchState:
 # replay
 # ---------------------------------------------------------------------------
 
-class _NotARep(Exception):
-    """A snapshot names no representation: the replay's report is not ok."""
-
-
-def _rep_from_snapshot(snap: Dict) -> GluedRep:
-    """The rep a snapshot's coordinates name, built by `build_glued`: the
-    pants the search built are memo hits.  Raises _NotARep when
-    `build_glued` refuses the coordinates; a CocycleResidualError (the
-    float build's range) propagates."""
-    eps1, eps2 = map(pants.case_from_string, snap["eps"])
-    try:
-        return build_glued(eps1, eps2, snap["a"], snap["t"])
-    except pants.CocycleResidualError:
-        raise
-    except (pants.PantsError, genus2.Genus2Error, hyptrig.TrigError) as exc:
-        raise _NotARep(f"snapshot coordinates name no representation: "
-                       f"{exc}") from None
-
-
 def _word_quad(rep: GluedRep, word: Sequence) -> Quad:
     """Product of a word of +-1 letters over the named curves and the
     generators of `rep`."""
@@ -230,8 +211,6 @@ def replay_certificate(cert: Certificate, tol: float = REPLAY_TOL) -> Dict:
     """
     try:
         return _replay(cert, tol)
-    except _NotARep as exc:
-        return {"ok": False, "reason": str(exc)}
     except pants.CocycleResidualError as exc:
         raise OutOfScopeError(f"a snapshot is outside the float build's "
                               f"range: {exc}") from None
@@ -242,7 +221,15 @@ def replay_certificate(cert: Certificate, tol: float = REPLAY_TOL) -> Dict:
 
 
 def _replay(cert: Certificate, tol: float) -> Dict:
-    rep = _rep_from_snapshot(cert.initial)
+    snap = cert.initial      # the pants the search built are memo hits
+    eps1, eps2 = map(pants.case_from_string, snap["eps"])
+    try:
+        rep = build_glued(eps1, eps2, snap["a"], snap["t"])
+    except pants.CocycleResidualError:
+        raise
+    except (pants.PantsError, genus2.Genus2Error, hyptrig.TrigError) as exc:
+        return {"ok": False, "reason": f"snapshot coordinates name no "
+                                       f"representation: {exc}"}
     for mv in cert.moves:
         if mv["kind"] != "twist":
             return {"ok": False, "reason": f"unknown move {mv['kind']!r}"}
@@ -286,11 +273,12 @@ def _normalize(state: SearchState) -> None:
     state.rep = genus2.normalize_twists(state.rep)
 
 
-def _found(state: SearchState, word: List) -> FoundCurve:
+def _found(state: SearchState, word: List):
+    """FoundCurve, or Stalled when the word's matrix trace fails its check."""
     tr = mtrace(_word_quad(state.rep, word))
-    if abs(tr) > 2.0 + TRACE_BAND:
-        raise SearchError(
-            f"found-curve verification failed: |{tr}| > 2 for {word}")
+    if not abs(tr) <= 2.0 + TRACE_BAND:
+        return _stalled(state, f"found curve fails its matrix check: "
+                               f"|tr| = {abs(tr)!r}")
     cert = Certificate(state.initial, state.moves,
                        [[name, int(e)] for name, e in word], float(tr))
     return FoundCurve(certificate=cert, rounds=state.rounds,
@@ -528,8 +516,10 @@ def search_nonhyperbolic(rep: GluedRep):
     The representation must have all half-lengths at most B2_HALF and total
     Euler class +1, -1, or 0 with sign invariant Minus.  Returns a
     FoundCurve with a replayable certificate, or Stalled with diagnostics,
-    which a torus reduction that fails (`torus.ReductionError`) also
-    returns.  Either answer's certificate is written once, as it ends.
+    which a torus reduction that fails (`torus.ReductionError`) and a
+    found word whose matrix trace fails its check also return.  Either
+    answer's certificate is written once, as it ends.  Raises only
+    OutOfScopeError, from the scope checks before the search starts.
     """
     for v in rep.a:
         if v > B2_HALF + B2_HALF_SLACK:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from .tolerances import DESCENT_MARGIN, KAPPA_DRIFT
+from .tolerances import DESCENT_MARGIN, KAPPA_DRIFT, TRACE_BAND
 from .words import Word, inverse
 
 MOVES = ("P12", "P23", "M3")
@@ -64,7 +64,7 @@ def _apply_move(move: str, triple, words):
 
 def _found_index(triple) -> Optional[int]:
     for idx, val in enumerate(triple):
-        if abs(val) <= 2.0:
+        if abs(val) <= 2.0 + TRACE_BAND:
             return idx + 1
     return None
 

@@ -307,6 +307,13 @@ class TestTamperedCertificates:
             _replay(data)
 
 
+def _snapshot_rep(snap):
+    """The rep a snapshot names, built by `genus2.build_glued` as the
+    replay builds it."""
+    eps1, eps2 = map(pants.case_from_string, snap["eps"])
+    return genus2.build_glued(eps1, eps2, snap["a"], snap["t"])
+
+
 class TestPantsMemo:
     def test_replays_do_not_depend_on_the_memo(self):
         """Over the benchmark's search corpora, each replay reports the
@@ -322,13 +329,13 @@ class TestPantsMemo:
             if not isinstance(out, search.FoundCurve):
                 continue
             cert = out.certificate
-            hit = search._rep_from_snapshot(cert.initial)
+            hit = _snapshot_rep(cert.initial)
             assert hit.p1 is rep.p1 and hit.p2 is rep.p2
             report = _hexed(replay_certificate(cert))
             pants._build.cache_clear()
             assert _hexed(replay_certificate(cert)) == report
             pants._build.cache_clear()
-            fresh = search._rep_from_snapshot(hit.to_dict())
+            fresh = _snapshot_rep(hit.to_dict())
             for p, q in ((hit.p1, fresh.p1), (hit.p2, fresh.p2)):
                 assert p is not q
                 assert p == q and p.solution == q.solution

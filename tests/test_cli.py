@@ -12,6 +12,7 @@ from pathlib import Path
 import classify_digests
 import numpy as np
 import pytest
+from bench_corpus import corpus
 
 import srk
 from srk import cli, genus2, hyptrig, inequalities, search, torus
@@ -704,6 +705,79 @@ def test_a_failed_torus_reduction_is_a_stall(rep_file, tmp_path, capsys,
                             "greedy descent stalled\n")
     data = json.loads(cert.read_text())
     assert data["curve"] is None and data["trace"] is None
+
+
+# Euler +-1 records with two half-lengths below 3e-3, where a handle's
+# found word fails its matrix check
+SHORT_HALF_LENGTHS = [
+    {"eps": ["Eu0PlusSelfHex", "EuMinus1"],
+     "a": [1.0824526870326485, 0.00014426749673446157, 0.002758207967464769],
+     "t": [-0.0021447783875142646, 1.8076058916929159, 0.08483057690419055]},
+    {"eps": ["Eu0MinusSelfHex", "EuPlus1"],
+     "a": [0.0019298413425307638, 0.0004988181711067675, 2.0799749614031215],
+     "t": [0.7450706003999766, -0.0007096180930537718,
+           -0.0011158502291825577]}]
+
+
+def _fuzz_records(seed, n):
+    """Records over all valid case pairs, cycled: every other cycle draws
+    half-lengths from `corpus.sample_a` at amax ~ U(0.5, 3), the others
+    each a_i log-uniform on [1e-4, 40]; each t_i is U(-1, 1) 10^U(-3, 3)."""
+    rng = np.random.default_rng(seed)
+    pairs = corpus.valid_pairs()
+    for r in range(n):
+        eps = pairs[r % len(pairs)]
+        if r // len(pairs) % 2 == 0:
+            anchor = eps[0] if corpus.kind(eps[0]) != "hex" else eps[1]
+            a = corpus.sample_a(anchor, rng, rng.uniform(0.5, 3.0))
+        else:
+            a = np.exp(rng.uniform(math.log(1e-4), math.log(40.0), 3))
+        t = rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
+        yield {"eps": list(eps), "a": [float(x) for x in a],
+               "t": [float(x) for x in t]}
+
+
+class TestNoTraceback:
+    """A valid record ends in an exit code, never in a traceback: `main`
+    is driven in process, so an exception would fail the test."""
+
+    @pytest.mark.parametrize("record", SHORT_HALF_LENGTHS,
+                             ids=["plus_selfhex", "minus_selfhex"])
+    def test_short_half_lengths_stall(self, tmp_path, capsys, record):
+        rec, cert = tmp_path / "rec.json", tmp_path / "cert.json"
+        rec.write_text(json.dumps(record))
+        assert cli.main(["search", str(rec), "--out", str(cert)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("search: stalled: found curve fails its "
+                              "matrix check: |tr| = ")
+        data = json.loads(cert.read_text())
+        assert data["curve"] is None and data["trace"] is None
+        assert cli.main(["classify", str(rec)]) == 3
+
+    @pytest.mark.parametrize("t1", [1e308, 1.7e308, -1.7e308])
+    def test_a_twist_near_the_float_limit(self, tmp_path, t1):
+        """The count's twist moves t_1 back into [-a_1, a_1], and the
+        replay's twist move does so again."""
+        rec, cert = tmp_path / "rec.json", tmp_path / "cert.json"
+        rec.write_text(json.dumps({"eps": ["EuPlus1", "EuMinus1"],
+                                   "a": [0.5, 1, 1], "t": [t1, 0, 0]}))
+        assert cli.main(["search", str(rec), "--out", str(cert)]) == 0
+        assert cli.main(["replay", str(cert), "--record", str(rec),
+                         "--out", os.devnull]) == 0
+
+    def test_seeded_sweep(self, tmp_path, capsys):
+        rec, cert = tmp_path / "rec.json", tmp_path / "cert.json"
+        found = 0
+        for record in _fuzz_records(41, 500):
+            rec.write_text(json.dumps(record))
+            code = cli.main(["search", str(rec), "--out", str(cert)])
+            assert code in (0, 2, 3, 64), record
+            if code == 0:
+                found += 1
+                assert cli.main(["replay", str(cert), "--record", str(rec),
+                                 "--out", os.devnull]) == 0, record
+        capsys.readouterr()
+        assert found > 100
 
 
 def _python_m_srk(argv, text=True, extra_env=None, **kwargs):

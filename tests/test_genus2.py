@@ -256,6 +256,12 @@ class TestTwists:
         assert trace_curve_matrix(tw, "delta3") == pytest.approx(
             trace_curve_matrix(rep, "delta3"), rel=1e-12)
 
+    def test_a_twist_back_from_the_float_limit_is_finite(self):
+        """t_i + k (2 a_i): the count meets the doubled half-length, so a
+        twist near the float limit comes back finite where 2 k overflows."""
+        t = genus2.gamma_twists((1e308, 0, 0), (0.5, 1, 1), 1, -10**308)
+        assert all(map(math.isfinite, t))
+
     def test_normalize_twists(self):
         rep = build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.0, 1.0),
                           (5.0, -3.2, 0.4))

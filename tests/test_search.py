@@ -759,17 +759,18 @@ class TestBetaTwist:
      "t": [2.5, -3.0, 7.1]},
     BETA_TWIST], ids=["placed", "wide", "beta_twist"])
 def test_twist_counts_once_per_rep(monkeypatch, record):
-    """`classify_scope`, `normalize_twists` and the move log share one count
-    per rep, and only the input rep is counted: the search dispatches
-    once, and the beta-twist step moves no coordinates."""
+    """`classify_scope`, `normalize_twists` and the move log share one
+    placement per rep, and only the input rep is placed: the search
+    dispatches once, and the beta-twist step moves no coordinates."""
     counted = []
-    count_twists = genus2._count_twists
+    place_twists = genus2._place_twists
 
     def counting(rep):
-        counted.append(rep)
-        return count_twists(rep)
+        if rep._normal is None:          # a computation, not a cache hit
+            counted.append(rep)
+        return place_twists(rep)
 
-    monkeypatch.setattr(genus2, "_count_twists", counting)
+    monkeypatch.setattr(genus2, "_place_twists", counting)
     rep = _rep(record)
     out = search_nonhyperbolic(rep)
     assert isinstance(out, FoundCurve)

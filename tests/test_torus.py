@@ -49,6 +49,16 @@ class TestReduce:
         assert res.found_index == 1
         assert res.moves == ()
 
+    @pytest.mark.parametrize("triple", [(2.0 + 5e-10, 3.0, 3.0),
+                                        (-2.0 - 5e-10, 3.0, 4.0)],
+                             ids=["above_2", "below_-2"])
+    def test_a_coordinate_within_the_trace_band_is_found(self, triple):
+        """|x| within TRACE_BAND of 2 is a found coordinate, as every
+        |tr| <= 2 verdict reads it, not a descent that stalls."""
+        res = reduce_triple(*triple)
+        assert res.found_index == 1
+        assert res.moves == ()
+
     def test_all_negative(self):
         res = reduce_triple(-3, -3, -3)
         assert res.all_negative
