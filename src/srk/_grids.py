@@ -1,13 +1,14 @@
 """The grid claims behind `srk.inequalities`, evaluated block by block.
 
-No grid is held whole.  A claim evaluates its grid in blocks of whole rows
-(slices along its first axis), at most `_BLOCK_POINTS` points each, and a
-`MinPad` folds each block into the running minimum and the largest
-neighbour difference along each axis, keeping a copy of the block's last
-row for the difference with the first row of the next.  `_blocks` makes a
-claim's block buffers once and hands them to every block; each per-point
-quantity is written into them with `out=`, and is evaluated only on the
-axes it depends on, broadcast against the others.  So a claim's memory
+No grid is held whole.  A claim evaluates one run of consecutive rows
+of its grid (slices along its first axis), in order, in blocks of whole
+rows of at most `_BLOCK_POINTS` points each, and a `MinPad` folds each
+block into the running minimum and the largest neighbour difference along
+each axis, keeping a copy of the block's last row for the difference with
+the first row of the next.  `_blocks` makes a claim's block buffers once
+and hands them to every block; each per-point quantity is written into
+them with `out=`, and is evaluated only on the axes it depends on,
+broadcast against the others.  So a claim's memory
 does not grow with `scale` until one row outgrows a block.  The reports
 equal those of whole-grid arrays bit for bit: every point sees the same
 floating-point operations in the same order, and minima and maxima are
@@ -21,7 +22,7 @@ imports it, on the first call of `verify_paper_inequalities` or
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -60,12 +61,12 @@ def _iso_lambda(sha3: float) -> float:
 _BLOCK_POINTS = 16 * 1200
 
 
-def _blocks(runs: Sequence[Tuple[int, int]], row_shape: Tuple[int, ...],
+def _blocks(start: int, stop: int, row_shape: Tuple[int, ...],
             count: int) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Cut each (start, stop) run of grid rows into (lo, hi) blocks of as
-    many whole rows of `row_shape` as `_BLOCK_POINTS` holds (at least one),
-    each with `count` float buffers shaped like the block, stacked in one
-    array made once and reused by every block.
+    """Cut grid rows start, ..., stop - 1 into (lo, hi) blocks of as many
+    whole rows of `row_shape` as `_BLOCK_POINTS` holds (at least one), each
+    with `count` float buffers shaped like the block, stacked in one array
+    made once and reused by every block.
 
     One array, not `count`: glibc maps it afresh and, when it is freed,
     raises its mmap and trim thresholds above it, so later claims and calls
@@ -73,22 +74,19 @@ def _blocks(runs: Sequence[Tuple[int, int]], row_shape: Tuple[int, ...],
     every claim: about 1900 minor page faults per warm verify call, against
     0-7."""
     step = max(_BLOCK_POINTS // math.prod(row_shape), 1)
-    rows = min(step, max((stop - start for start, stop in runs), default=0))
-    bufs = np.empty((count, rows) + row_shape)
-    for start, stop in runs:
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            yield lo, hi, bufs[:, :hi - lo]
+    bufs = np.empty((count, min(step, stop - start)) + row_shape)
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        yield lo, hi, bufs[:, :hi - lo]
 
 
 class MinPad:
     """Raw minimum and Lipschitz pad of a grid, folded block by block.
 
     The pad is half the largest neighbour difference along each axis,
-    summed over the axes; NaN cells are skipped.  Blocks are runs of whole
-    rows in ascending order, and rows never added count as NaN: a block's
-    first row is the neighbour of the previous block's last row, kept in
-    a copy, only when their indices are adjacent.
+    summed over the axes; NaN cells are skipped.  Blocks are whole rows,
+    each block's first row the one after the previous block's last row,
+    which is kept in a copy for the difference between them.
     """
 
     def __init__(self, shape: Tuple[int, ...]) -> None:
@@ -97,7 +95,6 @@ class MinPad:
         self._hi = [math.nan] * len(shape)
         self._lo = [math.nan] * len(shape)
         self._last = None               # a copy of the last row added
-        self._next = -1                 # the row adjacent to the last block
 
     def _fold(self, axis: int, diff: np.ndarray) -> None:
         self._hi[axis] = np.fmax(self._hi[axis],
@@ -105,16 +102,15 @@ class MinPad:
         self._lo[axis] = np.fmin(self._lo[axis],
                                  np.fmin.reduce(diff, axis=None))
 
-    def add(self, first: int, block: np.ndarray) -> None:
-        """Fold in grid rows first, first + 1, ..., first + len(block) - 1."""
+    def add(self, block: np.ndarray) -> None:
+        """Fold in the rows that follow those added so far."""
         self._raw = np.fmin(self._raw, np.fmin.reduce(block, axis=None))
-        if first == self._next:
+        if self._last is not None:
             self._fold(0, block[:1] - self._last)
         for axis, size in enumerate(block.shape):
             if size > 1:
                 self._fold(axis, np.diff(block, axis=axis))
         self._last = block[-1:].copy()
-        self._next = first + len(block)
 
     def result(self) -> Tuple[float, float]:
         pad = 0.0
@@ -128,12 +124,6 @@ class MinPad:
         return ClaimReport(claim_id=claim_id, margin=raw - pad, raw_min=raw,
                            lipschitz_pad=pad,
                            grid_points=math.prod(self._shape), detail=detail)
-
-
-def _runs(mask: np.ndarray) -> List[Tuple[int, int]]:
-    """(start, stop) of each run of True in a 1-D bool array."""
-    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
-    return [(int(a), int(b)) for a, b in zip(edges[::2], edges[1::2])]
 
 
 def _linspace(start, stop, num: int, out: np.ndarray,
@@ -193,7 +183,7 @@ def _claim_equ0_cond0(n: int) -> ClaimReport:
     # the cubic sufficient condition for the equilateral strategy's
     # condition (0): 17 x^2 - x^3 - 8x - 8 > 0 on x = cosh(a3/2)
     acc = MinPad((n,))
-    for lo, hi, (x, v, t) in _blocks([(0, n)], (), 3):
+    for lo, hi, (x, v, t) in _blocks(0, n, (), 3):
         _linspace(math.sqrt(2.0), math.sqrt(5.68 / 2.0), n, x, lo)
         np.multiply(x, x, out=v)
         v *= 17.0
@@ -201,7 +191,7 @@ def _claim_equ0_cond0(n: int) -> ClaimReport:
         v -= t
         np.multiply(8.0, x, out=t)
         v -= t
-        acc.add(lo, np.subtract(v, 8.0, out=v))
+        acc.add(np.subtract(v, 8.0, out=v))
     return acc.report("equ0_cond0_cubic",
                       "x^3 + 8x + 8 < 17 x^2 on [sqrt 2, sqrt(5.68/2)]")
 
@@ -209,7 +199,7 @@ def _claim_equ0_cond0(n: int) -> ClaimReport:
 def _claim_equ0_cond1(n: int) -> ClaimReport:
     # 2 - (cosh a3 + 1)/8 sinh^2((3 a3 - lam)/4) at the floor lam
     acc = MinPad((n,))
-    for lo, hi, (a3, ch3, lam, t) in _blocks([(0, n)], (), 4):
+    for lo, hi, (a3, ch3, lam, t) in _blocks(0, n, (), 4):
         _linspace(ACOSH3, B2_HALF, n, a3, lo)
         np.cosh(a3, out=ch3)
         _lambda_floor(ch3, lam, t)
@@ -221,7 +211,7 @@ def _claim_equ0_cond1(n: int) -> ClaimReport:
         ch3 += 1.0
         ch3 /= 8.0
         ch3 *= t
-        acc.add(lo, np.subtract(2.0, ch3, out=ch3))
+        acc.add(np.subtract(2.0, ch3, out=ch3))
     return acc.report("equ0_cond1",
                       "(cosh b3 - 1) sinh^2((3a3 - lam)/4) <= 2 at extremal b3")
 
@@ -230,7 +220,7 @@ def _claim_equ0_cond2(n: int) -> ClaimReport:
     # 1 + cosh(b1) sinh(lam/2) sinh(a3/2) - cosh(lam/2) cosh(a3/2) with
     # cosh(b1) = (3 + cosh^2 a3) / sinh^2 a3, at the floor lam
     acc = MinPad((n,))
-    for lo, hi, (a3, v, lam, t, s) in _blocks([(0, n)], (), 5):
+    for lo, hi, (a3, v, lam, t, s) in _blocks(0, n, (), 5):
         _linspace(ACOSH3, B2_HALF, n, a3, lo)
         np.cosh(a3, out=v)
         _lambda_floor(v, lam, t)
@@ -249,7 +239,7 @@ def _claim_equ0_cond2(n: int) -> ClaimReport:
         v *= s
         v += 1.0
         t *= a3
-        acc.add(lo, np.subtract(v, t, out=v))
+        acc.add(np.subtract(v, t, out=v))
     return acc.report("equ0_cond2",
                       "cosh(lam/2)cosh(a3/2) - cosh(b1) sinh(lam/2) sinh(a3/2) "
                       "<= 1")
@@ -268,10 +258,10 @@ def _claim_equ0_lambda_floor(n: int) -> ClaimReport:
     boundary_resid = float(np.max(np.abs(lam - floor)))
     b3_stop = b3max - 0.05
     acc = MinPad((m, m))
-    for lo, hi, (b3, lam, t, u) in _blocks([(0, m)], (m,), 4):
+    for lo, hi, (b3, lam, t, u) in _blocks(0, m, (m,), 4):
         _linspace(0.2, b3_stop[lo:hi], m, b3)
         _lambda_of(b3, a3[lo:hi, None], ch3[lo:hi, None], lam, t, u)
-        acc.add(lo, np.subtract(lam, floor[lo:hi, None], out=lam))
+        acc.add(np.subtract(lam, floor[lo:hi, None], out=lam))
     rep = acc.report("equ0_lambda_floor",
                      f"lam(b3, a3) above the closed floor on the interior band; "
                      f"boundary identity residual {boundary_resid:.2e}")
@@ -297,7 +287,7 @@ def _claim_iso0_conditions(n: int) -> ClaimReport:
     sh23 = sh2[:, None] * sh3
     a2_le_a3 = a2[:, None] <= a3
     acc = MinPad((m, m, m))
-    for lo, hi, (b1, b3, lam, s, c, t, v) in _blocks([(0, m)], (m, m), 7):
+    for lo, hi, (b1, b3, lam, s, c, t, v) in _blocks(0, m, (m, m), 7):
         r = slice(lo, hi)
         np.add(ch1[r, None, None], ch23, out=b1)
         b1 /= sh23
@@ -334,7 +324,7 @@ def _claim_iso0_conditions(n: int) -> ClaimReport:
         np.minimum(v, t, out=v)
         mask = (ch2 >= (ch1[r] + 2.0)[:, None])[:, :, None] & a2_le_a3
         np.copyto(v, np.nan, where=~mask)
-        acc.add(lo, v)
+        acc.add(v)
     return acc.report("iso0_conditions",
                       "isosceles conditions (1)-(3) on cosh(a2) > cosh(a1) + 2")
 
@@ -348,7 +338,7 @@ def _claim_interval_u3(n: int) -> ClaimReport:
     ch2h, ch3h, half3 = np.cosh(a2 / 2), np.cosh(a3 / 2), a3 / 2
     ch2p1 = np.cosh(a2) + 1.0
     acc = MinPad((m, m))
-    for lo, hi, (v, t, u) in _blocks([(0, m)], (m,), 3):
+    for lo, hi, (v, t, u) in _blocks(0, m, (m,), 3):
         r = slice(lo, hi)
         np.divide(ch2h[r, None], ch3h, out=v)
         np.add(a2[r, None], half3, out=t)
@@ -360,7 +350,7 @@ def _claim_interval_u3(n: int) -> ClaimReport:
         v *= t
         np.subtract(ch2p1[r, None], v, out=v)
         np.copyto(v, np.nan, where=a2[r, None] > a3)
-        acc.add(lo, v)
+        acc.add(v)
     return acc.report("interval_u3_bound",
                       "max u3 <= cosh(a2) + 1 for a2 <= a3")
 
@@ -373,7 +363,7 @@ def _claim_phi_below_9(n: int) -> ClaimReport:
     a3 = np.linspace(0.05, 1.449, m)
     vals = np.subtract(9.0, phi_max(a3, m))
     acc = MinPad((m,))
-    acc.add(0, vals)
+    acc.add(vals)
     return acc.report("phi_below_9",
                       "max_a1 Phi(a1, a3) <= 9 for a3 <= 1.459 - 0.01")
 
@@ -384,7 +374,7 @@ def phi_max(a3: np.ndarray, n: int) -> np.ndarray:
     Phi = (s3^2 - s1^2) / s3^2 + sqrt(s6^2 - s1^2) s1 / s3 with
     s1 = sinh a1, s3 = sinh a3, s6 = sinh(2 a3)."""
     out = np.empty(a3.size)
-    for lo, hi, (s1, t, u) in _blocks([(0, a3.size)], (n,), 3):
+    for lo, hi, (s1, t, u) in _blocks(0, a3.size, (n,), 3):
         s3 = np.sinh(a3[lo:hi])[:, None]
         s6 = np.sinh(2 * a3[lo:hi])[:, None]
         s3_sq = s3 ** 2
@@ -415,13 +405,17 @@ def _claim_phi_crossing(n: int) -> ClaimReport:
 def _claim_equi1_on_x2(n: int) -> ClaimReport:
     # the binding corner (a1 = l2(2.23), a3 = 2.23) leaves a margin of only
     # 5e-3, so the mesh must be fine enough for the pad to fit under it;
-    # grid axes (a3, a1), a1 in [max(l1, l2)(a3), a3], empty rows NaN
+    # grid axes (a3, a1), a1 in [max(l1, l2)(a3), a3].  l2 stays below the
+    # diagonal on the whole grid, and l1(a3) - a3 falls (rounding keeps it
+    # monotone), crossing 0 once at a3 = 2.7055/1.9 ~ 1.424; so the rows
+    # with a1's range nonempty are one run that ends at the last row, and
+    # the rows before it are left out, as NaN rows would be
     m = max(int(math.sqrt(n)) * 3, 384)
     a3 = np.linspace(1.42, REGION_A3_MAX, m)
     lo = np.maximum(line_l1(a3), line_l2(a3))
     acc = MinPad((m, m))
-    for r0, r1, bufs in _blocks(_runs(lo <= a3), (m,), 8):
-        acc.add(r0, _equi1_worst(lo[r0:r1], a3[r0:r1], bufs))
+    for r0, r1, bufs in _blocks(int(np.count_nonzero(lo > a3)), m, (m,), 8):
+        acc.add(_equi1_worst(lo[r0:r1], a3[r0:r1], bufs))
     return acc.report("equi1_on_X2",
                       "equilateral conditions (0)-(3) across region X2")
 
@@ -504,18 +498,17 @@ def _equi1_worst(lo: np.ndarray, a3: np.ndarray,
 
 
 def _claim_iso1_on_x4(n: int) -> ClaimReport:
-    # grid axes (a3, a1, a2), rows outside region X4's a3 range NaN
+    # grid axes (a3, a1, a2).  Every row lies in region X4's a3 range: the
+    # grid starts at a3 = 1.696, above the crossing of l1 and l2 at 1.695
+    # (l1 <= l2 from there on), and sinh 1.696 ~ 2.63 >= 2
     m = max(int(round(n ** (1.0 / 3.0))), 24)
     a3 = np.linspace(1.696, REGION_A3_MAX, m)
     lo1, hi1 = line_l1(a3), line_l2(a3)
-    sh3 = np.sinh(a3)
-    in_x4 = (lo1 <= hi1) & (sh3 >= 2.0)
-    rows = np.flatnonzero(in_x4)
     # every condition depends on (a3, a1) alone; a2 enters only the mask
-    v3, sh3 = a3[rows, None, None], sh3[rows, None, None]
+    v3, sh3 = a3[:, None, None], np.sinh(a3)[:, None, None]
     lam = np.array([_iso_lambda(s) for s in sh3.ravel()])[:, None, None]
-    A1 = np.linspace(lo1[rows], hi1[rows], m, axis=1)[:, :, None]
-    A2 = np.linspace(lo1[rows], a3[rows], m, axis=1)[:, None, :]
+    A1 = np.linspace(lo1, hi1, m, axis=1)[:, :, None]
+    A2 = np.linspace(lo1, a3, m, axis=1)[:, None, :]
     sq = np.sqrt(np.cosh(lam) * np.cosh(v3))
     sh2v3 = np.sinh(2 * v3)
     cos2aM = ((np.cosh(2 * lam) * np.cosh(2 * v3) - np.cosh(2 * A1))
@@ -537,12 +530,11 @@ def _claim_iso1_on_x4(n: int) -> ClaimReport:
     # region boundary), so it is folded into the mask
     a2_ok = (np.cosh(A2) ** 2 >= np.sinh(A2) * sh3) & (A2 >= lam - X4_MASK_SLACK)
     acc = MinPad((m, m, m))
-    for lo, hi, (v,) in _blocks(_runs(in_x4), (m, m), 1):
-        k0 = int(np.searchsorted(rows, lo))
-        k = slice(k0, k0 + hi - lo)
-        np.copyto(v, vals[k])
-        np.copyto(v, np.nan, where=~((A2[k] >= A1[k]) & a2_ok[k]))
-        acc.add(lo, v)
+    for lo, hi, (v,) in _blocks(0, m, (m, m), 1):
+        r = slice(lo, hi)
+        np.copyto(v, vals[r])
+        np.copyto(v, np.nan, where=~((A2[r] >= A1[r]) & a2_ok[r]))
+        acc.add(v)
     return acc.report("iso1_on_X4",
                       "isosceles conditions and preconditions across region X4")
 
@@ -556,7 +548,7 @@ def _claim_flat_identity(n: int) -> ClaimReport:
     sh2_sq, ch1x2 = sh2 ** 2, 2.0 * ch1
     resid = -np.inf
     acc = MinPad((m, m))
-    for lo, hi, (lhs, sh3, rhs) in _blocks([(0, m)], (m,), 3):
+    for lo, hi, (lhs, sh3, rhs) in _blocks(0, m, (m,), 3):
         r = slice(lo, hi)
         np.add(a1[r, None], a2, out=lhs)
         np.sinh(lhs, out=sh3)
@@ -574,7 +566,7 @@ def _claim_flat_identity(n: int) -> ClaimReport:
         rhs /= sh3
         np.subtract(lhs, rhs, out=rhs)
         resid = np.maximum(resid, np.abs(rhs, out=rhs).max())
-        acc.add(lo, np.subtract(2.0, lhs, out=lhs))
+        acc.add(np.subtract(2.0, lhs, out=lhs))
     rep = acc.report("flat_delta3_identity",
                      f"(cosh b1 - 1) sinh^2 a2 = 2 cosh a1 sinh a2 / sinh a3 < 2"
                      f"; identity residual {resid:.2e}")
@@ -586,7 +578,7 @@ def _claim_flat_identity(n: int) -> ClaimReport:
 
 def _claim_selfhex_cap(n: int) -> ClaimReport:
     acc = MinPad((n,))
-    for lo, hi, (a3, v) in _blocks([(0, n)], (), 2):
+    for lo, hi, (a3, v) in _blocks(0, n, (), 2):
         _linspace(0.05, B2_HALF, n, a3, lo)
         a3 /= 2.0
         np.sinh(a3, out=v)
@@ -596,7 +588,7 @@ def _claim_selfhex_cap(n: int) -> ClaimReport:
         v *= 4.0
         v /= a3
         v += 2.0
-        acc.add(lo, np.subtract(6.8, v, out=v))
+        acc.add(np.subtract(6.8, v, out=v))
     return acc.report("selfhex_delta3_cap_6.8",
                       "2 + 4 sinh^4(a3/2)/cosh^2(a3/2) <= 6.8 up to the Bers "
                       "bound")

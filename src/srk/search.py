@@ -203,7 +203,8 @@ def replay_certificate(cert: Certificate, tol: float = REPLAY_TOL) -> Dict:
     solvers; applies the twist moves, and re-evaluates the curve word.
     Returns a report dict with the replayed trace, ok when |trace| <= 2 and
     the trace is within `tol` of the recorded one (a NaN or negative `tol`
-    fails).  A snapshot whose coordinates name no representation, or a
+    fails).  A snapshot, move, curve word or trace that `from_json` would
+    refuse, a snapshot whose coordinates name no representation, or a
     curve word that reduces freely to the identity, makes the report not
     ok.  Raises OutOfScopeError when the certificate's numbers overflow a
     float (huge twists or half-lengths), or when the snapshot's
@@ -221,24 +222,31 @@ def replay_certificate(cert: Certificate, tol: float = REPLAY_TOL) -> Dict:
 
 
 def _replay(cert: Certificate, tol: float) -> Dict:
-    snap = cert.initial      # the pants the search built are memo hits
-    eps1, eps2 = map(pants.case_from_string, snap["eps"])
+    # a certificate built in code gets the checks `from_json` gives a
+    # parsed one
     try:
-        rep = build_glued(eps1, eps2, snap["a"], snap["t"])
+        (eps1, eps2), a, t = genus2.parse_record(cert.initial)
+    except (genus2.Genus2Error, pants.PantsError) as exc:
+        return {"ok": False, "reason": f"malformed snapshot: {exc}"}
+    try:     # the pants the search built are memo hits
+        rep = build_glued(eps1, eps2, a, t)
     except pants.CocycleResidualError:
         raise
     except (pants.PantsError, genus2.Genus2Error, hyptrig.TrigError) as exc:
         return {"ok": False, "reason": f"snapshot coordinates name no "
                                        f"representation: {exc}"}
     for mv in cert.moves:
-        if mv["kind"] != "twist":
-            return {"ok": False, "reason": f"unknown move {mv['kind']!r}"}
+        if not _is_move(mv):
+            return {"ok": False, "reason": f"malformed move {mv!r}"}
         rep = genus2.dehn_twist_gamma(rep, mv["i"], mv["k"])
-        t = rep.t[mv["i"] - 1]
-        if not math.isfinite(t):     # no rep is glued at an infinite twist
-            raise OverflowError(f"a twist move carries t_{mv['i']} to {t}")
+        ti = rep.t[mv["i"] - 1]
+        if not math.isfinite(ti):    # no rep is glued at an infinite twist
+            raise OverflowError(f"a twist move carries t_{mv['i']} to {ti}")
     if cert.curve is None:
         return {"ok": False, "reason": "certificate has no curve"}
+    if not (_is_word(cert.curve) and genus2.is_finite_number(cert.trace)):
+        return {"ok": False, "reason": f"malformed curve {cert.curve!r} "
+                                       f"with trace {cert.trace!r}"}
     if not reduce(cert.curve):
         return {"ok": False, "reason": "curve word reduces to the identity"}
     tr = mtrace(_word_quad(rep, cert.curve))

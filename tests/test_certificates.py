@@ -300,6 +300,32 @@ class TestTamperedCertificates:
                                  "reason": "curve word reduces to the "
                                            "identity"}
 
+    @pytest.mark.parametrize("key, value, check", [
+        ("eps", ["EuPlus1", "Nope"], "malformed snapshot"),
+        ("a", [1.0, 1.1], "malformed snapshot"),
+        ("t", [0.3, -0.2, float("inf")], "malformed snapshot"),
+        ("t", None, "malformed snapshot"),
+        ("moves", [{"kind": "twist", "i": 1}], "malformed move"),
+        ("moves", [{"kind": "twist", "i": 4, "k": 1}], "malformed move"),
+        ("curve", [["gloop1", 1]], "malformed curve")],
+        ids=["unknown-case", "two-half-lengths", "infinite-twist",
+             "no-twists", "move-without-k", "move-along-gamma4",
+             "loop-letter"])
+    def test_a_certificate_built_in_code_gets_the_parsed_checks(
+            self, key, value, check):
+        """`from_json` refuses each of these; a `Certificate` built in code
+        with one of them replays to a report that names the check, not to
+        an exception.  A `None` value drops the snapshot's key."""
+        data = _round0_certificate()
+        where = data if key in ("moves", "curve") else data["initial"]
+        if value is None:
+            del where[key]
+        else:
+            where[key] = value
+        report = replay_certificate(Certificate(**data))
+        assert report["ok"] is False
+        assert report["reason"].startswith(check)
+
     def test_half_lengths_outside_the_float_range(self):
         data = _round0_certificate()
         data["initial"]["a"] = [1e-3, 1.1e-3, 1.2e-3]

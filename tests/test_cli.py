@@ -1189,6 +1189,7 @@ def test_usage_exit(capsys):
     ["verify", "--scale", "nan"],
     ["verify", "--scale", "inf"],
     ["verify", "--scale", "0"],
+    ["verify", "--scale", "abc"],
     ["orbit-stats", "--n", "abc"],
     ["search", "rep.json", "--max-rounds", "-1"],
     ["search", "rep.json", "--max-rounds", "1.5"],
@@ -1199,7 +1200,8 @@ def test_usage_exit(capsys):
 def test_argparse_errors_exit_usage(capsys, argv):
     # argparse's own exit code 2 would read as "search stalled"
     assert cli.main(argv) == 64
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: srk") and "error:" in err
 
 
 def test_broken_trace_with_nan_tol_is_refused(tmp_path, capsys):

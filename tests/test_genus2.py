@@ -712,3 +712,23 @@ class TestProperties:
             gap = Fraction(ni) - Fraction(ti)
             gap -= round(gap / width) * width
             assert abs(gap) <= TWIST_EDGE and abs(ni) <= ai + TWIST_EDGE
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: dehn_twist_gamma(
+        build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.1, 1.2), (0.3, -0.2, 0.5)),
+        4), "curve index must be 1, 2 or 3"),
+    (lambda: curve_matrix(
+        build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.1, 1.2), (0.3, -0.2, 0.5)),
+        "gamma4"), "unknown curve tag"),
+    (lambda: trace_curve_closed_form(
+        build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.1, 1.2), (0, 1500, 1500)),
+        "beta1"), "closed form of beta1 overflows"),
+    (lambda: delta_side_consistency(
+        build_glued(TRI_P, TRI_P, (1.0, 1.1, 1.2), (0, 0, 0))),
+        "degenerate sample")],
+    ids=["twist-along-gamma4", "curve-gamma4", "closed-form-overflow",
+         "side-consistency-at-zero-twist"])
+def test_library_calls_out_of_range_are_refused(call, match):
+    with pytest.raises(Genus2Error, match=match):
+        call()

@@ -151,16 +151,16 @@ def _pad_and_min(values):
 
 
 def _streamed(values, block, skip_nan_rows):
-    """`MinPad` fed `block` rows at a time; with `skip_nan_rows`, rows that
-    are entirely NaN are never added, as the claims skip empty rows."""
+    """`MinPad` fed `block` rows at a time; with `skip_nan_rows`, the
+    leading rows that are entirely NaN are never added, as
+    `equi1_on_X2` leaves out its leading rows with an empty a1 range."""
     acc = _grids.MinPad(values.shape)
-    runs = [(0, len(values))]
+    start = 0
     if skip_nan_rows:
         empty = np.isnan(values).reshape(len(values), -1).all(axis=1)
-        runs = _grids._runs(~empty)
-    for start, stop in runs:
-        for lo in range(start, stop, block):
-            acc.add(lo, values[lo:min(lo + block, stop)])
+        start = int(np.logical_and.accumulate(empty).sum())
+    for lo in range(start, len(values), block):
+        acc.add(values[lo:lo + block])
     return acc.result()
 
 
@@ -172,6 +172,7 @@ def _grid(shape, seed):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=shape).cumsum(axis=0)
     values[rng.random(shape) < 0.1] = np.nan       # scattered NaN cells
+    values[:2] = np.nan                            # leading NaN rows
     values[3:6] = np.nan                           # a gap of NaN rows
     values[-1] = np.nan
     return values
@@ -239,6 +240,12 @@ def test_phi_max_outside_its_domain_raises(a3):
 @pytest.mark.parametrize("a3", [1e-3, 177.0])
 def test_phi_max_at_the_ends_of_its_domain_is_finite(a3):
     assert math.isfinite(inequalities.phi_max_over_a1(a3))
+
+
+@pytest.mark.parametrize("a1, b2", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+def test_bandwidth_window_needs_positive_lengths(a1, b2):
+    with pytest.raises(ValueError, match="positive a1, b2"):
+        inequalities.bandwidth_window(a1, b2, 1.0)
 
 
 def test_positive_roots():

@@ -239,3 +239,14 @@ class TestSerialization:
     def test_unknown_name(self):
         with pytest.raises(PantsError):
             case_from_string("EuSomething")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: build_pants((1.0, 1.1, 1.2), PantsCase("bogus")),
+     "unknown case kind"),
+    (lambda: pants.pants_trace_sign(build_pants(
+        (1.0, 1.1, 1.2), EU_PLUS1)._replace(case=PantsCase("tri", 1))),
+     "trace sign disagrees")], ids=["unknown-kind", "mislabelled-pants"])
+def test_library_calls_out_of_range_are_refused(call, match):
+    with pytest.raises(PantsError, match=match):
+        call()

@@ -69,6 +69,11 @@ class TestBasicMatrices:
         with pytest.raises(PSL2Error):
             make_translation(float("nan"))
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_rotation_rejects_non_finite(self, theta):
+        with pytest.raises(PSL2Error, match="rotation angle must be finite"):
+            make_rotation(theta)
+
 
 class TestWordsAndCommutators:
     def test_commutator_of_equal_is_identity(self):

@@ -543,6 +543,22 @@ class TestRareBranches:
         long = record["a"].index(max(record["a"])) + 1
         assert (out.rounds, out.word) == (0, [[f"delta{long}", 1]])
 
+    @pytest.mark.parametrize("a, t", [
+        ((2.1545715915548462, 1.0627506979102124, 1.0918208936446339),
+         (20.23657330808863, -14.003115163915638, 35.52871006031245)),
+        ((2.074842967737012, 1.0333810022918946, 1.0414619654451176),
+         (-34.94763914231182, -5.540337512947964, -36.52405370235009)),
+        ((1.0405648611260816, 2.1489506735730872, 1.1083858124470054),
+         (29.993341125606037, -10.284289692718716, 36.08303207456301))],
+        ids=["long_first", "long_first_2", "long_second"])
+    def test_flat_pair_near_the_bers_corner(self, a, t):
+        # a_L = a_j + a_k on two flat pants: the flat step finds a curve
+        # on each, and the lattice step, run in its place, stalled on each
+        # with "no twist along beta_3 opens a torus window"
+        out = _found({"eps": ["Eu0UpperFlat(-1)", "Eu0LowerFlat(-1)"],
+                      "a": list(a), "t": list(t)})
+        assert {"move": "strategy", "id": "flat_twist"} in out.history
+
     @pytest.mark.parametrize("record", [
         # the corner corpus's stalls under the paper's polygon strategies,
         # each "equilateral1 escape trace" with |tr| just above 3; the first

@@ -209,3 +209,10 @@ def test_three_flips_descend_as_six_words(triple, max_steps):
     with mock.patch.object(torus, "MAX_STEPS", max_steps):
         got = _outcome(reduced, *triple)
     assert got == _outcome(_six_word_greedy, *triple, max_steps)
+
+
+@pytest.mark.parametrize("moves", [("P13",), ("P12", "M3", "X")],
+                         ids=" ".join)
+def test_replay_refuses_an_unknown_move(moves):
+    with pytest.raises(ReductionError, match="unknown move"):
+        replay_moves((3.0, 4.0, 10.0), moves)
