@@ -62,11 +62,11 @@ class OutOfScopeError(SearchError):
 # ---------------------------------------------------------------------------
 
 class Certificate(NamedTuple):
-    """Replayable record of the search: snapshots, moves, final curve.
-    Snapshots and moves hold exactly the keys the replay reads
-    (`_SNAPSHOT_KEYS`, `_MOVE_KEYS`).  The search writes its certificate
-    once, when it ends (`_found`, `_stalled`); a stalled search's has no
-    curve and no trace."""
+    """Replayable record of the search: snapshot, moves, final curve, in
+    the grammar of `_read_certificate`, which holds exactly what the
+    replay reads.  The search writes its certificate once, when it ends
+    (`_found`, `_stalled`); a stalled search's has no curve and no
+    trace."""
 
     initial: Dict
     moves: List[Dict]
@@ -78,61 +78,61 @@ class Certificate(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
-        """Parse a certificate; raises SearchError unless its snapshots,
-        moves, curve word and trace have the shapes and keys the replay
-        reads, and a certificate with no curve has no trace.  Each
-        snapshot is checked by `genus2.parse_record`."""
+        """Parse a certificate; raises SearchError, "malformed certificate:
+        ..." naming the first check that failed, unless `_read_certificate`
+        accepts its snapshot, then its moves, then its curve word and
+        trace.  Other top-level keys are not read."""
         try:
             d = json.loads(text)
         except RecursionError:
             raise SearchError("malformed certificate: nested too deeply "
                               "to decode") from None
-        if not (isinstance(d, dict) and _is_snapshot(d.get("initial"))
-                and isinstance(d.get("moves"), list)):
-            raise SearchError("malformed certificate: initial or moves")
-        for mv in d["moves"]:
-            if not _is_move(mv):
-                raise SearchError(f"malformed certificate: move {mv!r}")
-        curve, trace = d.get("curve"), d.get("trace")
-        if not ((curve is None and trace is None) or (
-                _is_word(curve) and genus2.is_finite_number(trace))):
-            raise SearchError(f"malformed certificate: curve {curve!r} "
-                              f"with trace {trace!r}")
-        return cls(initial=d["initial"], moves=d["moves"],
-                   curve=curve, trace=trace)
+        get = d.get if isinstance(d, dict) else {}.get
+        cert = cls(get("initial"), get("moves"), get("curve"), get("trace"))
+        try:
+            _read_certificate(cert)
+        except SearchError as exc:
+            raise SearchError(f"malformed certificate: {exc}") from None
+        return cert
 
 
 _SNAPSHOT_KEYS = frozenset(("eps", "a", "t"))
 # the keys of a move, the one kind there is: exactly what the replay reads
 _MOVE_KEYS = frozenset(("kind", "i", "k"))
-
-
-def _is_snapshot(s) -> bool:
-    """Whether `s` is a coordinate record (`genus2.parse_record`) with no
-    other key."""
-    try:
-        return s.keys() == _SNAPSHOT_KEYS and bool(genus2.parse_record(s))
-    except (AttributeError, genus2.Genus2Error, pants.PantsError):
-        return False
-
-
-def _is_move(mv) -> bool:
-    """Whether `mv` is a twist move with exactly its keys, with values the
-    replay can apply."""
-    return (isinstance(mv, dict) and mv.keys() == _MOVE_KEYS
-            and mv["kind"] == "twist" and mv["i"] in (1, 2, 3)
-            and type(mv["i"]) is type(mv["k"]) is int)
-
-
-def _is_word(word) -> bool:
-    """Whether `word` is a list of [name, +-1] letters, as the search emits
-    them."""
-    return isinstance(word, list) and all(
-        isinstance(w, list) and len(w) == 2 and w[0] in _WORD_NAMES
-        and type(w[1]) is int and w[1] in (1, -1) for w in word)
-
-
 _WORD_NAMES = genus2.CURVE_TAGS + genus2.GENERATORS
+
+
+def _read_certificate(cert: Certificate) -> Tuple:
+    """The certificate grammar, the one check of parsed certificates and of
+    those built in code.  In this order: the snapshot is a dict with
+    exactly the keys eps, a, t that `genus2.parse_record` reads; the moves
+    are a list of twist moves {"kind": "twist", "i": 1..3, "k": int} with
+    no other key; the curve is a list of [name, +-1] letters, curve tags
+    and generators, with a finite trace, or there is no curve and no
+    trace.  Returns the snapshot's parsed record; raises SearchError
+    naming the first check that failed."""
+    snap = cert.initial
+    try:
+        record = genus2.parse_record(snap)
+    except (genus2.Genus2Error, pants.PantsError) as exc:
+        raise SearchError(f"snapshot: {exc}") from None
+    if snap.keys() != _SNAPSHOT_KEYS:
+        raise SearchError(f"snapshot: keys {list(snap)} are not eps, a, t")
+    if not isinstance(cert.moves, list):
+        raise SearchError(f"moves: {cert.moves!r} is not a list")
+    for mv in cert.moves:
+        if not (isinstance(mv, dict) and mv.keys() == _MOVE_KEYS
+                and type(mv["i"]) is type(mv["k"]) is int
+                and mv["kind"] == "twist" and mv["i"] in (1, 2, 3)):
+            raise SearchError(f"move {mv!r}")
+    curve, trace = cert.curve, cert.trace
+    if not ((curve is None and trace is None) or (
+            isinstance(curve, list) and genus2.is_finite_number(trace)
+            and all(isinstance(w, list) and len(w) == 2
+                    and w[0] in _WORD_NAMES and type(w[1]) is int
+                    and w[1] in (1, -1) for w in curve))):
+        raise SearchError(f"curve {curve!r} with trace {trace!r}")
+    return record
 
 
 class FoundCurve(NamedTuple):
@@ -198,23 +198,22 @@ def _complement_trace(rep: GluedRep, k: int) -> float:
 def replay_certificate(cert: Certificate, tol: float = REPLAY_TOL) -> Dict:
     """Re-verify a certificate for the representation its coordinates name.
 
-    Builds the rep of the initial snapshot from its (eps, a, t) with
+    Reads the certificate with `_read_certificate`, the checks `from_json`
+    makes, in their order: snapshot, moves, curve word and trace.  Builds
+    the rep of the initial snapshot from its (eps, a, t) with
     `build_glued`, so the replay trusts `pants.build_pants` and hyptrig's
     solvers; applies the twist moves, and re-evaluates the curve word.
     Returns a report dict with the replayed trace, ok when |trace| <= 2 and
     the trace is within `tol` of the recorded one (a NaN or negative `tol`
-    fails).  A snapshot, move, curve word or trace that `from_json` would
-    refuse, a snapshot whose coordinates name no representation, or a
-    curve word that reduces freely to the identity, makes the report not
-    ok.  Raises OutOfScopeError when the certificate's numbers overflow a
-    float (huge twists or half-lengths), or when the snapshot's
-    half-lengths are outside the float build's range.
+    fails).  A certificate that `_read_certificate` refuses, a snapshot
+    whose coordinates name no representation, or a curve word that
+    reduces freely to the identity, makes the report not ok, with a reason
+    that names the check.  Raises OutOfScopeError when the certificate's
+    numbers overflow a float (huge twists or half-lengths), or when the
+    snapshot's half-lengths are outside the float build's range.
     """
     try:
         return _replay(cert, tol)
-    except pants.CocycleResidualError as exc:
-        raise OutOfScopeError(f"a snapshot is outside the float build's "
-                              f"range: {exc}") from None
     except ArithmeticError as exc:   # an exp overflows, a translation hits 0
         # or a trace is not finite
         raise OutOfScopeError(f"certificate replay overflows a float: "
@@ -222,31 +221,25 @@ def replay_certificate(cert: Certificate, tol: float = REPLAY_TOL) -> Dict:
 
 
 def _replay(cert: Certificate, tol: float) -> Dict:
-    # a certificate built in code gets the checks `from_json` gives a
-    # parsed one
     try:
-        (eps1, eps2), a, t = genus2.parse_record(cert.initial)
-    except (genus2.Genus2Error, pants.PantsError) as exc:
-        return {"ok": False, "reason": f"malformed snapshot: {exc}"}
+        (eps1, eps2), a, t = _read_certificate(cert)
+    except SearchError as exc:
+        return {"ok": False, "reason": f"malformed {exc}"}
     try:     # the pants the search built are memo hits
         rep = build_glued(eps1, eps2, a, t)
-    except pants.CocycleResidualError:
-        raise
+    except pants.CocycleResidualError as exc:
+        raise OutOfScopeError(f"a snapshot is outside the float build's "
+                              f"range: {exc}") from None
     except (pants.PantsError, genus2.Genus2Error, hyptrig.TrigError) as exc:
         return {"ok": False, "reason": f"snapshot coordinates name no "
                                        f"representation: {exc}"}
     for mv in cert.moves:
-        if not _is_move(mv):
-            return {"ok": False, "reason": f"malformed move {mv!r}"}
         rep = genus2.dehn_twist_gamma(rep, mv["i"], mv["k"])
         ti = rep.t[mv["i"] - 1]
         if not math.isfinite(ti):    # no rep is glued at an infinite twist
             raise OverflowError(f"a twist move carries t_{mv['i']} to {ti}")
     if cert.curve is None:
         return {"ok": False, "reason": "certificate has no curve"}
-    if not (_is_word(cert.curve) and genus2.is_finite_number(cert.trace)):
-        return {"ok": False, "reason": f"malformed curve {cert.curve!r} "
-                                       f"with trace {cert.trace!r}"}
     if not reduce(cert.curve):
         return {"ok": False, "reason": "curve word reduces to the identity"}
     tr = mtrace(_word_quad(rep, cert.curve))
@@ -400,8 +393,12 @@ def _log_torus(state: SearchState, k: int, complement: bool, red) -> None:
                               "moves": list(red.moves), "steps": red.steps})
 
 
-def _torus_route(state: SearchState, k: int, complement: bool = False):
-    """Reduce on a handle bounded by delta_k; terminal by construction."""
+def _torus_route(state: SearchState, route: str):
+    """Reduce on the handle of delta_k that the `_torus_window` id `route`,
+    "delta_torus:k" or "delta_torus_complement:k", names; terminal by
+    construction."""
+    side, _, k = route.partition(":")
+    k, complement = int(k), side == "delta_torus_complement"
     rep = state.rep
     tr_delta = trace_curve_matrix(rep, f"delta{k}")
     if abs(tr_delta) <= 2.0 + TRACE_BAND:
@@ -440,8 +437,7 @@ def flat_twist_step(state: SearchState):
         route = _torus_window(state.rep, long)
         if route is not None:
             state.history.append({"move": "strategy", "id": "flat_twist"})
-            return _torus_route(state, long,
-                                complement=route.startswith("delta_torus_c"))
+            return _torus_route(state, route)
         up, dn = (abs(twist_trace(tag, coeffs, gamma_twists(
             state.rep.t, state.rep.a, long, k)) - 2.0) for k in (1, -1))
         _apply_twist(state, long, 1 if up <= dn else -1)
@@ -537,11 +533,8 @@ def search_nonhyperbolic(rep: GluedRep):
     state = SearchState(rep)
     _normalize(state)
     strategy = dispatch(state)
-    sid, _, k = strategy.partition(":")
+    step = _STRATEGY_STEPS.get(strategy)
     try:
-        if k:
-            return _torus_route(state, int(k),
-                                complement=sid == "delta_torus_complement")
-        return _STRATEGY_STEPS[strategy](state)
+        return step(state) if step else _torus_route(state, strategy)
     except torus.ReductionError as exc:
         return _stalled(state, f"torus reduction failed: {exc}")

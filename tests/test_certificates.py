@@ -243,6 +243,10 @@ class TestGrammar:
             Certificate.from_json(json.dumps(data))
 
 
+# a value that drops its key from the snapshot
+DROP = object()
+
+
 def _relabel(eps):
     def spoil(d):
         d["initial"]["eps"] = eps
@@ -304,21 +308,27 @@ class TestTamperedCertificates:
         ("eps", ["EuPlus1", "Nope"], "malformed snapshot"),
         ("a", [1.0, 1.1], "malformed snapshot"),
         ("t", [0.3, -0.2, float("inf")], "malformed snapshot"),
-        ("t", None, "malformed snapshot"),
+        ("t", DROP, "malformed snapshot"),
+        ("x", 1, "malformed snapshot"),
         ("moves", [{"kind": "twist", "i": 1}], "malformed move"),
         ("moves", [{"kind": "twist", "i": 4, "k": 1}], "malformed move"),
+        ("moves", None, "malformed moves"),
+        ("moves", 5, "malformed moves"),
+        ("moves", (), "malformed moves"),
         ("curve", [["gloop1", 1]], "malformed curve")],
         ids=["unknown-case", "two-half-lengths", "infinite-twist",
-             "no-twists", "move-without-k", "move-along-gamma4",
+             "no-twists", "snapshot-extra-key", "move-without-k",
+             "move-along-gamma4", "moves-none", "moves-int", "moves-tuple",
              "loop-letter"])
     def test_a_certificate_built_in_code_gets_the_parsed_checks(
             self, key, value, check):
         """`from_json` refuses each of these; a `Certificate` built in code
         with one of them replays to a report that names the check, not to
-        an exception.  A `None` value drops the snapshot's key."""
+        an exception.  `DROP` drops the snapshot's key; a tuple of moves is
+        not the list that JSON gives."""
         data = _round0_certificate()
         where = data if key in ("moves", "curve") else data["initial"]
-        if value is None:
+        if value is DROP:
             del where[key]
         else:
             where[key] = value

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -638,6 +639,21 @@ ALL_PAIR_SAMPLERS = [
     for eps1, eps2 in (map(pants.case_from_string, p) for p in ALL_PAIRS)]
 
 
+EULER0_PAIR_SAMPLERS = [(eps1, eps2, sampler)
+                        for eps1, eps2, sampler in ALL_PAIR_SAMPLERS
+                        if eps1.euler + eps2.euler == 0]
+assert len(EULER0_PAIR_SAMPLERS) == 18
+
+# c_0^2 - 4 c_- c_+ = (P12 Q21 - Q12 P21)^2 (`twist_coeffs`) is 0 to
+# rounding on Euler-0 pairs: the two products agree to a few eps, and
+# their gap enters squared.  What is left is the rounding of the
+# evaluation: c_0 = P12 Q21 + Q12 P21 and its square take four roundings,
+# at most 2.5 eps relative, and 4 c_- c_+ three, 1.5 eps.  So the bound is
+# 4 eps; 1.8 eps was measured on the Euler-0 records of the benchmark's
+# classify corpus.
+DISCRIMINANT_REL = 4 * sys.float_info.epsilon
+
+
 def _twists(bound):
     return st.tuples(*[st.floats(-bound, bound)] * 3)
 
@@ -691,6 +707,36 @@ class TestProperties:
                 val = twist_trace(tag, twist_coeffs(rep, tag), rep.t)
                 ref = trace_curve_matrix(rep, tag)
                 assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref)), tag
+
+        check()
+
+    @pytest.mark.parametrize("eps1,eps2,sampler", EULER0_PAIR_SAMPLERS,
+                             ids=lambda v: str(v) if isinstance(v, PC) else "")
+    def test_delta_twist_coeffs_decide_the_sign(self, eps1, eps2, sampler):
+        """On the 18 Euler-0 pairs, c_- e^-t + c_0 + c_+ e^t of each delta
+        is a perfect square up to its sign, so tr delta_k - 2 keeps one
+        sign along the whole twist line; on flat pairs c_0 = 0 and exactly
+        one of c_- and c_+ is 0.  The signs of delta_3's c_- and c_+ give
+        `sign_invariant`: Plus where both are >= 0, Minus where both are
+        <= 0.  Twists keep 0.2 away from 0, where tr delta_k touches 2 on
+        six of the pairs and the invariant reads Degenerate."""
+        away = st.floats(0.2, 3.0)
+
+        @settings(_PROPERTY, max_examples=10)
+        @given(a=_A_STRATEGIES[sampler],
+               t=st.tuples(*[st.one_of(away, away.map(float.__neg__))] * 3))
+        def check(a, t):
+            rep = build_glued(eps1, eps2, a, t)
+            for tag in DELTA_TAGS:
+                _, cm, c0, cp = twist_coeffs(rep, tag)
+                assert abs(c0 * c0 - 4 * cm * cp) <= DISCRIMINANT_REL * max(
+                    c0 * c0, abs(4 * cm * cp)), tag
+                if eps1.is_flat or eps2.is_flat:
+                    assert c0 == 0.0 and (cm == 0.0) != (cp == 0.0), tag
+            _, cm, _, cp = twist_coeffs(rep, "delta3")
+            sign = ("Plus" if cm >= 0 and cp >= 0
+                    else "Minus" if cm <= 0 and cp <= 0 else None)
+            assert sign_invariant(rep) == sign
 
         check()
 
