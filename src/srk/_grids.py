@@ -26,8 +26,7 @@ from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
 
-from .inequalities import ClaimReport
-from .search import B2_HALF
+from .inequalities import B2_HALF, ClaimReport
 from .tolerances import FLAT_IDENTITY_RESID, LAMBDA_FLOOR_RESID, X4_MASK_SLACK
 
 ACOSH3 = math.acosh(3.0)

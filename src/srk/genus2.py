@@ -54,8 +54,8 @@ from . import psl2r
 from .hyptrig import long_index
 from .pants import PantsCase, PantsRep, build_pants, case_from_string
 from .psl2r import (PSL2Error, Quad, commutator, make_translation, minv, mmul,
-                    mtrace)
-from .tolerances import TRACE_BAND, TWIST_EDGE
+                    mtrace, side_of_two)
+from .tolerances import TWIST_EDGE
 
 GAMMA_TAGS = ("gamma1", "gamma2", "gamma3")
 BETA_TAGS = ("beta1", "beta2", "beta3")
@@ -482,14 +482,10 @@ def sign_invariant(rep: GluedRep) -> str:
     if rep.euler_nominal != 0:
         raise Genus2Error("sign invariant needs total Euler class 0")
     rep = normalize_twists(rep)
-    *others, tr = (trace_curve_matrix(rep, tag) for tag in DELTA_TAGS)
-    if any(abs(x - 2.0) <= TRACE_BAND for x in others):
+    sides = [side_of_two(trace_curve_matrix(rep, tag)) for tag in DELTA_TAGS]
+    if 0 in sides:
         return "Degenerate"
-    if tr < 2.0 - TRACE_BAND:
-        return "Plus"
-    if tr > 2.0 + TRACE_BAND:
-        return "Minus"
-    return "Degenerate"
+    return "Plus" if sides[2] < 0 else "Minus"
 
 
 def delta_side_consistency(rep: GluedRep) -> bool:
@@ -497,9 +493,10 @@ def delta_side_consistency(rep: GluedRep) -> bool:
     if rep.euler_nominal != 0:
         raise Genus2Error("side consistency applies to Euler class 0")
     traces = [trace_curve_matrix(rep, tag) for tag in DELTA_TAGS]
-    if any(abs(x - 2.0) <= TRACE_BAND for x in traces):
+    sides = {side_of_two(x) for x in traces}
+    if 0 in sides:
         raise Genus2Error(f"degenerate sample: delta traces {traces}")
-    return len({x > 2.0 for x in traces}) == 1
+    return len(sides) == 1
 
 
 # ---------------------------------------------------------------------------

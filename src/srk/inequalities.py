@@ -25,7 +25,10 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Tuple
 
-from .tolerances import TRACE_BAND, WINDOW_END_SLACK, WINDOW_START_SLACK
+from .psl2r import nonhyperbolic
+from .tolerances import WINDOW_END_SLACK, WINDOW_START_SLACK
+
+B2_HALF = 2.2254             # admissible half-length bound of the search
 
 
 class ClaimReport(NamedTuple):
@@ -144,7 +147,7 @@ def bandwidth_window(a1: float, b2: float, t3: float,
     n = math.ceil((lo - t1) / width) - 1
     while t1 + n * width < hi + WINDOW_END_SLACK:
         cc = t1 + n * width
-        if cc >= lo - WINDOW_START_SLACK and abs(phi(cc)) <= 2.0 + TRACE_BAND:
+        if cc >= lo - WINDOW_START_SLACK and nonhyperbolic(phi(cc)):
             return cc
         n += 1
     return None

@@ -205,8 +205,18 @@ def euler_class_closed(a1: Quad, b1: Quad, a2: Quad, b2: Quad) -> int:
 
 
 # ---------------------------------------------------------------------------
-# handle sign
+# traces against 2
 # ---------------------------------------------------------------------------
+
+def nonhyperbolic(tr: float) -> bool:
+    """The one |tr| <= 2 verdict, up to TRACE_BAND; False for NaN."""
+    return abs(tr) <= 2.0 + TRACE_BAND
+
+
+def side_of_two(x: float) -> int:
+    """+1 above 2 + TRACE_BAND, -1 below 2 - TRACE_BAND, else 0 (NaN too)."""
+    return (x > 2.0 + TRACE_BAND) - (x < 2.0 - TRACE_BAND)
+
 
 def handle_sign(p: Quad, q: Quad) -> Union[int, str]:
     """Orientation class of a handle pair, from the commutator trace.
@@ -216,9 +226,5 @@ def handle_sign(p: Quad, q: Quad) -> Union[int, str]:
     parabolic paired with a hyperbolic avoiding its fixed point), and the
     string "degenerate" inside the tolerance band around 2.
     """
-    c = mtrace(commutator(_quad(p), _quad(q)))
-    if c < 2.0 - TRACE_BAND:
-        return 1
-    if c > 2.0 + TRACE_BAND:
-        return -1
-    return "degenerate"
+    side = side_of_two(mtrace(commutator(_quad(p), _quad(q))))
+    return -side if side else "degenerate"

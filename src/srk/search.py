@@ -42,11 +42,9 @@ from .words import inverse, reduce, substitute
 # the certificate replay builds each snapshot's rep through this binding
 from .genus2 import (GluedRep, build_glued, gamma_twists, trace_curve_matrix,
                      twist_coeffs, twist_trace)
-from .psl2r import IDENTITY, PSL2Error, Quad, minv, mmul, mtrace
-from .tolerances import B2_HALF_SLACK, REPLAY_TOL, TRACE_BAND
-
-B2_HALF = 2.2254             # admissible half-length bound of the search
-TORUS_TRACE_MAX = 18.0
+from .inequalities import B2_HALF
+from .psl2r import IDENTITY, PSL2Error, Quad, minv, mmul, mtrace, nonhyperbolic
+from .tolerances import B2_HALF_SLACK, REPLAY_TOL
 
 
 class SearchError(PSL2Error):
@@ -245,7 +243,7 @@ def _replay(cert: Certificate, tol: float) -> Dict:
     tr = mtrace(_word_quad(rep, cert.curve))
     if not math.isfinite(tr):
         raise OverflowError(f"replayed trace {tr}")
-    ok = abs(tr) <= 2.0 + TRACE_BAND and abs(tr - cert.trace) <= tol
+    ok = nonhyperbolic(tr) and abs(tr - cert.trace) <= tol
     return {"ok": bool(ok), "trace": tr}
 
 
@@ -277,7 +275,7 @@ def _normalize(state: SearchState) -> None:
 def _found(state: SearchState, word: List):
     """FoundCurve, or Stalled when the word's matrix trace fails its check."""
     tr = mtrace(_word_quad(state.rep, word))
-    if not abs(tr) <= 2.0 + TRACE_BAND:
+    if not nonhyperbolic(tr):
         return _stalled(state, f"found curve fails its matrix check: "
                                f"|tr| = {abs(tr)!r}")
     cert = Certificate(state.initial, state.moves,
@@ -336,9 +334,9 @@ _COMPLEMENT_HANDLES = {1: ([("B1", 1)], _C),
 def _torus_window(rep: GluedRep, k: int) -> Optional[str]:
     """Which route (if any) the separating curve delta_k opens."""
     tr = trace_curve_matrix(rep, f"delta{k}")
-    if abs(tr) <= 2.0 + TRACE_BAND or 2.0 < tr <= TORUS_TRACE_MAX:
+    if nonhyperbolic(tr) or 2.0 < tr <= torus.KAPPA_MAX:
         return f"delta_torus:{k}"
-    if 2.0 < _complement_trace(rep, k) <= TORUS_TRACE_MAX:
+    if 2.0 < _complement_trace(rep, k) <= torus.KAPPA_MAX:
         return f"delta_torus_complement:{k}"
     return None
 
@@ -375,9 +373,9 @@ def _handle_curve(rep: GluedRep, p: List, q: List) -> Tuple[
     mp, mq = _word_quad(rep, p), _word_quad(rep, q)
     x, y, z = mtrace(mp), mtrace(mq), mtrace(mmul(mp, mq))
     kappa = torus.kappa(x, y, z)
-    if abs(kappa) <= 2.0 + TRACE_BAND:
+    if nonhyperbolic(kappa):
         return kappa, None, reduce(inverse(q) + inverse(p) + q + p)
-    if not 2.0 < kappa <= TORUS_TRACE_MAX:
+    if not 2.0 < kappa <= torus.KAPPA_MAX:
         return kappa, None, None
     red = torus.reduce_triple(x, y, z)
     if red.found_index is None:
@@ -401,7 +399,7 @@ def _torus_route(state: SearchState, route: str):
     k, complement = int(k), side == "delta_torus_complement"
     rep = state.rep
     tr_delta = trace_curve_matrix(rep, f"delta{k}")
-    if abs(tr_delta) <= 2.0 + TRACE_BAND:
+    if nonhyperbolic(tr_delta):
         return _found(state, [[f"delta{k}", 1]])
     p, q = (_COMPLEMENT_HANDLES[k] if complement
             else ([(tag, 1)] for tag in genus2._DELTA_PAIRS[f"delta{k}"]))
@@ -410,7 +408,7 @@ def _torus_route(state: SearchState, route: str):
         why = (f"torus reduction ended AllNegative at kappa {kappa}"
                if red is not None
                else f"handle at delta_{k} has commutator trace {kappa} "
-                    f"outside (2, 18]")
+                    f"outside (2, {torus.KAPPA_MAX:g}]")
         return _stalled(state, why)
     _log_torus(state, k, complement, red)
     return _found(state, word)
@@ -460,7 +458,7 @@ def lattice_step(state: SearchState):
         j, k = (i + 1) % 3 + 1, (i + 2) % 3 + 1
         for kj, kk in _LATTICE:
             t = gamma_twists(gamma_twists(rep.t, rep.a, j, kj), rep.a, k, kk)
-            if abs(twist_trace(tag, coeffs, t)) <= 2.0 + TRACE_BAND:
+            if nonhyperbolic(twist_trace(tag, coeffs, t)):
                 _apply_twist(state, j, kj)
                 _apply_twist(state, k, kk)
                 state.history.append({"move": "strategy", "id": "lattice",

@@ -7,20 +7,23 @@ boundary trace through
     kappa(x, y, z) = x^2 + y^2 + z^2 - x y z - 2 = tr [P, Q].
 
 Changing the generating pair acts on the triple through permutations and
-the move z -> xy - z; when kappa lies in (2, 18] this action always reaches
-a triple with a coordinate in [-2, 2], i.e. a simple closed curve on the
-torus whose image is non-hyperbolic.  The reduction below records its moves
-so that the witness curve can be replayed as a word in the starting pair.
-A reduction that has not ended after `MAX_STEPS` steps raises.
+the move z -> xy - z; when kappa lies in the window (2, `KAPPA_MAX`] =
+(2, 18] this action always reaches a triple with a coordinate in [-2, 2],
+i.e. a simple closed curve on the torus whose image is non-hyperbolic
+(`psl2r.nonhyperbolic`).  The reduction below records its moves so that
+the witness curve can be replayed as a word in the starting pair.  A
+reduction that has not ended after `MAX_STEPS` steps raises.
 """
 
 from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Tuple
 
-from .tolerances import DESCENT_MARGIN, KAPPA_DRIFT, TRACE_BAND
+from .psl2r import nonhyperbolic
+from .tolerances import DESCENT_MARGIN, KAPPA_DRIFT
 from .words import Word, inverse
 
+KAPPA_MAX = 18.0        # kappa's window (2, KAPPA_MAX], read by the search
 MOVES = ("P12", "P23", "M3")
 MAX_STEPS = 10_000
 
@@ -60,13 +63,6 @@ def _apply_move(move: str, triple, words):
     if move == "P23":
         return triple, (inverse(wa), wa + wb)
     return triple, (wa, inverse(wb))
-
-
-def _found_index(triple) -> Optional[int]:
-    for idx, val in enumerate(triple):
-        if abs(val) <= 2.0 + TRACE_BAND:
-            return idx + 1
-    return None
 
 
 class ReductionResult(NamedTuple):
@@ -127,7 +123,8 @@ def reduce_triple(x: float, y: float, z: float) -> ReductionResult:
         if abs(kappa(*triple) - kappa0) > KAPPA_DRIFT * max(1.0, abs(kappa0)):
             raise ReductionError(
                 f"kappa drifted from {kappa0} to {kappa(*triple)}")
-        idx = _found_index(triple)
+        idx = next((i for i, v in enumerate(triple, 1) if nonhyperbolic(v)),
+                   None)
         if idx is not None:
             return ReductionResult(start=start, triple=triple,
                                    moves=tuple(moves), found_index=idx)

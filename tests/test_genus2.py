@@ -23,7 +23,8 @@ from srk.genus2 import (BETA_TAGS, CURVE_TAGS, DELTA_TAGS, Genus2Error,
                         twist_coeffs, twist_trace)
 from srk.pants import EU0_DIAGONAL_FLAT, EU_MINUS1, EU_PLUS1, PantsCase
 from srk.psl2r import (PSL2Error, commutator,
-                       deviation_from_projective_identity, mmul, mtrace)
+                       deviation_from_projective_identity, euler_class_closed,
+                       mmul, mtrace)
 from srk.search import (Certificate, SearchState, replay_certificate,
                         search_nonhyperbolic)
 from srk.tolerances import TWIST_EDGE
@@ -709,6 +710,40 @@ class TestProperties:
                 assert abs(val - ref) <= 1e-9 * max(1.0, abs(ref)), tag
 
         check()
+
+    @pytest.mark.parametrize("eps1,eps2,sampler", ALL_PAIR_SAMPLERS,
+                             ids=lambda v: str(v) if isinstance(v, PC) else "")
+    def test_euler_class_invariant_under_beta3_twist(self, eps1, eps2,
+                                                     sampler):
+        """The Milnor class of the generator images under T^n, n = +-1, T
+        the Dehn twist along beta_3 (`search._BETA3_TWIST`), read on the
+        normalised rep, is the rep's Euler class, |t| <= 40, on all 56
+        case pairs.  The twisted words have larger entries than the
+        generators: on the Euler +-2 pairs the algorithm may refuse them
+        (PSL2Error), at most a quarter of the time; elsewhere it answers."""
+        extremal = abs(eps1.euler + eps2.euler) == 2
+        refused, tried = [], []
+
+        @settings(_PROPERTY, max_examples=40)
+        @given(a=_A_STRATEGIES[sampler], t=_twists(40.0))
+        def check(a, t):
+            rep = build_glued(eps1, eps2, a, t)
+            euler, normal = euler_class(rep), normalize_twists(rep)
+            for n in (1, -1):
+                tried.append(n)
+                images = [search._word_quad(normal, search._BETA3_TWIST[n][g])
+                          for g in genus2.GENERATORS]
+                try:
+                    twisted = euler_class_closed(*images)
+                except PSL2Error:
+                    if not extremal:
+                        raise
+                    refused.append(n)
+                    continue
+                assert twisted == euler, n
+
+        check()
+        assert len(refused) <= len(tried) // 4
 
     @pytest.mark.parametrize("eps1,eps2,sampler", EULER0_PAIR_SAMPLERS,
                              ids=lambda v: str(v) if isinstance(v, PC) else "")

@@ -8,7 +8,9 @@ from matrices import quad, random_hyperbolic
 from srk import psl2r
 from srk.psl2r import (IDENTITY, PSL2Error, circle_position, commutator,
                        euler_class_closed, handle_sign, lift, make_rotation,
-                       make_translation, minv, mmul, mtrace)
+                       make_translation, minv, mmul, mtrace, nonhyperbolic,
+                       side_of_two)
+from srk.tolerances import TRACE_BAND
 
 rng = np.random.default_rng(20240811)
 
@@ -203,3 +205,31 @@ class TestHandleSign:
         p = make_rotation(1.0)                       # fixed point i
         q = _axis_through(5.0, 7.0, 1.5)             # axis avoids i
         assert handle_sign(p, q) == -1
+
+
+_HI, _LO = 2.0 + TRACE_BAND, 2.0 - TRACE_BAND
+
+
+class TestTracesAgainstTwo:
+    """The two verdicts on a trace against 2, at the edges of the band."""
+
+    @pytest.mark.parametrize("x, want", [
+        (_HI, True), (-_HI, True),
+        (math.nextafter(_HI, math.inf), False),
+        (math.nextafter(-_HI, -math.inf), False),
+        (math.nan, False), (math.inf, False), (-math.inf, False)],
+        ids=["edge", "minus-edge", "past-edge", "past-minus-edge", "nan",
+             "inf", "minus-inf"])
+    def test_nonhyperbolic_edges(self, x, want):
+        assert nonhyperbolic(x) is want
+
+    @pytest.mark.parametrize("x, want", [
+        (_HI, 0), (_LO, 0), (math.nan, 0),
+        (math.nextafter(_HI, math.inf), 1),
+        (math.nextafter(_LO, -math.inf), -1),
+        (math.inf, 1), (-math.inf, -1)],
+        ids=["upper-edge", "lower-edge", "nan", "past-upper-edge",
+             "past-lower-edge", "inf", "minus-inf"])
+    def test_side_of_two_edges(self, x, want):
+        side = side_of_two(x)
+        assert type(side) is int and side == want

@@ -78,3 +78,23 @@ def test_every_band_has_a_reader():
                 if isinstance(node, ast.Name)}
         read |= imported & used
     assert sorted(bands - read) == []
+
+
+def test_only_psl2r_reads_the_trace_band():
+    # every verdict on a trace against 2 is psl2r.nonhyperbolic or
+    # psl2r.side_of_two, so the band has one reader to change
+    importers = [path.name for path in MODULES
+                 if any(isinstance(node, ast.ImportFrom)
+                        and node.module == "tolerances"
+                        and "TRACE_BAND" in (a.name for a in node.names)
+                        for node in ast.walk(_tree(path)))]
+    assert importers == ["psl2r.py"]
+    def reads(tree):
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "TRACE_BAND"]
+
+    tree = _tree(SRC / "psl2r.py")
+    readers = [fn for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and reads(fn)]
+    assert [fn.name for fn in readers] == ["nonhyperbolic", "side_of_two"]
+    assert len(reads(tree)) == sum(len(reads(fn)) for fn in readers)
