@@ -1,11 +1,11 @@
 """The grid claims behind `srk.inequalities`, evaluated block by block.
 
-No grid is held whole.  A claim evaluates one run of consecutive rows
-of its grid (slices along its first axis), in order, in blocks of whole
+No grid is held whole.  A claim evaluates runs of consecutive rows of its
+grid (slices along its first axis), each run in order, in blocks of whole
 rows of at most `_BLOCK_POINTS` points each, and a `MinPad` folds each
 block into the running minimum and the largest neighbour difference along
 each axis, keeping a copy of the block's last row for the difference with
-the first row of the next.  `_blocks` makes a claim's block buffers once
+the first row of the next.  `_blocks` makes a run's block buffers once
 and hands them to every block; each per-point quantity is written into
 them with `out=`, and is evaluated only on the axes it depends on,
 broadcast against the others.  So a claim's memory
@@ -14,6 +14,14 @@ equal those of whole-grid arrays bit for bit: every point sees the same
 floating-point operations in the same order, and minima and maxima are
 exact in any order.
 
+`verify` runs the claims on two threads (one where the process may use
+one CPU only), which share the work because numpy's ufuncs release the
+interpreter lock.  Every claim is one run, but equi1_on_X2, more than
+half the work, is two: its row halves, the second starting on the first's
+last row, each folded into its own `MinPad` and then merged.  A row
+folded twice changes no minimum or maximum, so the reports do not depend
+on the number of threads.
+
 This module imports numpy at its top, and within srk only `srk.inequalities`
 imports it, on the first call of `verify_paper_inequalities` or
 `phi_max_over_a1`, so that `import srk` compiles neither this code nor numpy.
@@ -21,7 +29,12 @@ imports it, on the first call of `verify_paper_inequalities` or
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import math
+import os
+import threading
+from functools import partial
 from typing import Callable, Iterator, List, Tuple
 
 import numpy as np
@@ -54,9 +67,14 @@ def _iso_lambda(sha3: float) -> float:
     return math.asinh((sha3 + math.sqrt(sha3 * sha3 - 4.0)) / 2.0)
 
 # points in one block: 150 KB of float64, 16 rows of the equi1 grid at
-# scale 1.  On a 2-core Xeon a verify call took 14-18% more CPU time with
-# 9600-point blocks, which pay numpy's per-call cost twice as often; 28800
-# to 57600 points came within 4% of this size.
+# scale 1.  On a 2-core Xeon, with one thread, a verify call took 14-18%
+# more CPU time with 9600-point blocks, which pay numpy's per-call cost
+# twice as often, and 28800 to 57600 points came within 4% of this size.
+# On two threads short ufunc calls hand the interpreter lock back and
+# forth: in `bench/run.py --workload verify` runs (4 seeds) 9600-point
+# blocks gave 8.2-9.7 ops/s, half of this size's 13.9-17.4 and below
+# one thread's 11.7-14.1, and 28800 points gave 17.7-26.1 ops/s but
+# peak_rss_mb 37.3-37.4, against 36.2-36.9 here and 34.9 on one thread.
 _BLOCK_POINTS = 16 * 1200
 
 
@@ -110,6 +128,17 @@ class MinPad:
             if size > 1:
                 self._fold(axis, np.diff(block, axis=axis))
         self._last = block[-1:].copy()
+
+    def merge(self, other: "MinPad") -> "MinPad":
+        """Fold in `other`, the pad of a run of rows that starts at or
+        before the row after this one's last, so that every pair of
+        neighbouring rows lies in one of the two runs; return self.  A
+        row in both runs changes no minimum or maximum."""
+        self._raw = np.fmin(self._raw, other._raw)
+        self._hi = [np.fmax(a, b) for a, b in zip(self._hi, other._hi)]
+        self._lo = [np.fmin(a, b) for a, b in zip(self._lo, other._lo)]
+        self._last = other._last
+        return self
 
     def result(self) -> Tuple[float, float]:
         pad = 0.0
@@ -401,7 +430,13 @@ def _claim_phi_crossing(n: int) -> ClaimReport:
                        detail="max Phi < 9 at a3 = 1.449 and > 9 at 1.469")
 
 
-def _claim_equi1_on_x2(n: int) -> ClaimReport:
+def _equi1_jobs(n: int) -> Tuple[list, Callable[..., ClaimReport]]:
+    """equi1_on_X2 as two jobs, each folding one half of its grid's rows
+    into its own `MinPad`, and the function that merges the two into the
+    claim's report.  The halves are rows [start, mid) and [mid - 1, m):
+    the second starts one row early, so that its pad takes the difference
+    across the seam, and a row folded twice changes no minimum or maximum.
+    """
     # the binding corner (a1 = l2(2.23), a3 = 2.23) leaves a margin of only
     # 5e-3, so the mesh must be fine enough for the pad to fit under it;
     # grid axes (a3, a1), a1 in [max(l1, l2)(a3), a3].  l2 stays below the
@@ -412,11 +447,26 @@ def _claim_equi1_on_x2(n: int) -> ClaimReport:
     m = max(int(math.sqrt(n)) * 3, 384)
     a3 = np.linspace(1.42, REGION_A3_MAX, m)
     lo = np.maximum(line_l1(a3), line_l2(a3))
-    acc = MinPad((m, m))
-    for r0, r1, bufs in _blocks(int(np.count_nonzero(lo > a3)), m, (m,), 8):
-        acc.add(_equi1_worst(lo[r0:r1], a3[r0:r1], bufs))
-    return acc.report("equi1_on_X2",
-                      "equilateral conditions (0)-(3) across region X2")
+    start = int(np.count_nonzero(lo > a3))
+    mid = (start + m + 1) // 2
+
+    def rows(r0: int, r1: int) -> MinPad:
+        acc = MinPad((m, m))
+        for b0, b1, bufs in _blocks(r0, r1, (m,), 8):
+            acc.add(_equi1_worst(lo[b0:b1], a3[b0:b1], bufs))
+        return acc
+
+    def report(first: MinPad, second: MinPad) -> ClaimReport:
+        return first.merge(second).report(
+            "equi1_on_X2", "equilateral conditions (0)-(3) across region X2")
+
+    halves = [partial(rows, start, mid), partial(rows, max(mid - 1, start), m)]
+    return halves, report
+
+
+def _claim_equi1_on_x2(n: int) -> ClaimReport:
+    jobs, report = _equi1_jobs(n)
+    return report(*[job() for job in jobs])
 
 
 def _equi1_worst(lo: np.ndarray, a3: np.ndarray,
@@ -616,3 +666,68 @@ CLAIMS: List[Tuple[Callable[[int], ClaimReport], int]] = [
     (_claim_selfhex_cap, 200_000),
     (_claim_comdelta_cap, 1),
 ]
+
+
+def _workers() -> int:
+    """Threads for a verify call: two, or one where this process may run
+    on one CPU only."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
+def verify(scale: float) -> List[ClaimReport]:
+    """The reports of `CLAIMS` at `scale`, in their order, evaluated on
+    `_workers()` threads.  The two row halves of equi1_on_X2, the largest
+    jobs, are taken up first, then the other claims in order; numpy's
+    ufuncs release the interpreter lock, so the threads share the work.
+    When claims raise, the first of them in `CLAIMS` order raises here."""
+    claims = []                 # (jobs, report from their results) per claim
+    for fn, base_n in CLAIMS:
+        n = max(int(base_n * scale), 16)
+        claims.append(_equi1_jobs(n) if fn is _claim_equi1_on_x2
+                      else ([partial(fn, n)], lambda rep: rep))
+    jobs = [job for parts, _ in claims for job in parts]
+    split = [len(parts) > 1 for parts, _ in claims for _ in parts]
+    results = iter(_run(jobs, sorted(range(len(jobs)),
+                                     key=lambda j: not split[j])))
+    return [report(*[next(results) for _ in parts])
+            for parts, report in claims]
+
+
+def _run(jobs: List[Callable[[], object]], order: List[int]) -> list:
+    """Call every job, taking them up in `order`, on `_workers()` threads,
+    the calling thread one of them; return their results in the order of
+    `jobs`, or raise the exception of the first job there that raised.
+    Each thread runs in a copy of the caller's context, so numpy's error
+    state holds in all of them, and every thread has ended on return."""
+    results: list = [None] * len(jobs)
+    errors: list = [None] * len(jobs)
+    todo = collections.deque(order)     # popleft is atomic
+
+    def work() -> None:
+        while True:
+            try:
+                i = todo.popleft()
+            except IndexError:
+                return
+            try:
+                results[i] = jobs[i]()
+            except Exception as exc:
+                errors[i] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(work,))
+               for _ in range(_workers() - 1)]
+    for t in threads:
+        t.start()
+    try:
+        work()
+    finally:
+        todo.clear()                    # an interrupt stops the other threads
+        for t in threads:
+            t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results

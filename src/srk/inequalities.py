@@ -57,7 +57,7 @@ def verify_paper_inequalities(scale: float = 1.0) -> List[ClaimReport]:
     margin is surfaced, never suppressed.
     """
     from . import _grids
-    return [fn(max(int(base_n * scale), 16)) for fn, base_n in _grids.CLAIMS]
+    return _grids.verify(scale)
 
 
 def phi_max_over_a1(a3: float) -> float:

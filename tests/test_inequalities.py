@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -103,6 +104,31 @@ def test_equi1_matches_inverse_trig_reference(scale):
     assert rep.margin == pytest.approx(raw - pad, abs=1e-12)
 
 
+def test_equi1_halves_cover_its_rows_and_share_the_seam_row(monkeypatch):
+    """The second half starts on the first half's last row, so one of the
+    two pads takes each difference between neighbouring rows; together
+    they fold every row with a nonempty a1 range, in order."""
+    folded = []
+
+    def worst(lo, a3, bufs):
+        folded.append(a3.copy())
+        return np.zeros(bufs.shape[1:])
+
+    monkeypatch.setattr(_grids, "_equi1_worst", worst)
+    jobs, _ = _grids._equi1_jobs(160_000)
+    runs = []
+    for job in jobs:
+        folded.clear()
+        job()
+        runs.append(np.concatenate(folded))
+    m = max(int(math.sqrt(160_000)) * 3, 384)
+    a3 = np.linspace(1.42, REGION_A3_MAX, m)
+    rows = a3[np.maximum(line_l1(a3), line_l2(a3)) <= a3]
+    assert runs[0][-1] == runs[1][0]
+    assert abs(len(runs[0]) - len(runs[1])) <= 1
+    assert np.array_equal(np.concatenate([runs[0], runs[1][1:]]), rows)
+
+
 def _phi_max_whole_row(a3, n):
     """max of Phi(a1, a3) over n points a1, evaluated on one whole row."""
     s3, s6 = np.sinh(np.array([a3])), np.sinh(np.array([2 * a3]))
@@ -125,8 +151,8 @@ def test_a_row_longer_than_a_block_equals_the_whole_row():
 
 def test_memory_does_not_grow_with_scale():
     """At scale 4 a whole-grid evaluation held 88 MB of arrays; streamed
-    block by block, a call holds one claim's buffers and per-axis
-    vectors."""
+    block by block, a call holds one run's buffers per thread and
+    per-axis vectors."""
     verify_paper_inequalities(scale=0.05)
     tracemalloc.start()
     try:
@@ -150,18 +176,31 @@ def _pad_and_min(values):
     return raw, pad
 
 
-def _streamed(values, block, skip_nan_rows):
+def _streamed(values, block, skip_nan_rows, split=None):
     """`MinPad` fed `block` rows at a time; with `skip_nan_rows`, the
     leading rows that are entirely NaN are never added, as
-    `equi1_on_X2` leaves out its leading rows with an empty a1 range."""
-    acc = _grids.MinPad(values.shape)
+    `equi1_on_X2` leaves out its leading rows with an empty a1 range.
+    With a `split` row, rows [start, split) and [split - 1, end) stream
+    into two pads that are then merged, as `verify` splits equi1_on_X2
+    (a split at or before the start makes the first run one row, and
+    when every row is left out both runs are empty)."""
     start = 0
     if skip_nan_rows:
         empty = np.isnan(values).reshape(len(values), -1).all(axis=1)
         start = int(np.logical_and.accumulate(empty).sum())
-    for lo in range(start, len(values), block):
-        acc.add(values[lo:lo + block])
-    return acc.result()
+    if split is None:
+        return _streamed_rows(values, block, start, len(values)).result()
+    mid = min(max(split % len(values), start + 1), len(values))
+    first = _streamed_rows(values, block, start, mid)
+    return first.merge(_streamed_rows(values, block, max(mid - 1, start),
+                                      len(values))).result()
+
+
+def _streamed_rows(values, block, start, stop):
+    acc = _grids.MinPad(values.shape)
+    for lo in range(start, stop, block):
+        acc.add(values[lo:min(lo + block, stop)])
+    return acc
 
 
 def _bits(pair):
@@ -183,19 +222,25 @@ def _grid(shape, seed):
 @pytest.mark.parametrize("shape", [(50,), (23, 17), (11, 7, 5), (9, 1, 4)],
                          ids=lambda shape: "x".join(map(str, shape)))
 @pytest.mark.parametrize("skip_nan_rows", [False, True])
-def test_streamed_pad_equals_whole_grid(shape, block, skip_nan_rows):
+# rows 0-1 and 3-5 and the last row are NaN: the seam falls at the start,
+# on the leading NaN rows, inside and at the end of the gap, mid-grid, and
+# on the trailing NaN row
+@pytest.mark.parametrize("split", [None, 0, 2, 4, 6, 8, -1])
+def test_streamed_pad_equals_whole_grid(shape, block, skip_nan_rows, split):
     values = _grid(shape, seed=len(shape) * 100 + block)
-    assert _bits(_streamed(values, block, skip_nan_rows)) == \
+    assert _bits(_streamed(values, block, skip_nan_rows, split)) == \
         _bits(_pad_and_min(values))
 
 
 @pytest.mark.filterwarnings("error")
-def test_streamed_all_nan_grid_is_nan_without_warning():
+@pytest.mark.parametrize("split", [None, 3])
+def test_streamed_all_nan_grid_is_nan_without_warning(split):
     values = np.full((6, 4), np.nan)
     with pytest.warns(RuntimeWarning, match="All-NaN"):
         want = _pad_and_min(values)
-    assert _bits(_streamed(values, 2, False)) == _bits(want) == ("nan", "nan")
-    assert _bits(_streamed(values, 2, True)) == ("nan", "nan")
+    assert _bits(_streamed(values, 2, False, split)) == _bits(want) == \
+        ("nan", "nan")
+    assert _bits(_streamed(values, 2, True, split)) == ("nan", "nan")
 
 
 @pytest.mark.parametrize("claim, band", [
@@ -219,13 +264,66 @@ def _hexed(reports):
             for r in reports]
 
 
-@pytest.mark.parametrize("points", [1000, 10**8])
-def test_reports_do_not_depend_on_the_block_size(monkeypatch, points):
-    """Every claim, end to end, reports the same bits whether its rows are
-    cut into blocks of 1000 points or each grid is one block."""
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("points", [1000, _grids._BLOCK_POINTS, 10**8])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, points,
+                                                 workers):
+    """Every claim, end to end, reports the same bits on one thread or two,
+    and whether its rows are cut into blocks of 1000 points or each grid
+    is one block."""
+    monkeypatch.setattr(_grids, "_workers", lambda: 1)
     want = _hexed(verify_paper_inequalities(scale=0.3))
+    monkeypatch.setattr(_grids, "_workers", lambda: workers)
     monkeypatch.setattr(_grids, "_BLOCK_POINTS", points)
     assert _hexed(verify_paper_inequalities(scale=0.3)) == want
+
+
+@pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (2, 2),
+                                           (8, 2)])
+def test_workers_are_the_cpus_this_process_may_use_up_to_two(
+        monkeypatch, cpus, workers):
+    if cpus is not None:
+        monkeypatch.setattr(_grids.os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        assert _grids._workers() == workers
+    monkeypatch.delattr(_grids.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(_grids.os, "cpu_count", lambda: cpus)
+    assert _grids._workers() == workers
+
+
+class _Refused(Exception):
+    pass
+
+
+def _refuse(name):
+    def refuse(*args):
+        raise _Refused(name)
+    return refuse
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("failing", [
+    ["_claim_equi1_on_x2"], ["_claim_flat_identity"],
+    ["_claim_equi1_on_x2", "_claim_flat_identity"],
+    ["_claim_equ0_cond2", "_claim_equi1_on_x2"]])
+def test_a_claim_that_raises_raises_after_every_thread_ends(
+        monkeypatch, workers, failing):
+    """The error of the first failing claim in `CLAIMS` order reaches the
+    caller, though equi1_on_X2's halves, which raise inside `_equi1_worst`
+    here, are taken up first; and no thread of the call outlives it."""
+    order = [fn.__name__ for fn, _ in _grids.CLAIMS]
+    equi1 = "_claim_equi1_on_x2"
+    if equi1 in failing:
+        monkeypatch.setattr(_grids, "_equi1_worst", _refuse(equi1))
+    monkeypatch.setattr(_grids, "CLAIMS", [
+        (_refuse(fn.__name__) if fn.__name__ in failing and
+         fn.__name__ != equi1 else fn, base_n)
+        for fn, base_n in _grids.CLAIMS])
+    monkeypatch.setattr(_grids, "_workers", lambda: workers)
+    before = threading.active_count()
+    with pytest.raises(_Refused, match=f"^{min(failing, key=order.index)}$"):
+        verify_paper_inequalities(scale=0.05)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("a3", [-1.0, 0.0, 1e-4, math.nan, math.inf, 178.0])
