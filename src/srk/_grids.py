@@ -66,16 +66,16 @@ def _iso_lambda(sha3: float) -> float:
         raise ValueError("isosceles twist length needs sinh(a3) >= 2")
     return math.asinh((sha3 + math.sqrt(sha3 * sha3 - 4.0)) / 2.0)
 
-# points in one block: 150 KB of float64, 16 rows of the equi1 grid at
-# scale 1.  On a 2-core Xeon, with one thread, a verify call took 14-18%
-# more CPU time with 9600-point blocks, which pay numpy's per-call cost
-# twice as often, and 28800 to 57600 points came within 4% of this size.
-# On two threads short ufunc calls hand the interpreter lock back and
-# forth: in `bench/run.py --workload verify` runs (4 seeds) 9600-point
-# blocks gave 8.2-9.7 ops/s, half of this size's 13.9-17.4 and below
-# one thread's 11.7-14.1, and 28800 points gave 17.7-26.1 ops/s but
-# peak_rss_mb 37.3-37.4, against 36.2-36.9 here and 34.9 on one thread.
-_BLOCK_POINTS = 16 * 1200
+# points in one block: 300 KB of float64, 32 rows of the equi1 grid at
+# scale 1.  numpy's ufuncs release the interpreter lock only for the length
+# of one call, and verify's two threads hand it back and forth between
+# calls, so a block is as long as the memory bound allows.  On a 2-core
+# Xeon equi1's two halves alone took, by block size 9600, 19200, 38400
+# and 76800 points, 73.2, 68.0, 67.5 and 70.6 ms on one thread and 82.5,
+# 50.0, 40.1 and 39.2 ms on two.  57600 points would hold a tracemalloc
+# peak of 8.6 MB at scale 4, above the bound that
+# `test_memory_does_not_grow_with_scale` keeps.
+_BLOCK_POINTS = 32 * 1200
 
 
 def _blocks(start: int, stop: int, row_shape: Tuple[int, ...],
@@ -87,9 +87,9 @@ def _blocks(start: int, stop: int, row_shape: Tuple[int, ...],
 
     One array, not `count`: glibc maps it afresh and, when it is freed,
     raises its mmap and trim thresholds above it, so later claims and calls
-    reuse heap memory.  Separate 150 KB buffers would be mapped afresh by
-    every claim: about 1900 minor page faults per warm verify call, against
-    0-7."""
+    reuse heap memory.  Separate block-sized buffers would be mapped afresh
+    by every claim: with 150 KB buffers, about 1900 minor page faults per
+    warm verify call, against 0-7."""
     step = max(_BLOCK_POINTS // math.prod(row_shape), 1)
     bufs = np.empty((count, min(step, stop - start)) + row_shape)
     for lo in range(start, stop, step):
@@ -103,7 +103,11 @@ class MinPad:
     The pad is half the largest neighbour difference along each axis,
     summed over the axes; NaN cells are skipped.  Blocks are whole rows,
     each block's first row the one after the previous block's last row,
-    which is kept in a copy for the difference between them.
+    which is kept in a copy for the difference between them, and no block
+    has more rows than the first.  Every difference is written into one
+    scratch array the size of the first block, so later blocks allocate
+    none of their size (numpy's iterator still buffers the differences
+    along strided axes, 120-130 KB at most).
     """
 
     def __init__(self, shape: Tuple[int, ...]) -> None:
@@ -112,8 +116,12 @@ class MinPad:
         self._hi = [math.nan] * len(shape)
         self._lo = [math.nan] * len(shape)
         self._last = None               # a copy of the last row added
+        self._scratch = None            # made on the first block
 
-    def _fold(self, axis: int, diff: np.ndarray) -> None:
+    def _fold(self, axis: int, later: np.ndarray,
+              earlier: np.ndarray) -> None:
+        diff = np.subtract(later, earlier, out=self._scratch[:later.size]
+                           .reshape(later.shape))
         self._hi[axis] = np.fmax(self._hi[axis],
                                  np.fmax.reduce(diff, axis=None))
         self._lo[axis] = np.fmin(self._lo[axis],
@@ -122,12 +130,17 @@ class MinPad:
     def add(self, block: np.ndarray) -> None:
         """Fold in the rows that follow those added so far."""
         self._raw = np.fmin(self._raw, np.fmin.reduce(block, axis=None))
-        if self._last is not None:
-            self._fold(0, block[:1] - self._last)
+        if self._last is None:
+            self._scratch = np.empty(block.size)
+            self._last = np.empty_like(block[-1:])
+        else:
+            self._fold(0, block[:1], self._last)
         for axis, size in enumerate(block.shape):
             if size > 1:
-                self._fold(axis, np.diff(block, axis=axis))
-        self._last = block[-1:].copy()
+                head = (slice(None),) * axis
+                self._fold(axis, block[head + (slice(1, None),)],
+                           block[head + (slice(None, -1),)])
+        np.copyto(self._last, block[-1:])
 
     def merge(self, other: "MinPad") -> "MinPad":
         """Fold in `other`, the pad of a run of rows that starts at or
@@ -137,7 +150,7 @@ class MinPad:
         self._raw = np.fmin(self._raw, other._raw)
         self._hi = [np.fmax(a, b) for a, b in zip(self._hi, other._hi)]
         self._lo = [np.fmin(a, b) for a, b in zip(self._lo, other._lo)]
-        self._last = other._last
+        self._last, self._scratch = other._last, other._scratch
         return self
 
     def result(self) -> Tuple[float, float]:

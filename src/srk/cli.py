@@ -284,8 +284,8 @@ def cmd_orbit_stats(args) -> int:
 
 
 # the largest `verify --scale`: the grids grow with the scale, and a run at
-# 64 already takes about 5 s on a 2-core x86-64 Xeon (5.1-5.2 s on two
-# threads, 5.5-5.7 s on one)
+# 64 already takes about 4 s on a 2-core x86-64 Xeon (3.5-4.3 s on two
+# threads, 5.2-6.4 s on one)
 MAX_SCALE = 100.0
 
 

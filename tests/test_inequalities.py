@@ -139,20 +139,21 @@ def _phi_max_whole_row(a3, n):
 
 
 def test_a_row_longer_than_a_block_equals_the_whole_row():
-    """A claim whose rows outgrow a block (verify above scale 4.7 or so)
+    """A claim whose rows outgrow a block (verify above scale 9.4 or so)
     takes one row per block, and reports what one whole row gives."""
-    n = 20480
-    assert n > _grids._BLOCK_POINTS
+    n = _grids._BLOCK_POINTS + 1280
     rep = _grids._claim_phi_crossing(n)
     want = min(9.0 - _phi_max_whole_row(1.449, n),
                _phi_max_whole_row(1.469, n) - 9.0)
     assert rep.raw_min == want
 
 
-def test_memory_does_not_grow_with_scale():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_memory_does_not_grow_with_scale(monkeypatch, workers):
     """At scale 4 a whole-grid evaluation held 88 MB of arrays; streamed
     block by block, a call holds one run's buffers per thread and
     per-axis vectors."""
+    monkeypatch.setattr(_grids, "_workers", lambda: workers)
     verify_paper_inequalities(scale=0.05)
     tracemalloc.start()
     try:
@@ -161,6 +162,27 @@ def test_memory_does_not_grow_with_scale():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, peak
+
+
+@pytest.mark.parametrize("shape", [(32, 1200), (8, 60, 80)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_a_minpad_allocates_no_block_after_its_first(shape):
+    """Every neighbour difference of a later block is written into the
+    scratch array made on the first block; what remains is numpy's own
+    bounded iterator buffer for differences along strided axes."""
+    rows = shape[0]
+    values = _grid((5 * rows,) + shape[1:], seed=rows)
+    acc = _grids.MinPad(values.shape)
+    acc.add(values[:rows])
+    tracemalloc.start()
+    try:
+        for lo in range(rows, len(values), rows):
+            acc.add(values[lo:lo + rows])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values[:rows].nbytes, peak
+    assert _bits(acc.result()) == _bits(_pad_and_min(values))
 
 
 def _pad_and_min(values):
