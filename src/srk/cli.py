@@ -12,7 +12,8 @@ Each orbit draws from its own `random.Random`, seeded by an integer of
 (seed, index), so a seed gives the same table on every platform and on
 CPython 3.10 and later.  A command that fails raises `_Exit`, and `main`
 writes its one stderr line and returns its code; README's exit-code table
-lists the codes and their causes.
+lists the codes and their causes.  `main` builds its parser on its first
+call and reuses it.
 
 numpy is imported only where an ndarray is made: verify evaluates its grids
 with it, while classify, search, replay and orbit-stats run on floats and
@@ -22,6 +23,7 @@ with it, while classify, search, replay and orbit-stats run on floats and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -347,6 +349,10 @@ def _count(text: str) -> int:
     return v
 
 
+# `main` parses every call with one parser (`_parser`): `parse_args` leaves
+# it unchanged and returns a new Namespace, and every default below is
+# immutable.  A mutable default, such as a list that `action="append"`
+# extends, would carry one call's arguments into the next.
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="srk",
@@ -389,10 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:     # -h (0) or a usage error (64)
         return exc.code
     try:

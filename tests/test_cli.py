@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -1236,3 +1238,138 @@ def test_count_flags_accept_zero(tmp_path, capsys):
     assert cli.main(["orbit-stats", "--n", "1", "--length", "0",
                      "--out", str(out)]) == 0
     assert out.read_text().count("\n") == 2
+
+
+class TestSharedParser:
+    """`main` parses every call with the one parser `cli._parser` builds on
+    the first call; these check that no call leaves anything in it for the
+    next."""
+
+    @staticmethod
+    def _orbit_argv(seed, out):
+        return ["orbit-stats", "--seed", str(seed), "--n", "6", "--length",
+                "20", "--out", str(out)]
+
+    def test_namespaces_match_a_fresh_parser(self):
+        for argv in (["verify", "--format", "csv"], ["verify"],
+                     ["verify", "--scale", "0.5", "--out", "A"],
+                     ["orbit-stats", "--n", "2"], ["orbit-stats"],
+                     ["classify", "rep.json", "--out", "B"],
+                     ["classify", "rep.json"],
+                     ["replay", "cert.json", "--record", "rep.json"],
+                     ["replay", "cert.json"]):
+            shared = vars(cli._parser().parse_args(argv))
+            assert shared == vars(cli.build_parser().parse_args(argv)), argv
+
+    def test_defaults_come_back(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.json"
+        assert cli.main(["verify", "--scale", "0.05", "--format", "csv",
+                         "--out", str(a)]) == 0
+        assert cli.main(["verify", "--scale", "0.05", "--out", str(b)]) == 0
+        rows = json.loads(b.read_text())
+        assert [r["claim"] for r in rows] == \
+            [line.split(",")[0] for line in a.read_text().splitlines()[1:]]
+        out = tmp_path / "orbits.csv"
+        assert cli.main(["orbit-stats", "--n", "1", "--length", "0",
+                         "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 2
+        assert cli.main(["orbit-stats", "--length", "0",
+                         "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 101   # the header, 100 rows
+
+    def test_usage_errors_and_help_leave_no_trace(self, tmp_path, capsys):
+        # build the parser while other streams are current: argparse must
+        # look sys.stdout and sys.stderr up when it prints
+        cli._parser.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli._parser()
+        out = tmp_path / "orbits.csv"
+        assert cli.main(self._orbit_argv(5, out)) == 0
+        want = out.read_bytes()
+        assert capsys.readouterr() == ("", "")
+        for argv, code, stream in ((["orbit-stats", "--n", "-1"], 64, "err"),
+                                   (["verify", "-h"], 0, "out"),
+                                   (["verify", "--format", "xml"], 64, "err"),
+                                   (["orbit-stats", "--help"], 0, "out")):
+            assert cli.main(argv) == code, argv
+            printed = capsys.readouterr()
+            text = getattr(printed, stream)
+            assert text.startswith(f"usage: srk {argv[0]}"), argv
+            assert printed == ((text, "") if stream == "out" else ("", text))
+            out.unlink()
+            assert cli.main(self._orbit_argv(5, out)) == 0, argv
+            assert out.read_bytes() == want, argv
+            assert capsys.readouterr() == ("", ""), argv
+
+    def test_build_parser_runs_once(self, monkeypatch, tmp_path):
+        calls = []
+        build = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for argv in (["orbit-stats", "--n", "0", "--out", os.devnull],
+                         ["verify", "-h"], ["orbit-stats", "--n", "x"],
+                         ["orbit-stats", "--n", "1", "--length", "2",
+                          "--out", os.devnull]):
+                cli.main(argv)
+        assert calls == [1]
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(srk.__file__).resolve().parent.parent)
+        code = ("import argparse\n"
+                "built = []\n"
+                "init = argparse.ArgumentParser.__init__\n"
+                "def counted(self, *a, **k):\n"
+                "    built.append(1)\n"
+                "    init(self, *a, **k)\n"
+                "argparse.ArgumentParser.__init__ = counted\n"
+                "import srk\n"
+                "print(len(built), srk.cli._parser.cache_info().currsize)\n")
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "0"]
+
+    def test_threads_write_what_serial_calls_write(self, tmp_path):
+        seeds = (1, 2, 3, 4)      # one thread each: more threads than cores
+        want = {}
+        for seed in seeds:
+            path = tmp_path / f"serial{seed}.csv"
+            assert cli.main(self._orbit_argv(seed, path)) == 0
+            want[seed] = path.read_bytes()
+        codes = {}
+
+        def run(seed):
+            for rep in range(3):
+                path = tmp_path / f"thread{seed}_{rep}.csv"
+                codes[seed, rep] = cli.main(self._orbit_argv(seed, path))
+
+        cli._parser.cache_clear()       # the threads race to build it too
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,))
+                       for seed in seeds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert set(codes.values()) == {0} and len(codes) == 3 * len(seeds)
+        for seed in seeds:
+            for rep in range(3):
+                path = tmp_path / f"thread{seed}_{rep}.csv"
+                assert path.read_bytes() == want[seed], (seed, rep)
