@@ -3,12 +3,12 @@
 No grid is held whole.  A claim evaluates runs of consecutive rows of its
 grid (slices along its first axis), each run in order, in blocks of whole
 rows of at most `_BLOCK_POINTS` points each, and a `MinPad` folds each
-block into the running minimum and the largest neighbour difference along
-each axis, keeping a copy of the block's last row for the difference with
-the first row of the next.  `_blocks` makes a run's block buffers once
-and hands them to every block; each per-point quantity is written into
-them with `out=`, and is evaluated only on the axes it depends on,
-broadcast against the others.  So a claim's memory
+block into the running minimum and the largest |neighbour difference|
+along each axis, keeping a copy of the block's last row for the
+difference with the first row of the next.  `_blocks` makes a run's
+block buffers once and hands them to every block; each per-point
+quantity is written into them with `out=`, and is evaluated only on the
+axes it depends on, broadcast against the others.  So a claim's memory
 does not grow with `scale` until one row outgrows a block.  The reports
 equal those of whole-grid arrays bit for bit: every point sees the same
 floating-point operations in the same order, and minima and maxima are
@@ -100,7 +100,7 @@ def _blocks(start: int, stop: int, row_shape: Tuple[int, ...],
 class MinPad:
     """Raw minimum and Lipschitz pad of a grid, folded block by block.
 
-    The pad is half the largest neighbour difference along each axis,
+    The pad is half the largest |neighbour difference| along each axis,
     summed over the axes; NaN cells are skipped.  Blocks are whole rows,
     each block's first row the one after the previous block's last row,
     which is kept in a copy for the difference between them, and no block
@@ -113,8 +113,7 @@ class MinPad:
     def __init__(self, shape: Tuple[int, ...]) -> None:
         self._shape = shape
         self._raw = math.nan
-        self._hi = [math.nan] * len(shape)
-        self._lo = [math.nan] * len(shape)
+        self._hi = [math.nan] * len(shape)   # largest |difference| per axis
         self._last = None               # a copy of the last row added
         self._scratch = None            # made on the first block
 
@@ -123,9 +122,8 @@ class MinPad:
         diff = np.subtract(later, earlier, out=self._scratch[:later.size]
                            .reshape(later.shape))
         self._hi[axis] = np.fmax(self._hi[axis],
-                                 np.fmax.reduce(diff, axis=None))
-        self._lo[axis] = np.fmin(self._lo[axis],
-                                 np.fmin.reduce(diff, axis=None))
+                                 np.fmax.reduce(np.abs(diff, out=diff),
+                                                axis=None))
 
     def add(self, block: np.ndarray) -> None:
         """Fold in the rows that follow those added so far."""
@@ -149,7 +147,6 @@ class MinPad:
         row in both runs changes no minimum or maximum."""
         self._raw = np.fmin(self._raw, other._raw)
         self._hi = [np.fmax(a, b) for a, b in zip(self._hi, other._hi)]
-        self._lo = [np.fmin(a, b) for a, b in zip(self._lo, other._lo)]
         self._last, self._scratch = other._last, other._scratch
         return self
 
@@ -157,7 +154,7 @@ class MinPad:
         pad = 0.0
         for axis, size in enumerate(self._shape):
             if size > 1:
-                pad += max(float(self._hi[axis]), -float(self._lo[axis])) / 2.0
+                pad += float(self._hi[axis]) / 2.0
         return float(self._raw), pad
 
     def report(self, claim_id: str, detail: str = "") -> ClaimReport:
@@ -443,12 +440,14 @@ def _claim_phi_crossing(n: int) -> ClaimReport:
                        detail="max Phi < 9 at a3 = 1.449 and > 9 at 1.469")
 
 
-def _equi1_jobs(n: int) -> Tuple[list, Callable[..., ClaimReport]]:
+def _claim_equi1_on_x2(n: int) -> Tuple[list, Callable[..., ClaimReport]]:
     """equi1_on_X2 as two jobs, each folding one half of its grid's rows
     into its own `MinPad`, and the function that merges the two into the
-    claim's report.  The halves are rows [start, mid) and [mid - 1, m):
-    the second starts one row early, so that its pad takes the difference
-    across the seam, and a row folded twice changes no minimum or maximum.
+    claim's report; `verify` runs the jobs, on one thread or two, and
+    this is the claim's only path.  The halves are rows [start, mid) and
+    [mid - 1, m): the second starts one row early, so that its pad takes
+    the difference across the seam, and a row folded twice changes no
+    minimum or maximum.
     """
     # the binding corner (a1 = l2(2.23), a3 = 2.23) leaves a margin of only
     # 5e-3, so the mesh must be fine enough for the pad to fit under it;
@@ -475,11 +474,6 @@ def _equi1_jobs(n: int) -> Tuple[list, Callable[..., ClaimReport]]:
 
     halves = [partial(rows, start, mid), partial(rows, max(mid - 1, start), m)]
     return halves, report
-
-
-def _claim_equi1_on_x2(n: int) -> ClaimReport:
-    jobs, report = _equi1_jobs(n)
-    return report(*[job() for job in jobs])
 
 
 def _equi1_worst(lo: np.ndarray, a3: np.ndarray,
@@ -664,7 +658,9 @@ def _claim_comdelta_cap(n: int) -> ClaimReport:
                               "Bers value")
 
 
-CLAIMS: List[Tuple[Callable[[int], ClaimReport], int]] = [
+# (claim, base point count): a claim maps its point count to its report,
+# except `_claim_equi1_on_x2`, which returns its jobs and their merge
+CLAIMS: List[Tuple[Callable[[int], object], int]] = [
     (_claim_equ0_cond0, 200_000),
     (_claim_equ0_cond1, 200_000),
     (_claim_equ0_cond2, 200_000),
@@ -698,7 +694,7 @@ def verify(scale: float) -> List[ClaimReport]:
     claims = []                 # (jobs, report from their results) per claim
     for fn, base_n in CLAIMS:
         n = max(int(base_n * scale), 16)
-        claims.append(_equi1_jobs(n) if fn is _claim_equi1_on_x2
+        claims.append(fn(n) if fn is _claim_equi1_on_x2
                       else ([partial(fn, n)], lambda rep: rep))
     jobs = [job for parts, _ in claims for job in parts]
     split = [len(parts) > 1 for parts, _ in claims for _ in parts]

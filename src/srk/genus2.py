@@ -22,9 +22,9 @@ every letter of a word off a rep, a named curve or one of the generators
 A1, B1, A2, B2 in which the search writes every word that is not a named
 curve, and keeps each matrix in the rep's memo; `generator_images` builds
 the four generator images.  The search and the certificate replay move
-between reps with `dehn_twist_gamma`, and `_place_twists` is the one home
-of twist normalisation: one pass finds each count and placed twist, which
-`twist_counts` and `normalize_twists` read from its cache on the rep.
+between reps with `dehn_twist_gamma`, and `place_twists` is the one home
+of twist normalisation: one pass finds each count and placed twist, and
+later calls read both from its cache on the rep.
 
 `twist_coeffs` is the one home of how a beta or delta trace depends on the
 twists, and `twist_trace` evaluates it.  With T_{-t_k} = e^{-t_k/2} E11 +
@@ -90,7 +90,8 @@ class GluedRep:
         # the matrices of the word letters evaluated so far, curve tags and
         # generators: `curve_matrix` reads and fills it
         self.quads: Dict[str, Quad] = {}
-        # (counts, normalised rep or None) once `_place_twists` has run
+        # (counts, normalised rep or None when no count moves) once
+        # `place_twists` has run, which alone reads it
         self._normal = None
 
     def _key(self) -> tuple:
@@ -421,29 +422,20 @@ def gamma_twists(t, a, i: int, k: int) -> list:
     return t
 
 
-def twist_counts(rep: GluedRep) -> Tuple[int, int, int]:
-    """Twist multiples k_i with t_i + k_i (2 a_i) in [-a_i, a_i]
-    (`_place_twists`).  The search logs them as twist moves."""
-    return _place_twists(rep)[0]
-
-
-def normalize_twists(rep: GluedRep) -> GluedRep:
-    """Twist each t_i into [-a_i, a_i]; boundary ties resolve to +a_i
-    (`_place_twists`).  Its callers share one normalised rep and the curves
-    and generators evaluated on it; `rep` itself when no count moves."""
-    return _place_twists(rep)[1] or rep
-
-
-def _place_twists(rep: GluedRep) -> Tuple[tuple, Optional[GluedRep]]:
-    """(counts k_i, normalised rep or None when no count moves) from one
-    pass over the twists, cached on `rep`.  Each placed twist is t_i +
-    k_i (2 a_i), a boundary tie moved to +a_i; a count of 0 keeps the bits
-    of t_i (-0.0 stays -0.0).  Raises Genus2Error for a twist so huge that
-    it has lost its place in its orbit: the rounded placed twist lies more
-    than TWIST_EDGE outside [-a_i, a_i] (before a tie moves it) or off the
-    exact remainder of t_i modulo 2 a_i."""
+def place_twists(rep: GluedRep) -> Tuple[Tuple[int, int, int], GluedRep]:
+    """(counts k_i, normalised rep) with each t_i twisted into [-a_i, a_i]:
+    the placed twist is t_i + k_i (2 a_i), a boundary tie moved to +a_i,
+    and a count of 0 keeps the bits of t_i (-0.0 stays -0.0).  The rep is
+    `rep` itself when no count moves.  One pass finds both, cached on
+    `rep`, so its callers share one normalised rep and the curves and
+    generators evaluated on it; the search logs the counts as twist moves.
+    Raises Genus2Error for a twist so huge that it has lost its place in
+    its orbit: the rounded placed twist lies more than TWIST_EDGE outside
+    [-a_i, a_i] (before a tie moves it) or off the exact remainder of t_i
+    modulo 2 a_i."""
     if rep._normal is not None:
-        return rep._normal
+        counts, normal = rep._normal
+        return counts, normal or rep
     counts, placed = [], []
     for ti, ai in zip(rep.t, rep.a):
         width = 2.0 * ai
@@ -464,7 +456,7 @@ def _place_twists(rep: GluedRep) -> Tuple[tuple, Optional[GluedRep]]:
         placed.append(tn if k else ti)
     normal = GluedRep(rep.p1, rep.p2, tuple(placed)) if any(counts) else None
     rep._normal = tuple(counts), normal
-    return rep._normal
+    return rep._normal[0], normal or rep
 
 
 def sign_invariant(rep: GluedRep) -> str:
@@ -481,7 +473,7 @@ def sign_invariant(rep: GluedRep) -> str:
     """
     if rep.euler_nominal != 0:
         raise Genus2Error("sign invariant needs total Euler class 0")
-    rep = normalize_twists(rep)
+    rep = place_twists(rep)[1]
     sides = [side_of_two(trace_curve_matrix(rep, tag)) for tag in DELTA_TAGS]
     if 0 in sides:
         return "Degenerate"
@@ -538,4 +530,4 @@ def euler_class(rep: GluedRep) -> int:
     like e^{|t|/2} and, past |t| ~ 15, the relator and its boundary shift
     drown in rounding error.
     """
-    return psl2r.euler_class_closed(*generator_images(normalize_twists(rep)))
+    return psl2r.euler_class_closed(*generator_images(place_twists(rep)[1]))

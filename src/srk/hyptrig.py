@@ -99,11 +99,6 @@ class SelfHexagonSolution(NamedTuple):
     def heron(self) -> float:
         return math.sqrt(-delta_invariant(*self.a))
 
-    @property
-    def long_index(self) -> int:
-        """Index of the side exceeding the sum of the others."""
-        return long_index(self.a)
-
 
 Solution = Union[HexagonSolution, TriangleSolution, SelfHexagonSolution]
 
@@ -143,7 +138,7 @@ def solve_self_hexagon(a1: float, a2: float, a3: float) -> SelfHexagonSolution:
     With L the long side and (L, j, k) cyclic, cosh(d_L) = (cosh a_L -
     cosh a_j cosh a_k) / (sinh a_j sinh a_k), and the short-side formulas
     mirror the hexagon ones with a sign flip.  The long side may be at any
-    index; the solution's `long_index` names it.
+    index; `long_index(a)` names it, for this solver and its callers alike.
     """
     a = _check_sides((a1, a2, a3))
     if delta_invariant(*a) >= -DELTA_BAND:

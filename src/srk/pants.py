@@ -139,18 +139,14 @@ class PantsRep(NamedTuple):
     solution: Optional[hyptrig.Solution]
 
     def cocycle_residuals(self) -> Tuple[float, float]:
-        return _cocycle_residuals(self.a, self.q)
-
-
-def _cocycle_residuals(a, x) -> Tuple[float, float]:
-    """Deviations of the two cocycle products from +-identity."""
-    a1, a2, a3 = a
-    x1, x2, x3 = x
-    tr = make_translation
-    first = mmul(tr(a2), x3, tr(a1), x2, tr(a3), x1)
-    second = mmul(tr(-a2), x3, tr(-a1), x2, tr(-a3), x1)
-    return (deviation_from_projective_identity(first),
-            deviation_from_projective_identity(second))
+        """Deviations of the two cocycle products from +-identity."""
+        a1, a2, a3 = self.a
+        x1, x2, x3 = self.q
+        tr = make_translation
+        first = mmul(tr(a2), x3, tr(a1), x2, tr(a3), x1)
+        second = mmul(tr(-a2), x3, tr(-a1), x2, tr(-a3), x1)
+        return (deviation_from_projective_identity(first),
+                deviation_from_projective_identity(second))
 
 
 def _upper(x: float) -> Quad:
@@ -227,7 +223,7 @@ def _build(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
             x = _triangle_matrices(sol.theta, case.eps)
         elif case.kind == "selfhex":
             sol = hyptrig.solve_self_hexagon(*a)
-            x = _selfhex_matrices(sol.d, case.eps, sol.long_index)
+            x = _selfhex_matrices(sol.d, case.eps, long_index(a))
         elif case.kind == "flat_diag":
             x = _placed(long_index(a), (IDENTITY, S, S))
         elif case.kind in ("flat_upper", "flat_lower"):
@@ -244,7 +240,8 @@ def _build(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
         raise CocycleResidualError(f"a polygon side overflows a float: "
                                    f"{exc}") from exc
 
-    res = _cocycle_residuals(a, x)
+    rep = PantsRep(a, case, x, sol)
+    res = rep.cocycle_residuals()
     # scaled like the Euler class relator check, by psl2r._relation_scale
     # of the largest translation T(max a), e^{max a}.  The edge matrices'
     # entries grow only as a -> 0, where the Euler class lift loses
@@ -253,7 +250,7 @@ def _build(a: Tuple[float, float, float], case: PantsCase) -> PantsRep:
     if max(res) > tol:
         raise CocycleResidualError(f"cocycle residuals {res} exceed "
                                    f"tolerance {tol}")
-    return PantsRep(a, case, x, sol)
+    return rep
 
 
 # ---------------------------------------------------------------------------

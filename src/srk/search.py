@@ -264,12 +264,12 @@ def _apply_twist(state: SearchState, i: int, k: int) -> None:
 
 
 def _normalize(state: SearchState) -> None:
-    """Log the twist moves into [-a_i, a_i] and move to the normalised rep
-    that `genus2.normalize_twists` keeps, with the curves it evaluated."""
-    for i, k in enumerate(genus2.twist_counts(state.rep)):
+    """Log the twist moves into [-a_i, a_i] and move to the normalised rep,
+    with the curves evaluated on it: both from one `genus2.place_twists`."""
+    counts, state.rep = genus2.place_twists(state.rep)
+    for i, k in enumerate(counts):
         if k:
             _log_twist(state, i + 1, k)
-    state.rep = genus2.normalize_twists(state.rep)
 
 
 def _found(state: SearchState, word: List):
@@ -298,11 +298,12 @@ def classify_scope(rep: GluedRep) -> None:
     """Raise OutOfScopeError unless the search covers `rep`: Euler class
     +-1, or 0 with a sign invariant other than Plus.  Returns nothing.
 
-    A twist that `genus2.twist_counts` cannot normalise has lost its place
-    in the twist orbit, and is out of scope too.
+    A twist that `genus2.place_twists` cannot normalise has lost its place
+    in the twist orbit, and is out of scope too; the placement it caches
+    on `rep` is the one the sign invariant and the search read.
     """
     try:
-        genus2.twist_counts(rep)
+        genus2.place_twists(rep)
     except genus2.Genus2Error:
         raise OutOfScopeError(f"twists {rep.t} are too large to normalise "
                               f"into [-a_i, a_i]") from None

@@ -238,7 +238,7 @@ def test_criterion_06_paper_constants():
     for _ in range(300):
         rep = genus2.build_glued(SH_P, SH_P, sample_a(SH_P, rng),
                                  (0.0, 0.0, 0.0))
-        rep = genus2.normalize_twists(rep)
+        rep = genus2.place_twists(rep)[1]
         a3 = max(rep.a)
         pivot = int(np.argmax(rep.a)) + 1
         worst_tr = 0.0

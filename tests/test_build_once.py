@@ -389,11 +389,10 @@ class TestNormalisedRep:
                t=st.tuples(*[st.floats(-3.0, 3.0)] * 3))
         def check(a, t):
             rep = build_glued(eps1, eps2, a, t)
-            norm = genus2.normalize_twists(rep)
-            assert genus2.normalize_twists(rep) is norm
-            counts = genus2.twist_counts(rep)
+            counts, norm = genus2.place_twists(rep)
+            assert genus2.place_twists(rep)[1] is norm
             assert (norm is rep) == (counts == (0, 0, 0))
-            assert genus2.normalize_twists(norm) is norm
+            assert genus2.place_twists(norm)[1] is norm
             for k, ti, ni in zip(counts, rep.t, norm.t):
                 assert k or _bits([ti]) == _bits([ni])
 
@@ -406,7 +405,7 @@ class TestNormalisedRep:
 
 def _memo_free_normalize(state):
     """`_normalize` as it was: one Dehn twist, and one rep, per move."""
-    for i, k in enumerate(genus2.twist_counts(state.rep)):
+    for i, k in enumerate(genus2.place_twists(state.rep)[0]):
         search._apply_twist(state, i + 1, k)
 
 

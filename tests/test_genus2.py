@@ -18,7 +18,7 @@ from srk import genus2, hyptrig, pants, search
 from srk.genus2 import (BETA_TAGS, CURVE_TAGS, DELTA_TAGS, Genus2Error,
                         GluedRep, build_glued, curve_matrix, dehn_twist_gamma,
                         delta_side_consistency, euler_class,
-                        generator_images, normalize_twists, sign_invariant,
+                        generator_images, place_twists, sign_invariant,
                         trace_curve_closed_form, trace_curve_matrix,
                         twist_coeffs, twist_trace)
 from srk.pants import EU0_DIAGONAL_FLAT, EU_MINUS1, EU_PLUS1, PantsCase
@@ -117,7 +117,7 @@ class TestBuild:
         rep = build_glued(EU_PLUS1, EU_PLUS1, (1.0, 1.1, 1.2), (3.0, 0, 0))
         for tag in CURVE_TAGS + genus2.GENERATORS:
             curve_matrix(rep, tag)
-        norm = normalize_twists(rep)
+        norm = place_twists(rep)[1]
         assert norm is not rep
         fresh = GluedRep(p1=rep.p1, p2=rep.p2, t=rep.t)
         assert not fresh.quads
@@ -264,28 +264,28 @@ class TestTwists:
         t = genus2.gamma_twists((1e308, 0, 0), (0.5, 1, 1), 1, -10**308)
         assert all(map(math.isfinite, t))
 
-    def test_normalize_twists(self):
+    def test_place_twists(self):
         rep = build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.0, 1.0),
                           (5.0, -3.2, 0.4))
-        out = normalize_twists(rep)
+        counts, out = place_twists(rep)
+        assert counts == (-2, 2, 0)
         assert out.t[0] == pytest.approx(1.0)      # 5 - 2*2*1 = 1, tie -> +a
         for i in range(3):
             assert -rep.a[i] - 1e-12 <= out.t[i] <= rep.a[i] + 1e-12
-        again = normalize_twists(out)
-        assert again.t == out.t
+        assert place_twists(out) == ((0, 0, 0), out)
 
-    def test_normalize_twists_is_kept_on_the_rep(self):
+    def test_place_twists_is_kept_on_the_rep(self):
         # only a twist whose count moves changes: t_1 = -0.0 keeps its
         # sign, as it does under the search's twist moves
         rep = build_glued(EU_PLUS1, EU_MINUS1, (1.0, 1.0, 1.0),
                           (-0.0, 5.0, 0.4))
-        out = normalize_twists(rep)
+        counts, out = place_twists(rep)
         assert math.copysign(1.0, out.t[0]) == -1.0
         assert out.t == (0.0, 1.0, 0.4)
-        assert normalize_twists(rep) is out
-        assert normalize_twists(out) is out
+        assert place_twists(rep)[1] is out
+        assert place_twists(out)[1] is out
         state = SearchState(rep)
-        for i, k in enumerate(genus2.twist_counts(rep)):
+        for i, k in enumerate(counts):
             search._apply_twist(state, i + 1, k)
         assert [math.copysign(1.0, v) for v in state.rep.t] == [-1.0, 1.0, 1.0]
 
@@ -350,7 +350,7 @@ class TestEulerClass:
         # twist
         for rec in corpus.classify_corpus(35, 560):
             rep = GluedRep.from_json(rec["text"])
-            images = generator_images(normalize_twists(rep))
+            images = generator_images(place_twists(rep)[1])
             assert euler_class(rep) == milnor_euler_class(*images) \
                 == rec["euler"], rec
 
@@ -585,10 +585,10 @@ class TestSingleEvaluator:
                           (5.0, -3.2, 0.4))
         state = SearchState(rep)
         search._normalize(state)
-        assert state.rep.t == normalize_twists(rep).t
+        counts, normal = place_twists(rep)
+        assert state.rep is normal
         moves = [(mv["i"], mv["k"]) for mv in state.moves]
-        assert moves == [(i + 1, k)
-                         for i, k in enumerate(genus2.twist_counts(rep)) if k]
+        assert moves == [(i + 1, k) for i, k in enumerate(counts) if k]
 
 
 class TestExactHalfTurn:
@@ -728,7 +728,7 @@ class TestProperties:
         @given(a=_A_STRATEGIES[sampler], t=_twists(40.0))
         def check(a, t):
             rep = build_glued(eps1, eps2, a, t)
-            euler, normal = euler_class(rep), normalize_twists(rep)
+            euler, normal = euler_class(rep), place_twists(rep)[1]
             for n in (1, -1):
                 tried.append(n)
                 images = [search._word_quad(normal, search._BETA3_TWIST[n][g])
@@ -784,7 +784,7 @@ class TestProperties:
         # remainder of t_i modulo 2 a_i; twists up to 100 are never refused
         rep = build_glued(EU_PLUS1, EU_MINUS1, a, t)
         try:
-            out = normalize_twists(rep)
+            out = place_twists(rep)[1]
         except Genus2Error:
             assert max(map(abs, t)) > 100.0
             return

@@ -169,7 +169,7 @@ class TestSelfHexagon:
                             / math.sinh(1.0) ** 2)
         assert sol.d[2] == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(2.40157, abs=1e-4)
-        assert sol.long_index == 2
+        assert long_index(sol.a) == 2
 
     def test_heron_consistency(self):
         for _ in range(200):
@@ -195,7 +195,7 @@ class TestSelfHexagon:
     def test_permutation_recorded(self):
         a = (2.4, 0.8, 0.7)
         sol = solve_self_hexagon(*a)
-        assert sol.long_index == 0
+        assert long_index(sol.a) == 0
         aligned = solve_self_hexagon(0.8, 0.7, 2.4)
         assert sol.d[0] == pytest.approx(aligned.d[2], rel=1e-12)
 

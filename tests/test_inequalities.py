@@ -97,7 +97,8 @@ def _equi1_reference(n):
 def test_equi1_matches_inverse_trig_reference(scale):
     n = int(160_000 * scale)
     raw, pad, points = _equi1_reference(n)
-    rep = _grids._claim_equi1_on_x2(n)
+    jobs, report = _grids._claim_equi1_on_x2(n)     # verify's halves, merged
+    rep = report(*[job() for job in jobs])
     assert rep.grid_points == points
     assert rep.raw_min == pytest.approx(raw, abs=1e-12)
     assert rep.lipschitz_pad == pytest.approx(pad, abs=1e-12)
@@ -115,7 +116,7 @@ def test_equi1_halves_cover_its_rows_and_share_the_seam_row(monkeypatch):
         return np.zeros(bufs.shape[1:])
 
     monkeypatch.setattr(_grids, "_equi1_worst", worst)
-    jobs, _ = _grids._equi1_jobs(160_000)
+    jobs, _ = _grids._claim_equi1_on_x2(160_000)
     runs = []
     for job in jobs:
         folded.clear()
@@ -345,6 +346,40 @@ def test_a_claim_that_raises_raises_after_every_thread_ends(
     before = threading.active_count()
     with pytest.raises(_Refused, match=f"^{min(failing, key=order.index)}$"):
         verify_paper_inequalities(scale=0.05)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupt_stops_the_queued_claims(monkeypatch, workers):
+    """A KeyboardInterrupt on the calling thread, inside the first of
+    equi1_on_X2's halves, reaches the caller: no claim still queued runs,
+    and the helper thread ends with the half it took up before the call
+    returns."""
+    worst = _grids._equi1_worst
+
+    def interrupted(*args):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        return worst(*args)
+
+    ran = []
+
+    def counting(fn):
+        def claim(n):
+            ran.append(fn.__name__)
+            return fn(n)
+        return claim
+
+    equi1 = _grids._claim_equi1_on_x2
+    monkeypatch.setattr(_grids, "_equi1_worst", interrupted)
+    monkeypatch.setattr(_grids, "CLAIMS", [
+        (fn if fn is equi1 else counting(fn), base_n)
+        for fn, base_n in _grids.CLAIMS])
+    monkeypatch.setattr(_grids, "_workers", lambda: workers)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        verify_paper_inequalities(scale=1.0)
+    assert ran == []
     assert threading.active_count() == before
 
 

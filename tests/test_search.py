@@ -642,8 +642,8 @@ class TestHandleAcrossDelta:
         assert len(pairs) == 56
 
     def test_dispatch_builds_no_loops(self, monkeypatch):
-        reps = [genus2.normalize_twists(genus2.GluedRep.from_json(
-            rec["text"])) for rec in (corpus.corner_corpus(101, 400)
+        reps = [genus2.place_twists(genus2.GluedRep.from_json(
+            rec["text"]))[1] for rec in (corpus.corner_corpus(101, 400)
                                       + corpus.search_corpus(101, 400))]
 
         def refuse(rep):
@@ -774,19 +774,19 @@ class TestBetaTwist:
     {"eps": ["EuPlus1", "EuMinus1"], "a": [1.0, 1.1, 1.2],
      "t": [2.5, -3.0, 7.1]},
     BETA_TWIST], ids=["placed", "wide", "beta_twist"])
-def test_twist_counts_once_per_rep(monkeypatch, record):
-    """`classify_scope`, `normalize_twists` and the move log share one
+def test_place_twists_once_per_rep(monkeypatch, record):
+    """`classify_scope`, the sign invariant and the move log share one
     placement per rep, and only the input rep is placed: the search
     dispatches once, and the beta-twist step moves no coordinates."""
     counted = []
-    place_twists = genus2._place_twists
+    place_twists = genus2.place_twists
 
     def counting(rep):
         if rep._normal is None:          # a computation, not a cache hit
             counted.append(rep)
         return place_twists(rep)
 
-    monkeypatch.setattr(genus2, "_place_twists", counting)
+    monkeypatch.setattr(genus2, "place_twists", counting)
     rep = _rep(record)
     out = search_nonhyperbolic(rep)
     assert isinstance(out, FoundCurve)
