@@ -103,11 +103,7 @@ class MinPad:
     The pad is half the largest |neighbour difference| along each axis,
     summed over the axes; NaN cells are skipped.  Blocks are whole rows,
     each block's first row the one after the previous block's last row,
-    which is kept in a copy for the difference between them, and no block
-    has more rows than the first.  Every difference is written into one
-    scratch array the size of the first block, so later blocks allocate
-    none of their size (numpy's iterator still buffers the differences
-    along strided axes, 120-130 KB at most).
+    which is kept in a copy for the difference between them.
     """
 
     def __init__(self, shape: Tuple[int, ...]) -> None:
@@ -115,12 +111,10 @@ class MinPad:
         self._raw = math.nan
         self._hi = [math.nan] * len(shape)   # largest |difference| per axis
         self._last = None               # a copy of the last row added
-        self._scratch = None            # made on the first block
 
     def _fold(self, axis: int, later: np.ndarray,
               earlier: np.ndarray) -> None:
-        diff = np.subtract(later, earlier, out=self._scratch[:later.size]
-                           .reshape(later.shape))
+        diff = np.subtract(later, earlier)
         self._hi[axis] = np.fmax(self._hi[axis],
                                  np.fmax.reduce(np.abs(diff, out=diff),
                                                 axis=None))
@@ -128,17 +122,14 @@ class MinPad:
     def add(self, block: np.ndarray) -> None:
         """Fold in the rows that follow those added so far."""
         self._raw = np.fmin(self._raw, np.fmin.reduce(block, axis=None))
-        if self._last is None:
-            self._scratch = np.empty(block.size)
-            self._last = np.empty_like(block[-1:])
-        else:
+        if self._last is not None:
             self._fold(0, block[:1], self._last)
         for axis, size in enumerate(block.shape):
             if size > 1:
                 head = (slice(None),) * axis
                 self._fold(axis, block[head + (slice(1, None),)],
                            block[head + (slice(None, -1),)])
-        np.copyto(self._last, block[-1:])
+        self._last = block[-1:].copy()
 
     def merge(self, other: "MinPad") -> "MinPad":
         """Fold in `other`, the pad of a run of rows that starts at or
@@ -147,7 +138,7 @@ class MinPad:
         row in both runs changes no minimum or maximum."""
         self._raw = np.fmin(self._raw, other._raw)
         self._hi = [np.fmax(a, b) for a, b in zip(self._hi, other._hi)]
-        self._last, self._scratch = other._last, other._scratch
+        self._last = other._last
         return self
 
     def result(self) -> Tuple[float, float]:

@@ -216,9 +216,9 @@ def _orbit_rows(seed: int, index: int, length: int) -> List[str]:
 
     eps1, eps2 = pants.EU_PLUS1, pants.EU_MINUS1
     if index % 3 == 1:
-        eps1, eps2 = (pants.PantsCase("tri", 1), pants.PantsCase("tri", -1))
+        eps1, eps2 = pants.EU0_PLUS_TRIANGLE, pants.EU0_MINUS_TRIANGLE
     if index % 3 == 2:
-        eps1 = eps2 = pants.PantsCase("selfhex", 1)
+        eps1 = eps2 = pants.EU0_PLUS_SELFHEX
     while True:
         if eps1.kind == "selfhex":
             small = sorted(uniform(0.2, 0.8) for _ in range(2))

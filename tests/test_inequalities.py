@@ -165,25 +165,21 @@ def test_memory_does_not_grow_with_scale(monkeypatch, workers):
     assert peak < 8e6, peak
 
 
-@pytest.mark.parametrize("shape", [(32, 1200), (8, 60, 80)],
-                         ids=lambda shape: "x".join(map(str, shape)))
-def test_a_minpad_allocates_no_block_after_its_first(shape):
-    """Every neighbour difference of a later block is written into the
-    scratch array made on the first block; what remains is numpy's own
-    bounded iterator buffer for differences along strided axes."""
-    rows = shape[0]
-    values = _grid((5 * rows,) + shape[1:], seed=rows)
-    acc = _grids.MinPad(values.shape)
-    acc.add(values[:rows])
+@pytest.mark.parametrize("claim, count", [(_grids._claim_equ0_cond0, 3),
+                                          (_grids._claim_selfhex_cap, 2)],
+                         ids=["equ0_cond0", "selfhex_cap"])
+def test_a_claim_holds_its_buffers_and_little_more(claim, count):
+    """A 1-D claim at scale 4 holds its `count` block buffers, and beside
+    them at most one block-sized temporary at a time (a point index or a
+    neighbour difference) and the small arrays of its pad."""
+    claim(1000)
     tracemalloc.start()
     try:
-        for lo in range(rows, len(values), rows):
-            acc.add(values[lo:lo + rows])
+        claim(4 * dict(_grids.CLAIMS)[claim])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < values[:rows].nbytes, peak
-    assert _bits(acc.result()) == _bits(_pad_and_min(values))
+    assert peak < (count + 1.5) * _grids._BLOCK_POINTS * 8, peak
 
 
 def _pad_and_min(values):
